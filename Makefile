@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-faults fuzz bench bench-perf figures examples lint clean
+.PHONY: install test test-fast test-faults fuzz bench bench-perf bench-e2e-quick figures examples lint clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -51,6 +51,12 @@ bench:
 bench-perf:
 	PYTHONPATH=src $(PYTHON) -m repro bench --profile quick --check
 	PYTHONPATH=src $(PYTHON) -m repro bench --suite runtime --profile quick --check
+
+# The repo benchmark's quick pass (benchmarks/e2e/README.md, ~30 s): the
+# 12-frame output-digest oracle on all four runtime configurations of
+# every workload, plus shm/process hygiene.  Prints QUICK PASS.
+bench-e2e-quick:
+	$(PYTHON) benchmarks/e2e/run.py --quick
 
 figures:
 	$(PYTHON) -m repro figures all

@@ -287,7 +287,8 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
     from repro.components.registry import default_ports, default_registry
     from repro.core.expander import expand
     from repro.errors import ReproError
-    from repro.hinch import ThreadedRuntime
+    from repro.hinch import ProcessRuntime, ThreadedRuntime
+    from repro.spacecake import SimRuntime
 
     registry = registry or default_registry()
     ports = default_ports(registry)
@@ -306,18 +307,35 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
                 "mutation-not-linted",
                 f"mutation {case.mutation!r} produced no lint error",
             )
-        # lint rejected it; the build must too — never reach job execution
+        # lint rejected it; the build must too, on every backend — never
+        # reach job execution.  Constructing a runtime spawns nothing, so
+        # /dev/shm must come out exactly as it went in.
+        before = _shm_entries()
+        accepted = []
         try:
             program = expand(spec, ports, name=f"fuzz-{case.seed}")
-            ThreadedRuntime(program, registry, nodes=1, pipeline_depth=1,
-                            max_iterations=case.iterations)
         except ReproError:
-            return None  # agreement: rejected at build
-        return CaseFailure(
-            "lint-build-disagreement",
-            f"lint rejected ({errors[0].code}) but build accepted "
-            f"mutation {case.mutation!r}",
-        )
+            return None  # agreement: rejected at expand
+        for runtime_cls, width in ((ThreadedRuntime, {"nodes": 1}),
+                                   (ProcessRuntime, {"workers": 1}),
+                                   (SimRuntime, {"nodes": 1})):
+            try:
+                runtime_cls(program, registry, pipeline_depth=1,
+                            max_iterations=case.iterations, **width)
+                accepted.append(runtime_cls.__name__)
+            except ReproError:
+                pass  # agreement: rejected at build
+        leaked = _shm_entries() - before
+        if leaked:
+            return CaseFailure(
+                "shm-leak", f"refused build leaked {sorted(leaked)}")
+        if accepted:
+            return CaseFailure(
+                "lint-build-disagreement",
+                f"lint rejected ({errors[0].code}) but {', '.join(accepted)} "
+                f"accepted mutation {case.mutation!r}",
+            )
+        return None
 
     if errors:
         return CaseFailure(

@@ -6,7 +6,7 @@ by putting a job in this queue for each component that is ready to be
 run.  Furthermore, Hinch provides generic functions for streaming and
 event communication."
 
-This package reproduces those responsibilities:
+This package reproduces those responsibilities.  Building blocks:
 
 * :mod:`repro.hinch.stream` — streaming communication (whole-frame slots
   per iteration, shared by data-parallel copies);
@@ -18,10 +18,26 @@ This package reproduces those responsibilities:
   per-iteration dependency counting, pipeline parallelism across
   iterations, manager-driven reconfiguration (halt, drain, splice,
   resume);
-* :mod:`repro.hinch.runtime` — the threaded runtime that executes
-  components for real (correctness backend; the SpaceCAKE simulator in
-  :mod:`repro.spacecake` is the performance backend and reuses the same
-  scheduler).
+* :mod:`repro.hinch.manager` — manager invocation (event handlers);
+* :mod:`repro.hinch.shm` — recycled plane pool (process-local or shared
+  memory), zero-copy pack/unpack, the control-pipe name interner;
+* :mod:`repro.hinch.grouping`, :mod:`repro.hinch.fusion` — linear chains
+  scheduled, or compiled, as one job;
+* :mod:`repro.hinch.tracing` — per-job execution traces.
+
+One coordination core, :mod:`repro.hinch.engine`: ``build_configuration``
+is the only graph build (format solve → buffer expectations → converter
+insertion → grouping → fusion) and ``Coordinator`` implements the
+reconfiguration controller and the quiescent-splice protocol once.
+
+Three executors subclass the coordinator and add only how jobs run:
+:mod:`repro.hinch.runtime` (worker threads: the correctness reference,
+GIL-bound), :mod:`repro.hinch.process` with :mod:`repro.hinch.worker`
+(dispatcher and worker processes: job leases over pipes, frames in shared
+memory, :mod:`repro.hinch.faults` recovery, the online
+:mod:`repro.hinch.autotune` controller) and
+:mod:`repro.spacecake.simulator` (virtual cores on the SpaceCAKE machine
+model: the performance-curve backend).
 """
 
 from repro.hinch.events import Event, EventBroker, EventQueue, EventStormWarning

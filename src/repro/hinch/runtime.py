@@ -4,9 +4,10 @@ This is the *correctness* backend: components compute actual data (numpy
 frames, JPEG bitstreams...), streams carry it, managers reconfigure live.
 ``nodes`` worker threads pop jobs from the central queue — under CPython's
 GIL this yields concurrency, not parallel speedup; performance curves come
-from the SpaceCAKE simulator (:mod:`repro.spacecake`), which reuses the
-same :class:`~repro.hinch.scheduler.DataflowScheduler` and this module's
-:class:`ComponentHost` splice logic.
+from the SpaceCAKE simulator (:mod:`repro.spacecake`).  Graph build,
+managers and reconfiguration are the shared
+:class:`~repro.hinch.engine.Coordinator`; this module adds the job queue,
+the worker threads and the lock that lets them share it.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.program import ComponentInstance, Program, ProgramGraph
+from repro.core.program import Program
 from repro.errors import SchedulingError
 from repro.hinch.component import Component, JobContext
-from repro.hinch.events import Event, EventBroker
-from repro.hinch.fusion import FusedChain, FusionReport, run_fused
+from repro.hinch.engine import ComponentHost, Coordinator
+from repro.hinch.fusion import FusedChain, run_fused
 from repro.hinch.jobqueue import Job, JobQueue
-from repro.hinch.manager import ManagerRuntime
-from repro.hinch.scheduler import DataflowScheduler, ReconfigPlan
 from repro.hinch.shm import SharedPlanePool
-from repro.hinch.stream import StreamStore
 from repro.hinch.tracing import TraceEvent, Tracer
 
 __all__ = ["ThreadedRuntime", "RunResult", "ComponentHost"]
@@ -60,80 +58,7 @@ class RunResult:
     autotune_events: list[dict[str, Any]] = field(default_factory=list)
 
 
-class ComponentHost:
-    """Owns live component objects and applies reconfiguration splices.
-
-    Shared by both backends: the threaded runtime creates/destroys real
-    component objects; the simulator reuses the same bookkeeping so that
-    creation costs and membership stay identical.
-    """
-
-    def __init__(
-        self, program: Program, registry: Mapping[str, type[Component]]
-    ) -> None:
-        self.program = program
-        self.registry = registry
-        self.live: dict[str, Component] = {}
-        self.created_total = 0
-        #: build-time instance overrides: auto-inserted converters and
-        #: readers rebound to converted streams (program is never mutated)
-        self.overrides: dict[str, ComponentInstance] = {}
-
-    def create(self, instance_id: str) -> Component:
-        instance = self.overrides.get(instance_id)
-        if instance is None:
-            instance = self.program.components[instance_id]
-        cls = self.registry[instance.class_name]
-        component = cls(instance)
-        component.setup()
-        if instance.slice is not None:
-            index, total = instance.slice
-            component.reconfigure(f"slice={index}/{total}")
-        if instance.reconfigure:
-            component.reconfigure(instance.reconfigure)
-        self.created_total += 1
-        return component
-
-    def populate(self, active: tuple[str, ...]) -> None:
-        for instance_id in active:
-            self.live[instance_id] = self.create(instance_id)
-
-    def splice(
-        self,
-        new_active: tuple[str, ...],
-        precreated: dict[str, Component],
-    ) -> tuple[list[str], list[str]]:
-        """Swap membership to ``new_active``; returns (added, removed)."""
-        new_set = set(new_active)
-        removed = [i for i in self.live if i not in new_set]
-        for instance_id in removed:
-            self.live.pop(instance_id).teardown()
-        added = [i for i in new_active if i not in self.live]
-        for instance_id in added:
-            component = precreated.pop(instance_id, None)
-            if component is None:
-                component = self.create(instance_id)
-            self.live[instance_id] = component
-        # A re-slice can keep an instance id while changing its
-        # descriptor (copy 0 of 4 becomes copy 0 of 2): the surviving
-        # object still holds the old slice assignment and must be
-        # rebuilt.  Only slice-elastic (stateless) components are ever
-        # re-sliced, so recreation loses nothing.
-        for instance_id in new_active:
-            if instance_id in added:
-                continue
-            instance = self.overrides.get(
-                instance_id, self.program.components.get(instance_id)
-            )
-            component = self.live[instance_id]
-            if instance is not None and component.instance != instance:
-                component.teardown()
-                self.live[instance_id] = self.create(instance_id)
-                added.append(instance_id)
-        return added, removed
-
-
-class ThreadedRuntime:
+class ThreadedRuntime(Coordinator):
     """Run a Program on worker threads with real component execution."""
 
     def __init__(
@@ -152,149 +77,27 @@ class ThreadedRuntime:
     ) -> None:
         if nodes < 1:
             raise SchedulingError(f"nodes must be >= 1, got {nodes}")
-        self.program = program
         self.nodes = nodes
-        self.pipeline_depth = pipeline_depth
-        self.max_iterations = max_iterations
-        self.group_chains = group_chains
-        self.fuse = fuse
-        self.fuse_backend = fuse_backend
-        self.fusion_report: FusionReport | None = None
-        #: per-fused-node execution caches (intermediate temps, compiled
-        #: kernels); discarded whenever the graph is rebuilt
-        self._fused_caches: dict[str, dict[str, Any]] = {}
-        self.broker = EventBroker()
-        # Process-local plane pool: sliced-writer buffers are recycled
-        # across iterations instead of reallocated (same pool class the
-        # process backend uses in shared-memory mode).
-        self.pool = SharedPlanePool(shared=False)
-        self.streams = StreamStore(self.pool)
-        self.tracer = Tracer(enabled=trace)
-        self.host = ComponentHost(program, registry)
-
-        self._lock = threading.RLock()
-        self.pg: ProgramGraph = self._make_pg(program, option_states)
-        self._target_states: dict[str, bool] = dict(self.pg.option_states)
-        self._precreated: dict[str, Component] = {}
-        self.host.populate(self.pg.active_components)
-        self.managers = {
-            qname: ManagerRuntime(info, self.broker, self)
-            for qname, info in program.managers.items()
-        }
-        self.scheduler = DataflowScheduler(
-            self.pg,
+        super().__init__(
+            program, registry,
+            # Process-local plane pool: sliced-writer buffers are recycled
+            # across iterations instead of reallocated (same pool class the
+            # process backend uses in shared-memory mode).
+            pool=SharedPlanePool(shared=False),
             pipeline_depth=pipeline_depth,
             max_iterations=max_iterations,
-            hooks=self,
+            trace=trace,
+            option_states=option_states,
+            group_chains=group_chains,
+            fuse=fuse,
+            fuse_backend=fuse_backend,
+            # Worker threads complete jobs (and so invoke managers and
+            # splice) concurrently: every controller entry point locks.
+            lock=threading.RLock(),
         )
         self.queue = JobQueue()
         self._failure: BaseException | None = None
         self._start_time = 0.0
-        #: (resume_iteration, option states) per applied reconfiguration
-        self.reconfig_log: list[tuple[int, dict[str, bool]]] = []
-
-    def _make_pg(
-        self, program: Program, option_states: Mapping[str, bool] | None
-    ) -> ProgramGraph:
-        pg = program.build_graph(option_states)
-        # The reconciled port formats become each stream's authoritative
-        # buffer expectation (replacing first-write inference); recomputed
-        # here so reconfiguration installs the new configuration's solution.
-        from repro.analysis.formats import (
-            auto_insert_converters,
-            runtime_expectations,
-            solve_formats_or_raise,
-        )
-
-        solution = solve_formats_or_raise(program, pg)
-        expectations = runtime_expectations(program, pg, solution=solution)
-        # X506 sites: bridge convertible dtype mismatches at build time;
-        # the rebound reader/converter instances live in host.overrides.
-        pg, overrides, expectations = auto_insert_converters(
-            program, pg, self.host.registry, expectations, solution
-        )
-        self.host.overrides = overrides
-        self.streams.set_expectations(expectations)
-        if self.group_chains:
-            from repro.hinch.grouping import group_linear_chains
-
-            pg = group_linear_chains(pg)
-        if self.fuse:
-            from repro.hinch.fusion import fuse_chains
-
-            pg, self.fusion_report = fuse_chains(
-                pg, program, self.host.registry, expectations,
-                self.fuse_backend,
-            )
-        # fused temps/kernels are per-graph; reconfiguration rebuilds them
-        self._fused_caches = {}
-        return pg
-
-    # -- SchedulerHooks ------------------------------------------------------
-
-    def on_iteration_complete(self, iteration: int) -> None:
-        self.streams.release_iteration(iteration)
-
-    def on_reconfigure(
-        self, plans: list[ReconfigPlan], resume_iteration: int
-    ) -> ProgramGraph:
-        states = dict(self.pg.option_states)
-        for plan in plans:
-            states.update(plan.changes)
-        new_pg = self._make_pg(self.program, states)
-        self.host.splice(new_pg.active_components, self._precreated)
-        # Anything pre-created for a change that was later reverted is
-        # discarded here (its option ended up disabled).
-        for component in self._precreated.values():
-            component.teardown()
-        self._precreated.clear()
-        self.pg = new_pg
-        self._target_states = dict(states)
-        self.reconfig_log.append((resume_iteration, dict(states)))
-        return new_pg
-
-    # -- ReconfigController -----------------------------------------------------
-
-    def target_option_state(self, option_qname: str) -> bool:
-        with self._lock:
-            return self._target_states[option_qname]
-
-    def apply_option_changes(self, manager: str, changes: dict[str, bool]) -> None:
-        with self._lock:
-            effective = {
-                opt: state
-                for opt, state in changes.items()
-                if self._target_states.get(opt) != state
-            }
-            if not effective:
-                return
-            self._target_states.update(effective)
-            # Pre-create components for options being enabled, while the
-            # subgraph is still active (paper §3.4: reduces reconfig time).
-            for opt, state in effective.items():
-                if state:
-                    for member in self.program.options[opt].members:
-                        if (
-                            member not in self.host.live
-                            and member not in self._precreated
-                        ):
-                            self._precreated[member] = self.host.create(member)
-            self.scheduler.request_reconfig(
-                ReconfigPlan(manager=manager, changes=effective)
-            )
-
-    def send_reconfigure_request(self, manager: str, request: str) -> None:
-        with self._lock:
-            members = list(self.program.managers[manager].members)
-            live = [self.host.live[m] for m in members if m in self.host.live]
-        for component in live:
-            component.reconfigure(request)
-
-    # -- event injection -----------------------------------------------------------
-
-    def post_event(self, queue: str, name: str, payload: Any = None) -> None:
-        """Inject an external (user) event."""
-        self.broker.post(queue, Event(name=name, payload=payload))
 
     # -- execution --------------------------------------------------------------------
 

@@ -1,0 +1,602 @@
+"""The worker-process half of :class:`~repro.hinch.process.ProcessRuntime`.
+
+A worker holds mirror component instances and does nothing but execute
+the ``(iteration, node)`` jobs of the leases it is sent; the dispatcher
+(:mod:`repro.hinch.process`) names :func:`_worker_entry` as fork target.
+The control pipe is the contract between the halves — pickled tuples
+tagged by their first element:
+
+* dispatcher → worker: ``lease`` (jobs, plane grants, iteration
+  watermark), ``reconfigure`` (manager, request), ``splice`` (option
+  states, cumulative slice overrides, fusion headroom), ``rpc`` (reply),
+  ``stop``;
+* worker → dispatcher: ``done`` (one record per job), ``rpc_alloc`` /
+  ``rpc_alloc_raw`` / ``rpc_ensure`` (plane requests), ``bye`` (state
+  snapshots + :data:`_WORKER_STAT_KEYS` counters), ``error``.
+
+Lease and rpc traffic is name-interned (leading byte ``\\x01``); control
+messages travel plain (``\\x00``).
+"""
+
+from __future__ import annotations
+
+import os
+import time
+import traceback
+from multiprocessing.connection import Connection
+from typing import Any, Mapping, Sequence
+
+import numpy as np
+
+from repro.core.program import ComponentInstance, Program, ProgramGraph
+from repro.errors import SchedulingError, StreamError, StreamFormatError
+from repro.hinch.component import Component, JobContext
+from repro.hinch.engine import ComponentHost, build_configuration
+from repro.hinch.events import Event
+from repro.hinch.fusion import FusedChain, run_fused
+from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
+
+#: exit code of a worker killed by an injected ``kill`` fault — looks
+#: exactly like an external SIGKILL/OOM to the dispatcher, the code only
+#: aids post-mortem debugging of the harness itself
+_FAULT_EXIT_CODE = 113
+
+#: pool counters a worker reports back at shutdown (summed by dispatcher)
+_WORKER_STAT_KEYS = (
+    "meta_pickled_bytes",
+    "oob_bytes",
+    "plane_packs",
+    "pickle_packs",
+)
+
+
+class _RemotePlanePool(SharedPlanePool):
+    """Worker-side pool facade: allocation happens on the dispatcher.
+
+    ``acquire``/``acquire_raw`` become RPCs over the control pipe; pack,
+    unpack and segment mapping (with the attachment cache) are inherited.
+    The worker owns no segments, so :meth:`close` never unlinks anything.
+
+    Leases may carry *grants* — free-list planes the dispatcher attached
+    based on the node's allocation profile.  A matching-bucket grant
+    satisfies an acquire without any pipe round-trip; grants left over at
+    the end of the lease ride back on the ``lease_done`` message.
+    """
+
+    def __init__(self, rpc: Any) -> None:
+        super().__init__(shared=True)
+        self._rpc = rpc
+        #: bucket size -> granted PlaneRefs usable without an RPC
+        self._grants: dict[int, list[PlaneRef]] = {}
+
+    def add_grants(self, refs: Sequence[PlaneRef]) -> None:
+        for ref in refs:
+            self._grants.setdefault(ref.nbytes, []).append(ref)
+
+    def take_unused_grants(self) -> list[PlaneRef]:
+        unused = [ref for bucket in self._grants.values() for ref in bucket]
+        self._grants.clear()
+        return unused
+
+    def _granted(self, nbytes: int) -> PlaneRef | None:
+        bucket = self._grants.get(self.bucket_of(nbytes))
+        return bucket.pop() if bucket else None
+
+    def acquire(self, shape: tuple[int, ...], dtype: Any) -> tuple[np.ndarray, PlaneRef]:
+        dt = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
+        grant = self._granted(nbytes)
+        if grant is not None:
+            ref = PlaneRef(segment=grant.segment, nbytes=nbytes,
+                           shape=tuple(shape), dtype=dt.str)
+        else:
+            ref = self._rpc(("rpc_alloc", tuple(shape), dt.str))
+        self.stats.acquires += 1
+        return self.open(ref), ref
+
+    def acquire_raw(self, nbytes: int) -> PlaneRef:
+        grant = self._granted(nbytes)
+        if grant is not None:
+            self.stats.acquires += 1
+            return PlaneRef(segment=grant.segment, nbytes=nbytes)
+        ref: PlaneRef = self._rpc(("rpc_alloc_raw", nbytes))
+        self.stats.acquires += 1
+        return ref
+
+
+class _RecordingBroker:
+    """Collects a job's event posts for shipment with the completion."""
+
+    def __init__(self, sink: list[tuple[str, Event]]) -> None:
+        self._sink = sink
+
+    def post(self, queue: str, event: Event) -> None:
+        self._sink.append((queue, event))
+
+
+class _WorkerStreams:
+    """Per-job stream facade with the :class:`StreamStore` duck type.
+
+    Reads unpack the :class:`Packed` inputs the dispatcher sent with the
+    job (ndarrays come back as views into shared planes); ``put`` writes
+    are packed for the completion message; ``ensure_buffer`` maps the
+    shared whole-frame plane all slice copies of this (stream, iteration)
+    write into.  Grouped-chain members see each other's writes locally.
+
+    Inputs this worker already holds live — produced by an earlier job of
+    the same lease, or resident from a previous lease — arrive as bare
+    *names* instead of :class:`Packed` planes and are seeded straight
+    from the worker's resident-slot cache: no bytes cross the pipe and no
+    unpack runs.  Pre-resolved ``ensure_buffer`` planes (the dispatcher
+    ships the slot's :class:`PlaneRef` once it knows the node's ensure
+    profile) are mapped up front, removing the per-slice ensure RPC.
+    """
+
+    def __init__(
+        self,
+        worker: "_Worker",
+        iteration: int,
+        inputs: dict[str, Packed],
+        resident: tuple[str, ...] = (),
+        ensured: dict[str, PlaneRef] | None = None,
+    ) -> None:
+        self.worker = worker
+        self.inputs = inputs
+        #: resolved stream name -> Packed, shipped with the completion
+        self.outputs: dict[str, Packed] = {}
+        #: resolved stream name -> live value (unpacked inputs, local
+        #: writes visible to later members of a grouped chain)
+        self.values: dict[str, Any] = {}
+        #: resolved stream name -> shared ensure-buffer view
+        self.ensured: dict[str, np.ndarray] = {}
+        for name in resident:
+            try:
+                self.values[name] = worker.resident[(name, iteration)]
+            except KeyError:
+                raise StreamError(
+                    f"stream {name!r}: dispatcher referenced a resident "
+                    f"slot for iteration {iteration} this worker does not "
+                    "hold"
+                ) from None
+        if ensured:
+            for name, ref in ensured.items():
+                self.ensured[name] = worker.pool.open(ref)
+
+    def stream(self, name: str) -> "_WorkerStream":
+        return _WorkerStream(self, name)
+
+
+class _WorkerStream:
+    __slots__ = ("ws", "name")
+
+    def __init__(self, ws: _WorkerStreams, name: str) -> None:
+        self.ws = ws
+        self.name = name
+
+    def get(self, iteration: int) -> Any:
+        ws = self.ws
+        value = ws.values.get(self.name)
+        if value is not None:
+            return value
+        buf = ws.ensured.get(self.name)
+        if buf is not None:
+            return buf
+        packed = ws.inputs.get(self.name)
+        if packed is None:
+            raise StreamError(
+                f"stream {self.name!r}: read before write in iteration "
+                f"{iteration} (input not shipped with the job)"
+            )
+        value = ws.worker.pool.unpack(packed)
+        ws.values[self.name] = value
+        return value
+
+    def put(
+        self, iteration: int, value: Any, *, writer: str | None = None
+    ) -> None:
+        ws = self.ws
+        if self.name in ws.outputs:
+            raise StreamError(
+                f"stream {self.name!r}: double write in iteration {iteration}"
+            )
+        ws.values[self.name] = value
+        ws.outputs[self.name] = ws.worker.pool.pack(value)
+
+    def ensure_buffer(
+        self,
+        iteration: int,
+        factory: Any = None,
+        *,
+        shape: tuple[int, ...] | None = None,
+        dtype: Any = None,
+        writer: str | None = None,
+    ) -> Any:
+        ws = self.ws
+        buf = ws.ensured.get(self.name)
+        if buf is not None and shape is not None:
+            want_dtype = np.dtype(dtype) if dtype is not None else None
+            if tuple(shape) != buf.shape or (
+                want_dtype is not None and want_dtype != buf.dtype
+            ):
+                raise StreamFormatError(
+                    f"stream {self.name!r}: ensure_buffer geometry mismatch "
+                    f"in iteration {iteration}: node "
+                    f"{ws.worker.current_node or '?'} requested "
+                    f"{tuple(shape)}/{want_dtype}, slot already allocated "
+                    f"as {buf.shape}/{buf.dtype} (see lint codes X501/X503, "
+                    "`python -m repro lint`)",
+                    stream=self.name,
+                    iteration=iteration,
+                    node=ws.worker.current_node,
+                    declared=(buf.shape, buf.dtype.name),
+                    observed=(
+                        tuple(shape),
+                        want_dtype.name if want_dtype else None,
+                    ),
+                )
+        if buf is None:
+            if shape is None:
+                # Legacy factory path: use the factory's array purely as
+                # a geometry prototype — the actual buffer must be the
+                # shared plane every slice copy maps.
+                proto = factory()
+                if not isinstance(proto, np.ndarray):
+                    raise StreamError(
+                        f"stream {self.name!r}: the process backend needs "
+                        "ndarray buffers (pass shape=/dtype= to job.buffer)"
+                    )
+                shape, dtype = proto.shape, proto.dtype
+            ref: PlaneRef = ws.worker.rpc(
+                ("rpc_ensure", ws.worker.current_node, self.name, iteration,
+                 tuple(shape), np.dtype(dtype).str)
+            )
+            buf = ws.worker.pool.open(ref)
+            ws.ensured[self.name] = buf
+        return buf
+
+
+class _Worker:
+    """Worker-process main object: mirrors components, executes jobs."""
+
+    def __init__(
+        self,
+        conn: Connection,
+        program: Program,
+        registry: Mapping[str, type[Component]],
+        pg: ProgramGraph,
+        group_chains: bool,
+        worker_id: int,
+        overrides: Mapping[str, ComponentInstance] | None = None,
+        fuse: bool = False,
+        fuse_backend: str = "numpy",
+        program_base: Program | None = None,
+        slice_overrides: Mapping[str, int] | None = None,
+        fuse_headroom: int | None = None,
+    ) -> None:
+        self.conn = conn
+        self.program = program
+        self.registry = registry
+        self.group_chains = group_chains
+        self.fuse = fuse
+        self.fuse_backend = fuse_backend
+        #: the un-resliced Program — re-slices always derive from it so
+        #: cumulative overrides stay idempotent; ``program`` itself may
+        #: already be a resliced derivation at fork time
+        self.program_base = program_base if program_base is not None else program
+        #: cumulative group -> replication-total overrides applied so far
+        self.slice_overrides = dict(slice_overrides or {})
+        #: workers-vs-cores headroom for the fusion profitability guard
+        #: (None fuses unconditionally); updated by splice messages
+        self.fuse_headroom = fuse_headroom
+        #: parameter reconfigurations seen so far, replayed to mirrors a
+        #: re-slice splice creates fresh (they would otherwise miss every
+        #: dynamic request that preceded them)
+        self._reconfig_log: list[tuple[str, str]] = []
+        self.worker_id = worker_id
+        self.pool = _RemotePlanePool(self.rpc)
+        # The dispatcher's already-built (grouped/fused) graph is
+        # inherited through fork copy-on-write — rebuilding it here would
+        # add parse/group latency to every spawn and respawn.  A splice
+        # rebuilds locally (the new option states arrive by message).
+        self.pg = pg
+        #: control-pipe pickler sharing the dispatcher's name table
+        #: (derived deterministically from the same graph on both ends)
+        self.interner = NameInterner(NameInterner.names_of(pg))
+        self._plain = NameInterner()
+        #: per-fused-node temps/kernels; discarded on splice
+        self._fused_caches: dict[str, dict[str, Any]] = {}
+        self.host = ComponentHost(program, registry)
+        # Overrides (auto-inserted converters, rebound readers) must be
+        # installed before populate: active ids resolve through them.
+        self.host.overrides = dict(overrides or {})
+        self.host.populate(self.pg.active_components)
+        #: (stream name, iteration) -> live value produced or mapped by
+        #: this worker; lets a lease reference data already here by name
+        #: only.  Evicted below the dispatcher's iteration watermark.
+        self.resident: dict[tuple[str, int], Any] = {}
+        #: node id of the job currently executing (ensure-RPC context)
+        self.current_node: str = ""
+        #: wall seconds the current job spent waiting on dispatcher RPCs
+        self.rpc_wait = 0.0
+
+    # -- control pipe --------------------------------------------------------
+
+    def _send(self, msg: tuple[Any, ...], *, interned: bool = True) -> None:
+        coder = self.interner if interned else self._plain
+        data = coder.dumps(msg)
+        self.pool.stats.meta_pickled_bytes += len(data) + 1
+        self.conn.send_bytes((b"\x01" if interned else b"\x00") + data)
+
+    def _recv(self) -> Any:
+        raw = self.conn.recv_bytes()
+        coder = self.interner if raw[:1] == b"\x01" else self._plain
+        return coder.loads(raw[1:])
+
+    # -- dispatcher RPC -----------------------------------------------------
+
+    def rpc(self, request: tuple[Any, ...]) -> Any:
+        """Round-trip to the dispatcher, absorbing interleaved control.
+
+        The dispatcher may broadcast a ``reconfigure`` while this worker
+        is mid-job (manager nodes run dispatcher-side concurrently with
+        task jobs, as in the threaded backend); it is applied here and
+        the wait continues.  Splice/job messages cannot interleave — the
+        dispatcher only splices at quiescence and never sends jobs to a
+        busy worker.
+        """
+        t0 = time.perf_counter()
+        try:
+            self._send(request)
+            while True:
+                reply = self._recv()
+                if reply[0] == "rpc":
+                    return reply[1]
+                self._handle_control(reply)
+        finally:
+            self.rpc_wait += time.perf_counter() - t0
+
+    def _handle_control(self, msg: tuple[Any, ...]) -> None:
+        tag = msg[0]
+        if tag == "reconfigure":
+            _, manager, request = msg
+            self._reconfig_log.append((manager, request))
+            for member in self.program.managers[manager].members:
+                component = self.host.live.get(member)
+                if component is not None:
+                    component.reconfigure(request)
+        elif tag == "splice":
+            # Extended form carries the auto-tuner's cumulative slice
+            # overrides and the current fusion headroom; the two-element
+            # form (no auto-tuning) leaves both unchanged.
+            if len(msg) >= 4:
+                overrides = dict(msg[2])
+                self.fuse_headroom = msg[3]
+                if overrides != self.slice_overrides:
+                    from repro.core.reslice import reslice
+
+                    self.slice_overrides = overrides
+                    self.program = (
+                        reslice(self.program_base, overrides)
+                        if overrides else self.program_base
+                    )
+                    self.host.program = self.program
+            # The dispatcher made this very call before broadcasting;
+            # build_configuration is deterministic in its arguments, so
+            # node ids, overrides and the interner table agree.
+            config = build_configuration(
+                self.program,
+                self.registry,
+                msg[1],
+                group_chains=self.group_chains,
+                fuse=self.fuse,
+                fuse_backend=self.fuse_backend,
+                parallel_headroom=self.fuse_headroom,
+            )
+            new_pg = config.pg
+            self.host.overrides = config.overrides
+            # fused temps/kernels are per-graph
+            self._fused_caches = {}
+            added, _ = self.host.splice(new_pg.active_components, {})
+            # Mirrors a re-slice created (or rebuilt) fresh start from
+            # their instance descriptors and must catch up on every
+            # dynamic request their manager broadcast before they
+            # existed — exactly the respawn replay, scoped to them.
+            if added:
+                created = set(added)
+                for manager, request in self._reconfig_log:
+                    for member in self.program.managers[manager].members:
+                        if member in created:
+                            self.host.live[member].reconfigure(request)
+            self.pg = new_pg
+            # Same table the dispatcher derives from its own rebuild;
+            # control messages themselves are never interned, so the
+            # swap cannot race the splice that carries it.
+            self.interner.set_table(NameInterner.names_of(new_pg))
+        else:  # pragma: no cover - protocol error
+            raise SchedulingError(f"worker got unexpected message {tag!r}")
+
+    # -- job execution ------------------------------------------------------
+
+    @staticmethod
+    def _apply_fault(fault: tuple | None) -> None:
+        """Enact an injected failure directive before running the job.
+
+        ``kill`` uses ``os._exit`` so the worker dies exactly like a
+        segfault/OOM kill: no goodbye message, no cleanup, no state
+        flush.  ``hang`` holds the job forever — only the dispatcher's
+        watchdog recovers it.  ``slow`` just adds latency.
+        """
+        if fault is None:
+            return
+        kind = fault[0]
+        if kind == "kill":
+            os._exit(_FAULT_EXIT_CODE)
+        elif kind == "hang":
+            while True:  # until the watchdog kills us
+                time.sleep(3600.0)
+        elif kind == "slow":
+            time.sleep(fault[1] / 1000.0)
+
+    def _run_job(
+        self,
+        iteration: int,
+        node_id: str,
+        inputs: dict[str, Packed],
+        resident: tuple[str, ...],
+        ensured: dict[str, PlaneRef] | None,
+        fault: tuple | None,
+    ) -> tuple:
+        self._apply_fault(fault)
+        node = self.pg.graph.node(node_id)
+        payload = node.payload
+        instances = payload if isinstance(payload, tuple) else (payload,)
+        ws = _WorkerStreams(self, iteration, inputs, resident, ensured)
+        events: list[tuple[str, Event]] = []
+        broker = _RecordingBroker(events)
+        stop_requested = False
+
+        def request_stop() -> None:
+            nonlocal stop_requested
+            stop_requested = True
+
+        self.current_node = node_id
+        self.rpc_wait = 0.0
+        member_times: list[tuple[str, float, float]] | None = None
+        start = time.perf_counter()
+        cpu_start = time.process_time()
+        if isinstance(payload, FusedChain):
+            # Single dispatch for the whole chain: intermediate planes
+            # stay process-local temporaries, external reads/writes go
+            # through the normal per-job stream facade.
+            member_times = run_fused(
+                payload,
+                iteration,
+                ws,  # type: ignore[arg-type] - StreamStore duck type
+                broker,  # type: ignore[arg-type] - EventBroker duck type
+                self.pg.aliases,
+                self.host.live,
+                stop_requester=request_stop,
+                cache=self._fused_caches.setdefault(node_id, {}),
+            )
+        else:
+            for instance in instances:
+                component = self.host.live[instance.instance_id]
+                ctx = JobContext(
+                    instance,
+                    iteration,
+                    ws,  # type: ignore[arg-type] - StreamStore duck type
+                    broker,  # type: ignore[arg-type] - EventBroker duck type
+                    self.pg.aliases,
+                    stop_requester=request_stop,
+                )
+                component.run(ctx)
+        # "Busy" time for the dispatcher's CPU-bound classification: CPU
+        # burned plus time stalled on dispatcher RPCs — the latter is
+        # coordination contention, not a kernel yielding the processor,
+        # so it must not make a compute kernel look blocking.
+        cpu = time.process_time() - cpu_start + self.rpc_wait
+        end = time.perf_counter()
+        # Checkpoint the state this job accrued: the delta rides on the
+        # completion message (NOT through pool.pack — checkpoints are
+        # control metadata, not stream traffic) and is merged into the
+        # dispatcher mirror before the job is acknowledged, so a later
+        # crash of this worker cannot lose acknowledged output.
+        state_updates: dict[str, Any] = {}
+        for instance in instances:
+            delta = self.host.live[instance.instance_id].checkpoint_state()
+            if delta is not None:
+                state_updates[instance.instance_id] = delta
+        # Keep this job's products resident: a later job of this lease —
+        # or of a future lease, until the iteration retires — can then be
+        # handed the value by name, with no plane re-shipped and no
+        # second unpack.
+        for name in ws.outputs:
+            self.resident[(name, iteration)] = ws.values[name]
+        for name, buf in ws.ensured.items():
+            self.resident[(name, iteration)] = buf
+        return (iteration, node_id, ws.outputs, events, stop_requested,
+                start, end, cpu, state_updates, member_times)
+
+    def _run_lease(
+        self,
+        entries: list[tuple],
+        grants: Sequence[PlaneRef],
+        watermark: int | None,
+    ) -> None:
+        """Execute a batch of jobs, streaming a record back per job.
+
+        The lease runs strictly in order — later entries may read streams
+        produced by earlier ones (worker-resident, referenced by name).
+        Each completion is announced as soon as it happens (so the
+        dispatcher can release dependent work to *other* workers without
+        waiting for the whole lease); the last record additionally
+        carries the unconsumed plane grants.  Because the pipe is FIFO,
+        a record either arrived (acknowledged, applied exactly once) or
+        the dispatcher knows its job — and every later one — never ran.
+        """
+        if watermark is not None:
+            for key in [k for k in self.resident if k[1] < watermark]:
+                del self.resident[key]
+        self.pool.add_grants(grants)
+        last = len(entries) - 1
+        for index, entry in enumerate(entries):
+            iteration, node_id, inputs, resident, ensured, fault = entry
+            record = self._run_job(iteration, node_id, inputs, resident,
+                                   ensured, fault)
+            unused = self.pool.take_unused_grants() if index == last else None
+            self._send(("done", record, unused))
+
+    # -- main loop -----------------------------------------------------------
+
+    def main(self) -> None:
+        try:
+            while True:
+                msg = self._recv()
+                tag = msg[0]
+                if tag == "lease":
+                    self._run_lease(msg[1], msg[2], msg[3])
+                elif tag == "stop":
+                    snapshots = {}
+                    for instance_id, component in self.host.live.items():
+                        state = component.snapshot_state()
+                        if state is not None:
+                            snapshots[instance_id] = state
+                    stats = self.pool.stats.as_dict()
+                    self._send(
+                        ("bye", snapshots,
+                         {k: stats[k] for k in _WORKER_STAT_KEYS})
+                    )
+                    return
+                else:
+                    self._handle_control(msg)
+        except BaseException as exc:
+            tb = traceback.format_exc()
+            try:
+                self._send(("error", exc, tb), interned=False)
+            except Exception:
+                try:
+                    self._send(("error", None, tb), interned=False)
+                except Exception:
+                    pass
+        finally:
+            self.pool.close_attachments()
+            self.conn.close()
+
+
+def _worker_entry(
+    conn: Connection,
+    program: Program,
+    registry: Mapping[str, type[Component]],
+    pg: ProgramGraph,
+    group_chains: bool,
+    worker_id: int,
+    overrides: Mapping[str, ComponentInstance] | None = None,
+    fuse: bool = False,
+    fuse_backend: str = "numpy",
+    program_base: Program | None = None,
+    slice_overrides: Mapping[str, int] | None = None,
+    fuse_headroom: int | None = None,
+) -> None:
+    _Worker(conn, program, registry, pg, group_chains, worker_id,
+            overrides, fuse, fuse_backend, program_base, slice_overrides,
+            fuse_headroom).main()

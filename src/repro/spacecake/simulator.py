@@ -1,13 +1,13 @@
 """SimRuntime: Hinch on virtual time, on the SpaceCAKE machine model.
 
 The simulator reuses, unchanged, the pieces that define Hinch's
-semantics — :class:`~repro.hinch.scheduler.DataflowScheduler` (readiness,
-pipeline depth, reconfiguration drain), :class:`~repro.hinch.manager.
-ManagerRuntime` (event handling), :class:`~repro.hinch.runtime.
-ComponentHost` (component lifecycle and splicing) — and replaces only the
-notion of time: a job dispatched to a core occupies it for the job's cost
-in cycles, computed by the :class:`~repro.spacecake.costmodel.CostModel`
-plus cache accounting.
+semantics — the :class:`~repro.hinch.engine.Coordinator` (configuration
+build, managers, component lifecycle and splicing) and its
+:class:`~repro.hinch.scheduler.DataflowScheduler` (readiness, pipeline
+depth, reconfiguration drain) — and replaces only the notion of time: a
+job dispatched to a core occupies it for the job's cost in cycles,
+computed by the :class:`~repro.spacecake.costmodel.CostModel` plus cache
+accounting.
 
 Two execution modes:
 
@@ -25,15 +25,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.program import Program, ProgramGraph
+from repro.core.program import Program
 from repro.errors import SimulationError
 from repro.hinch.component import Component, JobContext
-from repro.hinch.events import Event, EventBroker
+from repro.hinch.engine import Coordinator
 from repro.hinch.jobqueue import Job
-from repro.hinch.manager import ManagerRuntime
-from repro.hinch.runtime import ComponentHost
-from repro.hinch.scheduler import DataflowScheduler, ReconfigPlan
-from repro.hinch.stream import StreamStore
 from repro.hinch.tracing import TraceEvent, Tracer
 from repro.spacecake.cache import CacheStats
 from repro.spacecake.costmodel import CostModel, CostParams
@@ -201,7 +197,7 @@ class SimResult:
         return len(self.core_busy_cycles)
 
 
-class SimRuntime:
+class SimRuntime(Coordinator):
     """Simulate a Program on an N-core SpaceCAKE tile."""
 
     def __init__(
@@ -219,10 +215,7 @@ class SimRuntime:
         option_states: Mapping[str, bool] | None = None,
         group_chains: bool = False,
     ) -> None:
-        self.program = program
-        self.registry = registry
         self.execute = execute
-        self.group_chains = group_chains
         self.engine = EventEngine()
         self.machine = Machine(
             machine if machine is not None else MachineConfig(nodes=nodes)
@@ -230,24 +223,17 @@ class SimRuntime:
         if machine is not None and machine.nodes != nodes:
             raise SimulationError("nodes and machine.nodes disagree")
         self.cost_model = CostModel(registry, cost_params)
-        self.broker = EventBroker()
-        self.streams = StreamStore()
-        self.tracer = Tracer(enabled=trace)
-        self.host = ComponentHost(program, registry)
-
-        self.pg: ProgramGraph = self._make_pg(option_states)
-        self._target_states: dict[str, bool] = dict(self.pg.option_states)
-        self._precreated: dict[str, Component] = {}
-        self.host.populate(self.pg.active_components)
-        self.managers = {
-            qname: ManagerRuntime(info, self.broker, self)
-            for qname, info in program.managers.items()
-        }
-        self.scheduler = DataflowScheduler(
-            self.pg,
+        # Same build as the real backends — format solve, converter
+        # insertion, grouping — so the simulator costs the graph they
+        # run.  Fusion is a real-backend optimization with no cost model.
+        super().__init__(
+            program, registry,
             pipeline_depth=pipeline_depth,
             max_iterations=max_iterations,
-            hooks=self,
+            trace=trace,
+            option_states=option_states,
+            group_chains=group_chains,
+            fuse=False,
         )
         self._pending: deque[Job] = deque()  # the central job queue
         self._stall_until = 0.0  # reconfiguration splice window
@@ -265,8 +251,6 @@ class SimRuntime:
         )
         self._plans: dict[str, JobPlan] = {}
         self._rebuild_plans()
-        #: (resume_iteration, option states) per applied reconfiguration
-        self.reconfig_log: list[tuple[int, dict[str, bool]]] = []
 
     def _rebuild_plans(self) -> None:
         """(Re)compile one :class:`JobPlan` per node of the current graph."""
@@ -285,14 +269,6 @@ class SimRuntime:
             for node in self.pg.graph
         }
 
-    def _make_pg(self, option_states: Mapping[str, bool] | None) -> ProgramGraph:
-        pg = self.program.build_graph(option_states)
-        if self.group_chains:
-            from repro.hinch.grouping import group_linear_chains
-
-            pg = group_linear_chains(pg)
-        return pg
-
     # -- SchedulerHooks ----------------------------------------------------------
 
     def on_iteration_complete(self, iteration: int) -> None:
@@ -301,20 +277,7 @@ class SimRuntime:
         if keys:
             self.machine.cache.evict_many(keys)
 
-    def on_reconfigure(
-        self, plans: list[ReconfigPlan], resume_iteration: int
-    ) -> ProgramGraph:
-        states = dict(self.pg.option_states)
-        for plan in plans:
-            states.update(plan.changes)
-        new_pg = self._make_pg(states)
-        added, removed = self.host.splice(new_pg.active_components, self._precreated)
-        for component in self._precreated.values():
-            component.teardown()
-        self._precreated.clear()
-        self.pg = new_pg
-        self._target_states = dict(states)
-        self.reconfig_log.append((resume_iteration, dict(states)))
+    def _after_splice(self, added: list[str], removed: list[str]) -> None:
         # Splicing happens while the graph is quiescent and stalls the
         # whole tile (the paper: two "simple actions" — add components,
         # synchronize them — but they serialize the machine).
@@ -323,44 +286,6 @@ class SimRuntime:
         )
         self._stall_until = max(self._stall_until, self.engine.now + splice)
         self._rebuild_plans()
-        return new_pg
-
-    # -- ReconfigController ---------------------------------------------------------
-
-    def target_option_state(self, option_qname: str) -> bool:
-        return self._target_states[option_qname]
-
-    def apply_option_changes(self, manager: str, changes: dict[str, bool]) -> None:
-        effective = {
-            opt: state
-            for opt, state in changes.items()
-            if self._target_states.get(opt) != state
-        }
-        if not effective:
-            return
-        self._target_states.update(effective)
-        for opt, state in effective.items():
-            if state:
-                # Pre-create while the subgraph is still active: costs no
-                # tile time (a host CPU concern in the paper's model).
-                for member in self.program.options[opt].members:
-                    if (
-                        member not in self.host.live
-                        and member not in self._precreated
-                    ):
-                        self._precreated[member] = self.host.create(member)
-        self.scheduler.request_reconfig(ReconfigPlan(manager=manager, changes=effective))
-
-    def send_reconfigure_request(self, manager: str, request: str) -> None:
-        for member in self.program.managers[manager].members:
-            component = self.host.live.get(member)
-            if component is not None:
-                component.reconfigure(request)
-
-    # -- event injection ---------------------------------------------------------------
-
-    def post_event(self, queue: str, name: str, payload: Any = None) -> None:
-        self.broker.post(queue, Event(name=name, payload=payload))
 
     # -- cost accounting ------------------------------------------------------------------
 

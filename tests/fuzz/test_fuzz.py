@@ -118,12 +118,16 @@ def test_regression_case_4242_replays_clean():
              if d.severity is Severity.ERROR}
     assert "X501" in codes
 
-    from repro.hinch import ThreadedRuntime
+    from repro.hinch import ProcessRuntime, ThreadedRuntime
+    from repro.spacecake import SimRuntime
 
     program = expand(spec, ports)
-    with pytest.raises(StreamFormatError, match="X501"):
-        ThreadedRuntime(program, registry, nodes=1, pipeline_depth=1,
-                        max_iterations=case.iterations)
+    for runtime_cls, width in ((ThreadedRuntime, {"nodes": 1}),
+                               (ProcessRuntime, {"workers": 1}),
+                               (SimRuntime, {"nodes": 1})):
+        with pytest.raises(StreamFormatError, match="X501"):
+            runtime_cls(program, registry, pipeline_depth=1,
+                        max_iterations=case.iterations, **width)
 
 
 # -- shrinker ----------------------------------------------------------------

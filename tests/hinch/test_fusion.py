@@ -29,6 +29,7 @@ from repro.hinch.fusion import (
 )
 from repro.hinch.grouping import find_linear_chains
 from repro.hinch.shm import NameInterner
+from repro.spacecake import SimRuntime
 
 REG = default_registry()
 
@@ -319,16 +320,32 @@ def _convert_program():
     return expand(spec, default_ports(), name="convert")
 
 
-@pytest.mark.parametrize("runtime_cls", [ThreadedRuntime, ProcessRuntime])
-def test_converter_auto_inserted_at_build(runtime_cls):
+@pytest.mark.parametrize(
+    "runtime_cls,kwargs",
+    [
+        (ThreadedRuntime, {"nodes": 1}),
+        (ProcessRuntime, {"workers": 1}),
+        (SimRuntime, {"nodes": 1, "execute": True}),
+        (SimRuntime, {"nodes": 1, "execute": False}),
+    ],
+    ids=["ThreadedRuntime", "ProcessRuntime", "SimRuntime-execute",
+         "SimRuntime-cost-only"],
+)
+def test_converter_auto_inserted_at_build(runtime_cls, kwargs):
     program = _convert_program()
-    kwargs = ({"nodes": 1} if runtime_cls is ThreadedRuntime
-              else {"workers": 1})
-    result = runtime_cls(program, REG, pipeline_depth=2, max_iterations=3,
-                         **kwargs).run()
-    planes = result.components["sink"].ordered_planes()
-    assert len(planes) == 3
-    assert all(p.dtype == np.float32 for p in planes)
+    rt = runtime_cls(program, REG, pipeline_depth=2, max_iterations=3,
+                     **kwargs)
+    # every backend installs the same rewritten graph: the simulator must
+    # cost (and, executing, run) the bridge the real backends run
+    assert sorted(n.node_id for n in rt.pg.graph) == [
+        "raw.as_float32.convert", "sink", "src"]
+    result = rt.run()
+    if runtime_cls is SimRuntime:
+        assert result.jobs_executed == 9
+    if kwargs.get("execute", True):
+        planes = result.components["sink"].ordered_planes()
+        assert len(planes) == 3
+        assert all(p.dtype == np.float32 for p in planes)
 
 
 def test_fusion_absorbs_the_auto_inserted_converter():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -70,6 +72,19 @@ def test_run_sim(blur_xml, capsys):
     out = capsys.readouterr().out
     assert "simulated 8 iterations" in out
     assert "Mcycles" in out
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process", "sim"])
+def test_run_refuses_lint_rejected_spec_on_every_backend(backend, capsys):
+    # the build contract (solve -> expectations -> converters) is the same
+    # pipeline on all three; the simulator used to skip it and "run" this
+    fixture = Path(__file__).parent / "analysis/fixtures/format_mismatch.xml"
+    assert main([
+        "run", str(fixture), "--backend", backend, "--iterations", "2",
+    ]) != 0
+    captured = capsys.readouterr()
+    assert "X501" in captured.err
+    assert "simulated" not in captured.out
 
 
 def test_predict(blur_xml, capsys):
