@@ -183,29 +183,38 @@ class BandFilter(Component):
             return _instance_rows(instance, height)
         return super().reads_rows(instance, port, height)
 
+    #: ``taps`` value -> FIR coefficients
+    KERNELS = {"smooth": (0.25, 0.5, 0.25), "diff": (-1.0, 2.0, -1.0)}
+
+    def __init__(self, instance: ComponentInstance) -> None:
+        super().__init__(instance)
+        self._kernel = self._resolve_kernel()
+
+    def reconfigure(self, request: str) -> None:
+        super().reconfigure(request)
+        self._kernel = self._resolve_kernel()
+
     def rows(self, height: int) -> tuple[int, int]:
         if self.slice is None:
             return 0, height
         index, total = self.slice
         return filters.slice_rows(height, index, total)
 
-    def _kernel(self) -> np.ndarray:
+    def _resolve_kernel(self) -> tuple[float, float, float]:
         taps = str(self.param("taps", "smooth"))
-        if taps == "smooth":
-            return np.array([0.25, 0.5, 0.25])
-        if taps == "diff":
-            return np.array([-1.0, 2.0, -1.0])
-        raise ComponentError(
-            f"unknown taps {taps!r} (expected 'smooth' or 'diff')"
-        )
+        try:
+            return self.KERNELS[taps]
+        except KeyError:
+            raise ComponentError(
+                f"unknown taps {taps!r} (expected 'smooth' or 'diff')"
+            ) from None
 
     def run(self, job: JobContext) -> None:
         samples: np.ndarray = job.read("input")
         out = job.buffer("output", shape=samples.shape, dtype=samples.dtype)
         lo, hi = self.rows(samples.shape[0])
-        kernel = self._kernel()
-        band = samples[lo:hi].astype(np.float64)
-        padded = np.pad(band, ((0, 0), (1, 1)), mode="edge")
+        kernel = self._kernel
+        padded = filters.edge_pad(samples[lo:hi], (0, 0), (1, 1), np.float64)
         acc = (
             padded[:, :-2] * kernel[0]
             + padded[:, 1:-1] * kernel[1]

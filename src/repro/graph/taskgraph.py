@@ -57,6 +57,12 @@ class TaskNode:
         self.weight = float(weight)
 
     @property
+    def members(self) -> tuple:
+        """The payload as a tuple: a grouped node carries several instances."""
+        payload = self.payload
+        return payload if isinstance(payload, tuple) else (payload,)
+
+    @property
     def is_synthetic(self) -> bool:
         """True for barrier/manager pseudo-nodes that carry no user work."""
         return self.kind != "task"

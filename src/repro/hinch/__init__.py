@@ -27,8 +27,10 @@ This package reproduces those responsibilities.  Building blocks:
 
 One coordination core, :mod:`repro.hinch.engine`: ``build_configuration``
 is the only graph build (format solve → buffer expectations → converter
-insertion → grouping → fusion) and ``Coordinator`` implements the
-reconfiguration controller and the quiescent-splice protocol once.
+insertion → grouping → fusion), ``NodePlan`` is the only job body (a
+node's component runs and reusable contexts, compiled per configuration)
+and ``Coordinator`` implements the reconfiguration controller and the
+quiescent-splice protocol once.
 
 Three executors subclass the coordinator and add only how jobs run:
 :mod:`repro.hinch.runtime` (worker threads: the correctness reference,

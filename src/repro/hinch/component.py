@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from numpy import ndarray
+
 from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError
@@ -248,7 +250,10 @@ class JobContext:
 
     Bound to (component instance, iteration).  Port-to-stream resolution
     goes through the *current configuration's* alias map so bypassed
-    streams are transparent to the component.
+    streams are transparent to the component; a port is resolved on its
+    first access and stays bound, so a context that outlives one job
+    (:class:`~repro.hinch.engine.NodePlan` keeps one per instance for the
+    life of a configuration) pays the lookup once.
     """
 
     def __init__(
@@ -267,13 +272,15 @@ class JobContext:
         self._broker = broker
         self._aliases = aliases
         self._stop_requester = stop_requester
+        #: port -> alias-resolved stream, filled on first access
+        self._bound: dict[str, Any] = {}
         #: bytes moved, filled by read/write for cost accounting
         self.bytes_read = 0
         self.bytes_written = 0
 
     # -- stream access ---------------------------------------------------------
 
-    def _resolve(self, port: str) -> str:
+    def _bind(self, port: str) -> Any:
         try:
             raw = self.instance.streams[port]
         except KeyError:
@@ -281,20 +288,34 @@ class JobContext:
                 f"component {self.instance.instance_id!r} has no port "
                 f"{port!r} bound (bound: {sorted(self.instance.streams)})"
             ) from None
-        return self._aliases.get(raw, raw)
+        stream = self._streams.stream(self._aliases.get(raw, raw))
+        self._bound[port] = stream
+        return stream
 
     def read(self, port: str) -> Any:
         """Read this iteration's value from an input port."""
-        value = self._streams.stream(self._resolve(port)).get(self.iteration)
-        self.bytes_read += _nbytes(value)
+        try:
+            stream = self._bound[port]
+        except KeyError:
+            stream = self._bind(port)
+        value = stream.get(self.iteration)
+        if type(value) is ndarray:
+            self.bytes_read += value.nbytes
+        else:
+            self.bytes_read += _nbytes(value)
         return value
 
     def write(self, port: str, value: Any) -> None:
         """Write this iteration's value to an output port (whole value)."""
-        self._streams.stream(self._resolve(port)).put(
-            self.iteration, value, writer=self.instance.instance_id
-        )
-        self.bytes_written += _nbytes(value)
+        try:
+            stream = self._bound[port]
+        except KeyError:
+            stream = self._bind(port)
+        stream.put(self.iteration, value, writer=self.instance.instance_id)
+        if type(value) is ndarray:
+            self.bytes_written += value.nbytes
+        else:
+            self.bytes_written += _nbytes(value)
 
     def buffer(
         self,
@@ -313,11 +334,14 @@ class JobContext:
         shared memory so slice copies on different cores write the same
         plane).
         """
-        buf = self._streams.stream(self._resolve(port)).ensure_buffer(
+        try:
+            stream = self._bound[port]
+        except KeyError:
+            stream = self._bind(port)
+        return stream.ensure_buffer(
             self.iteration, factory, shape=shape, dtype=dtype,
             writer=self.instance.instance_id,
         )
-        return buf
 
     def note_written(self, nbytes: int) -> None:
         """Record bytes written through a :meth:`buffer` (cost accounting)."""

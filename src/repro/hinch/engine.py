@@ -8,6 +8,10 @@ components execute.  This module is that definition:
   graph a backend schedules.  Every backend — and every process-backend
   worker, after a splice — installs exactly what it returns, so a spec
   lint rejects runs nowhere and the solved network runs everywhere.
+* :class:`NodePlan` is what *running* one node of that graph means: the
+  component ``run`` methods to call and the reusable job contexts to call
+  them with, compiled once per node per configuration
+  (:class:`NodePlans`) so a job re-derives nothing.
 * :class:`Coordinator` owns the state every backend needs and implements
   the manager-facing controller and the scheduler's quiescent-splice hook.
   The executors (threads, worker processes, the simulator's virtual
@@ -16,8 +20,10 @@ components execute.  This module is that definition:
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
-from typing import Any, ContextManager, Mapping, NamedTuple
+from functools import partial
+from typing import Any, Callable, ContextManager, Mapping, NamedTuple
 
 from repro.analysis.formats import (
     auto_insert_converters,
@@ -25,9 +31,16 @@ from repro.analysis.formats import (
     solve_formats_or_raise,
 )
 from repro.core.program import ComponentInstance, Program, ProgramGraph
-from repro.hinch.component import Component
+from repro.graph.taskgraph import TaskNode
+from repro.hinch.component import Component, JobContext
 from repro.hinch.events import Event, EventBroker
-from repro.hinch.fusion import FusionReport, fuse_chains
+from repro.hinch.fusion import (
+    FusedChain,
+    FusedLocalStore,
+    FusionReport,
+    compile_steps,
+    fuse_chains,
+)
 from repro.hinch.grouping import group_linear_chains
 from repro.hinch.manager import ManagerRuntime
 from repro.hinch.scheduler import DataflowScheduler, ReconfigPlan
@@ -35,7 +48,14 @@ from repro.hinch.shm import SharedPlanePool
 from repro.hinch.stream import StreamStore
 from repro.hinch.tracing import Tracer
 
-__all__ = ["Configuration", "build_configuration", "ComponentHost", "Coordinator"]
+__all__ = [
+    "Configuration",
+    "build_configuration",
+    "NodePlan",
+    "NodePlans",
+    "ComponentHost",
+    "Coordinator",
+]
 
 
 class Configuration(NamedTuple):
@@ -92,6 +112,162 @@ def build_configuration(
             parallel_headroom=parallel_headroom,
         )
     return Configuration(pg, overrides, expectations, fusion_report)
+
+
+class NodePlan:
+    """What running one graph node means under the installed configuration.
+
+    Which instances the node carries, their live component objects, the
+    alias-resolved stream behind every port, whether the node is a fused
+    chain — none of it depends on the iteration, so it is derived once
+    and a job is ``for run, ctx in steps: ctx.iteration = k; run(ctx)``.
+
+    The contexts are *reused* from job to job.  That is legal because the
+    scheduler never readies node *n* of iteration *k+1* before *n* of *k*
+    completed (DESIGN.md §6): a node's jobs are serialized, so a context
+    is never live in two jobs at once, on any backend.
+    """
+
+    __slots__ = ("kind", "manager", "components", "steps", "spans", "scratch")
+
+    def __init__(
+        self,
+        node: TaskNode,
+        components: Mapping[str, Component],
+        streams: Any,
+        broker: Any,
+        aliases: dict[str, str],
+        stop_requester: Callable[[], None] | None,
+        runnable: Callable[[ComponentInstance], bool] | None = None,
+    ) -> None:
+        self.kind = node.kind
+        #: ``(qname, phase)`` of a manager pseudo-node, else None; invoking
+        #: it is the executor's business (it knows what lock that takes)
+        self.manager: tuple[str, str] | None = None
+        #: the live component of every instance the node carries
+        self.components: tuple[Component, ...] = ()
+        #: ``(run, context)`` in execution order; empty for pseudo-nodes
+        self.steps: tuple[tuple[Callable[[JobContext], None], JobContext], ...] = ()
+        #: fused chains only: the member ids each step covers (a pair
+        #: kernel covers two) and the chain's job-local stream store
+        self.spans: tuple[tuple[str, ...], ...] | None = None
+        self.scratch: FusedLocalStore | None = None
+        if node.kind != "task":
+            if node.kind != "barrier":
+                self.manager = (node.payload, node.kind.removeprefix("manager_"))
+            return
+        instances = node.members
+        self.components = tuple(components[i.instance_id] for i in instances)
+        if isinstance(instances, FusedChain):
+            # One dispatch for the whole chain; intermediate planes stay
+            # local to the job (repro.hinch.fusion).
+            streams = self.scratch = FusedLocalStore(streams, instances)
+            lowered = compile_steps(instances, components, aliases)
+            self.spans = tuple(
+                (a.instance_id,) if b is None else (a.instance_id, b.instance_id)
+                for a, b, _ in lowered
+            )
+        else:
+            # Grouped nodes carry several instances: run them back to
+            # back as one scheduled entity (paper §4.1).
+            lowered = [
+                (i, None, None) for i in instances
+                if runnable is None or runnable(i)
+            ]
+
+        def context(instance: ComponentInstance) -> JobContext:
+            return JobContext(instance, 0, streams, broker, aliases,
+                              stop_requester=stop_requester)
+
+        steps = []
+        for first, second, kernel in lowered:
+            component = components[first.instance_id]
+            if second is not None:
+                run = _pair_step(kernel, component,
+                                 components[second.instance_id], context(second))
+            elif kernel is not None:
+                run = partial(kernel, component)
+            else:
+                run = component.run
+            steps.append((run, context(first)))
+        self.steps = tuple(steps)
+
+    def run(
+        self, iteration: int, timed: bool = False
+    ) -> list[tuple[str, float, float]] | None:
+        """Execute the node's steps for ``iteration``.
+
+        With ``timed``, a fused chain returns ``(instance id, start,
+        end)`` per member — a pair step's span goes to both its members
+        (display only: ``fused_member`` events never enter busy
+        accounting).  Nothing reads the clock otherwise.
+        """
+        if self.scratch is None:
+            for run, ctx in self.steps:
+                ctx.iteration = iteration
+                ctx.bytes_read = ctx.bytes_written = 0
+                run(ctx)
+            return None
+        member_times = [] if timed else None
+        slots = self.scratch.slots
+        slots.clear()  # a job that raised leaves its values behind
+        for (run, ctx), members in zip(self.steps, self.spans):
+            ctx.iteration = iteration
+            ctx.bytes_read = ctx.bytes_written = 0
+            if timed:
+                start = time.perf_counter()
+                run(ctx)
+                end = time.perf_counter()
+                member_times.extend((m, start, end) for m in members)
+            else:
+                run(ctx)
+        slots.clear()  # nothing the job held (mapped views) outlives it
+        return member_times
+
+
+def _pair_step(
+    kernel: Callable[..., None], first: Component, second: Component,
+    second_ctx: JobContext,
+) -> Callable[[JobContext], None]:
+    """Adapt a ``compile_fused_pair`` kernel to the one-context step shape."""
+
+    def run(ctx: JobContext) -> None:
+        second_ctx.iteration = ctx.iteration
+        second_ctx.bytes_read = second_ctx.bytes_written = 0
+        kernel(first, second, ctx, second_ctx)
+
+    return run
+
+
+class NodePlans(dict):
+    """``node id -> NodePlan`` for one installed configuration.
+
+    Compiled on first use (construction and splices pay nothing for
+    nodes that have not run yet; a fused chain lowers its kernels as late
+    as before) and dropped as a whole with the configuration: a splice
+    changes the graph, the alias map and the component objects.
+    ``streams`` is anything with ``.stream(name)``; ``runnable`` filters
+    which instances of an unfused node get a step (None: all — its one
+    user, the simulator's cost-only mode, never fuses).
+    """
+
+    def __init__(
+        self,
+        pg: ProgramGraph,
+        components: Mapping[str, Component],
+        streams: Any,
+        broker: Any,
+        stop_requester: Callable[[], None] | None,
+        runnable: Callable[[ComponentInstance], bool] | None = None,
+    ) -> None:
+        super().__init__()
+        self._node = pg.graph.node
+        self._args = (components, streams, broker, pg.aliases, stop_requester,
+                      runnable)
+
+    def __missing__(self, node_id: str) -> NodePlan:
+        plan = self[node_id] = NodePlan(self._node(node_id), *self._args)
+        return plan
 
 
 class ComponentHost:
@@ -206,6 +382,10 @@ class Coordinator:
         self.fuse_backend = fuse_backend
         self._fuse_headroom = parallel_headroom
         self.fusion_report: FusionReport | None = None
+        #: (resolved option states, fusion headroom) -> (program, built
+        #: configuration): a run that toggles between a handful of
+        #: configurations solves, converts, groups and fuses each once
+        self._configurations: dict[tuple, tuple[Program, Configuration]] = {}
         self._lock = lock if lock is not None else nullcontext()
         self.broker = EventBroker()
         self.pool = pool
@@ -227,30 +407,56 @@ class Coordinator:
             max_iterations=max_iterations,
             hooks=self,
         )
+        self._install_plans()
         #: (resume_iteration, option states) per applied reconfiguration
         self.reconfig_log: list[tuple[int, dict[str, bool]]] = []
 
     def _build(self, option_states: Mapping[str, bool] | None) -> ProgramGraph:
-        """Build the configuration for ``option_states`` and install it."""
-        config = build_configuration(
-            self.program,
-            self.registry,
-            option_states,
-            group_chains=self.group_chains,
-            fuse=self.fuse,
-            fuse_backend=self.fuse_backend,
-            parallel_headroom=self._fuse_headroom,
-        )
+        """Install the configuration for ``option_states``, building it once.
+
+        :func:`build_configuration` is a pure function of the program,
+        the option states and the fusion headroom (the rest is fixed at
+        construction), so its result is memoised on those; an entry built
+        for a program an autotune re-slice has since replaced is rebuilt.
+        """
+        key = (frozenset((option_states or {}).items()), self._fuse_headroom)
+        entry = self._configurations.get(key)
+        if entry is None or entry[0] is not self.program:
+            config = build_configuration(
+                self.program,
+                self.registry,
+                option_states,
+                group_chains=self.group_chains,
+                fuse=self.fuse,
+                fuse_backend=self.fuse_backend,
+                parallel_headroom=self._fuse_headroom,
+            )
+            # keyed by the *resolved* states: what every splice asks for
+            key = (frozenset(config.pg.option_states.items()), self._fuse_headroom)
+            self._configurations[key] = (self.program, config)
+        else:
+            config = entry[1]
         # Overrides must be in place before populate/splice: active ids
         # resolve through them.
         self.host.overrides = config.overrides
         self.streams.set_expectations(config.expectations)
         self.fusion_report = config.fusion_report
-        # per-fused-node execution caches (intermediate temps, compiled
-        # kernels) of an executor that runs fused jobs itself; per-graph,
-        # so discarded whenever the graph is rebuilt
-        self._fused_caches: dict[str, dict[str, Any]] = {}
         return config.pg
+
+    def _install_plans(self) -> None:
+        """Fresh (empty) node plans for :attr:`pg` and the live components."""
+        self.node_plans = NodePlans(
+            self.pg, self.host.live, self.streams, self.broker,
+            self._request_stop, self._executes,
+        )
+
+    def _executes(self, instance: ComponentInstance) -> bool:
+        """Does a job of this executor run ``instance``'s component?"""
+        return True
+
+    def _request_stop(self) -> None:
+        with self._lock:
+            self.scheduler.request_stop()
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -274,6 +480,7 @@ class Coordinator:
             component.teardown()
         self._precreated.clear()
         self.pg = new_pg
+        self._install_plans()
         self._target_states = dict(states)
         self.reconfig_log.append((resume_iteration, dict(states)))
         self._after_splice(added, removed)

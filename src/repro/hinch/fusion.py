@@ -34,24 +34,24 @@ and to ``numpy`` entirely — when numba is absent or compilation fails.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.core.program import ComponentInstance, ProgramGraph, StreamTable
-from repro.errors import StreamError, StreamFormatError
+from repro.errors import StreamError
 from repro.graph.taskgraph import TaskGraph
-from repro.hinch.component import Component, JobContext
-from repro.hinch.events import EventBroker
+from repro.hinch.component import Component
 from repro.hinch.grouping import GROUP_SEPARATOR
+from repro.hinch.stream import AGAINST_FORMAT, check_geometry
 
 __all__ = [
     "FusedChain",
     "FusionReport",
     "fuse_chains",
-    "run_fused",
+    "FusedLocalStore",
+    "compile_steps",
     "resolve_backend",
     "numba_available",
     "FUSE_BACKENDS",
@@ -536,7 +536,7 @@ def _derived_family(
 
 
 # ---------------------------------------------------------------------------
-# Fused execution (shared by both runtimes)
+# Fused execution (compiled into a repro.hinch.engine.NodePlan)
 # ---------------------------------------------------------------------------
 
 _MISSING = object()
@@ -547,7 +547,7 @@ class _LocalStream:
 
     __slots__ = ("_store", "_name")
 
-    def __init__(self, store: "_FusedLocalStore", name: str) -> None:
+    def __init__(self, store: "FusedLocalStore", name: str) -> None:
         self._store = store
         self._name = name
 
@@ -582,25 +582,8 @@ class _LocalStream:
             return buf
         expected = self._store.internal.get(self._name)
         if expected is not None and shape is not None:
-            want_shape, want_dtype = expected
-            got_dtype = np.dtype(dtype) if dtype is not None else None
-            if tuple(shape) != tuple(want_shape) or (
-                got_dtype is not None and got_dtype != np.dtype(want_dtype)
-            ):
-                raise StreamFormatError(
-                    f"fused stream {self._name!r}: geometry mismatch in "
-                    f"iteration {iteration}: node {writer or '?'} produced "
-                    f"{tuple(shape)}/{got_dtype}, but the reconciled port "
-                    f"format declares {tuple(want_shape)}/"
-                    f"{np.dtype(want_dtype)}",
-                    stream=self._name,
-                    iteration=iteration,
-                    node=writer,
-                    declared=(tuple(want_shape), np.dtype(want_dtype).name),
-                    observed=(
-                        tuple(shape), got_dtype.name if got_dtype else None
-                    ),
-                )
+            check_geometry(self._name, iteration, writer, shape, dtype,
+                           expected, AGAINST_FORMAT)
         if shape is None and expected is not None:
             shape, dtype = expected
         if shape is not None:
@@ -616,27 +599,25 @@ class _LocalStream:
         return buf
 
 
-class _FusedLocalStore:
+class FusedLocalStore:
     """StreamStore facade: internal streams stay job-local, rest pass through.
 
-    ``temps`` caches the intermediate planes per fused node *across
+    One per fused node per configuration.  ``slots`` holds the current
+    job's internal values and is emptied (in place) when the next job
+    starts; ``_temps`` caches the intermediate planes *across
     iterations* — the scheduler serializes a node's iterations, so the
     same scratch plane is safely reused and the fused hot path stops
-    allocating entirely.  Caches are discarded at reconfiguration.
+    allocating entirely.  Discarded with the node's plan at
+    reconfiguration.
     """
 
     __slots__ = ("_base", "internal", "slots", "_temps")
 
-    def __init__(
-        self,
-        base: Any,
-        chain: FusedChain,
-        temps: dict[str, np.ndarray],
-    ) -> None:
+    def __init__(self, base: Any, chain: FusedChain) -> None:
         self._base = base
         self.internal = chain.internal
         self.slots: dict[str, Any] = {}
-        self._temps = temps
+        self._temps: dict[str, np.ndarray] = {}
 
     def stream(self, name: str):
         if name in self.internal:
@@ -657,77 +638,7 @@ class _FusedLocalStore:
         return buf
 
 
-def run_fused(
-    chain: FusedChain,
-    iteration: int,
-    streams: Any,
-    broker: EventBroker,
-    aliases: dict[str, str],
-    components: Mapping[str, Component],
-    *,
-    stop_requester: Callable[[], None] | None = None,
-    cache: dict[str, Any] | None = None,
-) -> list[tuple[str, float, float]]:
-    """Execute one fused job; returns per-member (instance_id, start, end).
-
-    ``streams`` is anything exposing ``.stream(name)`` (a
-    :class:`~repro.hinch.stream.StreamStore` or the process workers'
-    stream view); ``cache`` is a per-fused-node dict owned by the caller,
-    holding the reusable intermediate temps and, on the numba backend,
-    the compiled member kernels.  Clear it on reconfiguration.
-    """
-    if cache is None:
-        cache = {}
-    temps = cache.setdefault("temps", {})
-    store = _FusedLocalStore(streams, chain, temps)
-    steps = cache.get("steps")
-    if steps is None:
-        steps = cache["steps"] = _compile_steps(chain, components, aliases)
-    member_times: list[tuple[str, float, float]] = []
-    for first, second, kernel in steps:
-        ctx = JobContext(
-            first,
-            iteration,
-            store,
-            broker,
-            aliases,
-            stop_requester=stop_requester,
-        )
-        start = time.perf_counter()
-        if second is not None:
-            # pair-compiled step: one kernel covers both members; the
-            # combined span is attributed to each constituent (display
-            # only — fused_member events never enter busy accounting)
-            ctx2 = JobContext(
-                second,
-                iteration,
-                store,
-                broker,
-                aliases,
-                stop_requester=stop_requester,
-            )
-            kernel(
-                components[first.instance_id],
-                components[second.instance_id],
-                ctx,
-                ctx2,
-            )
-            end = time.perf_counter()
-            member_times.append((first.instance_id, start, end))
-            member_times.append((second.instance_id, start, end))
-            continue
-        component = components[first.instance_id]
-        if kernel is not None:
-            kernel(component, ctx)
-        else:
-            component.run(ctx)
-        member_times.append(
-            (first.instance_id, start, time.perf_counter())
-        )
-    return member_times
-
-
-def _compile_steps(
+def compile_steps(
     chain: FusedChain,
     components: Mapping[str, Component],
     aliases: dict[str, str],

@@ -2,7 +2,8 @@
 central job queue").
 
 A job is one execution of one task-graph node in one iteration.  The
-queue is a plain FIFO guarded by a condition variable: any idle worker
+queue is a plain FIFO guarded by one lock (its condition variable is
+touched only while a worker is actually blocked): any idle worker
 pops the oldest ready job, which is Hinch's load-balancing policy — work
 goes wherever there is a free processor, no affinity, no stealing
 hierarchy.  (Cache-affinity effects of this policy are modelled by the
@@ -14,6 +15,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import SchedulingError
 
@@ -54,6 +56,9 @@ class JobQueue:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
+        #: threads blocked in :meth:`pop`, counted under the lock so a
+        #: push with nobody waiting skips the condition variable entirely
+        self._waiters = 0
         self._items: deque[Job] = deque()
         self._closed = False
         self._draining = False
@@ -62,40 +67,31 @@ class JobQueue:
 
     def push(self, job: Job) -> int:
         """Enqueue one job; returns the number accepted (0 after close)."""
-        with self._not_empty:
-            if self._closed:
-                return 0  # aborted: late completions are dropped
-            if self._draining:
-                raise SchedulingError(
-                    f"job {job!r} pushed after drain(): the scheduler "
-                    "reported done, so this completion would be lost"
-                )
-            self._items.append(job)
-            self._pushed += 1
-            if len(self._items) > self._high_water:
-                self._high_water = len(self._items)
-            self._not_empty.notify()
-            return 1
+        return self.push_all((job,))
 
-    def push_all(self, jobs: list[Job]) -> int:
+    def push_all(self, jobs: Sequence[Job]) -> int:
         """Enqueue jobs; returns the number accepted (0 after close)."""
         if not jobs:
             return 0
-        with self._not_empty:
+        with self._lock:
             if self._closed:
-                return 0
+                return 0  # aborted: late completions are dropped
             if self._draining:
                 raise SchedulingError(
                     f"{len(jobs)} job(s) pushed after drain(): the "
                     "scheduler reported done, so these completions would "
                     "be lost"
                 )
-            self._items.extend(jobs)
-            self._pushed += len(jobs)
-            if len(self._items) > self._high_water:
-                self._high_water = len(self._items)
-            self._not_empty.notify(len(jobs))
-            return len(jobs)
+            items = self._items
+            items.extend(jobs)
+            accepted = len(jobs)
+            self._pushed += accepted
+            depth = len(items)
+            if depth > self._high_water:
+                self._high_water = depth
+            if self._waiters:
+                self._not_empty.notify(accepted)
+            return accepted
 
     def push_front(self, job: Job) -> int:
         """Re-enqueue a recovered job at the FIFO head (failure retry).
@@ -109,24 +105,31 @@ class JobQueue:
         such a job outstanding — tolerating the call keeps the failure
         path free of ordering assumptions about shutdown.
         """
-        with self._not_empty:
+        with self._lock:
             if self._closed:
                 return 0  # aborted: the retry no longer matters
             self._items.appendleft(job)
             self._pushed += 1
             if len(self._items) > self._high_water:
                 self._high_water = len(self._items)
-            self._not_empty.notify()
+            if self._waiters:
+                self._not_empty.notify()
             return 1
 
     def pop(self, timeout: float | None = None) -> Job | None:
         """Block until a job is available; None on shutdown or timeout."""
-        with self._not_empty:
-            while not self._items and not self._closed and not self._draining:
-                if not self._not_empty.wait(timeout=timeout):
+        with self._lock:
+            items = self._items
+            while not items and not self._closed and not self._draining:
+                self._waiters += 1
+                try:
+                    signalled = self._not_empty.wait(timeout=timeout)
+                finally:
+                    self._waiters -= 1
+                if not signalled:
                     return None
-            if self._items:
-                return self._items.popleft()
+            if items:
+                return items.popleft()
             return None  # shut down and drained
 
     def try_pop(self) -> Job | None:
@@ -170,7 +173,7 @@ class JobQueue:
 
     def close(self) -> None:
         """Abort: stop serving once empty, drop any further push."""
-        with self._not_empty:
+        with self._lock:
             self._closed = True
             self._not_empty.notify_all()
 
@@ -180,7 +183,7 @@ class JobQueue:
         Only valid once the scheduler is ``done`` — after this call, a
         push is an error rather than a silent drop.
         """
-        with self._not_empty:
+        with self._lock:
             self._draining = True
             self._not_empty.notify_all()
 

@@ -708,8 +708,7 @@ class ProcessRuntime(Coordinator):
         earlier member of a grouped chain stay worker-local and are
         skipped.
         """
-        payload = node.payload
-        instances = payload if isinstance(payload, tuple) else (payload,)
+        instances = node.members
         produced: set[str] = set()
         aliases = self.pg.aliases
         for instance in instances:
@@ -840,18 +839,9 @@ class ProcessRuntime(Coordinator):
         if node.kind in ("manager_enter", "manager_exit"):
             manager = self.managers[node.payload]
             manager.invoke(job.iteration, node.kind.removeprefix("manager_"))
-        end = time.perf_counter()
         if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id,
-                    iteration=job.iteration,
-                    worker=-1,
-                    start=start,
-                    end=end,
-                    kind=node.kind,
-                )
-            )
+            self.tracer.record_job(job.node_id, job.iteration, -1, start,
+                                   time.perf_counter(), node.kind)
         self._complete(job)
 
     def _complete(self, job: Job) -> None:
@@ -1220,31 +1210,10 @@ class ProcessRuntime(Coordinator):
         if stop:
             self.scheduler.request_stop()
         if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=node_id,
-                    iteration=iteration,
-                    worker=worker,
-                    start=start,
-                    end=end,
-                    kind="task",
-                )
-            )
-            if member_times:
-                # constituent-node attribution inside the fused job
-                # (worker-local perf_counter timestamps: same clock
-                # domain as the whole-node event above)
-                for member_id, m_start, m_end in member_times:
-                    self.tracer.record(
-                        TraceEvent(
-                            node_id=member_id,
-                            iteration=iteration,
-                            worker=worker,
-                            start=m_start,
-                            end=m_end,
-                            kind="fused_member",
-                        )
-                    )
+            # member spans are worker-local perf_counter timestamps: the
+            # same clock domain as the whole-node span
+            self.tracer.record_job(node_id, iteration, worker, start, end,
+                                   "task", member_times)
         if unused_grants is not None:
             # Final record of the lease: consumed grants became outputs
             # (stream-owned now), unconsumed ones go back to the pool.

@@ -19,12 +19,11 @@ from typing import Any, Mapping
 
 from repro.core.program import Program
 from repro.errors import SchedulingError
-from repro.hinch.component import Component, JobContext
+from repro.hinch.component import Component
 from repro.hinch.engine import ComponentHost, Coordinator
-from repro.hinch.fusion import FusedChain, run_fused
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.shm import SharedPlanePool
-from repro.hinch.tracing import TraceEvent, Tracer
+from repro.hinch.tracing import Tracer
 
 __all__ = ["ThreadedRuntime", "RunResult", "ComponentHost"]
 
@@ -102,75 +101,23 @@ class ThreadedRuntime(Coordinator):
     # -- execution --------------------------------------------------------------------
 
     def _execute(self, job: Job, worker: int) -> None:
-        node = self.pg.graph.node(job.node_id)
-        start = time.perf_counter()
-        member_times: list[tuple[str, float, float]] | None = None
-        if node.kind == "task":
-            payload = node.payload
-            if isinstance(payload, FusedChain):
-                # One dispatch for the whole chain; intermediate planes
-                # stay local to this job (repro.hinch.fusion).
-                member_times = run_fused(
-                    payload,
-                    job.iteration,
-                    self.streams,
-                    self.broker,
-                    self.pg.aliases,
-                    self.host.live,
-                    stop_requester=self._request_stop,
-                    cache=self._fused_caches.setdefault(job.node_id, {}),
-                )
-            else:
-                # Grouped nodes carry a tuple of instances: run them
-                # back-to-back as one scheduled entity (paper §4.1).
-                instances = (
-                    payload if isinstance(payload, tuple) else (payload,)
-                )
-                for instance in instances:
-                    component = self.host.live[instance.instance_id]
-                    ctx = JobContext(
-                        instance,
-                        job.iteration,
-                        self.streams,
-                        self.broker,
-                        self.pg.aliases,
-                        stop_requester=self._request_stop,
-                    )
-                    component.run(ctx)
-        elif node.kind in ("manager_enter", "manager_exit"):
-            manager = self.managers[node.payload]
+        plan = self.node_plans[job.node_id]
+        tracing = self.tracer.enabled
+        if tracing:
+            start = time.perf_counter()
+        member_times = None
+        if plan.steps:
+            member_times = plan.run(job.iteration, tracing)
+        elif plan.manager is not None:
+            qname, phase = plan.manager
             with self._lock:
-                manager.invoke(job.iteration, node.kind.removeprefix("manager_"))
+                self.managers[qname].invoke(job.iteration, phase)
         # barriers: nothing to do
-        end = time.perf_counter()
-        if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id,
-                    iteration=job.iteration,
-                    worker=worker,
-                    start=start,
-                    end=end,
-                    kind=node.kind,
-                )
+        if tracing:
+            self.tracer.record_job(
+                job.node_id, job.iteration, worker, start,
+                time.perf_counter(), plan.kind, member_times,
             )
-            if member_times:
-                # constituent-node attribution inside the fused job
-                for member_id, m_start, m_end in member_times:
-                    self.tracer.record(
-                        TraceEvent(
-                            node_id=member_id,
-                            iteration=job.iteration,
-                            worker=worker,
-                            start=m_start,
-                            end=m_end,
-                            kind="fused_member",
-                        )
-                    )
-
-    def _request_stop(self) -> None:
-        with self._lock:
-            self.scheduler.request_stop()
 
     def _worker(self, worker_id: int) -> None:
         while True:
@@ -187,9 +134,11 @@ class ThreadedRuntime(Coordinator):
                 return
             with self._lock:
                 ready = self.scheduler.complete(job)
-                done = self.scheduler.done
-            self.queue.push_all(ready)
-            if done:
+                # a ready job belongs to an iteration still in flight
+                done = not ready and self.scheduler.done
+            if ready:
+                self.queue.push_all(ready)
+            elif done:
                 self.queue.drain()
 
     def run(self) -> RunResult:

@@ -71,6 +71,8 @@ class _NullHooks:
 @dataclass
 class _IterationState:
     remaining: dict[str, int]
+    #: nodes of the iteration not yet completed
+    left: int
     dispatched: set[str] = field(default_factory=set)
     done: set[str] = field(default_factory=set)
 
@@ -165,32 +167,35 @@ class DataflowScheduler:
 
     def complete(self, job: Job) -> list[Job]:
         """Record a finished job; returns newly ready jobs."""
-        state = self._iters.get(job.iteration)
-        if state is None:
+        # Runs once per job on every backend: the iteration state is held
+        # in locals and the _check_ready conditions are inlined, so the
+        # only calls left are the set/list mutations and Job().
+        iteration = job.iteration
+        node_id = job.node_id
+        iters = self._iters
+        if iteration not in iters:
             raise SchedulingError(
-                f"completion for unknown iteration {job.iteration} ({job.node_id})"
+                f"completion for unknown iteration {iteration} ({node_id})"
             )
-        if job.node_id not in state.dispatched:
+        state = iters[iteration]
+        dispatched = state.dispatched
+        if node_id not in dispatched:
             raise SchedulingError(
-                f"completion for undispatched job {job.node_id}@{job.iteration}"
+                f"completion for undispatched job {node_id}@{iteration}"
             )
-        if job.node_id in state.done:
+        if node_id in state.done:
             raise SchedulingError(
-                f"duplicate completion for {job.node_id}@{job.iteration}"
+                f"duplicate completion for {node_id}@{iteration}"
             )
-        state.done.add(job.node_id)
-        self._last_done[job.node_id] = job.iteration
+        state.done.add(node_id)
+        last_done = self._last_done
+        last_done[node_id] = iteration
 
         ready: list[Job] = []
-        iteration = job.iteration
-        # (a) successors within the iteration (the _check_ready conditions
-        # inlined with the iteration state held in locals: this runs once
-        # per graph edge per iteration)
+        # (a) successors within the iteration
         remaining = state.remaining
-        dispatched = state.dispatched
-        last_done = self._last_done
         prev_iteration = iteration - 1
-        for succ in self._succ[job.node_id]:
+        for succ in self._succ[node_id]:
             left = remaining[succ] - 1
             remaining[succ] = left
             if (
@@ -199,16 +204,21 @@ class DataflowScheduler:
                 and last_done[succ] == prev_iteration
             ):
                 dispatched.add(succ)
-                ready.append(Job(iteration=iteration, node_id=succ))
-        # (b) the same node in the next iteration (cross-iteration dep)
-        nxt = self._iters.get(iteration + 1)
-        if nxt is not None:
-            self._check_ready(job.node_id, iteration + 1, ready)
+                ready.append(Job(iteration, succ))
+        # (b) the same node in the next iteration (cross-iteration dep;
+        # its last_done condition was just made true above)
+        following = iteration + 1
+        if following in iters:
+            nxt = iters[following]
+            if node_id not in nxt.dispatched and nxt.remaining[node_id] == 0:
+                nxt.dispatched.add(node_id)
+                ready.append(Job(following, node_id))
 
-        if len(state.done) == self._node_count:
-            del self._iters[job.iteration]
+        state.left -= 1
+        if not state.left:
+            del iters[iteration]
             self._completed_iterations += 1
-            self.hooks.on_iteration_complete(job.iteration)
+            self.hooks.on_iteration_complete(iteration)
             ready.extend(self._after_iteration())
         return ready
 
@@ -415,7 +425,9 @@ class DataflowScheduler:
         ):
             k = self._next_admit
             self._next_admit += 1
-            self._iters[k] = _IterationState(remaining=self._indeg_template.copy())
+            self._iters[k] = _IterationState(
+                self._indeg_template.copy(), self._node_count
+            )
             for node_id in self._source_nodes:
                 self._check_ready(node_id, k, ready)
         return ready

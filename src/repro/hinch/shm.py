@@ -32,6 +32,7 @@ assert on.
 from __future__ import annotations
 
 import io
+import math
 import pickle
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -46,6 +47,7 @@ __all__ = [
     "SharedPlanePool",
     "PoolStats",
     "NameInterner",
+    "plane_nbytes",
 ]
 
 
@@ -166,9 +168,7 @@ class NameInterner:
         names: set[str] = set()
         for node in pg.graph:
             names.add(node.node_id)
-            payload = node.payload
-            members = payload if isinstance(payload, tuple) else (payload,)
-            for member in members:
+            for member in node.members:
                 instance_id = getattr(member, "instance_id", None)
                 if isinstance(instance_id, str):
                     names.add(instance_id)
@@ -184,6 +184,11 @@ class NameInterner:
 
     def loads(self, data: bytes) -> Any:
         return _InternUnpickler(io.BytesIO(data), self._table).load()
+
+
+def plane_nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:
+    """Payload bytes of a ``shape``/``dtype`` plane; ``()`` is one scalar."""
+    return math.prod(shape) * dtype.itemsize
 
 
 def _round_size(nbytes: int) -> int:
@@ -229,7 +234,7 @@ class SharedPlanePool:
         if self._closed:
             raise StreamError("plane pool is closed")
         dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
+        nbytes = plane_nbytes(shape, dt)
         bucket = _round_size(nbytes)
         self.stats.acquires += 1
         free = self._free.get(bucket)

@@ -29,7 +29,46 @@ import numpy as np
 from repro.errors import StreamError, StreamFormatError
 from repro.hinch.shm import Packed, PlaneRef, SharedPlanePool
 
-__all__ = ["Stream", "StreamStore"]
+__all__ = ["Stream", "StreamStore", "check_geometry"]
+
+#: how a writer can disagree with a (shape, dtype) authority
+AGAINST_FORMAT = "produced {got}, but the reconciled port format declares {have}"
+AGAINST_SLOT = "requested {got}, slot already allocated as {have}"
+
+
+def check_geometry(
+    stream: str,
+    iteration: int,
+    node: str | None,
+    shape: tuple[int, ...],
+    dtype: Any,
+    have: tuple[tuple[int, ...], Any],
+    clash: str,
+) -> None:
+    """Raise :class:`StreamFormatError` unless ``shape``/``dtype`` agree with ``have``.
+
+    ``have`` is the authority — the solved port format
+    (:data:`AGAINST_FORMAT`) or the slot another slice copy already
+    allocated (:data:`AGAINST_SLOT`); ``dtype=None`` compares shapes only.
+    The hot paths compare inline and come here only to normalise a
+    near-miss (a list for a tuple, ``np.uint8`` for its dtype) or to fail.
+    """
+    have_shape, have_dtype = tuple(have[0]), np.dtype(have[1])
+    got_dtype = np.dtype(dtype) if dtype is not None else None
+    if tuple(shape) == have_shape and (got_dtype is None or got_dtype == have_dtype):
+        return
+    raise StreamFormatError(
+        f"stream {stream!r}: ensure_buffer geometry mismatch in iteration "
+        f"{iteration}: node {node or '?'} "
+        + clash.format(got=f"{tuple(shape)}/{got_dtype}",
+                       have=f"{have_shape}/{have_dtype}")
+        + " (see lint codes X501/X503, `python -m repro lint`)",
+        stream=stream,
+        iteration=iteration,
+        node=node,
+        declared=(have_shape, have_dtype.name),
+        observed=(tuple(shape), got_dtype.name if got_dtype else None),
+    )
 
 
 class Stream:
@@ -65,8 +104,6 @@ class Stream:
         self.expected = (tuple(shape), np.dtype(dtype))
 
     def _observe(self, value: Any) -> None:
-        if self.observed is not None:
-            return
         if isinstance(value, np.ndarray):
             self.observed = ("plane", tuple(value.shape), value.dtype.name)
         elif isinstance(value, Packed):
@@ -94,25 +131,17 @@ class Stream:
         dtype: Any,
         writer: str | None,
     ) -> None:
-        if self.expected is None or shape is None:
-            return
-        want_shape, want_dtype = self.expected
-        got_dtype = np.dtype(dtype) if dtype is not None else None
-        if tuple(shape) != want_shape or (
-            got_dtype is not None and got_dtype != want_dtype
-        ):
-            raise StreamFormatError(
-                f"stream {self.name!r}: ensure_buffer geometry mismatch in "
-                f"iteration {iteration}: node {writer or '?'} produced "
-                f"{tuple(shape)}/{got_dtype}, but the reconciled port format "
-                f"declares {want_shape}/{want_dtype} (see lint codes "
-                "X501/X503, `python -m repro lint`)",
-                stream=self.name,
-                iteration=iteration,
-                node=writer,
-                declared=(want_shape, want_dtype.name),
-                observed=(tuple(shape), got_dtype.name if got_dtype else None),
-            )
+        if self.expected is not None and shape is not None:
+            check_geometry(self.name, iteration, writer, shape, dtype,
+                           self.expected, AGAINST_FORMAT)
+
+    def _check_put(self, iteration: int, value: Any, writer: str | None) -> None:
+        """:meth:`put`'s format contract for anything but a plain ndarray."""
+        if isinstance(value, np.ndarray):
+            self.check_expected(iteration, value.shape, value.dtype, writer)
+        elif isinstance(value, Packed) and value.kind == "plane" and value.refs:
+            ref = value.refs[0]
+            self.check_expected(iteration, ref.shape, ref.dtype, writer)
 
     # -- writer API ----------------------------------------------------------
 
@@ -123,14 +152,16 @@ class Stream:
                 raise StreamError(
                     f"stream {self.name!r}: double write in iteration {iteration}"
                 )
-            if isinstance(value, np.ndarray):
-                self.check_expected(iteration, value.shape, value.dtype, writer)
-            elif isinstance(value, Packed) and value.kind == "plane" and value.refs:
-                ref = value.refs[0]
-                self.check_expected(
-                    iteration, tuple(ref.shape), ref.dtype, writer
-                )
-            self._observe(value)
+            expected = self.expected
+            if expected is not None:
+                # the common case is decided inline: a plain ndarray of
+                # exactly the solved geometry
+                if type(value) is not np.ndarray:
+                    self._check_put(iteration, value, writer)
+                elif value.shape != expected[0] or value.dtype != expected[1]:
+                    self.check_expected(iteration, value.shape, value.dtype, writer)
+            if self.observed is None:
+                self._observe(value)
             self._slots[iteration] = value
             self._finalized.add(iteration)
             self._writes += 1
@@ -168,31 +199,24 @@ class Stream:
                     f"stream {self.name!r}: sliced write after finalizing "
                     f"put() in iteration {iteration}"
                 )
-            self.check_expected(iteration, shape, dtype, writer)
-            buffer = self._slots.get(iteration)
-            if buffer is not None and shape is not None and isinstance(
-                buffer, np.ndarray
-            ):
-                want_dtype = np.dtype(dtype) if dtype is not None else None
-                if tuple(shape) != buffer.shape or (
-                    want_dtype is not None and want_dtype != buffer.dtype
+            buffer = self._slots[iteration] if iteration in self._slots else None
+            if shape is not None:
+                # Inline comparisons settle the common case (the request
+                # is literally the solved format / the allocated slot);
+                # anything else is normalised, and refused, by the checks.
+                expected = self.expected
+                if expected is not None and (
+                    shape != expected[0] or dtype is None or dtype != expected[1]
                 ):
-                    raise StreamFormatError(
-                        f"stream {self.name!r}: ensure_buffer geometry "
-                        f"mismatch in iteration {iteration}: node "
-                        f"{writer or '?'} requested {tuple(shape)}/"
-                        f"{want_dtype}, slot already allocated as "
-                        f"{buffer.shape}/{buffer.dtype} (see lint codes "
-                        "X501/X503, `python -m repro lint`)",
-                        stream=self.name,
-                        iteration=iteration,
-                        node=writer,
-                        declared=(buffer.shape, buffer.dtype.name),
-                        observed=(
-                            tuple(shape),
-                            want_dtype.name if want_dtype else None,
-                        ),
-                    )
+                    self.check_expected(iteration, shape, dtype, writer)
+                if (
+                    buffer is not None
+                    and isinstance(buffer, np.ndarray)
+                    and (shape != buffer.shape or dtype is None
+                         or dtype != buffer.dtype)
+                ):
+                    check_geometry(self.name, iteration, writer, shape, dtype,
+                                   (buffer.shape, buffer.dtype), AGAINST_SLOT)
             if buffer is None:
                 if shape is not None:
                     if self.pool is not None:
@@ -207,7 +231,8 @@ class Stream:
                         f"stream {self.name!r}: ensure_buffer needs a "
                         "factory or a shape"
                     )
-                self._observe(buffer)
+                if self.observed is None:
+                    self._observe(buffer)
                 self._slots[iteration] = buffer
             self._writes += 1
             return buffer

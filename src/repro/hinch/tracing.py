@@ -58,6 +58,30 @@ class Tracer:
         with self._lock:
             self._events.append(event)
 
+    def record_job(
+        self,
+        node_id: str,
+        iteration: int,
+        worker: int,
+        start: float,
+        end: float,
+        kind: str = "task",
+        member_times: Iterable[tuple[str, float, float]] | None = None,
+    ) -> None:
+        """One executed job and — for a fused chain — its members' spans.
+
+        ``member_times`` is ``(instance id, start, end)`` per constituent,
+        in the job's own clock domain; they are recorded as
+        ``fused_member`` events (attribution only, never busy time).
+        Callers check :attr:`enabled` first, before reading any clock.
+        """
+        events = [TraceEvent(node_id, iteration, worker, start, end, kind)]
+        for member_id, m_start, m_end in member_times or ():
+            events.append(TraceEvent(member_id, iteration, worker, m_start,
+                                     m_end, "fused_member"))
+        with self._lock:
+            self._events.extend(events)
+
     @property
     def events(self) -> list[TraceEvent]:
         with self._lock:

@@ -29,12 +29,14 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.program import ComponentInstance, Program, ProgramGraph
-from repro.errors import SchedulingError, StreamError, StreamFormatError
-from repro.hinch.component import Component, JobContext
-from repro.hinch.engine import ComponentHost, build_configuration
+from repro.errors import SchedulingError, StreamError
+from repro.hinch.component import Component
+from repro.hinch.engine import ComponentHost, NodePlans, build_configuration
 from repro.hinch.events import Event
-from repro.hinch.fusion import FusedChain, run_fused
-from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
+from repro.hinch.shm import (
+    NameInterner, Packed, PlaneRef, SharedPlanePool, plane_nbytes,
+)
+from repro.hinch.stream import AGAINST_SLOT, check_geometry
 
 #: exit code of a worker killed by an injected ``kill`` fault — looks
 #: exactly like an external SIGKILL/OOM to the dispatcher, the code only
@@ -84,7 +86,7 @@ class _RemotePlanePool(SharedPlanePool):
 
     def acquire(self, shape: tuple[int, ...], dtype: Any) -> tuple[np.ndarray, PlaneRef]:
         dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
+        nbytes = plane_nbytes(shape, dt)
         grant = self._granted(nbytes)
         if grant is not None:
             ref = PlaneRef(segment=grant.segment, nbytes=nbytes,
@@ -107,15 +109,20 @@ class _RemotePlanePool(SharedPlanePool):
 class _RecordingBroker:
     """Collects a job's event posts for shipment with the completion."""
 
-    def __init__(self, sink: list[tuple[str, Event]]) -> None:
-        self._sink = sink
+    def __init__(self) -> None:
+        #: the current job's posts; :meth:`_Worker._run_job` swaps in a
+        #: fresh list per job
+        self.sink: list[tuple[str, Event]] = []
 
     def post(self, queue: str, event: Event) -> None:
-        self._sink.append((queue, event))
+        self.sink.append((queue, event))
 
 
 class _WorkerStreams:
-    """Per-job stream facade with the :class:`StreamStore` duck type.
+    """The worker's stream facade, with the :class:`StreamStore` duck type.
+
+    One per worker — node plans bind their ports to its
+    :class:`_WorkerStream` views — re-aimed at each job by :meth:`begin`.
 
     Reads unpack the :class:`Packed` inputs the dispatcher sent with the
     job (ndarrays come back as views into shared planes); ``put`` writes
@@ -132,15 +139,23 @@ class _WorkerStreams:
     profile) are mapped up front, removing the per-slice ensure RPC.
     """
 
-    def __init__(
+    def __init__(self, worker: "_Worker") -> None:
+        self.worker = worker
+        self.end()
+
+    def end(self) -> None:
+        """No job in progress: let go of everything the last one mapped."""
+        self.inputs = self.outputs = self.values = self.ensured = None
+
+    def begin(
         self,
-        worker: "_Worker",
         iteration: int,
         inputs: dict[str, Packed],
         resident: tuple[str, ...] = (),
         ensured: dict[str, PlaneRef] | None = None,
     ) -> None:
-        self.worker = worker
+        """Start a job: fresh per-job tables, seeded from the lease entry."""
+        worker = self.worker
         self.inputs = inputs
         #: resolved stream name -> Packed, shipped with the completion
         self.outputs: dict[str, Packed] = {}
@@ -214,26 +229,8 @@ class _WorkerStream:
         ws = self.ws
         buf = ws.ensured.get(self.name)
         if buf is not None and shape is not None:
-            want_dtype = np.dtype(dtype) if dtype is not None else None
-            if tuple(shape) != buf.shape or (
-                want_dtype is not None and want_dtype != buf.dtype
-            ):
-                raise StreamFormatError(
-                    f"stream {self.name!r}: ensure_buffer geometry mismatch "
-                    f"in iteration {iteration}: node "
-                    f"{ws.worker.current_node or '?'} requested "
-                    f"{tuple(shape)}/{want_dtype}, slot already allocated "
-                    f"as {buf.shape}/{buf.dtype} (see lint codes X501/X503, "
-                    "`python -m repro lint`)",
-                    stream=self.name,
-                    iteration=iteration,
-                    node=ws.worker.current_node,
-                    declared=(buf.shape, buf.dtype.name),
-                    observed=(
-                        tuple(shape),
-                        want_dtype.name if want_dtype else None,
-                    ),
-                )
+            check_geometry(self.name, iteration, ws.worker.current_node,
+                           shape, dtype, (buf.shape, buf.dtype), AGAINST_SLOT)
         if buf is None:
             if shape is None:
                 # Legacy factory path: use the factory's array purely as
@@ -303,13 +300,15 @@ class _Worker:
         #: (derived deterministically from the same graph on both ends)
         self.interner = NameInterner(NameInterner.names_of(pg))
         self._plain = NameInterner()
-        #: per-fused-node temps/kernels; discarded on splice
-        self._fused_caches: dict[str, dict[str, Any]] = {}
         self.host = ComponentHost(program, registry)
         # Overrides (auto-inserted converters, rebound readers) must be
         # installed before populate: active ids resolve through them.
         self.host.overrides = dict(overrides or {})
         self.host.populate(self.pg.active_components)
+        self.streams = _WorkerStreams(self)
+        self.broker = _RecordingBroker()
+        self._stop_requested = False
+        self._install_plans()
         #: (stream name, iteration) -> live value produced or mapped by
         #: this worker; lets a lease reference data already here by name
         #: only.  Evicted below the dispatcher's iteration watermark.
@@ -318,6 +317,16 @@ class _Worker:
         self.current_node: str = ""
         #: wall seconds the current job spent waiting on dispatcher RPCs
         self.rpc_wait = 0.0
+
+    def _install_plans(self) -> None:
+        """Fresh node plans (and fused temps/kernels) for the current graph."""
+        self.node_plans = NodePlans(
+            self.pg, self.host.live, self.streams, self.broker,
+            self._request_stop,
+        )
+
+    def _request_stop(self) -> None:
+        self._stop_requested = True
 
     # -- control pipe --------------------------------------------------------
 
@@ -394,8 +403,6 @@ class _Worker:
             )
             new_pg = config.pg
             self.host.overrides = config.overrides
-            # fused temps/kernels are per-graph
-            self._fused_caches = {}
             added, _ = self.host.splice(new_pg.active_components, {})
             # Mirrors a re-slice created (or rebuilt) fresh start from
             # their instance descriptors and must catch up on every
@@ -408,6 +415,7 @@ class _Worker:
                         if member in created:
                             self.host.live[member].reconfigure(request)
             self.pg = new_pg
+            self._install_plans()
             # Same table the dispatcher derives from its own rebuild;
             # control messages themselves are never interned, so the
             # swap cannot race the splice that carries it.
@@ -447,49 +455,20 @@ class _Worker:
         fault: tuple | None,
     ) -> tuple:
         self._apply_fault(fault)
-        node = self.pg.graph.node(node_id)
-        payload = node.payload
-        instances = payload if isinstance(payload, tuple) else (payload,)
-        ws = _WorkerStreams(self, iteration, inputs, resident, ensured)
-        events: list[tuple[str, Event]] = []
-        broker = _RecordingBroker(events)
-        stop_requested = False
-
-        def request_stop() -> None:
-            nonlocal stop_requested
-            stop_requested = True
-
+        plan = self.node_plans[node_id]
+        ws = self.streams
+        ws.begin(iteration, inputs, resident, ensured)
+        events = self.broker.sink = []
+        self._stop_requested = False
         self.current_node = node_id
         self.rpc_wait = 0.0
-        member_times: list[tuple[str, float, float]] | None = None
         start = time.perf_counter()
         cpu_start = time.process_time()
-        if isinstance(payload, FusedChain):
-            # Single dispatch for the whole chain: intermediate planes
-            # stay process-local temporaries, external reads/writes go
-            # through the normal per-job stream facade.
-            member_times = run_fused(
-                payload,
-                iteration,
-                ws,  # type: ignore[arg-type] - StreamStore duck type
-                broker,  # type: ignore[arg-type] - EventBroker duck type
-                self.pg.aliases,
-                self.host.live,
-                stop_requester=request_stop,
-                cache=self._fused_caches.setdefault(node_id, {}),
-            )
-        else:
-            for instance in instances:
-                component = self.host.live[instance.instance_id]
-                ctx = JobContext(
-                    instance,
-                    iteration,
-                    ws,  # type: ignore[arg-type] - StreamStore duck type
-                    broker,  # type: ignore[arg-type] - EventBroker duck type
-                    self.pg.aliases,
-                    stop_requester=request_stop,
-                )
-                component.run(ctx)
+        # A fused chain is a single dispatch: intermediate planes stay
+        # process-local temporaries, external reads/writes go through
+        # the normal stream facade.  Its member spans are always taken —
+        # whether the dispatcher traces is not known here.
+        member_times = plan.run(iteration, True)
         # "Busy" time for the dispatcher's CPU-bound classification: CPU
         # burned plus time stalled on dispatcher RPCs — the latter is
         # coordination contention, not a kernel yielding the processor,
@@ -502,10 +481,10 @@ class _Worker:
         # dispatcher mirror before the job is acknowledged, so a later
         # crash of this worker cannot lose acknowledged output.
         state_updates: dict[str, Any] = {}
-        for instance in instances:
-            delta = self.host.live[instance.instance_id].checkpoint_state()
+        for component in plan.components:
+            delta = component.checkpoint_state()
             if delta is not None:
-                state_updates[instance.instance_id] = delta
+                state_updates[component.instance.instance_id] = delta
         # Keep this job's products resident: a later job of this lease —
         # or of a future lease, until the iteration retires — can then be
         # handed the value by name, with no plane re-shipped and no
@@ -514,7 +493,9 @@ class _Worker:
             self.resident[(name, iteration)] = ws.values[name]
         for name, buf in ws.ensured.items():
             self.resident[(name, iteration)] = buf
-        return (iteration, node_id, ws.outputs, events, stop_requested,
+        outputs = ws.outputs
+        ws.end()
+        return (iteration, node_id, outputs, events, self._stop_requested,
                 start, end, cpu, state_updates, member_times)
 
     def _run_lease(
@@ -583,20 +564,6 @@ class _Worker:
             self.conn.close()
 
 
-def _worker_entry(
-    conn: Connection,
-    program: Program,
-    registry: Mapping[str, type[Component]],
-    pg: ProgramGraph,
-    group_chains: bool,
-    worker_id: int,
-    overrides: Mapping[str, ComponentInstance] | None = None,
-    fuse: bool = False,
-    fuse_backend: str = "numpy",
-    program_base: Program | None = None,
-    slice_overrides: Mapping[str, int] | None = None,
-    fuse_headroom: int | None = None,
-) -> None:
-    _Worker(conn, program, registry, pg, group_chains, worker_id,
-            overrides, fuse, fuse_backend, program_base, slice_overrides,
-            fuse_headroom).main()
+def _worker_entry(*args: Any) -> None:
+    """Fork target: a :class:`_Worker` built from its own arguments, serving."""
+    _Worker(*args).main()

@@ -27,10 +27,10 @@ from typing import Any, Mapping
 
 from repro.core.program import Program
 from repro.errors import SimulationError
-from repro.hinch.component import Component, JobContext
-from repro.hinch.engine import Coordinator
+from repro.hinch.component import Component
+from repro.hinch.engine import Coordinator, NodePlan
 from repro.hinch.jobqueue import Job
-from repro.hinch.tracing import TraceEvent, Tracer
+from repro.hinch.tracing import Tracer
 from repro.spacecake.cache import CacheStats
 from repro.spacecake.costmodel import CostModel, CostParams
 from repro.spacecake.devent import EventEngine
@@ -83,20 +83,13 @@ class JobPlan:
         with the stream name already alias-resolved and the per-bucket
         byte part already truncated to int, exactly as the unbatched
         loop did per job.
-    ``manager``
-        ``(qname, phase)`` for manager pseudo-nodes, else None.
-    ``run_instances``
-        The instance descriptors whose component actually executes at
-        completion time — pre-filtered by the runtime's ``execute`` flag
-        and the classes' ``always_execute``, both fixed between graph
-        rebuilds.  Empty for the common cost-only case, so completion
-        does no per-job instance walking at all.
+
+    The functional side of a job — which components actually execute at
+    completion time — is the node's
+    :class:`~repro.hinch.engine.NodePlan`, shared with the real backends.
     """
 
-    __slots__ = (
-        "fixed_cycles", "overhead_cycles", "instances", "manager",
-        "run_instances",
-    )
+    __slots__ = ("fixed_cycles", "overhead_cycles", "instances")
 
     def __init__(
         self,
@@ -104,36 +97,22 @@ class JobPlan:
         fixed_cycles: float | None = None,
         overhead_cycles: float = 0.0,
         instances: tuple[tuple[float, tuple[tuple[str, int, int, int, bool], ...]], ...] = (),
-        manager: tuple[str, str] | None = None,
-        run_instances: tuple = (),
     ) -> None:
         self.fixed_cycles = fixed_cycles
         self.overhead_cycles = overhead_cycles
         self.instances = instances
-        self.manager = manager
-        self.run_instances = run_instances
 
     @classmethod
     def compile(cls, node, cost_model: CostModel, overhead_cycles: float,
-                aliases: Mapping[str, str], runnable=None) -> "JobPlan":
-        """Compile the plan for one :class:`TaskNode`.
-
-        ``runnable`` is an optional predicate over component instances:
-        those satisfying it are recorded in ``run_instances`` for
-        functional execution at completion time.
-        """
+                aliases: Mapping[str, str]) -> "JobPlan":
+        """Compile the plan for one :class:`TaskNode`."""
         params = cost_model.params
         if node.kind == "barrier":
             return cls(fixed_cycles=params.barrier_cycles)
         if node.kind in ("manager_enter", "manager_exit"):
-            return cls(
-                fixed_cycles=params.manager_invoke_cycles,
-                manager=(node.payload, node.kind.removeprefix("manager_")),
-            )
-        payload = node.payload
-        instances = payload if isinstance(payload, tuple) else (payload,)
+            return cls(fixed_cycles=params.manager_invoke_cycles)
         inst_plans = []
-        for instance in instances:
+        for instance in node.members:
             cost = cost_model.job_cost(instance)
             buckets = _slot_buckets(instance.slice)
             nbuckets = len(buckets)
@@ -149,14 +128,7 @@ class JobPlan:
                 if (stream := instance.streams.get(t.port)) is not None
             )
             inst_plans.append((cost.compute_cycles, traffic))
-        run_instances = (
-            tuple(i for i in instances if runnable(i)) if runnable is not None else ()
-        )
-        return cls(
-            overhead_cycles=overhead_cycles,
-            instances=tuple(inst_plans),
-            run_instances=run_instances,
-        )
+        return cls(overhead_cycles=overhead_cycles, instances=tuple(inst_plans))
 
 
 @dataclass
@@ -257,17 +229,18 @@ class SimRuntime(Coordinator):
         cost_model = self.cost_model
         overhead = self._overhead_cycles
         aliases = self.pg.aliases
-        live = self.host.live
-
-        def runnable(instance) -> bool:
-            return self.execute or type(live[instance.instance_id]).always_execute
-
         self._plans = {
-            node.node_id: JobPlan.compile(
-                node, cost_model, overhead, aliases, runnable
-            )
+            node.node_id: JobPlan.compile(node, cost_model, overhead, aliases)
             for node in self.pg.graph
         }
+
+    def _executes(self, instance) -> bool:
+        # Cost-only mode still runs the components whose *behaviour*
+        # drives the experiment (event timers).
+        return (
+            self.execute
+            or type(self.host.live[instance.instance_id]).always_execute
+        )
 
     # -- SchedulerHooks ----------------------------------------------------------
 
@@ -314,28 +287,18 @@ class SimRuntime(Coordinator):
 
     # -- execution ------------------------------------------------------------------------
 
-    def _run_job_effects(self, job: Job, plan: JobPlan) -> None:
+    def _run_job_effects(self, job: Job, plan: NodePlan) -> None:
         """Functional side of the job, applied at its completion time.
 
-        The manager target and the (execute/always_execute-filtered) set
-        of instances to run were precompiled into the node's plan; the
-        common cost-only job skips this method entirely.
+        The manager target and the (execute/always_execute-filtered)
+        steps were compiled into the node's plan; the common cost-only
+        job skips this method entirely.
         """
-        manager = plan.manager
-        if manager is not None:
-            self.managers[manager[0]].invoke(job.iteration, manager[1])
-            return
-        for instance in plan.run_instances:
-            component = self.host.live[instance.instance_id]
-            ctx = JobContext(
-                instance,
-                job.iteration,
-                self.streams,
-                self.broker,
-                self.pg.aliases,
-                stop_requester=self.scheduler.request_stop,
-            )
-            component.run(ctx)
+        if plan.manager is not None:
+            qname, phase = plan.manager
+            self.managers[qname].invoke(job.iteration, phase)
+        else:
+            plan.run(job.iteration)
 
     def _dispatch(self) -> None:
         engine = self.engine
@@ -365,23 +328,13 @@ class SimRuntime(Coordinator):
         """Completion handler for one dispatched job (an engine record)."""
         job, core, cycles, start = record
         self.machine.release_core(core, cycles)
-        plan = self._plans[job.node_id]
-        if plan.manager is not None or plan.run_instances:
+        plan = self.node_plans[job.node_id]
+        if plan.manager is not None or plan.steps:
             self._run_job_effects(job, plan)
         self.jobs_executed += 1
         if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id,
-                    iteration=job.iteration,
-                    worker=core,
-                    start=start,
-                    end=self.engine.now,
-                    kind=self.pg.graph.node(job.node_id).kind
-                    if job.node_id in self.pg.graph
-                    else "task",
-                )
-            )
+            self.tracer.record_job(job.node_id, job.iteration, core, start,
+                                   self.engine.now, plan.kind)
         self._pending.extend(self.scheduler.complete(job))
         self._dispatch()
 

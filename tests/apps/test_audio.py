@@ -135,6 +135,30 @@ def test_band_filter_does_real_work():
     assert fused.shape == raw_mic.shape
 
 
+def test_band_filter_resolves_its_taps_once_and_on_reconfigure():
+    from repro.components.audio import BandFilter
+    from repro.core.program import ComponentInstance
+    from repro.errors import ComponentError
+
+    def instance(**params):
+        return ComponentInstance(
+            instance_id="f", definition_id="f", class_name="band_filter",
+            streams={"input": "a", "output": "b"},
+            params={"channels": 8, "block": 64, **params},
+        )
+
+    assert BandFilter(instance())._kernel == (0.25, 0.5, 0.25)
+    diff = BandFilter(instance(taps="diff"))
+    assert diff._kernel == (-1.0, 2.0, -1.0)
+    diff.reconfigure("taps=smooth")
+    assert diff._kernel == (0.25, 0.5, 0.25)
+    # a bad value fails where it is set, not at the first job
+    with pytest.raises(ComponentError, match="unknown taps"):
+        BandFilter(instance(taps="boxcar"))
+    with pytest.raises(ComponentError, match="unknown taps"):
+        diff.reconfigure("taps=boxcar")
+
+
 def test_band_filter_group_is_width_elastic():
     program = make_program(_spec(), name="audio")
     groups = slice_groups(program)

@@ -246,3 +246,33 @@ def test_prop_sliced_blur_equals_whole(n, size, seed):
     for i in range(n):
         blur_plane_vertical(mid, k, out=out, rows=slice_rows(48, i, n))
     assert np.array_equal(out, whole)
+
+
+# -- edge_pad ------------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 7), st.integers(1, 9),          # block shape
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),  # rows (top, bottom)
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),  # cols (left, right)
+    st.sampled_from([np.uint8, np.int16]),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**31 - 1),
+)
+def test_prop_edge_pad_is_np_pad(h, w, rows, cols, src, dst, seed):
+    """``edge_pad`` is ``np.pad(mode="edge")`` of the cast block, bit for bit."""
+    from repro.components.filters import edge_pad
+
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(src)
+    block = rng.integers(info.min, info.max, size=(h, w)).astype(src)
+    reference = np.pad(block.astype(dst), (rows, cols), mode="edge")
+    got = edge_pad(block, rows, cols, dst)
+    assert got.dtype == reference.dtype and got.shape == reference.shape
+    assert np.array_equal(got, reference)
+    # a strided view (what the sliced kernels pass) pads the same
+    assert np.array_equal(
+        edge_pad(block[::-1, ::2], rows, cols, dst),
+        np.pad(block[::-1, ::2].astype(dst), (rows, cols), mode="edge"),
+    )

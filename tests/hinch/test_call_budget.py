@@ -1,0 +1,171 @@
+"""Interpreter work per job: a deterministic guard on the coordination layer.
+
+``calls_per_frame`` in the repo benchmark counts every ``call``/``c_call``
+profile event of a ``nodes=1`` run.  This is the same count, on a fixed
+no-op pipeline and restricted to the events ``repro/hinch`` owns, so a
+regression in the per-job path fails tier-1 and names its layer instead
+of surfacing as a benchmark delta.  Events are attributed to the nearest
+enclosing frame under the ``repro`` package: a C call made by
+``Stream.put`` belongs to ``hinch/stream.py``, the components' own
+``run`` frames (defined here, outside the package) to whoever called them.
+"""
+
+from __future__ import annotations
+
+import collections
+import gc
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core import AppBuilder, expand
+from repro.core.ports import PortSpec
+from repro.hinch import ThreadedRuntime
+from repro.hinch.component import Component, JobContext
+
+PACKAGE = str(Path(repro.__file__).parent) + "/"
+
+#: hinch-owned profile events per job.  Measured 31.9 on CPython 3.11 for
+#: this pipeline (67.9 before node plans, which also read the clock twice
+#: per job); the head-room covers what 3.10 and 3.12 count differently
+#: (``with`` on a C lock, method-descriptor calls) — not a ``JobContext``
+#: rebuilt per job.
+BUDGET = 45
+ITERATIONS = 40
+
+
+class Source(Component):
+    ports = PortSpec(outputs=("output",))
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.record = np.zeros((6, 4), dtype=np.uint8)
+
+    def run(self, job: JobContext) -> None:
+        job.write("output", self.record)
+
+
+class Forward(Component):
+    ports = PortSpec(inputs=("input",), outputs=("output",))
+
+    def run(self, job: JobContext) -> None:
+        job.write("output", job.read("input"))
+
+
+class SlicedForward(Component):
+    """Every copy maps the shared buffer; none computes anything."""
+
+    ports = PortSpec(inputs=("input",), outputs=("output",))
+
+    def run(self, job: JobContext) -> None:
+        data = job.read("input")
+        job.buffer("output", shape=data.shape, dtype=data.dtype)
+
+
+class Sink(Component):
+    ports = PortSpec(inputs=("input",))
+
+    def run(self, job: JobContext) -> None:
+        job.read("input")
+
+
+REGISTRY = {"source": Source, "forward": Forward,
+            "sliced_forward": SlicedForward, "sink": Sink}
+PORTS = {name: cls.ports for name, cls in REGISTRY.items()}
+
+
+def _pipeline() -> ThreadedRuntime:
+    """src+a (grouped) -> 3 sliced copies -> b+c (grouped) -> d -> sink."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "s0"})
+    main.component("a", "forward", streams={"input": "s0", "output": "s1"})
+    with main.parallel("slice", n=3):
+        main.component("sl", "sliced_forward",
+                       streams={"input": "s1", "output": "s2"})
+    main.component("b", "forward", streams={"input": "s2", "output": "s3"})
+    main.component("c", "forward", streams={"input": "s3", "output": "s4"})
+    with main.parallel("task"):
+        with main.parblock():
+            main.component("d", "forward",
+                           streams={"input": "s4", "output": "s5"})
+        with main.parblock():
+            main.component("e", "sink", streams={"input": "s4"})
+    main.component("snk", "sink", streams={"input": "s5"})
+    return ThreadedRuntime(
+        expand(b.build(), PORTS), REGISTRY, nodes=1, pipeline_depth=5,
+        max_iterations=ITERATIONS, group_chains=True,
+    )
+
+
+def _owner(frame) -> str:
+    while frame is not None:
+        filename = frame.f_code.co_filename
+        if filename.startswith(PACKAGE):
+            return filename[len(PACKAGE):]
+        frame = frame.f_back
+    return "<outside repro>"
+
+
+def _profiled_run(rt: ThreadedRuntime):
+    owners: collections.Counter[str] = collections.Counter()
+    clock_reads = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            owners[_owner(frame)] += 1
+        elif event == "c_call":
+            owners[_owner(frame)] += 1
+            if arg is time.perf_counter:
+                clock_reads[0] += 1
+
+    gc.collect()
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        result = rt.run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return result, owners, clock_reads[0]
+
+
+def test_pipeline_shape_is_the_one_the_budget_was_set_on():
+    rt = _pipeline()
+    members = {node.node_id: len(node.members) for node in rt.pg.graph}
+    # two grouped pairs, three slice copies, three plain nodes
+    assert members == {"src+a": 2, "sl[0]": 1, "sl[1]": 1, "sl[2]": 1,
+                       "b+c": 2, "d": 1, "e": 1, "snk": 1}
+
+
+@pytest.fixture(scope="module")
+def profiled():
+    _pipeline().run()  # warm-up: imports, numpy's lazy set-up
+    rt = _pipeline()
+    jobs = len(rt.pg.graph) * ITERATIONS
+    result, owners, clock_reads = _profiled_run(rt)
+    assert result.completed_iterations == ITERATIONS
+    return jobs, owners, clock_reads
+
+
+def test_hinch_calls_per_job_within_budget(profiled):
+    jobs, owners, _ = profiled
+    hinch = sum(n for owner, n in owners.items() if owner.startswith("hinch/"))
+    table = "\n".join(
+        f"  {owner:28s} {n / jobs:7.2f}" for owner, n in owners.most_common()
+    )
+    assert hinch / jobs <= BUDGET, (
+        f"{hinch / jobs:.1f} hinch-owned calls per job (budget {BUDGET}); "
+        f"calls per job by owning module:\n{table}"
+    )
+
+
+def test_tracing_off_never_reads_the_clock_per_job(profiled):
+    _, _, clock_reads = profiled
+    # run() times itself (start, elapsed); jobs must not
+    assert clock_reads == 2

@@ -3,7 +3,8 @@
 ``build_configuration`` is deterministic in its arguments — the process
 backend's dispatcher and workers each call it after a splice and must
 derive the same graph — and it is the *only* way any backend obtains a
-graph: once at construction, once per splice.
+graph: once at construction, then once per *distinct* configuration a
+splice installs (``Coordinator._build`` memoises the result).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.hinch.engine as engine
@@ -144,6 +146,53 @@ def test_each_runtime_builds_once_per_configuration(make, monkeypatch):
     assert rt.pg.option_states == calls[1]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: ThreadedRuntime(p, REG, nodes=1, max_iterations=30),
+        lambda p: SimRuntime(p, REG, nodes=2, max_iterations=30),
+    ],
+    ids=["threaded", "sim"],
+)
+def test_one_build_per_distinct_configuration(make, monkeypatch):
+    """Toggling between two configurations solves and groups each once."""
+    calls = []
+    real = engine.build_configuration
+
+    def counting(program, registry, option_states, **kwargs):
+        calls.append(dict(option_states or {}))
+        return real(program, registry, option_states, **kwargs)
+
+    monkeypatch.setattr(engine, "build_configuration", counting)
+    program = make_program(
+        build_blur(reconfigurable=True, period=5, width=48, height=36,
+                   slices=3),
+        name="blur35-toggling",
+    )
+    rt = make(program)
+    result = rt.run()
+    assert result.reconfig_count >= 3, "the run must revisit a configuration"
+    assert len(calls) == 2, "one build per distinct configuration"
+    # every splice still installs the configuration it asked for
+    states = [s for _, s in rt.reconfig_log]
+    assert states[0] == calls[1]
+    assert states[0] != states[1] and states[0] == states[2]
+
+
+def test_configuration_cache_is_dropped_with_the_program():
+    """An entry built for a program a re-slice replaced is not reused."""
+    program = make_program(APPS["audio12"](), name="audio12")
+    rt = ThreadedRuntime(program, REG, nodes=1, max_iterations=1)
+    states = dict(rt.pg.option_states)
+    first = rt._build(states)
+    assert rt._build(states) is first, "same program: cached"
+    rt.program = RESLICED["audio12-resliced"]()
+    rt.host.program = rt.program
+    rebuilt = rt._build(states)
+    assert rebuilt is not first
+    assert rt._build(states) is rebuilt
+
+
 # -- a lint-rejected spec never reaches job execution, on any backend ---------
 
 MISMATCH = (Path(__file__).parents[1] / "analysis" / "fixtures"
@@ -164,3 +213,122 @@ def test_mismatch_fixture_fails_at_build(runtime_cls, kwargs):
     program = expand(parse_file(MISMATCH), default_ports(), name="mismatch")
     with pytest.raises(StreamFormatError, match="X501"):
         runtime_cls(program, REG, max_iterations=2, **kwargs)
+
+
+# -- node plans: compiled per configuration, contexts reused across jobs ------
+
+
+def _sink_planes(make_spec, frames, option_states=None):
+    program = make_program(make_spec(), name="plans")
+    rt = ThreadedRuntime(program, REG, nodes=1, max_iterations=frames,
+                         option_states=option_states)
+    result = rt.run()
+    return rt, result.components["sink"].ordered_planes()
+
+
+@pytest.mark.parametrize(
+    "build,option,others",
+    [
+        # the splice swaps component objects (blur3's kernels for blur5's)
+        (lambda period: build_blur(reconfigurable=True, period=period,
+                                   width=48, height=36, slices=3,
+                                   collect=True),
+         "blur5", {"blur3"}),
+        # the splice changes the alias map: with the branch off, the mic
+        # filter's "output" port is the bypassed stream "features"
+        (lambda period: build_audio(channels=8, reconfigurable=True,
+                                    period=period, collect=True),
+         "vib_branch", set()),
+    ],
+    ids=["blur35", "audio-bypass"],
+)
+def test_plans_are_rebuilt_by_a_splice(build, option, others):
+    """Every frame equals the static run of the configuration it ran under.
+
+    A plan that survived a splice would run a torn-down component or
+    write the pre-bypass stream; the sink would see the wrong frame (or
+    a read-before-write).
+    """
+    frames = 14
+    rt, toggled = _sink_planes(lambda: build(4), frames)
+    assert len(rt.reconfig_log) >= 3
+    static = {
+        state: _sink_planes(
+            lambda: build(10**6), frames,
+            {option: state, **{o: not state for o in others}},
+        )[1]
+        for state in (True, False)
+    }
+    initial = make_program(build(4), name="p").build_graph(None)
+    state = initial.option_states[option]
+    log = dict(rt.reconfig_log)
+    for k in range(frames):
+        if k in log:
+            state = log[k][option]
+        assert np.array_equal(toggled[k], static[state][k]), (k, state)
+
+
+def test_a_splice_installs_fresh_plans_for_the_live_components():
+    program = make_program(
+        build_audio(channels=8, reconfigurable=True, period=4), name="a")
+    rt = ThreadedRuntime(program, REG, nodes=1, max_iterations=10)
+    seen = [rt.node_plans]
+    splice = rt.on_reconfigure
+
+    def recording(plans, resume):
+        pg = splice(plans, resume)
+        assert not rt.node_plans, "plans compile on first use after a splice"
+        seen.append(rt.node_plans)
+        return pg
+
+    rt.on_reconfigure = recording
+    rt.run()
+    assert len(seen) >= 3 and len({id(p) for p in seen}) == len(seen)
+    for node_id, plan in rt.node_plans.items():
+        assert node_id in rt.pg.graph
+        for component in plan.components:
+            assert rt.host.live[component.instance.instance_id] is component
+
+
+def test_reused_context_starts_every_job_clean():
+    """One context per instance, and no job sees the previous job's state."""
+    from repro.core import AppBuilder
+    from repro.core.ports import PortSpec
+    from repro.hinch.component import Component
+
+    seen = []
+
+    class Probe(Component):
+        ports = PortSpec(inputs=("input",), outputs=("output",))
+
+        def run(self, job):
+            seen.append((id(job), job.iteration, job.bytes_read,
+                         job.bytes_written))
+            data = job.read("input")
+            job.write("output", data)
+            assert job.bytes_read == job.bytes_written == data.nbytes
+
+    class Source(Component):
+        ports = PortSpec(outputs=("output",))
+
+        def run(self, job):
+            job.write("output", np.full(job.iteration + 1, 7, dtype=np.uint8))
+
+    class Sink(Component):
+        ports = PortSpec(inputs=("input",))
+
+        def run(self, job):
+            assert len(job.read("input")) == job.iteration + 1
+
+    registry = {"source": Source, "probe": Probe, "sink": Sink}
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "a"})
+    main.component("p", "probe", streams={"input": "a", "output": "b"})
+    main.component("snk", "sink", streams={"input": "b"})
+    program = expand(b.build(), {n: c.ports for n, c in registry.items()})
+    result = ThreadedRuntime(program, registry, nodes=2, pipeline_depth=3,
+                             max_iterations=9).run()
+    assert result.completed_iterations == 9
+    assert len({ctx for ctx, *_ in seen}) == 1, "the context is reused"
+    assert sorted(s[1:] for s in seen) == [(k, 0, 0) for k in range(9)]

@@ -239,3 +239,37 @@ def test_worker_exception_propagates():
     with pytest.raises(RuntimeError, match="kernel exploded"):
         rt.run()
     assert rt.pool.total_planes == 0
+
+
+def test_worker_job_tables_do_not_outlive_the_job():
+    """The worker's stream facade is persistent (node plans bind to it),
+    but what a job unpacked or mapped must be dropped when the job ends:
+    a view left behind pins its shared segment past ``close_attachments``
+    (a ``BufferError`` from ``SharedMemory.__del__`` at worker exit)."""
+    from repro.core import AppBuilder, expand
+    from repro.hinch.engine import build_configuration
+    from repro.hinch.worker import _Worker
+    from tests.hinch.helpers import PORTS, REGISTRY
+
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "producer", streams={"output": "a"}, params={"base": 3})
+    main.component("snk", "collector", streams={"input": "a"})
+    program = expand(b.build(), PORTS)
+    pg = build_configuration(
+        program, REGISTRY, None, group_chains=False, fuse=False,
+        fuse_backend="numpy", parallel_headroom=None,
+    ).pg
+    worker = _Worker(None, program, REGISTRY, pg, False, 0)
+    try:
+        record = worker._run_job(0, "src", {}, (), None, None)
+        shipped = record[2]
+        assert list(shipped) == ["a"]
+        facade = worker.streams
+        assert facade.inputs is facade.values is facade.ensured is None
+        # the next job starts from fresh tables, not the previous job's
+        follow = worker._run_job(0, "snk", dict(shipped), (), None, None)
+        assert follow[2] == {} and facade.values is None
+        assert worker.host.live["snk"].ordered() == [3]
+    finally:
+        worker.pool.close_attachments()

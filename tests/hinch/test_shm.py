@@ -13,7 +13,35 @@ import numpy as np
 import pytest
 
 from repro.errors import StreamError
-from repro.hinch.shm import PlaneRef, SharedPlanePool, _round_size
+from repro.hinch.shm import PlaneRef, SharedPlanePool, _round_size, plane_nbytes
+
+
+# -- payload size -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shape,dtype,nbytes",
+    [
+        ((), np.float64, 8),          # a scalar plane is one item
+        ((0,), np.uint8, 0),
+        ((4, 0, 3), np.int16, 0),     # any zero extent: no payload
+        ((4, 6), np.uint8, 24),
+        ((576, 720), np.float32, 576 * 720 * 4),
+        ((np.int64(3), np.int32(5)), np.int16, 30),  # numpy ints from .shape math
+    ],
+)
+def test_plane_nbytes(shape, dtype, nbytes):
+    got = plane_nbytes(shape, np.dtype(dtype))
+    assert got == nbytes == np.empty(shape, dtype).nbytes
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_acquire_zero_sized_planes(shape):
+    with SharedPlanePool(shared=False) as pool:
+        plane, ref = pool.acquire(shape, np.float32)
+        assert ref.nbytes == 0 and plane.shape == shape
+        pool.release(ref)
+        assert pool.live_planes == 0
 
 
 # -- size bucketing ---------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+
+import pytest
 
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.tracing import TraceEvent, Tracer, merge_traces
@@ -279,6 +282,69 @@ def test_concurrent_producers_consumers():
         c.join(timeout=2)
     assert len(consumed) == produced
     assert len(set(consumed)) == produced
+
+
+@pytest.fixture
+def fast_switching():
+    """Preempt every few bytecodes so lock-window races actually occur."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_waiter_counted_notify_loses_no_wakeup(fast_switching):
+    """One producer, one consumer, the consumer parked between bursts.
+
+    ``push``/``push_all`` touch the condition variable only when a
+    ``pop`` is counted as waiting; a wakeup lost in the window between
+    the consumer's emptiness check and its wait would hang the consumer
+    (the join timeout) or drop a job (the count).
+    """
+    q = JobQueue()
+    total = 3000
+    consumed: list[Job] = []
+
+    def consumer():
+        while (job := q.pop()) is not None:
+            consumed.append(job)
+
+    def wait_until_empty():
+        deadline = time.monotonic() + 10
+        while len(q):  # the consumer drains, then blocks in pop()
+            assert time.monotonic() < deadline, "consumer never woke up"
+            time.sleep(0.0005)
+
+    thread = threading.Thread(target=consumer, daemon=True)
+    thread.start()
+    for k in range(0, total, 3):
+        q.push(Job(k, "a"))
+        q.push_all([Job(k + 1, "a"), Job(k + 2, "a")])
+        if k % 150 == 0:
+            wait_until_empty()
+    wait_until_empty()
+    q.drain()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [j.iteration for j in consumed] == list(range(total))  # FIFO
+    assert q._waiters == 0
+
+
+@pytest.mark.parametrize("shutdown", ["close", "drain"])
+def test_shutdown_races_a_blocked_pop(fast_switching, shutdown):
+    """close()/drain() must wake a consumer wherever it is in pop()."""
+    for _ in range(200):
+        q = JobQueue()
+        got: list[Job | None] = []
+        thread = threading.Thread(target=lambda: got.append(q.pop()),
+                                  daemon=True)
+        thread.start()
+        getattr(q, shutdown)()  # before, during or after the pop blocks
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert got == [None] and q._waiters == 0
 
 
 def test_utilization_zero_workers_guarded():

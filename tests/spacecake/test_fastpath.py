@@ -35,7 +35,6 @@ def _plan_fields(plan: JobPlan) -> tuple:
         plan.fixed_cycles,
         plan.overhead_cycles,
         plan.instances,
-        plan.manager,
     )
 
 
