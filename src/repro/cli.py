@@ -7,16 +7,19 @@ Subcommands mirror the paper's toolchain (Fig. 1):
   reconfiguration safety, performance lint) with stable ``Xnnn`` codes;
 * ``expand``   — inline procedures / replicate parallel shapes and report
   the resulting graph (optionally as DOT);
-* ``run``      — execute a specification on the threaded Hinch runtime or
-  the SpaceCAKE simulator;
+* ``run``      — execute a specification on one of the three backends:
+  the threaded Hinch runtime, the multi-process runtime over shared
+  memory, or the SpaceCAKE simulator;
 * ``predict``  — PAMELA/SPC analytic performance estimate;
 * ``codegen``  — emit the standalone Python glue module;
 * ``figures``  — regenerate the paper's result figures (FIG8/FIG9/FIG10,
   ablations, prediction accuracy);
-* ``bench``    — wall-clock performance harness: time the figure sweeps
-  and the simulator micro-benchmarks, write ``BENCH_simulator.json``,
-  and compare against the committed baseline (docs/performance.md);
-* ``apps``     — write the built-in applications as XSPCL XML.
+* ``apps``     — write the built-in applications as XSPCL XML;
+* ``fuzz``     — differential scenario fuzzing across the backends
+  (docs/fuzzing.md).
+
+Performance is measured outside this tool, by ``benchmarks/e2e/run.py``
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -444,68 +447,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    if args.suite == "runtime":
-        from repro.bench import runtime as suite
-    else:
-        from repro.bench import perf as suite
-
-    profile = suite.PROFILES[args.profile]
-    output = args.output or suite.DEFAULT_OUTPUT
-    max_regression = (
-        args.max_regression if args.max_regression is not None
-        else suite.DEFAULT_MAX_REGRESSION
-    )
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else Path(output)
-    if baseline_path.exists():
-        # Read before collect(): the default baseline is the committed
-        # copy of the very file we are about to overwrite.
-        baseline = json.loads(baseline_path.read_text())
-    elif args.baseline or args.check:
-        print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-        return 2
-
-    if args.suite == "runtime":
-        payload = suite.collect(profile, repeats=args.repeat)
-    else:
-        payload = suite.collect(profile, scale=args.scale,
-                                repeats=args.repeat)
-    if baseline is not None and "pre_optimization_reference" in baseline:
-        # The seed-implementation reference timings describe a fixed
-        # historical tree, not this run — carry them forward so a bench
-        # run never erases them from the committed baseline.
-        payload["pre_optimization_reference"] = baseline[
-            "pre_optimization_reference"
-        ]
-    Path(output).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    print(suite.render_report(payload, baseline))
-    print(f"\nresults written to {output}")
-
-    if baseline is not None:
-        regressions = suite.compare(
-            payload, baseline, max_regression=max_regression
-        )
-        if regressions:
-            print(
-                f"\n{len(regressions)} wall-clock regression(s) vs "
-                f"{baseline_path}:",
-                file=sys.stderr,
-            )
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            if args.check:
-                return 1
-        else:
-            print(f"no wall-clock regressions vs {baseline_path} "
-                  f"(limit {max_regression:+.0%})")
-    return 0
-
-
 _APPS = {
     "pip1": ("pip", dict(n_pips=1)),
     "pip2": ("pip", dict(n_pips=2)),
@@ -584,12 +525,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0 if report.ok else 1
-
-
-def _bench_profiles() -> list[str]:
-    from repro.bench.perf import PROFILES
-
-    return list(PROFILES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -710,36 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0,
                    help="frame-count scale (1.0 = paper scale)")
     p.set_defaults(fn=cmd_figures)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the simulator (figure sweeps + micro-benchmarks) and "
-             "compare against the committed baseline",
-    )
-    p.add_argument("--suite", choices=("sim", "runtime"), default="sim",
-                   help="sim: SpaceCAKE wall-clock suite (BENCH_simulator"
-                        ".json); runtime: threaded/process backend "
-                        "throughput suite (BENCH_runtime.json)")
-    p.add_argument("--profile", choices=sorted(_bench_profiles()),
-                   default="quick",
-                   help="measurement profile (quick = CI smoke)")
-    p.add_argument("--scale", type=float, default=None,
-                   help="sim suite: override the profile's frame-count "
-                        "scale")
-    p.add_argument("--repeat", type=int, default=None,
-                   help="override the profile's repeat count")
-    p.add_argument("-o", "--output", default=None,
-                   help="result file (default: the suite's BENCH_*.json "
-                        "at the repo root)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON to compare against (default: the "
-                        "pre-existing output file)")
-    p.add_argument("--max-regression", type=float, default=None,
-                   help="allowed median wall-clock slowdown per metric "
-                        "(default: 0.25 sim, 0.35 runtime)")
-    p.add_argument("--check", action="store_true",
-                   help="exit nonzero on any regression beyond the limit")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("apps", help="dump a built-in application as XSPCL")
     p.add_argument("app", choices=sorted(_APPS))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
+from repro.core import AppBuilder
 from repro.core.ports import PortSpec
 from repro.hinch.component import Component, JobContext
 
@@ -170,6 +172,39 @@ class LifecycleProbe(Component):
         job.write("output", job.read("input") + 100)
 
 
+class Sleeper(Component):
+    """A kernel that blocks instead of computing.
+
+    ``time.sleep`` releases the GIL and occupies no core, so N concurrent
+    copies finish in one sleep period on any machine: throughput scaling
+    over this stage depends on the runtime's dispatch path alone.
+    """
+
+    ports = PortSpec(inputs=("input",), outputs=("output",),
+                     required_params=("ms",))
+
+    def run(self, job: JobContext) -> None:
+        data = job.read("input")
+        out = job.buffer("output", shape=data.shape, dtype=data.dtype)
+        time.sleep(float(self.require_param("ms")) / 1000.0)
+        index, total = self.slice if self.slice else (0, 1)
+        out[index::total] = data[index::total]
+
+
+def sleep_app(*, slices: int, sleep_ms: float) -> AppBuilder:
+    """Source -> sliced blocking stage (``slices`` copies) -> sink."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "array_source", streams={"output": "raw"},
+                   params={"size": 8})
+    with main.parallel("slice", n=slices):
+        main.component("work", "sleeper",
+                       streams={"input": "raw", "output": "out"},
+                       params={"ms": sleep_ms})
+    main.component("snk", "collector", streams={"input": "out"})
+    return b
+
+
 REGISTRY: dict[str, type[Component]] = {
     "producer": Producer,
     "doubler": Doubler,
@@ -182,6 +217,7 @@ REGISTRY: dict[str, type[Component]] = {
     "event_sender": EventSender,
     "reconfigurable": Reconfigurable,
     "lifecycle_probe": LifecycleProbe,
+    "sleeper": Sleeper,
 }
 
 PORTS = {name: cls.ports for name, cls in REGISTRY.items()}
