@@ -198,8 +198,8 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
     and fail obscurely (``--batch 0``, ``--workers 0``) or hang
     (``--pipeline-depth 0`` admits no iterations), and the silently
     ignored combinations (``--inject-fault`` on a backend that cannot
-    inject, ``--objective deadline`` without a budget).  Returns the
-    error message, or ``None`` when the knobs are coherent.
+    inject).  Returns the error message, or ``None`` when the knobs are
+    coherent.
     """
     workers = args.workers if args.workers is not None else args.nodes
     if args.nodes < 1:
@@ -229,12 +229,6 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
         )
     if args.fuse and args.backend == "sim":
         return "--fuse applies to the threaded and process backends only"
-    if args.autotune and args.backend != "process":
-        return "--autotune applies to the process backend only"
-    if args.deadline_ms is not None and not args.autotune:
-        return "--deadline needs --autotune"
-    if args.objective == "deadline" and args.deadline_ms is None:
-        return "--objective deadline needs --deadline MS"
     return None
 
 
@@ -297,12 +291,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             faults=args.inject_fault,
             fuse=args.fuse,
             fuse_backend=args.fuse_backend,
-            autotune=args.autotune,
-            objective=(
-                "deadline" if args.deadline_ms is not None
-                else args.objective
-            ),
-            deadline_ms=args.deadline_ms,
         )
         result = runtime.run()
         fps = (
@@ -324,24 +312,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             for event in result.fault_events:
                 if event["kind"] == "unfired":
                     print(f"warning: {event['detail']}", file=sys.stderr)
-        if args.autotune:
-            spawned = result.workers_spawned
-            print(
-                f"autotune: {len(result.autotune_events)} decision(s), "
-                f"{spawned} worker(s) spawned, final workers="
-                f"{runtime.workers} batch={runtime.batch}"
-            )
-            for event in result.autotune_events:
-                achieved = event["achieved_fps"]
-                achieved_s = (
-                    f"{achieved:.2f}" if achieved is not None else "n/a"
-                )
-                print(
-                    f"  [{event['kind']}@iter{event['iteration']}] "
-                    f"{event['reason']} — predicted "
-                    f"{event['predicted_fps']:.2f} f/s, achieved "
-                    f"{achieved_s} f/s"
-                )
         _print_fusion_report(runtime)
     else:
         from repro.spacecake import SimRuntime
@@ -599,20 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick a registered implementation for a component "
                         "class, e.g. --impl downscale_field=strided "
                         "(repeatable; see docs/formats.md)")
-    p.add_argument("--autotune", action="store_true",
-                   help="process backend: online controller that widens/"
-                        "narrows slice replication, grows/shrinks the "
-                        "worker pool and retunes --batch at quiescent "
-                        "reconfiguration points, seeded by the cost model "
-                        "and corrected by measured occupancy")
-    p.add_argument("--objective", choices=("throughput", "deadline"),
-                   default="throughput",
-                   help="autotune goal: maximise frames/s (default) or "
-                        "meet --deadline at least cost")
-    p.add_argument("--deadline", dest="deadline_ms", type=float,
-                   default=None, metavar="MS",
-                   help="autotune: per-frame wall-clock budget in "
-                        "milliseconds (implies --objective deadline)")
     p.add_argument("--fuse", action="store_true",
                    help="threaded/process backends: compile provable linear "
                         "chains into single-dispatch fused kernels; "

@@ -139,9 +139,6 @@ def generate_case(seed: int, *, max_nodes: int = 8) -> FuzzCase:
         "batch": rng.choice([1, 1, 2, 3]),
         "depth": rng.choice([1, 2, 2, 4]),
         "fuse": rng.random() < 0.4,
-        # autotune only acts at quiescent points of *static* programs in
-        # this harness; keep the knob off when reconfig drives the run
-        "autotune": reconfig is None and rng.random() < 0.25,
     }
 
     mutation = None

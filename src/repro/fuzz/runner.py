@@ -218,7 +218,6 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
                 "depth": depth,
                 "batch": knobs.get("batch", 1),
                 "fuse": knobs.get("fuse", False),
-                "autotune": knobs.get("autotune", False),
             },
         ]
         if case.faults:
@@ -236,7 +235,6 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
             "depth": knobs.get("depth", 2),
             "batch": knobs.get("batch", 1),
             "fuse": knobs.get("fuse", False),
-            "autotune": knobs.get("autotune", False),
         },
     ]
     if case.faults:
@@ -266,7 +264,6 @@ def _execute(case: FuzzCase, program, registry, run: dict):
             max_iterations=case.iterations,
             batch=run.get("batch", 1),
             fuse=run.get("fuse", False),
-            autotune=run.get("autotune", False),
             faults=",".join(run.get("faults", [])) or None,
         )
     if case.reconfig is not None and period is None:

@@ -55,8 +55,7 @@ def _proposals(case: FuzzCase) -> Iterator[FuzzCase]:
                 del c.faults[i]
                 yield c
     # neutralize knobs one at a time
-    neutral = {"workers": 1, "batch": 1, "depth": 1,
-               "fuse": False, "autotune": False}
+    neutral = {"workers": 1, "batch": 1, "depth": 1, "fuse": False}
     for key, value in neutral.items():
         if case.knobs.get(key, value) != value:
             c = _clone(case)

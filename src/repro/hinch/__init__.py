@@ -35,9 +35,8 @@ quiescent-splice protocol once.
 Three executors subclass the coordinator and add only how jobs run:
 :mod:`repro.hinch.runtime` (worker threads: the correctness reference,
 GIL-bound), :mod:`repro.hinch.process` with :mod:`repro.hinch.worker`
-(dispatcher and worker processes: job leases over pipes, frames in shared
-memory, :mod:`repro.hinch.faults` recovery, the online
-:mod:`repro.hinch.autotune` controller) and
+(dispatcher and a fixed pool of worker processes: job leases over pipes,
+frames in shared memory, :mod:`repro.hinch.faults` recovery) and
 :mod:`repro.spacecake.simulator` (virtual cores on the SpaceCAKE machine
 model: the performance-curve backend).
 """

@@ -125,25 +125,6 @@ class Component:
         """
         return None
 
-    @classmethod
-    def slice_elastic(cls) -> bool:
-        """May the auto-tuner change this component's slice count?
-
-        Re-sharding a data-parallel group redistributes which rows each
-        copy owns, so it is only safe when the copies hold no state
-        partitioned by the old assignment.  The default says yes exactly
-        for stateless classes — those that override none of the state
-        hooks — because their output is a pure function of the inputs
-        and the (new) slice.  Partitioned-stateful components whose
-        state is keyed by content rather than by copy identity may
-        override this to opt in.
-        """
-        return (
-            cls.snapshot_state is Component.snapshot_state
-            and cls.merge_state is Component.merge_state
-            and cls.checkpoint_state is Component.checkpoint_state
-        )
-
     def __init__(self, instance: ComponentInstance) -> None:
         self.instance = instance
         self.params = dict(instance.params)

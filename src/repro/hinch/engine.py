@@ -323,22 +323,6 @@ class ComponentHost:
             if component is None:
                 component = self.create(instance_id)
             self.live[instance_id] = component
-        # A re-slice can keep an instance id while changing its
-        # descriptor (copy 0 of 4 becomes copy 0 of 2): the surviving
-        # object still holds the old slice assignment and must be
-        # rebuilt.  Only slice-elastic (stateless) components are ever
-        # re-sliced, so recreation loses nothing.
-        for instance_id in new_active:
-            if instance_id in added:
-                continue
-            instance = self.overrides.get(
-                instance_id, self.program.components.get(instance_id)
-            )
-            component = self.live[instance_id]
-            if instance is not None and component.instance != instance:
-                component.teardown()
-                self.live[instance_id] = self.create(instance_id)
-                added.append(instance_id)
         return added, removed
 
 
@@ -353,8 +337,7 @@ class Coordinator:
 
     ``lock`` guards the controller entry points for executors whose jobs
     run concurrently with manager invocations (the threaded backend's
-    RLock).  ``parallel_headroom`` is forwarded to every build; an
-    executor may change it before a splice (:attr:`_fuse_headroom`).
+    RLock).  ``parallel_headroom`` is forwarded to every build.
     """
 
     def __init__(
@@ -380,12 +363,12 @@ class Coordinator:
         self.group_chains = group_chains
         self.fuse = fuse
         self.fuse_backend = fuse_backend
-        self._fuse_headroom = parallel_headroom
+        self.parallel_headroom = parallel_headroom
         self.fusion_report: FusionReport | None = None
-        #: (resolved option states, fusion headroom) -> (program, built
-        #: configuration): a run that toggles between a handful of
-        #: configurations solves, converts, groups and fuses each once
-        self._configurations: dict[tuple, tuple[Program, Configuration]] = {}
+        #: resolved option states -> built configuration: a run that
+        #: toggles between a handful of configurations solves, converts,
+        #: groups and fuses each once
+        self._configurations: dict[frozenset, Configuration] = {}
         self._lock = lock if lock is not None else nullcontext()
         self.broker = EventBroker()
         self.pool = pool
@@ -414,14 +397,13 @@ class Coordinator:
     def _build(self, option_states: Mapping[str, bool] | None) -> ProgramGraph:
         """Install the configuration for ``option_states``, building it once.
 
-        :func:`build_configuration` is a pure function of the program,
-        the option states and the fusion headroom (the rest is fixed at
-        construction), so its result is memoised on those; an entry built
-        for a program an autotune re-slice has since replaced is rebuilt.
+        :func:`build_configuration` is a pure function of the option
+        states once the program and the build knobs are fixed at
+        construction, so its result is memoised on them.
         """
-        key = (frozenset((option_states or {}).items()), self._fuse_headroom)
-        entry = self._configurations.get(key)
-        if entry is None or entry[0] is not self.program:
+        key = frozenset((option_states or {}).items())
+        config = self._configurations.get(key)
+        if config is None:
             config = build_configuration(
                 self.program,
                 self.registry,
@@ -429,13 +411,11 @@ class Coordinator:
                 group_chains=self.group_chains,
                 fuse=self.fuse,
                 fuse_backend=self.fuse_backend,
-                parallel_headroom=self._fuse_headroom,
+                parallel_headroom=self.parallel_headroom,
             )
             # keyed by the *resolved* states: what every splice asks for
-            key = (frozenset(config.pg.option_states.items()), self._fuse_headroom)
-            self._configurations[key] = (self.program, config)
-        else:
-            config = entry[1]
+            key = frozenset(config.pg.option_states.items())
+            self._configurations[key] = config
         # Overrides must be in place before populate/splice: active ids
         # resolve through them.
         self.host.overrides = config.overrides
@@ -466,7 +446,6 @@ class Coordinator:
     def on_reconfigure(
         self, plans: list[ReconfigPlan], resume_iteration: int
     ) -> ProgramGraph:
-        self._before_splice(resume_iteration)
         states = dict(self.pg.option_states)
         for plan in plans:
             states.update(plan.changes)
@@ -485,9 +464,6 @@ class Coordinator:
         self.reconfig_log.append((resume_iteration, dict(states)))
         self._after_splice(added, removed)
         return new_pg
-
-    def _before_splice(self, resume_iteration: int) -> None:
-        """Executor hook: the graph is quiescent, nothing is rebuilt yet."""
 
     def _after_splice(self, added: list[str], removed: list[str]) -> None:
         """Executor hook: :attr:`pg` and :attr:`host` are the new configuration."""

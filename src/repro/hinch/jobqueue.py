@@ -63,7 +63,6 @@ class JobQueue:
         self._closed = False
         self._draining = False
         self._pushed = 0
-        self._high_water = 0
 
     def push(self, job: Job) -> int:
         """Enqueue one job; returns the number accepted (0 after close)."""
@@ -82,13 +81,9 @@ class JobQueue:
                     "scheduler reported done, so these completions would "
                     "be lost"
                 )
-            items = self._items
-            items.extend(jobs)
+            self._items.extend(jobs)
             accepted = len(jobs)
             self._pushed += accepted
-            depth = len(items)
-            if depth > self._high_water:
-                self._high_water = depth
             if self._waiters:
                 self._not_empty.notify(accepted)
             return accepted
@@ -110,8 +105,6 @@ class JobQueue:
                 return 0  # aborted: the retry no longer matters
             self._items.appendleft(job)
             self._pushed += 1
-            if len(self._items) > self._high_water:
-                self._high_water = len(self._items)
             if self._waiters:
                 self._not_empty.notify()
             return 1
@@ -205,16 +198,3 @@ class JobQueue:
     def total_pushed(self) -> int:
         with self._lock:
             return self._pushed
-
-    def take_high_water(self) -> int:
-        """Deepest the queue got since the last call, then reset.
-
-        The auto-tuner samples this per observation window as its queue-
-        pressure signal: a persistently deep queue with saturated workers
-        argues for growing the pool; resetting on read makes each window
-        independent.
-        """
-        with self._lock:
-            hw = self._high_water
-            self._high_water = len(self._items)
-            return hw

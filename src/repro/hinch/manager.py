@@ -55,22 +55,6 @@ class ManagerRuntime:
         self.events_handled = 0
         self.events_ignored = 0
 
-    def rebind(self, info: ManagerInfo) -> None:
-        """Swap in a structurally-updated descriptor, keeping run state.
-
-        Re-slicing rewrites the Program — member tuples change when a
-        data-parallel group changes width — so the runtime hands each
-        manager its replacement :class:`ManagerInfo` at the splice.
-        Queue binding and statistics carry over; only the descriptor
-        (handlers, members) is replaced.
-        """
-        if info.qname != self.info.qname or info.queue != self.info.queue:
-            raise ValueError(
-                f"rebind must keep identity: {self.info.qname!r}/"
-                f"{self.info.queue!r} vs {info.qname!r}/{info.queue!r}"
-            )
-        self.info = info
-
     def invoke(self, iteration: int, phase: str) -> None:
         """Poll the queue and apply handlers; ``phase`` is enter/exit."""
         events = self.broker.queue(self.info.queue).poll()

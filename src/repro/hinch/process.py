@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import re
 import time
 from multiprocessing.connection import Connection, wait
 from typing import Any, Mapping, Sequence
@@ -95,27 +94,16 @@ from repro.errors import (
     StreamFormatError,
     WorkerFailure,
 )
-from repro.hinch.autotune import (
-    AutotuneConfig,
-    AutotuneController,
-    Decision,
-    Observation,
-)
 from repro.hinch.component import Component
 from repro.hinch.engine import Coordinator
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.runtime import RunResult
-from repro.hinch.scheduler import ReconfigPlan
 from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
 from repro.hinch.tracing import TraceEvent
 from repro.hinch.worker import _WORKER_STAT_KEYS, _worker_entry
 
 __all__ = ["ProcessRuntime"]
-
-#: strips the slice index off a node id: ``idct[3]`` -> ``idct`` — the
-#: auto-tuner aggregates busy time per *definition*, not per copy
-_SLICE_SUFFIX = re.compile(r"\[\d+\]$")
 
 
 class _Lease:
@@ -152,6 +140,9 @@ class ProcessRuntime(Coordinator):
     semantic decision — job readiness, load balancing, event handling,
     reconfiguration — is made by the same single-threaded dispatcher
     state machines the threaded backend uses under its lock.
+
+    ``workers`` sizes the pool once for the whole run; slots beyond the
+    first fork on first demand (lazy spawn).
 
     Performance knob:
 
@@ -198,10 +189,6 @@ class ProcessRuntime(Coordinator):
         max_retries: int = 2,
         respawn: bool = True,
         faults: str | Sequence[FaultSpec] | FaultInjector | None = None,
-        autotune: bool = False,
-        objective: str = "throughput",
-        deadline_ms: float | None = None,
-        autotune_window: int = 4,
     ) -> None:
         if workers < 1:
             raise SchedulingError(f"workers must be >= 1, got {workers}")
@@ -211,13 +198,6 @@ class ProcessRuntime(Coordinator):
             raise SchedulingError(f"watchdog must be > 0 seconds, got {watchdog}")
         if max_retries < 0:
             raise SchedulingError(f"max_retries must be >= 0, got {max_retries}")
-        if objective not in ("throughput", "deadline"):
-            raise SchedulingError(
-                f"objective must be 'throughput' or 'deadline', got "
-                f"{objective!r}"
-            )
-        if objective == "deadline" and deadline_ms is None:
-            raise SchedulingError("objective 'deadline' needs deadline_ms")
         self.workers = workers
         self.batch = batch
         self.watchdog = watchdog
@@ -228,11 +208,6 @@ class ProcessRuntime(Coordinator):
             self._cores = len(os.sched_getaffinity(0))
         except (AttributeError, OSError):
             self._cores = os.cpu_count() or 1
-        #: the un-resliced Program the auto-tuner derives every re-slice
-        #: from, so cumulative overrides stay idempotent
-        self._program_base = program
-        #: cumulative group -> replication-total overrides applied so far
-        self._slice_overrides: dict[str, int] = {}
         super().__init__(
             program, registry,
             pool=SharedPlanePool(shared=True),
@@ -278,9 +253,11 @@ class ProcessRuntime(Coordinator):
         self._attempts: dict[tuple[int, str], int] = {}
         #: (iteration, node_id) -> worker incarnations that failed it
         self._excluded: dict[tuple[int, str], set[int]] = {}
-        #: parameter reconfigurations already broadcast, replayed to
-        #: respawned workers so their fresh mirrors catch up
-        self._sent_reconfigs: list[tuple[str, str]] = []
+        #: instance id -> reconfigure requests its dispatcher mirror got
+        #: since the instance was created; a worker forked later replays
+        #: exactly these onto its fresh mirror (an instance torn down by
+        #: a splice loses its entry: recreated, it starts clean)
+        self._requests: dict[str, list[str]] = {}
         #: dispatched task jobs (1-based), the fault injector's clock
         self._dispatched_tasks = 0
         self._respawns = 0
@@ -311,274 +288,6 @@ class ProcessRuntime(Coordinator):
         #: distinct worker slots that ever forked (satellite of the
         #: lazy-spawn work: occupancy must divide by workers that *ran*)
         self._spawned_slots: set[int] = set()
-        #: decisions applied during this run (RunResult.autotune_events)
-        self.autotune_events: list[dict[str, Any]] = []
-        self.autotune = autotune
-        self._controller: AutotuneController | None = None
-        #: decisions awaiting the next quiescent splice, oldest first —
-        #: a window can close (and decide) while an earlier decision is
-        #: still draining toward its splice, so this must queue
-        self._pending_autotune: list[Decision] = []
-        #: current replication total per re-sliceable group
-        self._slice_totals: dict[str, int] = {}
-        # Observation-window accumulators (autotune only): per-worker and
-        # per-definition busy wall seconds, job count, window start time.
-        self._win_index = 0
-        self._win_iters = 0
-        self._win_jobs = 0
-        self._win_fps = 0.0
-        self._win_worker_busy: dict[int, float] = {}
-        self._win_node_busy: dict[str, float] = {}
-        self._win_start = time.perf_counter()
-        if autotune:
-            self._controller = self._init_autotune(
-                objective, deadline_ms, autotune_window, option_states
-            )
-
-    # -- autotune ------------------------------------------------------------
-
-    def _init_autotune(
-        self,
-        objective: str,
-        deadline_ms: float | None,
-        window: int,
-        option_states: Mapping[str, bool] | None,
-    ) -> AutotuneController:
-        """Build the controller: slice candidates and the cost-model seed.
-
-        Candidate replication totals are validated *up front* with trial
-        re-slices (structure + format solve) so a decision at a splice
-        can never discover mid-run that a width does not build.  The
-        cost-model seed (:func:`repro.prediction.seed_plan`) is best
-        effort: programs without cost annotations tune from measurements
-        alone.
-        """
-        from repro.analysis.diagnostics import DiagnosticBag
-        from repro.analysis.formats import check_formats
-        from repro.core.reslice import reslice, slice_groups
-
-        candidates: dict[str, tuple[int, ...]] = {}
-        for group in slice_groups(self._program_base).values():
-            cls = self.registry.get(group.class_name)
-            if cls is None or not cls.slice_elastic():
-                continue
-            totals: list[int] = []
-            for total in sorted({1, 2, 4, 8} | {group.total}):
-                if total == group.total:
-                    totals.append(total)
-                    continue
-                try:
-                    trial = reslice(
-                        self._program_base, {group.definition_id: total}
-                    )
-                    bag = DiagnosticBag()
-                    check_formats(
-                        bag, trial, trial.build_graph(option_states)
-                    )
-                    if not bag.has_errors:
-                        totals.append(total)
-                except Exception:
-                    continue
-            if len(totals) > 1:
-                candidates[group.definition_id] = tuple(totals)
-                self._slice_totals[group.definition_id] = group.total
-        seed_intervals: dict[int, float] | None = None
-        max_workers = max(self.workers, self._cores)
-        try:
-            from repro.prediction import seed_plan
-
-            plan = seed_plan(
-                self._program_base,
-                self.registry,
-                max_workers=max_workers,
-                pipeline_depth=self.pipeline_depth,
-                option_states=option_states,
-            )
-            seed_intervals = dict(plan.intervals)
-        except Exception:
-            pass
-        config = AutotuneConfig(
-            objective=objective,
-            deadline_ms=deadline_ms,
-            window=window,
-            max_workers=max_workers,
-            cores=self._cores,
-            max_batch=max(16, self.batch),
-            slice_candidates=candidates,
-        )
-        return AutotuneController(config, seed_intervals)
-
-    def _close_window(self) -> None:
-        """End one observation window: measure, consult, maybe reconfigure."""
-        controller = self._controller
-        assert controller is not None
-        now = time.perf_counter()
-        wall = max(now - self._win_start, 1e-9)
-        fps = self._win_iters / wall
-        # Backfill achieved throughput on decisions still awaiting their
-        # first post-splice window — the predicted-vs-achieved delta the
-        # bench reports per decision.
-        for event in self.autotune_events:
-            if event["achieved_fps"] is None:
-                event["achieved_fps"] = round(fps, 4)
-                base = event["baseline_fps"]
-                event["achieved_ratio"] = (
-                    round(fps / base, 4) if base else None
-                )
-        cpu_bound = frozenset(
-            _SLICE_SUFFIX.sub("", node)
-            for node, bound in self._cpu_bound.items()
-            if bound
-        )
-        obs = Observation(
-            window=self._win_index,
-            wall=wall,
-            iterations=self._win_iters,
-            jobs=self._win_jobs,
-            worker_busy=dict(self._win_worker_busy),
-            node_busy=dict(self._win_node_busy),
-            cpu_bound=cpu_bound,
-            queue_high_water=self.queue.take_high_water(),
-            workers=self.workers,
-            live_workers=max(len(self._live), 1),
-            batch=self.batch,
-            slice_totals=dict(self._slice_totals),
-        )
-        decision = controller.observe(obs)
-        self._win_index += 1
-        self._win_iters = 0
-        self._win_jobs = 0
-        self._win_fps = fps
-        self._win_worker_busy = {}
-        self._win_node_busy = {}
-        self._win_start = now
-        if decision is None:
-            return
-        remaining = self.max_iterations - self.scheduler.completed_iterations
-        if remaining < controller.config.window:
-            return  # no window left to measure the effect in
-        self._pending_autotune.append(decision)
-        self.scheduler.request_reconfig(
-            ReconfigPlan(
-                manager="<autotune>", changes={}, reason=decision.reason
-            )
-        )
-
-    def _apply_autotune(self, decision: Decision, resume: int) -> None:
-        """Enact one controller decision at the quiescent splice point."""
-        if decision.batch is not None:
-            self.batch = decision.batch
-        if decision.workers is not None:
-            self._resize_pool(decision.workers)
-        if decision.slices:
-            from repro.core.reslice import reslice
-
-            self._slice_overrides.update(decision.slices)
-            self._slice_totals.update(decision.slices)
-            self.program = reslice(self._program_base, self._slice_overrides)
-            self.host.program = self.program
-            # Member tuples changed with the program: every manager gets
-            # its replacement descriptor (queue binding and stats stay).
-            for qname, manager in self.managers.items():
-                manager.rebind(self.program.managers[qname])
-        if self.fuse:
-            self._fuse_headroom = min(self.workers, self._cores)
-        if self.tracer.enabled:
-            now = time.perf_counter()
-            self.tracer.record(
-                TraceEvent(
-                    node_id=decision.kind,
-                    iteration=resume,
-                    worker=-1,
-                    start=now,
-                    end=now,
-                    kind="autotune",
-                )
-            )
-        self.autotune_events.append(
-            {
-                "kind": decision.kind,
-                "window": decision.window,
-                "iteration": resume,
-                "reason": decision.reason,
-                "workers": decision.workers,
-                "batch": decision.batch,
-                "slices": dict(decision.slices) if decision.slices else None,
-                "predicted_ratio": round(decision.predicted_ratio, 4),
-                "baseline_fps": round(self._win_fps, 4),
-                "predicted_fps": round(
-                    self._win_fps * decision.predicted_ratio, 4
-                ),
-                "achieved_fps": None,
-                "achieved_ratio": None,
-            }
-        )
-
-    def _resize_pool(self, target: int) -> None:
-        """Grow or shrink the worker pool at quiescence.
-
-        Growing only extends the slot tables — new slots stay dormant
-        until the first dispatch that finds no idle worker (PR 5's lazy
-        spawn).  Shrinking retires the highest slots first: dormant slots
-        just vanish; live ones get the graceful stop handshake (state
-        snapshots and pool stats merge exactly as at shutdown), which
-        cannot abandon work because every worker is idle at quiescence.
-        """
-        target = max(1, target)
-        if target > self.workers:
-            grow = target - self.workers
-            self._conns.extend([None] * grow)  # type: ignore[list-item]
-            self._procs.extend([None] * grow)
-            self._incarnation.extend([-1] * grow)
-            self._dormant += grow
-            self.workers = target
-            return
-        while self.workers > target:
-            slot = self.workers - 1
-            self._retire_slot(slot)
-            self._conns.pop()
-            self._procs.pop()
-            self._incarnation.pop()
-            self.workers = slot
-
-    def _retire_slot(self, slot: int) -> None:
-        if self._incarnation[slot] == -1:
-            self._dormant -= 1
-            return
-        if slot not in self._live:
-            return
-        self._live.discard(slot)
-        self._idle.discard(slot)
-        for holders in self._resident.values():
-            for workers in holders.values():
-                workers.discard(slot)
-        try:
-            self._send_to(slot, ("stop",), interned=False)
-            while True:
-                msg = self._recv_from(slot)
-                if msg[0] == "bye":
-                    _, snapshots, stats = msg
-                    for instance_id, state in snapshots.items():
-                        component = self.host.live.get(instance_id)
-                        if component is not None:
-                            component.merge_state(state)
-                    for key in _WORKER_STAT_KEYS:
-                        self._worker_pool_stats[key] += stats[key]
-                    break
-                if msg[0] == "error":
-                    break  # dying worker: nothing left worth merging
-        except (EOFError, OSError):
-            pass
-        try:
-            self._conns[slot].close()
-        except Exception:
-            pass
-        proc = self._procs[slot]
-        if proc is not None:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -587,30 +296,14 @@ class ProcessRuntime(Coordinator):
         # The planes behind these slots are back on the free lists, so
         # worker-resident views of them are no longer referenceable.
         self._resident.pop(iteration, None)
-        if self._controller is not None:
-            self._win_iters += 1
-            if self._win_iters >= self._controller.config.window:
-                self._close_window()
-
-    def _before_splice(self, resume_iteration: int) -> None:
-        # Auto-tune decisions piggyback on the quiescent splice: resize
-        # the pool / retune the batch / re-slice *before* the graph
-        # rebuild so the new shape and the new fusion headroom are what
-        # both sides derive the post-splice graph from.
-        pending, self._pending_autotune = self._pending_autotune, []
-        for decision in pending:
-            self._apply_autotune(decision, resume_iteration)
 
     def _after_splice(self, added: list[str], removed: list[str]) -> None:
-        # Mirrors a re-slice created (or rebuilt) fresh catch up on the
-        # dynamic reconfigure history — same replay a respawned worker
-        # gets.
-        if added and self._sent_reconfigs:
-            created = set(added)
-            for manager, request in self._sent_reconfigs:
-                for member in self.program.managers[manager].members:
-                    if member in created:
-                        self.host.live[member].reconfigure(request)
+        # A torn-down instance takes its request history with it: if a
+        # later splice recreates it, it starts clean, as on threads.
+        # Dropped before the broadcast, so a worker respawned by a send
+        # failure below forks with the post-splice history too.
+        for instance_id in removed:
+            self._requests.pop(instance_id, None)
         # Node identities and stream geometries may change across the
         # splice: drop everything learned about the old graph.  (Resident
         # slots are already gone — reconfiguration happens at quiescence,
@@ -623,10 +316,7 @@ class ProcessRuntime(Coordinator):
         # idle and will process the splice before its next job.  self.pg
         # is already the new graph, so a worker respawned by a send
         # failure here forks with the post-splice option states baked in.
-        self._broadcast(
-            ("splice", dict(self._target_states),
-             dict(self._slice_overrides), self._fuse_headroom)
-        )
+        self._broadcast(("splice", dict(self._target_states)))
         # Intern table follows the graph.  Control messages (including
         # the splice itself) are never interned and no lease or RPC can
         # be in flight at quiescence, so nothing encoded with the old
@@ -641,10 +331,12 @@ class ProcessRuntime(Coordinator):
         super().send_reconfigure_request(manager, request)
         # ... and every worker applies the request to its own mirrors,
         # possibly mid-job of an unrelated component (same concurrency
-        # the threaded backend exhibits at nodes > 1).  Recorded first:
-        # a worker respawned mid-broadcast receives it via replay, and
-        # future respawns need the full history to rebuild mirror state.
-        self._sent_reconfigs.append((manager, request))
+        # the threaded backend exhibits at nodes > 1).  Recorded first,
+        # per mirror that got it: a worker respawned mid-broadcast forks
+        # with it, and future respawns rebuild mirror state from it.
+        for member in self.program.managers[manager].members:
+            if member in self.host.live:
+                self._requests.setdefault(member, []).append(request)
         self._broadcast(("reconfigure", manager, request))
 
     def _broadcast(self, msg: tuple[Any, ...]) -> None:
@@ -653,8 +345,8 @@ class ProcessRuntime(Coordinator):
         A failed send means the worker is gone; it is handled like any
         other failure (lease reclamation, retry, respawn).  A worker
         respawned *during* the broadcast is deliberately skipped — it was
-        forked from current dispatcher state and replayed the reconfig
-        log, so it is already up to date.
+        forked from current dispatcher state, request history included,
+        so it is already up to date.
         """
         for slot in sorted(self._live):
             try:
@@ -1192,15 +884,6 @@ class ProcessRuntime(Coordinator):
             or wall < 1e-6
             or cpu >= 0.5 * wall
         )
-        if self._controller is not None:
-            self._win_jobs += 1
-            self._win_worker_busy[worker] = (
-                self._win_worker_busy.get(worker, 0.0) + wall
-            )
-            definition = _SLICE_SUFFIX.sub("", node_id)
-            self._win_node_busy[definition] = (
-                self._win_node_busy.get(definition, 0.0) + wall
-            )
         for qname, event in events:
             self.broker.post(qname, event)
         for instance_id, delta in state_updates.items():
@@ -1298,9 +981,9 @@ class ProcessRuntime(Coordinator):
 
         A respawned worker forks from *current* dispatcher state, so it
         inherits the dispatcher's present (already-grouped) graph
-        outright; parameter reconfigurations broadcast earlier are
-        replayed from the log because worker mirrors are built fresh
-        from instance descriptors.
+        outright.  Its mirrors are built fresh from instance descriptors,
+        so each replays the reconfigure requests its dispatcher mirror
+        received (:attr:`_requests`) — no more, no fewer.
         Fork children exit via ``os._exit`` (multiprocessing bootstrap),
         so the dispatcher pool copy they inherit never runs finalizers —
         a respawn cannot unlink live shared segments.
@@ -1314,8 +997,8 @@ class ProcessRuntime(Coordinator):
             target=_worker_entry,
             args=(child, self.program, self.registry, self.pg,
                   self.group_chains, slot, dict(self.host.overrides),
-                  self.fuse, self.fuse_backend, self._program_base,
-                  dict(self._slice_overrides), self._fuse_headroom),
+                  self.fuse, self.fuse_backend, self.parallel_headroom,
+                  self._requests),
             name=f"hinch-proc-worker-{slot}.{incarnation}",
             daemon=True,
         )
@@ -1327,9 +1010,6 @@ class ProcessRuntime(Coordinator):
         self._live.add(slot)
         self._idle.add(slot)
         self._spawned_slots.add(slot)
-        for manager, request in self._sent_reconfigs:
-            self._send_to(slot, ("reconfigure", manager, request),
-                          interned=False)
 
     def _record_fault(
         self,
@@ -1657,19 +1337,6 @@ class ProcessRuntime(Coordinator):
         finally:
             self._shutdown(graceful=not failed)
         elapsed = time.perf_counter() - start_time
-        if self._controller is not None and self._win_iters:
-            # Decisions applied too close to the end never saw a full
-            # window; the partial tail still yields an achieved number.
-            tail_fps = self._win_iters / max(
-                time.perf_counter() - self._win_start, 1e-9
-            )
-            for event in self.autotune_events:
-                if event["achieved_fps"] is None:
-                    event["achieved_fps"] = round(tail_fps, 4)
-                    base = event["baseline_fps"]
-                    event["achieved_ratio"] = (
-                        round(tail_fps / base, 4) if base else None
-                    )
         if self.fault_injector is not None:
             # Unfired directives are a run-summary fact, not a silent
             # no-op: a spec aimed past the last dispatched job would
@@ -1703,5 +1370,4 @@ class ProcessRuntime(Coordinator):
             pool_stats=pool_stats,
             fault_events=list(self.fault_events),
             workers_spawned=len(self._spawned_slots),
-            autotune_events=list(self.autotune_events),
         )

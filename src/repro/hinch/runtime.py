@@ -48,13 +48,10 @@ class RunResult:
     #: backend (empty elsewhere); each entry is a dict with at least
     #: ``kind``/``worker``/``detail`` keys — see docs/fault-tolerance.md
     fault_events: list[dict[str, Any]] = field(default_factory=list)
-    #: worker slots that actually forked (lazy spawn and elastic resize
-    #: mean this can differ from the configured ``--workers`` in either
-    #: direction); equals ``nodes`` on the threaded backend
+    #: worker slots that actually forked (lazy spawn means this can be
+    #: fewer than the configured ``--workers``); equals ``nodes`` on the
+    #: threaded backend
     workers_spawned: int = 0
-    #: auto-tuner decisions applied during the run, each a dict with
-    #: ``kind``/``reason``/``predicted_fps``/``achieved_fps`` keys
-    autotune_events: list[dict[str, Any]] = field(default_factory=list)
 
 
 class ThreadedRuntime(Coordinator):

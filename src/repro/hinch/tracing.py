@@ -19,11 +19,10 @@ __all__ = ["TraceEvent", "Tracer", "ATTRIBUTION_KINDS", "CONTROL_KINDS"]
 #: analytics skip them or every fused second would count twice.
 ATTRIBUTION_KINDS = frozenset({"fused_member"})
 
-#: Zero-duration marker events recording a runtime decision rather than
-#: executed work — the auto-tuner stamps one per reconfiguration it
-#: applies.  Excluded from busy/occupancy accounting alongside
-#: :data:`ATTRIBUTION_KINDS`; they exist for the timeline, not the sums.
-CONTROL_KINDS = frozenset({"autotune"})
+#: Zero-duration marker kinds recording a runtime decision rather than
+#: executed work.  No runtime emits one any more; the name stays for
+#: trace consumers that filter on it.
+CONTROL_KINDS: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +98,6 @@ class Tracer:
             e.duration
             for e in self.events
             if e.kind not in ATTRIBUTION_KINDS
-            and e.kind not in CONTROL_KINDS
             and (worker is None or e.worker == worker)
         )
 
@@ -129,7 +127,7 @@ class Tracer:
         """
         totals: dict[int, float] = {}
         for e in self.events:
-            if e.kind in ATTRIBUTION_KINDS or e.kind in CONTROL_KINDS:
+            if e.kind in ATTRIBUTION_KINDS:
                 continue
             totals[e.worker] = totals.get(e.worker, 0.0) + e.duration
         return dict(sorted(totals.items()))
@@ -139,15 +137,13 @@ class Tracer:
 
         With lazy spawn ``--workers N`` may fork fewer than N processes;
         occupancy denominators must count the workers that *ran*, not the
-        configured ceiling.  Dispatcher control jobs (worker ``-1``) and
-        decision markers do not make a worker "live".
+        configured ceiling.  Dispatcher control jobs (worker ``-1``) do
+        not make a worker "live".
         """
         return frozenset(
             e.worker
             for e in self.events
-            if e.worker >= 0
-            and e.kind not in ATTRIBUTION_KINDS
-            and e.kind not in CONTROL_KINDS
+            if e.worker >= 0 and e.kind not in ATTRIBUTION_KINDS
         )
 
     def kind_counts(self) -> dict[str, int]:

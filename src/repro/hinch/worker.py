@@ -8,14 +8,15 @@ tagged by their first element:
 
 * dispatcher → worker: ``lease`` (jobs, plane grants, iteration
   watermark), ``reconfigure`` (manager, request), ``splice`` (option
-  states, cumulative slice overrides, fusion headroom), ``rpc`` (reply),
-  ``stop``;
+  states), ``rpc`` (reply), ``stop``;
 * worker → dispatcher: ``done`` (one record per job), ``rpc_alloc`` /
   ``rpc_alloc_raw`` / ``rpc_ensure`` (plane requests), ``bye`` (state
   snapshots + :data:`_WORKER_STAT_KEYS` counters), ``error``.
 
 Lease and rpc traffic is name-interned (leading byte ``\\x01``); control
-messages travel plain (``\\x00``).
+messages travel plain (``\\x00``).  What no message carries is fixed at
+fork: the current graph and overrides, the fusion headroom, and each
+mirror's reconfigure history.
 """
 
 from __future__ import annotations
@@ -266,9 +267,8 @@ class _Worker:
         overrides: Mapping[str, ComponentInstance] | None = None,
         fuse: bool = False,
         fuse_backend: str = "numpy",
-        program_base: Program | None = None,
-        slice_overrides: Mapping[str, int] | None = None,
-        fuse_headroom: int | None = None,
+        parallel_headroom: int | None = None,
+        requests: Mapping[str, Sequence[str]] | None = None,
     ) -> None:
         self.conn = conn
         self.program = program
@@ -276,19 +276,8 @@ class _Worker:
         self.group_chains = group_chains
         self.fuse = fuse
         self.fuse_backend = fuse_backend
-        #: the un-resliced Program — re-slices always derive from it so
-        #: cumulative overrides stay idempotent; ``program`` itself may
-        #: already be a resliced derivation at fork time
-        self.program_base = program_base if program_base is not None else program
-        #: cumulative group -> replication-total overrides applied so far
-        self.slice_overrides = dict(slice_overrides or {})
-        #: workers-vs-cores headroom for the fusion profitability guard
-        #: (None fuses unconditionally); updated by splice messages
-        self.fuse_headroom = fuse_headroom
-        #: parameter reconfigurations seen so far, replayed to mirrors a
-        #: re-slice splice creates fresh (they would otherwise miss every
-        #: dynamic request that preceded them)
-        self._reconfig_log: list[tuple[str, str]] = []
+        #: the dispatcher's fusion headroom (None fuses unconditionally)
+        self.parallel_headroom = parallel_headroom
         self.worker_id = worker_id
         self.pool = _RemotePlanePool(self.rpc)
         # The dispatcher's already-built (grouped/fused) graph is
@@ -305,6 +294,11 @@ class _Worker:
         # installed before populate: active ids resolve through them.
         self.host.overrides = dict(overrides or {})
         self.host.populate(self.pg.active_components)
+        # Fresh mirrors catch up on exactly the reconfigure requests their
+        # dispatcher mirrors received (a respawn or a lazy spawn mid-run).
+        for instance_id, replay in (requests or {}).items():
+            for request in replay:
+                self.host.live[instance_id].reconfigure(request)
         self.streams = _WorkerStreams(self)
         self.broker = _RecordingBroker()
         self._stop_requested = False
@@ -368,27 +362,11 @@ class _Worker:
         tag = msg[0]
         if tag == "reconfigure":
             _, manager, request = msg
-            self._reconfig_log.append((manager, request))
             for member in self.program.managers[manager].members:
                 component = self.host.live.get(member)
                 if component is not None:
                     component.reconfigure(request)
         elif tag == "splice":
-            # Extended form carries the auto-tuner's cumulative slice
-            # overrides and the current fusion headroom; the two-element
-            # form (no auto-tuning) leaves both unchanged.
-            if len(msg) >= 4:
-                overrides = dict(msg[2])
-                self.fuse_headroom = msg[3]
-                if overrides != self.slice_overrides:
-                    from repro.core.reslice import reslice
-
-                    self.slice_overrides = overrides
-                    self.program = (
-                        reslice(self.program_base, overrides)
-                        if overrides else self.program_base
-                    )
-                    self.host.program = self.program
             # The dispatcher made this very call before broadcasting;
             # build_configuration is deterministic in its arguments, so
             # node ids, overrides and the interner table agree.
@@ -399,21 +377,13 @@ class _Worker:
                 group_chains=self.group_chains,
                 fuse=self.fuse,
                 fuse_backend=self.fuse_backend,
-                parallel_headroom=self.fuse_headroom,
+                parallel_headroom=self.parallel_headroom,
             )
             new_pg = config.pg
             self.host.overrides = config.overrides
-            added, _ = self.host.splice(new_pg.active_components, {})
-            # Mirrors a re-slice created (or rebuilt) fresh start from
-            # their instance descriptors and must catch up on every
-            # dynamic request their manager broadcast before they
-            # existed — exactly the respawn replay, scoped to them.
-            if added:
-                created = set(added)
-                for manager, request in self._reconfig_log:
-                    for member in self.program.managers[manager].members:
-                        if member in created:
-                            self.host.live[member].reconfigure(request)
+            # Mirrors a splice creates start from their descriptors, like
+            # the dispatcher's: no request sent before they existed.
+            self.host.splice(new_pg.active_components, {})
             self.pg = new_pg
             self._install_plans()
             # Same table the dispatcher derives from its own rebuild;

@@ -13,7 +13,13 @@ machine description, without simulating.
 * :mod:`repro.prediction.estimate` — the worst-case execution time
   estimator sketched in the paper's future work ("an XSPCL specification
   could be used to estimate the worst case execution time by recursively
-  traversing the component graph").
+  traversing the component graph");
+* :mod:`repro.prediction.deadline` — the real-time check behind
+  ``predict --deadline``: steady-state initiation interval and latency
+  against a per-frame budget, and the smallest node count that meets it.
+
+Prediction runs before execution, never inside a runtime: no backend
+retunes itself from the model while a program runs.
 """
 
 from repro.prediction.pamela import (
@@ -22,29 +28,21 @@ from repro.prediction.pamela import (
     predict_iteration,
     predict_run,
 )
-from repro.prediction.estimate import (
-    wcet_parallel,
-    wcet_sequential,
-    wcet_span,
-)
+from repro.prediction.estimate import wcet_sequential, wcet_span
 from repro.prediction.deadline import (
     DeadlineReport,
     check_deadline,
     min_nodes_for_deadline,
 )
-from repro.prediction.controller import SeedPlan, seed_plan
 
 __all__ = [
     "LeafCostFn",
     "cost_model_leaf_fn",
     "predict_iteration",
     "predict_run",
-    "wcet_parallel",
     "wcet_sequential",
     "wcet_span",
     "DeadlineReport",
     "check_deadline",
     "min_nodes_for_deadline",
-    "SeedPlan",
-    "seed_plan",
 ]

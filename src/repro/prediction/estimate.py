@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.graph.spc import Leaf, Parallel, Series, SPNode
 from repro.prediction.pamela import LeafCostFn
 
-__all__ = ["wcet_sequential", "wcet_span", "wcet_parallel"]
+__all__ = ["wcet_sequential", "wcet_span"]
 
 
 def wcet_sequential(tree: SPNode, leaf_cost: LeafCostFn) -> float:
@@ -38,18 +38,3 @@ def wcet_span(tree: SPNode, leaf_cost: LeafCostFn) -> float:
 
     return evaluate(tree)
 
-
-def wcet_parallel(tree: SPNode, leaf_cost: LeafCostFn, nodes: int) -> float:
-    """Brent bound for ``nodes`` processors: max(span, work/nodes).
-
-    Any greedy schedule of the SP tree on ``nodes`` identical processors
-    finishes within span + work/nodes, and no schedule beats either term
-    alone — so this is the standard two-sided estimate the auto-tuner
-    seeds its worker-count search from.
-    """
-    if nodes < 1:
-        raise ValueError(f"nodes must be >= 1, got {nodes}")
-    return max(
-        wcet_span(tree, leaf_cost),
-        wcet_sequential(tree, leaf_cost) / nodes,
-    )

@@ -16,7 +16,6 @@ from repro.analysis.engine import lint_spec
 from repro.apps import build_audio, make_program
 from repro.components.audio import synthetic_record
 from repro.components.registry import default_ports, default_registry
-from repro.core.reslice import slice_groups
 from repro.errors import XSPCLError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 
@@ -160,9 +159,14 @@ def test_band_filter_resolves_its_taps_once_and_on_reconfigure():
 
 
 def test_band_filter_group_is_width_elastic():
+    """Each sensor branch's band filter is one data-parallel group whose
+    copies tile ``0..slices-1``."""
     program = make_program(_spec(), name="audio")
-    groups = slice_groups(program)
+    groups: dict[str, list[tuple[int, int]]] = {}
+    for instance in program.components.values():
+        if instance.class_name == "band_filter":
+            groups.setdefault(instance.definition_id, []).append(
+                instance.slice)
     assert len(groups) == 2  # one group per sensor branch
-    for group in groups.values():
-        assert group.class_name == "band_filter"
-        assert group.total == 2
+    for slices in groups.values():
+        assert sorted(slices) == [(0, 2), (1, 2)]

@@ -142,6 +142,26 @@ def test_nested_replication_rejected(registry):
         expand(b.build(), registry)
 
 
+def test_slice_region_nested_inside_crossdep_is_rejected_at_expand(registry):
+    """A slice region inside a crossdep parblock is refused, not silently
+    flattened: replicating copies inside a halo region would change what
+    the neighbouring copies see."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "raw"})
+    with main.parallel("crossdep", n=2):
+        with main.parblock():
+            with main.parallel("slice", n=2):
+                main.component("inner", "filter",
+                               streams={"input": "raw", "output": "mid"})
+        with main.parblock():
+            main.component("v", "filter",
+                           streams={"input": "mid", "output": "out"})
+    main.component("snk", "sink", streams={"input": "out"})
+    with pytest.raises(ExpansionError, match="nested data-parallel"):
+        expand(b.build(), registry)
+
+
 def test_slice_in_task_parallel_allowed(registry):
     b = AppBuilder()
     main = b.procedure("main")

@@ -44,8 +44,7 @@ def _static_case(**overrides) -> FuzzCase:
         stages=[],
         reconfig=None,
         faults=[],
-        knobs={"workers": 1, "batch": 1, "depth": 1,
-               "fuse": False, "autotune": False},
+        knobs={"workers": 1, "batch": 1, "depth": 1, "fuse": False},
         mutation=None,
     )
     base.update(overrides)
@@ -141,8 +140,7 @@ def _loaded_case() -> FuzzCase:
                 {"kind": "convert", "slices": 1}],
         reconfig={"stage": 1, "toggles": 2},
         faults=["kill:2", "slow:3:10"],
-        knobs={"workers": 3, "batch": 2, "depth": 4,
-               "fuse": True, "autotune": False},
+        knobs={"workers": 3, "batch": 2, "depth": 4, "fuse": True},
     )
 
 

@@ -64,6 +64,17 @@ class Collector(Component):
             # across iterations; store (iteration, value) and sort later.
             self.values.append((job.iteration, value))
 
+    def checkpoint_state(self) -> list | None:
+        # snapshot-and-reset: on the process backend each job's values
+        # move to the dispatcher's mirror, so they survive the worker
+        with self._lock:
+            delta, self.values = self.values, []
+        return delta or None
+
+    def merge_state(self, state: list) -> None:
+        with self._lock:
+            self.values.extend(state)
+
     def ordered(self) -> list:
         with self._lock:
             return [v for _, v in sorted(self.values)]

@@ -20,7 +20,6 @@ from repro.analysis.engine import reachable_configurations
 from repro.apps import build_audio, build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_ports, default_registry
 from repro.core import expand, parse_file
-from repro.core.reslice import reslice, slice_groups
 from repro.errors import StreamFormatError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.shm import NameInterner
@@ -37,25 +36,6 @@ APPS = {
     "blur35": lambda: build_blur(reconfigurable=True, period=50, width=48,
                                  height=36, slices=3, frames=2),
     "audio12": lambda: build_audio(channels=8, reconfigurable=True),
-}
-
-
-def _resliced(factory, name):
-    """``factory()`` expanded, with every re-sliceable group narrowed to 2."""
-    program = make_program(factory(), name=name)
-    groups = slice_groups(program)
-    assert groups, f"{name} offers no re-sliceable group"
-    return reslice(program, {def_id: 2 for def_id in groups})
-
-
-#: re-sliced programs, as the auto-tuner hands them to a splice.  Blur-35's
-#: kernels sit in crossdep regions, which are never re-sliceable, so the
-#: Blur entry is the SP-form Blur-3 (two plain slice regions).
-RESLICED = {
-    "blur3sp-resliced": lambda: _resliced(
-        lambda: build_blur(3, width=48, height=36, slices=3, frames=2,
-                           sp_form=True), "blur3sp"),
-    "audio12-resliced": lambda: _resliced(APPS["audio12"], "audio12"),
 }
 
 
@@ -76,15 +56,11 @@ def _fingerprint(program, states, group_chains, fuse):
 
 
 def _cases():
-    factories = {
-        name: (lambda f=factory, n=name: make_program(f(), name=n))
-        for name, factory in APPS.items()
-    }
-    factories.update(RESLICED)
-    for name, factory in factories.items():
+    for name, factory in APPS.items():
         # two Programs derived separately: what the dispatcher and a
         # worker hold are equal, not shared, objects
-        mine, theirs = factory(), factory()
+        mine = make_program(factory(), name=name)
+        theirs = make_program(factory(), name=name)
         for states in reachable_configurations(mine):
             for group_chains, fuse in itertools.product((False, True), repeat=2):
                 yield pytest.param(
@@ -177,20 +153,6 @@ def test_one_build_per_distinct_configuration(make, monkeypatch):
     states = [s for _, s in rt.reconfig_log]
     assert states[0] == calls[1]
     assert states[0] != states[1] and states[0] == states[2]
-
-
-def test_configuration_cache_is_dropped_with_the_program():
-    """An entry built for a program a re-slice replaced is not reused."""
-    program = make_program(APPS["audio12"](), name="audio12")
-    rt = ThreadedRuntime(program, REG, nodes=1, max_iterations=1)
-    states = dict(rt.pg.option_states)
-    first = rt._build(states)
-    assert rt._build(states) is first, "same program: cached"
-    rt.program = RESLICED["audio12-resliced"]()
-    rt.host.program = rt.program
-    rebuilt = rt._build(states)
-    assert rebuilt is not first
-    assert rt._build(states) is rebuilt
 
 
 # -- a lint-rejected spec never reaches job execution, on any backend ---------

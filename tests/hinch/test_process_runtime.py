@@ -14,8 +14,10 @@ import pytest
 
 from repro.apps import build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_registry
+from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+from tests.hinch.helpers import PORTS, REGISTRY
 
 REG = default_registry()
 
@@ -132,6 +134,75 @@ def test_preinjected_event_reconfigures_identically_at_any_width(workers):
     assert len(a) == len(b) == 6
     for x, y in zip(a, b):
         assert x == y
+
+
+def _request_then_enable_program():
+    """One manager: ``move`` re-parameterises its live members, ``on``
+    enables an option whose component does not exist yet."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "producer", streams={"output": "a"})
+    with main.manager("m", queue="ui") as mgr:
+        mgr.on("move", "reconfigure", request="k=7")
+        mgr.on("on", "enable", option="extra")
+        main.component("base", "addconst", streams={"input": "a", "output": "b"},
+                       params={"k": 0})
+        with main.option("extra", enabled=False, bypass=[("b", "c")]):
+            main.component("plus", "addconst",
+                           streams={"input": "b", "output": "c"},
+                           params={"k": 100})
+    main.component("snk", "collector", streams={"input": "c"})
+    return expand(b.build(), PORTS)
+
+
+@pytest.mark.parametrize(
+    "make,respawns",
+    [
+        (lambda p: ThreadedRuntime(p, REGISTRY, nodes=2, pipeline_depth=2,
+                                   max_iterations=8), False),
+        (lambda p: ProcessRuntime(p, REGISTRY, workers=1, pipeline_depth=2,
+                                  max_iterations=8), False),
+        (lambda p: ProcessRuntime(p, REGISTRY, workers=2, pipeline_depth=2,
+                                  max_iterations=8), False),
+        # the kill lands after the splice: the fresh worker's mirrors
+        # must replay "k=7" onto base only, never onto plus
+        (lambda p: ProcessRuntime(p, REGISTRY, workers=1, pipeline_depth=2,
+                                  max_iterations=8, faults="kill:12"), True),
+    ],
+    ids=["threaded-2", "process-1", "process-2", "process-1-respawn"],
+)
+def test_a_request_reaches_only_the_mirrors_that_existed(make, respawns):
+    """A reconfigure request handled before an enable reaches ``base`` but
+    not the ``plus`` the enable creates afterwards — on every backend, and
+    through a worker respawned after the splice."""
+    rt = make(_request_then_enable_program())
+    rt.post_event("ui", "move")
+    rt.post_event("ui", "on")
+    result = rt.run()
+    assert result.reconfig_count == 1
+    kinds = [e["kind"] for e in result.fault_events]
+    assert ("respawn" in kinds) is respawns
+    assert result.components["snk"].ordered() == [
+        k + 7 + (100 if k >= 2 else 0) for k in range(8)
+    ]
+
+
+# -- lazy spawn ---------------------------------------------------------------
+
+
+def test_workers_spawned_counts_forked_slots_only():
+    frames = 6
+    program = make_program(
+        build_jpip(1, width=64, height=48, pip_height=48, factor=4,
+                   slices=4, frames=frames, collect=True),
+        name="jpip1",
+    )
+    rt = ProcessRuntime(program, REG, workers=4, pipeline_depth=4,
+                        max_iterations=frames, batch=2, trace=True)
+    result = rt.run()
+    assert 1 <= result.workers_spawned <= 4
+    # a slot that ran a job was necessarily forked
+    assert result.workers_spawned >= len(result.trace.workers_seen())
 
 
 # -- the zero-copy hot path -------------------------------------------------
@@ -270,6 +341,6 @@ def test_worker_job_tables_do_not_outlive_the_job():
         # the next job starts from fresh tables, not the previous job's
         follow = worker._run_job(0, "snk", dict(shipped), (), None, None)
         assert follow[2] == {} and facade.values is None
-        assert worker.host.live["snk"].ordered() == [3]
+        assert follow[8] == {"snk": [(0, 3)]}  # the collector's checkpoint
     finally:
         worker.pool.close_attachments()
