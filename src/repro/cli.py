@@ -269,9 +269,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             fuse_backend=args.fuse_backend,
         )
         result = runtime.run()
+        where = ("the calling thread" if workers == 1
+                 else f"{workers} worker threads")
         print(
             f"completed {result.completed_iterations} iterations in "
-            f"{result.elapsed_seconds:.3f}s on {workers} worker thread(s); "
+            f"{result.elapsed_seconds:.3f}s on {where}; "
             f"{result.reconfig_count} reconfiguration(s)"
         )
         _print_fusion_report(runtime)

@@ -33,8 +33,9 @@ and ``Coordinator`` implements the reconfiguration controller and the
 quiescent-splice protocol once.
 
 Three executors subclass the coordinator and add only how jobs run:
-:mod:`repro.hinch.runtime` (worker threads: the correctness reference,
-GIL-bound), :mod:`repro.hinch.process` with :mod:`repro.hinch.worker`
+:mod:`repro.hinch.runtime` (the correctness reference: the caller's
+thread at ``nodes=1``, GIL-bound worker threads over the central queue at
+``nodes >= 2``), :mod:`repro.hinch.process` with :mod:`repro.hinch.worker`
 (dispatcher and a fixed pool of worker processes: job leases over pipes,
 frames in shared memory, :mod:`repro.hinch.faults` recovery) and
 :mod:`repro.spacecake.simulator` (virtual cores on the SpaceCAKE machine

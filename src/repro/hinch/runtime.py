@@ -1,19 +1,23 @@
-"""ThreadedRuntime: Hinch executing for real on worker threads.
+"""ThreadedRuntime: Hinch executing for real, on the caller's thread or on workers.
 
 This is the *correctness* backend: components compute actual data (numpy
 frames, JPEG bitstreams...), streams carry it, managers reconfigure live.
-``nodes`` worker threads pop jobs from the central queue — under CPython's
-GIL this yields concurrency, not parallel speedup; performance curves come
-from the SpaceCAKE simulator (:mod:`repro.spacecake`).  Graph build,
-managers and reconfiguration are the shared
-:class:`~repro.hinch.engine.Coordinator`; this module adds the job queue,
-the worker threads and the lock that lets them share it.
+With ``nodes >= 2``, that many worker threads pop jobs from the central
+queue — under CPython's GIL this yields concurrency, not parallel
+speedup; performance curves come from the SpaceCAKE simulator
+(:mod:`repro.spacecake`).  ``nodes=1`` starts no thread at all: the
+caller's thread runs the jobs in the FIFO order one worker would pop
+them, from a plain deque.  Graph build, managers and reconfiguration are
+the shared :class:`~repro.hinch.engine.Coordinator`; this module adds the
+two executors — and, for the threads, the job queue and the lock that
+lets them share it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -55,7 +59,11 @@ class RunResult:
 
 
 class ThreadedRuntime(Coordinator):
-    """Run a Program on worker threads with real component execution."""
+    """Run a Program with real component execution.
+
+    ``nodes=1`` runs on the calling thread; ``nodes >= 2`` on that many
+    worker threads sharing the central :class:`JobQueue`.
+    """
 
     def __init__(
         self,
@@ -89,9 +97,11 @@ class ThreadedRuntime(Coordinator):
             fuse_backend=fuse_backend,
             # Worker threads complete jobs (and so invoke managers and
             # splice) concurrently: every controller entry point locks.
+            # Uncontended at nodes=1, where no job takes it.
             lock=threading.RLock(),
         )
-        self.queue = JobQueue()
+        #: the workers' central FIFO; None at nodes=1 (no workers)
+        self.queue: JobQueue | None = JobQueue() if nodes > 1 else None
         self._failure: BaseException | None = None
         self._start_time = 0.0
 
@@ -138,9 +148,44 @@ class ThreadedRuntime(Coordinator):
             elif done:
                 self.queue.drain()
 
-    def run(self) -> RunResult:
-        """Execute to completion; returns statistics and live components."""
-        self._start_time = time.perf_counter()
+    def _run_inline(self) -> None:
+        """``nodes=1``: run every job on the calling thread, FIFO.
+
+        The order is exactly the one a single worker popping the central
+        queue produced — completions append their ready jobs behind the
+        ones already waiting — but no job or completion takes the
+        coordinator's lock and nothing is handed between threads.  A
+        component exception (or a ``KeyboardInterrupt``) leaves
+        :meth:`run` from here.
+        """
+        scheduler = self.scheduler
+        complete = scheduler.complete
+        managers = self.managers
+        tracing = self.tracer.enabled
+        ready = deque(scheduler.start())
+        while ready:
+            job = ready.popleft()
+            if tracing:
+                self._execute(job, 0)
+            else:
+                # looked up per job: a splice inside complete() installs
+                # a new configuration's plans
+                plan = self.node_plans[job.node_id]
+                if plan.steps:
+                    plan.run(job.iteration)
+                elif plan.manager is not None:
+                    # no lock: nothing else runs while a manager does
+                    qname, phase = plan.manager
+                    managers[qname].invoke(job.iteration, phase)
+            complete(job, ready)
+        if not scheduler.done:
+            raise SchedulingError(
+                "dataflow stalled: no job is ready but "
+                f"{scheduler.in_flight} iteration(s) are in flight"
+            )
+
+    def _run_threads(self) -> None:
+        """``nodes >= 2``: worker threads share the central job queue."""
         with self._lock:
             initial = self.scheduler.start()
             done_immediately = self.scheduler.done
@@ -160,6 +205,14 @@ class ThreadedRuntime(Coordinator):
             t.join()
         if self._failure is not None:
             raise self._failure
+
+    def run(self) -> RunResult:
+        """Execute to completion; returns statistics and live components."""
+        self._start_time = time.perf_counter()
+        if self.nodes == 1:
+            self._run_inline()
+        else:
+            self._run_threads()
         elapsed = time.perf_counter() - self._start_time
         stream_stats = {
             name: self.streams.stream(name).stats for name in self.streams.names

@@ -27,6 +27,7 @@ Execution model (DESIGN.md §6):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -73,15 +74,18 @@ class _IterationState:
     remaining: dict[str, int]
     #: nodes of the iteration not yet completed
     left: int
+    #: nodes issued as jobs; which of them *completed* needs no set of
+    #: its own — a node's jobs are serialised across iterations, so node
+    #: *n* is done in iteration *k* exactly when ``_last_done[n] >= k``
     dispatched: set[str] = field(default_factory=set)
-    done: set[str] = field(default_factory=set)
 
 
 class DataflowScheduler:
     """Tracks readiness; emits ready jobs, consumes completions.
 
-    Not thread-safe by itself — the threaded runtime serializes calls
-    with a lock; the simulator is single-threaded.
+    Not thread-safe by itself — the threaded runtime's worker threads
+    serialize calls with a lock; its one-node executor and the simulator
+    are single-threaded.
     """
 
     def __init__(
@@ -163,10 +167,19 @@ class DataflowScheduler:
         if self._started:
             raise SchedulingError("scheduler already started")
         self._started = True
-        return self._admit()
+        ready: list[Job] = []
+        self._admit(ready)
+        return ready
 
-    def complete(self, job: Job) -> list[Job]:
-        """Record a finished job; returns newly ready jobs."""
+    def complete(
+        self, job: Job, ready: list[Job] | deque[Job] | None = None
+    ) -> list[Job] | deque[Job]:
+        """Record a finished job; returns the newly ready jobs.
+
+        With ``ready`` (a list or deque), they are appended to it in
+        readiness order and ``ready`` itself is returned: an executor's
+        own FIFO takes them without an intermediate list.
+        """
         # Runs once per job on every backend: the iteration state is held
         # in locals and the _check_ready conditions are inlined, so the
         # only calls left are the set/list mutations and Job().
@@ -183,15 +196,15 @@ class DataflowScheduler:
             raise SchedulingError(
                 f"completion for undispatched job {node_id}@{iteration}"
             )
-        if node_id in state.done:
+        last_done = self._last_done
+        if last_done[node_id] >= iteration:
             raise SchedulingError(
                 f"duplicate completion for {node_id}@{iteration}"
             )
-        state.done.add(node_id)
-        last_done = self._last_done
         last_done[node_id] = iteration
 
-        ready: list[Job] = []
+        if ready is None:
+            ready = []
         # (a) successors within the iteration
         remaining = state.remaining
         prev_iteration = iteration - 1
@@ -219,7 +232,7 @@ class DataflowScheduler:
             del iters[iteration]
             self._completed_iterations += 1
             self.hooks.on_iteration_complete(iteration)
-            ready.extend(self._after_iteration())
+            self._after_iteration(ready)
         return ready
 
     def requeue(self, job: Job) -> None:
@@ -241,7 +254,7 @@ class DataflowScheduler:
             raise SchedulingError(
                 f"requeue for undispatched job {job.node_id}@{job.iteration}"
             )
-        if job.node_id in state.done:
+        if self._last_done[job.node_id] >= job.iteration:
             raise SchedulingError(
                 f"requeue for completed job {job.node_id}@{job.iteration}"
             )
@@ -372,7 +385,7 @@ class DataflowScheduler:
             raise SchedulingError(
                 f"retract for unknown iteration {job.iteration} ({job.node_id})"
             )
-        if job.node_id in state.done:
+        if self._last_done[job.node_id] >= job.iteration:
             raise SchedulingError(
                 f"retract for completed job {job.node_id}@{job.iteration}"
             )
@@ -402,7 +415,9 @@ class DataflowScheduler:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _check_ready(self, node_id: str, iteration: int, out: list[Job]) -> None:
+    def _check_ready(
+        self, node_id: str, iteration: int, out: list[Job] | deque[Job]
+    ) -> None:
         state = self._iters.get(iteration)
         if state is None:
             return
@@ -415,8 +430,7 @@ class DataflowScheduler:
         state.dispatched.add(node_id)
         out.append(Job(iteration=iteration, node_id=node_id))
 
-    def _admit(self) -> list[Job]:
-        ready: list[Job] = []
+    def _admit(self, ready: list[Job] | deque[Job]) -> None:
         while (
             not self._halted
             and not self._halted_forever
@@ -430,9 +444,8 @@ class DataflowScheduler:
             )
             for node_id in self._source_nodes:
                 self._check_ready(node_id, k, ready)
-        return ready
 
-    def _after_iteration(self) -> list[Job]:
+    def _after_iteration(self, ready: list[Job] | deque[Job]) -> None:
         if self._pending_plans and not self._iters:
             # Quiescent: apply every queued plan in arrival order.
             plans, self._pending_plans = self._pending_plans, []
@@ -444,4 +457,4 @@ class DataflowScheduler:
             # iterations below `resume` have completed globally.
             self._last_done = {n: resume - 1 for n in new_pg.graph.node_ids}
             self._halted = False
-        return self._admit()
+        self._admit(ready)

@@ -270,15 +270,17 @@ class Stream:
         transport values by a process dispatcher — go back to the pool's
         free lists, preserving the slot-per-iteration memory bound.
         """
+        # Runs for every stream on every iteration: a stream holding no
+        # pool ref skips the ref lookup, and only a Packed value costs
+        # the pool a call.
         with self._lock:
             value = self._slots.pop(iteration, None)
             self._finalized.discard(iteration)
-            ref = self._refs.pop(iteration, None)
-        if self.pool is not None:
-            if ref is not None:
-                self.pool.release(ref)
-            else:
-                self.pool.release_packed(value)
+            ref = self._refs.pop(iteration, None) if self._refs else None
+        if ref is not None:
+            self.pool.release(ref)
+        elif type(value) is Packed and self.pool is not None:
+            self.pool.release_packed(value)
 
     @property
     def live_slots(self) -> int:

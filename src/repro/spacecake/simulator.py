@@ -335,7 +335,7 @@ class SimRuntime(Coordinator):
         if self.tracer.enabled:
             self.tracer.record_job(job.node_id, job.iteration, core, start,
                                    self.engine.now, plan.kind)
-        self._pending.extend(self.scheduler.complete(job))
+        self.scheduler.complete(job, self._pending)
         self._dispatch()
 
     def run(self) -> SimResult:

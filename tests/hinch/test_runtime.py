@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.apps import build_audio, build_blur, make_program
+from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError, StreamError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
@@ -123,13 +127,14 @@ def test_blocking_kernels_overlap_across_workers(runtime_cls, width):
     assert four.elapsed_seconds * 2.0 <= one.elapsed_seconds
 
 
-def test_source_request_stop_truncates_run():
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_source_request_stop_truncates_run(nodes):
     b = AppBuilder()
     main = b.procedure("main")
     main.component("src", "producer", streams={"output": "a"},
                    params={"limit": 3})
     main.component("snk", "collector", streams={"input": "a"})
-    rt, result = run_app(b, nodes=2, depth=1, iters=100)
+    rt, result = run_app(b, nodes=nodes, depth=1, iters=100)
     # limit=3: iterations 0..3 run (stop requested during iteration 3)
     assert result.completed_iterations == 4
 
@@ -160,10 +165,8 @@ def test_invalid_nodes_rejected():
         ThreadedRuntime(program, REGISTRY, nodes=0, max_iterations=1)
 
 
-def test_component_exception_propagates():
-    class Exploder:
-        pass
-
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_component_exception_propagates(nodes):
     b = AppBuilder()
     main = b.procedure("main")
     main.component("src", "producer", streams={"output": "a"})
@@ -179,8 +182,41 @@ def test_component_exception_propagates():
 
     registry = dict(REGISTRY)
     registry["doubler"] = FailingDoubler
-    rt = ThreadedRuntime(program, registry, nodes=2, max_iterations=10)
+    rt = ThreadedRuntime(program, registry, nodes=nodes, max_iterations=10)
     with pytest.raises(RuntimeError, match="boom at iteration 2"):
+        rt.run()
+
+
+def test_one_node_runs_on_the_calling_thread():
+    """``nodes=1`` starts no thread: every job runs on the caller's."""
+    caller = threading.current_thread()
+    assert caller is threading.main_thread()
+    baseline = threading.active_count()
+    seen: list[tuple[threading.Thread, int]] = []
+
+    class Doubler(REGISTRY["doubler"]):
+        def run(self, job):
+            seen.append((threading.current_thread(), threading.active_count()))
+            super().run(job)
+
+    registry = {**REGISTRY, "doubler": Doubler}
+    rt = ThreadedRuntime(expand(linear_app().build(), PORTS), registry,
+                         nodes=1, pipeline_depth=3, max_iterations=6)
+    result = rt.run()
+    assert result.components["snk"].ordered() == [(10 + k) * 2 for k in range(6)]
+    assert len(seen) == 6
+    assert all(thread is caller for thread, _ in seen)
+    assert max(count for _, count in seen) == baseline
+    assert threading.active_count() == baseline
+
+
+def test_one_node_stall_raises_instead_of_returning_short():
+    program = expand(linear_app().build(), PORTS)
+    rt = ThreadedRuntime(program, REGISTRY, nodes=1, max_iterations=4)
+    real = rt.scheduler.complete
+    # a scheduler that loses every job made ready after the first one
+    rt.scheduler.complete = lambda job, ready: real(job, [])
+    with pytest.raises(SchedulingError, match="stalled"):
         rt.run()
 
 
@@ -319,3 +355,58 @@ def test_initial_option_states_override():
                          option_states={"extra": True})
     values = result.components["snk"].ordered()
     assert values == [100, 101, 102, 103]
+
+
+# -- nodes=1 job order -------------------------------------------------------------
+
+
+def _one_node(spec, iters, **kwargs):
+    rt = ThreadedRuntime(make_program(spec, name="app"), default_registry(),
+                         nodes=1, pipeline_depth=5, max_iterations=iters,
+                         **kwargs)
+    return rt.reconfig_log, rt.run().components["sink"].ordered_planes()
+
+
+def _variant_labels(outputs, variants: dict[str, list]) -> str:
+    """Per output frame, the label of the one static variant it equals."""
+    labels = ""
+    for k, out in enumerate(outputs):
+        hits = [label for label, frames in variants.items()
+                if np.array_equal(out, frames[k])]
+        assert len(hits) == 1, f"frame {k} matches {hits}"
+        labels += hits[0]
+    return labels
+
+
+def test_one_node_fifo_order_pins_blur35_splices():
+    """Timer-driven splices land where FIFO job order puts them: these
+    iterations and kernels are the ones one worker thread popping the
+    central queue produced, and running inline must not move them."""
+    kw = dict(width=48, height=36, slices=3, collect=True)
+    log, out = _one_node(build_blur(reconfigurable=True, period=6, **kw), 24)
+    assert log == [
+        (5, {"blur3": False, "blur5": True}),
+        (10, {"blur3": True, "blur5": False}),
+        (16, {"blur3": False, "blur5": True}),
+        (22, {"blur3": True, "blur5": False}),
+    ]
+    variants = {"3": _one_node(build_blur(3, **kw), 24)[1],
+                "5": _one_node(build_blur(5, **kw), 24)[1]}
+    assert _variant_labels(out, variants) == "333335555533333355555533"
+
+
+def test_one_node_fifo_order_pins_audio_bypass_splices():
+    kw = dict(channels=8, block=64, slices=2, collect=True)
+    log, out = _one_node(build_audio(reconfigurable=True, period=2, **kw), 16)
+    assert log == [
+        (5, {"vib_branch": True}),
+        (10, {"vib_branch": False}),
+        (15, {"vib_branch": False}),
+        (16, {"vib_branch": True}),
+    ]
+    variants = {
+        "F": _one_node(build_audio(**kw), 16)[1],  # fused
+        "M": _one_node(build_audio(reconfigurable=True, period=10**6, **kw),
+                       16, option_states={"vib_branch": False})[1],  # mic only
+    }
+    assert _variant_labels(out, variants) == "FFFFFFFFFFMMMMMM"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.core import AppBuilder, expand
@@ -103,9 +105,63 @@ def test_request_stop_halts_admission():
 def test_duplicate_completion_rejected():
     sched = DataflowScheduler(linear_pg(), pipeline_depth=1, max_iterations=1)
     (job,) = sched.start()
-    sched.complete(job)
-    with pytest.raises(SchedulingError, match="duplicate|undispatched|unknown"):
+    sched.complete(job)  # iteration 0 stays in flight: dbl, snk remain
+    with pytest.raises(SchedulingError, match="duplicate"):
         sched.complete(job)
+
+
+@pytest.fixture
+def completed_in_flight():
+    """A scheduler at depth 3 with ``src@0`` completed and ``src@1``
+    dispatched, iterations 0..2 all still in flight."""
+    sched = DataflowScheduler(linear_pg(), pipeline_depth=3, max_iterations=6)
+    assert sched.start() == [Job(0, "src")]
+    first = Job(0, "src")
+    assert sched.complete(first) == [Job(0, "dbl"), Job(1, "src")]
+    assert sched.in_flight == 3
+    return sched, first
+
+
+def test_duplicate_completion_rejected_while_iteration_in_flight(
+    completed_in_flight,
+):
+    sched, done = completed_in_flight
+    with pytest.raises(SchedulingError, match="duplicate"):
+        sched.complete(done)
+    # the next iteration's job of the same node is not confused with it
+    # (dbl@1 still waits for dbl@0)
+    assert sched.complete(Job(1, "src")) == [Job(2, "src")]
+    with pytest.raises(SchedulingError, match="duplicate"):
+        sched.complete(Job(1, "src"))
+
+
+def test_requeue_of_completed_job_rejected(completed_in_flight):
+    sched, done = completed_in_flight
+    with pytest.raises(SchedulingError, match="requeue for completed"):
+        sched.requeue(done)
+    sched.requeue(Job(1, "src"))  # dispatched, not completed: allowed
+    assert sched.retries == 1
+
+
+def test_retract_of_completed_job_rejected(completed_in_flight):
+    sched, done = completed_in_flight
+    with pytest.raises(SchedulingError, match="retract for completed"):
+        sched.retract(done)
+    # dispatched, not completed: retracting re-checks readiness at once
+    assert sched.retract(Job(1, "src")) == [Job(1, "src")]
+
+
+def test_complete_appends_to_a_given_container():
+    sched = DataflowScheduler(linear_pg(), pipeline_depth=2, max_iterations=2)
+    ready = deque(sched.start())
+    order = []
+    while ready:
+        job = ready.popleft()
+        order.append(job)
+        assert sched.complete(job, ready) is ready
+    assert sched.done
+    plain = DataflowScheduler(linear_pg(), pipeline_depth=2, max_iterations=2)
+    assert drive_to_completion(plain) == order
 
 
 def test_unknown_completion_rejected():

@@ -3,7 +3,8 @@
 Sliced writers race on the shared whole-frame buffer while a full
 ``pipeline_depth`` of iterations is in flight; the result must be
 bit-identical to a sequential fill, every slot must be released, and the
-pool's working set must stay bounded by the pipeline depth.
+pool's working set must stay bounded by the pipeline depth.  Whole runs
+on both real backends must hand every plane back.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.apps import build_blur, make_program
+from repro.components.registry import default_registry
 from repro.errors import StreamError
+from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.shm import SharedPlanePool
 from repro.hinch.stream import Stream, StreamStore
 
@@ -148,6 +152,29 @@ def test_concurrent_release_returns_plane_exactly_once():
     # out twice); the slot pop makes release idempotent instead
     assert pool.stats.released == 1
     assert pool.live_planes == 0
+
+
+@pytest.mark.parametrize("runtime_cls, width, expected", [
+    # 2 sliced streams x 8 iterations, planes recycled at depth 3
+    pytest.param(ThreadedRuntime, "nodes",
+                 {"planes_created": 3, "acquires": 16, "released": 16,
+                  "recycled": 13}, id="threaded"),
+    # plus the dispatcher's Packed transport values, released by the sweep
+    pytest.param(ProcessRuntime, "workers",
+                 {"planes_created": 6, "acquires": 24, "released": 24,
+                  "recycled": 18}, id="process"),
+])
+def test_release_sweep_returns_every_plane(runtime_cls, width, expected):
+    """The per-iteration release sweep hands back exactly what the
+    sliced writers and the transport acquired — counts pinned at one
+    worker, where the order (and so recycling) is deterministic."""
+    program = make_program(build_blur(5, width=48, height=36, slices=3),
+                           name="blur5")
+    rt = runtime_cls(program, default_registry(), pipeline_depth=3,
+                     max_iterations=8, **{width: 1})
+    stats = rt.run().pool_stats
+    assert {key: stats[key] for key in expected} == expected
+    assert rt.pool.live_planes == 0
 
 
 def test_sliced_write_after_put_still_raises_with_pool():
