@@ -197,8 +197,8 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
     Catches the degenerate values that would otherwise reach the runtime
     and fail obscurely (``--batch 0``, ``--workers 0``) or hang
     (``--pipeline-depth 0`` admits no iterations), and the silently
-    ignored combinations (``--inject-fault`` on a backend that cannot
-    inject).  Returns the error message, or ``None`` when the knobs are
+    ignored combinations (a process-only or sim-only flag on another
+    backend).  Returns the error message, or ``None`` when the knobs are
     coherent.
     """
     workers = args.workers if args.workers is not None else args.nodes
@@ -221,11 +221,22 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
         return f"--watchdog must be > 0 seconds, got {args.watchdog}"
     if args.max_retries < 0:
         return f"--max-retries must be >= 0, got {args.max_retries}"
-    if args.inject_fault is not None and args.backend != "process":
+    if args.backend != "process":
+        process_only = (
+            ("--inject-fault", args.inject_fault is not None),
+            ("--watchdog", args.watchdog is not None),
+            ("--no-respawn", args.no_respawn),
+        )
+        for flag, given in process_only:
+            if given:
+                return (
+                    f"{flag} applies to the process backend only; on "
+                    f"--backend {args.backend} it would be silently ignored"
+                )
+    if args.execute and args.backend != "sim":
         return (
-            f"--inject-fault applies to the process backend only "
-            f"(faults cannot be injected on --backend {args.backend}); "
-            "it would otherwise be silently ignored"
+            f"--execute applies to the sim backend only; on --backend "
+            f"{args.backend} it would be silently ignored"
         )
     if args.fuse and args.backend == "sim":
         return "--fuse applies to the threaded and process backends only"
@@ -238,12 +249,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = _check_run_args(args)
     if problem is not None:
         return _usage_error(problem)
-    impls: dict[str, str] = {}
-    for pick in args.impl or ():
-        name, sep, impl = pick.partition("=")
-        if not sep or not name or not impl:
-            return _usage_error(f"--impl expects name=impl, got {pick!r}")
-        impls[name] = impl
     if args.inject_fault is not None:
         # Parse up front so a malformed or duplicate-index spec is a
         # usage error before any spec loading or worker spawn.
@@ -254,7 +259,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ReproError as exc:
             return _usage_error(str(exc))
     program = _load_program(args.spec)
-    registry = default_registry(impls=impls or None)
+    registry = default_registry()
     workers = args.workers if args.workers is not None else args.nodes
     if args.backend == "threaded":
         from repro.hinch import ThreadedRuntime
@@ -567,10 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-respawn", action="store_true",
                    help="process backend: degrade onto surviving workers "
                         "instead of respawning dead ones")
-    p.add_argument("--impl", action="append", metavar="NAME=IMPL",
-                   help="pick a registered implementation for a component "
-                        "class, e.g. --impl downscale_field=strided "
-                        "(repeatable; see docs/formats.md)")
     p.add_argument("--fuse", action="store_true",
                    help="threaded/process backends: compile provable linear "
                         "chains into single-dispatch fused kernels; "

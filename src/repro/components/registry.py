@@ -1,29 +1,19 @@
-"""The default component-class registry, with pluggable implementations.
+"""The default component-class registry.
 
-The XSPCL ``class`` attribute names an *abstract* component class; the
-registry maps those names to implementations.  Each abstract name owns a
-:class:`ComponentFamily` of one or more interchangeable implementations
-(a reference numpy version, fused variants, externally registered ones)
-that must all present the same interface: identical input/output ports
-and an identical declared *format signature* (see
-:mod:`repro.core.formats`).  Because formats are checked at registration
-time, swapping the selected implementation can never change what the
-format-reconciliation lint (X5xx) or the runtimes' buffer expectations
-see.
-
-Three views exist:
+The XSPCL ``class`` attribute names a component class; the registry maps
+each name to exactly one implementation.  Two views exist:
 
 * :func:`default_registry` — name -> Component subclass, consumed by the
-  runtimes and by the SpaceCAKE cost model; ``impls={"name": "impl"}``
-  selects a non-default implementation per family;
+  runtimes and by the SpaceCAKE cost model;
 * :func:`default_ports`   — name -> :class:`PortSpec`, consumed by the
-  validator/expander (which must not depend on implementations);
-* :data:`FAMILIES`        — name -> :class:`ComponentFamily`, the full
-  implementation table behind the other two.
+  validator/expander (which must not depend on implementations).
 
 :func:`register` lets applications and tests add their own classes — to
-a private registry, to the shared default, or as an alternative
-implementation of an existing family (``impl="..."``).
+a private registry or to the shared default.  A class that replaces an
+existing name must keep its declared *format signature* (see
+:mod:`repro.core.formats`), so the swap can never change what the
+format-reconciliation lint (X5xx) or the runtimes' buffer expectations
+see.
 """
 
 from __future__ import annotations
@@ -39,101 +29,30 @@ from repro.components.skeletons import SKELETON_REGISTRY
 
 __all__ = [
     "DEFAULT_REGISTRY",
-    "FAMILIES",
-    "ComponentFamily",
     "default_registry",
     "default_ports",
     "register",
-    "implementations",
 ]
 
 
-class ComponentFamily:
-    """All interchangeable implementations of one abstract class name.
-
-    The first registered implementation is the reference: its ports and
-    format signature define the family interface every later
-    implementation must match.
-    """
-
-    def __init__(self, name: str, impl: str, cls: type[Component]) -> None:
-        self.name = name
-        self.default = impl
-        self.impls: dict[str, type[Component]] = {impl: cls}
-
-    @property
-    def reference(self) -> type[Component]:
-        return self.impls[self.default]
-
-    def add(
-        self, impl: str, cls: type[Component], *, overwrite: bool = False
-    ) -> None:
-        if not overwrite and impl in self.impls:
-            raise RegistryError(
-                f"implementation {impl!r} of component class {self.name!r} "
-                "already registered"
-            )
-        check_interface(self.name, self.reference, cls, impl=impl)
-        self.impls[impl] = cls
-
-    def get(self, impl: str) -> type[Component]:
-        try:
-            return self.impls[impl]
-        except KeyError:
-            raise RegistryError(
-                f"component class {self.name!r} has no implementation "
-                f"{impl!r}; available: {sorted(self.impls)}"
-            ) from None
-
-
-def check_interface(
-    name: str,
-    reference: type[Component],
-    cls: type[Component],
-    *,
-    impl: str | None = None,
+def check_formats(
+    name: str, previous: type[Component], cls: type[Component]
 ) -> None:
-    """Check ``cls`` presents the same interface as ``reference``.
+    """Check ``cls`` declares the same port formats as ``previous``.
 
-    Alternative implementations must expose identical input/output port
-    sets and, where both sides declare a port format, semantically equal
-    declarations (:func:`repro.core.formats.parse_format` equality, so
-    whitespace/key order do not matter).  Raises :class:`RegistryError`
-    naming the diverging port.
+    Where both sides declare a port format, the declarations must be
+    semantically equal (:func:`repro.core.formats.parse_format` equality,
+    so whitespace/key order do not matter).  Raises
+    :class:`RegistryError` naming the diverging port.
     """
-    what = (
-        f"implementation {impl!r} of component class {name!r}"
-        if impl is not None
-        else f"component class {name!r}"
-    )
-    ref_ports: PortSpec = reference.ports
-    new_ports: PortSpec = cls.ports
-    if impl is not None:
-        for prop in ("inputs", "outputs"):
-            ref_set = set(getattr(ref_ports, prop))
-            new_set = set(getattr(new_ports, prop))
-            if ref_set != new_set:
-                diverging = sorted(ref_set ^ new_set)[0]
-                raise RegistryError(
-                    f"{what} diverges from the family interface on port "
-                    f"{diverging!r}: {prop} {sorted(new_set)} != "
-                    f"{sorted(ref_set)}"
-                )
-    for port in sorted(set(ref_ports.formats) & set(new_ports.formats)):
-        if parse_format(ref_ports.formats[port]) != parse_format(
-            new_ports.formats[port]
-        ):
+    old, new = previous.ports.formats, cls.ports.formats
+    for port in sorted(set(old) & set(new)):
+        if parse_format(old[port]) != parse_format(new[port]):
             raise RegistryError(
-                f"{what} diverges from the declared format signature on "
-                f"port {port!r}: {new_ports.formats[port]!r} != "
-                f"{ref_ports.formats[port]!r}"
+                f"component class {name!r} diverges from the declared "
+                f"format signature on port {port!r}: {new[port]!r} != "
+                f"{old[port]!r}"
             )
-
-
-def _families(entries: Mapping[str, type[Component]]) -> dict[str, ComponentFamily]:
-    return {
-        name: ComponentFamily(name, "numpy", cls) for name, cls in entries.items()
-    }
 
 
 DEFAULT_REGISTRY: dict[str, type[Component]] = {
@@ -162,40 +81,12 @@ DEFAULT_REGISTRY: dict[str, type[Component]] = {
     **SKELETON_REGISTRY,
 }
 
-#: Implementation table: abstract name -> family of registered impls.
-FAMILIES: dict[str, ComponentFamily] = _families(DEFAULT_REGISTRY)
-FAMILIES["downscale_field"].add("strided", streaming.DownscaleFieldStrided)
-
-
-def implementations(name: str) -> dict[str, type[Component]]:
-    """Registered implementations of one abstract class name."""
-    try:
-        return dict(FAMILIES[name].impls)
-    except KeyError:
-        raise RegistryError(f"unknown component class {name!r}") from None
-
 
 def default_registry(
     extra: Mapping[str, type[Component]] | None = None,
-    *,
-    impls: Mapping[str, str] | None = None,
 ) -> dict[str, type[Component]]:
-    """A fresh copy of the default registry, optionally extended.
-
-    ``impls`` selects a non-default implementation per abstract name
-    (e.g. ``{"downscale_field": "strided"}``); unknown names or
-    implementations raise :class:`RegistryError`.
-    """
+    """A fresh copy of the default registry, optionally extended."""
     registry = dict(DEFAULT_REGISTRY)
-    if impls:
-        for name, impl in impls.items():
-            family = FAMILIES.get(name)
-            if family is None:
-                raise RegistryError(
-                    f"unknown component class {name!r} in implementation "
-                    "selection"
-                )
-            registry[name] = family.get(impl)
     if extra:
         registry.update(extra)
     return registry
@@ -213,49 +104,22 @@ def register(
     name: str,
     cls: type[Component],
     *,
-    impl: str | None = None,
     registry: dict[str, type[Component]] | None = None,
     overwrite: bool = False,
 ) -> type[Component]:
     """Add a component class to ``registry`` (default: the shared one).
 
-    Registering into the shared default requires ``overwrite`` for an
-    existing name, to catch accidental clobbering.  When a name is
-    overwritten, the new class must agree with the previous one on every
-    port format both declare (diverging formats raise
-    :class:`RegistryError` naming the port).
-
-    ``impl`` registers ``cls`` as an *alternative implementation* of an
-    existing family instead of replacing the visible default: the class
-    must match the family's port and format interface, and becomes
-    selectable via ``default_registry(impls={name: impl})``.
+    An existing name needs ``overwrite``, to catch accidental clobbering.
+    When a name is overwritten, the new class must agree with the
+    previous one on every port format both declare (diverging formats
+    raise :class:`RegistryError` naming the port).
     """
     if not (isinstance(cls, type) and issubclass(cls, Component)):
         raise RegistryError(f"{cls!r} is not a Component subclass")
-    if impl is not None:
-        if registry is not None:
-            raise RegistryError(
-                "impl registration targets the shared family table; "
-                "it cannot be combined with a private registry"
-            )
-        family = FAMILIES.get(name)
-        if family is None:
-            raise RegistryError(
-                f"unknown component class {name!r}: register the default "
-                "implementation first"
-            )
-        family.add(impl, cls, overwrite=overwrite)
-        return cls
     target = registry if registry is not None else DEFAULT_REGISTRY
     if name in target:
         if not overwrite:
             raise RegistryError(f"component class {name!r} already registered")
-        check_interface(name, target[name], cls)
+        check_formats(name, target[name], cls)
     target[name] = cls
-    if registry is None:
-        family = FAMILIES.get(name)
-        if family is None:
-            FAMILIES[name] = ComponentFamily(name, "numpy", cls)
-        else:
-            family.impls[family.default] = cls
     return cls

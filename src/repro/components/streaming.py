@@ -42,7 +42,6 @@ __all__ = [
     "JpegDecode",
     "IdctField",
     "DownscaleField",
-    "DownscaleFieldStrided",
     "BlendField",
     "BlurHField",
     "BlurVField",
@@ -530,31 +529,6 @@ class DownscaleField(Component, _SlicedMixin):
         lo, hi = self.rows(oh)
         filters.downscale_plane(src, factor, out=out, rows=(lo, hi))
         job.note_written((hi - lo) * (w // factor))
-
-
-class DownscaleFieldStrided(DownscaleField):
-    """Alternative ``downscale_field`` implementation: strided accumulation.
-
-    Sums each factor x factor box one strided view at a time instead of
-    one big reshape — the loop structure a CE DSP streaming row-by-row
-    would use.  Same integer math as the reference implementation, so the
-    output is bit-identical; registered as impl ``strided`` of the
-    ``downscale_field`` family.
-    """
-
-    def run(self, job: JobContext) -> None:
-        src: np.ndarray = job.read("input")
-        factor = int(self.require_param("factor"))
-        h, w = src.shape
-        oh, ow = h // factor, w // factor
-        out = job.buffer("output", shape=(oh, ow), dtype=src.dtype)
-        lo, hi = self.rows(oh)
-        acc = np.zeros((hi - lo, ow), dtype=np.uint32)
-        for dr in range(factor):
-            for dc in range(factor):
-                acc += src[lo * factor + dr : hi * factor : factor, dc::factor]
-        out[lo:hi] = (acc // (factor * factor)).astype(src.dtype)
-        job.note_written((hi - lo) * ow)
 
 
 class BlendField(Component, _SlicedMixin):

@@ -133,8 +133,6 @@ class FusionReport:
     chains: tuple[FusedChain, ...] = ()
     #: resolved stream names proven internal to some chain
     internal_streams: tuple[str, ...] = ()
-    #: derived implementation families: fused family name -> wrapper class
-    derived: dict[str, type[Component]] = field(default_factory=dict)
     #: chain node ids dropped to keep the rewritten graph acyclic
     dropped: tuple[str, ...] = ()
     #: stream name -> human-readable refusal reason (first one found)
@@ -470,10 +468,6 @@ def fuse_chains(
     report.internal_streams = tuple(
         sorted({name for c in fused for name in c.internal})
     )
-    for chain in fused:
-        fam_name, cls = _derived_family(chain, registry, pg)
-        if fam_name not in report.derived:
-            report.derived[fam_name] = cls
 
     fused_pg = ProgramGraph(
         graph=new_graph,
@@ -484,55 +478,6 @@ def fuse_chains(
         crossdep_nodes=pg.crossdep_nodes,
     )
     return fused_pg, report
-
-
-def _derived_family(
-    chain: FusedChain,
-    registry: Mapping[str, type[Component]],
-    pg: ProgramGraph,
-) -> tuple[str, type[Component]]:
-    """Build the derived implementation family for one fused chain.
-
-    The family name concatenates the member class names; the wrapper
-    class exposes the chain's *external* contract — every member port
-    whose stream survives fusion, qualified ``<class>[<i>].<port>`` —
-    so ``run --impl``/lint introspection still sees the abstract chain.
-    """
-    fam_name = GROUP_SEPARATOR.join(m.class_name for m in chain)
-    inputs: list[str] = []
-    outputs: list[str] = []
-    formats: dict[str, str] = {}
-    for i, member in enumerate(chain):
-        spec = registry[member.class_name].ports
-        for port, raw in member.streams.items():
-            resolved_name = pg.resolve_stream(raw)
-            if resolved_name in chain.internal:
-                continue
-            qualified = f"{member.class_name}[{i}].{port}"
-            if spec.is_output(port):
-                outputs.append(qualified)
-            else:
-                inputs.append(qualified)
-            decl = spec.formats.get(port)
-            if decl is not None:
-                formats[qualified] = decl
-    from repro.core.ports import PortSpec
-
-    wrapper = type(
-        "Fused_" + fam_name.replace(GROUP_SEPARATOR, "_"),
-        (Component,),
-        {
-            "ports": PortSpec(
-                inputs=tuple(inputs),
-                outputs=tuple(outputs),
-                open_params=True,
-                formats=formats,
-            ),
-            "__doc__": f"Derived fused family {fam_name!r} (introspection "
-            "only; execution runs the member kernels).",
-        },
-    )
-    return fam_name, wrapper
 
 
 # ---------------------------------------------------------------------------

@@ -131,19 +131,6 @@ class JobQueue:
                 return self._items.popleft()
             return None
 
-    def peek(self) -> Job | None:
-        """Head of the FIFO without removing it (None when empty).
-
-        Lets the process dispatcher's oversubscription guard inspect the
-        head before committing to a dispatch — a deferred head simply
-        stays queued, with no pop/push-front churn and no inflation of
-        :attr:`total_pushed`.
-        """
-        with self._lock:
-            if self._items:
-                return self._items[0]
-            return None
-
     def try_pop_where(self, match, stop=None) -> Job | None:
         """Pop the first queued job satisfying ``match``, scanning from
         the head; abandon the scan (returning ``None``) at the first job

@@ -99,7 +99,9 @@ from repro.hinch.engine import Coordinator
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.runtime import RunResult
-from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
+from repro.hinch.shm import (
+    NameInterner, Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
+)
 from repro.hinch.tracing import TraceEvent
 from repro.hinch.worker import _WORKER_STAT_KEYS, _worker_entry
 
@@ -141,8 +143,8 @@ class ProcessRuntime(Coordinator):
     reconfiguration — is made by the same single-threaded dispatcher
     state machines the threaded backend uses under its lock.
 
-    ``workers`` sizes the pool once for the whole run; slots beyond the
-    first fork on first demand (lazy spawn).
+    ``workers`` sizes the pool once for the whole run: every slot forks
+    when :meth:`run` starts, whatever the host's core count.
 
     Performance knob:
 
@@ -227,12 +229,11 @@ class ProcessRuntime(Coordinator):
         #: the same graph (forked or rebuilt), so name strings travel as
         #: small integer codes
         self.interner = NameInterner(NameInterner.names_of(self.pg))
-        self._plain = NameInterner()
         self.queue = JobQueue()
         self._worker_pool_stats = {k: 0 for k in _WORKER_STAT_KEYS}
         self._ctx: Any = None
-        #: slot -> control pipe / process handle (None until spawned;
-        #: entries are *replaced* on respawn, the slot id is stable)
+        #: slot -> control pipe / process handle (entries are *replaced*
+        #: on respawn, the slot id is stable)
         self._conns: list[Connection] = []
         self._procs: list[Any] = []
         self._idle: set[int] = set()
@@ -278,16 +279,6 @@ class ProcessRuntime(Coordinator):
         #: node_id -> [payload nbytes] of the node's last output planes;
         #: sizes free-list grants attached to its future leases
         self._demand: dict[str, list[int]] = {}
-        #: node_id -> True when the node's kernel burns CPU for most of
-        #: its wall time (measured worker-side).  CPU-bound nodes gain
-        #: nothing from spreading across more workers than physical
-        #: cores, so once the cores are saturated their fan-out
-        #: successors may be chained speculatively; blocking kernels
-        #: (cpu << wall, e.g. I/O or device waits) always spread.
-        self._cpu_bound: dict[str, bool] = {}
-        #: distinct worker slots that ever forked (satellite of the
-        #: lazy-spawn work: occupancy must divide by workers that *ran*)
-        self._spawned_slots: set[int] = set()
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -311,7 +302,6 @@ class ProcessRuntime(Coordinator):
         self._affinity.clear()
         self._ensure_profile.clear()
         self._demand.clear()
-        self._cpu_bound.clear()
         # The graph is quiescent (no jobs in flight), so every worker is
         # idle and will process the splice before its next job.  self.pg
         # is already the new graph, so a worker respawned by a send
@@ -350,31 +340,10 @@ class ProcessRuntime(Coordinator):
         """
         for slot in sorted(self._live):
             try:
-                self._send_to(slot, msg, interned=False)
+                send_framed(self._conns[slot], msg, self.interner,
+                            self.pool.stats, interned=False)
             except OSError:
                 self._worker_failed(slot, "send failed (broken pipe)")
-
-    # -- control pipe --------------------------------------------------------
-
-    def _send_to(
-        self, slot: int, msg: tuple[Any, ...], *, interned: bool = True
-    ) -> None:
-        """Encode and send one message; control traffic goes un-interned.
-
-        Byte counts land in :attr:`PoolStats.meta_pickled_bytes` — together
-        with the worker-side counts shipped home at shutdown this makes
-        the counter the total control-plane pickle volume of the run,
-        which is what the interner exists to shrink.
-        """
-        coder = self.interner if interned else self._plain
-        data = coder.dumps(msg)
-        self.pool.stats.meta_pickled_bytes += len(data) + 1
-        self._conns[slot].send_bytes((b"\x01" if interned else b"\x00") + data)
-
-    def _recv_from(self, slot: int) -> Any:
-        raw = self._conns[slot].recv_bytes()
-        coder = self.interner if raw[:1] == b"\x01" else self._plain
-        return coder.loads(raw[1:])
 
     # -- dispatch ------------------------------------------------------------
 
@@ -559,64 +528,20 @@ class ProcessRuntime(Coordinator):
         exclusion map is empty and the pick stays ``min(idle)``, so
         dispatch order — and with it bit-identical output — is unchanged.
 
-        With ``batch > 1`` an *oversubscription guard* applies first:
-        when as many workers are already running CPU-bound jobs as the
-        host has physical cores, a CPU-bound head is held at the queue
-        front instead of waking another worker — a free worker slot is
-        not a free processor, and the held job joins the finishing
-        worker's next lease instead of adding a process to contend with.
-        Blocking kernels (measured cpu << wall) are never held.  Worker
-        slots beyond 0 fork lazily, so a run the guard keeps consolidated
-        never pays their spawn cost.
+        The head is never held back: every worker slot forked at start,
+        so an idle slot always takes it, whatever the host's core count.
         """
-        while True:
-            if not self._idle and not self._dormant:
-                return
-            job = self.queue.peek()
+        while self._idle:
+            job = self.queue.try_pop()
             if job is None:
                 return
             node = self.pg.graph.node(job.node_id)
             if node.kind != "task":
-                self.queue.try_pop()
                 self._run_local(job, node)
                 continue
-            if self._defer_oversubscribed(job):
-                # Held at the head, still queued: the finishing worker's
-                # next lease assembly will chain it instead.
-                return
-            self.queue.try_pop()
-            if not self._idle:
-                self._spawn_one(self._unspawned_slot())
             worker = self._pick_worker(job)
             self._idle.discard(worker)
             self._dispatch_lease(worker, job)
-
-    def _defer_oversubscribed(self, job: Job) -> bool:
-        """Hold a CPU-bound head while the physical cores are all taken.
-
-        True when ``job``'s node is CPU-bound (or not yet measured —
-        optimistic spreading would fork workers that a compute-heavy app
-        never profits from) and at least ``_cores`` busy workers are
-        currently executing CPU-bound jobs.  Progress is guaranteed:
-        deferral requires a busy worker, whose next record re-enters
-        :meth:`_pump`.  On hosts with at least as many cores as workers
-        the count can never reach ``_cores`` while a worker is idle, so
-        the guard is inert and dispatch order is unchanged.  Never
-        defers at ``batch=1`` (bit-identical legacy dispatch).
-        """
-        if self.batch <= 1:
-            return False
-        if not self._cpu_bound.get(job.node_id, True):
-            return False
-        cpu_busy = 0
-        for lease in self._busy.values():
-            index = min(lease.done, len(lease.jobs) - 1)
-            current = lease.jobs[index]
-            if self._cpu_bound.get(current.node_id, True):
-                cpu_busy += 1
-                if cpu_busy >= self._cores:
-                    return True
-        return False
 
     def _assemble_lease(self, worker: int, head: Job) -> _Lease:
         """Grow ``head`` into a batch of up to ``self.batch`` jobs.
@@ -652,31 +577,8 @@ class ProcessRuntime(Coordinator):
                 affinity = self._affinity.get(job.node_id)
                 return affinity is None or affinity == worker
 
-            # Ready extension takes (a) the surplus no other worker —
-            # idle or not yet forked — could absorb, and (b) when the
-            # physical cores are saturated and this lease is CPU-bound
-            # work, further CPU-bound jobs regardless of surplus: the
-            # oversubscription guard would only hold them at the head
-            # anyway, so chaining them here amortizes their dispatch
-            # instead.
-            spare = len(self._idle) + self._dormant
-            saturated = len(self._busy) + 1 >= self._cores
-            head_cpu = self._cpu_bound.get(head.node_id, True)
-
-            def matches_cpu(job: Job) -> bool:
-                return matches(job) and self._cpu_bound.get(
-                    job.node_id, True
-                )
-
-            while len(jobs) < self.batch:
-                if len(self.queue) > spare:
-                    extra = self.queue.try_pop_where(matches,
-                                                     stop=is_control)
-                elif saturated and head_cpu and len(self.queue) > 0:
-                    extra = self.queue.try_pop_where(matches_cpu,
-                                                     stop=is_control)
-                else:
-                    extra = None
+            while len(jobs) < self.batch and len(self.queue) > len(self._idle):
+                extra = self.queue.try_pop_where(matches, stop=is_control)
                 if extra is None:
                     break
                 jobs.append(extra)
@@ -691,28 +593,15 @@ class ProcessRuntime(Coordinator):
             # particular must spread, not chain).  With every worker
             # busy, chaining successors too is free — the work is
             # serialized anyway and each round-trip saved is pure
-            # profit.  In between — idle workers, but already at least
-            # as many busy as physical cores — spreading a CPU-bound
-            # successor buys nothing (the cores are the bottleneck, not
-            # the workers), so nodes measured CPU-bound chain while
-            # blocking kernels keep spreading.
+            # profit.
             if len(jobs) < self.batch:
 
                 def is_eligible(node_id: str) -> bool:
                     return graph.node(node_id).kind == "task"
 
-                chainable = None
-                if self._idle and saturated:
-                    pipeline_only = False
-
-                    def chainable(node_id: str) -> bool:
-                        return self._cpu_bound.get(node_id, False)
-
-                else:
-                    pipeline_only = bool(self._idle)
                 followons = self.scheduler.extract_followons(
                     jobs, self.batch - len(jobs), is_eligible=is_eligible,
-                    pipeline_only=pipeline_only, is_chainable=chainable,
+                    pipeline_only=bool(self._idle),
                 )
                 jobs.extend(followons)
                 speculative.extend([True] * len(followons))
@@ -748,10 +637,11 @@ class ProcessRuntime(Coordinator):
             # of n jobs never waits n windows for a wedged first job.
             self._deadlines[worker] = time.perf_counter() + self.watchdog
         try:
-            self._send_to(
-                worker,
+            send_framed(
+                self._conns[worker],
                 ("lease", entries, grants,
                  self.scheduler.lowest_live_iteration),
+                self.interner, self.pool.stats,
             )
         except OSError:
             # Worker died between going idle and this dispatch; the
@@ -847,7 +737,7 @@ class ProcessRuntime(Coordinator):
             )
         job = lease.jobs[lease.done]
         deferred = lease.deferred[lease.done]
-        (iteration, node_id, outputs, events, stop, start, end, cpu,
+        (iteration, node_id, outputs, events, stop, start, end,
          state_updates, member_times) = record
         if job.iteration != iteration or job.node_id != node_id:
             raise SchedulingError(
@@ -874,16 +764,6 @@ class ProcessRuntime(Coordinator):
             self._mark_resident(iteration, name, worker)
             demand.extend(ref.nbytes for ref in packed.refs)
         self._demand[node_id] = demand
-        # Monotone: involuntary preemption on a loaded host can only
-        # deflate an observed cpu/wall ratio, never inflate one, so a
-        # node that ever measures CPU-bound stays CPU-bound (until a
-        # reconfiguration swaps the graph out from under the label).
-        wall = end - start
-        self._cpu_bound[node_id] = (
-            self._cpu_bound.get(node_id, False)
-            or wall < 1e-6
-            or cpu >= 0.5 * wall
-        )
         for qname, event in events:
             self.broker.post(qname, event)
         for instance_id, delta in state_updates.items():
@@ -918,7 +798,8 @@ class ProcessRuntime(Coordinator):
 
     def _rpc_reply(self, worker: int, value: Any) -> None:
         try:
-            self._send_to(worker, ("rpc", value))
+            send_framed(self._conns[worker], ("rpc", value), self.interner,
+                        self.pool.stats)
         except OSError:
             self._worker_failed(worker, "send failed (broken pipe)")
 
@@ -958,23 +839,8 @@ class ProcessRuntime(Coordinator):
         self._conns = [None] * self.workers  # type: ignore[list-item]
         self._procs = [None] * self.workers
         self._incarnation = [-1] * self.workers
-        self._dormant = self.workers  # slots never forked
-        # Worker 0 starts eagerly (every run uses at least one); the
-        # remaining slots fork lazily, on the first dispatch that finds
-        # no idle worker.  A run whose work the oversubscription guard
-        # keeps consolidated (CPU-bound apps on a host with fewer cores
-        # than workers) then never pays the spawn cost of workers it
-        # would not benefit from.
-        self._spawn_one(0)
-
-    def _unspawned_slot(self) -> int | None:
-        """Lowest worker slot that has never been forked, if any."""
-        if not self._dormant:
-            return None
         for slot in range(self.workers):
-            if self._incarnation[slot] == -1:
-                return slot
-        return None
+            self._spawn_one(slot)
 
     def _spawn_one(self, slot: int) -> None:
         """(Re)start the worker in ``slot``.
@@ -989,8 +855,6 @@ class ProcessRuntime(Coordinator):
         a respawn cannot unlink live shared segments.
         """
         parent, child = self._ctx.Pipe()
-        if self._incarnation[slot] == -1:
-            self._dormant -= 1
         incarnation = self._next_incarnation
         self._next_incarnation += 1
         proc = self._ctx.Process(
@@ -1009,7 +873,6 @@ class ProcessRuntime(Coordinator):
         self._incarnation[slot] = incarnation
         self._live.add(slot)
         self._idle.add(slot)
-        self._spawned_slots.add(slot)
 
     def _record_fault(
         self,
@@ -1075,7 +938,7 @@ class ProcessRuntime(Coordinator):
         except Exception:
             pass
         proc = self._procs[slot]
-        if proc is not None and proc.is_alive():
+        if proc.is_alive():
             proc.kill()  # SIGKILL: a wedged kernel may ignore SIGTERM
             proc.join(timeout=5)
         pending = (
@@ -1128,21 +991,12 @@ class ProcessRuntime(Coordinator):
             self._record_fault("respawn", slot, self._incarnation[slot],
                                None, f"replacing incarnation {incarnation}")
         elif not self._live:
-            fresh = self._unspawned_slot()
-            if fresh is not None:
-                # Not a respawn: this slot was budgeted but never forked
-                # (lazy spawn).  Bringing it up preserves the configured
-                # degraded capacity.
-                self._spawn_one(fresh)
-                self._record_fault("degrade", slot, incarnation, None,
-                                   "1 worker(s) remain")
-            else:
-                raise WorkerFailure(
-                    f"worker {slot} failed ({reason}) and no worker "
-                    "remains (respawn disabled)",
-                    worker=slot,
-                    job=(head.iteration, head.node_id) if head else None,
-                )
+            raise WorkerFailure(
+                f"worker {slot} failed ({reason}) and no worker "
+                "remains (respawn disabled)",
+                worker=slot,
+                job=(head.iteration, head.node_id) if head else None,
+            )
         else:
             self._record_fault("degrade", slot, incarnation, None,
                                f"{len(self._live)} worker(s) remain")
@@ -1176,7 +1030,7 @@ class ProcessRuntime(Coordinator):
                 and self._incarnation[slot] == incarnation
                 and conn.poll()
             ):
-                self._on_message(slot, self._recv_from(slot))
+                self._on_message(slot, recv_framed(conn, self.interner))
         except (EOFError, OSError):
             # Only condemn the incarnation this pipe belongs to — the
             # slot may already hold its respawned (innocent) successor.
@@ -1185,11 +1039,7 @@ class ProcessRuntime(Coordinator):
 
     def _service_ready(self, ready: list[Any]) -> None:
         conn_slots = {id(self._conns[s]): s for s in self._live}
-        sentinel_slots = {
-            self._procs[s].sentinel: s
-            for s in self._live
-            if self._procs[s] is not None
-        }
+        sentinel_slots = {self._procs[s].sentinel: s for s in self._live}
         for obj in ready:
             slot = conn_slots.get(id(obj))
             if slot is not None:
@@ -1206,8 +1056,7 @@ class ProcessRuntime(Coordinator):
 
     def _check_liveness(self) -> None:
         for slot in sorted(self._live):
-            proc = self._procs[slot]
-            if proc is not None and not proc.is_alive():
+            if not self._procs[slot].is_alive():
                 self._service_conn(slot)
                 if slot in self._live:
                     self._worker_failed(slot, "process died")
@@ -1248,13 +1097,14 @@ class ProcessRuntime(Coordinator):
         if graceful:
             for slot in sorted(self._live):
                 try:
-                    self._send_to(slot, ("stop",), interned=False)
+                    send_framed(self._conns[slot], ("stop",), self.interner,
+                                self.pool.stats, interned=False)
                 except Exception:
                     pass
             for slot in sorted(self._live):
                 try:
                     while True:
-                        msg = self._recv_from(slot)
+                        msg = recv_framed(self._conns[slot], self.interner)
                         tag = msg[0]
                         if tag == "bye":
                             _, snapshots, stats = msg
@@ -1305,9 +1155,9 @@ class ProcessRuntime(Coordinator):
     def run(self) -> RunResult:
         """Execute to completion; returns statistics and live components."""
         start_time = time.perf_counter()
-        self._spawn_workers()
         failed = False
         try:
+            self._spawn_workers()
             initial = self.scheduler.start()
             self.queue.push_all(initial)
             if self.scheduler.done:
@@ -1315,11 +1165,7 @@ class ProcessRuntime(Coordinator):
             self._pump()
             while self._busy or not self.scheduler.done:
                 objects: list[Any] = [self._conns[s] for s in sorted(self._live)]
-                objects.extend(
-                    self._procs[s].sentinel
-                    for s in sorted(self._live)
-                    if self._procs[s] is not None
-                )
+                objects.extend(self._procs[s].sentinel for s in sorted(self._live))
                 if not objects:
                     raise SchedulingError(
                         "no live workers but work remains — degraded to zero"
@@ -1369,5 +1215,5 @@ class ProcessRuntime(Coordinator):
             events_ignored=sum(m.events_ignored for m in self.managers.values()),
             pool_stats=pool_stats,
             fault_events=list(self.fault_events),
-            workers_spawned=len(self._spawned_slots),
+            workers_spawned=self.workers,
         )

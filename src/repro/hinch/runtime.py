@@ -52,9 +52,9 @@ class RunResult:
     #: backend (empty elsewhere); each entry is a dict with at least
     #: ``kind``/``worker``/``detail`` keys — see docs/fault-tolerance.md
     fault_events: list[dict[str, Any]] = field(default_factory=list)
-    #: worker slots that actually forked (lazy spawn means this can be
-    #: fewer than the configured ``--workers``); equals ``nodes`` on the
-    #: threaded backend
+    #: configured worker count: every process slot forks at start, and
+    #: it equals ``nodes`` on the threaded backend.  Kept because
+    #: ``benchmarks/e2e/layers.py`` reads it.
     workers_spawned: int = 0
 
 

@@ -261,7 +261,7 @@ class DataflowScheduler:
         self._retries += 1
 
     def extract_followons(self, lease, limit, is_eligible=None,
-                          pipeline_only=False, is_chainable=None):
+                          pipeline_only=False):
         """Speculatively extend a job lease along the dataflow (batching).
 
         Given ``lease`` — jobs about to be shipped to one worker — return
@@ -294,14 +294,6 @@ class DataflowScheduler:
         could have run on another worker once its readiness was
         announced.  The process runtime uses this mode while idle
         workers remain.
-
-        ``is_chainable`` refines that trade-off per node: when given (and
-        ``pipeline_only`` is false), a same-iteration successor is only
-        speculated if ``is_chainable(node_id)`` — the process runtime
-        passes its learned CPU-bound predicate here once physical cores
-        are saturated, so compute kernels chain (spreading them over more
-        workers than cores buys nothing) while blocking kernels still
-        spread.  Pipeline extensions are never filtered by it.
         """
         if limit <= 0:
             return []
@@ -337,7 +329,6 @@ class DataflowScheduler:
                             and hyp_last.get(succ, self._last_done[succ])
                             == iteration - 1
                             and (is_eligible is None or is_eligible(succ))
-                            and (is_chainable is None or is_chainable(succ))
                         ):
                             state.dispatched.add(succ)
                             assumed.add(key)

@@ -48,6 +48,8 @@ __all__ = [
     "PoolStats",
     "NameInterner",
     "plane_nbytes",
+    "recv_framed",
+    "send_framed",
 ]
 
 
@@ -184,6 +186,37 @@ class NameInterner:
 
     def loads(self, data: bytes) -> Any:
         return _InternUnpickler(io.BytesIO(data), self._table).load()
+
+
+#: empty-table coder for control messages (decodes them on any side)
+_PLAIN = NameInterner()
+
+
+def send_framed(
+    conn: Any,
+    msg: Any,
+    interner: NameInterner,
+    stats: PoolStats,
+    *,
+    interned: bool = True,
+) -> None:
+    """Send one control-pipe message (both pipe ends use this framing).
+
+    A leading byte selects the coder: ``\\x01`` for ``interner``
+    (leases, records, RPCs), ``\\x00`` for a plain pickle (control
+    messages, readable across a table swap).  The framed length lands in
+    :attr:`PoolStats.meta_pickled_bytes`; summed over dispatcher and
+    workers, it is the run's whole control-plane pickle volume.
+    """
+    data = (interner if interned else _PLAIN).dumps(msg)
+    stats.meta_pickled_bytes += len(data) + 1
+    conn.send_bytes((b"\x01" if interned else b"\x00") + data)
+
+
+def recv_framed(conn: Any, interner: NameInterner) -> Any:
+    """Receive one message framed by :func:`send_framed`."""
+    raw = conn.recv_bytes()
+    return (interner if raw[:1] == b"\x01" else _PLAIN).loads(raw[1:])
 
 
 def plane_nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:

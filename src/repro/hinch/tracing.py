@@ -111,8 +111,7 @@ class Tracer:
         """Busy fraction across ``workers`` over the makespan.
 
         Degenerate denominators — an empty trace, a zero-length span, or
-        zero workers (lazy spawn can finish a trivial run before any
-        worker forks) — yield 0.0 rather than dividing by zero.
+        zero workers — yield 0.0 rather than dividing by zero.
         """
         span = self.makespan()
         if span <= 0 or workers <= 0:
@@ -135,10 +134,9 @@ class Tracer:
     def workers_seen(self) -> frozenset[int]:
         """Worker ids that executed real work (control jobs excluded).
 
-        With lazy spawn ``--workers N`` may fork fewer than N processes;
-        occupancy denominators must count the workers that *ran*, not the
-        configured ceiling.  Dispatcher control jobs (worker ``-1``) do
-        not make a worker "live".
+        A worker that forked but was never handed a task job is absent.
+        Dispatcher control jobs (worker ``-1``) do not make a worker
+        "live".
         """
         return frozenset(
             e.worker

@@ -13,7 +13,8 @@ tagged by their first element:
   ``rpc_alloc_raw`` / ``rpc_ensure`` (plane requests), ``bye`` (state
   snapshots + :data:`_WORKER_STAT_KEYS` counters), ``error``.
 
-Lease and rpc traffic is name-interned (leading byte ``\\x01``); control
+Both ends frame messages with :func:`~repro.hinch.shm.send_framed`:
+lease and rpc traffic is name-interned (leading byte ``\\x01``), control
 messages travel plain (``\\x00``).  What no message carries is fixed at
 fork: the current graph and overrides, the fusion headroom, and each
 mirror's reconfigure history.
@@ -36,6 +37,7 @@ from repro.hinch.engine import ComponentHost, NodePlans, build_configuration
 from repro.hinch.events import Event
 from repro.hinch.shm import (
     NameInterner, Packed, PlaneRef, SharedPlanePool, plane_nbytes,
+    recv_framed, send_framed,
 )
 from repro.hinch.stream import AGAINST_SLOT, check_geometry
 
@@ -288,14 +290,13 @@ class _Worker:
         #: control-pipe pickler sharing the dispatcher's name table
         #: (derived deterministically from the same graph on both ends)
         self.interner = NameInterner(NameInterner.names_of(pg))
-        self._plain = NameInterner()
         self.host = ComponentHost(program, registry)
         # Overrides (auto-inserted converters, rebound readers) must be
         # installed before populate: active ids resolve through them.
         self.host.overrides = dict(overrides or {})
         self.host.populate(self.pg.active_components)
         # Fresh mirrors catch up on exactly the reconfigure requests their
-        # dispatcher mirrors received (a respawn or a lazy spawn mid-run).
+        # dispatcher mirrors received (a respawn mid-run).
         for instance_id, replay in (requests or {}).items():
             for request in replay:
                 self.host.live[instance_id].reconfigure(request)
@@ -309,8 +310,6 @@ class _Worker:
         self.resident: dict[tuple[str, int], Any] = {}
         #: node id of the job currently executing (ensure-RPC context)
         self.current_node: str = ""
-        #: wall seconds the current job spent waiting on dispatcher RPCs
-        self.rpc_wait = 0.0
 
     def _install_plans(self) -> None:
         """Fresh node plans (and fused temps/kernels) for the current graph."""
@@ -321,19 +320,6 @@ class _Worker:
 
     def _request_stop(self) -> None:
         self._stop_requested = True
-
-    # -- control pipe --------------------------------------------------------
-
-    def _send(self, msg: tuple[Any, ...], *, interned: bool = True) -> None:
-        coder = self.interner if interned else self._plain
-        data = coder.dumps(msg)
-        self.pool.stats.meta_pickled_bytes += len(data) + 1
-        self.conn.send_bytes((b"\x01" if interned else b"\x00") + data)
-
-    def _recv(self) -> Any:
-        raw = self.conn.recv_bytes()
-        coder = self.interner if raw[:1] == b"\x01" else self._plain
-        return coder.loads(raw[1:])
 
     # -- dispatcher RPC -----------------------------------------------------
 
@@ -347,16 +333,12 @@ class _Worker:
         dispatcher only splices at quiescence and never sends jobs to a
         busy worker.
         """
-        t0 = time.perf_counter()
-        try:
-            self._send(request)
-            while True:
-                reply = self._recv()
-                if reply[0] == "rpc":
-                    return reply[1]
-                self._handle_control(reply)
-        finally:
-            self.rpc_wait += time.perf_counter() - t0
+        send_framed(self.conn, request, self.interner, self.pool.stats)
+        while True:
+            reply = recv_framed(self.conn, self.interner)
+            if reply[0] == "rpc":
+                return reply[1]
+            self._handle_control(reply)
 
     def _handle_control(self, msg: tuple[Any, ...]) -> None:
         tag = msg[0]
@@ -431,19 +413,12 @@ class _Worker:
         events = self.broker.sink = []
         self._stop_requested = False
         self.current_node = node_id
-        self.rpc_wait = 0.0
         start = time.perf_counter()
-        cpu_start = time.process_time()
         # A fused chain is a single dispatch: intermediate planes stay
         # process-local temporaries, external reads/writes go through
         # the normal stream facade.  Its member spans are always taken —
         # whether the dispatcher traces is not known here.
         member_times = plan.run(iteration, True)
-        # "Busy" time for the dispatcher's CPU-bound classification: CPU
-        # burned plus time stalled on dispatcher RPCs — the latter is
-        # coordination contention, not a kernel yielding the processor,
-        # so it must not make a compute kernel look blocking.
-        cpu = time.process_time() - cpu_start + self.rpc_wait
         end = time.perf_counter()
         # Checkpoint the state this job accrued: the delta rides on the
         # completion message (NOT through pool.pack — checkpoints are
@@ -466,7 +441,7 @@ class _Worker:
         outputs = ws.outputs
         ws.end()
         return (iteration, node_id, outputs, events, self._stop_requested,
-                start, end, cpu, state_updates, member_times)
+                start, end, state_updates, member_times)
 
     def _run_lease(
         self,
@@ -495,14 +470,15 @@ class _Worker:
             record = self._run_job(iteration, node_id, inputs, resident,
                                    ensured, fault)
             unused = self.pool.take_unused_grants() if index == last else None
-            self._send(("done", record, unused))
+            send_framed(self.conn, ("done", record, unused), self.interner,
+                        self.pool.stats)
 
     # -- main loop -----------------------------------------------------------
 
     def main(self) -> None:
         try:
             while True:
-                msg = self._recv()
+                msg = recv_framed(self.conn, self.interner)
                 tag = msg[0]
                 if tag == "lease":
                     self._run_lease(msg[1], msg[2], msg[3])
@@ -513,20 +489,24 @@ class _Worker:
                         if state is not None:
                             snapshots[instance_id] = state
                     stats = self.pool.stats.as_dict()
-                    self._send(
+                    send_framed(
+                        self.conn,
                         ("bye", snapshots,
-                         {k: stats[k] for k in _WORKER_STAT_KEYS})
+                         {k: stats[k] for k in _WORKER_STAT_KEYS}),
+                        self.interner, self.pool.stats,
                     )
                     return
                 else:
                     self._handle_control(msg)
         except BaseException as exc:
             tb = traceback.format_exc()
-            try:
-                self._send(("error", exc, tb), interned=False)
-            except Exception:
+            # an unpicklable exception still reports its traceback
+            for report in (exc, None):
                 try:
-                    self._send(("error", None, tb), interned=False)
+                    send_framed(self.conn, ("error", report, tb),
+                                self.interner, self.pool.stats,
+                                interned=False)
+                    break
                 except Exception:
                     pass
         finally:

@@ -77,10 +77,8 @@ def test_internal_streams_never_reach_the_store():
             assert name in report.internal_streams
 
 
-def test_fused_nodes_are_derived_families():
+def test_fused_nodes_match_the_report_chains():
     _, (pg, report) = _fused_graph(_jpip_program())
-    for family in report.derived:
-        assert "+" in family
     chain_ids = {c.node_id for c in report.chains}
     fused_nodes = {
         n.node_id for n in pg.graph

@@ -187,22 +187,22 @@ def test_a_request_reaches_only_the_mirrors_that_existed(make, respawns):
     ]
 
 
-# -- lazy spawn ---------------------------------------------------------------
+# -- worker pool --------------------------------------------------------------
 
 
 def test_workers_spawned_counts_forked_slots_only():
+    """Every configured slot forks at start, whatever the host's cores."""
     frames = 6
     program = make_program(
         build_jpip(1, width=64, height=48, pip_height=48, factor=4,
                    slices=4, frames=frames, collect=True),
         name="jpip1",
     )
-    rt = ProcessRuntime(program, REG, workers=4, pipeline_depth=4,
-                        max_iterations=frames, batch=2, trace=True)
-    result = rt.run()
-    assert 1 <= result.workers_spawned <= 4
-    # a slot that ran a job was necessarily forked
-    assert result.workers_spawned >= len(result.trace.workers_seen())
+    for workers in (1, 4):
+        rt = ProcessRuntime(program, REG, workers=workers, pipeline_depth=4,
+                            max_iterations=frames, batch=2, trace=True)
+        result = rt.run()
+        assert result.workers_spawned == workers
 
 
 # -- the zero-copy hot path -------------------------------------------------
@@ -341,6 +341,6 @@ def test_worker_job_tables_do_not_outlive_the_job():
         # the next job starts from fresh tables, not the previous job's
         follow = worker._run_job(0, "snk", dict(shipped), (), None, None)
         assert follow[2] == {} and facade.values is None
-        assert follow[8] == {"snk": [(0, 3)]}  # the collector's checkpoint
+        assert follow[7] == {"snk": [(0, 3)]}  # the collector's checkpoint
     finally:
         worker.pool.close_attachments()

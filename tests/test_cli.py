@@ -149,9 +149,13 @@ def test_run_rejects_degenerate_knobs(blur_xml, capsys, extra):
         ["--backend", "threaded", "--inject-fault", "kill:1"],
         ["--backend", "threaded", "--batch", "4"],
         ["--backend", "sim", "--fuse"],
+        ["--backend", "threaded", "--watchdog", "5"],
+        ["--backend", "sim", "--no-respawn"],
+        ["--backend", "threaded", "--execute"],
         # removed flags: argparse itself refuses them
         ["--backend", "process", "--autotune"],
         ["--backend", "process", "--deadline", "50"],
+        ["--impl", "downscale_field=strided"],
     ],
     ids=lambda extra: " ".join(extra),
 )
