@@ -233,6 +233,12 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
                     f"{flag} applies to the process backend only; on "
                     f"--backend {args.backend} it would be silently ignored"
                 )
+    if args.workers is not None and args.backend == "sim":
+        return (
+            "--workers applies to the threaded and process backends only "
+            "(the simulator takes --nodes); on --backend sim it would be "
+            "silently ignored"
+        )
     if args.execute and args.backend != "sim":
         return (
             f"--execute applies to the sim backend only; on --backend "
@@ -547,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="threaded")
     p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--workers", type=int, default=None,
-                   help="process backend: worker process count "
+                   help="threaded/process backends: worker count "
                         "(default: --nodes)")
     p.add_argument("--iterations", type=int, default=16)
     p.add_argument("--pipeline-depth", type=int, default=5)

@@ -13,7 +13,8 @@ This package reproduces those responsibilities.  Building blocks:
 * :mod:`repro.hinch.events` — asynchronous event queues;
 * :mod:`repro.hinch.component` — the component base class, its
   reconfiguration interface, and the per-job context API;
-* :mod:`repro.hinch.jobqueue` — the central job queue;
+* :mod:`repro.hinch.jobqueue` — the worker threads' central job queue
+  (every single-threaded loop keeps the same FIFO in a deque);
 * :mod:`repro.hinch.scheduler` — backend-agnostic dataflow state machine:
   per-iteration dependency counting, pipeline parallelism across
   iterations, manager-driven reconfiguration (halt, drain, splice,

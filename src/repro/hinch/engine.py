@@ -6,8 +6,9 @@ components execute.  This module is that definition:
 
 * :func:`build_configuration` turns ``(program, option states)`` into the
   graph a backend schedules.  Every backend — and every process-backend
-  worker, after a splice — installs exactly what it returns, so a spec
-  lint rejects runs nowhere and the solved network runs everywhere.
+  worker, through the cache it inherits at fork — installs exactly what
+  it returns, so a spec lint rejects runs nowhere and the solved network
+  runs everywhere.
 * :class:`NodePlan` is what *running* one node of that graph means: the
   component ``run`` methods to call and the reusable job contexts to call
   them with, compiled once per node per configuration
@@ -84,11 +85,12 @@ def build_configuration(
 ) -> Configuration:
     """Derive the schedulable configuration for ``option_states``.
 
-    Pure and deterministic in its arguments: the process backend's
-    dispatcher and each of its workers call it independently after a
-    splice (only the option states cross the pipe) and must arrive at the
-    same node ids, overrides and :class:`~repro.hinch.shm.NameInterner`
-    table.  Callers install the result; nothing here touches a runtime.
+    Pure and deterministic in its arguments: a process worker that
+    splices to a configuration its dispatcher first built after the fork
+    builds it again (only the option states cross the pipe) and must
+    arrive at the same node ids, overrides and
+    :class:`~repro.hinch.shm.NameInterner` table.  Callers install the
+    result; nothing here touches a runtime.
     """
     pg = program.build_graph(option_states)
     # The reconciled port formats become each stream's authoritative
@@ -376,7 +378,7 @@ class Coordinator:
         self.tracer = Tracer(enabled=trace)
         self.host = ComponentHost(program, registry)
 
-        self.pg: ProgramGraph = self._build(option_states)
+        self.pg: ProgramGraph = self._install(self.configuration(option_states))
         self._target_states: dict[str, bool] = dict(self.pg.option_states)
         self._precreated: dict[str, Component] = {}
         self.host.populate(self.pg.active_components)
@@ -394,12 +396,16 @@ class Coordinator:
         #: (resume_iteration, option states) per applied reconfiguration
         self.reconfig_log: list[tuple[int, dict[str, bool]]] = []
 
-    def _build(self, option_states: Mapping[str, bool] | None) -> ProgramGraph:
-        """Install the configuration for ``option_states``, building it once.
+    def configuration(
+        self, option_states: Mapping[str, bool] | None
+    ) -> Configuration:
+        """The configuration for ``option_states``, built once.
 
         :func:`build_configuration` is a pure function of the option
         states once the program and the build knobs are fixed at
-        construction, so its result is memoised on them.
+        construction, so its result is memoised on them.  A process
+        worker forked from this coordinator looks its splices up here
+        too: what the dispatcher built before the fork costs it nothing.
         """
         key = frozenset((option_states or {}).items())
         config = self._configurations.get(key)
@@ -416,6 +422,10 @@ class Coordinator:
             # keyed by the *resolved* states: what every splice asks for
             key = frozenset(config.pg.option_states.items())
             self._configurations[key] = config
+        return config
+
+    def _install(self, config: Configuration) -> ProgramGraph:
+        """Make ``config`` this coordinator's; returns its graph."""
         # Overrides must be in place before populate/splice: active ids
         # resolve through them.
         self.host.overrides = config.overrides
@@ -449,7 +459,7 @@ class Coordinator:
         states = dict(self.pg.option_states)
         for plan in plans:
             states.update(plan.changes)
-        new_pg = self._build(states)
+        new_pg = self._install(self.configuration(states))
         added, removed = self.host.splice(
             new_pg.active_components, self._precreated
         )

@@ -1,5 +1,5 @@
 """The central job queue (paper: "automatic load balancing using a
-central job queue").
+central job queue") that worker threads share.
 
 A job is one execution of one task-graph node in one iteration.  The
 queue is a plain FIFO guarded by one lock (its condition variable is
@@ -8,6 +8,11 @@ pops the oldest ready job, which is Hinch's load-balancing policy — work
 goes wherever there is a free processor, no affinity, no stealing
 hierarchy.  (Cache-affinity effects of this policy are modelled by the
 SpaceCAKE cost model, not here.)
+
+Only ``ThreadedRuntime(nodes >= 2)`` needs the lock.  Every
+single-threaded loop — the inline ``nodes=1`` executor, the process
+backend's dispatcher and the simulator — keeps the same FIFO in a plain
+``collections.deque``.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ class JobQueue:
         self._items: deque[Job] = deque()
         self._closed = False
         self._draining = False
-        self._pushed = 0
 
     def push(self, job: Job) -> int:
         """Enqueue one job; returns the number accepted (0 after close)."""
@@ -83,31 +87,9 @@ class JobQueue:
                 )
             self._items.extend(jobs)
             accepted = len(jobs)
-            self._pushed += accepted
             if self._waiters:
                 self._not_empty.notify(accepted)
             return accepted
-
-    def push_front(self, job: Job) -> int:
-        """Re-enqueue a recovered job at the FIFO head (failure retry).
-
-        A retry jumps the queue so the re-run of iteration *k*'s node
-        does not queue behind work from deeper iterations that (directly
-        or via the pipeline) depends on it.  Unlike :meth:`push`, this is
-        legal while draining: a retry re-issues a job the scheduler still
-        counts as dispatched-but-incomplete, so ``drain()`` (which
-        requires the scheduler to be *done*) can never have happened with
-        such a job outstanding — tolerating the call keeps the failure
-        path free of ordering assumptions about shutdown.
-        """
-        with self._lock:
-            if self._closed:
-                return 0  # aborted: the retry no longer matters
-            self._items.appendleft(job)
-            self._pushed += 1
-            if self._waiters:
-                self._not_empty.notify()
-            return 1
 
     def pop(self, timeout: float | None = None) -> Job | None:
         """Block until a job is available; None on shutdown or timeout."""
@@ -125,32 +107,6 @@ class JobQueue:
                 return items.popleft()
             return None  # shut down and drained
 
-    def try_pop(self) -> Job | None:
-        with self._lock:
-            if self._items:
-                return self._items.popleft()
-            return None
-
-    def try_pop_where(self, match, stop=None) -> Job | None:
-        """Pop the first queued job satisfying ``match``, scanning from
-        the head; abandon the scan (returning ``None``) at the first job
-        for which ``stop`` is true.
-
-        This is the lease-assembly primitive of the process dispatcher:
-        it lets batching pull additional *ready* jobs into a worker's
-        lease (preferring affinity matches) without ever reordering
-        across a control-node job — ``stop`` marks those, so manager
-        invocations keep their FIFO position exactly as at ``--batch 1``.
-        """
-        with self._lock:
-            for index, job in enumerate(self._items):
-                if stop is not None and stop(job):
-                    return None
-                if match(job):
-                    del self._items[index]
-                    return job
-            return None
-
     def close(self) -> None:
         """Abort: stop serving once empty, drop any further push."""
         with self._lock:
@@ -167,21 +123,6 @@ class JobQueue:
             self._draining = True
             self._not_empty.notify_all()
 
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._items)
-
-    @property
-    def total_pushed(self) -> int:
-        with self._lock:
-            return self._pushed

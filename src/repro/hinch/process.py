@@ -82,6 +82,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import deque
 from multiprocessing.connection import Connection, wait
 from typing import Any, Mapping, Sequence
 
@@ -97,7 +98,7 @@ from repro.errors import (
 from repro.hinch.component import Component
 from repro.hinch.engine import Coordinator
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
-from repro.hinch.jobqueue import Job, JobQueue
+from repro.hinch.jobqueue import Job
 from repro.hinch.runtime import RunResult
 from repro.hinch.shm import (
     NameInterner, Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
@@ -144,7 +145,17 @@ class ProcessRuntime(Coordinator):
     state machines the threaded backend uses under its lock.
 
     ``workers`` sizes the pool once for the whole run: every slot forks
-    when :meth:`run` starts, whatever the host's core count.
+    when :meth:`run` starts, whatever the host's core count.  A worker
+    inherits the installed configuration and the coordinator's
+    configuration cache, so it builds a configuration only when it
+    first splices to one the dispatcher had not built before the fork.
+
+    The dispatcher is single-threaded, so its central queue is a plain
+    ``deque`` (like the inline loop of ``ThreadedRuntime(nodes=1)``): a
+    completion appends the jobs it readies, a retry goes to the head.
+    With the queue empty, no worker busy and the scheduler not done,
+    :meth:`run` raises :class:`~repro.errors.SchedulingError` ("dataflow
+    stalled") instead of waiting for a worker that has nothing to send.
 
     Performance knob:
 
@@ -226,10 +237,12 @@ class ProcessRuntime(Coordinator):
             parallel_headroom=min(workers, self._cores) if fuse else None,
         )
         #: control-pipe pickler; workers derive the identical table from
-        #: the same graph (forked or rebuilt), so name strings travel as
+        #: the same graph (inherited or looked up), so name strings travel as
         #: small integer codes
         self.interner = NameInterner(NameInterner.names_of(self.pg))
-        self.queue = JobQueue()
+        #: the central FIFO of ready jobs; only the dispatcher's thread
+        #: touches it, so it is a plain deque
+        self.queue: deque[Job] = deque()
         self._worker_pool_stats = {k: 0 for k in _WORKER_STAT_KEYS}
         self._ctx: Any = None
         #: slot -> control pipe / process handle (entries are *replaced*
@@ -503,13 +516,7 @@ class ProcessRuntime(Coordinator):
         if self.tracer.enabled:
             self.tracer.record_job(job.node_id, job.iteration, -1, start,
                                    time.perf_counter(), node.kind)
-        self._complete(job)
-
-    def _complete(self, job: Job) -> None:
-        ready = self.scheduler.complete(job)
-        self.queue.push_all(ready)
-        if self.scheduler.done:
-            self.queue.drain()
+        self.scheduler.complete(job, self.queue)
 
     def _pump(self) -> None:
         """Hand the FIFO head to idle workers; run control nodes inline.
@@ -530,11 +537,12 @@ class ProcessRuntime(Coordinator):
 
         The head is never held back: every worker slot forked at start,
         so an idle slot always takes it, whatever the host's core count.
+        It returns with the queue empty or no worker idle, so when no
+        worker is busy either, :meth:`run` knows the dataflow stalled.
         """
-        while self._idle:
-            job = self.queue.try_pop()
-            if job is None:
-                return
+        queue = self.queue
+        while self._idle and queue:
+            job = queue.popleft()
             node = self.pg.graph.node(job.node_id)
             if node.kind != "task":
                 self._run_local(job, node)
@@ -564,25 +572,19 @@ class ProcessRuntime(Coordinator):
         if self.batch > 1:
             incarnation = self._incarnation[worker]
             graph = self.pg.graph
-
-            def is_control(job: Job) -> bool:
-                return graph.node(job.node_id).kind != "task"
-
-            def matches(job: Job) -> bool:
-                if graph.node(job.node_id).kind != "task":
-                    return False
+            # at most the surplus the other idle workers cannot absorb
+            room = min(self.batch - 1, len(self.queue) - len(self._idle))
+            for job in self.queue:
+                if len(jobs) > room or graph.node(job.node_id).kind != "task":
+                    break  # never reorder across a control job
                 excluded = self._excluded.get((job.iteration, job.node_id))
                 if excluded and incarnation in excluded:
-                    return False
-                affinity = self._affinity.get(job.node_id)
-                return affinity is None or affinity == worker
-
-            while len(jobs) < self.batch and len(self.queue) > len(self._idle):
-                extra = self.queue.try_pop_where(matches, stop=is_control)
-                if extra is None:
-                    break
-                jobs.append(extra)
-                speculative.append(False)
+                    continue
+                if self._affinity.get(job.node_id, worker) == worker:
+                    jobs.append(job)
+            for job in jobs[1:]:
+                self.queue.remove(job)
+            speculative.extend([False] * (len(jobs) - 1))
 
             # A speculated job is bound to *this* worker, so while idle
             # workers remain, speculate only pipeline extensions — a
@@ -794,7 +796,7 @@ class ProcessRuntime(Coordinator):
         elif self.watchdog is not None:
             # Per-job budget: the next lease member gets a fresh window.
             self._deadlines[worker] = time.perf_counter() + self.watchdog
-        self._complete(job)
+        self.scheduler.complete(job, self.queue)
 
     def _rpc_reply(self, worker: int, value: Any) -> None:
         try:
@@ -846,7 +848,7 @@ class ProcessRuntime(Coordinator):
         """(Re)start the worker in ``slot``.
 
         A respawned worker forks from *current* dispatcher state, so it
-        inherits the dispatcher's present (already-grouped) graph
+        inherits the installed configuration and every one cached so far
         outright.  Its mirrors are built fresh from instance descriptors,
         so each replays the reconfigure requests its dispatcher mirror
         received (:attr:`_requests`) — no more, no fewer.
@@ -859,10 +861,9 @@ class ProcessRuntime(Coordinator):
         self._next_incarnation += 1
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(child, self.program, self.registry, self.pg,
-                  self.group_chains, slot, dict(self.host.overrides),
-                  self.fuse, self.fuse_backend, self.parallel_headroom,
-                  self._requests),
+            args=(child, self.program, self.registry, slot,
+                  self.configuration(self.pg.option_states),
+                  self.configuration, self._requests),
             name=f"hinch-proc-worker-{slot}.{incarnation}",
             daemon=True,
         )
@@ -954,7 +955,7 @@ class ProcessRuntime(Coordinator):
             # Records acknowledged before the death are final (their
             # outputs, events and checkpoint deltas are applied exactly
             # once); only members from ``lease.done`` onward never ran.
-            # Walk them back to front so push_front restores the
+            # Walk them back to front so appendleft restores the
             # original FIFO order.  Speculative members never became
             # queue-visible — retracting them re-arms the normal
             # readiness path (the retried predecessors re-emit them on
@@ -966,7 +967,7 @@ class ProcessRuntime(Coordinator):
                     # which case no future completion re-emits it and it
                     # must be requeued here, in its lease position.
                     for ready in self.scheduler.retract(job):
-                        self.queue.push_front(ready)
+                        self.queue.appendleft(ready)
                     continue
                 key = (job.iteration, job.node_id)
                 attempts = self._attempts.get(key, 0) + 1
@@ -982,7 +983,7 @@ class ProcessRuntime(Coordinator):
                         job=key,
                     )
                 self.scheduler.requeue(job)
-                self.queue.push_front(job)
+                self.queue.appendleft(job)
                 self._record_fault("retry", slot, incarnation, job,
                                    f"attempt {attempts + 1}")
         if self.respawn:
@@ -1158,18 +1159,18 @@ class ProcessRuntime(Coordinator):
         failed = False
         try:
             self._spawn_workers()
-            initial = self.scheduler.start()
-            self.queue.push_all(initial)
-            if self.scheduler.done:
-                self.queue.drain()
+            self.queue.extend(self.scheduler.start())
             self._pump()
             while self._busy or not self.scheduler.done:
+                if not self._busy:
+                    # _pump left the queue empty and no worker holds a
+                    # job: nothing can ever complete and ready more work
+                    raise SchedulingError(
+                        "dataflow stalled: no job is ready but "
+                        f"{self.scheduler.in_flight} iteration(s) are in flight"
+                    )
                 objects: list[Any] = [self._conns[s] for s in sorted(self._live)]
                 objects.extend(self._procs[s].sentinel for s in sorted(self._live))
-                if not objects:
-                    raise SchedulingError(
-                        "no live workers but work remains — degraded to zero"
-                    )  # pragma: no cover - _worker_failed raises first
                 ready = wait(objects, timeout=self._wait_timeout())
                 if ready:
                     self._service_ready(list(ready))
@@ -1177,6 +1178,11 @@ class ProcessRuntime(Coordinator):
                     self._check_liveness()
                 self._check_watchdog()
                 self._pump()
+            if self.queue:
+                raise SchedulingError(
+                    f"{len(self.queue)} job(s) still queued after the "
+                    "scheduler reported done: their completions would be lost"
+                )
         except BaseException:
             failed = True
             raise

@@ -16,8 +16,8 @@ tagged by their first element:
 Both ends frame messages with :func:`~repro.hinch.shm.send_framed`:
 lease and rpc traffic is name-interned (leading byte ``\\x01``), control
 messages travel plain (``\\x00``).  What no message carries is fixed at
-fork: the current graph and overrides, the fusion headroom, and each
-mirror's reconfigure history.
+fork: the installed configuration, the dispatcher's configuration cache
+(a ``splice`` is a lookup in it), and each mirror's reconfigure history.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import os
 import time
 import traceback
 from multiprocessing.connection import Connection
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.program import ComponentInstance, Program, ProgramGraph
+from repro.core.program import Program
 from repro.errors import SchedulingError, StreamError
 from repro.hinch.component import Component
-from repro.hinch.engine import ComponentHost, NodePlans, build_configuration
+from repro.hinch.engine import ComponentHost, Configuration, NodePlans
 from repro.hinch.events import Event
 from repro.hinch.shm import (
     NameInterner, Packed, PlaneRef, SharedPlanePool, plane_nbytes,
@@ -263,37 +263,30 @@ class _Worker:
         conn: Connection,
         program: Program,
         registry: Mapping[str, type[Component]],
-        pg: ProgramGraph,
-        group_chains: bool,
         worker_id: int,
-        overrides: Mapping[str, ComponentInstance] | None = None,
-        fuse: bool = False,
-        fuse_backend: str = "numpy",
-        parallel_headroom: int | None = None,
+        config: Configuration,
+        configuration: Callable[[Mapping[str, bool]], Configuration],
         requests: Mapping[str, Sequence[str]] | None = None,
     ) -> None:
         self.conn = conn
         self.program = program
-        self.registry = registry
-        self.group_chains = group_chains
-        self.fuse = fuse
-        self.fuse_backend = fuse_backend
-        #: the dispatcher's fusion headroom (None fuses unconditionally)
-        self.parallel_headroom = parallel_headroom
         self.worker_id = worker_id
+        #: the dispatcher's configuration cache
+        #: (:meth:`~repro.hinch.engine.Coordinator.configuration`), copied
+        #: at fork: a splice to a configuration built before the fork
+        #: costs no build, one first seen after it is built here once
+        self.configuration = configuration
         self.pool = _RemotePlanePool(self.rpc)
-        # The dispatcher's already-built (grouped/fused) graph is
-        # inherited through fork copy-on-write — rebuilding it here would
-        # add parse/group latency to every spawn and respawn.  A splice
-        # rebuilds locally (the new option states arrive by message).
-        self.pg = pg
+        # ``config`` is the dispatcher's installed configuration, inherited
+        # through fork copy-on-write: a spawn or respawn builds nothing.
+        self.pg = config.pg
         #: control-pipe pickler sharing the dispatcher's name table
         #: (derived deterministically from the same graph on both ends)
-        self.interner = NameInterner(NameInterner.names_of(pg))
+        self.interner = NameInterner(NameInterner.names_of(self.pg))
         self.host = ComponentHost(program, registry)
         # Overrides (auto-inserted converters, rebound readers) must be
         # installed before populate: active ids resolve through them.
-        self.host.overrides = dict(overrides or {})
+        self.host.overrides = config.overrides
         self.host.populate(self.pg.active_components)
         # Fresh mirrors catch up on exactly the reconfigure requests their
         # dispatcher mirrors received (a respawn mid-run).
@@ -349,29 +342,21 @@ class _Worker:
                 if component is not None:
                     component.reconfigure(request)
         elif tag == "splice":
-            # The dispatcher made this very call before broadcasting;
-            # build_configuration is deterministic in its arguments, so
-            # node ids, overrides and the interner table agree.
-            config = build_configuration(
-                self.program,
-                self.registry,
-                msg[1],
-                group_chains=self.group_chains,
-                fuse=self.fuse,
-                fuse_backend=self.fuse_backend,
-                parallel_headroom=self.parallel_headroom,
-            )
-            new_pg = config.pg
+            # The dispatcher looked these option states up before
+            # broadcasting; on a miss in this copy of its cache the build
+            # is deterministic, so node ids, overrides and the interner
+            # table agree.
+            config = self.configuration(msg[1])
             self.host.overrides = config.overrides
             # Mirrors a splice creates start from their descriptors, like
             # the dispatcher's: no request sent before they existed.
-            self.host.splice(new_pg.active_components, {})
-            self.pg = new_pg
+            self.host.splice(config.pg.active_components, {})
+            self.pg = config.pg
             self._install_plans()
-            # Same table the dispatcher derives from its own rebuild;
+            # Same table the dispatcher derives from the same graph;
             # control messages themselves are never interned, so the
             # swap cannot race the splice that carries it.
-            self.interner.set_table(NameInterner.names_of(new_pg))
+            self.interner.set_table(NameInterner.names_of(self.pg))
         else:  # pragma: no cover - protocol error
             raise SchedulingError(f"worker got unexpected message {tag!r}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -214,6 +215,14 @@ def sleep_app(*, slices: int, sleep_ms: float) -> AppBuilder:
                        params={"ms": sleep_ms})
     main.component("snk", "collector", streams={"input": "out"})
     return b
+
+
+def shm_entries() -> set[str]:
+    """The shared-memory segments on this host (a leak check's snapshot)."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
 
 
 REGISTRY: dict[str, type[Component]] = {

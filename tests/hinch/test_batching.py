@@ -11,8 +11,6 @@ duplicated nor missing frames.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -21,10 +19,10 @@ from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
-from repro.hinch.jobqueue import Job, JobQueue
+from repro.hinch.jobqueue import Job
 from repro.hinch.scheduler import DataflowScheduler
 
-from tests.hinch.helpers import PORTS
+from tests.hinch.helpers import PORTS, shm_entries
 
 REG = default_registry()
 
@@ -56,13 +54,6 @@ def kinds_of(result):
     for event in result.fault_events:
         counts[event["kind"]] = counts.get(event["kind"], 0) + 1
     return counts
-
-
-def shm_entries():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 # -- batch equivalence --------------------------------------------------------
@@ -275,18 +266,37 @@ def test_retract_after_predecessor_completed_reemits_immediately():
     assert Job(iteration=0, node_id="snk") in ready
 
 
-# -- job queue primitives -----------------------------------------------------
+# -- the dispatcher's lease scan ----------------------------------------------
 
 
-def test_try_pop_where_respects_stop_barrier():
-    q = JobQueue()
-    q.push_all([
-        Job(iteration=0, node_id="a"),
-        Job(iteration=0, node_id="ctl"),
-        Job(iteration=0, node_id="b"),
-    ])
-    is_ctl = lambda job: job.node_id == "ctl"  # noqa: E731
-    assert q.try_pop_where(lambda j: j.node_id == "b", stop=is_ctl) is None
-    got = q.try_pop_where(lambda j: j.node_id == "a", stop=is_ctl)
-    assert got == Job(iteration=0, node_id="a")
-    assert len(q) == 2  # barrier and tail untouched
+def test_lease_extension_never_crosses_a_queued_control_job():
+    """At batch 4 the head grows by queued ready jobs, but the scan stops
+    at a control job: a manager invocation keeps its FIFO position
+    exactly as at batch 1."""
+    program = make_program(
+        build_blur(reconfigurable=True, period=5, width=48, height=36,
+                   slices=3),
+        name="blur35",
+    )
+    rt = ProcessRuntime(program, REG, workers=2, batch=4, max_iterations=4)
+    try:
+        nodes = list(rt.pg.graph)
+        a, b, c, d = [Job(0, n.node_id) for n in nodes if n.kind == "task"][:4]
+        ctl = next(Job(0, n.node_id) for n in nodes if n.kind != "task")
+        rt._incarnation = [0, 1]
+        rt._idle = {1}  # worker 0 takes the head, worker 1 waits
+        # the scan alone: no speculative follow-ons
+        rt.scheduler.extract_followons = lambda *args, **kwargs: []
+
+        rt.queue.extend([b, ctl, c, d])
+        assert rt._assemble_lease(0, a).jobs == [a, b]
+        assert list(rt.queue) == [ctl, c, d]
+
+        # with no control job queued, it takes the surplus the idle
+        # worker cannot absorb, up to the batch
+        rt.queue.clear()
+        rt.queue.extend([b, c, d])
+        assert rt._assemble_lease(0, a).jobs == [a, b, c]
+        assert list(rt.queue) == [d]
+    finally:
+        rt.pool.close()

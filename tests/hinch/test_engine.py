@@ -1,15 +1,19 @@
 """The coordination core's contracts (repro.hinch.engine).
 
-``build_configuration`` is deterministic in its arguments — the process
-backend's dispatcher and workers each call it after a splice and must
-derive the same graph — and it is the *only* way any backend obtains a
-graph: once at construction, then once per *distinct* configuration a
-splice installs (``Coordinator._build`` memoises the result).
+``build_configuration`` is deterministic in its arguments — a process
+worker that splices to a configuration its dispatcher built after the
+fork builds it again and must derive the same graph — and it is the
+*only* way any backend obtains a graph: once at construction, then once
+per *distinct* configuration a splice installs
+(``Coordinator.configuration`` memoises the result, and a forked worker
+looks its splices up in its copy of that cache).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +119,9 @@ def test_each_runtime_builds_once_per_configuration(make, monkeypatch):
     rt.post_event("ui", "switch_kernel")
     result = rt.run()
     assert result.reconfig_count == 1
-    # dispatcher side on the process backend: its worker rebuilds through
-    # the same function, in its own address space
+    # dispatcher side on the process backend: its worker looks the splice
+    # up in the cache it inherited at fork, in its own address space
+    # (test_workers_build_each_configuration_at_most_once counts there)
     assert len(calls) == 2, "one build per splice"
     assert calls[1] == {"blur3": False, "blur5": True}
     assert rt.pg.option_states == calls[1]
@@ -153,6 +158,32 @@ def test_one_build_per_distinct_configuration(make, monkeypatch):
     states = [s for _, s in rt.reconfig_log]
     assert states[0] == calls[1]
     assert states[0] != states[1] and states[0] == states[2]
+
+
+def test_workers_build_each_configuration_at_most_once(monkeypatch, tmp_path):
+    """The worker-side twin: a forked worker splices through its copy of
+    the dispatcher's configuration cache, so a configuration it inherited
+    or has built once costs it no further build."""
+    log = tmp_path / "builds"
+    real = engine.solve_formats_or_raise
+
+    # every build solves the formats once, in whichever process builds
+    def counting(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_formats_or_raise", counting)
+    program = make_program(
+        build_blur(reconfigurable=True, period=5, width=48, height=36,
+                   slices=3),
+        name="blur35-toggling",
+    )
+    result = ProcessRuntime(program, REG, workers=2, max_iterations=30).run()
+    assert result.reconfig_count >= 3, "the run must revisit a configuration"
+    builds = Counter(log.read_text().split())
+    assert builds.pop(str(os.getpid())) == 2, "dispatcher: one per configuration"
+    assert len(builds) <= 2 and all(n <= 1 for n in builds.values()), builds
 
 
 # -- a lint-rejected spec never reaches job execution, on any backend ---------

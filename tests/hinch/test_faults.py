@@ -9,8 +9,6 @@ leases return to the pool, retries are recorded, and nothing leaks into
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from repro.components.registry import default_registry
 from repro.errors import SchedulingError, WorkerFailure
 from repro.hinch import FaultInjector, FaultSpec, ProcessRuntime, ThreadedRuntime
 from repro.hinch.faults import parse_faults
+
+from tests.hinch.helpers import shm_entries
 
 REG = default_registry()
 
@@ -50,13 +50,6 @@ def kinds_of(result):
     for event in result.fault_events:
         counts[event["kind"]] = counts.get(event["kind"], 0) + 1
     return counts
-
-
-def shm_entries():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 # -- the tentpole scenario ---------------------------------------------------

@@ -327,11 +327,11 @@ def test_worker_job_tables_do_not_outlive_the_job():
     main.component("src", "producer", streams={"output": "a"}, params={"base": 3})
     main.component("snk", "collector", streams={"input": "a"})
     program = expand(b.build(), PORTS)
-    pg = build_configuration(
+    config = build_configuration(
         program, REGISTRY, None, group_chains=False, fuse=False,
         fuse_backend="numpy", parallel_headroom=None,
-    ).pg
-    worker = _Worker(None, program, REGISTRY, pg, False, 0)
+    )
+    worker = _Worker(None, program, REGISTRY, 0, config, lambda states: config)
     try:
         record = worker._run_job(0, "src", {}, (), None, None)
         shipped = record[2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -13,7 +14,9 @@ from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError, StreamError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 
-from tests.hinch.helpers import PORTS, REGISTRY, LifecycleProbe, sleep_app
+from tests.hinch.helpers import (
+    PORTS, REGISTRY, LifecycleProbe, shm_entries, sleep_app,
+)
 
 
 def run_app(builder: AppBuilder, *, nodes=1, depth=5, iters=8, trace=False,
@@ -210,14 +213,34 @@ def test_one_node_runs_on_the_calling_thread():
     assert threading.active_count() == baseline
 
 
-def test_one_node_stall_raises_instead_of_returning_short():
-    program = expand(linear_app().build(), PORTS)
-    rt = ThreadedRuntime(program, REGISTRY, nodes=1, max_iterations=4)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: ThreadedRuntime(p, REGISTRY, nodes=1, max_iterations=4),
+        lambda p: ProcessRuntime(p, REGISTRY, workers=1, max_iterations=4),
+        lambda p: ProcessRuntime(p, REGISTRY, workers=2, max_iterations=4),
+    ],
+    ids=["threaded-1", "process-1", "process-2"],
+)
+def test_one_node_stall_raises_instead_of_returning_short(make):
+    """Single-threaded loops (the inline executor, the process
+    dispatcher) raise on a stalled dataflow instead of returning short or
+    waiting forever, and the process backend still shuts down cleanly."""
+    segments = shm_entries()
+    rt = make(expand(linear_app().build(), PORTS))
     real = rt.scheduler.complete
-    # a scheduler that loses every job made ready after the first one
-    rt.scheduler.complete = lambda job, ready: real(job, [])
+
+    def losing(job, ready=None):
+        # a scheduler that loses every job made ready after the first ones
+        real(job, [])
+        return [] if ready is None else ready
+
+    rt.scheduler.complete = losing
     with pytest.raises(SchedulingError, match="stalled"):
         rt.run()
+    assert not [p for p in multiprocessing.active_children()
+                if p.name.startswith("hinch-proc-worker")]
+    assert shm_entries() <= segments
 
 
 # -- reconfiguration end-to-end ----------------------------------------------------

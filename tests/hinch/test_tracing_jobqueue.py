@@ -110,13 +110,6 @@ def test_fifo_order():
     assert [q.pop() for _ in range(5)] == jobs
 
 
-def test_try_pop_nonblocking():
-    q = JobQueue()
-    assert q.try_pop() is None
-    q.push(Job(0, "a"))
-    assert q.try_pop() == Job(0, "a")
-
-
 def test_pop_timeout():
     q = JobQueue()
     t0 = time.perf_counter()
@@ -154,7 +147,6 @@ def test_push_after_close_is_dropped():
     q.push(Job(0, "a"))
     q.push_all([Job(0, "b")])
     assert len(q) == 0
-    assert q.total_pushed == 0
 
 
 def test_drain_serves_remaining_then_sentinels():
@@ -348,8 +340,8 @@ def test_shutdown_races_a_blocked_pop(fast_switching, shutdown):
 
 
 def test_utilization_zero_workers_guarded():
-    """Lazy spawn can finish a trivial run before any worker forks — a
-    zero (or negative) worker count must yield 0.0, not divide by zero."""
+    """A zero (or negative) worker count yields 0.0, not a division by
+    zero."""
     t = Tracer()
     t.record(make_event("a", 0, 0.0, 2.0))
     assert t.utilization(0) == 0.0

@@ -152,6 +152,7 @@ def test_run_rejects_degenerate_knobs(blur_xml, capsys, extra):
         ["--backend", "threaded", "--watchdog", "5"],
         ["--backend", "sim", "--no-respawn"],
         ["--backend", "threaded", "--execute"],
+        ["--backend", "sim", "--workers", "4"],
         # removed flags: argparse itself refuses them
         ["--backend", "process", "--autotune"],
         ["--backend", "process", "--deadline", "50"],
