@@ -28,6 +28,7 @@ from repro.components.jpeg.huffman import (
     BitReader,
     BitWriter,
     HuffmanCodec,
+    canonical_codes,
     pack_fields,
 )
 from repro.components.jpeg.quant import (
@@ -515,23 +516,65 @@ def _encode_plane_scalar(plane: np.ndarray, qtable: np.ndarray) -> EncodedPlane:
     )
 
 
-_WINDOW_BITS = 32  # per-position window: lookup index in the top half,
+_WINDOW_BITS = 32  # per-position window: lookup index in the top bits,
                    # amplitude fields read from the top ``size`` bits
 
+#: zero windows past the payload's end: as many bits as one block can
+#: consume (a DC code and amplitude, then at most 63 AC codes with 15-bit
+#: amplitudes), so a block that starts by the payload's end and runs
+#: past it reads zeros, and the overrun is checked once per block instead
+#: of once per field
+_WINDOW_PAD = LOOKUP_BITS + _WINDOW_BITS + 63 * (LOOKUP_BITS + 15)
 
-def _bit_windows(payload: bytes) -> tuple[np.ndarray, int]:
-    """``windows[i]`` = the 32 bits starting at bit ``i`` (zero-padded).
+#: table entry for a peek that matches no code: length 0, run -1
+_INVALID = (0, -1, 0, 0, 0, 0)
+
+
+def _decode_table(
+    lengths: dict[int, int], *, ac: bool
+) -> tuple[list[tuple[int, ...]], int] | None:
+    """Code-sized lookup table over the next ``bits`` bits of the stream.
+
+    ``bits`` is the longest code length, so the table has ``2 ** bits``
+    entries; every peek whose leading bits equal a code holds that
+    code's entry ``(length, run, size, shift, half, offset)``: the AC
+    symbol split into its zero run and amplitude size (a DC symbol is a
+    size with run 0), and the constants that turn the next ``size`` bits
+    of a window into a signed amplitude.  ``None`` when the scalar
+    decoder must run instead: an empty table, a zero-length or
+    over-long code, or a DC size wider than a window.
+    """
+    if not lengths:
+        return None
+    bits = max(lengths.values())
+    if bits > LOOKUP_BITS or min(lengths.values()) < 1 or (
+        not ac and max(lengths) > _WINDOW_BITS
+    ):
+        return None
+    table = [_INVALID] * (1 << bits)
+    for symbol, (code, length) in canonical_codes(lengths).items():
+        if code >> length:  # over-subscribed lengths: no peek reaches it,
+            break           # nor any later (longer, larger) code
+        run, size = (symbol >> 4, symbol & 0x0F) if ac else (0, symbol)
+        spare = bits - length
+        table[code << spare : (code + 1) << spare] = [(
+            length, run, size, _WINDOW_BITS - size, (1 << size) >> 1,
+            (1 << size) - 1,
+        )] * (1 << spare)
+    return table, bits
+
+
+def _bit_windows(payload: bytes) -> list[int]:
+    """``windows[i]`` = the 32 bits starting at bit ``i`` (zero-padded),
+    for every bit of the payload and :data:`_WINDOW_PAD` bits past it.
 
     Built byte-wise: a 40-bit value per byte position covers all eight
     bit offsets within that byte, so construction is eight strided
     shifts over byte-sized arrays rather than 32 over bit-sized ones.
     """
-    nbytes = len(payload)
-    total = nbytes * 8
-    if not nbytes:
-        return np.zeros(1, dtype=np.uint64), 0
+    nbytes = len(payload) + (_WINDOW_PAD + 7) // 8
     padded = np.zeros(nbytes + 4, dtype=np.uint64)
-    padded[:nbytes] = np.frombuffer(payload, dtype=np.uint8)
+    padded[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
     wide = (
         (padded[:nbytes] << np.uint64(32))
         | (padded[1 : nbytes + 1] << np.uint64(24))
@@ -539,98 +582,93 @@ def _bit_windows(payload: bytes) -> tuple[np.ndarray, int]:
         | (padded[3 : nbytes + 3] << np.uint64(8))
         | padded[4 : nbytes + 4]
     )
-    windows = np.empty(total, dtype=np.uint64)
+    windows = np.empty(nbytes * 8, dtype=np.uint64)
     mask = np.uint64(0xFFFFFFFF)
     for r in range(8):
         windows[r::8] = (wide >> np.uint64(8 - r)) & mask
-    return windows, total
+    return windows.tolist()
+
+
+def _stream_error(message: str, pos: int, total: int) -> CodecError:
+    """The error the scalar decoder raises: running out of bits first."""
+    return CodecError("bitstream exhausted" if pos > total else message)
 
 
 def entropy_decode_plane(encoded: EncodedPlane) -> PlaneCoefficients:
     """Huffman + RLE + DC prediction + dequantization.
 
-    Table-driven: each Huffman code resolves with one indexed lookup into
-    a precomputed 2^16 canonical-code table instead of a bit-at-a-time
-    dict walk; amplitude fields read straight out of precomputed 32-bit
-    windows.  Falls back to the scalar reference decoder when any code is
-    longer than the table index (:data:`LOOKUP_BITS`).
+    Table-driven, with no Python call per coefficient: each Huffman code
+    resolves with one indexed lookup into a code-sized table
+    (:func:`_decode_table`), amplitude fields read straight out of
+    precomputed 32-bit windows, and each coefficient is one indexed
+    store into the int32 output buffer.  The result, and the
+    :class:`CodecError` raised on a malformed stream, equal the scalar
+    reference decoder's, which runs instead when a table cannot be built
+    (:data:`LOOKUP_BITS`).
     """
-    dc_codec = HuffmanCodec.from_lengths(encoded.dc_lengths)
-    ac_codec = HuffmanCodec.from_lengths(encoded.ac_lengths)
-    dc_lut = dc_codec.lookup_table()
-    ac_lut = ac_codec.lookup_table()
-    if dc_lut is None or ac_lut is None:
+    dc_table = _decode_table(encoded.dc_lengths, ac=False)
+    ac_table = _decode_table(encoded.ac_lengths, ac=True)
+    if dc_table is None or ac_table is None:
         return _entropy_decode_plane_scalar(encoded)
-
-    # Plain Python lists: per-symbol indexing on lists is several times
-    # faster than numpy scalar indexing, and the conversions are one
-    # C-speed pass each.
-    dc_syms, dc_lens = (a.tolist() for a in dc_lut)
-    ac_syms, ac_lens = (a.tolist() for a in ac_lut)
-    windows_arr, total = _bit_windows(encoded.payload)
-    windows = windows_arr.tolist()
-    shift = _WINDOW_BITS - LOOKUP_BITS
-    width_bits = _WINDOW_BITS
+    dc, dc_bits = dc_table
+    ac, ac_bits = ac_table
+    dc_shift = _WINDOW_BITS - dc_bits
+    ac_shift = _WINDOW_BITS - ac_bits
+    windows = _bit_windows(encoded.payload)
+    total = len(encoded.payload) * 8
     n = encoded.n_blocks
-    # Decoded coefficients accumulate as flat (index, value) streams and
-    # land in the zz matrix with one fancy-index store at the end.
-    out_idx: list[int] = []
-    out_val: list[int] = []
+    zz = np.zeros(n * 64, dtype=np.int32)
+    out = memoryview(zz)
     dc_prev = 0
     pos = 0
-    for b in range(n):
-        if pos >= total:
-            raise CodecError("bitstream exhausted")
-        idx = windows[pos] >> shift
-        size = dc_syms[idx]
-        if size < 0:
-            raise CodecError("invalid Huffman code in bitstream")
-        pos += dc_lens[idx]
+    for base in range(0, n * 64, 64):
+        length, run, size, shift, half, offset = dc[windows[pos] >> dc_shift]
+        if run < 0:
+            raise _stream_error("invalid Huffman code in bitstream",
+                                pos + dc_bits, total)
+        pos += length
         if size:
-            if pos + size > total:
-                raise CodecError("bitstream exhausted")
-            bits = windows[pos] >> (width_bits - size)
+            bits = windows[pos] >> shift
             pos += size
-            if not bits >> (size - 1):
-                bits -= (1 << size) - 1
+            if bits < half:
+                bits -= offset
             dc_prev += bits
-        base = b << 6
-        out_idx.append(base)
-        out_val.append(dc_prev)
-        slot = 1
-        while slot < 64:
-            if pos >= total:
-                raise CodecError("bitstream exhausted")
-            idx = windows[pos] >> shift
-            symbol = ac_syms[idx]
-            if symbol < 0:
-                raise CodecError("invalid Huffman code in bitstream")
-            pos += ac_lens[idx]
-            if symbol == _EOB:
-                break
-            if symbol == _ZRL:
-                slot += 16
-                continue
-            size = symbol & 0x0F
-            slot += symbol >> 4
-            if slot >= 64:
-                raise CodecError("AC run overflows block")
-            if pos + size > total:
-                raise CodecError("bitstream exhausted")
+            if not -(1 << 31) <= dc_prev < 1 << 31:
+                raise _stream_error("coefficient out of int32 range",
+                                    pos, total)
+        out[base] = dc_prev
+        slot = base + 1
+        end = base + 64
+        while slot < end:
+            length, run, size, shift, half, offset = ac[
+                windows[pos] >> ac_shift
+            ]
+            pos += length
             if size:
-                bits = windows[pos] >> (width_bits - size)
+                slot += run
+                if slot >= end:
+                    raise _stream_error("AC run overflows block", pos, total)
+                bits = windows[pos] >> shift
                 pos += size
-                if not bits >> (size - 1):
-                    bits -= (1 << size) - 1
-            else:
-                bits = 0
-            out_idx.append(base + slot)
-            out_val.append(bits)
-            slot += 1
-    zz = np.zeros(n * 64, dtype=np.int32)
-    zz[out_idx] = out_val
-    zz = zz.reshape(n, 64)
-    blocks = dequantize(unzigzag_blocks(zz), encoded.qtable)
+                if bits < half:
+                    bits -= offset
+                out[slot] = bits
+                slot += 1
+            elif not run:  # EOB
+                break
+            elif run == 15:  # ZRL: sixteen zeros
+                slot += 16
+            elif run < 0:
+                raise _stream_error("invalid Huffman code in bitstream",
+                                    pos + ac_bits, total)
+            else:  # a zero-size coefficient after ``run`` zeros
+                slot += run
+                if slot >= end:
+                    raise _stream_error("AC run overflows block", pos, total)
+                slot += 1
+        if pos > total:
+            raise CodecError("bitstream exhausted")
+    blocks = dequantize(unzigzag_blocks(zz.reshape(n, 64)), encoded.qtable)
     return PlaneCoefficients(
         width=encoded.width, height=encoded.height, blocks=blocks
     )
@@ -648,6 +686,8 @@ def _entropy_decode_plane_scalar(encoded: EncodedPlane) -> PlaneCoefficients:
         size = dc_codec.decode_symbol(reader)
         bits = reader.read(size) if size else 0
         dc_prev += _from_magnitude(size, bits)
+        if not -(1 << 31) <= dc_prev < 1 << 31:
+            raise CodecError("coefficient out of int32 range")
         zz[b, 0] = dc_prev
         pos = 1
         while pos < 64:

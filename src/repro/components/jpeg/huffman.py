@@ -16,14 +16,14 @@ import numpy as np
 from repro.errors import CodecError
 
 __all__ = [
-    "BitWriter", "BitReader", "build_canonical_codes", "HuffmanCodec",
-    "pack_fields",
+    "BitWriter", "BitReader", "build_canonical_codes", "canonical_codes",
+    "HuffmanCodec", "pack_fields",
 ]
 
-#: lookup-table decode width: one table index covers any code (and any
-#: JPEG amplitude field) up to this many bits.  Codes longer than this —
-#: possible only for pathological frequency distributions — fall back to
-#: the bit-at-a-time scalar decoder.
+#: longest code the table-driven decoder indexes: its lookup tables have
+#: ``2 ** max_code_length`` entries, so a table stays at or under 2^16.
+#: Longer codes — possible only for pathological frequency distributions
+#: — fall back to the bit-at-a-time scalar decoder.
 LOOKUP_BITS = 16
 
 
@@ -111,10 +111,6 @@ class BitReader:
     def read_bit(self) -> int:
         return self.read(1)
 
-    @property
-    def bits_left(self) -> int:
-        return len(self._data) * 8 - self._pos
-
 
 def build_canonical_codes(freqs: dict[int, int]) -> dict[int, tuple[int, int]]:
     """Symbol -> (code, length) canonical Huffman codes from frequencies.
@@ -141,15 +137,19 @@ def build_canonical_codes(freqs: dict[int, int]) -> dict[int, tuple[int, int]]:
         for s in syms_a + syms_b:
             lengths[s] += 1
         heapq.heappush(heap, (fa + fb, min(ta, tb), syms_a + syms_b))
-    return _canonical_from_lengths(lengths)
+    return canonical_codes(lengths)
 
 
-def _canonical_from_lengths(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Symbol -> (code, length): canonical codes in (length, symbol) order.
+
+    The header carries only these lengths; the decoder rebuilds its
+    tables from them without a Python call per symbol.
+    """
     codes: dict[int, tuple[int, int]] = {}
     code = 0
     prev_len = 0
-    for symbol in sorted(lengths, key=lambda s: (lengths[s], s)):
-        length = lengths[symbol]
+    for length, symbol in sorted(zip(lengths.values(), lengths)):
         code <<= length - prev_len
         codes[symbol] = (code, length)
         code += 1
@@ -178,7 +178,7 @@ class HuffmanCodec:
 
     @classmethod
     def from_lengths(cls, lengths: dict[int, int]) -> "HuffmanCodec":
-        return cls(_canonical_from_lengths(lengths))
+        return cls(canonical_codes(lengths))
 
     def lengths(self) -> dict[int, int]:
         """The (symbol -> code length) table; enough to reconstruct."""
@@ -216,26 +216,3 @@ class HuffmanCodec:
                 lengths[symbol] = length
             arrays = self._code_arrays = (codes, lengths)
         return arrays
-
-    def lookup_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(symbols, lengths)`` decode tables indexed by the next
-        :data:`LOOKUP_BITS` bits of the stream, or ``None`` when some code
-        is too long for one table index.
-
-        Canonical codes are left-justified into the index: every window
-        whose leading bits equal a code maps to that code's symbol.
-        Windows matching no code map to symbol -1 (invalid stream).
-        """
-        if not self.codes or self.max_length > LOOKUP_BITS:
-            return None
-        table = getattr(self, "_lookup", None)
-        if table is None:
-            symbols = np.full(1 << LOOKUP_BITS, -1, dtype=np.int16)
-            lengths = np.zeros(1 << LOOKUP_BITS, dtype=np.int16)
-            for symbol, (code, length) in self.codes.items():
-                start = code << (LOOKUP_BITS - length)
-                span = 1 << (LOOKUP_BITS - length)
-                symbols[start : start + span] = symbol
-                lengths[start : start + span] = length
-            table = self._lookup = (symbols, lengths)
-        return table

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +29,14 @@ from repro.components.jpeg import (
     unzigzag_blocks,
     zigzag_blocks,
 )
+from repro.components.jpeg import codec
 from repro.components.jpeg.codec import (
     EncodedFrame,
+    EncodedPlane,
     _blockify,
+    _decode_table,
     _encode_plane_scalar,
+    _entropy_decode_plane_scalar,
     coefficients_from_zigzag,
     encode_plane,
     entropy_decode_plane,
@@ -330,6 +337,152 @@ def test_vectorized_encode_matches_scalar_reference():
     assert encode_plane(plane, q).pack() == _encode_plane_scalar(
         plane, q
     ).pack()
+
+
+# -- table-driven entropy decoder vs the scalar reference -----------------------
+
+
+def _decode_outcome(decode, plane: EncodedPlane):
+    """The decoded blocks, or the CodecError message."""
+    try:
+        return decode(plane).blocks
+    except CodecError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(plane: EncodedPlane) -> None:
+    table = _decode_outcome(entropy_decode_plane, plane)
+    scalar = _decode_outcome(_entropy_decode_plane_scalar, plane)
+    if isinstance(scalar, str):
+        assert isinstance(table, str), f"scalar raised {scalar!r}, table did not"
+        assert table == scalar
+    else:
+        assert not isinstance(table, str), table
+        assert table.dtype == scalar.dtype
+        assert np.array_equal(table, scalar)
+
+
+def _noise_plane(seed: int, quality: int, shape=(32, 40)) -> EncodedPlane:
+    rng = np.random.default_rng(seed)
+    plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return encode_plane(plane, scale_qtable(LUMA_QTABLE, quality))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([10, 50, 75, 95, 100]))
+def test_prop_table_decoder_matches_scalar_reference(seed, quality):
+    _assert_same_outcome(_noise_plane(seed, quality))
+
+
+def test_table_decoder_matches_scalar_on_a_frame():
+    frame = synthetic_clip(64, 48, 1, seed=14, detail=0.5)[0]
+    for field in "yuv":
+        plane = encode_frame(frame, quality=75).plane(field)
+        assert _decode_table(plane.dc_lengths, ac=False) is not None
+        _assert_same_outcome(plane)
+
+
+def test_truncated_payload_raises_like_scalar():
+    """Every truncation either decodes (only padding was lost) or raises
+    the scalar decoder's error: a final code cut short is not accepted."""
+    plane = _noise_plane(15, 75, shape=(16, 16))
+    for keep in range(len(plane.payload)):
+        _assert_same_outcome(
+            dataclasses.replace(plane, payload=plane.payload[:keep]))
+    with pytest.raises(CodecError, match="exhausted"):
+        entropy_decode_plane(
+            dataclasses.replace(plane, payload=plane.payload[:-1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 2**20), min_size=1,
+                                           max_size=4))
+def test_prop_corrupt_payload_raises_like_scalar(seed, flips):
+    plane = _noise_plane(seed, 75, shape=(16, 24))
+    payload = bytearray(plane.payload)
+    for flip in flips:
+        bit = flip % (8 * len(payload))
+        payload[bit >> 3] ^= 0x80 >> (bit & 7)
+    _assert_same_outcome(dataclasses.replace(plane, payload=bytes(payload)))
+
+
+def test_out_of_range_dc_raises_codec_error():
+    # DC size 31 at every block: the prediction sum leaves int32 on block 2
+    dc = HuffmanCodec.from_lengths({0: 1, 31: 1})
+    ac = HuffmanCodec.from_lengths({0: 1, 1: 1})
+    writer = BitWriter()
+    for _ in range(4):
+        dc.encode_symbol(writer, 31)
+        writer.write((1 << 31) - 1, 31)
+        ac.encode_symbol(writer, 0)  # EOB
+    plane = EncodedPlane(
+        width=32, height=8, qtable=np.ones((8, 8)),
+        dc_lengths=dc.lengths(), ac_lengths=ac.lengths(),
+        payload=writer.getvalue(),
+    )
+    assert _decode_table(plane.dc_lengths, ac=False) is not None
+    for decode in (entropy_decode_plane, _entropy_decode_plane_scalar):
+        with pytest.raises(CodecError, match="out of int32 range"):
+            decode(plane)
+
+
+def test_decode_tables_are_code_sized():
+    plane = _noise_plane(16, 75)
+    for lengths, ac in ((plane.dc_lengths, False), (plane.ac_lengths, True)):
+        table, bits = _decode_table(lengths, ac=ac)
+        assert bits == max(lengths.values())
+        assert len(table) == 1 << bits
+
+
+def test_over_subscribed_lengths_stay_code_sized():
+    """Lengths no prefix code can have (a malformed header) build no
+    more than ``2 ** bits`` entries: the codes that overflow their length
+    are dropped, as the scalar decoder can never match them either."""
+    lengths = {symbol: 1 for symbol in range(200)}
+    lengths[200] = 16
+    table, bits = _decode_table(lengths, ac=True)
+    assert len(table) == 1 << bits == 1 << 16
+    plane = _noise_plane(19, 75, shape=(8, 16))
+    _assert_same_outcome(dataclasses.replace(plane, ac_lengths=lengths))
+
+
+def test_codes_longer_than_the_table_fall_back_to_scalar(monkeypatch):
+    plane = _noise_plane(17, 95)
+    expected = entropy_decode_plane(plane).blocks
+    monkeypatch.setattr(codec, "LOOKUP_BITS", 2)
+    assert _decode_table(plane.ac_lengths, ac=True) is None
+    assert np.array_equal(entropy_decode_plane(plane).blocks, expected)
+
+
+def _profile_events(fn, *args) -> int:
+    events = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            events[0] += 1
+
+    fn(*args)  # warm-up: numpy's lazy set-up
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return events[0]
+
+
+def test_entropy_decode_makes_no_call_per_coefficient():
+    """The decoder's Python calls do not grow with the coefficients it
+    decodes: a noise plane (thousands of coefficients) costs what a flat
+    one (one DC per block) does, fewer than one call per block."""
+    q = scale_qtable(LUMA_QTABLE, 95)
+    rng = np.random.default_rng(18)
+    noisy = encode_plane(rng.integers(0, 256, size=(64, 64), dtype=np.uint8), q)
+    flat = encode_plane(np.full((64, 64), 77, dtype=np.uint8), q)
+    coefficients = np.count_nonzero(entropy_decode_plane(noisy).blocks)
+    assert coefficients > 50 * noisy.n_blocks
+    calls = _profile_events(entropy_decode_plane, noisy)
+    assert calls == _profile_events(entropy_decode_plane, flat)
+    assert calls < noisy.n_blocks
 
 
 @settings(max_examples=15, deadline=None)
