@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.components import filters
+from repro.components.streaming import _instance_rows, _slice_fraction
 from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError
@@ -45,21 +46,6 @@ def _record_geometry(instance: ComponentInstance) -> tuple[int, int]:
             f"component {instance.instance_id!r} needs channels/block "
             "params for its cost profile"
         ) from None
-
-
-def _slice_fraction(instance: ComponentInstance) -> float:
-    if instance.slice is None:
-        return 1.0
-    return 1.0 / instance.slice[1]
-
-
-def _instance_rows(
-    instance: ComponentInstance, height: int
-) -> tuple[int, int] | None:
-    if instance.slice is None:
-        return 0, height
-    index, total = instance.slice
-    return filters.slice_rows(height, index, total)
 
 
 def synthetic_record(
@@ -110,19 +96,21 @@ class AudioSource(Component):
         super().__init__(instance)
         self._cache: dict[int, np.ndarray] = {}
 
-    def _record(self, index: int) -> np.ndarray:
+    def configure(self) -> None:
         limit = self.param("frames")
-        if limit is not None:
-            index %= int(limit)  # loop the clip, like the video sources
+        self.loop = None if limit is None else int(limit)
+        self.geometry = (int(self.require_param("channels")),
+                         int(self.require_param("block")))
+        self.seed = int(self.param("seed", 0))
+
+    def _record(self, index: int) -> np.ndarray:
+        if self.loop is not None:
+            index %= self.loop  # loop the clip, like the video sources
         record = self._cache.get(index)
         if record is None:
-            record = synthetic_record(
-                index,
-                int(self.require_param("channels")),
-                int(self.require_param("block")),
-                seed=int(self.param("seed", 0)),
+            record = self._cache[index] = synthetic_record(
+                index, *self.geometry, seed=self.seed
             )
-            self._cache[index] = record
         return record
 
     def run(self, job: JobContext) -> None:
@@ -186,33 +174,22 @@ class BandFilter(Component):
     #: ``taps`` value -> FIR coefficients
     KERNELS = {"smooth": (0.25, 0.5, 0.25), "diff": (-1.0, 2.0, -1.0)}
 
-    def __init__(self, instance: ComponentInstance) -> None:
-        super().__init__(instance)
-        self._kernel = self._resolve_kernel()
-
-    def reconfigure(self, request: str) -> None:
-        super().reconfigure(request)
-        self._kernel = self._resolve_kernel()
-
-    def rows(self, height: int) -> tuple[int, int]:
-        if self.slice is None:
-            return 0, height
-        index, total = self.slice
-        return filters.slice_rows(height, index, total)
-
-    def _resolve_kernel(self) -> tuple[float, float, float]:
+    def configure(self) -> None:
         taps = str(self.param("taps", "smooth"))
         try:
-            return self.KERNELS[taps]
+            self._kernel = self.KERNELS[taps]
         except KeyError:
             raise ComponentError(
                 f"unknown taps {taps!r} (expected 'smooth' or 'diff')"
             ) from None
+        channels = int(self.require_param("channels"))
+        self.span = (0, channels) if self.slice is None else (
+            filters.slice_rows(channels, *self.slice))
 
     def run(self, job: JobContext) -> None:
         samples: np.ndarray = job.read("input")
         out = job.buffer("output", shape=samples.shape, dtype=samples.dtype)
-        lo, hi = self.rows(samples.shape[0])
+        lo, hi = self.span
         kernel = self._kernel
         padded = filters.edge_pad(samples[lo:hi], (0, 0), (1, 1), np.float64)
         acc = (
@@ -257,10 +234,13 @@ class FuseSensors(Component):
             ),
         )
 
+    def configure(self) -> None:
+        self.weight = float(self.param("weight", 0.5))
+
     def run(self, job: JobContext) -> None:
         a: np.ndarray = job.read("a")
         b: np.ndarray = job.read("b")
-        weight = float(self.param("weight", 0.5))
+        weight = self.weight
         acc = a.astype(np.int32) * weight + b.astype(np.int32) * (1.0 - weight)
         job.write("fused", np.clip(acc, -32768, 32767).astype(np.int16))
 
@@ -298,10 +278,13 @@ class FeatureSink(Component):
         self.records: list[tuple[int, np.ndarray]] = []
         self.records_written = 0
 
+    def configure(self) -> None:
+        self.collect = self.param("collect")
+
     def run(self, job: JobContext) -> None:
         record = job.read("input")
         self.records_written += 1
-        if self.param("collect"):
+        if self.collect:
             self.records.append((job.iteration, record.copy()))
 
     def ordered_records(self) -> list[np.ndarray]:

@@ -10,6 +10,8 @@ regions correspond to horizontal slices" (paper §3.3).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import ComponentError
@@ -111,8 +113,12 @@ def blend_plane(
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def gaussian_kernel_1d(size: int, sigma: float = 1.0) -> np.ndarray:
-    """Normalized 1-D Gaussian kernel (odd ``size``), float64."""
+    """Normalized 1-D Gaussian kernel (odd ``size``), float64, read-only.
+
+    Built once per ``(size, sigma)`` and shared by every blur copy.
+    """
     if size % 2 != 1 or size < 1:
         raise ComponentError(f"kernel size must be odd and positive, got {size}")
     if sigma <= 0:
@@ -120,7 +126,9 @@ def gaussian_kernel_1d(size: int, sigma: float = 1.0) -> np.ndarray:
     half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-(x**2) / (2.0 * sigma**2))
-    return k / k.sum()
+    k /= k.sum()
+    k.flags.writeable = False
+    return k
 
 
 def edge_pad(

@@ -84,9 +84,14 @@ def _slice_fraction(instance: ComponentInstance) -> float:
 
 
 class _SlicedMixin:
-    """Helper for components operating on a horizontal slice of rows."""
+    """Helper for components operating on a horizontal slice of rows.
+
+    ``configure`` stores :meth:`rows` of the plane it writes as ``span``;
+    ``run`` reads that instead of re-deriving it per job.
+    """
 
     slice: tuple[int, int] | None
+    span: tuple[int, int]
 
     def rows(self, height: int, *, block: int = 1) -> tuple[int, int]:
         """This copy's row range over ``height`` rows, ``block``-aligned."""
@@ -119,6 +124,31 @@ def _instance_rows(
     units = height // block
     lo, hi = filters.slice_rows(units, index, total)
     return lo * block, hi * block
+
+
+def _placement(component: Component) -> tuple[tuple[int, int], float]:
+    """Overlay ``(position, alpha)``; a ``pos=row,col`` request wins."""
+    params = component.params
+    pos = params.get("pos")
+    if pos is not None:  # set via reconfiguration request "pos=r,c"
+        row_s, _, col_s = str(pos).partition(",")
+        position = int(row_s), int(col_s)
+    else:
+        position = int(params.get("pos_row", 0)), int(params.get("pos_col", 0))
+    return position, float(params.get("alpha", 1.0))
+
+
+def _synthesis(component: Component) -> tuple[int | None, dict]:
+    """A synthetic source's clip length (None: no loop) and frame style."""
+    params = component.params
+    limit = params.get("frames")
+    return None if limit is None else int(limit), {
+        "width": int(component.require_param("width")),
+        "height": int(component.require_param("height")),
+        "seed": int(params.get("seed", 0)),
+        "detail": float(params.get("detail", 0.5)),
+        "motion": int(params.get("motion", 4)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +192,15 @@ class VideoSource(Component):
         super().__init__(instance)
         self._cache: dict[int, Frame] = {}
 
+    def configure(self) -> None:
+        self.loop, self.style = _synthesis(self)
+
     def _frame(self, index: int) -> Frame:
-        limit = self.param("frames")
-        if limit is not None:
-            index %= int(limit)  # loop the clip, like a looping test file
+        if self.loop is not None:
+            index %= self.loop  # loop the clip, like a looping test file
         frame = self._cache.get(index)
         if frame is None:
-            frame = synthetic_frame(
-                index,
-                int(self.require_param("width")),
-                int(self.require_param("height")),
-                seed=int(self.param("seed", 0)),
-                detail=float(self.param("detail", 0.5)),
-                motion=int(self.param("motion", 4)),
-            )
-            self._cache[index] = frame
+            frame = self._cache[index] = synthetic_frame(index, **self.style)
         return frame
 
     def run(self, job: JobContext) -> None:
@@ -242,32 +266,23 @@ class MjpegSource(Component):
         #: planes, so memory stays near the compressed-frame cache
         self._zz_cache: dict[int, tuple] = {}
 
+    def configure(self) -> None:
+        self.loop, self.style = _synthesis(self)
+        self.quality = int(self.param("quality", 75))
+
     def frame_index(self, iteration: int) -> int:
         """Source frame index for one iteration (``frames`` wraps)."""
-        limit = self.param("frames")
-        if limit is not None:
-            return iteration % int(limit)
+        if self.loop is not None:
+            return iteration % self.loop
         return iteration
-
-    def _synthesize(self, index: int):
-        return synthetic_frame(
-            index,
-            int(self.require_param("width")),
-            int(self.require_param("height")),
-            seed=int(self.param("seed", 0)),
-            detail=float(self.param("detail", 0.5)),
-            motion=int(self.param("motion", 4)),
-        )
 
     def run(self, job: JobContext) -> None:
         index = self.frame_index(job.iteration)
         encoded = self._cache.get(index)
         if encoded is None:
-            encoded = jpeg_codec.encode_frame(
-                self._synthesize(index),
-                quality=int(self.param("quality", 75)),
+            encoded = self._cache[index] = jpeg_codec.encode_frame(
+                synthetic_frame(index, **self.style), quality=self.quality
             )
-            self._cache[index] = encoded
         job.write("output", encoded)
 
     def transcoded_coefficients(
@@ -284,8 +299,8 @@ class MjpegSource(Component):
         index = self.frame_index(iteration)
         entry = self._zz_cache.get(index)
         if entry is None:
-            frame = self._synthesize(index)
-            quality = int(self.param("quality", 75))
+            frame = synthetic_frame(index, **self.style)
+            quality = self.quality
             luma_q = jpeg_codec.scale_qtable(jpeg_codec.LUMA_QTABLE, quality)
             chroma_q = jpeg_codec.scale_qtable(
                 jpeg_codec.CHROMA_QTABLE, quality
@@ -326,14 +341,16 @@ class TimerSource(Component):
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         return JobCost(compute_cycles=100.0)
 
+    def configure(self) -> None:
+        self.period = int(self.require_param("period"))
+        self.offset = int(self.param("offset", 0))
+        self.queue = str(self.require_param("queue"))
+        self.event = str(self.require_param("event"))
+
     def run(self, job: JobContext) -> None:
-        period = int(self.require_param("period"))
-        offset = int(self.param("offset", 0))
-        k = job.iteration - offset
-        if k >= 0 and (k + 1) % period == 0:
-            job.post_event(
-                str(self.require_param("queue")), str(self.require_param("event"))
-            )
+        k = job.iteration - self.offset
+        if k >= 0 and (k + 1) % self.period == 0:
+            job.post_event(self.queue, self.event)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +470,16 @@ class IdctField(Component, _SlicedMixin):
             return _instance_rows(instance, height, block=8)
         return super().writes_rows(instance, port, height)
 
+    def configure(self) -> None:
+        self.span = self.rows(int(self.require_param("height")), block=8)
+
     def run(self, job: JobContext) -> None:
         coeffs: jpeg_codec.PlaneCoefficients = job.read("coeffs")
         out = job.buffer(
             "output", shape=(coeffs.height, coeffs.width), dtype=np.uint8
         )
-        lo, hi = self.rows(coeffs.height, block=8)
-        jpeg_codec.idct_plane(coeffs, rows=(lo, hi), out=out)
+        lo, hi = span = self.span
+        jpeg_codec.idct_plane(coeffs, rows=span, out=out)
         job.note_written((hi - lo) * coeffs.width)
 
 
@@ -520,15 +540,19 @@ class DownscaleField(Component, _SlicedMixin):
             return span[0] * factor, span[1] * factor
         return super().reads_rows(instance, port, height)
 
+    def configure(self) -> None:
+        self.factor = factor = int(self.require_param("factor"))
+        self.span = self.rows(int(self.require_param("height")) // factor)
+
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        factor = int(self.require_param("factor"))
+        factor = self.factor
         h, w = src.shape
-        oh = h // factor
-        out = job.buffer("output", shape=(oh, w // factor), dtype=src.dtype)
-        lo, hi = self.rows(oh)
-        filters.downscale_plane(src, factor, out=out, rows=(lo, hi))
-        job.note_written((hi - lo) * (w // factor))
+        ow = w // factor
+        out = job.buffer("output", shape=(h // factor, ow), dtype=src.dtype)
+        lo, hi = span = self.span
+        filters.downscale_plane(src, factor, out=out, rows=span)
+        job.note_written((hi - lo) * ow)
 
 
 class BlendField(Component, _SlicedMixin):
@@ -592,26 +616,17 @@ class BlendField(Component, _SlicedMixin):
         # read any of its rows, so no contract (fusion keeps it external).
         return super().reads_rows(instance, port, height)
 
-    def _position(self) -> tuple[int, int]:
-        pos = self.param("pos")
-        if pos is not None:  # set via reconfiguration request "pos=r,c"
-            row_s, _, col_s = str(pos).partition(",")
-            return int(row_s), int(col_s)
-        return int(self.param("pos_row", 0)), int(self.param("pos_col", 0))
+    def configure(self) -> None:
+        self.position, self.alpha = _placement(self)
+        self.span = self.rows(int(self.require_param("height")))
 
     def run(self, job: JobContext) -> None:
         background: np.ndarray = job.read("background")
         overlay: np.ndarray = job.read("overlay")
         out = job.buffer("output", shape=background.shape, dtype=background.dtype)
-        lo, hi = self.rows(background.shape[0])
-        filters.blend_plane(
-            background,
-            overlay,
-            self._position(),
-            out=out,
-            rows=(lo, hi),
-            alpha=float(self.param("alpha", 1.0)),
-        )
+        lo, hi = span = self.span
+        filters.blend_plane(background, overlay, self.position, out=out,
+                            rows=span, alpha=self.alpha)
         job.note_written((hi - lo) * background.shape[1])
 
 
@@ -680,26 +695,31 @@ class ConvertPlane(Component, _SlicedMixin):
 
         def run(component: "ConvertPlane", job: JobContext) -> None:
             src: np.ndarray = job.read("input")
-            dtype = np.dtype(str(component.require_param("dtype")))
-            out = job.buffer("output", shape=src.shape, dtype=dtype)
-            lo, hi = component.rows(src.shape[0])
-            scale = component.param("scale")
+            out = job.buffer("output", shape=src.shape, dtype=component.dtype)
+            lo, hi = component.span or component.rows(src.shape[0])
+            scale = component.scale
             use_scale = scale is not None
-            kernel(src, out, lo, hi,
-                   float(scale) if use_scale else 1.0, use_scale)
+            kernel(src, out, lo, hi, scale if use_scale else 1.0, use_scale)
             job.note_written((hi - lo) * src.shape[1])
 
         return run
 
+    def configure(self) -> None:
+        self.dtype = np.dtype(str(self.require_param("dtype")))
+        scale = self.param("scale")
+        self.scale = None if scale is None else float(scale)
+        height = self.param("height")
+        #: None when the copy knows no height (an auto-inserted
+        #: converter): ``run`` then spans the plane it reads
+        self.span = None if height is None else self.rows(int(height))
+
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        dtype = np.dtype(str(self.require_param("dtype")))
-        out = job.buffer("output", shape=src.shape, dtype=dtype)
-        lo, hi = self.rows(src.shape[0])
-        scale = self.param("scale")
+        out = job.buffer("output", shape=src.shape, dtype=self.dtype)
+        lo, hi = self.span or self.rows(src.shape[0])
         view = src[lo:hi]
-        if scale is not None:
-            view = view * float(scale)
+        if self.scale is not None:
+            view = view * self.scale
         np.copyto(out[lo:hi], view, casting="unsafe")
         job.note_written((hi - lo) * src.shape[1])
 
@@ -748,10 +768,11 @@ class _BlurBase(Component, _SlicedMixin):
             ),
         )
 
-    def _kernel(self) -> np.ndarray:
-        return filters.gaussian_kernel_1d(
+    def configure(self) -> None:
+        self._kernel = filters.gaussian_kernel_1d(
             int(self.require_param("size")), float(self.param("sigma", 1.0))
         )
+        self.span = self.rows(int(self.require_param("height")))
 
     @classmethod
     def writes_rows(
@@ -778,8 +799,8 @@ class BlurHField(_BlurBase):
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         out = job.buffer("output", shape=src.shape, dtype=src.dtype)
-        lo, hi = self.rows(src.shape[0])
-        filters.blur_plane_horizontal(src, self._kernel(), out=out, rows=(lo, hi))
+        lo, hi = span = self.span
+        filters.blur_plane_horizontal(src, self._kernel, out=out, rows=span)
         job.note_written((hi - lo) * src.shape[1])
 
 
@@ -789,8 +810,8 @@ class BlurVField(_BlurBase):
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         out = job.buffer("output", shape=src.shape, dtype=src.dtype)
-        lo, hi = self.rows(src.shape[0])
-        filters.blur_plane_vertical(src, self._kernel(), out=out, rows=(lo, hi))
+        lo, hi = span = self.span
+        filters.blur_plane_vertical(src, self._kernel, out=out, rows=span)
         job.note_written((hi - lo) * src.shape[1])
 
 
@@ -832,6 +853,9 @@ class VideoSink(Component):
         self.frames: list[tuple[int, Frame]] = []
         self.frames_written = 0
 
+    def configure(self) -> None:
+        self.collect = self.param("collect")
+
     def run(self, job: JobContext) -> None:
         frame = Frame(
             np.ascontiguousarray(job.read("y")),
@@ -839,7 +863,7 @@ class VideoSink(Component):
             np.ascontiguousarray(job.read("v")),
         )
         self.frames_written += 1
-        if self.param("collect"):
+        if self.collect:
             # Input planes may be views into recycled pool / shared-memory
             # planes that are overwritten a few iterations later — retained
             # frames must own their pixels.
@@ -891,10 +915,13 @@ class PlaneSink(Component):
         self.planes: list[tuple[int, np.ndarray]] = []
         self.frames_written = 0
 
+    def configure(self) -> None:
+        self.collect = self.param("collect")
+
     def run(self, job: JobContext) -> None:
         plane = job.read("input")
         self.frames_written += 1
-        if self.param("collect"):
+        if self.collect:
             self.planes.append((job.iteration, plane.copy()))
 
     def ordered_planes(self) -> list[np.ndarray]:
@@ -963,15 +990,16 @@ class DownscaleBlendField(Component):
             ),
         )
 
+    def configure(self) -> None:
+        self.factor = int(self.require_param("factor"))
+        self.position, self.alpha = _placement(self)
+
     def run(self, job: JobContext) -> None:
         background: np.ndarray = job.read("background")
         overlay_hi: np.ndarray = job.read("overlay_hi")
-        factor = int(self.require_param("factor"))
-        small = filters.downscale_plane(overlay_hi, factor)  # local scratch
-        position = (int(self.param("pos_row", 0)), int(self.param("pos_col", 0)))
-        out = filters.blend_plane(
-            background, small, position, alpha=float(self.param("alpha", 1.0))
-        )
+        small = filters.downscale_plane(overlay_hi, self.factor)  # scratch
+        out = filters.blend_plane(background, small, self.position,
+                                  alpha=self.alpha)
         job.write("output", out)
 
 
@@ -1040,6 +1068,10 @@ class IdctDownscaleBlendField(Component):
         },
     )
 
+    def configure(self) -> None:
+        self.factor = int(self.require_param("factor"))
+        self.position, self.alpha = _placement(self)
+
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         w, h = _geometry(instance)  # background/output geometry
@@ -1064,10 +1096,7 @@ class IdctDownscaleBlendField(Component):
         background: np.ndarray = job.read("background")
         coeffs: jpeg_codec.PlaneCoefficients = job.read("coeffs")
         plane = jpeg_codec.idct_plane(coeffs)  # local scratch, stays in cache
-        factor = int(self.require_param("factor"))
-        small = filters.downscale_plane(plane, factor)
-        position = (int(self.param("pos_row", 0)), int(self.param("pos_col", 0)))
-        out = filters.blend_plane(
-            background, small, position, alpha=float(self.param("alpha", 1.0))
-        )
+        small = filters.downscale_plane(plane, self.factor)
+        out = filters.blend_plane(background, small, self.position,
+                                  alpha=self.alpha)
         job.write("output", out)

@@ -31,9 +31,13 @@ class Component:
     """Base class for all component implementations.
 
     Subclasses override :meth:`run` (mandatory) and optionally
-    :meth:`setup`, :meth:`reconfigure`, :meth:`teardown`.  The constructor
-    signature is fixed: the runtime instantiates components as
-    ``cls(instance)``.
+    :meth:`configure`, :meth:`setup`, :meth:`reconfigure`,
+    :meth:`teardown`.  The constructor signature is fixed: the runtime
+    instantiates components as ``cls(instance)``.
+
+    A job does only its kernel and its port accesses: what :meth:`run`
+    needs from :attr:`params` and :attr:`slice` (parsed params, the row
+    span, a filter kernel) :meth:`configure` derives into attributes.
 
     Class attribute ``ports`` declares the component class's i/o ports
     and parameter schema; the registry publishes it to the validator.
@@ -129,12 +133,21 @@ class Component:
         self.instance = instance
         self.params = dict(instance.params)
         #: (index, n) when running in data-parallel mode, else None.  Set
-        #: from the instance descriptor — the runtime additionally calls
-        #: reconfigure() with a "slice=i/n" request, mirroring the paper's
-        #: use of the reconfiguration interface for slice assignment.
+        #: from the instance descriptor; a "slice=i/n" request reassigns
+        #: it (the paper's reconfiguration interface for slice assignment).
         self.slice = instance.slice
+        self.configure()
 
     # -- lifecycle ------------------------------------------------------------
+
+    def configure(self) -> None:
+        """Derive what :meth:`run` reads from :attr:`params` and :attr:`slice`.
+
+        Runs at the end of the constructor (before a subclass
+        constructor's own assignments) and after every :meth:`reconfigure`.
+        Raise :class:`~repro.errors.ComponentError` for a value that cannot
+        work: it then fails where it is set, not at the first job.
+        """
 
     def setup(self) -> None:
         """Called once after construction, before the first run."""
@@ -147,9 +160,8 @@ class Component:
         """Reconfiguration interface (paper §3.1).
 
         Default: parse ``key=value`` into ``self.params``; ``slice=i/n``
-        updates the slice assignment.  Subclasses may override for richer
-        behaviour (e.g. the picture-in-picture blender moving the blended
-        picture).
+        updates the slice assignment; then :meth:`configure` re-derives
+        (e.g. the picture-in-picture blender moves the blended picture).
         """
         for part in request.split(";"):
             part = part.strip()
@@ -164,10 +176,16 @@ class Component:
             key = key.strip()
             value = value.strip()
             if key == "slice":
-                index_s, _, n_s = value.partition("/")
-                self.slice = (int(index_s), int(n_s))
+                index, _, total = value.partition("/")
+                if not (index.isdecimal() and total.isdecimal()
+                        and int(index) < int(total)):
+                    raise ComponentError(
+                        f"component {self.instance.instance_id!r}: bad slice "
+                        f"request {part!r} (expected slice=i/n, 0 <= i < n)")
+                self.slice = (int(index), int(total))
             else:
                 self.params[key] = value
+        self.configure()
 
     def teardown(self) -> None:
         """Called when the component is destroyed (option disabled)."""

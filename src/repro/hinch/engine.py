@@ -295,11 +295,8 @@ class ComponentHost:
         if instance is None:
             instance = self.program.components[instance_id]
         cls = self.registry[instance.class_name]
-        component = cls(instance)
+        component = cls(instance)  # takes and configures for its slice
         component.setup()
-        if instance.slice is not None:
-            index, total = instance.slice
-            component.reconfigure(f"slice={index}/{total}")
         if instance.reconfigure:
             component.reconfigure(instance.reconfigure)
         self.created_total += 1
@@ -339,7 +336,9 @@ class Coordinator:
 
     ``lock`` guards the controller entry points for executors whose jobs
     run concurrently with manager invocations (the threaded backend's
-    RLock).  ``parallel_headroom`` is forwarded to every build.
+    RLock).  ``concurrent_jobs`` says whether two jobs can run at once;
+    only then do the streams lock (:mod:`repro.hinch.stream`).
+    ``parallel_headroom`` is forwarded to every build.
     """
 
     def __init__(
@@ -357,6 +356,7 @@ class Coordinator:
         fuse_backend: str = "numpy",
         parallel_headroom: int | None = None,
         lock: ContextManager[Any] | None = None,
+        concurrent_jobs: bool = False,
     ) -> None:
         self.program = program
         self.registry = registry
@@ -374,7 +374,7 @@ class Coordinator:
         self._lock = lock if lock is not None else nullcontext()
         self.broker = EventBroker()
         self.pool = pool
-        self.streams = StreamStore(pool)
+        self.streams = StreamStore(pool, locked=concurrent_jobs)
         self.tracer = Tracer(enabled=trace)
         self.host = ComponentHost(program, registry)
 

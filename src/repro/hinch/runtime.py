@@ -99,6 +99,9 @@ class ThreadedRuntime(Coordinator):
             # splice) concurrently: every controller entry point locks.
             # Uncontended at nodes=1, where no job takes it.
             lock=threading.RLock(),
+            # ... and only worker threads run jobs at once: at nodes=1
+            # the streams take no lock either
+            concurrent_jobs=nodes > 1,
         )
         #: the workers' central FIFO; None at nodes=1 (no workers)
         self.queue: JobQueue | None = JobQueue() if nodes > 1 else None

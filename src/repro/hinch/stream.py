@@ -17,6 +17,13 @@ The scheduler guarantees writers run before readers inside an iteration;
 the stream *verifies* this (read-before-write and double-put raise
 :class:`~repro.errors.StreamError`), so an under-ordered coordination
 graph is caught loudly instead of producing garbage frames.
+
+Only ``ThreadedRuntime(nodes >= 2)``, whose jobs run concurrently, locks
+its streams (:class:`LockedStream`): slice copies on different threads
+race on :meth:`Stream.ensure_buffer` and must share one allocation.  The
+inline ``nodes=1`` loop, the process dispatcher and the simulator run one
+job at a time (process workers have their own streams), so their
+:class:`Stream` takes no lock: a job pays for none it cannot contend on.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from repro.errors import StreamError, StreamFormatError
 from repro.hinch.shm import Packed, PlaneRef, SharedPlanePool
 
-__all__ = ["Stream", "StreamStore", "check_geometry"]
+__all__ = ["Stream", "LockedStream", "StreamStore", "check_geometry"]
 
 #: how a writer can disagree with a (shape, dtype) authority
 AGAINST_FORMAT = "produced {got}, but the reconciled port format declares {have}"
@@ -79,12 +86,13 @@ class Stream:
     acquired from the pool (by ``shape``/``dtype``) instead of allocated
     fresh, and handed back when the iteration's slot is released — after
     warm-up the stream stops allocating entirely.
+
+    Takes no lock: :class:`LockedStream` is the one for concurrent jobs.
     """
 
     def __init__(self, name: str, pool: SharedPlanePool | None = None) -> None:
         self.name = name
         self.pool = pool
-        self._lock = threading.Lock()
         self._slots: dict[int, Any] = {}
         self._finalized: set[int] = set()
         #: iteration -> PlaneRef for pool-acquired ensure_buffer() planes
@@ -147,24 +155,23 @@ class Stream:
 
     def put(self, iteration: int, value: Any, *, writer: str | None = None) -> None:
         """Write the whole value for ``iteration`` (unsliced writer)."""
-        with self._lock:
-            if iteration in self._slots:
-                raise StreamError(
-                    f"stream {self.name!r}: double write in iteration {iteration}"
-                )
-            expected = self.expected
-            if expected is not None:
-                # the common case is decided inline: a plain ndarray of
-                # exactly the solved geometry
-                if type(value) is not np.ndarray:
-                    self._check_put(iteration, value, writer)
-                elif value.shape != expected[0] or value.dtype != expected[1]:
-                    self.check_expected(iteration, value.shape, value.dtype, writer)
-            if self.observed is None:
-                self._observe(value)
-            self._slots[iteration] = value
-            self._finalized.add(iteration)
-            self._writes += 1
+        if iteration in self._slots:
+            raise StreamError(
+                f"stream {self.name!r}: double write in iteration {iteration}"
+            )
+        expected = self.expected
+        if expected is not None:
+            # the common case is decided inline: a plain ndarray of
+            # exactly the solved geometry
+            if type(value) is not np.ndarray:
+                self._check_put(iteration, value, writer)
+            elif value.shape != expected[0] or value.dtype != expected[1]:
+                self.check_expected(iteration, value.shape, value.dtype, writer)
+        if self.observed is None:
+            self._observe(value)
+        self._slots[iteration] = value
+        self._finalized.add(iteration)
+        self._writes += 1
 
     def ensure_buffer(
         self,
@@ -193,72 +200,68 @@ class Stream:
         the faulty writer, so a mismatch raises :class:`StreamError`
         here instead.
         """
-        with self._lock:
-            if iteration in self._finalized:
-                raise StreamError(
-                    f"stream {self.name!r}: sliced write after finalizing "
-                    f"put() in iteration {iteration}"
-                )
-            buffer = self._slots[iteration] if iteration in self._slots else None
+        if iteration in self._finalized:
+            raise StreamError(
+                f"stream {self.name!r}: sliced write after finalizing "
+                f"put() in iteration {iteration}"
+            )
+        buffer = self._slots[iteration] if iteration in self._slots else None
+        if shape is not None:
+            # Inline comparisons settle the common case (the request
+            # is literally the solved format / the allocated slot);
+            # anything else is normalised, and refused, by the checks.
+            expected = self.expected
+            if expected is not None and (
+                shape != expected[0] or dtype is None or dtype != expected[1]
+            ):
+                self.check_expected(iteration, shape, dtype, writer)
+            if (
+                buffer is not None
+                and isinstance(buffer, np.ndarray)
+                and (shape != buffer.shape or dtype is None
+                     or dtype != buffer.dtype)
+            ):
+                check_geometry(self.name, iteration, writer, shape, dtype,
+                               (buffer.shape, buffer.dtype), AGAINST_SLOT)
+        if buffer is None:
             if shape is not None:
-                # Inline comparisons settle the common case (the request
-                # is literally the solved format / the allocated slot);
-                # anything else is normalised, and refused, by the checks.
-                expected = self.expected
-                if expected is not None and (
-                    shape != expected[0] or dtype is None or dtype != expected[1]
-                ):
-                    self.check_expected(iteration, shape, dtype, writer)
-                if (
-                    buffer is not None
-                    and isinstance(buffer, np.ndarray)
-                    and (shape != buffer.shape or dtype is None
-                         or dtype != buffer.dtype)
-                ):
-                    check_geometry(self.name, iteration, writer, shape, dtype,
-                                   (buffer.shape, buffer.dtype), AGAINST_SLOT)
-            if buffer is None:
-                if shape is not None:
-                    if self.pool is not None:
-                        buffer, ref = self.pool.acquire(tuple(shape), dtype)
-                        self._refs[iteration] = ref
-                    else:
-                        buffer = np.empty(tuple(shape), dtype=dtype)
-                elif factory is not None:
-                    buffer = factory()
+                if self.pool is not None:
+                    buffer, ref = self.pool.acquire(tuple(shape), dtype)
+                    self._refs[iteration] = ref
                 else:
-                    raise StreamError(
-                        f"stream {self.name!r}: ensure_buffer needs a "
-                        "factory or a shape"
-                    )
-                if self.observed is None:
-                    self._observe(buffer)
-                self._slots[iteration] = buffer
-            self._writes += 1
-            return buffer
+                    buffer = np.empty(tuple(shape), dtype=dtype)
+            elif factory is not None:
+                buffer = factory()
+            else:
+                raise StreamError(
+                    f"stream {self.name!r}: ensure_buffer needs a "
+                    "factory or a shape"
+                )
+            if self.observed is None:
+                self._observe(buffer)
+            self._slots[iteration] = buffer
+        self._writes += 1
+        return buffer
 
     def slot_ref(self, iteration: int) -> PlaneRef | None:
         """The pool plane backing this iteration's buffer, if any."""
-        with self._lock:
-            return self._refs.get(iteration)
+        return self._refs.get(iteration)
 
     # -- reader API ------------------------------------------------------------
 
     def get(self, iteration: int) -> Any:
         """Read the value for ``iteration``; raises if not yet written."""
-        with self._lock:
-            if iteration not in self._slots:
-                raise StreamError(
-                    f"stream {self.name!r}: read before write in iteration "
-                    f"{iteration} (task graph does not order producer before "
-                    "consumer)"
-                )
-            self._reads += 1
-            return self._slots[iteration]
+        if iteration not in self._slots:
+            raise StreamError(
+                f"stream {self.name!r}: read before write in iteration "
+                f"{iteration} (task graph does not order producer before "
+                "consumer)"
+            )
+        self._reads += 1
+        return self._slots[iteration]
 
     def has(self, iteration: int) -> bool:
-        with self._lock:
-            return iteration in self._slots
+        return iteration in self._slots
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -273,10 +276,9 @@ class Stream:
         # Runs for every stream on every iteration: a stream holding no
         # pool ref skips the ref lookup, and only a Packed value costs
         # the pool a call.
-        with self._lock:
-            value = self._slots.pop(iteration, None)
-            self._finalized.discard(iteration)
-            ref = self._refs.pop(iteration, None) if self._refs else None
+        value = self._slots.pop(iteration, None)
+        self._finalized.discard(iteration)
+        ref = self._refs.pop(iteration, None) if self._refs else None
         if ref is not None:
             self.pool.release(ref)
         elif type(value) is Packed and self.pool is not None:
@@ -284,17 +286,44 @@ class Stream:
 
     @property
     def live_slots(self) -> int:
-        with self._lock:
-            return len(self._slots)
+        return len(self._slots)
 
     @property
     def stats(self) -> tuple[int, int]:
         """(writes, reads) counters, for tests and tracing."""
-        with self._lock:
-            return self._writes, self._reads
+        return self._writes, self._reads
 
     def __repr__(self) -> str:
         return f"Stream({self.name!r}, live={self.live_slots})"
+
+
+class LockedStream(Stream):
+    """A :class:`Stream` whose writes, reads and releases hold its lock.
+
+    Racing slice copies allocate one :meth:`ensure_buffer` plane, a
+    racing second :meth:`put` fails, and a plane is released once.  The
+    one-lookup reads (:meth:`has`, :meth:`slot_ref`) need no lock.
+    """
+
+    def __init__(self, name: str, pool: SharedPlanePool | None = None) -> None:
+        super().__init__(name, pool)
+        self._lock = threading.Lock()
+
+    def put(self, iteration: int, value: Any, *, writer: str | None = None) -> None:
+        with self._lock:
+            super().put(iteration, value, writer=writer)
+
+    def ensure_buffer(self, *args: Any, **kwargs: Any) -> Any:
+        with self._lock:
+            return super().ensure_buffer(*args, **kwargs)
+
+    def get(self, iteration: int) -> Any:
+        with self._lock:
+            return super().get(iteration)
+
+    def release(self, iteration: int) -> None:
+        with self._lock:
+            super().release(iteration)
 
 
 class StreamStore:
@@ -303,11 +332,15 @@ class StreamStore:
     An optional :class:`~repro.hinch.shm.SharedPlanePool` becomes the
     buffer backend of every stream: sliced-writer buffers and packed
     transport values are recycled through it instead of allocated per
-    iteration.
+    iteration.  ``locked`` makes every stream a :class:`LockedStream`,
+    for an executor whose jobs run concurrently.
     """
 
-    def __init__(self, pool: SharedPlanePool | None = None) -> None:
+    def __init__(
+        self, pool: SharedPlanePool | None = None, *, locked: bool = False
+    ) -> None:
         self.pool = pool
+        self._stream_cls = LockedStream if locked else Stream
         self._lock = threading.Lock()
         self._streams: dict[str, Stream] = {}
         #: cached list of all streams, invalidated on stream creation, so
@@ -350,7 +383,7 @@ class StreamStore:
         with self._lock:
             stream = self._streams.get(name)
             if stream is None:
-                stream = Stream(name, self.pool)
+                stream = self._stream_cls(name, self.pool)
                 exp = self._expectations.get(name)
                 if exp is not None:
                     stream.set_expected(*exp)

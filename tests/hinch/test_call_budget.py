@@ -23,6 +23,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps import build_blur, build_jpip, build_pip, make_program
+from repro.components import filters
+from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.core.ports import PortSpec
 from repro.hinch import ThreadedRuntime
@@ -30,14 +33,14 @@ from repro.hinch.component import Component, JobContext
 
 PACKAGE = str(Path(repro.__file__).parent) + "/"
 
-#: hinch-owned profile events per job.  Measured 21.7 on CPython 3.11 for
-#: this pipeline at nodes=1, where jobs run inline (31.4 with a worker
-#: thread, the job queue and a lock per completion; 67.9 before node
-#: plans, which also read the clock twice per job); the ~40 % head-room
-#: covers what 3.10 and 3.12 count differently (``with`` on a C lock,
-#: method-descriptor calls) — not a ``JobContext`` rebuilt per job, nor
-#: a queue hop per job.
-BUDGET = 34
+#: hinch-owned profile events per job.  Measured 18.8 on CPython 3.11 for
+#: this pipeline at nodes=1, where jobs run inline and streams take no
+#: lock (21.7 with a lock per stream access; 31.4 with a worker thread,
+#: the job queue and a lock per completion; 67.9 before node plans,
+#: which also read the clock twice per job); the ~40 % head-room covers
+#: what 3.10 and 3.12 count differently (method-descriptor calls) — not
+#: a ``JobContext`` rebuilt per job, a queue hop or a stream lock per job.
+BUDGET = 26
 ITERATIONS = 40
 
 
@@ -173,3 +176,47 @@ def test_tracing_off_never_reads_the_clock_per_job(profiled):
     _, _, clock_reads = profiled
     # run() times itself (start, elapsed); jobs must not
     assert clock_reads == 2
+
+
+#: what a shipped component derives once per configuration
+#: (``Component.configure``), never per job
+DERIVATIONS = {
+    Component.param.__code__: "param",
+    Component.require_param.__code__: "require_param",
+    filters.slice_rows.__code__: "slice_rows",
+    # the kernel body, behind its per-(size, sigma) cache
+    getattr(filters.gaussian_kernel_1d, "__wrapped__",
+            filters.gaussian_kernel_1d).__code__: "gaussian_kernel_1d",
+}
+
+
+@pytest.mark.parametrize("spec", [
+    # downscale_field + blend_field, 4-way sliced
+    pytest.param(lambda: build_pip(1, width=64, height=48, factor=4,
+                                   slices=4), id="pip"),
+    # blur_h_field + blur_v_field, crossdep over 3 slices
+    pytest.param(lambda: build_blur(5, width=48, height=36, slices=3),
+                 id="blur"),
+    # idct_field, 4-way sliced, then downscale + blend
+    pytest.param(lambda: build_jpip(1, width=64, height=64, pip_height=64,
+                                    factor=4, slices=4), id="jpip"),
+])
+def test_shipped_fields_derive_nothing_per_job(spec):
+    """Params, slice spans and blur kernels are read from attributes."""
+    rt = ThreadedRuntime(make_program(spec(), name="derive"),
+                         default_registry(), nodes=1, max_iterations=4)
+    calls: collections.Counter[str] = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in DERIVATIONS:
+            calls[DERIVATIONS[frame.f_code]] += 1
+        elif event == "c_call" and arg is filters.gaussian_kernel_1d:
+            calls["gaussian_kernel_1d"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = rt.run()
+    finally:
+        sys.setprofile(None)
+    assert result.completed_iterations == 4
+    assert calls == {}, dict(calls)

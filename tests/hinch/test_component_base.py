@@ -62,6 +62,40 @@ def test_reconfigure_slice_assignment():
     assert c.slice == (2, 8)
 
 
+@pytest.mark.parametrize("request_", [
+    "slice=3/2",   # index past the copy count
+    "slice=-1/2",  # negative index
+    "slice=1/0",   # no copies
+    "slice=x/2",   # not a number
+    "slice=1",     # no copy count
+])
+def test_reconfigure_bad_slice_rejected_at_the_request(request_):
+    c = Probe(make_instance(instance_id="blend[1]"))
+    with pytest.raises(ComponentError) as info:
+        c.reconfigure(request_)
+    assert "'blend[1]'" in str(info.value)
+    assert repr(request_) in str(info.value)
+    assert c.slice is None  # the assignment is unchanged
+
+
+class Derived(Probe):
+    """Derives its state in configure(); counts how often."""
+
+    def configure(self):
+        self.configured = getattr(self, "configured", 0) + 1
+        self.gain = int(self.require_param("gain"))
+        self.part = self.slice
+
+
+def test_configure_runs_at_creation_and_after_every_reconfigure():
+    c = Derived(make_instance(slice=(1, 4)))
+    assert (c.configured, c.gain, c.part) == (1, 2, (1, 4))
+    c.reconfigure("gain=5")
+    assert (c.configured, c.gain) == (2, 5)
+    c.reconfigure("slice=2/4")
+    assert (c.configured, c.part) == (3, (2, 4))
+
+
 def test_reconfigure_malformed_rejected():
     c = Probe(make_instance())
     with pytest.raises(ComponentError, match="malformed"):

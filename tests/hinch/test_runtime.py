@@ -353,6 +353,75 @@ def test_reconfigure_request_reaches_members():
     assert result.reconfig_count == 0  # requests do not rebuild the graph
 
 
+OLD_POS, NEW_POS = (2, 3), (30, 40)
+MOVE_AT, MOVE_FRAMES = 3, 7
+
+
+def _moving_pip(position: tuple[int, int], *, move: bool) -> AppBuilder:
+    """One-plane PiP, 4-way sliced; with ``move`` a timer sends the
+    blenders ``pos=30,40`` in iteration MOVE_AT.  The new overlay rows
+    (30..42) fall in other slices than the old ones (2..14), so a copy
+    still blending at its old position shows in the frame."""
+    w, h, factor = 64, 48, 4
+    geometry = {"width": w, "height": h}
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("bg", "luma_source", streams={"output": "bg"},
+                   params={**geometry, "seed": 1})
+    main.component("pip", "luma_source", streams={"output": "pip"},
+                   params={**geometry, "seed": 2})
+    with main.parallel("slice", n=4):
+        main.component("scale", "downscale_field",
+                       streams={"input": "pip", "output": "small"},
+                       params={**geometry, "factor": factor})
+    if move:
+        main.component("tick", "timer", params={
+            "queue": "ui", "period": MOVE_AT + 1, "event": "move"})
+    with main.manager("m", queue="ui") as mgr:
+        mgr.on("move", "reconfigure",
+               request="pos={},{}".format(*NEW_POS))
+        with main.parallel("slice", n=4):
+            main.component(
+                "blend", "blend_field",
+                streams={"background": "bg", "overlay": "small",
+                         "output": "out"},
+                params={**geometry, "pos_row": position[0],
+                        "pos_col": position[1],
+                        "overlay_width": w // factor,
+                        "overlay_height": h // factor})
+    main.component("sink", "plane_sink", streams={"input": "out"},
+                   params={**geometry, "collect": True})
+    return b
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs", [
+    pytest.param(ThreadedRuntime, {"nodes": 1}, id="threaded-1"),
+    pytest.param(ThreadedRuntime, {"nodes": 2}, id="threaded-2"),
+    pytest.param(ProcessRuntime, {"workers": 2}, id="process-2"),
+])
+def test_mid_run_pos_request_moves_every_blender_copy(runtime_cls, kwargs):
+    """A ``pos=r,c`` request re-derives each copy's position: frames
+    before the request's iteration equal a static run at the old
+    position, frames from it on a static run at the new one.  Depth 1
+    puts the request between two iterations on every executor."""
+    from repro.components.registry import default_ports
+
+    def planes(builder: AppBuilder) -> list[np.ndarray]:
+        program = expand(builder.build(), default_ports())
+        rt = runtime_cls(program, default_registry(), pipeline_depth=1,
+                         max_iterations=MOVE_FRAMES, **kwargs)
+        return rt.run().components["sink"].ordered_planes()
+
+    moved = planes(_moving_pip(OLD_POS, move=True))
+    old = planes(_moving_pip(OLD_POS, move=False))
+    new = planes(_moving_pip(NEW_POS, move=False))
+    assert len(moved) == MOVE_FRAMES
+    assert not np.array_equal(old[MOVE_AT], new[MOVE_AT])
+    for k, plane in enumerate(moved):
+        expected = old[k] if k < MOVE_AT else new[k]
+        assert np.array_equal(plane, expected), f"frame {k}"
+
+
 def test_external_event_injection():
     b = AppBuilder()
     main = b.procedure("main")

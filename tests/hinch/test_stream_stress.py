@@ -1,5 +1,8 @@
 """Concurrency stress for pool-backed streams.
 
+The streams of an executor whose jobs run concurrently lock
+(:class:`~repro.hinch.stream.LockedStream`, what
+``ThreadedRuntime(nodes >= 2)`` gets); those are the ones raced here.
 Sliced writers race on the shared whole-frame buffer while a full
 ``pipeline_depth`` of iterations is in flight; the result must be
 bit-identical to a sequential fill, every slot must be released, and the
@@ -9,6 +12,7 @@ on both real backends must hand every plane back.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -19,7 +23,8 @@ from repro.components.registry import default_registry
 from repro.errors import StreamError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.shm import SharedPlanePool
-from repro.hinch.stream import Stream, StreamStore
+from repro.hinch.stream import LockedStream, Stream, StreamStore
+from repro.spacecake import SimRuntime
 
 ROWS, COLS, SLICES = 3, 17, 6
 DEPTH, ITERS = 4, 40
@@ -34,7 +39,7 @@ def _expected(iteration: int) -> np.ndarray:
 
 def test_sliced_writers_full_pipeline_bit_identical_to_sequential():
     pool = SharedPlanePool()
-    store = StreamStore(pool)
+    store = StreamStore(pool, locked=True)
     stream = store.stream("frame")
     sem = threading.Semaphore(DEPTH)  # pipeline admission, like the scheduler
     ok: dict[int, bool] = {}
@@ -81,7 +86,7 @@ def test_sliced_writers_full_pipeline_bit_identical_to_sequential():
 
 
 def test_put_is_write_once_under_contention():
-    stream = Stream("s")
+    stream = LockedStream("s")
     n = 8
     barrier = threading.Barrier(n)
     wins: list[int] = []
@@ -110,7 +115,7 @@ def test_put_is_write_once_under_contention():
 
 def test_ensure_buffer_allocates_exactly_once_under_contention():
     pool = SharedPlanePool()
-    stream = Stream("s", pool)
+    stream = LockedStream("s", pool)
     n = 16
     barrier = threading.Barrier(n)
     buffers: list[np.ndarray] = []
@@ -123,10 +128,18 @@ def test_ensure_buffer_allocates_exactly_once_under_contention():
             buffers.append(buf)
 
     threads = [threading.Thread(target=racer) for _ in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
+    # switch threads as often as possible: without the stream's lock,
+    # copies interleave between the slot check and the allocation
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len(buffers) == n
     assert pool.stats.acquires == 1  # one plane, shared by every copy
     assert all(b is buffers[0] for b in buffers)
@@ -134,7 +147,7 @@ def test_ensure_buffer_allocates_exactly_once_under_contention():
 
 def test_concurrent_release_returns_plane_exactly_once():
     pool = SharedPlanePool()
-    stream = Stream("s", pool)
+    stream = LockedStream("s", pool)
     stream.ensure_buffer(0, shape=(8, 8), dtype=np.uint8)
     n = 8
     barrier = threading.Barrier(n)
@@ -183,3 +196,23 @@ def test_sliced_write_after_put_still_raises_with_pool():
     stream.put(0, np.zeros(4))
     with pytest.raises(StreamError, match="after finalizing"):
         stream.ensure_buffer(0, shape=(4,), dtype=np.float64)
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs, locked", [
+    pytest.param(ThreadedRuntime, {"nodes": 1}, False, id="threaded-1"),
+    pytest.param(ThreadedRuntime, {"nodes": 2}, True, id="threaded-2"),
+    pytest.param(ProcessRuntime, {"workers": 2}, False, id="process-2"),
+    pytest.param(SimRuntime, {"nodes": 2, "execute": True}, False,
+                 id="sim-2"),
+])
+def test_only_an_executor_with_concurrent_jobs_locks_its_streams(
+        runtime_cls, kwargs, locked):
+    """Worker threads run jobs at once; the inline loop, the process
+    dispatcher and the simulator run one at a time and take no lock."""
+    program = make_program(build_blur(3, width=48, height=36, slices=3),
+                           name="blur3")
+    rt = runtime_cls(program, default_registry(), pipeline_depth=2,
+                     max_iterations=3, **kwargs)
+    assert rt.run().completed_iterations == 3
+    kinds = {type(rt.streams.stream(name)) for name in rt.streams.names}
+    assert kinds == {LockedStream if locked else Stream}
