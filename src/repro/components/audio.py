@@ -198,7 +198,6 @@ class BandFilter(Component):
             + padded[:, 2:] * kernel[2]
         )
         out[lo:hi] = np.clip(acc, -32768, 32767).astype(np.int16)
-        job.note_written((hi - lo) * samples.shape[1] * BYTES_PER_SAMPLE)
 
 
 class FuseSensors(Component):

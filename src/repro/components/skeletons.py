@@ -160,7 +160,6 @@ class MapPlane(Component):
         index, total = self.slice if self.slice else (0, 1)
         lo, hi = slice_rows(src.shape[0], index, total)
         out[lo:hi] = fn(src[lo:hi], **_kernel_kwargs(self))
-        job.note_written((hi - lo) * src.shape[1])
 
 
 class StencilPlane(Component):
@@ -217,7 +216,6 @@ class StencilPlane(Component):
             bottom = np.vstack([bottom] + [src[h - 1:h]] * pad) \
                 if bottom.size else np.repeat(src[h - 1:h], halo, axis=0)
         out[lo:hi] = fn(src[lo:hi], top, bottom, **_kernel_kwargs(self))
-        job.note_written((hi - lo) * src.shape[1])
 
 
 _REDUCE_OPS = {

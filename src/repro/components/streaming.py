@@ -478,9 +478,7 @@ class IdctField(Component, _SlicedMixin):
         out = job.buffer(
             "output", shape=(coeffs.height, coeffs.width), dtype=np.uint8
         )
-        lo, hi = span = self.span
-        jpeg_codec.idct_plane(coeffs, rows=span, out=out)
-        job.note_written((hi - lo) * coeffs.width)
+        jpeg_codec.idct_plane(coeffs, rows=self.span, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +546,9 @@ class DownscaleField(Component, _SlicedMixin):
         src: np.ndarray = job.read("input")
         factor = self.factor
         h, w = src.shape
-        ow = w // factor
-        out = job.buffer("output", shape=(h // factor, ow), dtype=src.dtype)
-        lo, hi = span = self.span
-        filters.downscale_plane(src, factor, out=out, rows=span)
-        job.note_written((hi - lo) * ow)
+        out = job.buffer("output", shape=(h // factor, w // factor),
+                         dtype=src.dtype)
+        filters.downscale_plane(src, factor, out=out, rows=self.span)
 
 
 class BlendField(Component, _SlicedMixin):
@@ -624,10 +620,8 @@ class BlendField(Component, _SlicedMixin):
         background: np.ndarray = job.read("background")
         overlay: np.ndarray = job.read("overlay")
         out = job.buffer("output", shape=background.shape, dtype=background.dtype)
-        lo, hi = span = self.span
         filters.blend_plane(background, overlay, self.position, out=out,
-                            rows=span, alpha=self.alpha)
-        job.note_written((hi - lo) * background.shape[1])
+                            rows=self.span, alpha=self.alpha)
 
 
 class ConvertPlane(Component, _SlicedMixin):
@@ -700,7 +694,6 @@ class ConvertPlane(Component, _SlicedMixin):
             scale = component.scale
             use_scale = scale is not None
             kernel(src, out, lo, hi, scale if use_scale else 1.0, use_scale)
-            job.note_written((hi - lo) * src.shape[1])
 
         return run
 
@@ -721,7 +714,6 @@ class ConvertPlane(Component, _SlicedMixin):
         if self.scale is not None:
             view = view * self.scale
         np.copyto(out[lo:hi], view, casting="unsafe")
-        job.note_written((hi - lo) * src.shape[1])
 
 
 def _convert_band(src, out, lo, hi, scale, use_scale):
@@ -799,9 +791,8 @@ class BlurHField(_BlurBase):
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         out = job.buffer("output", shape=src.shape, dtype=src.dtype)
-        lo, hi = span = self.span
-        filters.blur_plane_horizontal(src, self._kernel, out=out, rows=span)
-        job.note_written((hi - lo) * src.shape[1])
+        filters.blur_plane_horizontal(src, self._kernel, out=out,
+                                      rows=self.span)
 
 
 class BlurVField(_BlurBase):
@@ -810,9 +801,7 @@ class BlurVField(_BlurBase):
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         out = job.buffer("output", shape=src.shape, dtype=src.dtype)
-        lo, hi = span = self.span
-        filters.blur_plane_vertical(src, self._kernel, out=out, rows=span)
-        job.note_written((hi - lo) * src.shape[1])
+        filters.blur_plane_vertical(src, self._kernel, out=out, rows=self.span)
 
 
 # ---------------------------------------------------------------------------

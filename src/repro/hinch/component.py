@@ -22,7 +22,7 @@ from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError
 from repro.hinch.events import Event, EventBroker
-from repro.hinch.stream import StreamStore
+from repro.hinch.stream import Stream, StreamStore
 
 __all__ = ["Component", "JobContext"]
 
@@ -253,6 +253,12 @@ class JobContext:
     first access and stays bound, so a context that outlives one job
     (:class:`~repro.hinch.engine.NodePlan` keeps one per instance for the
     life of a configuration) pays the lookup once.
+
+    A port bound to a lock-free :class:`~repro.hinch.stream.Stream` (the
+    inline ``nodes=1`` loop, the process dispatcher, the simulator: one
+    job at a time) serves a written slot, and a later slice copy's exact
+    buffer request, in one frame.  Everything else, and every other kind
+    of stream, goes through the stream's methods, home of every check.
     """
 
     def __init__(
@@ -271,15 +277,13 @@ class JobContext:
         self._broker = broker
         self._aliases = aliases
         self._stop_requester = stop_requester
-        #: port -> alias-resolved stream, filled on first access
-        self._bound: dict[str, Any] = {}
-        #: bytes moved, filled by read/write for cost accounting
-        self.bytes_read = 0
-        self.bytes_written = 0
+        #: port -> (alias-resolved stream, its slots if it is a lock-free
+        #: Stream else None), filled on first access
+        self._bound: dict[str, tuple[Any, dict[int, Any] | None]] = {}
 
     # -- stream access ---------------------------------------------------------
 
-    def _bind(self, port: str) -> Any:
+    def _bind(self, port: str) -> tuple[Any, dict[int, Any] | None]:
         try:
             raw = self.instance.streams[port]
         except KeyError:
@@ -288,33 +292,30 @@ class JobContext:
                 f"{port!r} bound (bound: {sorted(self.instance.streams)})"
             ) from None
         stream = self._streams.stream(self._aliases.get(raw, raw))
-        self._bound[port] = stream
-        return stream
+        bound = self._bound[port] = (
+            stream, stream._slots if type(stream) is Stream else None
+        )
+        return bound
 
     def read(self, port: str) -> Any:
         """Read this iteration's value from an input port."""
         try:
-            stream = self._bound[port]
+            stream, slots = self._bound[port]
         except KeyError:
-            stream = self._bind(port)
-        value = stream.get(self.iteration)
-        if type(value) is ndarray:
-            self.bytes_read += value.nbytes
-        else:
-            self.bytes_read += _nbytes(value)
-        return value
+            stream, slots = self._bind(port)
+        iteration = self.iteration
+        if slots is not None and iteration in slots:
+            stream._reads += 1
+            return slots[iteration]
+        return stream.get(iteration)
 
     def write(self, port: str, value: Any) -> None:
         """Write this iteration's value to an output port (whole value)."""
         try:
-            stream = self._bound[port]
+            stream = self._bound[port][0]
         except KeyError:
-            stream = self._bind(port)
+            stream = self._bind(port)[0]
         stream.put(self.iteration, value, writer=self.instance.instance_id)
-        if type(value) is ndarray:
-            self.bytes_written += value.nbytes
-        else:
-            self.bytes_written += _nbytes(value)
 
     def buffer(
         self,
@@ -331,20 +332,38 @@ class JobContext:
         a declared geometry lets the runtime recycle the buffer from its
         plane pool (and, on the process backend, place it directly in
         shared memory so slice copies on different cores write the same
-        plane).
+        plane).  With ``shape`` and no ``dtype``, a stream whose format
+        is solved allocates the solved dtype.
         """
         try:
-            stream = self._bound[port]
+            stream, slots = self._bound[port]
         except KeyError:
-            stream = self._bind(port)
+            stream, slots = self._bind(port)
+        iteration = self.iteration
+        if (
+            slots is not None
+            and iteration in slots
+            and iteration not in stream._finalized
+        ):
+            # A later slice copy whose request is literally the slot and
+            # the solved format (a dtype also equals None, so one must be
+            # named), or a factory request, which nothing checks.
+            buf = slots[iteration]
+            expected = stream.expected
+            if shape is None or (
+                dtype is not None
+                and type(buf) is ndarray
+                and shape == buf.shape
+                and dtype == buf.dtype
+                and (expected is None
+                     or (shape == expected[0] and dtype == expected[1]))
+            ):
+                stream._writes += 1
+                return buf
         return stream.ensure_buffer(
-            self.iteration, factory, shape=shape, dtype=dtype,
+            iteration, factory, shape=shape, dtype=dtype,
             writer=self.instance.instance_id,
         )
-
-    def note_written(self, nbytes: int) -> None:
-        """Record bytes written through a :meth:`buffer` (cost accounting)."""
-        self.bytes_written += nbytes
 
     # -- events -------------------------------------------------------------------
 
@@ -360,12 +379,3 @@ class JobContext:
         """Ask the runtime to stop admitting iterations (e.g. end of input)."""
         if self._stop_requester is not None:
             self._stop_requester()
-
-
-def _nbytes(value: Any) -> int:
-    nbytes = getattr(value, "nbytes", None)
-    if isinstance(nbytes, int):
-        return nbytes
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return len(value)
-    return 0

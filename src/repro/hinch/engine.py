@@ -207,7 +207,6 @@ class NodePlan:
         if self.scratch is None:
             for run, ctx in self.steps:
                 ctx.iteration = iteration
-                ctx.bytes_read = ctx.bytes_written = 0
                 run(ctx)
             return None
         member_times = [] if timed else None
@@ -215,7 +214,6 @@ class NodePlan:
         slots.clear()  # a job that raised leaves its values behind
         for (run, ctx), members in zip(self.steps, self.spans):
             ctx.iteration = iteration
-            ctx.bytes_read = ctx.bytes_written = 0
             if timed:
                 start = time.perf_counter()
                 run(ctx)
@@ -235,7 +233,6 @@ def _pair_step(
 
     def run(ctx: JobContext) -> None:
         second_ctx.iteration = ctx.iteration
-        second_ctx.bytes_read = second_ctx.bytes_written = 0
         kernel(first, second, ctx, second_ctx)
 
     return run

@@ -19,27 +19,32 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 from repro.errors import SchedulingError
 
-__all__ = ["Job", "JobQueue"]
+__all__ = ["Job", "JobQueue", "make_job"]
 
 
-@dataclass(frozen=True, slots=True)
-class Job:
+class Job(NamedTuple):
     """One (iteration, node) execution.
 
-    ``slots=True``: a simulation sweep allocates one Job per node per
-    iteration (millions across the figure sweeps), so the per-instance
-    dict is pure overhead.  Jobs are never ordered — the queue is FIFO
-    and the simulator's event heap orders by (time, seq) — so no
-    ``order=True``.
+    A named tuple: it compares, hashes and pickles as its pair, which is
+    also how a job crosses the process backend's pipe.  The scheduler
+    makes one per ready job on every backend (a simulation sweep,
+    millions), so it builds them with :data:`make_job`, tuple's own
+    constructor, and a ready job runs no Python-level ``__new__``.  Jobs
+    are never ordered by the runtime: the queue is FIFO and the
+    simulator's event heap orders by (time, seq).
     """
 
     iteration: int
     node_id: str
+
+
+#: ``make_job((iteration, node_id))``: a :class:`Job` with no Python frame
+make_job = partial(tuple.__new__, Job)
 
 
 class JobQueue:

@@ -86,15 +86,8 @@ from collections import deque
 from multiprocessing.connection import Connection, wait
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.program import Program
-from repro.errors import (
-    SchedulingError,
-    StreamError,
-    StreamFormatError,
-    WorkerFailure,
-)
+from repro.errors import SchedulingError, StreamError, WorkerFailure
 from repro.hinch.component import Component
 from repro.hinch.engine import Coordinator
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
@@ -103,6 +96,7 @@ from repro.hinch.runtime import RunResult
 from repro.hinch.shm import (
     NameInterner, Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
+from repro.hinch.stream import AGAINST_SLOT, check_geometry
 from repro.hinch.tracing import TraceEvent
 from repro.hinch.worker import _WORKER_STAT_KEYS, _worker_entry
 
@@ -473,21 +467,8 @@ class ProcessRuntime(Coordinator):
         # ensure planes are stream-owned, not worker-leased: the slot
         # survives the worker and is released with its iteration.
         ref = packed.refs[0]
-        if tuple(ref.shape) != tuple(shape) or np.dtype(ref.dtype) != np.dtype(
-            dtype
-        ):
-            raise StreamFormatError(
-                f"stream {name!r}: ensure_buffer geometry mismatch in "
-                f"iteration {iteration}: node {node or '?'} requested "
-                f"{tuple(shape)}/{np.dtype(dtype)}, slot already "
-                f"allocated as {tuple(ref.shape)}/{np.dtype(ref.dtype)} "
-                "(see lint codes X501/X503, `python -m repro lint`)",
-                stream=name,
-                iteration=iteration,
-                node=node,
-                declared=(tuple(ref.shape), np.dtype(ref.dtype).name),
-                observed=(tuple(shape), np.dtype(dtype).name),
-            )
+        check_geometry(name, iteration, node, shape, dtype,
+                       (ref.shape, ref.dtype), AGAINST_SLOT)
         return ref
 
     def _issue_grants(self, node_id: str, worker: int) -> list[PlaneRef]:

@@ -168,18 +168,21 @@ class ThreadedRuntime(Coordinator):
         ready = deque(scheduler.start())
         while ready:
             job = ready.popleft()
-            if tracing:
-                self._execute(job, 0)
-            else:
-                # looked up per job: a splice inside complete() installs
-                # a new configuration's plans
-                plan = self.node_plans[job.node_id]
-                if plan.steps:
-                    plan.run(job.iteration)
-                elif plan.manager is not None:
-                    # no lock: nothing else runs while a manager does
-                    qname, phase = plan.manager
-                    managers[qname].invoke(job.iteration, phase)
+            # looked up per job: a splice inside complete() installs a
+            # new configuration's plans
+            plan = self.node_plans[job.node_id]
+            if tracing or plan.scratch is not None:
+                self._execute(job, 0)  # timed, or a fused chain's scratch
+            elif plan.steps:
+                # NodePlan.run's unfused loop, without its frame
+                iteration = job.iteration
+                for run, ctx in plan.steps:
+                    ctx.iteration = iteration
+                    run(ctx)
+            elif plan.manager is not None:
+                # no lock: nothing else runs while a manager does
+                qname, phase = plan.manager
+                managers[qname].invoke(job.iteration, phase)
             complete(job, ready)
         if not scheduler.done:
             raise SchedulingError(

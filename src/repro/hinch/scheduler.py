@@ -33,7 +33,7 @@ from typing import Protocol
 
 from repro.core.program import ProgramGraph
 from repro.errors import SchedulingError
-from repro.hinch.jobqueue import Job
+from repro.hinch.jobqueue import Job, make_job
 
 __all__ = ["DataflowScheduler", "SchedulerHooks", "ReconfigPlan"]
 
@@ -182,7 +182,7 @@ class DataflowScheduler:
         """
         # Runs once per job on every backend: the iteration state is held
         # in locals and the _check_ready conditions are inlined, so the
-        # only calls left are the set/list mutations and Job().
+        # only calls left are the set/list mutations (make_job runs none).
         iteration = job.iteration
         node_id = job.node_id
         iters = self._iters
@@ -217,7 +217,7 @@ class DataflowScheduler:
                 and last_done[succ] == prev_iteration
             ):
                 dispatched.add(succ)
-                ready.append(Job(iteration, succ))
+                ready.append(make_job((iteration, succ)))
         # (b) the same node in the next iteration (cross-iteration dep;
         # its last_done condition was just made true above)
         following = iteration + 1
@@ -225,7 +225,7 @@ class DataflowScheduler:
             nxt = iters[following]
             if node_id not in nxt.dispatched and nxt.remaining[node_id] == 0:
                 nxt.dispatched.add(node_id)
-                ready.append(Job(following, node_id))
+                ready.append(make_job((following, node_id)))
 
         state.left -= 1
         if not state.left:
@@ -332,7 +332,7 @@ class DataflowScheduler:
                         ):
                             state.dispatched.add(succ)
                             assumed.add(key)
-                            cand = Job(iteration=iteration, node_id=succ)
+                            cand = make_job((iteration, succ))
                             out.append(cand)
                             next_frontier.append(cand)
                             if len(out) >= limit:
@@ -350,7 +350,7 @@ class DataflowScheduler:
                     ):
                         nxt.dispatched.add(node_id)
                         assumed.add(key)
-                        cand = Job(iteration=iteration + 1, node_id=node_id)
+                        cand = make_job((iteration + 1, node_id))
                         out.append(cand)
                         next_frontier.append(cand)
             frontier = next_frontier
@@ -419,7 +419,7 @@ class DataflowScheduler:
         if self._last_done[node_id] != iteration - 1:
             return
         state.dispatched.add(node_id)
-        out.append(Job(iteration=iteration, node_id=node_id))
+        out.append(make_job((iteration, node_id)))
 
     def _admit(self, ready: list[Job] | deque[Job]) -> None:
         while (

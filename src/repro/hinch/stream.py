@@ -88,6 +88,12 @@ class Stream:
     warm-up the stream stops allocating entirely.
 
     Takes no lock: :class:`LockedStream` is the one for concurrent jobs.
+    So a :class:`~repro.hinch.component.JobContext` bound to a plain
+    ``Stream`` serves the common port accesses from :attr:`_slots` in its
+    own frame — a read of a written slot, a later slice copy's exact
+    buffer request — and counts them in :attr:`_reads` / :attr:`_writes`;
+    everything else, and every check, is :meth:`get` and
+    :meth:`ensure_buffer`.
     """
 
     def __init__(self, name: str, pool: SharedPlanePool | None = None) -> None:
@@ -192,7 +198,8 @@ class Stream:
         Writers that know their output geometry pass ``shape``/``dtype``,
         which lets a pool-backed store recycle planes across iterations;
         ``factory`` is the fallback for arbitrary buffers (always a fresh
-        allocation).
+        allocation).  A ``shape`` without ``dtype`` gets the solved
+        format's dtype when there is one.
 
         Every call after the first is validated against the existing
         allocation: slice copies disagreeing on geometry would otherwise
@@ -211,10 +218,11 @@ class Stream:
             # is literally the solved format / the allocated slot);
             # anything else is normalised, and refused, by the checks.
             expected = self.expected
-            if expected is not None and (
-                shape != expected[0] or dtype is None or dtype != expected[1]
-            ):
-                self.check_expected(iteration, shape, dtype, writer)
+            if expected is not None:
+                if dtype is None:
+                    dtype = expected[1]  # the solved dtype, not float64
+                if shape != expected[0] or dtype != expected[1]:
+                    self.check_expected(iteration, shape, dtype, writer)
             if (
                 buffer is not None
                 and isinstance(buffer, np.ndarray)
@@ -242,10 +250,6 @@ class Stream:
             self._slots[iteration] = buffer
         self._writes += 1
         return buffer
-
-    def slot_ref(self, iteration: int) -> PlaneRef | None:
-        """The pool plane backing this iteration's buffer, if any."""
-        return self._refs.get(iteration)
 
     # -- reader API ------------------------------------------------------------
 
@@ -302,7 +306,7 @@ class LockedStream(Stream):
 
     Racing slice copies allocate one :meth:`ensure_buffer` plane, a
     racing second :meth:`put` fails, and a plane is released once.  The
-    one-lookup reads (:meth:`has`, :meth:`slot_ref`) need no lock.
+    one-lookup :meth:`has` needs no lock.
     """
 
     def __init__(self, name: str, pool: SharedPlanePool | None = None) -> None:
@@ -380,6 +384,11 @@ class StreamStore:
             }
 
     def stream(self, name: str) -> Stream:
+        """The named stream; created, under the lock, on first use."""
+        try:
+            return self._streams[name]
+        except KeyError:
+            pass
         with self._lock:
             stream = self._streams.get(name)
             if stream is None:

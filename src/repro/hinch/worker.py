@@ -230,6 +230,8 @@ class _WorkerStream:
         writer: str | None = None,
     ) -> Any:
         ws = self.ws
+        if dtype is None and self.name in ws.worker.expectations:
+            dtype = ws.worker.expectations[self.name][1]  # as Stream does
         buf = ws.ensured.get(self.name)
         if buf is not None and shape is not None:
             check_geometry(self.name, iteration, ws.worker.current_node,
@@ -280,6 +282,8 @@ class _Worker:
         # ``config`` is the dispatcher's installed configuration, inherited
         # through fork copy-on-write: a spawn or respawn builds nothing.
         self.pg = config.pg
+        #: solved stream formats: a shape-only buffer gets their dtype
+        self.expectations = config.expectations
         #: control-pipe pickler sharing the dispatcher's name table
         #: (derived deterministically from the same graph on both ends)
         self.interner = NameInterner(NameInterner.names_of(self.pg))
@@ -352,6 +356,7 @@ class _Worker:
             # the dispatcher's: no request sent before they existed.
             self.host.splice(config.pg.active_components, {})
             self.pg = config.pg
+            self.expectations = config.expectations
             self._install_plans()
             # Same table the dispatcher derives from the same graph;
             # control messages themselves are never interned, so the

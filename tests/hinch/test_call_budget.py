@@ -30,17 +30,20 @@ from repro.core import AppBuilder, expand
 from repro.core.ports import PortSpec
 from repro.hinch import ThreadedRuntime
 from repro.hinch.component import Component, JobContext
+from repro.hinch.stream import LockedStream, Stream
 
 PACKAGE = str(Path(repro.__file__).parent) + "/"
 
-#: hinch-owned profile events per job.  Measured 18.8 on CPython 3.11 for
-#: this pipeline at nodes=1, where jobs run inline and streams take no
-#: lock (21.7 with a lock per stream access; 31.4 with a worker thread,
-#: the job queue and a lock per completion; 67.9 before node plans,
-#: which also read the clock twice per job); the ~40 % head-room covers
-#: what 3.10 and 3.12 count differently (method-descriptor calls) — not
-#: a ``JobContext`` rebuilt per job, a queue hop or a stream lock per job.
-BUDGET = 26
+#: hinch-owned profile events per job.  Measured 15.1 on CPython 3.11 for
+#: this pipeline at nodes=1, where jobs run inline, streams take no lock
+#: and a port access is one frame (18.8 with a ``Stream`` method behind
+#: every access, job byte counters and a ``Job.__init__`` per ready job;
+#: 21.7 with a lock per stream access; 31.4 with a worker thread, the job
+#: queue and a lock per completion; 67.9 before node plans, which also
+#: read the clock twice per job); the ~40 % head-room covers what 3.10
+#: and 3.12 count differently (method-descriptor calls) — not a
+#: ``JobContext`` rebuilt per job, a queue hop or a stream lock per job.
+BUDGET = 21
 ITERATIONS = 40
 
 
@@ -84,7 +87,7 @@ REGISTRY = {"source": Source, "forward": Forward,
 PORTS = {name: cls.ports for name, cls in REGISTRY.items()}
 
 
-def _pipeline() -> ThreadedRuntime:
+def _pipeline(nodes: int = 1) -> ThreadedRuntime:
     """src+a (grouped) -> 3 sliced copies -> b+c (grouped) -> d -> sink."""
     b = AppBuilder()
     main = b.procedure("main")
@@ -103,7 +106,7 @@ def _pipeline() -> ThreadedRuntime:
             main.component("e", "sink", streams={"input": "s4"})
     main.component("snk", "sink", streams={"input": "s5"})
     return ThreadedRuntime(
-        expand(b.build(), PORTS), REGISTRY, nodes=1, pipeline_depth=5,
+        expand(b.build(), PORTS), REGISTRY, nodes=nodes, pipeline_depth=5,
         max_iterations=ITERATIONS, group_chains=True,
     )
 
@@ -176,6 +179,51 @@ def test_tracing_off_never_reads_the_clock_per_job(profiled):
     _, _, clock_reads = profiled
     # run() times itself (start, elapsed); jobs must not
     assert clock_reads == 2
+
+
+def _entries(rt: ThreadedRuntime, *functions) -> tuple:
+    """Run ``rt`` counting how often each function's frame is entered."""
+    codes = [f.__code__ for f in functions]
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[frame.f_code] += 1
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        result = rt.run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert result.completed_iterations == ITERATIONS
+    return result, tuple(counts[code] for code in codes)
+
+
+def test_a_lock_free_port_access_is_one_frame():
+    """At nodes=1 every read finds its slot written and only the first
+    slice copy of s2 allocates, so ``Stream.get`` is never entered and
+    ``Stream.ensure_buffer`` once per iteration — for that first copy."""
+    _, (gets, ensures) = _entries(_pipeline(), Stream.get,
+                                  Stream.ensure_buffer)
+    assert gets == 0
+    assert ensures == ITERATIONS  # one sliced stream, s2
+
+
+def test_concurrent_slice_copies_share_one_locked_plane():
+    """At nodes=4 the streams lock and take no fast path: every access
+    enters a ``LockedStream`` method, and the three racing copies of s2
+    still acquire exactly one pool plane per iteration."""
+    rt = _pipeline(nodes=4)
+    assert all(type(rt.streams.stream(name)) is LockedStream
+               for name in ("s1", "s2"))
+    result, (gets, ensures) = _entries(rt, LockedStream.get,
+                                       LockedStream.ensure_buffer)
+    # reads: a, the three copies, b, c, d, e, snk
+    assert gets == 9 * ITERATIONS
+    assert ensures == 3 * ITERATIONS
+    assert result.pool_stats["acquires"] == ITERATIONS
 
 
 #: what a shipped component derives once per configuration

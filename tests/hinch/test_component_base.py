@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
-from repro.errors import ComponentError
+from repro.errors import ComponentError, StreamError, StreamFormatError
 from repro.hinch.component import Component, JobContext
 from repro.hinch.events import EventBroker
 from repro.hinch.stream import StreamStore
@@ -133,29 +133,54 @@ def make_ctx(instance=None, iteration=0, aliases=None, stop=None):
     )
 
 
-def test_ctx_read_write_with_byte_accounting():
+def test_ctx_read_write_pass_the_value_through():
     ctx = make_ctx()
     data = np.zeros(100, dtype=np.uint8)
     ctx._streams.stream("in").put(0, data)
     got = ctx.read("input")
     assert got is data
     ctx.write("output", data)
-    assert ctx.bytes_read == 100
-    assert ctx.bytes_written == 100
+    assert ctx._streams.stream("out").get(0) is data
 
 
-def test_ctx_scalar_bytes_are_zero():
+def test_ctx_direct_read_keeps_the_stream_checks_and_counters():
     ctx = make_ctx()
+    with pytest.raises(StreamError, match="read before write"):
+        ctx.read("input")
     ctx._streams.stream("in").put(0, 42)
-    ctx.read("input")
-    assert ctx.bytes_read == 0
+    assert ctx.read("input") == ctx.read("input") == 42
+    assert ctx._streams.stream("in").stats == (1, 2)
 
 
-def test_ctx_bytes_for_raw_bytes():
-    ctx = make_ctx()
-    ctx._streams.stream("in").put(0, b"abcdef")
-    ctx.read("input")
-    assert ctx.bytes_read == 6
+def test_ctx_later_slice_copy_is_checked_like_the_first():
+    store = StreamStore()
+    first, later = (
+        JobContext(make_instance(instance_id=f"x[{i}]"), 0, store,
+                   EventBroker(), {})
+        for i in range(2)
+    )
+    buf = first.buffer("output", shape=(4, 2), dtype=np.uint8)
+    assert later.buffer("output", shape=(4, 2), dtype=np.uint8) is buf
+    # near-misses are normalised by the stream, and still share the slot
+    assert later.buffer("output", shape=[4, 2], dtype="uint8") is buf
+    assert later.buffer("output", shape=(4, 2)) is buf
+    assert later.buffer("output", lambda: None) is buf
+    with pytest.raises(StreamFormatError, match="slot already allocated"):
+        later.buffer("output", shape=(4, 2), dtype=np.float64)
+    with pytest.raises(StreamFormatError, match="slot already allocated"):
+        later.buffer("output", shape=(2, 2), dtype=np.uint8)
+    assert store.stream("out").stats == (5, 0)
+    # a solved format is the authority even over a factory-made slot
+    store.stream("out").set_expected((4, 4), np.uint8)
+    first.iteration = later.iteration = 1
+    first.buffer("output", lambda: np.zeros((4, 2), dtype=np.uint8))
+    with pytest.raises(StreamFormatError, match="reconciled port format"):
+        later.buffer("output", shape=(4, 2), dtype=np.uint8)
+    # and a put finalises the slot for every copy
+    first.iteration = later.iteration = 2
+    first.write("output", np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(StreamError, match="after finalizing"):
+        later.buffer("output", shape=(4, 4), dtype=np.uint8)
 
 
 def test_ctx_unknown_port_rejected():
@@ -171,12 +196,10 @@ def test_ctx_alias_resolution():
     assert not ctx._streams.stream("out").has(0)
 
 
-def test_ctx_buffer_and_note_written():
+def test_ctx_buffer_is_the_slot():
     ctx = make_ctx()
     buf = ctx.buffer("output", lambda: np.zeros(8))
     buf[:] = 5
-    ctx.note_written(64)
-    assert ctx.bytes_written == 64
     assert np.all(ctx._streams.stream("out").get(0) == 5)
 
 

@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.components import filters
+from repro.components.registry import default_ports, default_registry
+from repro.components.streaming import DownscaleField
+from repro.core import AppBuilder, expand
 from repro.errors import StreamError, StreamFormatError
+from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.stream import Stream, StreamStore
+from repro.spacecake import SimRuntime
 
 
 def test_put_against_expectation_raises_structured_error():
@@ -72,3 +78,61 @@ def test_store_installs_expectations_on_existing_and_new_streams():
     store.set_expectations({"b": ((2, 2), "uint8")})
     assert early.expected is None
     assert late.expected == ((2, 2), np.dtype("uint8"))
+
+
+def test_shape_only_buffer_gets_the_solved_dtype():
+    s = Stream("frames")
+    s.set_expected((8, 8), np.uint8)
+    assert s.ensure_buffer(0, shape=(8, 8), writer="scale/0").dtype == np.uint8
+    # a later copy naming no dtype matches the slot it allocated
+    assert s.ensure_buffer(0, shape=(8, 8), writer="scale/1").dtype == np.uint8
+    with pytest.raises(StreamFormatError):
+        s.ensure_buffer(1, shape=(4, 8), writer="scale/0")
+    # with no solved format the request keeps numpy's default dtype
+    assert Stream("free").ensure_buffer(0, shape=(2, 2)).dtype == np.float64
+
+
+class ShapeOnlyDownscale(DownscaleField):
+    """A sliced writer that names its buffer's shape and not its dtype."""
+
+    def run(self, job) -> None:
+        src = job.read("input")
+        h, w = src.shape
+        out = job.buffer("output", shape=(h // self.factor, w // self.factor))
+        filters.downscale_plane(src, self.factor, out=out, rows=self.span)
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs", [
+    pytest.param(ThreadedRuntime, {"nodes": 1}, id="threaded-1"),
+    pytest.param(ThreadedRuntime, {"nodes": 2}, id="threaded-2"),
+    pytest.param(ProcessRuntime, {"workers": 2}, id="process-2"),
+    pytest.param(SimRuntime, {"nodes": 2, "execute": True}, id="sim-2"),
+])
+def test_shape_only_sliced_writer_keeps_the_format_contract(runtime_cls,
+                                                            kwargs):
+    """On a stream the solver pins to uint8, a ``job.buffer(shape=...)``
+    with no dtype allocates uint8 on every executor — not numpy's
+    float64 default, which a process worker's dispatcher refuses."""
+    w, h, factor = 64, 48, 4
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "luma_source", streams={"output": "big"},
+                   params={"width": w, "height": h, "seed": 3})
+    with main.parallel("slice", n=4):
+        main.component("scale", "downscale_field",
+                       streams={"input": "big", "output": "small"},
+                       params={"width": w, "height": h, "factor": factor})
+    main.component("sink", "plane_sink", streams={"input": "small"},
+                   params={"width": w // factor, "height": h // factor,
+                           "collect": True})
+    program = expand(b.build(), default_ports())
+    registry = {**default_registry(), "downscale_field": ShapeOnlyDownscale}
+    planes = runtime_cls(program, registry, max_iterations=4,
+                         **kwargs).run().components["sink"].ordered_planes()
+    reference = ThreadedRuntime(program, default_registry(),
+                                max_iterations=4).run()
+    assert len(planes) == 4
+    for plane, want in zip(planes,
+                           reference.components["sink"].ordered_planes()):
+        assert plane.dtype == np.uint8
+        assert np.array_equal(plane, want)
