@@ -94,6 +94,8 @@ class AudioSource(Component):
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
+        #: records by clip index, kept only when the clip loops
+        #: (``frames`` set): without a loop no index comes back
         self._cache: dict[int, np.ndarray] = {}
 
     def configure(self) -> None:
@@ -104,8 +106,9 @@ class AudioSource(Component):
         self.seed = int(self.param("seed", 0))
 
     def _record(self, index: int) -> np.ndarray:
-        if self.loop is not None:
-            index %= self.loop  # loop the clip, like the video sources
+        if self.loop is None:
+            return synthetic_record(index, *self.geometry, seed=self.seed)
+        index %= self.loop  # loop the clip, like the video sources
         record = self._cache.get(index)
         if record is None:
             record = self._cache[index] = synthetic_record(

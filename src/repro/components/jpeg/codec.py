@@ -53,6 +53,7 @@ __all__ = [
     "encode_plane",
     "entropy_decode_plane",
     "encode_frame",
+    "frame_qtables",
     "entropy_decode_frame",
     "fused_dct_quant_zigzag",
     "quantize_plane",
@@ -231,14 +232,14 @@ def _deblockify(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def _vec_magnitude(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_magnitude`: values -> (sizes, amplitude bits)."""
+    """Vectorized :func:`_magnitude`: values -> (sizes, amplitude bits).
+
+    The size category is the bit length of ``|value|``, which is
+    ``frexp``'s exponent (exact: the values are int32 differences, far
+    below 2^53).
+    """
     values = values.astype(np.int64)
-    mag = np.abs(values)
-    sizes = np.zeros(values.shape, dtype=np.int64)
-    probe = mag.copy()
-    while probe.any():
-        sizes += probe > 0
-        probe >>= 1
+    sizes = np.frexp(np.abs(values))[1].astype(np.int64)
     bits = np.where(values >= 0, values, values + (1 << sizes) - 1)
     return sizes, bits
 
@@ -253,71 +254,59 @@ def _record_stream(zz: np.ndarray) -> tuple[np.ndarray, ...]:
     EOB unless the block's last nonzero sits at position 63.
     """
     n = zz.shape[0]
-    dc_sizes, dc_bits = _vec_magnitude(np.diff(zz[:, 0].astype(np.int64), prepend=0))
+    dc = zz[:, 0].astype(np.int64)
+    dc[1:] -= zz[:-1, 0]  # DC prediction: differences from the last block
+    dc_sizes, dc_bits = _vec_magnitude(dc)
 
-    rows, cols = np.nonzero(zz[:, 1:])
-    cols = cols.astype(np.int64) + 1
-    rows = rows.astype(np.int64)
-    first = np.ones(rows.shape, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    prev = np.where(first, 0, np.roll(cols, 1))
+    rows, cols = zz[:, 1:].nonzero()
+    cols += 1
+    prev = np.zeros(cols.shape, dtype=np.int64)  # 0 before a block's first
+    prev[1:] = np.where(rows[1:] == rows[:-1], cols[:-1], 0)
     run = cols - prev - 1
     zrl = run >> 4
     rem = run & 15
     ac_sizes, ac_bits = _vec_magnitude(zz[rows, cols])
     ac_syms = (rem << 4) | ac_sizes
 
-    eob_blocks = np.setdiff1d(
-        np.arange(n, dtype=np.int64), rows[cols == 63], assume_unique=False
-    )
+    full = np.zeros(n, dtype=bool)  # last nonzero at 63: no EOB
+    full[rows[cols == 63]] = True
+    eob_blocks = (~full).nonzero()[0]
 
     n_zrl = int(zrl.sum())
-    zrl_rows = np.repeat(rows, zrl)
-    zrl_cols = np.repeat(cols, zrl)
-    if n_zrl:
-        starts = np.cumsum(zrl) - zrl
-        zrl_sub = np.arange(n_zrl, dtype=np.int64) - np.repeat(starts, zrl)
-    else:
-        zrl_sub = np.zeros(0, dtype=np.int64)
+    zrl_rows = rows.repeat(zrl)
+    zrl_cols = cols.repeat(zrl)
+    zrl_sub = np.arange(n_zrl, dtype=np.int64) - (zrl.cumsum() - zrl).repeat(zrl)
 
     # Stream order via a unique integer sort key (block, position, sub):
     # DC at position 0, ZRLs just before their AC record, EOB at 64.
-    def key(blocks: np.ndarray, pos: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        return (blocks * 65 + pos) * 17 + sub
-
     keys = np.concatenate([
-        key(np.arange(n, dtype=np.int64), 0, 0),
-        key(zrl_rows, zrl_cols, zrl_sub),
-        key(rows, cols, zrl),
-        key(eob_blocks, 64, 0),
+        np.arange(0, n * 65 * 17, 65 * 17, dtype=np.int64),
+        (zrl_rows * 65 + zrl_cols) * 17 + zrl_sub,
+        (rows * 65 + cols) * 17 + zrl,
+        (eob_blocks * 65 + 64) * 17,
     ])
-    symbols = np.concatenate([
-        dc_sizes,
-        np.full(n_zrl, _ZRL, dtype=np.int64),
-        ac_syms,
-        np.full(eob_blocks.size, _EOB, dtype=np.int64),
-    ])
-    amp_bits = np.concatenate([
-        dc_bits,
-        np.zeros(n_zrl, dtype=np.int64),
-        ac_bits,
-        np.zeros(eob_blocks.size, dtype=np.int64),
-    ])
-    amp_sizes = np.concatenate([
-        dc_sizes,
-        np.zeros(n_zrl, dtype=np.int64),
-        ac_sizes,
-        np.zeros(eob_blocks.size, dtype=np.int64),
-    ])
+    symbols = np.zeros(keys.shape, dtype=np.int64)  # EOB is symbol 0
+    amp_bits = np.zeros(keys.shape, dtype=np.int64)
+    amp_sizes = np.zeros(keys.shape, dtype=np.int64)
+    ac = n + n_zrl  # first AC record; ZRLs sit between the DCs and it
+    end = ac + rows.size
+    symbols[:n] = dc_sizes
+    symbols[n:ac] = _ZRL
+    symbols[ac:end] = ac_syms
+    amp_bits[:n] = dc_bits
+    amp_bits[ac:end] = ac_bits
+    amp_sizes[:n] = dc_sizes
+    amp_sizes[ac:end] = ac_sizes
     is_dc = np.zeros(keys.shape, dtype=bool)
     is_dc[:n] = True
-    order = np.argsort(keys)
+    order = keys.argsort()
     return symbols[order], amp_bits[order], amp_sizes[order], is_dc[order]
 
 
 def _freq_dict(symbols: np.ndarray) -> dict[int, int]:
-    counts = np.bincount(symbols, minlength=1)
-    return {int(s): int(c) for s, c in enumerate(counts) if c}
+    counts = np.bincount(symbols)
+    present = counts.nonzero()[0]
+    return dict(zip(present.tolist(), counts[present].tolist()))
 
 
 #: compiled numba kernel cache: None = not tried, False = unavailable
@@ -432,28 +421,15 @@ def encode_plane(
     dc_codec = HuffmanCodec.from_frequencies(_freq_dict(symbols[is_dc]))
     ac_codec = HuffmanCodec.from_frequencies(_freq_dict(symbols[~is_dc]))
 
-    if max(dc_codec.max_length, ac_codec.max_length) > 62:
-        # Codes this deep cannot ride int64 bit packing; take the
-        # bit-at-a-time writer (pathological frequency skew only).
-        writer = BitWriter()
-        for i in range(symbols.size):
-            codec = dc_codec if is_dc[i] else ac_codec
-            codec.encode_symbol(writer, int(symbols[i]))
-            if amp_sizes[i]:
-                writer.write(int(amp_bits[i]), int(amp_sizes[i]))
-        payload = writer.getvalue()
-    else:
-        dc_codes, dc_lens = dc_codec.code_arrays()
-        ac_codes, ac_lens = ac_codec.code_arrays()
-        code_vals = np.where(is_dc, dc_codes[symbols], ac_codes[symbols])
-        code_lens = np.where(is_dc, dc_lens[symbols], ac_lens[symbols])
-        fields = np.empty(2 * symbols.size, dtype=np.int64)
-        lengths = np.empty(2 * symbols.size, dtype=np.int64)
-        fields[0::2] = code_vals
-        fields[1::2] = amp_bits
-        lengths[0::2] = code_lens
-        lengths[1::2] = amp_sizes
-        payload = pack_fields(fields, lengths)
+    dc_codes, dc_lens = dc_codec.code_arrays()
+    ac_codes, ac_lens = ac_codec.code_arrays()
+    fields = np.empty(2 * symbols.size, dtype=np.int64)
+    lengths = np.empty(2 * symbols.size, dtype=np.int64)
+    fields[0::2] = np.where(is_dc, dc_codes[symbols], ac_codes[symbols])
+    fields[1::2] = amp_bits
+    lengths[0::2] = np.where(is_dc, dc_lens[symbols], ac_lens[symbols])
+    lengths[1::2] = amp_sizes
+    payload = pack_fields(fields, lengths)
 
     return EncodedPlane(
         width=width,
@@ -719,31 +695,50 @@ def idct_plane(
 
     ``rows`` bounds must be multiples of 8 (block granularity) — the
     applications pick slice counts that satisfy this (e.g. 45 slices of a
-    720-row image = 16 rows each).
+    720-row image = 16 rows each).  The pixels are rounded and clamped
+    in place and land in ``out`` through one assignment into a block view
+    of its rows, so ``out`` must be C-contiguous (a reshape of any other
+    layout could be a copy, and the write would be lost).
     """
     height, width = coeffs.height, coeffs.width
     if out is None:
         out = np.empty((height, width), dtype=np.uint8)
     elif out.shape != (height, width):
         raise CodecError(f"out must be {width}x{height}, got {out.shape}")
+    elif not out.flags.c_contiguous:
+        raise CodecError("out must be C-contiguous")
     lo, hi = rows if rows is not None else (0, height)
     if lo % 8 or hi % 8:
         raise CodecError(f"row slice [{lo},{hi}) not block-aligned")
     bpr = coeffs.blocks_per_row
     block_lo, block_hi = (lo // 8) * bpr, (hi // 8) * bpr
-    pixels = idct2_blocks(coeffs.blocks[block_lo:block_hi]) + 128.0
-    out[lo:hi] = np.clip(np.rint(pixels), 0, 255).astype(np.uint8).reshape(
-        (hi - lo) // 8, bpr, 8, 8
-    ).transpose(0, 2, 1, 3).reshape(hi - lo, width)
+    pixels = idct2_blocks(coeffs.blocks[block_lo:block_hi])
+    pixels += 128.0
+    np.rint(pixels, out=pixels)
+    np.maximum(pixels, 0.0, out=pixels)
+    np.minimum(pixels, 255.0, out=pixels)
+    # (block row, row in block, block, column in block) over out[lo:hi]
+    view = out[lo:hi].reshape((hi - lo) // 8, 8, bpr, 8)
+    view.transpose(0, 2, 1, 3)[...] = pixels.reshape(-1, bpr, 8, 8)
     return out
 
 
+def frame_qtables(quality: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(luma, chroma)`` quantization tables at ``quality`` (1..100)."""
+    return (scale_qtable(LUMA_QTABLE, quality),
+            scale_qtable(CHROMA_QTABLE, quality))
+
+
 def encode_frame(
-    frame: Frame, *, quality: int = 75, backend: str = "numpy"
+    frame: Frame, *, quality: int = 75, backend: str = "numpy",
+    qtables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EncodedFrame:
-    """Compress one YUV 4:2:0 frame."""
-    luma_q = scale_qtable(LUMA_QTABLE, quality)
-    chroma_q = scale_qtable(CHROMA_QTABLE, quality)
+    """Compress one YUV 4:2:0 frame.
+
+    ``qtables`` (from :func:`frame_qtables`) replaces ``quality`` for a
+    caller that scales the tables once, not per frame.
+    """
+    luma_q, chroma_q = frame_qtables(quality) if qtables is None else qtables
     return EncodedFrame(
         y=encode_plane(frame.y, luma_q, backend=backend),
         u=encode_plane(frame.u, chroma_q, backend=backend),

@@ -3,12 +3,14 @@
 The entropy layer of the mini-JPEG codec: symbol frequencies are gathered
 per encoded plane, a canonical Huffman code is built (so only the
 ``(symbol, length)`` table needs to travel in the header), and amplitude
-bits are written raw after each symbol, as in baseline JPEG.
+bits are written raw after each symbol, as in baseline JPEG.  Codes are
+length-limited to :data:`LOOKUP_BITS` (16) bits, as baseline JPEG's are,
+so every stream this encoder writes decodes through the table-driven
+decoder.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +22,11 @@ __all__ = [
     "HuffmanCodec", "pack_fields",
 ]
 
-#: longest code the table-driven decoder indexes: its lookup tables have
-#: ``2 ** max_code_length`` entries, so a table stays at or under 2^16.
-#: Longer codes — possible only for pathological frequency distributions
-#: — fall back to the bit-at-a-time scalar decoder.
+#: longest code the table-driven decoder indexes (its lookup tables have
+#: ``2 ** max_code_length`` entries, so a table stays at or under 2^16),
+#: and the longest code :func:`build_canonical_codes` emits.  Longer
+#: codes — only in streams from elsewhere — fall back to the
+#: bit-at-a-time scalar decoder.
 LOOKUP_BITS = 16
 
 
@@ -44,10 +47,10 @@ def pack_fields(values: np.ndarray, lengths: np.ndarray) -> bytes:
         return b""
     # Explode each field into its bits: bit j of field i (MSB first) is
     # (values[i] >> (lengths[i] - 1 - j)) & 1.
-    rep_values = np.repeat(values, lengths)
-    rep_lengths = np.repeat(lengths, lengths)
-    starts = np.cumsum(lengths) - lengths
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
+    rep_values = values.repeat(lengths)
+    rep_lengths = lengths.repeat(lengths)
+    starts = lengths.cumsum() - lengths
+    within = np.arange(total, dtype=np.int64) - starts.repeat(lengths)
     bits = (rep_values >> (rep_lengths - 1 - within)) & 1
     return np.packbits(bits.astype(np.uint8)).tobytes()
 
@@ -115,28 +118,81 @@ class BitReader:
 def build_canonical_codes(freqs: dict[int, int]) -> dict[int, tuple[int, int]]:
     """Symbol -> (code, length) canonical Huffman codes from frequencies.
 
-    Deterministic: ties in the heap break on symbol value; canonical
-    assignment sorts by (length, symbol).  A single-symbol alphabet gets a
-    1-bit code.
+    Deterministic: merges take the two smallest ``(freq, min symbol)``
+    subtrees; canonical assignment sorts by (length, symbol).  Lengths
+    over :data:`LOOKUP_BITS` are capped as in baseline JPEG (T.81 Annex
+    K.3, without its reserved all-ones code); lengths already within it
+    are kept.  A single-symbol alphabet gets a 1-bit code.
+
+    The Python calls made do not depend on the alphabet: the merge is a
+    two-queue walk over the sorted leaves (internal nodes come out in
+    nondecreasing ``(freq, min symbol)`` order, so the smaller queue
+    front is the heap's minimum), depths come from parent indices, and
+    the cap moves counts between lengths.
     """
-    symbols = [(f, s) for s, f in freqs.items() if f > 0]
-    if not symbols:
-        return {}
-    if len(symbols) == 1:
-        return {symbols[0][1]: (0, 1)}
-    # Huffman code lengths via pairwise merging; entries are
-    # (freq, tiebreak, [symbols in subtree]).
-    heap: list[tuple[int, int, list[int]]] = [
-        (f, s, [s]) for f, s in sorted(symbols)
-    ]
-    heapq.heapify(heap)
-    lengths = {s: 0 for _, s in symbols}
-    while len(heap) > 1:
-        fa, ta, syms_a = heapq.heappop(heap)
-        fb, tb, syms_b = heapq.heappop(heap)
-        for s in syms_a + syms_b:
-            lengths[s] += 1
-        heapq.heappush(heap, (fa + fb, min(ta, tb), syms_a + syms_b))
+    leaves = sorted([(f, s) for s, f in freqs.items() if f > 0])
+    n = len(leaves)
+    if n < 2:
+        return {leaves[0][1]: (0, 1)} if n else {}
+    if n > 1 << LOOKUP_BITS:
+        raise CodecError(
+            f"{n} symbols cannot have codes of at most {LOOKUP_BITS} bits")
+    # Nodes 0..n-1 are the leaves, n..2n-2 the merges in creation order,
+    # each keyed (freq, min symbol); keys are unique, so ``<`` decides.
+    keys = leaves + [None] * (n - 1)
+    parent = [0] * (2 * n - 1)
+    leaf, node = 0, n  # fronts of the leaf and internal-node queues
+    for new in range(n, 2 * n - 1):
+        if leaf < n and (node == new or keys[leaf] < keys[node]):
+            a = leaf
+            leaf += 1
+        else:
+            a = node
+            node += 1
+        if leaf < n and (node == new or keys[leaf] < keys[node]):
+            b = leaf
+            leaf += 1
+        else:
+            b = node
+            node += 1
+        (fa, ta), (fb, tb) = keys[a], keys[b]
+        keys[new] = (fa + fb, ta if ta < tb else tb)
+        parent[a] = parent[b] = new
+    depth = [0] * (2 * n - 1)
+    i = 2 * n - 3
+    while i >= 0:  # a parent is created after its children
+        depth[i] = depth[parent[i]] + 1
+        i -= 1
+    order = sorted(zip(depth, [s for _, s in leaves]))  # (length, symbol)
+    # BITS: how many codes of each length; the Annex K.3 adjustment
+    # moves two codes of the longest length i > LOOKUP_BITS up a level
+    # by splitting a shorter code at length j < i - 1 (the counts and
+    # the Kraft sum stay the same), until no code is longer than
+    # LOOKUP_BITS.  A no-op when none is.
+    top = order[-1][0]
+    bits = [0] * (top + 1)
+    for length, _ in order:
+        bits[length] += 1
+    i = top
+    while i > LOOKUP_BITS:
+        while bits[i]:
+            j = i - 2
+            while not bits[j]:
+                j -= 1
+            bits[i] -= 2
+            bits[i - 1] += 1
+            bits[j + 1] += 2
+            bits[j] -= 1
+        i -= 1
+    # The (capped) lengths, handed out in (length, symbol) order.
+    lengths: dict[int, int] = {}
+    length = left = 0
+    for _, symbol in order:
+        while not left:
+            length += 1
+            left = bits[length]
+        lengths[symbol] = length
+        left -= 1
     return canonical_codes(lengths)
 
 
@@ -164,13 +220,14 @@ class HuffmanCodec:
     codes: dict[int, tuple[int, int]]
 
     def __post_init__(self) -> None:
-        self._decode: dict[tuple[int, int], int] = {
-            (length, code): symbol
-            for symbol, (code, length) in self.codes.items()
-        }
-        self.max_length = max(
-            (length for _, length in self.codes.values()), default=0
-        )
+        decode: dict[tuple[int, int], int] = {}
+        max_length = 0
+        for symbol, (code, length) in self.codes.items():
+            decode[(length, code)] = symbol
+            if length > max_length:
+                max_length = length
+        self._decode = decode
+        self.max_length = max_length
 
     @classmethod
     def from_frequencies(cls, freqs: dict[int, int]) -> "HuffmanCodec":

@@ -31,7 +31,7 @@ from repro.components.jpeg import codec as jpeg_codec
 from repro.components.video import Frame, synthetic_frame
 from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
-from repro.errors import ComponentError
+from repro.errors import CodecError, ComponentError
 from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
@@ -190,14 +190,17 @@ class VideoSource(Component):
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
+        #: frames by clip index, kept only when the clip loops (``frames``
+        #: set): without a loop no index comes back
         self._cache: dict[int, Frame] = {}
 
     def configure(self) -> None:
         self.loop, self.style = _synthesis(self)
 
     def _frame(self, index: int) -> Frame:
-        if self.loop is not None:
-            index %= self.loop  # loop the clip, like a looping test file
+        if self.loop is None:
+            return synthetic_frame(index, **self.style)
+        index %= self.loop  # loop the clip, like a looping test file
         frame = self._cache.get(index)
         if frame is None:
             frame = self._cache[index] = synthetic_frame(index, **self.style)
@@ -260,15 +263,24 @@ class MjpegSource(Component):
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
+        #: encoded frames by clip index, kept only when the clip loops
+        #: (``frames`` set): without a loop no index comes back
         self._cache: dict[int, jpeg_codec.EncodedFrame] = {}
         #: per-index (field, zz, qtable, w, h) tuples for the fused
-        #: source+decode kernel; int32 zigzag coefficients, not decoded
-        #: planes, so memory stays near the compressed-frame cache
+        #: source+decode kernel, kept like ``_cache``; int32 zigzag
+        #: coefficients, not decoded planes, so memory stays near the
+        #: compressed-frame cache
         self._zz_cache: dict[int, tuple] = {}
 
     def configure(self) -> None:
         self.loop, self.style = _synthesis(self)
-        self.quality = int(self.param("quality", 75))
+        quality = self.param("quality", 75)
+        try:
+            self.qtables = jpeg_codec.frame_qtables(int(quality))
+        except (ValueError, CodecError):
+            raise ComponentError(
+                f"component {self.instance.instance_id!r}: quality must be "
+                f"an integer 1..100, got {quality!r}") from None
 
     def frame_index(self, iteration: int) -> int:
         """Source frame index for one iteration (``frames`` wraps)."""
@@ -276,13 +288,18 @@ class MjpegSource(Component):
             return iteration % self.loop
         return iteration
 
+    def _encode(self, index: int) -> jpeg_codec.EncodedFrame:
+        return jpeg_codec.encode_frame(synthetic_frame(index, **self.style),
+                                       qtables=self.qtables)
+
     def run(self, job: JobContext) -> None:
-        index = self.frame_index(job.iteration)
+        if self.loop is None:
+            job.write("output", self._encode(job.iteration))
+            return
+        index = job.iteration % self.loop
         encoded = self._cache.get(index)
         if encoded is None:
-            encoded = self._cache[index] = jpeg_codec.encode_frame(
-                synthetic_frame(index, **self.style), quality=self.quality
-            )
+            encoded = self._cache[index] = self._encode(index)
         job.write("output", encoded)
 
     def transcoded_coefficients(
@@ -300,11 +317,7 @@ class MjpegSource(Component):
         entry = self._zz_cache.get(index)
         if entry is None:
             frame = synthetic_frame(index, **self.style)
-            quality = self.quality
-            luma_q = jpeg_codec.scale_qtable(jpeg_codec.LUMA_QTABLE, quality)
-            chroma_q = jpeg_codec.scale_qtable(
-                jpeg_codec.CHROMA_QTABLE, quality
-            )
+            luma_q, chroma_q = self.qtables
             entry = tuple(
                 (field, jpeg_codec.quantize_plane(plane, qtable,
                                                   backend=backend),
@@ -315,7 +328,8 @@ class MjpegSource(Component):
                     ("v", frame.v, chroma_q),
                 )
             )
-            self._zz_cache[index] = entry
+            if self.loop is not None:
+                self._zz_cache[index] = entry
         return {
             field: jpeg_codec.coefficients_from_zigzag(
                 zz, qtable, width=w, height=h

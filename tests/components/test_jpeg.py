@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import sys
 
 import numpy as np
@@ -43,7 +44,8 @@ from repro.components.jpeg.codec import (
     fused_dct_quant_zigzag,
     quantize_plane,
 )
-from repro.components.video import psnr, synthetic_clip
+from repro.components.jpeg.huffman import LOOKUP_BITS, canonical_codes
+from repro.components.video import psnr, synthetic_clip, synthetic_frame
 from repro.errors import CodecError
 
 
@@ -214,6 +216,81 @@ def test_prop_huffman_roundtrip(symbols):
     assert [codec.decode_symbol(r) for _ in symbols] == symbols
 
 
+def _heap_lengths(freqs: dict[int, int]) -> dict[int, int]:
+    """Unlimited Huffman code lengths by pairwise heap merging: the
+    reference the two-queue builder must reproduce merge for merge."""
+    symbols = [(f, s) for s, f in freqs.items() if f > 0]
+    if len(symbols) == 1:
+        return {symbols[0][1]: 1}
+    heap = [(f, s, [s]) for f, s in sorted(symbols)]
+    heapq.heapify(heap)
+    lengths = {s: 0 for _, s in symbols}
+    while len(heap) > 1:
+        fa, ta, syms_a = heapq.heappop(heap)
+        fb, tb, syms_b = heapq.heappop(heap)
+        for s in syms_a + syms_b:
+            lengths[s] += 1
+        heapq.heappush(heap, (fa + fb, min(ta, tb), syms_a + syms_b))
+    return lengths
+
+
+def _fibonacci_freqs(n: int, symbols=None) -> dict[int, int]:
+    """Fibonacci weights: the skew that gives the deepest Huffman tree
+    (n - 1 levels for n symbols)."""
+    freqs, a, b = {}, 1, 1
+    for s in symbols if symbols is not None else range(n):
+        freqs[s] = a
+        a, b = b, a + b
+    return freqs
+
+
+@st.composite
+def _frequency_tables(draw):
+    symbols = draw(st.lists(st.integers(0, 255), min_size=1, max_size=160,
+                            unique=True))
+    kind = draw(st.sampled_from(["flat", "wide", "skewed", "fibonacci"]))
+    if kind == "fibonacci":
+        return _fibonacci_freqs(len(symbols), symbols)
+    weights = {"flat": st.integers(1, 4), "wide": st.integers(1, 10**6),
+               "skewed": st.integers(0, 45).map(lambda e: int(1.6 ** e))}
+    return {s: draw(weights[kind]) for s in symbols}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frequency_tables())
+def test_prop_codes_are_length_limited_and_otherwise_optimal(freqs):
+    """At most LOOKUP_BITS bits and a prefix code (Kraft sum <= 1); when
+    the unlimited Huffman lengths already fit, exactly those lengths."""
+    codes = build_canonical_codes(freqs)
+    lengths = {s: length for s, (_, length) in codes.items()}
+    assert set(lengths) == set(freqs)
+    assert max(lengths.values()) <= LOOKUP_BITS
+    assert sum(2.0 ** -length for length in lengths.values()) <= 1.0
+    assert codes == canonical_codes(lengths)  # what the decoder rebuilds
+    unlimited = _heap_lengths(freqs)
+    if max(unlimited.values()) <= LOOKUP_BITS:
+        assert lengths == unlimited
+
+
+def test_limiter_caps_a_fibonacci_alphabet():
+    freqs = _fibonacci_freqs(30)
+    assert max(_heap_lengths(freqs).values()) == 29
+    codes = build_canonical_codes(freqs)
+    assert max(length for _, length in codes.values()) == LOOKUP_BITS
+    codec_ = HuffmanCodec(codes)
+    symbols = [s for s, f in freqs.items() for _ in range(min(f, 3))]
+    w = BitWriter()
+    for s in symbols:
+        codec_.encode_symbol(w, s)
+    r = BitReader(w.getvalue())
+    assert [codec_.decode_symbol(r) for _ in symbols] == symbols
+
+
+def test_alphabet_too_large_to_limit_is_rejected():
+    with pytest.raises(CodecError, match="at most 16 bits"):
+        build_canonical_codes({s: 1 for s in range((1 << LOOKUP_BITS) + 1)})
+
+
 # -- full codec ---------------------------------------------------------------------------------
 
 
@@ -291,6 +368,20 @@ def test_idct_rejects_unaligned_slice():
     coeffs = entropy_decode_frame(encode_frame(frame))["y"]
     with pytest.raises(CodecError, match="block-aligned"):
         idct_plane(coeffs, rows=(3, 19))
+
+
+def test_idct_into_a_non_contiguous_out_raises_rather_than_lose_the_write():
+    frame = synthetic_clip(32, 32, 1, seed=20)[0]
+    coeffs = entropy_decode_frame(encode_frame(frame))["y"]
+    whole = idct_plane(coeffs)
+    backing = np.zeros((32, 64), dtype=np.uint8)
+    out = backing[:, ::2]  # every other column: reshaping it would copy
+    try:
+        idct_plane(coeffs, rows=(8, 24), out=out)
+    except CodecError as exc:
+        assert "C-contiguous" in str(exc)
+    else:  # written: then into ``out`` itself
+        assert np.array_equal(out[8:24], whole[8:24])
 
 
 def test_plane_indivisible_by_8_rejected():
@@ -513,3 +604,54 @@ def test_prop_roundtrip_error_bounded_by_quality(seed, quality):
     decoded = idct_plane(entropy_decode_plane(encode_plane(plane, q)))
     # error bounded by half the largest quantization step (plus rounding)
     assert np.abs(decoded.astype(int) - plane.astype(int)).max() <= q.max()
+
+
+def test_entropy_encode_makes_no_call_per_symbol():
+    """The encoder's Python calls do not grow with the symbols it codes
+    or with the plane: a 64x64 noise plane, a flat one and a 256x256
+    noise plane cost the same give or take a few calls, and building a
+    code costs the same for any alphabet, length-limited or not."""
+    q = scale_qtable(LUMA_QTABLE, 95)
+    rng = np.random.default_rng(21)
+    calls = [
+        _profile_events(encode_plane, plane, q)
+        for plane in (rng.integers(0, 256, size=(64, 64), dtype=np.uint8),
+                      np.full((64, 64), 77, dtype=np.uint8),
+                      rng.integers(0, 256, size=(256, 256), dtype=np.uint8))
+    ]
+    assert max(calls) - min(calls) <= 10, calls
+    alphabets = [{s: (s * 7919) % 101 + 1 for s in range(n)}
+                 for n in (2, 20, 160)] + [_fibonacci_freqs(30)]
+    assert max(_heap_lengths(alphabets[-1]).values()) > LOOKUP_BITS
+    build = [_profile_events(build_canonical_codes, freqs)
+             for freqs in alphabets]
+    assert len(set(build)) == 1, build
+
+
+@pytest.mark.parametrize("width, height", [(720, 576), (1280, 720)])
+def test_paper_scale_frames_decode_through_the_tables(width, height,
+                                                      monkeypatch):
+    """Every plane of a paper-sized frame has codes the table decoder
+    takes (no plane reaches the scalar fallback), and the bitstream
+    round-trip is lossless on the quantized coefficients — also the luma
+    plane, whose unlimited Huffman AC codes run past LOOKUP_BITS."""
+
+    def no_scalar(encoded):
+        raise AssertionError("scalar decoder reached")
+
+    monkeypatch.setattr(codec, "_entropy_decode_plane_scalar", no_scalar)
+    frame = synthetic_frame(0, width=width, height=height, seed=500)
+    luma_q, chroma_q = codec.frame_qtables(75)
+    symbols, _, _, is_dc = codec._record_stream(quantize_plane(frame.y, luma_q))
+    ac_freqs = codec._freq_dict(symbols[~is_dc])
+    assert max(_heap_lengths(ac_freqs).values()) > LOOKUP_BITS
+    for plane, q in ((frame.y, luma_q), (frame.u, chroma_q),
+                     (frame.v, chroma_q)):
+        encoded = encode_plane(plane, q)
+        assert _decode_table(encoded.dc_lengths, ac=False) is not None
+        assert _decode_table(encoded.ac_lengths, ac=True) is not None
+        h, w = plane.shape
+        direct = coefficients_from_zigzag(quantize_plane(plane, q), q,
+                                          width=w, height=h)
+        assert np.array_equal(entropy_decode_plane(encoded).blocks,
+                              direct.blocks)
