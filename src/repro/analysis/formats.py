@@ -20,11 +20,13 @@ Diagnostics:
   ``convert_plane`` component could bridge (named in the message);
 * **X505** (info) — an endpoint without any format declaration; the
   stream degrades to first-write inference, never an error;
-* **X506** (info) — an X504 site the runtimes bridge themselves: both
-  backends auto-insert the ``convert_plane`` at build time
-  (:func:`auto_insert_converters`), and the chain-fusion pass
-  (``--fuse``) then absorbs the inserted converter into the producer or
-  consumer chain so the bridge costs no extra dispatch.
+* **X506** (info) — an X504 site the runtimes bridge themselves: every
+  backend auto-inserts the ``convert_plane`` at build time
+  (:func:`auto_insert_converters`).  By default the converter runs as a
+  job of its own, one extra dispatch and one extra plane per iteration;
+  declaring matching dtypes removes both.  The opt-in chain compiler
+  (``fuse=True``, :func:`repro.hinch.fusion.fuse_chains`) can absorb it
+  into the producer or consumer chain.
 
 The solved per-stream formats double as the runtimes' authoritative
 buffer expectations (:func:`runtime_expectations`) — a declared/observed
@@ -291,8 +293,9 @@ def check_formats(
                     "X506",
                     f"stream {stream!r}: a {CONVERTER_COMPONENT!r} "
                     f"({c.ours} -> {c.theirs}) is auto-inserted before "
-                    f"{ep.definition_id}.{ep.port} at build time; chain "
-                    "fusion (--fuse) absorbs the inserted converter"
+                    f"{ep.definition_id}.{ep.port} at build time and runs "
+                    "as a job of its own unless the opt-in chain compiler "
+                    "absorbs it"
                     f"{context}",
                     line=ep.line,
                     where=ep.definition_id,

@@ -169,22 +169,6 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_fusion_report(runtime) -> None:
-    report = getattr(runtime, "fusion_report", None)
-    if report is None:
-        return
-    print(
-        f"chain fusion ({report.backend}): {report.fused_node_count} fused "
-        f"kernel(s), {len(report.internal_streams)} stream(s) made "
-        f"worker-local"
-    )
-    if report.backend != report.requested_backend:
-        print(
-            f"  note: backend {report.requested_backend!r} unavailable, "
-            f"fell back to {report.backend!r}"
-        )
-
-
 def _usage_error(message: str) -> int:
     """Report a structured usage error (exit status 2, like argparse)."""
     print(f"usage error: {message}", file=sys.stderr)
@@ -219,12 +203,13 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
         return "--batch applies to the process backend only"
     if args.watchdog is not None and args.watchdog <= 0:
         return f"--watchdog must be > 0 seconds, got {args.watchdog}"
-    if args.max_retries < 0:
+    if args.max_retries is not None and args.max_retries < 0:
         return f"--max-retries must be >= 0, got {args.max_retries}"
     if args.backend != "process":
         process_only = (
             ("--inject-fault", args.inject_fault is not None),
             ("--watchdog", args.watchdog is not None),
+            ("--max-retries", args.max_retries is not None),
             ("--no-respawn", args.no_respawn),
         )
         for flag, given in process_only:
@@ -244,8 +229,6 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
             f"--execute applies to the sim backend only; on --backend "
             f"{args.backend} it would be silently ignored"
         )
-    if args.fuse and args.backend == "sim":
-        return "--fuse applies to the threaded and process backends only"
     return None
 
 
@@ -276,8 +259,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             nodes=workers,
             pipeline_depth=args.pipeline_depth,
             max_iterations=args.iterations,
-            fuse=args.fuse,
-            fuse_backend=args.fuse_backend,
         )
         result = runtime.run()
         where = ("the calling thread" if workers == 1
@@ -287,7 +268,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{result.elapsed_seconds:.3f}s on {where}; "
             f"{result.reconfig_count} reconfiguration(s)"
         )
-        _print_fusion_report(runtime)
     elif args.backend == "process":
         from repro.hinch import ProcessRuntime
 
@@ -299,11 +279,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_iterations=args.iterations,
             batch=args.batch,
             watchdog=args.watchdog,
-            max_retries=args.max_retries,
+            max_retries=2 if args.max_retries is None else args.max_retries,
             respawn=not args.no_respawn,
             faults=args.inject_fault,
-            fuse=args.fuse,
-            fuse_backend=args.fuse_backend,
         )
         result = runtime.run()
         fps = (
@@ -325,7 +303,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             for event in result.fault_events:
                 if event["kind"] == "unfired":
                     print(f"warning: {event['detail']}", file=sys.stderr)
-        _print_fusion_report(runtime)
     else:
         from repro.spacecake import SimRuntime
 
@@ -572,22 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process backend: per-job watchdog — a worker "
                         "holding one job longer is killed and the job "
                         "retried (default: off)")
-    p.add_argument("--max-retries", type=int, default=2,
+    p.add_argument("--max-retries", type=int, default=None,
                    help="process backend: retry budget per job after "
                         "worker loss (default: 2)")
     p.add_argument("--no-respawn", action="store_true",
                    help="process backend: degrade onto surviving workers "
                         "instead of respawning dead ones")
-    p.add_argument("--fuse", action="store_true",
-                   help="threaded/process backends: compile provable linear "
-                        "chains into single-dispatch fused kernels; "
-                        "intermediate planes stay worker-local (see "
-                        "docs/performance.md §Chain fusion)")
-    p.add_argument("--fuse-backend", choices=("numpy", "numba"),
-                   default="numpy",
-                   help="fused-kernel codegen backend; 'numba' falls back "
-                        "to numpy when numba is not installed (default: "
-                        "numpy)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("predict", help="analytic performance estimate")

@@ -303,7 +303,7 @@ class MjpegSource(Component):
         job.write("output", encoded)
 
     def transcoded_coefficients(
-        self, iteration: int, backend: str = "numpy"
+        self, iteration: int
     ) -> dict[str, jpeg_codec.PlaneCoefficients]:
         """Decoded coefficients without the Huffman round-trip.
 
@@ -319,8 +319,7 @@ class MjpegSource(Component):
             frame = synthetic_frame(index, **self.style)
             luma_q, chroma_q = self.qtables
             entry = tuple(
-                (field, jpeg_codec.quantize_plane(plane, qtable,
-                                                  backend=backend),
+                (field, jpeg_codec.quantize_plane(plane, qtable),
                  qtable, plane.shape[1], plane.shape[0])
                 for field, plane, qtable in (
                     ("y", frame.y, luma_q),
@@ -422,12 +421,11 @@ class JpegDecode(Component):
         upstream_cls: type[Component],
         upstream: ComponentInstance,
         instance: ComponentInstance,
-        backend: str,
     ):
         """Fused source+decode: skip the Huffman round-trip entirely.
 
-        When the upstream chain member is the MJPEG source, the
-        bitstream between them is chain-internal and provably a lossless
+        When the upstream pair member is the MJPEG source, the
+        bitstream between them is never written and provably a lossless
         detour — canonical Huffman, RLE and DC prediction invert exactly
         on the int32 zigzag coefficients — so the combined kernel goes
         pixels -> DCT -> quantize -> dequantize directly
@@ -438,9 +436,7 @@ class JpegDecode(Component):
             return None
 
         def kernel(source, decode, src_job, job):
-            coeffs = source.transcoded_coefficients(
-                src_job.iteration, backend
-            )
+            coeffs = source.transcoded_coefficients(src_job.iteration)
             job.write("coeffs_y", coeffs["y"])
             job.write("coeffs_u", coeffs["u"])
             job.write("coeffs_v", coeffs["v"])
@@ -688,29 +684,6 @@ class ConvertPlane(Component, _SlicedMixin):
             return _instance_rows(instance, height)
         return super().reads_rows(instance, port, height)
 
-    @classmethod
-    def compile_fused(cls, instance: ComponentInstance, backend: str):
-        if backend != "numba":
-            return None
-        try:
-            import numba
-        except Exception:
-            return None
-        try:
-            kernel = numba.njit(cache=False)(_convert_band)
-        except Exception:
-            return None
-
-        def run(component: "ConvertPlane", job: JobContext) -> None:
-            src: np.ndarray = job.read("input")
-            out = job.buffer("output", shape=src.shape, dtype=component.dtype)
-            lo, hi = component.span or component.rows(src.shape[0])
-            scale = component.scale
-            use_scale = scale is not None
-            kernel(src, out, lo, hi, scale if use_scale else 1.0, use_scale)
-
-        return run
-
     def configure(self) -> None:
         self.dtype = np.dtype(str(self.require_param("dtype")))
         scale = self.param("scale")
@@ -728,21 +701,6 @@ class ConvertPlane(Component, _SlicedMixin):
         if self.scale is not None:
             view = view * self.scale
         np.copyto(out[lo:hi], view, casting="unsafe")
-
-
-def _convert_band(src, out, lo, hi, scale, use_scale):
-    """Loop-style dtype conversion kernel, njit-compilable as-is.
-
-    Elementwise C-cast assignment matches the reference implementation's
-    ``np.copyto(..., casting="unsafe")`` bit-for-bit, with and without the
-    float pre-multiply.
-    """
-    for r in range(lo, hi):
-        for c in range(src.shape[1]):
-            if use_scale:
-                out[r, c] = src[r, c] * scale
-            else:
-                out[r, c] = src[r, c]
 
 
 class _BlurBase(Component, _SlicedMixin):

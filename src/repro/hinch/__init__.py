@@ -23,15 +23,16 @@ This package reproduces those responsibilities.  Building blocks:
 * :mod:`repro.hinch.shm` — recycled plane pool (process-local or shared
   memory), zero-copy pack/unpack, the control-pipe name interner;
 * :mod:`repro.hinch.grouping`, :mod:`repro.hinch.fusion` — linear chains
-  scheduled, or compiled, as one job;
+  scheduled as one job, producer→consumer pairs one kernel runs, and
+  chains compiled to one job on request;
 * :mod:`repro.hinch.tracing` — per-job execution traces.
 
 One coordination core, :mod:`repro.hinch.engine`: ``build_configuration``
 is the only graph build (format solve → buffer expectations → converter
-insertion → grouping → fusion), ``NodePlan`` is the only job body (a
-node's component runs and reusable contexts, compiled per configuration)
-and ``Coordinator`` implements the reconfiguration controller and the
-quiescent-splice protocol once.
+insertion → pair fusion → grouping → chain fusion), ``NodePlan`` is the
+only job body (a node's component runs and reusable contexts, compiled
+per configuration) and ``Coordinator`` implements the reconfiguration
+controller and the quiescent-splice protocol once.
 
 Three executors subclass the coordinator and add only how jobs run:
 :mod:`repro.hinch.runtime` (the correctness reference: the caller's

@@ -83,39 +83,25 @@ class Component:
         return None
 
     @classmethod
-    def compile_fused(cls, instance: ComponentInstance, backend: str):
-        """Optional compiled replacement for :meth:`run` inside a fused chain.
-
-        The fusion compiler calls this per member when building a
-        :class:`~repro.hinch.fusion.FusedChain` with a non-default
-        backend (``--fuse-backend numba``).  Return a callable
-        ``(component, job) -> None`` to substitute for ``run``, or
-        ``None`` (the default) to keep the interpreted numpy kernel —
-        the automatic-fallback contract: a missing dependency or an
-        uncompilable kernel must yield ``None``, never raise.
-        """
-        return None
-
-    @classmethod
     def compile_fused_pair(
         cls,
         upstream_cls: type["Component"],
         upstream: ComponentInstance,
         instance: ComponentInstance,
-        backend: str,
     ):
         """Optional combined kernel replacing ``upstream.run`` + ``run``.
 
-        Called on the *downstream* class when two adjacent members of a
-        fused chain are connected only through chain-internal streams —
-        the combined kernel may then skip materializing the intermediate
-        entirely, including provably-lossless detours (the mini-JPEG
-        Huffman round-trip between ``mjpeg_source`` and ``jpeg_decode``).
-        Return a callable ``(upstream_component, component,
-        upstream_job, job) -> None`` whose observable effects (stream
-        writes, events, state) are bit-identical to running both members
-        in order, or ``None`` (the default).  Same no-raise fallback
-        contract as :meth:`compile_fused`.
+        The build (:mod:`repro.hinch.fusion`) asks the *downstream* class
+        about every graph-linear pair whose intermediate streams only
+        this instance reads; with a kernel, the pair becomes one node
+        and the intermediate is never written, so the kernel may skip
+        provably-lossless detours (the mini-JPEG Huffman round-trip
+        between ``mjpeg_source`` and ``jpeg_decode``).  Return a callable
+        ``(upstream_component, component, upstream_job, job) -> None``
+        whose observable effects (stream writes, events, state) are
+        bit-identical to running both in order, or ``None`` (the
+        default).  It must not raise: the build calls it on every
+        candidate pair.
         """
         return None
 

@@ -21,9 +21,7 @@ components execute.  This module is that definition:
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
-from functools import partial
 from typing import Any, Callable, ContextManager, Mapping, NamedTuple
 
 from repro.analysis.formats import (
@@ -38,9 +36,10 @@ from repro.hinch.events import Event, EventBroker
 from repro.hinch.fusion import (
     FusedChain,
     FusedLocalStore,
-    FusionReport,
-    compile_steps,
+    FusedPair,
     fuse_chains,
+    fuse_pairs,
+    peephole_classes,
 )
 from repro.hinch.grouping import group_linear_chains
 from repro.hinch.manager import ManagerRuntime
@@ -62,15 +61,14 @@ __all__ = [
 class Configuration(NamedTuple):
     """What :func:`build_configuration` derives for one set of option states."""
 
-    #: the graph to schedule (converters inserted, chains grouped/fused)
+    #: the graph to schedule (converters inserted, pairs fused, chains
+    #: grouped or fused)
     pg: ProgramGraph
     #: instance overrides: auto-inserted converters and readers rebound
     #: to converted streams (the Program itself is never mutated)
     overrides: dict[str, ComponentInstance]
     #: solved ``stream name -> (shape, dtype)`` buffer contracts
     expectations: dict[str, tuple[tuple[int, ...], str]]
-    #: what fused and what was refused; None when fusion was not requested
-    fusion_report: FusionReport | None
 
 
 def build_configuration(
@@ -79,9 +77,9 @@ def build_configuration(
     option_states: Mapping[str, bool] | None,
     *,
     group_chains: bool,
-    fuse: bool,
-    fuse_backend: str,
-    parallel_headroom: int | None,
+    fuse: bool = False,
+    parallel_headroom: int | None = None,
+    peepholes: frozenset[str] | None = None,
 ) -> Configuration:
     """Derive the schedulable configuration for ``option_states``.
 
@@ -91,6 +89,13 @@ def build_configuration(
     arrive at the same node ids, overrides and
     :class:`~repro.hinch.shm.NameInterner` table.  Callers install the
     result; nothing here touches a runtime.
+
+    ``peepholes`` is the program's
+    :func:`~repro.hinch.fusion.peephole_classes`, which a
+    :class:`Coordinator` works out once; ``None`` works it out here.  An
+    empty set, the simulator's, keeps the unfused graph.  ``fuse`` adds
+    the chain compiler (:func:`~repro.hinch.fusion.fuse_chains`) with
+    ``parallel_headroom`` as its profitability guard.
     """
     pg = program.build_graph(option_states)
     # The reconciled port formats become each stream's authoritative
@@ -105,15 +110,16 @@ def build_configuration(
     pg, overrides, expectations = auto_insert_converters(
         program, pg, registry, expectations, solution
     )
+    if peepholes is None:
+        peepholes = peephole_classes(program, registry)
+    if peepholes:
+        pg = fuse_pairs(pg, registry, peepholes)
     if group_chains:
         pg = group_linear_chains(pg)
-    fusion_report = None
     if fuse:
-        pg, fusion_report = fuse_chains(
-            pg, program, registry, expectations, fuse_backend,
-            parallel_headroom=parallel_headroom,
-        )
-    return Configuration(pg, overrides, expectations, fusion_report)
+        pg, _ = fuse_chains(pg, program, registry, expectations,
+                            parallel_headroom=parallel_headroom)
+    return Configuration(pg, overrides, expectations)
 
 
 class NodePlan:
@@ -121,8 +127,9 @@ class NodePlan:
 
     Which instances the node carries, their live component objects, the
     alias-resolved stream behind every port, whether the node is a fused
-    chain — none of it depends on the iteration, so it is derived once
-    and a job is ``for run, ctx in steps: ctx.iteration = k; run(ctx)``.
+    pair or chain — none of it depends on the iteration, so it is derived
+    once and a job is ``for run, ctx in steps: ctx.iteration = k;
+    run(ctx)``.
 
     The contexts are *reused* from job to job.  That is legal because the
     scheduler never readies node *n* of iteration *k+1* before *n* of *k*
@@ -130,7 +137,7 @@ class NodePlan:
     is never live in two jobs at once, on any backend.
     """
 
-    __slots__ = ("kind", "manager", "components", "steps", "spans", "scratch")
+    __slots__ = ("kind", "manager", "components", "steps")
 
     def __init__(
         self,
@@ -150,79 +157,51 @@ class NodePlan:
         self.components: tuple[Component, ...] = ()
         #: ``(run, context)`` in execution order; empty for pseudo-nodes
         self.steps: tuple[tuple[Callable[[JobContext], None], JobContext], ...] = ()
-        #: fused chains only: the member ids each step covers (a pair
-        #: kernel covers two) and the chain's job-local stream store
-        self.spans: tuple[tuple[str, ...], ...] | None = None
-        self.scratch: FusedLocalStore | None = None
         if node.kind != "task":
             if node.kind != "barrier":
                 self.manager = (node.payload, node.kind.removeprefix("manager_"))
             return
         instances = node.members
         self.components = tuple(components[i.instance_id] for i in instances)
-        if isinstance(instances, FusedChain):
-            # One dispatch for the whole chain; intermediate planes stay
-            # local to the job (repro.hinch.fusion).
-            streams = self.scratch = FusedLocalStore(streams, instances)
-            lowered = compile_steps(instances, components, aliases)
-            self.spans = tuple(
-                (a.instance_id,) if b is None else (a.instance_id, b.instance_id)
-                for a, b, _ in lowered
-            )
-        else:
-            # Grouped nodes carry several instances: run them back to
-            # back as one scheduled entity (paper §4.1).
-            lowered = [
-                (i, None, None) for i in instances
-                if runnable is None or runnable(i)
-            ]
 
         def context(instance: ComponentInstance) -> JobContext:
             return JobContext(instance, 0, streams, broker, aliases,
                               stop_requester=stop_requester)
 
-        steps = []
-        for first, second, kernel in lowered:
-            component = components[first.instance_id]
-            if second is not None:
-                run = _pair_step(kernel, component,
-                                 components[second.instance_id], context(second))
-            elif kernel is not None:
-                run = partial(kernel, component)
-            else:
-                run = component.run
-            steps.append((run, context(first)))
-        self.steps = tuple(steps)
+        # exact-type dispatch, no isinstance per node: plans compiled
+        # inside run() count towards its per-frame work
+        fused = type(instances)
+        if fused is FusedPair:
+            # One step: the reader class's kernel runs both; the stream
+            # between them is never written (repro.hinch.fusion).
+            writer, reader = instances
+            first, second = self.components
+            kernel = type(second).compile_fused_pair(type(first), writer,
+                                                     reader)
+            self.steps = ((_pair_step(kernel, first, second, context(reader)),
+                           context(writer)),)
+            return
+        if fused is FusedChain:
+            # One step: the members back to back over a job-local store
+            # for the chain's internal streams (repro.hinch.fusion).
+            streams = FusedLocalStore(streams, instances)
+            members = tuple((components[i.instance_id].run, context(i))
+                            for i in instances)
+            self.steps = ((_chain_step(streams.slots, members),
+                           members[0][1]),)
+            return
+        # Grouped nodes carry several instances: run them back to back as
+        # one scheduled entity (paper §4.1).
+        self.steps = tuple(
+            (components[i.instance_id].run, context(i)) for i in instances
+            if runnable is None or runnable(i)
+        )
 
-    def run(
-        self, iteration: int, timed: bool = False
-    ) -> list[tuple[str, float, float]] | None:
-        """Execute the node's steps for ``iteration``.
-
-        With ``timed``, a fused chain returns ``(instance id, start,
-        end)`` per member — a pair step's span goes to both its members
-        (display only: ``fused_member`` events never enter busy
-        accounting).  Nothing reads the clock otherwise.
-        """
-        if self.scratch is None:
-            for run, ctx in self.steps:
-                ctx.iteration = iteration
-                run(ctx)
-            return None
-        member_times = [] if timed else None
-        slots = self.scratch.slots
-        slots.clear()  # a job that raised leaves its values behind
-        for (run, ctx), members in zip(self.steps, self.spans):
+    def run(self, iteration: int) -> None:
+        """Execute the node's steps for ``iteration``."""
+        for run, ctx in self.steps:
             ctx.iteration = iteration
-            if timed:
-                start = time.perf_counter()
-                run(ctx)
-                end = time.perf_counter()
-                member_times.extend((m, start, end) for m in members)
-            else:
-                run(ctx)
-        slots.clear()  # nothing the job held (mapped views) outlives it
-        return member_times
+            run(ctx)
 
 
 def _pair_step(
@@ -238,16 +217,33 @@ def _pair_step(
     return run
 
 
+def _chain_step(
+    slots: dict[str, Any],
+    members: tuple[tuple[Callable[[JobContext], None], JobContext], ...],
+) -> Callable[[JobContext], None]:
+    """Run a fused chain's members as one step, with fresh local slots."""
+
+    def run(ctx: JobContext) -> None:
+        slots.clear()  # a job that raised leaves its values behind
+        iteration = ctx.iteration
+        for member_run, member_ctx in members:
+            member_ctx.iteration = iteration
+            member_run(member_ctx)
+        slots.clear()  # nothing the job held (mapped views) outlives it
+
+    return run
+
+
 class NodePlans(dict):
     """``node id -> NodePlan`` for one installed configuration.
 
     Compiled on first use (construction and splices pay nothing for
-    nodes that have not run yet; a fused chain lowers its kernels as late
-    as before) and dropped as a whole with the configuration: a splice
-    changes the graph, the alias map and the component objects.
-    ``streams`` is anything with ``.stream(name)``; ``runnable`` filters
-    which instances of an unfused node get a step (None: all — its one
-    user, the simulator's cost-only mode, never fuses).
+    nodes that have not run yet; a fused node lowers its kernel then)
+    and dropped as a whole with the configuration: a splice changes the
+    graph, the alias map and the component objects.  ``streams`` is
+    anything with ``.stream(name)``; ``runnable`` filters which instances
+    of a node get a step (None: all — its one user, the simulator's
+    cost-only mode, never fuses).
     """
 
     def __init__(
@@ -334,9 +330,13 @@ class Coordinator:
     ``lock`` guards the controller entry points for executors whose jobs
     run concurrently with manager invocations (the threaded backend's
     RLock).  ``concurrent_jobs`` says whether two jobs can run at once;
-    only then do the streams lock (:mod:`repro.hinch.stream`).
-    ``parallel_headroom`` is forwarded to every build.
+    only then do the streams lock (:mod:`repro.hinch.stream`).  ``fuse``
+    and ``parallel_headroom`` are forwarded to every build.
     """
+
+    #: apply pair fusion to every build; the simulator, which costs the
+    #: paper's unfused graph, turns it off
+    fuses_pairs = True
 
     def __init__(
         self,
@@ -349,8 +349,7 @@ class Coordinator:
         trace: bool,
         option_states: Mapping[str, bool] | None,
         group_chains: bool,
-        fuse: bool,
-        fuse_backend: str = "numpy",
+        fuse: bool = False,
         parallel_headroom: int | None = None,
         lock: ContextManager[Any] | None = None,
         concurrent_jobs: bool = False,
@@ -361,12 +360,16 @@ class Coordinator:
         self.max_iterations = max_iterations
         self.group_chains = group_chains
         self.fuse = fuse
-        self.fuse_backend = fuse_backend
         self.parallel_headroom = parallel_headroom
-        self.fusion_report: FusionReport | None = None
+        #: the program's pair-kernel classes, worked out once: every
+        #: build (splices inside run() included) only reads it
+        self._peepholes = (
+            peephole_classes(program, registry) if self.fuses_pairs
+            else frozenset()
+        )
         #: resolved option states -> built configuration: a run that
         #: toggles between a handful of configurations solves, converts,
-        #: groups and fuses each once
+        #: fuses and groups each once
         self._configurations: dict[frozenset, Configuration] = {}
         self._lock = lock if lock is not None else nullcontext()
         self.broker = EventBroker()
@@ -413,8 +416,8 @@ class Coordinator:
                 option_states,
                 group_chains=self.group_chains,
                 fuse=self.fuse,
-                fuse_backend=self.fuse_backend,
                 parallel_headroom=self.parallel_headroom,
+                peepholes=self._peepholes,
             )
             # keyed by the *resolved* states: what every splice asks for
             key = frozenset(config.pg.option_states.items())
@@ -427,7 +430,6 @@ class Coordinator:
         # resolve through them.
         self.host.overrides = config.overrides
         self.streams.set_expectations(config.expectations)
-        self.fusion_report = config.fusion_report
         return config.pg
 
     def _install_plans(self) -> None:

@@ -1,21 +1,40 @@
-"""Chain fusion: compile producer→consumer chains into single-dispatch kernels.
+"""Fusion: producer→consumer work the build runs as one job (§4.1).
 
-The §4.1 grouping rewrite (:mod:`repro.hinch.grouping`) merges *graph
-linear* chains — producer with one successor meeting consumer with one
-predecessor.  That shape is rare in real pipelines: sliced stages meet at
-barrier nodes, so the runtime bench shows per-job Python dispatch (not
-pixels) dominating wall time.  This module is the grouping idea taken to
-its logical end, a **chain-fusion compiler** that runs at build time and
-again at every reconfiguration splice:
+Paper §4.1 reads producer→consumer locality as grouping "several
+components into a group that is scheduled as one entity".
+:mod:`repro.hinch.grouping` does that for every linear chain when asked
+(``group_chains``).  This module holds two stronger readings.
+
+**Pair fusion** is a build step.  Where a consumer class's
+:meth:`~repro.hinch.component.Component.compile_fused_pair` returns a
+combined kernel for its producer's class — ``jpeg_decode`` after
+``mjpeg_source`` skips the whole Huffman round-trip — the group removes
+work instead of only moving it, so
+:func:`~repro.hinch.engine.build_configuration` applies
+:func:`fuse_pairs` to every threaded and process build, at construction
+and at each splice.  A pair qualifies when
+:func:`~repro.hinch.grouping.fusable_edge` allows its edge and the
+consumer is the only reader of everything the producer writes.  It is
+contracted like a grouped chain into one node carrying a
+:class:`FusedPair`, which :class:`~repro.hinch.engine.NodePlan` lowers
+to one step: the kernel.  The stream between the two is never written.
+Which classes offer a kernel is worked out once per program
+(:func:`peephole_classes`); a program with none (audio, PiP, Blur) gets
+its graph back untouched from every build.  The simulator passes an
+empty set: it costs the paper's unfused graph.
+
+**The chain compiler** (:func:`fuse_chains`) is opt-in
+(``ThreadedRuntime``/``ProcessRuntime(fuse=True)``).  It runs after the
+pair pass and merges chains that are not linear in the graph:
 
 1. For every stream it asks whether each *reader copy* provably consumes
    only what its *paired writer copy* produced.  Unsliced 1:1 streams
    pass trivially; sliced pairs are proven through the components'
    ``writes_rows``/``reads_rows`` access contracts against the plane
-   height pinned by the reconciled X5xx port formats (PR 6) — e.g. a
-   block-8 IDCT copy writes rows ``[16i, 16i+16)`` of a 128-row field
-   and the factor-4 downscaler copy with the same slice index reads
-   exactly that band.
+   height pinned by the reconciled X5xx port formats — e.g. a block-8
+   IDCT copy writes rows ``[16i, 16i+16)`` of a 128-row field and the
+   factor-4 downscaler copy with the same slice index reads exactly that
+   band.
 2. Approved pairs are contracted into :class:`FusedChain` nodes whose one
    job executes every member back-to-back per slice.  The intermediate
    plane becomes a worker-local numpy temporary (never touching
@@ -25,11 +44,9 @@ again at every reconfiguration splice:
    everything *not* proven internal, and falls back chain-by-chain (and
    ultimately to the unfused graph) if a rewrite would introduce a cycle.
 
-Codegen backends: the always-on ``numpy`` backend composes the members'
-vectorized kernels over the local temporaries; ``numba`` additionally
-asks each member class for an njit-compiled replacement kernel
-(:meth:`Component.compile_fused`), silently falling back per member —
-and to ``numpy`` entirely — when numba is absent or compilation fails.
+On ``audio_dispatch`` it merges the terminal ``fuse+sink`` pair, which
+keeps the process backend's ``batch=4`` configuration ahead
+(docs/performance.md, "What each feature earns").
 """
 
 from __future__ import annotations
@@ -39,51 +56,118 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.program import ComponentInstance, ProgramGraph, StreamTable
+from repro.core.program import (
+    ComponentInstance,
+    Program,
+    ProgramGraph,
+    StreamTable,
+)
 from repro.errors import StreamError
 from repro.graph.taskgraph import TaskGraph
 from repro.hinch.component import Component
-from repro.hinch.grouping import GROUP_SEPARATOR
+from repro.hinch.grouping import GROUP_SEPARATOR, contract, fusable_edge
 from repro.hinch.stream import AGAINST_FORMAT, check_geometry
 
 __all__ = [
+    "FusedPair",
+    "peephole_classes",
+    "fuse_pairs",
     "FusedChain",
     "FusionReport",
     "fuse_chains",
     "FusedLocalStore",
-    "compile_steps",
-    "resolve_backend",
-    "numba_available",
-    "FUSE_BACKENDS",
 ]
 
-FUSE_BACKENDS = ("numpy", "numba")
+
+# ---------------------------------------------------------------------------
+# Pair fusion
+# ---------------------------------------------------------------------------
 
 
-def numba_available() -> bool:
-    """True when the optional numba dependency can actually be imported."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
+class FusedPair(tuple):
+    """``(writer, reader)``: a node whose one step is the pair kernel."""
+
+    __slots__ = ()
 
 
-def resolve_backend(requested: str) -> str:
-    """Resolve the requested codegen backend, falling back to ``numpy``.
+def peephole_classes(
+    program: Program, registry: Mapping[str, type[Component]]
+) -> frozenset[str]:
+    """Names of the classes in ``program`` that offer a pair kernel."""
+    default = Component.compile_fused_pair.__func__
+    names = {i.class_name for i in program.components.values()}
+    return frozenset(
+        name for name in names
+        if name in registry
+        and registry[name].compile_fused_pair.__func__ is not default
+    )
 
-    ``numba`` degrades silently when the dependency is absent — the
-    fused-vs-unfused bit-identity contract holds either way, so a missing
-    accelerator must never fail a run.
+
+def _feeds_only(
+    pg: ProgramGraph,
+    writer_cls: type[Component],
+    writer: ComponentInstance,
+    reader: ComponentInstance,
+) -> bool:
+    """Is ``reader`` the one reader of every stream ``writer`` writes?
+
+    Only then may the pair skip the writes: no one else observes them.
     """
-    if requested not in FUSE_BACKENDS:
-        raise ValueError(
-            f"unknown fuse backend {requested!r}; expected one of "
-            f"{FUSE_BACKENDS}"
-        )
-    if requested == "numba" and not numba_available():
-        return "numpy"
-    return requested
+    names = [
+        pg.aliases.get(raw, raw)
+        for port in writer_cls.ports.outputs
+        if (raw := writer.streams.get(port)) is not None
+    ]
+    for name in names:
+        table = pg.streams.get(name)
+        if table is None or (
+            {w.instance_id for w in table.writers} != {writer.instance_id}
+            or {r.instance_id for r in table.readers} != {reader.instance_id}
+        ):
+            return False
+    return bool(names)
+
+
+def fuse_pairs(
+    pg: ProgramGraph,
+    registry: Mapping[str, type[Component]],
+    peepholes: frozenset[str],
+) -> ProgramGraph:
+    """Contract every pair a reader in ``peepholes`` has a kernel for.
+
+    Deterministic in its inputs: a process worker that builds a
+    configuration itself must arrive at the dispatcher's node ids.
+    Returns ``pg`` itself when no pair qualifies.
+    """
+    graph = pg.graph
+    pairs: list[list[str]] = []
+    taken: set[str] = set()
+    for node in graph:
+        reader = node.payload
+        if not (isinstance(reader, ComponentInstance)
+                and reader.class_name in peepholes):
+            continue
+        preds = graph.predecessors(node.node_id)
+        if len(preds) != 1 or preds[0] in taken or node.node_id in taken:
+            continue
+        writer_id = preds[0]
+        if not fusable_edge(graph, pg.crossdep_nodes, writer_id, node.node_id):
+            continue
+        writer = graph.node(writer_id).payload
+        writer_cls = registry.get(writer.class_name)
+        if (writer_cls is None
+                or not _feeds_only(pg, writer_cls, writer, reader)
+                or registry[reader.class_name].compile_fused_pair(
+                    writer_cls, writer, reader) is None):
+            continue
+        pairs.append([writer_id, node.node_id])
+        taken.update(pairs[-1])
+    return contract(pg, pairs, FusedPair) if pairs else pg
+
+
+# ---------------------------------------------------------------------------
+# The chain compiler
+# ---------------------------------------------------------------------------
 
 
 class FusedChain(tuple):
@@ -98,26 +182,21 @@ class FusedChain(tuple):
         format solution, or ``None`` for opaque (object) streams.  These
         streams live as job-local values/temporaries and never reach the
         stream store.
-    ``backend``
-        resolved codegen backend (``"numpy"`` or ``"numba"``).
     """
 
     internal: dict[str, tuple[tuple[int, ...], Any] | None]
-    backend: str
 
     def __new__(
         cls,
         members: tuple[ComponentInstance, ...],
         internal: Mapping[str, tuple[tuple[int, ...], Any] | None],
-        backend: str = "numpy",
     ) -> "FusedChain":
         self = super().__new__(cls, tuple(members))
         self.internal = dict(internal)
-        self.backend = backend
         return self
 
     def __reduce__(self):
-        return (FusedChain, (tuple(self), self.internal, self.backend))
+        return (FusedChain, (tuple(self), self.internal))
 
     @property
     def node_id(self) -> str:
@@ -128,8 +207,6 @@ class FusedChain(tuple):
 class FusionReport:
     """What one :func:`fuse_chains` pass decided, for introspection/tests."""
 
-    requested_backend: str
-    backend: str
     chains: tuple[FusedChain, ...] = ()
     #: resolved stream names proven internal to some chain
     internal_streams: tuple[str, ...] = ()
@@ -137,10 +214,6 @@ class FusionReport:
     dropped: tuple[str, ...] = ()
     #: stream name -> human-readable refusal reason (first one found)
     refused: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def fused_node_count(self) -> int:
-        return len(self.chains)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +383,6 @@ def _rewrite(
     pg: ProgramGraph,
     chains: list[list[str]],
     approved: dict[str, tuple[list[tuple[str, str]], Any]],
-    backend: str,
 ) -> tuple[TaskGraph, list[FusedChain]] | None:
     """Contract ``chains`` into fused nodes; None when the result cycles.
 
@@ -366,7 +438,7 @@ def _rewrite(
                     for w, r in prs
                 )
             }
-            payload = FusedChain(members, internal, backend)
+            payload = FusedChain(members, internal)
             fused_payloads[cid] = payload
             new.add_node(
                 cid,
@@ -427,11 +499,11 @@ def fuse_chains(
     ``parallel_headroom`` enables the sliced-pair profitability guard
     (see :func:`_approve_stream`); callers pass the number of workers
     that can genuinely run in parallel (``min(workers, cores)`` on the
-    process backend) or ``None`` to fuse unconditionally.
+    process backend) or ``None`` to fuse unconditionally.  ``backend``
+    is accepted for ``benchmarks/e2e/layers.py``, which passes
+    ``"numpy"``, and ignored (a frozen-path shim, ROADMAP item 4(c)).
     """
-    resolved = resolve_backend(backend)
-    report = FusionReport(requested_backend=backend, backend=resolved)
-
+    report = FusionReport()
     approved: dict[str, tuple[list[tuple[str, str]], Any]] = {}
     for name, table in pg.streams.items():
         verdict = _approve_stream(
@@ -451,7 +523,7 @@ def fuse_chains(
 
     dropped: list[str] = []
     while chains:
-        result = _rewrite(pg, chains, approved, resolved)
+        result = _rewrite(pg, chains, approved)
         if result is not None:
             break
         # A chain interacts with an external path; drop the most recently
@@ -581,72 +653,3 @@ class FusedLocalStore:
             buf = np.empty(shape, dtype=dtype)
             self._temps[name] = buf
         return buf
-
-
-def compile_steps(
-    chain: FusedChain,
-    components: Mapping[str, Component],
-    aliases: dict[str, str],
-) -> list[tuple[ComponentInstance, ComponentInstance | None, Any]]:
-    """Lower a chain to execution steps: pair kernels, then per-member.
-
-    Adjacent members whose connecting streams are all chain-internal are
-    offered to the downstream class's
-    :meth:`~Component.compile_fused_pair` peephole; a hit collapses both
-    into one step.  Remaining members get a per-member compiled kernel
-    on non-default backends (:meth:`~Component.compile_fused`) or the
-    interpreted ``run``.
-    """
-    members = list(chain)
-    steps: list[tuple[ComponentInstance, ComponentInstance | None, Any]] = []
-    i = 0
-    while i < len(members):
-        if i + 1 < len(members):
-            a, b = members[i], members[i + 1]
-            if _feeds_internally(a, b, chain, components, aliases):
-                pair = type(components[b.instance_id]).compile_fused_pair(
-                    type(components[a.instance_id]), a, b, chain.backend
-                )
-                if pair is not None:
-                    steps.append((a, b, pair))
-                    i += 2
-                    continue
-        member = members[i]
-        kernel = (
-            type(components[member.instance_id]).compile_fused(
-                member, chain.backend
-            )
-            if chain.backend != "numpy"
-            else None
-        )
-        steps.append((member, None, kernel))
-        i += 1
-    return steps
-
-
-def _feeds_internally(
-    a: ComponentInstance,
-    b: ComponentInstance,
-    chain: FusedChain,
-    components: Mapping[str, Component],
-    aliases: dict[str, str],
-) -> bool:
-    """True when every output of ``a`` is chain-internal and read by ``b``.
-
-    The pair peephole may skip materializing ``a``'s outputs, which is
-    sound only if no one outside the pair — neither another chain member
-    nor the stream store — can observe them.
-    """
-    ports_a = type(components[a.instance_id]).ports
-    ports_b = type(components[b.instance_id]).ports
-    outs = {
-        aliases.get(a.streams[p], a.streams[p])
-        for p in ports_a.outputs
-        if p in a.streams
-    }
-    ins = {
-        aliases.get(b.streams[p], b.streams[p])
-        for p in ports_b.inputs
-        if p in b.streams
-    }
-    return bool(outs) and outs <= set(chain.internal) and outs <= ins

@@ -31,72 +31,88 @@ worker dies, and follow-ons are skipped while idle workers could use
 them).  Grouping trades parallelism for locality statically and
 visibly; batching recovers most of the locality with no graph change.
 
-Chain *fusion* (:mod:`repro.hinch.fusion`, ``--fuse``) is the third and
-strongest reading of the §4.1 quote: where grouping merges chains that
-are linear *in the graph* (rare once sliced stages meet at barriers),
-fusion proves through the components' row-access contracts that each
-consumer copy reads only its paired producer copy's band, merges the
-pair even though the graph shows a barrier between the stages, and
-compiles the chain so the intermediate plane never leaves the worker —
-not merely "still in the cache" but never in the stream store at all.
+:mod:`repro.hinch.fusion` holds the two strongest readings of the §4.1
+quote.  *Pair fusion* is the one grouping every threaded and process
+build applies unasked: where a consumer class offers a combined kernel
+for its producer's class, the linear pair becomes one node, contracted
+by :func:`contract` under the same :func:`fusable_edge` rules, and the
+stream between them is never written at all — not merely "still in the
+cache".  The opt-in *chain compiler* (``fuse=True``) goes further where
+grouping stops: it proves through the components' row-access contracts
+that each consumer copy reads only its paired producer copy's band,
+merges the pair even though the graph shows a barrier between the
+stages, and keeps the intermediate plane inside the job.
 
 A chain must never cross a *control* node (managers, barriers), a
 *crossdep* consumer (its halo edges encode a sparser ordering than
 producer+consumer), or an *option-configuration* boundary (the members
-would splice at different times): :func:`find_linear_chains` refuses all
-three, so both the §4.1 rewrite and the X401 lint only propose chains
-that every backend can actually schedule as one entity.
+would splice at different times): :func:`fusable_edge` refuses all
+three, so the §4.1 rewrite, the pair fusion and the X401 lint only
+propose chains that every backend can actually schedule as one entity.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.program import ComponentInstance, ProgramGraph
 from repro.graph.taskgraph import TaskGraph
 
-__all__ = ["group_linear_chains", "find_linear_chains", "GROUP_SEPARATOR"]
+__all__ = [
+    "group_linear_chains",
+    "find_linear_chains",
+    "fusable_edge",
+    "contract",
+    "GROUP_SEPARATOR",
+]
 
 GROUP_SEPARATOR = "+"
+
+
+def fusable_edge(
+    graph: TaskGraph, crossdep_nodes: frozenset[str] | set[str], u: str, v: str
+) -> bool:
+    """May the edge ``u -> v`` join one scheduled entity?
+
+    Both ends are plain component tasks, ``u``'s only successor is
+    ``v`` and ``v``'s only predecessor is ``u``, neither is a crossdep
+    member (``crossdep_nodes``, from :attr:`ProgramGraph.crossdep_nodes`),
+    and both share options, manager and slice assignment.
+    """
+    nu, nv = graph.node(u), graph.node(v)
+    # control nodes (managers, barriers) are never chain members
+    if nu.kind != "task" or nv.kind != "task":
+        return False
+    if graph.out_degree(u) != 1 or graph.in_degree(v) != 1:
+        return False
+    pu = nu.payload
+    pv = nv.payload
+    if not isinstance(pu, ComponentInstance) or not isinstance(
+        pv, ComponentInstance
+    ):
+        return False
+    # crossdep members: the halo edges encode a sparser ordering than
+    # producer+consumer; merging would serialize the region
+    if u in crossdep_nodes or v in crossdep_nodes:
+        return False
+    # option boundaries: members spliced by different reconfigurations
+    # cannot be one scheduled entity
+    if pu.options != pv.options:
+        return False
+    if pu.manager != pv.manager:
+        return False
+    return pu.slice == pv.slice
 
 
 def find_linear_chains(
     graph: TaskGraph,
     crossdep_nodes: frozenset[str] | set[str] = frozenset(),
 ) -> list[list[str]]:
-    """Maximal linear chains of fusable task nodes (length >= 2).
+    """Maximal linear chains of :func:`fusable_edge` edges (length >= 2).
 
     Public so the lint pass (X401, ``repro.analysis.perf``) can point at
-    fusion opportunities without committing to the rewrite.  A chain
-    refuses to cross control nodes (non-task kinds), crossdep members
-    (``crossdep_nodes``, from :attr:`ProgramGraph.crossdep_nodes`), or an
-    option-configuration boundary (members with different option sets
-    would splice at different times).
+    grouping opportunities without committing to the rewrite.
     """
-
-    def fusable_edge(u: str, v: str) -> bool:
-        nu, nv = graph.node(u), graph.node(v)
-        # control nodes (managers, barriers) are never chain members
-        if nu.kind != "task" or nv.kind != "task":
-            return False
-        if graph.out_degree(u) != 1 or graph.in_degree(v) != 1:
-            return False
-        pu = nu.payload
-        pv = nv.payload
-        if not isinstance(pu, ComponentInstance) or not isinstance(
-            pv, ComponentInstance
-        ):
-            return False
-        # crossdep members: the halo edges encode a sparser ordering
-        # than producer+consumer; merging would serialize the region
-        if u in crossdep_nodes or v in crossdep_nodes:
-            return False
-        # option boundaries: members spliced by different reconfigurations
-        # cannot be one scheduled entity
-        if pu.options != pv.options:
-            return False
-        if pu.manager != pv.manager:
-            return False
-        return pu.slice == pv.slice
-
     in_chain: set[str] = set()
     chains: list[list[str]] = []
     for node in graph.topological_order():
@@ -104,13 +120,15 @@ def find_linear_chains(
             continue
         # only start a chain at a node that is not a fusable continuation
         preds = graph.predecessors(node)
-        if len(preds) == 1 and fusable_edge(preds[0], node):
+        if len(preds) == 1 and fusable_edge(graph, crossdep_nodes,
+                                            preds[0], node):
             continue
         chain = [node]
         cur = node
         while True:
             succs = graph.successors(cur)
-            if len(succs) == 1 and fusable_edge(cur, succs[0]):
+            if len(succs) == 1 and fusable_edge(graph, crossdep_nodes,
+                                                cur, succs[0]):
                 cur = succs[0]
                 chain.append(cur)
             else:
@@ -121,58 +139,67 @@ def find_linear_chains(
     return chains
 
 
-def group_linear_chains(pg: ProgramGraph) -> ProgramGraph:
-    """Return a ProgramGraph with linear component chains merged.
+def contract(
+    pg: ProgramGraph,
+    chains: list[list[str]],
+    payload: Callable[[tuple[ComponentInstance, ...]], tuple] = tuple,
+) -> ProgramGraph:
+    """Return a ProgramGraph with each of ``chains`` merged into one node.
 
-    Composite nodes get id ``a+b+c`` and payload ``(inst_a, inst_b,
-    inst_c)`` in execution order; everything else (streams, aliases,
-    option states) is shared with the input.
+    A merged node gets id ``a+b+c`` and payload ``payload((inst_a,
+    inst_b, inst_c))`` in execution order; everything else (streams,
+    aliases, option states) is shared with the input.
     """
     graph = pg.graph
-    chains = find_linear_chains(graph, pg.crossdep_nodes)
-    if not chains:
-        return pg
     member_of: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
     for chain in chains:
         gid = GROUP_SEPARATOR.join(chain)
+        members[gid] = chain
         for node_id in chain:
             member_of[node_id] = gid
 
-    grouped = TaskGraph()
+    merged = TaskGraph()
     for node in graph:
-        if node.node_id in member_of:
-            gid = member_of[node.node_id]
-            if gid not in grouped:
-                chain = gid.split(GROUP_SEPARATOR)
-                grouped.add_node(
-                    gid,
-                    label=gid,
-                    kind="task",
-                    payload=tuple(graph.node(n).payload for n in chain),
-                    weight=sum(graph.node(n).weight for n in chain),
-                )
-        else:
-            grouped.add_node(
+        gid = member_of.get(node.node_id)
+        if gid is None:
+            merged.add_node(
                 node.node_id,
                 label=node.label,
                 kind=node.kind,
                 payload=node.payload,
                 weight=node.weight,
             )
-
-    def rename(node_id: str) -> str:
-        return member_of.get(node_id, node_id)
+        elif gid not in merged:
+            chain = members[gid]
+            merged.add_node(
+                gid,
+                label=gid,
+                kind="task",
+                payload=payload(tuple(graph.node(n).payload for n in chain)),
+                weight=sum(graph.node(n).weight for n in chain),
+            )
 
     for u, v in graph.edges():
-        gu, gv = rename(u), rename(v)
+        gu, gv = member_of.get(u, u), member_of.get(v, v)
         if gu != gv:
-            grouped.add_edge(gu, gv)
+            merged.add_edge(gu, gv)
 
     return ProgramGraph(
-        graph=grouped,
+        graph=merged,
         streams=pg.streams,
         aliases=pg.aliases,
         option_states=pg.option_states,
         active_components=pg.active_components,
         crossdep_nodes=pg.crossdep_nodes,
     )
+
+
+def group_linear_chains(pg: ProgramGraph) -> ProgramGraph:
+    """Return a ProgramGraph with linear component chains merged.
+
+    Composite nodes get id ``a+b+c`` and payload ``(inst_a, inst_b,
+    inst_c)`` in execution order (:func:`contract`).
+    """
+    chains = find_linear_chains(pg.graph, pg.crossdep_nodes)
+    return contract(pg, chains) if chains else pg

@@ -151,8 +151,11 @@ class ProcessRuntime(Coordinator):
     :meth:`run` raises :class:`~repro.errors.SchedulingError` ("dataflow
     stalled") instead of waiting for a worker that has nothing to send.
 
-    Performance knob:
+    Performance knobs:
 
+    * ``fuse`` — also run the chain compiler
+      (:func:`~repro.hinch.fusion.fuse_chains`) at every build; pair
+      fusion applies either way.  Outputs stay bit-identical.
     * ``batch`` — maximum jobs per lease (default 1).  At 1 the
       dispatcher is job-at-a-time and bit-identical to previous
       behavior; larger values amortize pickling, pipe wakeups and
@@ -190,7 +193,6 @@ class ProcessRuntime(Coordinator):
         option_states: Mapping[str, bool] | None = None,
         group_chains: bool = False,
         fuse: bool = False,
-        fuse_backend: str = "numpy",
         batch: int = 1,
         watchdog: float | None = None,
         max_retries: int = 2,
@@ -212,9 +214,9 @@ class ProcessRuntime(Coordinator):
         self.respawn = respawn
         self.fault_injector = coerce_injector(faults)
         try:
-            self._cores = len(os.sched_getaffinity(0))
+            cores = len(os.sched_getaffinity(0))
         except (AttributeError, OSError):
-            self._cores = os.cpu_count() or 1
+            cores = os.cpu_count() or 1
         super().__init__(
             program, registry,
             pool=SharedPlanePool(shared=True),
@@ -224,11 +226,11 @@ class ProcessRuntime(Coordinator):
             option_states=option_states,
             group_chains=group_chains,
             fuse=fuse,
-            fuse_backend=fuse_backend,
-            # workers-vs-cores ceiling handed to the fusion profitability
-            # guard: fusing a sliced pair forfeits pipeline overlap exactly
-            # when more workers than slice copies could run its members
-            parallel_headroom=min(workers, self._cores) if fuse else None,
+            # workers-vs-cores ceiling handed to the chain compiler's
+            # profitability guard: fusing a sliced pair forfeits pipeline
+            # overlap exactly when more workers than slice copies could
+            # run its members
+            parallel_headroom=min(workers, cores) if fuse else None,
         )
         #: control-pipe pickler; workers derive the identical table from
         #: the same graph (inherited or looked up), so name strings travel as
@@ -721,7 +723,7 @@ class ProcessRuntime(Coordinator):
         job = lease.jobs[lease.done]
         deferred = lease.deferred[lease.done]
         (iteration, node_id, outputs, events, stop, start, end,
-         state_updates, member_times) = record
+         state_updates) = record
         if job.iteration != iteration or job.node_id != node_id:
             raise SchedulingError(
                 f"worker {worker} completed {node_id}@{iteration}, "
@@ -756,10 +758,7 @@ class ProcessRuntime(Coordinator):
         if stop:
             self.scheduler.request_stop()
         if self.tracer.enabled:
-            # member spans are worker-local perf_counter timestamps: the
-            # same clock domain as the whole-node span
-            self.tracer.record_job(node_id, iteration, worker, start, end,
-                                   "task", member_times)
+            self.tracer.record_job(node_id, iteration, worker, start, end)
         if unused_grants is not None:
             # Final record of the lease: consumed grants became outputs
             # (stream-owned now), unconsumed ones go back to the pool.

@@ -62,7 +62,9 @@ class ThreadedRuntime(Coordinator):
     """Run a Program with real component execution.
 
     ``nodes=1`` runs on the calling thread; ``nodes >= 2`` on that many
-    worker threads sharing the central :class:`JobQueue`.
+    worker threads sharing the central :class:`JobQueue`.  ``fuse`` also
+    runs the chain compiler (:func:`~repro.hinch.fusion.fuse_chains`) at
+    every build; pair fusion applies either way.
     """
 
     def __init__(
@@ -77,7 +79,6 @@ class ThreadedRuntime(Coordinator):
         option_states: Mapping[str, bool] | None = None,
         group_chains: bool = False,
         fuse: bool = False,
-        fuse_backend: str = "numpy",
     ) -> None:
         if nodes < 1:
             raise SchedulingError(f"nodes must be >= 1, got {nodes}")
@@ -94,7 +95,6 @@ class ThreadedRuntime(Coordinator):
             option_states=option_states,
             group_chains=group_chains,
             fuse=fuse,
-            fuse_backend=fuse_backend,
             # Worker threads complete jobs (and so invoke managers and
             # splice) concurrently: every controller entry point locks.
             # Uncontended at nodes=1, where no job takes it.
@@ -115,9 +115,8 @@ class ThreadedRuntime(Coordinator):
         tracing = self.tracer.enabled
         if tracing:
             start = time.perf_counter()
-        member_times = None
         if plan.steps:
-            member_times = plan.run(job.iteration, tracing)
+            plan.run(job.iteration)
         elif plan.manager is not None:
             qname, phase = plan.manager
             with self._lock:
@@ -126,7 +125,7 @@ class ThreadedRuntime(Coordinator):
         if tracing:
             self.tracer.record_job(
                 job.node_id, job.iteration, worker, start,
-                time.perf_counter(), plan.kind, member_times,
+                time.perf_counter(), plan.kind,
             )
 
     def _worker(self, worker_id: int) -> None:
@@ -171,10 +170,10 @@ class ThreadedRuntime(Coordinator):
             # looked up per job: a splice inside complete() installs a
             # new configuration's plans
             plan = self.node_plans[job.node_id]
-            if tracing or plan.scratch is not None:
-                self._execute(job, 0)  # timed, or a fused chain's scratch
+            if tracing:
+                self._execute(job, 0)
             elif plan.steps:
-                # NodePlan.run's unfused loop, without its frame
+                # NodePlan.run's loop, without its frame
                 iteration = job.iteration
                 for run, ctx in plan.steps:
                     ctx.iteration = iteration

@@ -14,10 +14,10 @@ from typing import Iterable
 
 __all__ = ["TraceEvent", "Tracer", "ATTRIBUTION_KINDS", "CONTROL_KINDS"]
 
-#: Event kinds that *attribute* time already covered by another event
-#: (fused-chain members run inside their fused job's span).  Occupancy
-#: analytics skip them or every fused second would count twice.
-ATTRIBUTION_KINDS = frozenset({"fused_member"})
+#: Event kinds that *attribute* time already covered by another event.
+#: No runtime emits one any more; the name stays for trace consumers
+#: that filter on it.
+ATTRIBUTION_KINDS: frozenset[str] = frozenset()
 
 #: Zero-duration marker kinds recording a runtime decision rather than
 #: executed work.  No runtime emits one any more; the name stays for
@@ -65,21 +65,14 @@ class Tracer:
         start: float,
         end: float,
         kind: str = "task",
-        member_times: Iterable[tuple[str, float, float]] | None = None,
     ) -> None:
-        """One executed job and — for a fused chain — its members' spans.
+        """One executed job.
 
-        ``member_times`` is ``(instance id, start, end)`` per constituent,
-        in the job's own clock domain; they are recorded as
-        ``fused_member`` events (attribution only, never busy time).
         Callers check :attr:`enabled` first, before reading any clock.
         """
-        events = [TraceEvent(node_id, iteration, worker, start, end, kind)]
-        for member_id, m_start, m_end in member_times or ():
-            events.append(TraceEvent(member_id, iteration, worker, m_start,
-                                     m_end, "fused_member"))
+        event = TraceEvent(node_id, iteration, worker, start, end, kind)
         with self._lock:
-            self._events.extend(events)
+            self._events.append(event)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -97,8 +90,7 @@ class Tracer:
         return sum(
             e.duration
             for e in self.events
-            if e.kind not in ATTRIBUTION_KINDS
-            and (worker is None or e.worker == worker)
+            if worker is None or e.worker == worker
         )
 
     def makespan(self) -> float:
@@ -126,8 +118,6 @@ class Tracer:
         """
         totals: dict[int, float] = {}
         for e in self.events:
-            if e.kind in ATTRIBUTION_KINDS:
-                continue
             totals[e.worker] = totals.get(e.worker, 0.0) + e.duration
         return dict(sorted(totals.items()))
 
@@ -138,11 +128,7 @@ class Tracer:
         Dispatcher control jobs (worker ``-1``) do not make a worker
         "live".
         """
-        return frozenset(
-            e.worker
-            for e in self.events
-            if e.worker >= 0 and e.kind not in ATTRIBUTION_KINDS
-        )
+        return frozenset(e.worker for e in self.events if e.worker >= 0)
 
     def kind_counts(self) -> dict[str, int]:
         """Events per ``kind`` — e.g. how many retries/respawns a run saw."""

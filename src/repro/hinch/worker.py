@@ -309,7 +309,7 @@ class _Worker:
         self.current_node: str = ""
 
     def _install_plans(self) -> None:
-        """Fresh node plans (and fused temps/kernels) for the current graph."""
+        """Fresh node plans for the current graph."""
         self.node_plans = NodePlans(
             self.pg, self.host.live, self.streams, self.broker,
             self._request_stop,
@@ -404,11 +404,7 @@ class _Worker:
         self._stop_requested = False
         self.current_node = node_id
         start = time.perf_counter()
-        # A fused chain is a single dispatch: intermediate planes stay
-        # process-local temporaries, external reads/writes go through
-        # the normal stream facade.  Its member spans are always taken —
-        # whether the dispatcher traces is not known here.
-        member_times = plan.run(iteration, True)
+        plan.run(iteration)
         end = time.perf_counter()
         # Checkpoint the state this job accrued: the delta rides on the
         # completion message (NOT through pool.pack — checkpoints are
@@ -431,7 +427,7 @@ class _Worker:
         outputs = ws.outputs
         ws.end()
         return (iteration, node_id, outputs, events, self._stop_requested,
-                start, end, state_updates, member_times)
+                start, end, state_updates)
 
     def _run_lease(
         self,

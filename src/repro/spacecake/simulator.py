@@ -172,6 +172,8 @@ class SimResult:
 class SimRuntime(Coordinator):
     """Simulate a Program on an N-core SpaceCAKE tile."""
 
+    fuses_pairs = False
+
     def __init__(
         self,
         program: Program,
@@ -197,7 +199,8 @@ class SimRuntime(Coordinator):
         self.cost_model = CostModel(registry, cost_params)
         # Same build as the real backends — format solve, converter
         # insertion, grouping — so the simulator costs the graph they
-        # run.  Fusion is a real-backend optimization with no cost model.
+        # run, except pair fusion (``fuses_pairs``): the paper had no
+        # such rewrite, and FIG8-10 cost its unfused graph.
         super().__init__(
             program, registry,
             pipeline_depth=pipeline_depth,
@@ -205,7 +208,6 @@ class SimRuntime(Coordinator):
             trace=trace,
             option_states=option_states,
             group_chains=group_chains,
-            fuse=False,
         )
         self._pending: deque[Job] = deque()  # the central job queue
         self._stall_until = 0.0  # reconfiguration splice window

@@ -389,7 +389,7 @@ def test_plane_indivisible_by_8_rejected():
         encode_plane(np.zeros((20, 20), dtype=np.uint8), LUMA_QTABLE)
 
 
-# -- fused encoder kernel (chain fusion, --fuse) ------------------------------
+# -- fused encoder kernel ------------------------------------------------------
 
 
 def test_fused_dct_quant_zigzag_matches_staged_pipeline():
@@ -407,18 +407,6 @@ def test_fused_dct_quant_zigzag_matches_staged_pipeline():
 def test_fused_dct_quant_zigzag_rejects_bad_shape():
     with pytest.raises(CodecError, match="8, 8"):
         fused_dct_quant_zigzag(np.zeros((3, 4, 4)), LUMA_QTABLE)
-
-
-def test_fused_numba_backend_falls_back_bit_identically():
-    rng = np.random.default_rng(12)
-    blocks = _blockify(
-        rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-    ) - 128.0
-    q = scale_qtable(LUMA_QTABLE, 75)
-    assert np.array_equal(
-        fused_dct_quant_zigzag(blocks, q, backend="numba"),
-        fused_dct_quant_zigzag(blocks, q),
-    )
 
 
 def test_vectorized_encode_matches_scalar_reference():

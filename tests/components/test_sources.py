@@ -13,6 +13,7 @@ from repro.core import parse_string
 from repro.core.xmlio import spec_to_xml
 from repro.errors import ComponentError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+from repro.spacecake import SimRuntime
 
 REG = default_registry()
 ITERATIONS = 30
@@ -28,14 +29,22 @@ APPS = {
     "audio": lambda frames: build_audio(channels=4, block=32, slices=2,
                                         frames=frames, collect=True),
 }
-RUNS = [(app, False) for app in APPS] + [("jpip", True)]  # fused: _zz_cache
+#: ``fused``: the threaded build, whose JPiP source+decode pair runs as
+#: one kernel (``_zz_cache``); else the simulator's unfused graph, where
+#: the source encodes (``_cache``)
+RUNS = [(app, False) for app in APPS] + [("jpip", True)]
 
 
-def _run(app: str, frames: int | None, fuse: bool):
+def _run(app: str, frames: int | None, fused: bool):
     """The run's sources and its sink output, in iteration order."""
     program = make_program(APPS[app](frames), name=app)
-    result = ThreadedRuntime(program, REG, nodes=1, max_iterations=ITERATIONS,
-                             fuse=fuse).run()
+    if fused:
+        runtime = ThreadedRuntime(program, REG, nodes=1,
+                                  max_iterations=ITERATIONS)
+    else:
+        runtime = SimRuntime(program, REG, nodes=1,
+                             max_iterations=ITERATIONS, execute=True)
+    result = runtime.run()
     sources = [c for c in result.components.values()
                if isinstance(c, (VideoSource, MjpegSource, AudioSource))]
     assert sources
@@ -57,22 +66,22 @@ def _same(a, b) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("app, fuse", RUNS)
-def test_a_source_without_a_loop_keeps_no_frame(app, fuse):
+@pytest.mark.parametrize("app, fused", RUNS)
+def test_a_source_without_a_loop_keeps_no_frame(app, fused):
     """No index comes back without ``frames``, so nothing is kept; the
     output is what a source that keeps every frame produces (a loop
     longer than the run)."""
-    sources, output = _run(app, None, fuse)
+    sources, output = _run(app, None, fused)
     assert all(not cache for s in sources for cache in _caches(s))
-    kept_sources, kept = _run(app, ITERATIONS + 10, fuse)
+    kept_sources, kept = _run(app, ITERATIONS + 10, fused)
     assert any(len(cache) == ITERATIONS
                for s in kept_sources for cache in _caches(s))
     assert all(_same(a, b) for a, b in zip(output, kept))
 
 
-@pytest.mark.parametrize("app, fuse", RUNS)
-def test_a_looping_source_keeps_at_most_its_clip(app, fuse):
-    sources, output = _run(app, 4, fuse)
+@pytest.mark.parametrize("app, fused", RUNS)
+def test_a_looping_source_keeps_at_most_its_clip(app, fused):
+    sources, output = _run(app, 4, fused)
     assert all(len(cache) <= 4 for s in sources for cache in _caches(s))
     assert any(len(cache) == 4 for s in sources for cache in _caches(s))
     assert all(_same(output[k], output[k % 4]) for k in range(ITERATIONS))

@@ -46,7 +46,7 @@ APPS = {
 def _fingerprint(program, states, group_chains, fuse):
     config = engine.build_configuration(
         program, REG, states, group_chains=group_chains, fuse=fuse,
-        fuse_backend="numpy", parallel_headroom=2 if fuse else None,
+        parallel_headroom=2 if fuse else None,
     )
     pg = config.pg
     return {

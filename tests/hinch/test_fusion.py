@@ -1,11 +1,14 @@
-"""Chain fusion (--fuse): structure, bit-identity, faults, interning.
+"""Fusion: pair kernels in every build, the chain compiler on request.
 
-The fusion compiler (:mod:`repro.hinch.fusion`) rewrites provable linear
-chains into single-dispatch fused kernels whose intermediate planes stay
-worker-local.  The contract tested here is absolute: fused output is
-bit-identical to unfused output on every application, every backend,
-every batch size, and across live reconfigurations — and a worker killed
-mid-fused-job requeues the whole fused job exactly once.
+Every threaded and process build contracts each graph-linear pair whose
+reader class offers a combined kernel; ``fuse=True`` adds the chain
+compiler (:mod:`repro.hinch.fusion`).  The simulator keeps the paper's
+unfused graph, which makes ``SimRuntime(execute=True)`` the reference.
+The contract tested here: output bit-identical to that reference on
+every executor, batch size, fusion setting and across live
+reconfigurations; the stream inside a pair is never written; a program
+without a pair kernel gets its graph back untouched; and a worker killed
+mid-pair-job requeues the pair job exactly once.
 """
 
 from __future__ import annotations
@@ -15,23 +18,26 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.hinch.engine as engine
 from repro.analysis.diagnostics import DiagnosticBag
 from repro.analysis.formats import check_formats, runtime_expectations
-from repro.apps import build_blur, build_jpip, build_pip, make_program
+from repro.apps import build_audio, build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_ports, default_registry
 from repro.core import expand, parse_string
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.fusion import (
     FusedChain,
+    FusedPair,
     fuse_chains,
-    numba_available,
-    resolve_backend,
+    fuse_pairs,
+    peephole_classes,
 )
 from repro.hinch.grouping import find_linear_chains
 from repro.hinch.shm import NameInterner
 from repro.spacecake import SimRuntime
 
 REG = default_registry()
+PAIRS = {"bg_read+bg_decode", "pip0_read+pip0_decode"}
 
 
 def _jpip_program(**overrides):
@@ -41,6 +47,11 @@ def _jpip_program(**overrides):
     return make_program(build_jpip(1, **kwargs), name="jpip1")
 
 
+def _pair_nodes(pg):
+    return {n.node_id: n.payload for n in pg.graph
+            if isinstance(n.payload, FusedPair)}
+
+
 def _fused_graph(program):
     pg = program.build_graph()
     solution = check_formats(DiagnosticBag(), program, pg)
@@ -48,7 +59,77 @@ def _fused_graph(program):
     return len(pg.graph), fuse_chains(pg, program, REG, expectations)
 
 
-# -- compiler structure ------------------------------------------------------
+# -- pair fusion -------------------------------------------------------------
+
+
+def test_jpip_contracts_each_source_decode_pair():
+    program = _jpip_program()
+    config = engine.build_configuration(program, REG, None,
+                                        group_chains=False)
+    pairs = _pair_nodes(config.pg)
+    assert set(pairs) == PAIRS
+    assert all([m.class_name for m in pair] == ["mjpeg_source", "jpeg_decode"]
+               for pair in pairs.values())
+    # two nodes become one per pair; nothing else moves
+    assert len(program.build_graph().graph) - len(config.pg.graph) == 2
+
+
+WITHOUT_KERNELS = {
+    "audio": lambda: build_audio(channels=4, block=32, reconfigurable=True,
+                                 period=2, collect=True),
+    "pip": lambda: build_pip(2, width=64, height=48, factor=4, slices=2,
+                             frames=2, reconfigurable=True, period=2,
+                             collect=True),
+    "blur35": lambda: build_blur(reconfigurable=True, period=2, width=48,
+                                 height=36, slices=3, frames=2,
+                                 collect=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_KERNELS))
+def test_builds_without_a_pair_kernel_return_their_graph_unchanged(
+        name, monkeypatch):
+    program = make_program(WITHOUT_KERNELS[name](), name=name)
+    assert peephole_classes(program, REG) == frozenset()
+    # even asked about every class, the pass hands the graph back as is
+    pg = program.build_graph()
+    every = frozenset(i.class_name for i in program.components.values())
+    assert fuse_pairs(pg, REG, every) is pg
+
+    def never(*args):
+        raise AssertionError("pair pass ran on a program without kernels")
+
+    # no build runs the pass, splices inside run() included
+    monkeypatch.setattr(engine, "fuse_pairs", never)
+    rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
+                         max_iterations=6)
+    assert rt.run().reconfig_count >= 1
+
+
+def test_a_kernel_refused_at_build_keeps_the_pair_apart():
+    """A class that overrides ``compile_fused_pair`` but returns None for
+    this writer leaves the graph as it was."""
+    program = _jpip_program()
+    registry = _plain_decode_registry()
+    config = engine.build_configuration(program, registry, None,
+                                        group_chains=False)
+    assert not _pair_nodes(config.pg)
+    assert len(config.pg.graph) == len(program.build_graph().graph)
+
+
+def _plain_decode_registry():
+    registry = dict(REG)
+
+    class PlainDecode(REG["jpeg_decode"]):
+        @classmethod
+        def compile_fused_pair(cls, upstream_cls, upstream, instance):
+            return None
+
+    registry["jpeg_decode"] = PlainDecode
+    return registry
+
+
+# -- the chain compiler ------------------------------------------------------
 
 
 def test_jpip_fuses_twenty_chains():
@@ -64,6 +145,18 @@ def test_jpip_fuses_twenty_chains():
         "idct_field+downscale_field",
         "idct_field+blend_field",
     }
+
+
+def test_chains_compile_around_the_pairs_of_a_build():
+    """With ``fuse=True`` the build's pairs stay pair nodes and the chain
+    compiler fuses the sliced stages behind them."""
+    config = engine.build_configuration(_jpip_program(), REG, None,
+                                        group_chains=False, fuse=True)
+    assert set(_pair_nodes(config.pg)) == PAIRS
+    chains = [n.payload for n in config.pg.graph
+              if isinstance(n.payload, FusedChain)]
+    assert len(chains) == 18
+    assert len(config.pg.graph) == 21
 
 
 def test_internal_streams_never_reach_the_store():
@@ -91,26 +184,6 @@ def test_refusals_are_reported_per_stream():
     _, (pg, report) = _fused_graph(_jpip_program())
     # sliced IDCT reads the unsliced decoder output: not provable 1:1
     assert "mixed sliced/unsliced endpoints" in report.refused["bg_coeffs_y"]
-
-
-def test_backend_resolution_and_fallback():
-    assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError, match="unknown fuse backend"):
-        resolve_backend("cuda")
-    if not numba_available():
-        assert resolve_backend("numba") == "numpy"
-
-
-def test_requested_numba_recorded_even_when_absent():
-    program = _jpip_program()
-    pg = program.build_graph()
-    solution = check_formats(DiagnosticBag(), program, pg)
-    expectations = runtime_expectations(program, pg, solution=solution)
-    _, report = fuse_chains(pg, program, REG, expectations, "numba")
-    assert report.requested_backend == "numba"
-    assert report.backend in ("numpy", "numba")
-    if not numba_available():
-        assert report.backend == "numpy"
 
 
 # -- grouping refusals (shared chain-eligibility rules) ----------------------
@@ -148,7 +221,7 @@ def test_chains_never_cross_option_boundaries():
         assert len(options) == 1
 
 
-# -- bit-identity: fused == unfused everywhere -------------------------------
+# -- bit-identity: every executor == the unfused reference ------------------
 
 
 def _spec(app):
@@ -158,73 +231,100 @@ def _spec(app):
     if app == "blur":
         return build_blur(5, width=48, height=36, slices=3, frames=2,
                           collect=True)
+    if app == "jpip12":
+        return build_jpip(2, width=64, height=48, pip_height=48, factor=4,
+                          slices=3, frames=2, reconfigurable=True, period=2,
+                          collect=True)
     return build_jpip(1, width=64, height=48, pip_height=48, factor=4,
                       slices=3, frames=2, collect=True)
 
 
-def _collected(result, app):
+def _frames(result, app):
     sink = result.components["sink"]
-    if app == "blur":
-        return sink.ordered_planes()
-    return sink.ordered_frames()
+    if app.startswith("blur"):
+        return [(p,) for p in sink.ordered_planes()]
+    return [(f.y, f.u, f.v) for f in sink.ordered_frames()]
 
 
 def _assert_same(a, b):
     assert len(a) == len(b) and len(a) > 0
     for x, y in zip(a, b):
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y)
-        else:
-            assert x == y
+        assert all(np.array_equal(p, q) for p, q in zip(x, y))
+
+
+def _matches_reference(app, program, rt, depth, iterations):
+    """``rt`` reproduces the simulator executing the unfused graph."""
+    ref_rt = SimRuntime(program, REG, nodes=2, pipeline_depth=depth,
+                        max_iterations=iterations, execute=True)
+    assert not _pair_nodes(ref_rt.pg)
+    ref = ref_rt.run()
+    if app.startswith("jpip"):
+        assert set(_pair_nodes(rt.pg)) >= PAIRS
+    result = rt.run()
+    assert rt.reconfig_log == ref_rt.reconfig_log
+    _assert_same(_frames(ref, app), _frames(result, app))
+
+
+#: the default build on every executor that fuses pairs
+DEFAULT_BUILDS = {
+    "threaded-1": lambda p, **kw: ThreadedRuntime(p, REG, nodes=1, **kw),
+    "threaded-2": lambda p, **kw: ThreadedRuntime(p, REG, nodes=2, **kw),
+    "process-2-batch1": lambda p, **kw: ProcessRuntime(p, REG, workers=2,
+                                                        batch=1, **kw),
+    "process-2-batch4": lambda p, **kw: ProcessRuntime(p, REG, workers=2,
+                                                        batch=4, **kw),
+}
+
+
+@pytest.mark.parametrize("app", ["jpip", "jpip12", "blur"])
+@pytest.mark.parametrize("executor", sorted(DEFAULT_BUILDS))
+def test_default_build_matches_the_unfused_reference(executor, app):
+    program = make_program(_spec(app), name=app)
+    # timer-toggled: one iteration in flight keeps the splice iteration
+    # the same on every executor
+    depth = 1 if app == "jpip12" else 2
+    rt = DEFAULT_BUILDS[executor](program, pipeline_depth=depth,
+                                  max_iterations=6)
+    _matches_reference(app, program, rt, depth, 6)
 
 
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
-@pytest.mark.parametrize("fuse_backend", ["numpy", "numba"])
-def test_threaded_fused_identical(app, fuse_backend):
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_threaded_fused_identical(app, nodes):
     program = make_program(_spec(app), name=app)
-    ref = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                          max_iterations=4).run()
-    fused_rt = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                               max_iterations=4, fuse=True,
-                               fuse_backend=fuse_backend)
-    fused = fused_rt.run()
-    assert fused_rt.fusion_report is not None
-    _assert_same(_collected(ref, app), _collected(fused, app))
+    rt = ThreadedRuntime(program, REG, nodes=nodes, pipeline_depth=2,
+                         max_iterations=4, fuse=True)
+    _matches_reference(app, program, rt, 2, 4)
 
 
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
 @pytest.mark.parametrize("batch", [1, 4])
 def test_process_fused_identical(app, batch):
     program = make_program(_spec(app), name=app)
-    ref = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                          max_iterations=4).run()
-    fused = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                           max_iterations=4, batch=batch, fuse=True).run()
-    _assert_same(_collected(ref, app), _collected(fused, app))
-
-
-def test_process_fused_numba_request_falls_back_identically():
-    program = make_program(_spec("jpip"), name="jpip1")
-    ref = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                          max_iterations=4).run()
     rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=4, fuse=True, fuse_backend="numba")
-    fused = rt.run()
-    assert rt.fusion_report is not None
-    if not numba_available():
-        assert rt.fusion_report.backend == "numpy"
-    _assert_same(_collected(ref, "jpip"), _collected(fused, "jpip"))
+                        max_iterations=4, batch=batch, fuse=True)
+    _matches_reference(app, program, rt, 2, 4)
+
+
+def test_the_bitstream_inside_a_pair_is_never_written():
+    program = _jpip_program()
+    for rt in (ThreadedRuntime(program, REG, nodes=1, max_iterations=3),
+               ProcessRuntime(program, REG, workers=2, max_iterations=3)):
+        stats = rt.run().stream_stats
+        assert stats["bg_coeffs_y"][0] == 3
+        for name in ("bg_bits", "pip0_bits"):
+            assert stats.get(name, (0, 0)) == (0, 0)
 
 
 def test_fused_source_decode_skips_the_bitstream():
     """The source+decode pair kernel proves the Huffman round-trip away:
     the encoded-frame cache stays untouched while output is identical."""
     program = make_program(_spec("jpip"), name="jpip1")
-    ref = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                          max_iterations=3).run()
+    ref = SimRuntime(program, REG, nodes=1, pipeline_depth=1,
+                     max_iterations=3, execute=True).run()
     fused = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                            max_iterations=3, fuse=True).run()
-    _assert_same(_collected(ref, "jpip"), _collected(fused, "jpip"))
+                            max_iterations=3).run()
+    _assert_same(_frames(ref, "jpip"), _frames(fused, "jpip"))
     ref_sources = [c for c in ref.components.values()
                    if type(c).__name__ == "MjpegSource"]
     fused_sources = [c for c in fused.components.values()
@@ -237,37 +337,29 @@ def test_fused_source_decode_skips_the_bitstream():
 # -- live reconfiguration ----------------------------------------------------
 
 
+def _fused_executors(program):
+    return [
+        ThreadedRuntime(program, REG, nodes=2, pipeline_depth=1,
+                        max_iterations=6, fuse=True),
+        ProcessRuntime(program, REG, workers=2, pipeline_depth=1,
+                       max_iterations=6, fuse=True),
+    ]
+
+
 def test_reconfigurable_blur_fused_matches_unfused():
     spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
                       slices=3, frames=2, collect=True)
     program = make_program(spec, name="blur35")
-    ref_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                             max_iterations=9)
-    ref = ref_rt.run()
-    fused_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                              max_iterations=9, fuse=True)
-    fused = fused_rt.run()
-    assert ref_rt.reconfig_log
-    assert fused_rt.reconfig_log == ref_rt.reconfig_log
-    _assert_same(ref.components["sink"].ordered_planes(),
-                 fused.components["sink"].ordered_planes())
+    for rt in _fused_executors(program):
+        _matches_reference("blur35", program, rt, 1, 6)
+        assert rt.reconfig_log
 
 
 def test_reconfigurable_jpip_fused_matches_unfused():
-    spec = build_jpip(2, width=64, height=48, pip_height=48, factor=4,
-                      slices=3, frames=2, reconfigurable=True, period=2,
-                      collect=True)
-    program = make_program(spec, name="jpip12")
-    ref_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                             max_iterations=6)
-    ref = ref_rt.run()
-    fused_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                              max_iterations=6, fuse=True)
-    fused = fused_rt.run()
-    assert ref_rt.reconfig_log
-    assert fused_rt.reconfig_log == ref_rt.reconfig_log
-    _assert_same(ref.components["sink"].ordered_frames(),
-                 fused.components["sink"].ordered_frames())
+    program = make_program(_spec("jpip12"), name="jpip12")
+    for rt in _fused_executors(program):
+        _matches_reference("jpip12", program, rt, 1, 6)
+        assert rt.reconfig_log
 
 
 # -- fault tolerance ---------------------------------------------------------
@@ -275,18 +367,20 @@ def test_reconfigurable_jpip_fused_matches_unfused():
 
 def test_kill_mid_fused_job_requeues_whole_job_once():
     program = _jpip_program()
-    ref = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                          max_iterations=4).run()
+    ref = SimRuntime(program, REG, nodes=2, pipeline_depth=2,
+                     max_iterations=4, execute=True).run()
     rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=4, fuse=True, faults="kill:7")
+                        max_iterations=4, faults="kill:2")
     result = rt.run()
     kinds: dict[str, int] = {}
     for event in result.fault_events:
         kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
     assert kinds.get("worker_failure") == 1
-    assert kinds.get("retry") == 1  # the whole fused job, exactly once
+    assert kinds.get("retry") == 1  # the whole pair job, exactly once
+    (retry,) = [e for e in result.fault_events if e["kind"] == "retry"]
+    assert retry["job"][1] in PAIRS
     assert rt.scheduler.retries == 1
-    _assert_same(_collected(ref, "jpip"), _collected(result, "jpip"))
+    _assert_same(_frames(ref, "jpip"), _frames(result, "jpip"))
 
 
 # -- converter auto-insertion (X504 -> X506) ---------------------------------
@@ -362,6 +456,21 @@ def test_fusion_absorbs_the_auto_inserted_converter():
                  fused.components["sink"].ordered_planes())
 
 
+def test_fusion_absorbs_the_auto_inserted_converter():
+    program = _convert_program()
+    ref = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
+                          max_iterations=3).run()
+    fused_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
+                               max_iterations=3, fuse=True)
+    fused = fused_rt.run()
+    (chain,) = [n.payload for n in fused_rt.pg.graph
+                if isinstance(n.payload, FusedChain)]
+    assert "convert_plane" in {m.class_name for m in chain}
+    assert "raw.as_float32" in chain.internal
+    _assert_same([(p,) for p in ref.components["sink"].ordered_planes()],
+                 [(p,) for p in fused.components["sink"].ordered_planes()])
+
+
 # -- lease-pickle string interning -------------------------------------------
 
 
@@ -389,24 +498,28 @@ def test_interned_lease_smaller_than_plain_pickle():
 
 
 def test_interner_table_derivation_covers_fused_payloads():
-    program = _jpip_program()
-    _, (pg, report) = _fused_graph(program)
+    pg = engine.build_configuration(_jpip_program(), REG, None,
+                                    group_chains=False, fuse=True).pg
     names = set(NameInterner.names_of(pg))
-    for chain in report.chains:
-        assert chain.node_id in names
-        for member in chain:
+    fused = [n for n in pg.graph if isinstance(n.payload, tuple)]
+    assert fused
+    for node in fused:
+        assert node.node_id in names
+        for member in node.payload:
             assert member.instance_id in names
 
 
 def test_fused_process_run_shrinks_meta_bytes():
     program = _jpip_program()
-    plain = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                           max_iterations=4).run()
+    plain = ProcessRuntime(program, _plain_decode_registry(), workers=2,
+                           pipeline_depth=2, max_iterations=4).run()
+    paired = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
+                            max_iterations=4).run()
     fused = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
                            max_iterations=4, fuse=True).run()
     assert 0 < fused.pool_stats["meta_pickled_bytes"] < (
-        plain.pool_stats["meta_pickled_bytes"]
-    )
+        paired.pool_stats["meta_pickled_bytes"]
+    ) < plain.pool_stats["meta_pickled_bytes"]
 
 
 # -- profitability guard (sliced pairs under parallel headroom) --------------
@@ -453,8 +566,7 @@ def test_peephole_pairs_are_exempt_from_the_guard():
 
     class PeepholeDownscale(registry["downscale_field"]):
         @classmethod
-        def compile_fused_pair(cls, upstream_cls, upstream, instance,
-                               backend):
+        def compile_fused_pair(cls, upstream_cls, upstream, instance):
             return None  # no kernel yet; the override marks the intent
 
     registry["downscale_field"] = PeepholeDownscale

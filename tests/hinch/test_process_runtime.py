@@ -328,9 +328,7 @@ def test_worker_job_tables_do_not_outlive_the_job():
     main.component("snk", "collector", streams={"input": "a"})
     program = expand(b.build(), PORTS)
     config = build_configuration(
-        program, REGISTRY, None, group_chains=False, fuse=False,
-        fuse_backend="numpy", parallel_headroom=None,
-    )
+        program, REGISTRY, None, group_chains=False)
     worker = _Worker(None, program, REGISTRY, 0, config, lambda states: config)
     try:
         record = worker._run_job(0, "src", {}, (), None, None)

@@ -148,14 +148,16 @@ def test_run_rejects_degenerate_knobs(blur_xml, capsys, extra):
         ["--backend", "sim", "--inject-fault", "kill:1"],
         ["--backend", "threaded", "--inject-fault", "kill:1"],
         ["--backend", "threaded", "--batch", "4"],
-        ["--backend", "sim", "--fuse"],
         ["--backend", "threaded", "--watchdog", "5"],
+        ["--backend", "threaded", "--max-retries", "7"],
+        ["--backend", "sim", "--max-retries", "7"],
         ["--backend", "sim", "--no-respawn"],
         ["--backend", "threaded", "--execute"],
         ["--backend", "sim", "--workers", "4"],
         # removed flags: argparse itself refuses them
         ["--backend", "process", "--autotune"],
         ["--backend", "process", "--deadline", "50"],
+        ["--backend", "sim", "--fuse"],
         ["--impl", "downscale_field=strided"],
     ],
     ids=lambda extra: " ".join(extra),
