@@ -32,7 +32,7 @@ def posterize(block, *, levels: int = 4):
 # A scripted source whose brightness ramps up over time (drives the
 # monitor); alternating rows give the edge stencil something to find.
 class RampSource(Component):
-    ports = PortSpec(outputs=("output",), optional_params=("width", "height"))
+    ports = PortSpec(outputs=("output",))
 
     def run(self, job):
         level = min(30 + job.iteration * 20, 230)

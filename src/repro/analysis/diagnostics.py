@@ -100,6 +100,7 @@ CODES: dict[str, CodeInfo] = _catalogue(
     ("X117", _E, "validation", "param default must be a literal"),
     ("X118", _E, "validation", "expansion failed"),
     ("X119", _E, "validation", "malformed port format declaration"),
+    ("X120", _E, "validation", "init param has the wrong type or is out of range"),
     # -- X2xx: liveness / dead flow ---------------------------------------
     ("X201", _W, "liveness", "procedure unreachable from 'main'"),
     ("X202", _W, "liveness", "unused stream formal"),

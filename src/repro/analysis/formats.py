@@ -504,11 +504,13 @@ def auto_insert_converters(
         conv = converters.get(key)
         if conv is None:
             reader = reader_instance(site.reader)
+            conv_id = f"{derived}.convert"
             conv = ComponentInstance(
-                instance_id=f"{derived}.convert",
-                definition_id=f"{derived}.convert",
+                instance_id=conv_id,
+                definition_id=conv_id,
                 class_name=CONVERTER_COMPONENT,
-                params={"dtype": site.dst_dtype},
+                params=registry[CONVERTER_COMPONENT].ports.bind(
+                    conv_id, {"dtype": site.dst_dtype}),
                 streams={"input": site.stream, "output": derived},
                 slice=None,
                 manager=reader.manager,

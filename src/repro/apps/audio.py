@@ -78,10 +78,6 @@ def build_audio(
     while the branch is off (weight stays 0.5, so the fused output is
     then just the mic signal).
     """
-    if channels < 1 or block < 1:
-        raise XSPCLError(
-            f"need channels >= 1 and block >= 1, got {channels}x{block}"
-        )
     if slices > channels:
         raise XSPCLError(
             f"cannot slice {channels} channels {slices} ways"

@@ -19,10 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.components import filters
-from repro.components.streaming import _instance_rows, _slice_fraction
-from repro.core.ports import PortSpec
+from repro.components.streaming import (
+    COLLECT, DIM, FRAMES, SEED, _instance_rows, _slice_fraction,
+)
+from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
-from repro.errors import ComponentError
 from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
@@ -37,15 +38,7 @@ __all__ = [
 #: int16 samples
 BYTES_PER_SAMPLE = 2
 
-
-def _record_geometry(instance: ComponentInstance) -> tuple[int, int]:
-    try:
-        return int(instance.params["channels"]), int(instance.params["block"])
-    except KeyError:
-        raise ComponentError(
-            f"component {instance.instance_id!r} needs channels/block "
-            "params for its cost profile"
-        ) from None
+_RECORD = {"channels": DIM, "block": DIM}
 
 
 def synthetic_record(
@@ -74,8 +67,7 @@ class AudioSource(Component):
 
     ports = PortSpec(
         outputs=("samples",),
-        required_params=("channels", "block"),
-        optional_params=("seed", "frames"),
+        params={**_RECORD, "seed": SEED, "frames": FRAMES},
         formats={
             "samples": "kind=plane shape=channels,block dtype=int16 "
                        "colorspace=audio",
@@ -85,8 +77,8 @@ class AudioSource(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        channels, block = _record_geometry(instance)
-        nbytes = channels * block * BYTES_PER_SAMPLE
+        nbytes = (instance.params["channels"] * instance.params["block"]
+                  * BYTES_PER_SAMPLE)
         return JobCost(
             compute_cycles=cls.READ_CYCLES_PER_BYTE * nbytes,
             traffic=(PortTraffic("samples", nbytes, True),),
@@ -99,11 +91,10 @@ class AudioSource(Component):
         self._cache: dict[int, np.ndarray] = {}
 
     def configure(self) -> None:
-        limit = self.param("frames")
-        self.loop = None if limit is None else int(limit)
-        self.geometry = (int(self.require_param("channels")),
-                         int(self.require_param("block")))
-        self.seed = int(self.param("seed", 0))
+        params = self.params
+        self.loop = params.get("frames")
+        self.geometry = params["channels"], params["block"]
+        self.seed = params["seed"]
 
     def _record(self, index: int) -> np.ndarray:
         if self.loop is None:
@@ -129,11 +120,14 @@ class BandFilter(Component):
     below make sliced chains fusable exactly like the video filters.
     """
 
+    #: ``taps`` value -> FIR coefficients
+    KERNELS = {"smooth": (0.25, 0.5, 0.25), "diff": (-1.0, 2.0, -1.0)}
+
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("channels", "block"),
-        optional_params=("taps",),
+        params={**_RECORD, "taps": Param("enum", choices=KERNELS,
+                                         default="smooth")},
         formats={
             "input": "kind=plane shape=channels,block dtype=int16 "
                      "colorspace=audio",
@@ -147,8 +141,8 @@ class BandFilter(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        channels, block = _record_geometry(instance)
-        samples = channels * block * _slice_fraction(instance)
+        samples = (instance.params["channels"] * instance.params["block"]
+                   * _slice_fraction(instance))
         nbytes = int(samples * BYTES_PER_SAMPLE)
         return JobCost(
             compute_cycles=cls.CYCLES_PER_SAMPLE * samples,
@@ -174,18 +168,9 @@ class BandFilter(Component):
             return _instance_rows(instance, height)
         return super().reads_rows(instance, port, height)
 
-    #: ``taps`` value -> FIR coefficients
-    KERNELS = {"smooth": (0.25, 0.5, 0.25), "diff": (-1.0, 2.0, -1.0)}
-
     def configure(self) -> None:
-        taps = str(self.param("taps", "smooth"))
-        try:
-            self._kernel = self.KERNELS[taps]
-        except KeyError:
-            raise ComponentError(
-                f"unknown taps {taps!r} (expected 'smooth' or 'diff')"
-            ) from None
-        channels = int(self.require_param("channels"))
+        self._kernel = self.KERNELS[self.params["taps"]]
+        channels = self.params["channels"]
         self.span = (0, channels) if self.slice is None else (
             filters.slice_rows(channels, *self.slice))
 
@@ -209,8 +194,8 @@ class FuseSensors(Component):
     ports = PortSpec(
         inputs=("a", "b"),
         outputs=("fused",),
-        required_params=("channels", "block"),
-        optional_params=("weight",),
+        params={**_RECORD,
+                "weight": Param("float", lo=0.0, hi=1.0, default=0.5)},
         formats={
             "a": "kind=plane shape=channels,block dtype=int16 "
                  "colorspace=audio",
@@ -224,8 +209,7 @@ class FuseSensors(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        channels, block = _record_geometry(instance)
-        samples = channels * block
+        samples = instance.params["channels"] * instance.params["block"]
         nbytes = samples * BYTES_PER_SAMPLE
         return JobCost(
             compute_cycles=cls.CYCLES_PER_SAMPLE * samples,
@@ -237,7 +221,7 @@ class FuseSensors(Component):
         )
 
     def configure(self) -> None:
-        self.weight = float(self.param("weight", 0.5))
+        self.weight = self.params["weight"]
 
     def run(self, job: JobContext) -> None:
         a: np.ndarray = job.read("a")
@@ -257,8 +241,7 @@ class FeatureSink(Component):
 
     ports = PortSpec(
         inputs=("input",),
-        required_params=("channels", "block"),
-        optional_params=("collect",),
+        params={**_RECORD, "collect": COLLECT},
         formats={
             "input": "kind=plane shape=channels,block dtype=int16 "
                      "colorspace=audio",
@@ -268,8 +251,8 @@ class FeatureSink(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        channels, block = _record_geometry(instance)
-        nbytes = channels * block * BYTES_PER_SAMPLE
+        nbytes = (instance.params["channels"] * instance.params["block"]
+                  * BYTES_PER_SAMPLE)
         return JobCost(
             compute_cycles=cls.WRITE_CYCLES_PER_BYTE * nbytes,
             traffic=(PortTraffic("input", nbytes, False),),
@@ -281,7 +264,7 @@ class FeatureSink(Component):
         self.records_written = 0
 
     def configure(self) -> None:
-        self.collect = self.param("collect")
+        self.collect = self.params["collect"]
 
     def run(self, job: JobContext) -> None:
         record = job.read("input")

@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from repro.components.filters import slice_rows
-from repro.core.ports import PortSpec
+from repro.components.streaming import DIM, GEOMETRY, NAME
+from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError, RegistryError
 from repro.hinch.component import Component, JobContext
@@ -108,30 +109,34 @@ def _edge(block: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
 # -- skeleton components ----------------------------------------------------------
 
 
-def _plane_geometry(instance: ComponentInstance) -> tuple[int, int]:
-    try:
-        return int(instance.params["width"]), int(instance.params["height"])
-    except KeyError:
-        raise ComponentError(
-            f"skeleton {instance.instance_id!r} needs width/height params"
-        ) from None
+#: the skeleton's own params; the rest of an open schema goes to the kernel
+_RESERVED = frozenset({"kernel", "width", "height", "halo"})
+_SKELETON_PARAMS = {
+    **GEOMETRY, "kernel": Param("enum", required=True, choices=_KERNELS),
+}
 
 
-def _kernel_kwargs(component: Component) -> dict:
-    """Forward everything except the skeleton's own structural params."""
-    reserved = {"kernel", "width", "height", "halo"}
-    return {
-        k: v for k, v in component.params.items() if k not in reserved
-    }
+class _KernelSkeleton(Component):
+    """Derives the kernel, its parameters, the halo and the rows once."""
+
+    def configure(self) -> None:
+        params = self.params
+        self._fn = kernel(params["kernel"])[0]
+        self._kwargs = {
+            k: v for k, v in params.items() if k not in _RESERVED
+        }
+        self.halo = params.get("halo")  # stencils only
+        index, total = self.slice or (0, 1)
+        self.span = slice_rows(params["height"], index, total)
 
 
-class MapPlane(Component):
+class MapPlane(_KernelSkeleton):
     """Map skeleton: element-wise/row-local kernel over a plane slice."""
 
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("width", "height", "kernel"),
+        params=_SKELETON_PARAMS,
         open_params=True,  # kernel-specific parameters pass through
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
@@ -141,10 +146,10 @@ class MapPlane(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _plane_geometry(instance)
-        _, cpp = kernel(str(instance.params["kernel"]))
+        params = instance.params
+        _, cpp = kernel(params["kernel"])
         frac = 1.0 / instance.slice[1] if instance.slice else 1.0
-        pixels = w * h * frac
+        pixels = params["width"] * params["height"] * frac
         return JobCost(
             compute_cycles=cpp * pixels,
             traffic=(
@@ -155,14 +160,12 @@ class MapPlane(Component):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        fn, _ = kernel(str(self.require_param("kernel")))
         out = job.buffer("output", lambda: np.empty_like(src))
-        index, total = self.slice if self.slice else (0, 1)
-        lo, hi = slice_rows(src.shape[0], index, total)
-        out[lo:hi] = fn(src[lo:hi], **_kernel_kwargs(self))
+        lo, hi = self.span
+        out[lo:hi] = self._fn(src[lo:hi], **self._kwargs)
 
 
-class StencilPlane(Component):
+class StencilPlane(_KernelSkeleton):
     """Stencil skeleton: kernel sees ``halo`` rows above/below its slice.
 
     Use inside ``shape="crossdep"`` parblocks so the i-1/i/i+1
@@ -172,8 +175,8 @@ class StencilPlane(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("width", "height", "kernel"),
-        optional_params=("halo",),
+        params={**_SKELETON_PARAMS,
+                "halo": Param("int", lo=0, hi=DIM.hi, default=1)},
         open_params=True,
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
@@ -183,9 +186,9 @@ class StencilPlane(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _plane_geometry(instance)
-        _, cpp = kernel(str(instance.params["kernel"]))
-        halo = int(instance.params.get("halo", 1))
+        params = instance.params
+        w, h, halo = params["width"], params["height"], params["halo"]
+        _, cpp = kernel(params["kernel"])
         frac = 1.0 / instance.slice[1] if instance.slice else 1.0
         pixels = w * h * frac
         halo_bytes = 2 * halo * w if instance.slice else 0
@@ -199,12 +202,10 @@ class StencilPlane(Component):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        fn, _ = kernel(str(self.require_param("kernel")))
-        halo = int(self.param("halo", 1))
+        halo = self.halo
         out = job.buffer("output", lambda: np.empty_like(src))
-        index, total = self.slice if self.slice else (0, 1)
         h = src.shape[0]
-        lo, hi = slice_rows(h, index, total)
+        lo, hi = self.span
         top = src[max(lo - halo, 0):lo]
         bottom = src[hi:min(hi + halo, h)]
         # replicate edges at the image border so every block sees a full halo
@@ -215,7 +216,7 @@ class StencilPlane(Component):
             pad = halo - bottom.shape[0]
             bottom = np.vstack([bottom] + [src[h - 1:h]] * pad) \
                 if bottom.size else np.repeat(src[h - 1:h], halo, axis=0)
-        out[lo:hi] = fn(src[lo:hi], top, bottom, **_kernel_kwargs(self))
+        out[lo:hi] = self._fn(src[lo:hi], top, bottom, **self._kwargs)
 
 
 _REDUCE_OPS = {
@@ -224,6 +225,7 @@ _REDUCE_OPS = {
     "min": lambda p: float(np.min(p)),
     "sum": lambda p: float(np.sum(p)),
 }
+_OP = Param("enum", required=True, choices=_REDUCE_OPS)
 
 
 class ReducePlane(Component):
@@ -232,7 +234,7 @@ class ReducePlane(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("width", "height", "op"),
+        params={**GEOMETRY, "op": _OP},
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
             "output": "kind=scalar",
@@ -241,21 +243,17 @@ class ReducePlane(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _plane_geometry(instance)
+        pixels = instance.params["width"] * instance.params["height"]
         return JobCost(
-            compute_cycles=1.0 * w * h,
-            traffic=(PortTraffic("input", w * h, False),),
+            compute_cycles=1.0 * pixels,
+            traffic=(PortTraffic("input", pixels, False),),
         )
 
+    def configure(self) -> None:
+        self._op = _REDUCE_OPS[self.params["op"]]
+
     def run(self, job: JobContext) -> None:
-        op_name = str(self.require_param("op"))
-        try:
-            op = _REDUCE_OPS[op_name]
-        except KeyError:
-            raise ComponentError(
-                f"unknown reduce op {op_name!r}; expected {sorted(_REDUCE_OPS)}"
-            ) from None
-        job.write("output", op(job.read("input")))
+        job.write("output", self._op(job.read("input")))
 
 
 class Monitor(Component):
@@ -270,9 +268,10 @@ class Monitor(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("width", "height", "op", "threshold", "queue",
-                         "event"),
-        optional_params=("direction",),
+        params={**GEOMETRY, "op": _OP, "queue": NAME, "event": NAME,
+                "threshold": Param("float", required=True),
+                "direction": Param("enum", choices=("above", "below"),
+                                   default="above")},
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
             "output": "kind=plane shape=height,width dtype=?T colorspace=?c",
@@ -281,12 +280,12 @@ class Monitor(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _plane_geometry(instance)
+        pixels = instance.params["width"] * instance.params["height"]
         return JobCost(
-            compute_cycles=1.2 * w * h,
+            compute_cycles=1.2 * pixels,
             traffic=(
-                PortTraffic("input", w * h, False),
-                PortTraffic("output", w * h, True),
+                PortTraffic("input", pixels, False),
+                PortTraffic("output", pixels, True),
             ),
         )
 
@@ -294,26 +293,26 @@ class Monitor(Component):
         super().__init__(instance)
         self._above: bool | None = None
 
+    def configure(self) -> None:
+        params = self.params
+        self._op = _REDUCE_OPS[params["op"]]
+        self.threshold = params["threshold"]
+        self.rising = params["direction"] == "above"
+        self.queue, self.event = params["queue"], params["event"]
+
     def run(self, job: JobContext) -> None:
         plane = job.read("input")
         job.write("output", plane)
-        op = _REDUCE_OPS[str(self.require_param("op"))]
-        value = op(plane)
-        threshold = float(self.require_param("threshold"))
-        direction = str(self.param("direction", "above"))
-        above = value >= threshold
+        value = self._op(plane)
+        above = value >= self.threshold
         crossed = (
             self._above is not None
             and above != self._above
-            and (above if direction == "above" else not above)
+            and above == self.rising
         )
         self._above = above
         if crossed:
-            job.post_event(
-                str(self.require_param("queue")),
-                str(self.require_param("event")),
-                payload=value,
-            )
+            job.post_event(self.queue, self.event, payload=value)
 
 
 SKELETON_REGISTRY: dict[str, type[Component]] = {

@@ -29,9 +29,9 @@ import numpy as np
 from repro.components import filters
 from repro.components.jpeg import codec as jpeg_codec
 from repro.components.video import Frame, synthetic_frame
-from repro.core.ports import PortSpec
+from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
-from repro.errors import CodecError, ComponentError
+from repro.errors import ComponentError
 from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
@@ -67,14 +67,30 @@ def field_dims(width: int, height: int, field: str) -> tuple[int, int]:
     raise ComponentError(f"unknown field {field!r}")
 
 
-def _geometry(instance: ComponentInstance) -> tuple[int, int]:
-    try:
-        return int(instance.params["width"]), int(instance.params["height"])
-    except KeyError:
-        raise ComponentError(
-            f"component {instance.instance_id!r} needs width/height params "
-            "for its cost profile"
-        ) from None
+#: a plane or record dimension, scale factor or kernel size: bounded, so
+#: that no typo allocates a terabyte plane
+DIM = Param("int", required=True, lo=1, hi=1 << 14)
+#: an optional dimension a port format names: no default, so an absent
+#: one stays a format-solver variable
+OPT_DIM = Param("int", lo=1, hi=1 << 14)
+GEOMETRY = {"width": DIM, "height": DIM}
+SEED = Param("int", lo=0, default=0)
+FRAMES = Param("int", lo=1)  # absent: the clip never loops
+COLLECT = Param("bool", default=False)
+NAME = Param("str", required=True)  # an event queue or event name
+_SYNTHESIS = {**GEOMETRY, "seed": SEED, "frames": FRAMES,
+              "detail": Param("float", lo=0.0, default=0.5),
+              "motion": Param("int", default=4)}
+#: assumed compression ratio (compressed/raw) for the cost profile
+_RATIO = Param("float", lo=0.0, default=0.12)
+#: overlay placement: ``pos`` (a reconfiguration request's ``row,col``)
+#: wins over ``pos_row``/``pos_col``
+_PLACEMENT = {"pos_row": Param("int", lo=0, default=0),
+              "pos_col": Param("int", lo=0, default=0), "pos": Param("pos"),
+              "alpha": Param("float", lo=0.0, hi=1.0, default=1.0)}
+#: what ``convert_plane`` casts to
+_DTYPES = ("bool", "int8", "uint8", "int16", "uint16", "int32", "uint32",
+           "int64", "uint64", "float16", "float32", "float64")
 
 
 def _slice_fraction(instance: ComponentInstance) -> float:
@@ -130,24 +146,16 @@ def _placement(component: Component) -> tuple[tuple[int, int], float]:
     """Overlay ``(position, alpha)``; a ``pos=row,col`` request wins."""
     params = component.params
     pos = params.get("pos")
-    if pos is not None:  # set via reconfiguration request "pos=r,c"
-        row_s, _, col_s = str(pos).partition(",")
-        position = int(row_s), int(col_s)
-    else:
-        position = int(params.get("pos_row", 0)), int(params.get("pos_col", 0))
-    return position, float(params.get("alpha", 1.0))
+    if pos is None:
+        pos = params["pos_row"], params["pos_col"]
+    return pos, params["alpha"]
 
 
 def _synthesis(component: Component) -> tuple[int | None, dict]:
     """A synthetic source's clip length (None: no loop) and frame style."""
     params = component.params
-    limit = params.get("frames")
-    return None if limit is None else int(limit), {
-        "width": int(component.require_param("width")),
-        "height": int(component.require_param("height")),
-        "seed": int(params.get("seed", 0)),
-        "detail": float(params.get("detail", 0.5)),
-        "motion": int(params.get("motion", 4)),
+    return params.get("frames"), {
+        k: params[k] for k in ("width", "height", "seed", "detail", "motion")
     }
 
 
@@ -165,8 +173,7 @@ class VideoSource(Component):
 
     ports = PortSpec(
         outputs=("y", "u", "v"),
-        required_params=("width", "height"),
-        optional_params=("seed", "detail", "motion", "frames"),
+        params=_SYNTHESIS,
         formats={
             "y": "kind=plane shape=height,width dtype=uint8 colorspace=y",
             "u": "kind=plane shape=height/2,width/2 dtype=uint8 colorspace=u",
@@ -177,7 +184,7 @@ class VideoSource(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         nbytes = w * h + 2 * (w // 2) * (h // 2)
         return JobCost(
             compute_cycles=cls.READ_CYCLES_PER_BYTE * nbytes,
@@ -218,8 +225,7 @@ class LumaSource(VideoSource):
 
     ports = PortSpec(
         outputs=("output",),
-        required_params=("width", "height"),
-        optional_params=("seed", "detail", "motion", "frames"),
+        params=_SYNTHESIS,
         formats={
             "output": "kind=plane shape=height,width dtype=uint8 colorspace=y",
         },
@@ -227,7 +233,7 @@ class LumaSource(VideoSource):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         return JobCost(
             compute_cycles=cls.READ_CYCLES_PER_BYTE * w * h,
             traffic=(PortTraffic("output", w * h, True),),
@@ -242,19 +248,17 @@ class MjpegSource(Component):
 
     ports = PortSpec(
         outputs=("output",),
-        required_params=("width", "height"),
-        optional_params=("seed", "detail", "motion", "frames", "quality", "ratio"),
+        params={**_SYNTHESIS, "ratio": _RATIO,
+                "quality": Param("int", lo=1, hi=100, default=75)},
         formats={"output": "kind=bitstream"},
     )
     READ_CYCLES_PER_BYTE = 0.4
-    #: assumed compression ratio (compressed/raw) for the cost profile
-    DEFAULT_RATIO = 0.12
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         raw = w * h + 2 * (w // 2) * (h // 2)
-        ratio = float(instance.params.get("ratio", cls.DEFAULT_RATIO))
+        ratio = instance.params["ratio"]
         compressed = int(raw * ratio)
         return JobCost(
             compute_cycles=cls.READ_CYCLES_PER_BYTE * compressed,
@@ -274,13 +278,7 @@ class MjpegSource(Component):
 
     def configure(self) -> None:
         self.loop, self.style = _synthesis(self)
-        quality = self.param("quality", 75)
-        try:
-            self.qtables = jpeg_codec.frame_qtables(int(quality))
-        except (ValueError, CodecError):
-            raise ComponentError(
-                f"component {self.instance.instance_id!r}: quality must be "
-                f"an integer 1..100, got {quality!r}") from None
+        self.qtables = jpeg_codec.frame_qtables(self.params["quality"])
 
     def frame_index(self, iteration: int) -> int:
         """Source frame index for one iteration (``frames`` wraps)."""
@@ -344,10 +342,11 @@ class TimerSource(Component):
     drive reconfiguration experiments in cost-only simulations too.
     """
 
-    ports = PortSpec(
-        required_params=("queue", "period", "event"),
-        optional_params=("offset",),
-    )
+    ports = PortSpec(params={
+        "queue": NAME, "event": NAME,
+        "period": Param("int", required=True, lo=1),
+        "offset": Param("int", default=0),  # the apps phase-shift: < 0
+    })
     always_execute = True
 
     @classmethod
@@ -355,10 +354,9 @@ class TimerSource(Component):
         return JobCost(compute_cycles=100.0)
 
     def configure(self) -> None:
-        self.period = int(self.require_param("period"))
-        self.offset = int(self.param("offset", 0))
-        self.queue = str(self.require_param("queue"))
-        self.event = str(self.require_param("event"))
+        params = self.params
+        self.period, self.offset = params["period"], params["offset"]
+        self.queue, self.event = params["queue"], params["event"]
 
     def run(self, job: JobContext) -> None:
         k = job.iteration - self.offset
@@ -381,8 +379,7 @@ class JpegDecode(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("coeffs_y", "coeffs_u", "coeffs_v"),
-        required_params=("width", "height"),
-        optional_params=("ratio",),
+        params={**GEOMETRY, "ratio": _RATIO},
         formats={
             "input": "kind=bitstream",
             "coeffs_y": "kind=coeffs shape=height,width colorspace=y",
@@ -394,9 +391,9 @@ class JpegDecode(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         raw = w * h + 2 * (w // 2) * (h // 2)
-        ratio = float(instance.params.get("ratio", MjpegSource.DEFAULT_RATIO))
+        ratio = instance.params["ratio"]
         compressed = int(raw * ratio)
         return JobCost(
             compute_cycles=cls.CYCLES_PER_COMPRESSED_BYTE * compressed,
@@ -450,7 +447,7 @@ class IdctField(Component, _SlicedMixin):
     ports = PortSpec(
         inputs=("coeffs",),
         outputs=("output",),
-        required_params=("width", "height"),
+        params=GEOMETRY,
         formats={
             "coeffs": "kind=coeffs shape=height,width colorspace=?c",
             "output": "kind=plane shape=height,width dtype=uint8 "
@@ -461,7 +458,7 @@ class IdctField(Component, _SlicedMixin):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         frac = _slice_fraction(instance)
         pixels = w * h * frac
         return JobCost(
@@ -481,7 +478,7 @@ class IdctField(Component, _SlicedMixin):
         return super().writes_rows(instance, port, height)
 
     def configure(self) -> None:
-        self.span = self.rows(int(self.require_param("height")), block=8)
+        self.span = self.rows(self.params["height"], block=8)
 
     def run(self, job: JobContext) -> None:
         coeffs: jpeg_codec.PlaneCoefficients = job.read("coeffs")
@@ -502,7 +499,7 @@ class DownscaleField(Component, _SlicedMixin):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("width", "height", "factor"),
+        params={**GEOMETRY, "factor": DIM},
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
             "output": "kind=plane shape=height/factor,width/factor "
@@ -513,8 +510,8 @@ class DownscaleField(Component, _SlicedMixin):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)  # input plane geometry
-        factor = int(instance.params["factor"])
+        params = instance.params
+        w, h, factor = params["width"], params["height"], params["factor"]
         frac = _slice_fraction(instance)
         in_px = w * h * frac
         out_px = in_px / (factor * factor)
@@ -541,7 +538,7 @@ class DownscaleField(Component, _SlicedMixin):
         if port == "input":
             # The box filter reads exactly the input band that maps onto
             # this copy's output rows: [lo*factor, hi*factor).
-            factor = int(instance.params["factor"])
+            factor = instance.params["factor"]
             span = _instance_rows(instance, height // factor)
             if span is None:
                 return None
@@ -549,8 +546,8 @@ class DownscaleField(Component, _SlicedMixin):
         return super().reads_rows(instance, port, height)
 
     def configure(self) -> None:
-        self.factor = factor = int(self.require_param("factor"))
-        self.span = self.rows(int(self.require_param("height")) // factor)
+        self.factor = factor = self.params["factor"]
+        self.span = self.rows(self.params["height"] // factor)
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
@@ -572,9 +569,8 @@ class BlendField(Component, _SlicedMixin):
     ports = PortSpec(
         inputs=("background", "overlay"),
         outputs=("output",),
-        required_params=("width", "height"),
-        optional_params=("pos_row", "pos_col", "alpha", "overlay_width",
-                         "overlay_height"),
+        params={**GEOMETRY, **_PLACEMENT, "overlay_width": OPT_DIM,
+                "overlay_height": OPT_DIM},
         formats={
             "background": "kind=plane shape=height,width dtype=?T "
                           "colorspace=?c",
@@ -587,11 +583,12 @@ class BlendField(Component, _SlicedMixin):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)  # background/output geometry
+        params = instance.params
+        w, h = params["width"], params["height"]  # background/output
         frac = _slice_fraction(instance)
         bg_px = w * h * frac
-        ow = int(instance.params.get("overlay_width", w // 4))
-        oh = int(instance.params.get("overlay_height", h // 4))
+        ow = params.get("overlay_width", w // 4)
+        oh = params.get("overlay_height", h // 4)
         ov_px = ow * oh * frac
         return JobCost(
             compute_cycles=cls.CYCLES_PER_PIXEL * bg_px,
@@ -624,7 +621,7 @@ class BlendField(Component, _SlicedMixin):
 
     def configure(self) -> None:
         self.position, self.alpha = _placement(self)
-        self.span = self.rows(int(self.require_param("height")))
+        self.span = self.rows(self.params["height"])
 
     def run(self, job: JobContext) -> None:
         background: np.ndarray = job.read("background")
@@ -646,8 +643,9 @@ class ConvertPlane(Component, _SlicedMixin):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("dtype",),
-        optional_params=("scale", "width", "height"),
+        params={"dtype": Param("enum", required=True, choices=_DTYPES),
+                "scale": Param("float"), "width": OPT_DIM,
+                "height": OPT_DIM},
         formats={
             "input": "kind=plane shape=?h,?w colorspace=?c",
             "output": "kind=plane shape=?h,?w dtype=dtype colorspace=?c",
@@ -657,8 +655,8 @@ class ConvertPlane(Component, _SlicedMixin):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w = int(instance.params.get("width", 0))
-        h = int(instance.params.get("height", 0))
+        w = instance.params.get("width", 0)
+        h = instance.params.get("height", 0)
         pixels = w * h * _slice_fraction(instance)
         return JobCost(
             compute_cycles=cls.CYCLES_PER_PIXEL * pixels,
@@ -685,13 +683,12 @@ class ConvertPlane(Component, _SlicedMixin):
         return super().reads_rows(instance, port, height)
 
     def configure(self) -> None:
-        self.dtype = np.dtype(str(self.require_param("dtype")))
-        scale = self.param("scale")
-        self.scale = None if scale is None else float(scale)
-        height = self.param("height")
+        self.dtype = np.dtype(self.params["dtype"])
+        self.scale = self.params.get("scale")
+        height = self.params.get("height")
         #: None when the copy knows no height (an auto-inserted
         #: converter): ``run`` then spans the plane it reads
-        self.span = None if height is None else self.rows(int(height))
+        self.span = None if height is None else self.rows(height)
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
@@ -707,8 +704,8 @@ class _BlurBase(Component, _SlicedMixin):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        required_params=("width", "height", "size"),
-        optional_params=("sigma",),
+        params={**GEOMETRY, "size": DIM,
+                "sigma": Param("float", lo=0.0, default=1.0)},
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
             "output": "kind=plane shape=height,width dtype=?T colorspace=?c",
@@ -718,8 +715,8 @@ class _BlurBase(Component, _SlicedMixin):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
-        size = int(instance.params["size"])
+        params = instance.params
+        w, h, size = params["width"], params["height"], params["size"]
         frac = _slice_fraction(instance)
         pixels = w * h * frac
         halo_rows = size // 2
@@ -733,10 +730,10 @@ class _BlurBase(Component, _SlicedMixin):
         )
 
     def configure(self) -> None:
-        self._kernel = filters.gaussian_kernel_1d(
-            int(self.require_param("size")), float(self.param("sigma", 1.0))
-        )
-        self.span = self.rows(int(self.require_param("height")))
+        params = self.params
+        self._kernel = filters.gaussian_kernel_1d(params["size"],
+                                                  params["sigma"])
+        self.span = self.rows(params["height"])
 
     @classmethod
     def writes_rows(
@@ -786,8 +783,7 @@ class VideoSink(Component):
 
     ports = PortSpec(
         inputs=("y", "u", "v"),
-        required_params=("width", "height"),
-        optional_params=("collect",),
+        params={**GEOMETRY, "collect": COLLECT},
         formats={
             "y": "kind=plane shape=height,width dtype=uint8 colorspace=y",
             "u": "kind=plane shape=height/2,width/2 dtype=uint8 colorspace=u",
@@ -798,7 +794,7 @@ class VideoSink(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         return JobCost(
             compute_cycles=cls.WRITE_CYCLES_PER_BYTE
             * (w * h + 2 * (w // 2) * (h // 2)),
@@ -815,7 +811,7 @@ class VideoSink(Component):
         self.frames_written = 0
 
     def configure(self) -> None:
-        self.collect = self.param("collect")
+        self.collect = self.params["collect"]
 
     def run(self, job: JobContext) -> None:
         frame = Frame(
@@ -855,8 +851,7 @@ class PlaneSink(Component):
 
     ports = PortSpec(
         inputs=("input",),
-        required_params=("width", "height"),
-        optional_params=("collect",),
+        params={**GEOMETRY, "collect": COLLECT},
         formats={
             "input": "kind=plane shape=height,width dtype=uint8 colorspace=?c",
         },
@@ -865,7 +860,7 @@ class PlaneSink(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         return JobCost(
             compute_cycles=cls.WRITE_CYCLES_PER_BYTE * w * h,
             traffic=(PortTraffic("input", w * h, False),),
@@ -877,7 +872,7 @@ class PlaneSink(Component):
         self.frames_written = 0
 
     def configure(self) -> None:
-        self.collect = self.param("collect")
+        self.collect = self.params["collect"]
 
     def run(self, job: JobContext) -> None:
         plane = job.read("input")
@@ -921,8 +916,7 @@ class DownscaleBlendField(Component):
     ports = PortSpec(
         inputs=("background", "overlay_hi"),
         outputs=("output",),
-        required_params=("width", "height", "factor"),
-        optional_params=("pos_row", "pos_col", "alpha"),
+        params={**GEOMETRY, "factor": DIM, **_PLACEMENT},
         formats={
             "background": "kind=plane shape=height,width dtype=?T "
                           "colorspace=?c",
@@ -933,8 +927,7 @@ class DownscaleBlendField(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)  # background geometry
-        factor = int(instance.params["factor"])
+        w, h = instance.params["width"], instance.params["height"]
         # overlay_hi is a full frame of the same geometry, scaled by factor
         in_px = w * h  # overlay input pixels
         blend_px = w * h
@@ -952,7 +945,7 @@ class DownscaleBlendField(Component):
         )
 
     def configure(self) -> None:
-        self.factor = int(self.require_param("factor"))
+        self.factor = self.params["factor"]
         self.position, self.alpha = _placement(self)
 
     def run(self, job: JobContext) -> None:
@@ -975,8 +968,7 @@ class JpegDecodeIdct(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("y", "u", "v"),
-        required_params=("width", "height"),
-        optional_params=("ratio",),
+        params={**GEOMETRY, "ratio": _RATIO},
         formats={
             "input": "kind=bitstream",
             "y": "kind=plane shape=height,width dtype=uint8 colorspace=y",
@@ -987,9 +979,9 @@ class JpegDecodeIdct(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)
+        w, h = instance.params["width"], instance.params["height"]
         raw = w * h + 2 * (w // 2) * (h // 2)
-        ratio = float(instance.params.get("ratio", MjpegSource.DEFAULT_RATIO))
+        ratio = instance.params["ratio"]
         compressed = int(raw * ratio)
         compute = (
             JpegDecode.CYCLES_PER_COMPRESSED_BYTE * compressed
@@ -1019,8 +1011,8 @@ class IdctDownscaleBlendField(Component):
     ports = PortSpec(
         inputs=("background", "coeffs"),
         outputs=("output",),
-        required_params=("width", "height", "factor", "src_width", "src_height"),
-        optional_params=("pos_row", "pos_col", "alpha"),
+        params={**GEOMETRY, "factor": DIM, "src_width": DIM,
+                "src_height": DIM, **_PLACEMENT},
         formats={
             "background": "kind=plane shape=height,width dtype=?T "
                           "colorspace=?c",
@@ -1030,15 +1022,14 @@ class IdctDownscaleBlendField(Component):
     )
 
     def configure(self) -> None:
-        self.factor = int(self.require_param("factor"))
+        self.factor = self.params["factor"]
         self.position, self.alpha = _placement(self)
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        w, h = _geometry(instance)  # background/output geometry
-        sw = int(instance.params["src_width"])
-        sh = int(instance.params["src_height"])
-        src_px = sw * sh
+        params = instance.params
+        w, h = params["width"], params["height"]  # background/output
+        src_px = params["src_width"] * params["src_height"]
         compute = (
             IdctField.CYCLES_PER_PIXEL * src_px
             + DownscaleField.CYCLES_PER_INPUT_PIXEL * src_px

@@ -8,6 +8,9 @@ Expansion performs, in one recursive walk:
   abstraction without any runtime cost (paper §3.2);
 * **placeholder substitution** — ``${formal}`` in stream refs, param
   values, parallel ``n`` and reconfiguration requests;
+* **parameter binding** — each instance's params, once substituted, go
+  through its class's :meth:`~repro.core.ports.PortSpec.bind`, so every
+  :class:`ComponentInstance` carries typed values with defaults filled;
 * **data-parallel replication** — ``slice``/``crossdep`` parblocks are
   copied ``n`` times; copy *i* is told ``(i, n)`` through its
   reconfiguration interface (here: the ``slice`` field of its instance);
@@ -179,6 +182,9 @@ class _Expander:
             k: self._subst_value(v, scope, f"{what} param {k!r}")
             for k, v in comp.params.items()
         }
+        ports = self.registry.get(comp.class_name)
+        if ports is not None:
+            params = ports.bind(instance_id, params)
         streams = {
             port: self._resolve_stream(ref, scope, f"{what} port {port!r}")
             for port, ref in comp.streams.items()

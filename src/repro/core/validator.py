@@ -18,11 +18,13 @@ Checks performed (each with a test in ``tests/core/test_validator.py``):
 8. slice/crossdep ``n`` is a positive integer once resolved (checked here
    when literal, at expansion when parametric);
 9. with a registry: component classes exist, stream bindings name exactly
-   the class's declared ports, init params satisfy the class schema.
+   the class's declared ports, init params satisfy the class schema
+   (names: X116; literal values, bound by
+   :meth:`~repro.core.ports.PortSpec.bind`: X120).
 
 The checks are built on the collect-all diagnostic machinery of
 :mod:`repro.analysis.diagnostics`: :func:`collect_diagnostics` reports
-**every** violation (codes ``X101``–``X117``, with source lines), and
+**every** violation (codes ``X101``–``X120``, with source lines), and
 :func:`validate` keeps the historical library API by raising a single
 :class:`~repro.errors.ValidationError` that aggregates all of them.
 """
@@ -45,7 +47,7 @@ from repro.core.ast import (
 )
 from repro.core.formats import FormatError, parse_format
 from repro.core.ports import PortSpec
-from repro.errors import ComponentError, ValidationError
+from repro.errors import ComponentError, ParamError, ValidationError
 
 __all__ = ["validate", "collect_diagnostics"]
 
@@ -246,11 +248,11 @@ class _ProcedureChecker:
                     line=comp.line,
                 )
             try:
-                spec.check_params(comp.class_name, set(comp.params))
+                spec.bind(comp.name, comp.params)
+            except ParamError as exc:
+                self.bag.report("X120", str(exc), line=comp.line)
             except ComponentError as exc:
-                self.bag.report(
-                    "X116", f"component {comp.name!r}: {exc}", line=comp.line
-                )
+                self.bag.report("X116", str(exc), line=comp.line)
 
     def _check_call(self, call: CallNode) -> None:
         self._register_instance(call.name, "call", call.line)

@@ -127,6 +127,10 @@ class ComponentError(ReproError):
     """A component implementation misbehaved (wrong ports, bad output...)."""
 
 
+class ParamError(ComponentError):
+    """An init parameter's value has the wrong type or is out of its domain."""
+
+
 class RegistryError(ComponentError):
     """Unknown component class name, or duplicate registration."""
 

@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from numpy import ndarray
 
+from repro.core.parser import parse_value
 from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError
@@ -36,11 +37,13 @@ class Component:
     instantiates components as ``cls(instance)``.
 
     A job does only its kernel and its port accesses: what :meth:`run`
-    needs from :attr:`params` and :attr:`slice` (parsed params, the row
-    span, a filter kernel) :meth:`configure` derives into attributes.
+    needs from :attr:`params` and :attr:`slice` (the row span, a filter
+    kernel) :meth:`configure` derives into attributes.
 
     Class attribute ``ports`` declares the component class's i/o ports
-    and parameter schema; the registry publishes it to the validator.
+    and typed init parameters; the registry publishes it to the validator
+    and the expander, which binds every instance's params against it, so
+    :attr:`params` holds typed values with defaults filled in.
     """
 
     ports: PortSpec = PortSpec()
@@ -145,10 +148,14 @@ class Component:
     def reconfigure(self, request: str) -> None:
         """Reconfiguration interface (paper §3.1).
 
-        Default: parse ``key=value`` into ``self.params``; ``slice=i/n``
-        updates the slice assignment; then :meth:`configure` re-derives
-        (e.g. the picture-in-picture blender moves the blended picture).
+        Default: bind ``key=value`` into ``self.params`` through the class's
+        :meth:`~repro.core.ports.PortSpec.bind` (an undeclared key or a bad
+        value is a :class:`ComponentError`); ``slice=i/n`` updates the
+        slice assignment; then :meth:`configure` re-derives (e.g. the
+        picture-in-picture blender moves the blended picture).
         """
+        updates: dict[str, Any] = {}
+        assignment = self.slice
         for part in request.split(";"):
             part = part.strip()
             if not part:
@@ -168,9 +175,13 @@ class Component:
                     raise ComponentError(
                         f"component {self.instance.instance_id!r}: bad slice "
                         f"request {part!r} (expected slice=i/n, 0 <= i < n)")
-                self.slice = (int(index), int(total))
+                assignment = (int(index), int(total))
             else:
-                self.params[key] = value
+                updates[key] = parse_value(value)
+        if updates:
+            self.params = self.ports.bind(
+                self.instance.instance_id, {**self.params, **updates})
+        self.slice = assignment
         self.configure()
 
     def teardown(self) -> None:
@@ -211,20 +222,6 @@ class Component:
         delta must be picklable.
         """
         return None
-
-    # -- helpers -----------------------------------------------------------------
-
-    def param(self, name: str, default: Any = None) -> Any:
-        return self.params.get(name, default)
-
-    def require_param(self, name: str) -> Any:
-        try:
-            return self.params[name]
-        except KeyError:
-            raise ComponentError(
-                f"component {self.instance.instance_id!r} requires param "
-                f"{name!r}"
-            ) from None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.instance.instance_id!r})"

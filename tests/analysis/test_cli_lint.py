@@ -110,6 +110,16 @@ def test_mismatch_fixture_fails_before_any_runtime(capsys):
     assert "[X501]" in capsys.readouterr().out
 
 
+def test_param_type_fixture_fails_before_any_runtime(capsys):
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "fixtures" / "param_type.xml"
+    assert main(["lint", str(fixture), "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    assert "[X120]" in out
+    assert "param 'size' must be an integer in 1..16384, got 'x'" in out
+
+
 def test_validate_reports_every_error(spec_file, capsys):
     assert main(["validate", spec_file(MULTI_ERROR)]) == 1
     err = capsys.readouterr().err

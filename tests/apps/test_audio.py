@@ -63,10 +63,11 @@ def test_records_are_small():
 
 
 def test_builder_rejects_degenerate_geometry():
-    with pytest.raises(XSPCLError):
-        build_audio(channels=0)
-    with pytest.raises(XSPCLError):
-        build_audio(block=0)
+    # the record dimensions are the components' typed params (X120)
+    with pytest.raises(XSPCLError, match="param 'channels' must be"):
+        make_program(build_audio(channels=0, slices=0), name="audio")
+    with pytest.raises(XSPCLError, match="param 'block' must be"):
+        make_program(build_audio(block=0), name="audio")
     with pytest.raises(XSPCLError):
         build_audio(channels=4, slices=8)
 
@@ -143,7 +144,8 @@ def test_band_filter_resolves_its_taps_once_and_on_reconfigure():
         return ComponentInstance(
             instance_id="f", definition_id="f", class_name="band_filter",
             streams={"input": "a", "output": "b"},
-            params={"channels": 8, "block": 64, **params},
+            params=BandFilter.ports.bind(
+                "f", {"channels": 8, "block": 64, **params}),
         )
 
     assert BandFilter(instance())._kernel == (0.25, 0.5, 0.25)
@@ -152,9 +154,9 @@ def test_band_filter_resolves_its_taps_once_and_on_reconfigure():
     diff.reconfigure("taps=smooth")
     assert diff._kernel == (0.25, 0.5, 0.25)
     # a bad value fails where it is set, not at the first job
-    with pytest.raises(ComponentError, match="unknown taps"):
+    with pytest.raises(ComponentError, match="param 'taps' must be one of"):
         BandFilter(instance(taps="boxcar"))
-    with pytest.raises(ComponentError, match="unknown taps"):
+    with pytest.raises(ComponentError, match="param 'taps' must be one of"):
         diff.reconfigure("taps=boxcar")
 
 

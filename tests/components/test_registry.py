@@ -98,8 +98,7 @@ def test_impl_registration_validates_format_signature():
         ports = PortSpec(
             inputs=base.ports.inputs,
             outputs=base.ports.outputs,
-            required_params=base.ports.required_params,
-            optional_params=base.ports.optional_params,
+            params=base.ports.params,
             formats={
                 **base.ports.formats,
                 "output": "kind=plane shape=height,width dtype=float64",

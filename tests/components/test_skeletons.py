@@ -9,7 +9,7 @@ from repro.components.registry import default_ports, default_registry
 from repro.components.skeletons import kernel, register_kernel
 from repro.components.video import synthetic_frame
 from repro.core import AppBuilder, expand
-from repro.errors import ComponentError, RegistryError
+from repro.errors import ComponentError, RegistryError, ValidationError
 from repro.hinch import ThreadedRuntime
 
 REG = default_registry()
@@ -151,8 +151,7 @@ def test_reduce_ops():
 
 
 def test_reduce_unknown_op_rejected():
-    b = luma_pipeline()
-    # build manually to hit the error path at run time
+    """The op is an enum: an unknown one is rejected before anything runs."""
     b2 = AppBuilder()
     main = b2.procedure("main")
     main.component("src", "luma_source", streams={"output": "raw"},
@@ -160,21 +159,16 @@ def test_reduce_unknown_op_rejected():
     main.component("r", "reduce_plane", streams={"input": "raw", "output": "m"},
                    params={"width": W, "height": H, "op": "median"})
     main.component("snk", "scalar_sink", streams={"input": "m"})
-    # an undeclared-format sink: the scalar stream reconciles via inference
     from repro.core.ports import PortSpec
     from repro.hinch.component import Component
 
     class ScalarSink(Component):
         ports = PortSpec(inputs=("input",))
 
-        def run(self, job):
-            job.read("input")
-
     reg = default_registry({"scalar_sink": ScalarSink})
-    program = expand(b2.build(), default_ports(reg))
-    rt = ThreadedRuntime(program, reg, nodes=1, max_iterations=1)
-    with pytest.raises(ComponentError, match="unknown reduce op"):
-        rt.run()
+    with pytest.raises(ValidationError,
+                       match=r"param 'op' must be one of .*'median'"):
+        expand(b2.build(), default_ports(reg))
 
 
 def test_monitor_posts_event_on_crossing():
@@ -213,12 +207,13 @@ def test_monitor_posts_event_on_crossing():
 
 def test_monitor_crossing_fires_event():
     """Drive the monitor with alternating bright/dark frames."""
-    from repro.core.ports import PortSpec
+    from repro.core.ports import Param, PortSpec
     from repro.hinch.component import Component
 
     class Strobe(Component):
         ports = PortSpec(outputs=("output",),
-                         optional_params=("width", "height"))
+                         params={"width": Param("int"),
+                                 "height": Param("int")})
 
         def run(self, job):
             level = 200 if job.iteration % 4 < 2 else 20
@@ -243,6 +238,24 @@ def test_monitor_crossing_fires_event():
     rt.run()
     # down-crossings at iterations 2 and 6
     assert rt.broker.queue("ui").total_posted == 2
+
+
+MONITOR = {"op": "mean", "threshold": 100.0, "queue": "ui", "event": "dark"}
+
+
+@pytest.mark.parametrize("cls, param, params", [
+    ("monitor", "op", {**MONITOR, "op": "median"}),
+    ("monitor", "direction", {**MONITOR, "direction": "sideways"}),
+    ("map_plane", "kernel", {"kernel": "nope"}),
+    ("stencil_plane", "kernel", {"kernel": 3}),
+])
+def test_skeleton_enums_are_checked_before_the_run(cls, param, params):
+    """A monitor's unknown ``op`` used to raise a bare KeyError at its
+    first job, and any ``direction`` but "above" silently meant "below"."""
+    b = luma_pipeline(("s", cls, params, None))
+    with pytest.raises(ValidationError,
+                       match=f"component 's': param '{param}' must be one of"):
+        expand(b.build(), PORTS)
 
 
 def test_kernel_registry_lookup_and_duplicates():

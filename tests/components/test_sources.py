@@ -11,7 +11,7 @@ from repro.components.registry import default_registry
 from repro.components.streaming import MjpegSource, VideoSource
 from repro.core import parse_string
 from repro.core.xmlio import spec_to_xml
-from repro.errors import ComponentError
+from repro.errors import ComponentError, ValidationError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.spacecake import SimRuntime
 
@@ -99,8 +99,48 @@ def test_a_bad_quality_fails_at_construction_naming_the_component(
         f'<param name="seed" value="500"/>'
         f'<param name="quality" value="{quality}"/>')
     assert f'value="{quality}"' in xml
-    program = make_program(parse_string(xml), name="jpip1")
-    with pytest.raises(ComponentError) as info:
-        runtime(program, REG, max_iterations=2, **kwargs)
+    # the schema rejects it when the program is built, before any runtime
+    with pytest.raises((ComponentError, ValidationError)) as info:
+        runtime(make_program(parse_string(xml), name="jpip1"), REG,
+                max_iterations=2, **kwargs)
     assert "'pip0_read'" in str(info.value)
     assert f"got {quality}" in str(info.value).replace("'", "")
+
+
+TIMER = """<xspcl version="1.0"><procedure name="main"><body>
+  <component name="src" class="luma_source"><stream port="output" ref="a"/>
+    <param name="width" value="16"/><param name="height" value="16"/>
+  </component>
+  <component name="tick" class="timer">
+    <param name="queue" value="ui"/><param name="event" value="e"/>
+    <param name="period" value="{period}"/>
+  </component>
+  <component name="sink" class="plane_sink"><stream port="input" ref="a"/>
+    <param name="width" value="16"/><param name="height" value="16"/>
+  </component>
+</body></procedure></xspcl>"""
+
+
+def test_a_zero_timer_period_is_refused_before_the_first_job():
+    """``period="0"`` used to pass lint and construction, then divide by
+    zero at the first job."""
+    from repro.analysis import Severity, lint_string
+    from repro.components.registry import default_ports
+    from repro.core import expand
+
+    message = "component 'tick': param 'period' must be an integer >= 1"
+    errors = [d for d in lint_string(TIMER.format(period=0),
+                                     ports=default_ports())
+              if d.severity >= Severity.ERROR]
+    assert [d.code for d in errors] == ["X120"]
+    assert errors[0].message.startswith(message)
+    with pytest.raises(ComponentError, match=message):
+        expand(parse_string(TIMER.format(period=0)), default_ports(),
+               validated=True)
+    program = make_program(parse_string(TIMER.format(period=2)), name="t")
+    rt = ThreadedRuntime(program, REG, nodes=1, max_iterations=4)
+    timer = rt.host.live["tick"]
+    with pytest.raises(ComponentError, match="param 'period'"):
+        timer.reconfigure("period=0")
+    assert timer.period == 2
+    assert rt.run().completed_iterations == 4

@@ -276,3 +276,27 @@ def test_prop_edge_pad_is_np_pad(h, w, rows, cols, src, dst, seed):
         edge_pad(block[::-1, ::2], rows, cols, dst),
         np.pad(block[::-1, ::2].astype(dst), (rows, cols), mode="edge"),
     )
+
+
+@pytest.mark.parametrize("class_name", [
+    "blend_field", "downscale_blend_field", "idct_downscale_blend_field"])
+def test_blend_reconfigure_rejects_a_malformed_placement(class_name):
+    """``pos=3`` or ``alpha=x`` used to escape as a bare ValueError."""
+    from repro.components.registry import DEFAULT_REGISTRY
+    from repro.core.program import ComponentInstance
+
+    cls = DEFAULT_REGISTRY[class_name]
+    raw = {"width": 64, "height": 48, "factor": 4, "src_width": 64,
+           "src_height": 48}
+    params = cls.ports.bind(class_name, {
+        k: v for k, v in raw.items() if k in cls.ports.params})
+    blend = cls(ComponentInstance(class_name, class_name, class_name,
+                                  params=params, streams={}))
+    blend.reconfigure("pos=3,4; alpha=0.5")
+    assert (blend.position, blend.alpha) == ((3, 4), 0.5)
+    for request, param in [("pos=3", "pos"), ("pos=x,1", "pos"),
+                           ("pos=1,2,3", "pos"), ("alpha=x", "alpha"),
+                           ("alpha=2", "alpha")]:
+        with pytest.raises(ComponentError, match=f"param '{param}'"):
+            blend.reconfigure(request)
+        assert (blend.position, blend.alpha) == ((3, 4), 0.5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ports import PortSpec
+from repro.core.ports import Param, PortSpec
 
 
 @pytest.fixture()
@@ -15,18 +15,26 @@ def registry() -> dict[str, PortSpec]:
     do not depend on the component library.
     """
     return {
-        "source": PortSpec(outputs=("output",), optional_params=("rate", "period", "queue", "event")),
-        "sink": PortSpec(inputs=("input",), optional_params=("expect",)),
+        # ``rate`` is undeclared (an open schema): the language tests
+        # pass it values of every type
+        "source": PortSpec(
+            outputs=("output",),
+            params={"period": Param("int"), "queue": Param("str"),
+                    "event": Param("str")},
+            open_params=True,
+        ),
+        "sink": PortSpec(inputs=("input",), params={"expect": Param("int")}),
         "filter": PortSpec(
             inputs=("input",),
             outputs=("output",),
-            optional_params=("factor", "queue", "mode"),
+            params={"factor": Param("int"), "queue": Param("str"),
+                    "mode": Param("str")},
         ),
         "merge": PortSpec(inputs=("a", "b"), outputs=("output",)),
         "split": PortSpec(inputs=("input",), outputs=("a", "b")),
         "strict": PortSpec(
             inputs=("input",),
             outputs=("output",),
-            required_params=("gain",),
+            params={"gain": Param("int", required=True)},
         ),
     }

@@ -4,8 +4,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AppBuilder, parse_string, validate
+from repro.analysis import Severity, lint_string
+from repro.components.registry import default_ports
+from repro.core import AppBuilder, expand, parse_string, validate
 from repro.errors import ValidationError
+
+BLUR = """<xspcl version="1.0"><procedure name="main"><body>
+  <component name="src" class="luma_source"><stream port="output" ref="a"/>
+    <param name="width" value="16"/><param name="height" value="16"/>
+  </component>
+  <component name="blur" class="blur_h_field">
+    <stream port="input" ref="a"/><stream port="output" ref="b"/>
+    <param name="width" value="16"/><param name="height" value="16"/>
+    <param name="size" value="3"/>
+  </component>
+  <component name="sink" class="plane_sink"><stream port="input" ref="b"/>
+    <param name="width" value="16"/><param name="height" value="16"/>
+  </component>
+</body></procedure></xspcl>"""
 
 
 def build_minimal() -> AppBuilder:
@@ -264,6 +280,50 @@ def test_unknown_class_param(registry):
     )
     with pytest.raises(ValidationError, match="unknown params.*zzz"):
         validate(b.build(), registry=registry)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (2.5, "2.5"),      # was truncated to 2
+    (True, "True"),    # int(True) used to pass as 1
+    ("x", "'x'"),
+    ("3/2", "'3/2'"),
+])
+def test_mistyped_class_param(registry, value, shown):
+    b = AppBuilder()
+    b.procedure("main").component(
+        "x", "strict", streams={"input": "a", "output": "b"},
+        params={"gain": value},
+    )
+    with pytest.raises(ValidationError) as info:
+        validate(b.build(), registry=registry)
+    (diag,) = info.value.diagnostics
+    assert diag.code == "X120"
+    assert diag.message == (
+        f"component 'x': param 'gain' must be an integer, got {shown}")
+
+
+def test_integral_float_binds_as_int(registry):
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "a"})
+    main.component("x", "strict", streams={"input": "a", "output": "b"},
+                   params={"gain": 4.0})
+    main.component("snk", "sink", streams={"input": "b"})
+    gain = expand(b.build(), registry).components["x"].params["gain"]
+    assert gain == 4 and type(gain) is int
+
+
+def test_shipped_class_param_domains_checked_at_lint():
+    """A blur ``size`` of 2.5 used to run as 2; ``x`` passed lint and
+    died in the run with a bare ValueError."""
+    for value in ("2.5", "x", "true", "0", "1e9"):
+        xml = BLUR.replace('name="size" value="3"',
+                           f'name="size" value="{value}"')
+        diags = lint_string(xml, ports=default_ports())
+        errors = [d for d in diags if d.severity >= Severity.ERROR]
+        assert [d.code for d in errors] == ["X120"], value
+        assert "param 'size' must be an integer in 1..16384" in (
+            errors[0].message)
 
 
 def test_no_registry_skips_class_checks():

@@ -9,20 +9,21 @@ import time
 import numpy as np
 
 from repro.core import AppBuilder
-from repro.core.ports import PortSpec
+from repro.core.ports import Param, PortSpec
 from repro.hinch.component import Component, JobContext
 
 
 class Producer(Component):
     """Writes ``base + iteration`` to its output each iteration."""
 
-    ports = PortSpec(outputs=("output",), optional_params=("base", "limit"))
+    ports = PortSpec(outputs=("output",), params={
+        "base": Param("int", default=0), "limit": Param("int")})
 
     def run(self, job: JobContext) -> None:
-        limit = self.param("limit")
-        if limit is not None and job.iteration >= int(limit):
+        limit = self.params.get("limit")
+        if limit is not None and job.iteration >= limit:
             job.request_stop()
-        job.write("output", int(self.param("base", 0)) + job.iteration)
+        job.write("output", self.params["base"] + job.iteration)
 
 
 class Doubler(Component):
@@ -33,12 +34,12 @@ class Doubler(Component):
 
 
 class AddConst(Component):
-    ports = PortSpec(
-        inputs=("input",), outputs=("output",), optional_params=("k", "queue", "period", "event")
-    )
+    ports = PortSpec(inputs=("input",), outputs=("output",), params={
+        "k": Param("int", default=1), "queue": Param("str"),
+        "period": Param("int"), "event": Param("str")})
 
     def run(self, job: JobContext) -> None:
-        job.write("output", job.read("input") + int(self.param("k", 1)))
+        job.write("output", job.read("input") + self.params["k"])
 
 
 class Adder(Component):
@@ -84,19 +85,19 @@ class Collector(Component):
 class ArraySource(Component):
     """Emits a fresh float array of ``size`` filled with the iteration."""
 
-    ports = PortSpec(outputs=("output",), optional_params=("size",))
+    ports = PortSpec(outputs=("output",),
+                     params={"size": Param("int", default=64)})
 
     def run(self, job: JobContext) -> None:
-        size = int(self.param("size", 64))
+        size = self.params["size"]
         job.write("output", np.full(size, float(job.iteration)))
 
 
 class SliceScaler(Component):
     """Data-parallel scaler: each copy multiplies its region by ``factor``."""
 
-    ports = PortSpec(
-        inputs=("input",), outputs=("output",), optional_params=("factor",)
-    )
+    ports = PortSpec(inputs=("input",), outputs=("output",),
+                     params={"factor": Param("float", default=2.0)})
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
@@ -105,7 +106,7 @@ class SliceScaler(Component):
         n = len(data)
         lo = index * n // total
         hi = (index + 1) * n // total
-        out[lo:hi] = data[lo:hi] * float(self.param("factor", 2))
+        out[lo:hi] = data[lo:hi] * self.params["factor"]
 
 
 class HaloSmoother(Component):
@@ -131,20 +132,23 @@ class EventSender(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
-        optional_params=("queue", "period", "event"),
+        params={"queue": Param("str", default="ui"),
+                "period": Param("int", lo=1, default=12),
+                "event": Param("str", default="tick")},
     )
 
     def run(self, job: JobContext) -> None:
         job.write("output", job.read("input"))
-        period = int(self.param("period", 12))
-        if (job.iteration + 1) % period == 0:
-            job.post_event(self.param("queue", "ui"), self.param("event", "tick"))
+        params = self.params
+        if (job.iteration + 1) % params["period"] == 0:
+            job.post_event(params["queue"], params["event"])
 
 
 class Reconfigurable(Component):
     """Records reconfiguration requests for assertions."""
 
-    ports = PortSpec(inputs=("input",), outputs=("output",))
+    ports = PortSpec(inputs=("input",), outputs=("output",),
+                     params={"pos": Param("str")})
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -191,12 +195,12 @@ class Sleeper(Component):
     """
 
     ports = PortSpec(inputs=("input",), outputs=("output",),
-                     required_params=("ms",))
+                     params={"ms": Param("float", required=True)})
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
         out = job.buffer("output", shape=data.shape, dtype=data.dtype)
-        time.sleep(float(self.require_param("ms")) / 1000.0)
+        time.sleep(self.params["ms"] / 1000.0)
         index, total = self.slice if self.slice else (0, 1)
         out[index::total] = data[index::total]
 

@@ -24,10 +24,10 @@ import pytest
 
 import repro
 from repro.apps import build_blur, build_jpip, build_pip, make_program
-from repro.components import filters
+from repro.components import filters, skeletons
 from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
-from repro.core.ports import PortSpec
+from repro.core.ports import Param, PortSpec
 from repro.hinch import ThreadedRuntime
 from repro.hinch.component import Component, JobContext
 from repro.hinch.stream import LockedStream, Stream
@@ -226,11 +226,34 @@ def test_concurrent_slice_copies_share_one_locked_plane():
     assert result.pool_stats["acquires"] == ITERATIONS
 
 
+def _skeletons():
+    b = AppBuilder()
+    main = b.procedure("main")
+    geometry = {"width": 48, "height": 36}
+    main.component("src", "luma_source", streams={"output": "a"},
+                   params=geometry)
+    with main.parallel("slice", n=3):
+        main.component("map", "map_plane", streams={"input": "a", "output": "b"},
+                       params={**geometry, "kernel": "gain", "factor": 1.5})
+    with main.parallel("crossdep", n=3):
+        with main.parblock():
+            main.component("edge", "stencil_plane",
+                           streams={"input": "b", "output": "c"},
+                           params={**geometry, "kernel": "edge"})
+    main.component("mon", "monitor", streams={"input": "c", "output": "d"},
+                   params={**geometry, "op": "mean", "threshold": 10.0,
+                           "queue": "ui", "event": "dark"})
+    main.component("sink", "plane_sink", streams={"input": "d"},
+                   params=geometry)
+    return b.build()
+
+
 #: what a shipped component derives once per configuration
 #: (``Component.configure``), never per job
 DERIVATIONS = {
-    Component.param.__code__: "param",
-    Component.require_param.__code__: "require_param",
+    PortSpec.bind.__code__: "bind",
+    Param.coerce.__code__: "coerce",
+    skeletons.kernel.__code__: "kernel",
     filters.slice_rows.__code__: "slice_rows",
     # the kernel body, behind its per-(size, sigma) cache
     getattr(filters.gaussian_kernel_1d, "__wrapped__",
@@ -248,6 +271,8 @@ DERIVATIONS = {
     # idct_field, 4-way sliced, then downscale + blend
     pytest.param(lambda: build_jpip(1, width=64, height=64, pip_height=64,
                                     factor=4, slices=4), id="jpip"),
+    # map_plane 3-way sliced, stencil_plane crossdep over 3, a monitor
+    pytest.param(lambda: _skeletons(), id="skeletons"),
 ])
 def test_shipped_fields_derive_nothing_per_job(spec):
     """Params, slice spans and blur kernels are read from attributes."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ports import PortSpec
+from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError, StreamError, StreamFormatError
 from repro.hinch.component import Component, JobContext
@@ -18,7 +18,7 @@ def make_instance(**overrides) -> ComponentInstance:
         instance_id="x",
         definition_id="x",
         class_name="test",
-        params={"gain": 2},
+        params={"gain": 2, "mode": "slow"},
         streams={"input": "in", "output": "out"},
     )
     defaults.update(overrides)
@@ -26,7 +26,11 @@ def make_instance(**overrides) -> ComponentInstance:
 
 
 class Probe(Component):
-    ports = PortSpec(inputs=("input",), outputs=("output",))
+    ports = PortSpec(inputs=("input",), outputs=("output",), params={
+        "gain": Param("int", required=True), "pos": Param("pos"),
+        "mode": Param("enum", choices=("fast", "slow"), default="slow"),
+        "a": Param("int"), "b": Param("str"),
+    })
 
     def run(self, job):
         job.write("output", job.read("input"))
@@ -40,19 +44,35 @@ def test_params_copied_not_shared():
 
 
 def test_param_accessors():
-    c = Probe(make_instance())
-    assert c.param("gain") == 2
-    assert c.param("missing", 7) == 7
-    assert c.require_param("gain") == 2
-    with pytest.raises(ComponentError, match="requires param"):
-        c.require_param("missing")
+    """``params`` holds what the schema bound: typed, defaults filled."""
+    c = Probe(make_instance(params=Probe.ports.bind("x", {"gain": 2.0})))
+    # ``pos`` is optional without a default: it stays absent
+    assert c.params == {"gain": 2, "mode": "slow"}
+    assert type(c.params["gain"]) is int
+    with pytest.raises(ComponentError, match="missing required params"):
+        Probe.ports.bind("x", {})
 
 
 def test_reconfigure_updates_params():
     c = Probe(make_instance())
     c.reconfigure("pos=3,4; mode=fast")
-    assert c.params["pos"] == "3,4"
+    assert c.params["pos"] == (3, 4)
     assert c.params["mode"] == "fast"
+
+
+@pytest.mark.parametrize("request_, message", [
+    ("pos=3", "param 'pos' must be a row,col pair"),
+    ("pos=a,b", "param 'pos' must be a row,col pair"),
+    ("gain=x", "param 'gain' must be an integer"),
+    ("gain=2.5", "param 'gain' must be an integer"),
+    ("gain=true", "param 'gain' must be an integer"),
+    ("bogus=1", "unknown params \\['bogus'\\]"),
+])
+def test_reconfigure_rejects_a_bad_request(request_, message):
+    c = Probe(make_instance())
+    with pytest.raises(ComponentError, match=message):
+        c.reconfigure(request_)
+    assert c.params == {"gain": 2, "mode": "slow"}  # unchanged
 
 
 def test_reconfigure_slice_assignment():
@@ -83,7 +103,7 @@ class Derived(Probe):
 
     def configure(self):
         self.configured = getattr(self, "configured", 0) + 1
-        self.gain = int(self.require_param("gain"))
+        self.gain = self.params["gain"]
         self.part = self.slice
 
 
@@ -105,7 +125,7 @@ def test_reconfigure_malformed_rejected():
 def test_reconfigure_empty_segments_ignored():
     c = Probe(make_instance())
     c.reconfigure("a=1;;  ; b=2")
-    assert c.params["a"] == "1"
+    assert c.params["a"] == 1
     assert c.params["b"] == "2"
 
 
@@ -224,14 +244,17 @@ def test_ctx_request_stop():
 def test_port_spec_validation():
     with pytest.raises(ComponentError, match="both input and output"):
         PortSpec(inputs=("a",), outputs=("a",))
-    spec = PortSpec(inputs=("i",), outputs=("o",),
-                    required_params=("x",), optional_params=("y",))
+    spec = PortSpec(inputs=("i",), outputs=("o",), params={
+        "x": Param("int", required=True), "y": Param("str")})
     assert spec.is_input("i") and spec.is_output("o")
     assert spec.all_ports == ("i", "o")
-    spec.check_params("cls", {"x", "y"})
-    with pytest.raises(ComponentError, match="missing required"):
-        spec.check_params("cls", {"y"})
+    assert spec.bind("c", {"x": 1, "y": "a"}) == {"x": 1, "y": "a"}
+    with pytest.raises(ComponentError, match="'c' missing required"):
+        spec.bind("c", {"y": "a"})
     with pytest.raises(ComponentError, match="unknown params"):
-        spec.check_params("cls", {"x", "zzz"})
+        spec.bind("c", {"x": 1, "zzz": 2})
     open_spec = PortSpec(open_params=True)
-    open_spec.check_params("cls", {"anything", "goes"})
+    assert open_spec.bind("c", {"anything": 1, "goes": "x"}) == {
+        "anything": 1, "goes": "x"}
+    with pytest.raises(ComponentError, match="unknown param kind"):
+        Param("complex")

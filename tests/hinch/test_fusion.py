@@ -399,7 +399,7 @@ _CONVERT_SPEC = """<?xml version="1.0" ?>
         <stream port="input" ref="raw"
                 format="kind=plane shape=height,width dtype=float32"/>
         <param name="width" value="16"/><param name="height" value="16"/>
-        <param name="collect" value="1"/>
+        <param name="collect" value="true"/>
       </component>
     </body>
   </procedure>

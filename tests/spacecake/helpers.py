@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.ports import PortSpec
+from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
@@ -13,16 +13,15 @@ from tests.hinch.helpers import REGISTRY as HINCH_REGISTRY
 class CostedSource(Component):
     """Source with an explicit cycle cost and output traffic."""
 
-    ports = PortSpec(outputs=("output",),
-                     optional_params=("cycles", "nbytes", "limit"))
+    ports = PortSpec(outputs=("output",), params={
+        "cycles": Param("float", default=1000.0),
+        "nbytes": Param("int", default=0), "limit": Param("int")})
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         return JobCost(
-            compute_cycles=float(instance.params.get("cycles", 1000)),
-            traffic=(
-                PortTraffic("output", int(instance.params.get("nbytes", 0)), True),
-            ),
+            compute_cycles=instance.params["cycles"],
+            traffic=(PortTraffic("output", instance.params["nbytes"], True),),
         )
 
     def run(self, job: JobContext) -> None:
@@ -32,13 +31,14 @@ class CostedSource(Component):
 class CostedWorker(Component):
     """Filter with explicit cycles; divides work across slice copies."""
 
-    ports = PortSpec(inputs=("input",), outputs=("output",),
-                     optional_params=("cycles", "nbytes"))
+    ports = PortSpec(inputs=("input",), outputs=("output",), params={
+        "cycles": Param("float", default=1000.0),
+        "nbytes": Param("int", default=0)})
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        cycles = float(instance.params.get("cycles", 1000))
-        nbytes = int(instance.params.get("nbytes", 0))
+        cycles = instance.params["cycles"]
+        nbytes = instance.params["nbytes"]
         if instance.slice is not None:
             _, total = instance.slice
             cycles /= total
@@ -56,11 +56,12 @@ class CostedWorker(Component):
 
 
 class CostedSink(Component):
-    ports = PortSpec(inputs=("input",), optional_params=("cycles",))
+    ports = PortSpec(inputs=("input",),
+                     params={"cycles": Param("float", default=100.0)})
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        return JobCost(compute_cycles=float(instance.params.get("cycles", 100)))
+        return JobCost(compute_cycles=instance.params["cycles"])
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -77,7 +78,9 @@ class SimTimer(Component):
     reconfiguration experiments work without functional data.
     """
 
-    ports = PortSpec(optional_params=("queue", "period", "event"))
+    ports = PortSpec(params={"queue": Param("str", default="ui"),
+                             "period": Param("int", lo=1, default=12),
+                             "event": Param("str", default="tick")})
     always_execute = True
 
     @classmethod
@@ -85,9 +88,9 @@ class SimTimer(Component):
         return JobCost(compute_cycles=50.0)
 
     def run(self, job: JobContext) -> None:
-        period = int(self.param("period", 12))
-        if (job.iteration + 1) % period == 0:
-            job.post_event(self.param("queue", "ui"), self.param("event", "tick"))
+        params = self.params
+        if (job.iteration + 1) % params["period"] == 0:
+            job.post_event(params["queue"], params["event"])
 
 
 REGISTRY = dict(HINCH_REGISTRY)
