@@ -24,8 +24,8 @@ Diagnostics:
   backend auto-inserts the ``convert_plane`` at build time
   (:func:`auto_insert_converters`).  By default the converter runs as a
   job of its own, one extra dispatch and one extra plane per iteration;
-  declaring matching dtypes removes both.  The opt-in chain compiler
-  (``fuse=True``, :func:`repro.hinch.fusion.fuse_chains`) can absorb it
+  declaring matching dtypes removes both.  On the process backend the
+  chain compiler (:func:`repro.hinch.fusion.fuse_chains`) can absorb it
   into the producer or consumer chain.
 
 The solved per-stream formats double as the runtimes' authoritative

@@ -36,7 +36,7 @@ def check_fusable_chains(
         bag.report(
             "X401",
             "linear chain " + " -> ".join(chain) + " can be fused into one "
-            "scheduled job (run with group_chains=True / hinch.grouping) to "
+            "scheduled job (hinch.grouping; SimRuntime(group_chains=True)) to "
             "keep the intermediate stream in cache",
             line=first.line if first is not None else None,
             where=chain[0],

@@ -10,9 +10,8 @@ each band-filtered per channel, fused into one feature stream::
     vib source -> band_filter[slices over channels] --'
 
 Per-record kernel work is microseconds, so dispatch overhead dominates:
-the workload that rewards ``--batch`` and the chain compiler
-(``fuse=True``) and punishes naive
-per-job dispatch.  The bench registers it beside pip/blur/jpip for
+the workload where the process backend's job leases and chain compiler
+pay most, and that punishes naive per-job dispatch.  The bench registers it beside pip/blur/jpip for
 exactly that contrast, and the fuzzer palette draws on its components.
 
 The reconfigurable variant wraps the vibration branch in a manager

@@ -179,7 +179,7 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
     """Up-front validation of ``run`` knob combinations.
 
     Catches the degenerate values that would otherwise reach the runtime
-    and fail obscurely (``--batch 0``, ``--workers 0``) or hang
+    and fail obscurely (``--workers 0``) or hang
     (``--pipeline-depth 0`` admits no iterations), and the silently
     ignored combinations (a process-only or sim-only flag on another
     backend).  Returns the error message, or ``None`` when the knobs are
@@ -197,10 +197,6 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
             f"--pipeline-depth must be >= 1, got {args.pipeline_depth} "
             "(a depth of 0 admits no iterations)"
         )
-    if args.batch < 1:
-        return f"--batch must be >= 1, got {args.batch}"
-    if args.batch > 1 and args.backend != "process":
-        return "--batch applies to the process backend only"
     if args.watchdog is not None and args.watchdog <= 0:
         return f"--watchdog must be > 0 seconds, got {args.watchdog}"
     if args.max_retries is not None and args.max_retries < 0:
@@ -277,7 +273,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             workers=workers,
             pipeline_depth=args.pipeline_depth,
             max_iterations=args.iterations,
-            batch=args.batch,
             watchdog=args.watchdog,
             max_retries=2 if args.max_retries is None else args.max_retries,
             respawn=not args.no_respawn,
@@ -534,11 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: --nodes)")
     p.add_argument("--iterations", type=int, default=16)
     p.add_argument("--pipeline-depth", type=int, default=5)
-    p.add_argument("--batch", type=int, default=1,
-                   help="process backend: max jobs per worker lease; >1 "
-                        "amortizes dispatch (pickling, pipe wakeups, "
-                        "alloc RPCs) and enables worker-resident stream "
-                        "tokens and slice affinity (default: 1)")
     p.add_argument("--execute", action="store_true",
                    help="sim backend: also run components functionally")
     p.add_argument("--inject-fault", default=None, metavar="SPEC",

@@ -4,7 +4,7 @@ The video applications move hundreds of kilobytes per frame through a
 handful of dispatches; a microphone-array front-end is the opposite
 workload — records of a few hundred *bytes* (``channels x block`` int16
 samples) at thousands of records per second, so per-dispatch overhead
-dominates and batching/fusion knobs matter far more than kernel cycles.
+dominates and job leases and fusion matter far more than kernel cycles.
 These components give the bench and the fuzzer that anti-JPiP profile.
 
 A record is a plane of shape ``(channels, block)``: one row per input

@@ -189,9 +189,6 @@ class ProgramGraph:
     #: (grouping, fusion) must not merge across them
     crossdep_nodes: frozenset[str] = frozenset()
 
-    def resolve_stream(self, name: str) -> str:
-        return self.aliases.get(name, name)
-
 
 class Program:
     """A fully expanded application, ready to instantiate per configuration."""
@@ -234,13 +231,6 @@ class Program:
 
     def default_option_states(self) -> dict[str, bool]:
         return {q: o.default_enabled for q, o in self.options.items()}
-
-    def manager_of_option(self, option_qname: str) -> ManagerInfo:
-        try:
-            opt = self.options[option_qname]
-        except KeyError:
-            raise ReconfigurationError(f"unknown option {option_qname!r}") from None
-        return self.managers[opt.manager]
 
     # -- configuration instantiation ----------------------------------------
 

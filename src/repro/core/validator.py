@@ -20,7 +20,8 @@ Checks performed (each with a test in ``tests/core/test_validator.py``):
 9. with a registry: component classes exist, stream bindings name exactly
    the class's declared ports, init params satisfy the class schema
    (names: X116; literal values, bound by
-   :meth:`~repro.core.ports.PortSpec.bind`: X120).
+   :meth:`~repro.core.ports.PortSpec.bind`: X120), and so do the
+   assignments of a literal ``<reconfigure request>``.
 
 The checks are built on the collect-all diagnostic machinery of
 :mod:`repro.analysis.diagnostics`: :func:`collect_diagnostics` reports
@@ -46,6 +47,7 @@ from repro.core.ast import (
     Spec,
 )
 from repro.core.formats import FormatError, parse_format
+from repro.core.parser import parse_value
 from repro.core.ports import PortSpec
 from repro.errors import ComponentError, ParamError, ValidationError
 
@@ -58,6 +60,16 @@ def _placeholders(value: object) -> list[str]:
     if isinstance(value, str):
         return _PLACEHOLDER.findall(value)
     return []
+
+
+def _assignments(request: str) -> dict[str, object]:
+    """The param assignments of a reconfigure request (``slice=`` aside)."""
+    assignments = {}
+    for part in request.split(";"):
+        key, sep, value = part.partition("=")
+        if sep and key.strip() != "slice":
+            assignments[key.strip()] = parse_value(value.strip())
+    return assignments
 
 
 def _check_placeholders(
@@ -248,7 +260,12 @@ class _ProcedureChecker:
                     line=comp.line,
                 )
             try:
-                spec.bind(comp.name, comp.params)
+                params = spec.bind(comp.name, comp.params)
+                # applied at creation (Component.reconfigure): bind it here
+                # as a run would, unless the expander still substitutes it
+                request = comp.reconfigure
+                if request is not None and "${" not in request:
+                    spec.bind(comp.name, {**params, **_assignments(request)})
             except ParamError as exc:
                 self.bag.report("X120", str(exc), line=comp.line)
             except ComponentError as exc:

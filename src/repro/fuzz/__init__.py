@@ -3,9 +3,10 @@
 Hand-written scenarios only cover the failures someone imagined.  This
 package generates random-but-valid XSPCL programs (and deliberately
 *invalid* mutants), random runs over them — reconfiguration schedules,
-fault injections, knob grids — and checks every case differentially:
+fault injections, widths and depths — and checks every case
+differentially:
 
-* both backends, knobs-on vs knobs-off, must produce **bit-identical**
+* both backends, sequential vs wide, must produce **bit-identical**
   sink output;
 * lint and build must **agree**: a lint-rejected spec fails at build,
   never at runtime — and a lint-clean spec runs;

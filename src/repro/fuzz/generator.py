@@ -121,11 +121,12 @@ def generate_case(seed: int, *, max_nodes: int = 8) -> FuzzCase:
 
     faults: list[str] = []
     if rng.random() < 0.4:
-        # Bounded by the minimum job count: every iteration dispatches at
-        # least source + sink, so indices <= 2*iterations always fire.
+        # Bounded by the minimum job count: the chain compiler may fuse
+        # source...sink into one job, so every iteration dispatches at
+        # least one and indices <= iterations always fire.
         used: set[int] = set()
         for _ in range(rng.randint(1, 2)):
-            at_job = rng.randint(1, 2 * iterations)
+            at_job = rng.randint(1, iterations)
             if at_job in used:
                 continue
             used.add(at_job)
@@ -136,9 +137,7 @@ def generate_case(seed: int, *, max_nodes: int = 8) -> FuzzCase:
 
     knobs = {
         "workers": rng.choice([1, 2, 2, 3]),
-        "batch": rng.choice([1, 1, 2, 3]),
         "depth": rng.choice([1, 2, 2, 4]),
-        "fuse": rng.random() < 0.4,
     }
 
     mutation = None

@@ -6,7 +6,7 @@ Builds the case's spec, then holds it to three oracles:
   flagged by lint AND refused at build (expand or runtime construction);
   clean specs must lint clean and run on every backend;
 * **bit-identical output** — every run configuration (threaded/process,
-  sequential/wide, knobs on/off, faults injected) must produce the same
+  sequential/wide, faults injected) must produce the same
   sink records in the same order;
 * **clean accounting** — runs complete all iterations, report every
   unfired fault, and leak nothing into ``/dev/shm``.
@@ -194,7 +194,6 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
         # timer-driven reconfiguration: sequential runs only
         runs = [
             {"backend": "threaded", "nodes": 1, "depth": 1},
-            {"backend": "threaded", "nodes": 1, "depth": 1, "fuse": True},
             {"backend": "process", "workers": 1, "depth": 1},
         ]
         if case.faults:
@@ -204,21 +203,14 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
     if case.reconfig is not None:
         # single pre-posted toggle: the splice iteration is a function of
         # pipeline depth, so the whole matrix shares one depth while
-        # backend, width, batching and fusion still vary
+        # backend and width still vary
         depth = 2
         runs = [
             {"backend": "threaded", "nodes": 2, "depth": depth},
             {"backend": "threaded", "nodes": 1, "depth": depth},
-            {"backend": "threaded", "nodes": 2, "depth": depth,
-             "fuse": True},
             {"backend": "process", "workers": 1, "depth": depth},
-            {
-                "backend": "process",
-                "workers": knobs.get("workers", 2),
-                "depth": depth,
-                "batch": knobs.get("batch", 1),
-                "fuse": knobs.get("fuse", False),
-            },
+            {"backend": "process", "workers": knobs.get("workers", 2),
+             "depth": depth},
         ]
         if case.faults:
             runs.append({"backend": "process", "workers": 2, "depth": depth,
@@ -227,15 +219,9 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
     runs = [
         {"backend": "threaded", "nodes": 2, "depth": 2},
         {"backend": "threaded", "nodes": 1, "depth": 1},
-        {"backend": "threaded", "nodes": 2, "depth": 2, "fuse": True},
         {"backend": "process", "workers": 1, "depth": 2},
-        {
-            "backend": "process",
-            "workers": knobs.get("workers", 2),
-            "depth": knobs.get("depth", 2),
-            "batch": knobs.get("batch", 1),
-            "fuse": knobs.get("fuse", False),
-        },
+        {"backend": "process", "workers": knobs.get("workers", 2),
+         "depth": knobs.get("depth", 2)},
     ]
     if case.faults:
         runs.append({"backend": "process", "workers": 2, "depth": 2,
@@ -254,7 +240,6 @@ def _execute(case: FuzzCase, program, registry, run: dict):
             nodes=run.get("nodes", 1),
             pipeline_depth=run.get("depth", 1),
             max_iterations=case.iterations,
-            fuse=run.get("fuse", False),
         )
     else:
         rt = ProcessRuntime(
@@ -262,8 +247,6 @@ def _execute(case: FuzzCase, program, registry, run: dict):
             workers=run.get("workers", 1),
             pipeline_depth=run.get("depth", 1),
             max_iterations=case.iterations,
-            batch=run.get("batch", 1),
-            fuse=run.get("fuse", False),
             faults=",".join(run.get("faults", [])) or None,
         )
     if case.reconfig is not None and period is None:

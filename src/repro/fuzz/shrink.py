@@ -1,7 +1,7 @@
 """Greedy case minimization: smallest case that still fails the same way.
 
 Each pass proposes one structural simplification (drop a stage, drop the
-reconfiguration, drop the faults, switch knobs off, shrink iterations,
+reconfiguration, drop the faults, narrow the knobs, shrink iterations,
 geometry, slice widths); a proposal is kept iff the simplified case
 still fails with the *same failure kind* — shrinking must never trade
 one bug for a different one.  Passes repeat to a fixpoint under a hard
@@ -55,7 +55,7 @@ def _proposals(case: FuzzCase) -> Iterator[FuzzCase]:
                 del c.faults[i]
                 yield c
     # neutralize knobs one at a time
-    neutral = {"workers": 1, "batch": 1, "depth": 1, "fuse": False}
+    neutral = {"workers": 1, "depth": 1}
     for key, value in neutral.items():
         if case.knobs.get(key, value) != value:
             c = _clone(case)

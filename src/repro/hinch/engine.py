@@ -76,10 +76,9 @@ def build_configuration(
     registry: Mapping[str, type[Component]],
     option_states: Mapping[str, bool] | None,
     *,
-    group_chains: bool,
-    fuse: bool = False,
-    parallel_headroom: int | None = None,
     peepholes: frozenset[str] | None = None,
+    chain_headroom: int | None = None,
+    group_chains: bool = False,
 ) -> Configuration:
     """Derive the schedulable configuration for ``option_states``.
 
@@ -93,9 +92,11 @@ def build_configuration(
     ``peepholes`` is the program's
     :func:`~repro.hinch.fusion.peephole_classes`, which a
     :class:`Coordinator` works out once; ``None`` works it out here.  An
-    empty set, the simulator's, keeps the unfused graph.  ``fuse`` adds
-    the chain compiler (:func:`~repro.hinch.fusion.fuse_chains`) with
-    ``parallel_headroom`` as its profitability guard.
+    empty set, the simulator's, keeps the unfused graph.  An int
+    ``chain_headroom`` adds the chain compiler
+    (:func:`~repro.hinch.fusion.fuse_chains`) with that many parallel
+    workers as its profitability guard; ``group_chains`` the §4.1
+    grouping (:func:`~repro.hinch.grouping.group_linear_chains`).
     """
     pg = program.build_graph(option_states)
     # The reconciled port formats become each stream's authoritative
@@ -116,9 +117,9 @@ def build_configuration(
         pg = fuse_pairs(pg, registry, peepholes)
     if group_chains:
         pg = group_linear_chains(pg)
-    if fuse:
+    if chain_headroom is not None:
         pg, _ = fuse_chains(pg, program, registry, expectations,
-                            parallel_headroom=parallel_headroom)
+                            parallel_headroom=chain_headroom)
     return Configuration(pg, overrides, expectations)
 
 
@@ -330,13 +331,22 @@ class Coordinator:
     ``lock`` guards the controller entry points for executors whose jobs
     run concurrently with manager invocations (the threaded backend's
     RLock).  ``concurrent_jobs`` says whether two jobs can run at once;
-    only then do the streams lock (:mod:`repro.hinch.stream`).  ``fuse``
-    and ``parallel_headroom`` are forwarded to every build.
+    only then do the streams lock (:mod:`repro.hinch.stream`).
+
+    What a build rewrites is the executor's, never the caller's: the
+    class attributes below, which a subclass may set on the instance
+    before calling ``super().__init__``.
     """
 
     #: apply pair fusion to every build; the simulator, which costs the
     #: paper's unfused graph, turns it off
     fuses_pairs = True
+    #: run the chain compiler with this parallel headroom; ``None`` (threads,
+    #: the simulator) never does — only the process backend, whose leases
+    #: pay per job, gains from it
+    chain_headroom: int | None = None
+    #: group linear chains (§4.1); only the simulator's ablation does
+    group_chains = False
 
     def __init__(
         self,
@@ -348,9 +358,6 @@ class Coordinator:
         max_iterations: int,
         trace: bool,
         option_states: Mapping[str, bool] | None,
-        group_chains: bool,
-        fuse: bool = False,
-        parallel_headroom: int | None = None,
         lock: ContextManager[Any] | None = None,
         concurrent_jobs: bool = False,
     ) -> None:
@@ -358,9 +365,6 @@ class Coordinator:
         self.registry = registry
         self.pipeline_depth = pipeline_depth
         self.max_iterations = max_iterations
-        self.group_chains = group_chains
-        self.fuse = fuse
-        self.parallel_headroom = parallel_headroom
         #: the program's pair-kernel classes, worked out once: every
         #: build (splices inside run() included) only reads it
         self._peepholes = (
@@ -402,8 +406,8 @@ class Coordinator:
         """The configuration for ``option_states``, built once.
 
         :func:`build_configuration` is a pure function of the option
-        states once the program and the build knobs are fixed at
-        construction, so its result is memoised on them.  A process
+        states once the program and the executor's rewrites are fixed
+        at construction, so its result is memoised on them.  A process
         worker forked from this coordinator looks its splices up here
         too: what the dispatcher built before the fork costs it nothing.
         """
@@ -414,10 +418,9 @@ class Coordinator:
                 self.program,
                 self.registry,
                 option_states,
-                group_chains=self.group_chains,
-                fuse=self.fuse,
-                parallel_headroom=self.parallel_headroom,
                 peepholes=self._peepholes,
+                chain_headroom=self.chain_headroom,
+                group_chains=self.group_chains,
             )
             # keyed by the *resolved* states: what every splice asks for
             key = frozenset(config.pg.option_states.items())

@@ -2,8 +2,9 @@
 
 Paper §4.1 reads producer→consumer locality as grouping "several
 components into a group that is scheduled as one entity".
-:mod:`repro.hinch.grouping` does that for every linear chain when asked
-(``group_chains``).  This module holds two stronger readings.
+:mod:`repro.hinch.grouping` does that for every linear chain of the
+simulator's ``group_chains`` ablation.  This module holds two stronger
+readings.
 
 **Pair fusion** is a build step.  Where a consumer class's
 :meth:`~repro.hinch.component.Component.compile_fused_pair` returns a
@@ -23,9 +24,10 @@ Which classes offer a kernel is worked out once per program
 its graph back untouched from every build.  The simulator passes an
 empty set: it costs the paper's unfused graph.
 
-**The chain compiler** (:func:`fuse_chains`) is opt-in
-(``ThreadedRuntime``/``ProcessRuntime(fuse=True)``).  It runs after the
-pair pass and merges chains that are not linear in the graph:
+**The chain compiler** (:func:`fuse_chains`) is the process backend's:
+every ``ProcessRuntime`` build runs it after the pair pass, threads and
+the simulator never do.  It merges chains that are not linear in the
+graph:
 
 1. For every stream it asks whether each *reader copy* provably consumes
    only what its *paired writer copy* produced.  Unsliced 1:1 streams
@@ -44,9 +46,11 @@ pair pass and merges chains that are not linear in the graph:
    everything *not* proven internal, and falls back chain-by-chain (and
    ultimately to the unfused graph) if a rewrite would introduce a cycle.
 
-On ``audio_dispatch`` it merges the terminal ``fuse+sink`` pair, which
-keeps the process backend's ``batch=4`` configuration ahead
-(docs/performance.md, "What each feature earns").
+On ``audio_dispatch`` it merges the terminal ``fuse+sink`` pair, and
+JPiP's 127 nodes become 63.  On processes, where every job costs a
+pickle and a pipe message, that wins on every workload; on threads it
+costs calls per job and loses at two threads (docs/performance.md,
+"What each feature earns").
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ re-read by the same core (L1 hits), reproducing exactly the reuse the
 paper predicts, while the merged node makes the lost parallelism visible
 to the scheduler.
 
-Both backends accept ``group_chains=True``; grouping is re-applied after
-every reconfiguration splice.
+Only the simulator takes ``group_chains=True`` (the §4.1 ablation,
+:mod:`repro.bench.figures`); grouping is re-applied after every
+reconfiguration splice, and ``SimRuntime(execute=True)`` runs grouped
+nodes for real.
 
-The process backend's *speculative job leases* (``--batch N``,
-``DataflowScheduler.extract_followons``) are the dynamic counterpart of
+The process backend's *speculative job leases*
+(``DataflowScheduler.extract_followons``) are the dynamic counterpart of
 this static rewrite: a consumer whose only missing producer is an
 earlier member of the same lease runs immediately after it on the same
 worker — the §4.1 producer→consumer locality — but the pairing is
@@ -37,7 +39,7 @@ build applies unasked: where a consumer class offers a combined kernel
 for its producer's class, the linear pair becomes one node, contracted
 by :func:`contract` under the same :func:`fusable_edge` rules, and the
 stream between them is never written at all — not merely "still in the
-cache".  The opt-in *chain compiler* (``fuse=True``) goes further where
+cache".  The process backend's *chain compiler* goes further where
 grouping stops: it proves through the components' row-access contracts
 that each consumer copy reads only its paired producer copy's band,
 merges the pair even though the graph shows a barrier between the

@@ -41,11 +41,10 @@ checkpoint_state`), so collected output survives a crash bit-for-bit.
 Deterministic failures can be scripted with :mod:`repro.hinch.faults`.
 
 Dispatch overhead is **amortized** with three cooperating mechanisms,
-all opt-in via ``batch > 1`` (``batch=1`` reproduces the job-at-a-time
-dispatcher exactly):
+always on:
 
-* **Batched job leases** — the dispatcher grows the FIFO head into a
-  lease of up to ``batch`` jobs per worker: further ready jobs from the
+* **Job leases** — the dispatcher grows the FIFO head into a lease of
+  up to :data:`LEASE_SIZE` jobs per worker: further ready jobs from the
   queue surplus, then — only while no other worker sits idle —
   *speculative* follow-ons along the dataflow
   (:meth:`~repro.hinch.scheduler.DataflowScheduler.extract_followons`)
@@ -60,10 +59,15 @@ dispatcher exactly):
   The dispatcher additionally pre-resolves learned ``ensure`` profiles
   and attaches free-list plane *grants* sized to each node's last
   allocations, eliminating most mid-job RPC round-trips.
-* **Slice affinity** — with batching, each task node (in particular
-  every replica of a sliced parblock) sticks to the worker that last
-  ran it while that worker is idle, keeping resident slots and caches
-  warm.
+* **Slice affinity** — each task node (in particular every replica of
+  a sliced parblock) sticks to the worker that first ran it while that
+  worker is idle, keeping resident slots and caches warm.
+
+Every build also runs the chain compiler
+(:func:`~repro.hinch.fusion.fuse_chains`) after pair fusion, with
+``min(workers, cores)`` as its parallel headroom: a job here pays a
+pickle and a pipe message, so fewer, larger jobs win on every workload
+(docs/performance.md, "What each feature earns").
 
 A job's streamed record is its only acknowledgement: a worker that dies
 mid-lease acknowledged exactly the records that arrived (the pipe is
@@ -100,7 +104,10 @@ from repro.hinch.stream import AGAINST_SLOT, check_geometry
 from repro.hinch.tracing import TraceEvent
 from repro.hinch.worker import _WORKER_STAT_KEYS, _worker_entry
 
-__all__ = ["ProcessRuntime"]
+__all__ = ["ProcessRuntime", "LEASE_SIZE"]
+
+#: most jobs one lease ships to a worker
+LEASE_SIZE = 4
 
 
 class _Lease:
@@ -151,17 +158,11 @@ class ProcessRuntime(Coordinator):
     :meth:`run` raises :class:`~repro.errors.SchedulingError` ("dataflow
     stalled") instead of waiting for a worker that has nothing to send.
 
-    Performance knobs:
-
-    * ``fuse`` — also run the chain compiler
-      (:func:`~repro.hinch.fusion.fuse_chains`) at every build; pair
-      fusion applies either way.  Outputs stay bit-identical.
-    * ``batch`` — maximum jobs per lease (default 1).  At 1 the
-      dispatcher is job-at-a-time and bit-identical to previous
-      behavior; larger values amortize pickling, pipe wakeups and
-      alloc/ensure RPCs across the lease and enable worker-resident
-      stream tokens plus slice affinity.  Outputs stay bit-identical at
-      any batch size; only dispatch granularity changes.
+    ``batch`` and ``fuse`` are no longer options: every lease holds up
+    to :data:`LEASE_SIZE` jobs and every build runs the chain compiler.
+    They accept only the values that always apply (4, True), for
+    callers written when they were options; anything else raises
+    :class:`~repro.errors.SchedulingError`.
 
     Fault-tolerance knobs:
 
@@ -191,9 +192,8 @@ class ProcessRuntime(Coordinator):
         max_iterations: int,
         trace: bool = False,
         option_states: Mapping[str, bool] | None = None,
-        group_chains: bool = False,
-        fuse: bool = False,
-        batch: int = 1,
+        batch: int = LEASE_SIZE,
+        fuse: bool = True,
         watchdog: float | None = None,
         max_retries: int = 2,
         respawn: bool = True,
@@ -201,14 +201,17 @@ class ProcessRuntime(Coordinator):
     ) -> None:
         if workers < 1:
             raise SchedulingError(f"workers must be >= 1, got {workers}")
-        if batch < 1:
-            raise SchedulingError(f"batch must be >= 1, got {batch}")
+        if batch != LEASE_SIZE or fuse is not True:
+            raise SchedulingError(
+                f"ProcessRuntime(batch={batch!r}, fuse={fuse!r}): both "
+                f"options were removed; leases always hold up to "
+                f"{LEASE_SIZE} jobs and the chain compiler always runs"
+            )
         if watchdog is not None and watchdog <= 0:
             raise SchedulingError(f"watchdog must be > 0 seconds, got {watchdog}")
         if max_retries < 0:
             raise SchedulingError(f"max_retries must be >= 0, got {max_retries}")
         self.workers = workers
-        self.batch = batch
         self.watchdog = watchdog
         self.max_retries = max_retries
         self.respawn = respawn
@@ -217,6 +220,11 @@ class ProcessRuntime(Coordinator):
             cores = len(os.sched_getaffinity(0))
         except (AttributeError, OSError):
             cores = os.cpu_count() or 1
+        # workers-vs-cores ceiling handed to the chain compiler's
+        # profitability guard: fusing a sliced pair forfeits pipeline
+        # overlap exactly when more workers than slice copies could run
+        # its members
+        self.chain_headroom = min(workers, cores)
         super().__init__(
             program, registry,
             pool=SharedPlanePool(shared=True),
@@ -224,13 +232,6 @@ class ProcessRuntime(Coordinator):
             max_iterations=max_iterations,
             trace=trace,
             option_states=option_states,
-            group_chains=group_chains,
-            fuse=fuse,
-            # workers-vs-cores ceiling handed to the chain compiler's
-            # profitability guard: fusing a sliced pair forfeits pipeline
-            # overlap exactly when more workers than slice copies could
-            # run its members
-            parallel_headroom=min(workers, cores) if fuse else None,
         )
         #: control-pipe pickler; workers derive the identical table from
         #: the same graph (inherited or looked up), so name strings travel as
@@ -504,11 +505,9 @@ class ProcessRuntime(Coordinator):
     def _pump(self) -> None:
         """Hand the FIFO head to idle workers; run control nodes inline.
 
-        Jobs are popped only while a worker is idle — with one worker
-        and ``batch=1`` this reproduces the threaded backend's
-        single-thread FIFO order exactly (control jobs included), which
-        is what makes reconfiguration timing deterministic at
-        ``workers=1``.  With ``batch > 1`` the popped head seeds a
+        Jobs are popped only while a worker is idle, and a control job
+        keeps its FIFO position, which is what makes reconfiguration
+        timing deterministic at ``workers=1``.  The popped head seeds a
         *lease* that :meth:`_dispatch_lease` extends with further ready
         jobs and speculative follow-ons.
 
@@ -535,7 +534,7 @@ class ProcessRuntime(Coordinator):
             self._dispatch_lease(worker, job)
 
     def _assemble_lease(self, worker: int, head: Job) -> _Lease:
-        """Grow ``head`` into a batch of up to ``self.batch`` jobs.
+        """Grow ``head`` into a lease of up to :data:`LEASE_SIZE` jobs.
 
         Two extension sources, in priority order:
 
@@ -543,7 +542,7 @@ class ProcessRuntime(Coordinator):
            idle workers cannot absorb (never starving another idle
            worker), preferring this worker's affinity nodes and never
            scanning past a control-node job (manager invocations keep
-           their FIFO position exactly as at ``batch=1``).
+           their FIFO position).
         2. *Speculative* follow-ons from
            :meth:`~repro.hinch.scheduler.DataflowScheduler.extract_followons`
            — successors whose only missing dependencies are earlier lease
@@ -551,45 +550,42 @@ class ProcessRuntime(Coordinator):
            order.
         """
         jobs = [head]
-        speculative = [False]
-        if self.batch > 1:
-            incarnation = self._incarnation[worker]
-            graph = self.pg.graph
-            # at most the surplus the other idle workers cannot absorb
-            room = min(self.batch - 1, len(self.queue) - len(self._idle))
-            for job in self.queue:
-                if len(jobs) > room or graph.node(job.node_id).kind != "task":
-                    break  # never reorder across a control job
-                excluded = self._excluded.get((job.iteration, job.node_id))
-                if excluded and incarnation in excluded:
-                    continue
-                if self._affinity.get(job.node_id, worker) == worker:
-                    jobs.append(job)
-            for job in jobs[1:]:
-                self.queue.remove(job)
-            speculative.extend([False] * (len(jobs) - 1))
+        incarnation = self._incarnation[worker]
+        graph = self.pg.graph
+        # at most the surplus the other idle workers cannot absorb
+        room = min(LEASE_SIZE - 1, len(self.queue) - len(self._idle))
+        for job in self.queue:
+            if len(jobs) > room or graph.node(job.node_id).kind != "task":
+                break  # never reorder across a control job
+            excluded = self._excluded.get((job.iteration, job.node_id))
+            if excluded and incarnation in excluded:
+                continue
+            if self._affinity.get(job.node_id, worker) == worker:
+                jobs.append(job)
+        for job in jobs[1:]:
+            self.queue.remove(job)
+        speculative = [False] * len(jobs)
 
-            # A speculated job is bound to *this* worker, so while idle
-            # workers remain, speculate only pipeline extensions — a
-            # node's next iteration can never overlap its current one,
-            # so chaining it forfeits no parallelism — and leave fan-out
-            # successors to announce normally so they can run
-            # concurrently elsewhere (blocking-kernel stages in
-            # particular must spread, not chain).  With every worker
-            # busy, chaining successors too is free — the work is
-            # serialized anyway and each round-trip saved is pure
-            # profit.
-            if len(jobs) < self.batch:
+        # A speculated job is bound to *this* worker, so while idle workers
+        # remain, speculate only pipeline extensions — a node's next
+        # iteration can never overlap its current one, so chaining it
+        # forfeits no parallelism — and leave fan-out successors to
+        # announce normally so they can run concurrently elsewhere
+        # (blocking-kernel stages in particular must spread, not chain).
+        # With every worker busy, chaining successors too is free — the
+        # work is serialized anyway and each round-trip saved is pure
+        # profit.
+        if len(jobs) < LEASE_SIZE:
 
-                def is_eligible(node_id: str) -> bool:
-                    return graph.node(node_id).kind == "task"
+            def is_eligible(node_id: str) -> bool:
+                return graph.node(node_id).kind == "task"
 
-                followons = self.scheduler.extract_followons(
-                    jobs, self.batch - len(jobs), is_eligible=is_eligible,
-                    pipeline_only=bool(self._idle),
-                )
-                jobs.extend(followons)
-                speculative.extend([True] * len(followons))
+            followons = self.scheduler.extract_followons(
+                jobs, LEASE_SIZE - len(jobs), is_eligible=is_eligible,
+                pipeline_only=bool(self._idle),
+            )
+            jobs.extend(followons)
+            speculative.extend([True] * len(followons))
         return _Lease(jobs, speculative, [[] for _ in jobs])
 
     def _dispatch_lease(self, worker: int, head: Job) -> None:
@@ -611,8 +607,7 @@ class ProcessRuntime(Coordinator):
                 (job.iteration, job.node_id, shipped, resident, ensured,
                  fault)
             )
-            if self.batch > 1:
-                self._affinity.setdefault(job.node_id, worker)
+            self._affinity.setdefault(job.node_id, worker)
         grants: list[PlaneRef] = []
         for job in lease.jobs:
             grants.extend(self._issue_grants(job.node_id, worker))
@@ -636,12 +631,11 @@ class ProcessRuntime(Coordinator):
     def _pick_worker(self, job: Job) -> int:
         """Choose an idle worker for the FIFO head.
 
-        With batching, sliced parblock replicas (and every other task
-        node) get sticky *affinity*: the worker that last ran a node is
-        preferred, so its resident planes and warm caches are reused and
-        the dispatcher ships tokens instead of pixel planes.  At
-        ``batch=1`` affinity is never recorded and the pick stays
-        ``min(idle)`` — bit-identical to the pre-batching dispatcher.
+        Sliced parblock replicas (and every other task node) get sticky
+        *affinity*: the worker that first ran a node is preferred, so its
+        resident planes and warm caches are reused and the dispatcher
+        ships tokens instead of pixel planes.  Otherwise the pick is
+        ``min(idle)``.
         """
         excluded = self._excluded.get((job.iteration, job.node_id))
         if excluded:

@@ -62,9 +62,10 @@ class ThreadedRuntime(Coordinator):
     """Run a Program with real component execution.
 
     ``nodes=1`` runs on the calling thread; ``nodes >= 2`` on that many
-    worker threads sharing the central :class:`JobQueue`.  ``fuse`` also
-    runs the chain compiler (:func:`~repro.hinch.fusion.fuse_chains`) at
-    every build; pair fusion applies either way.
+    worker threads sharing the central :class:`JobQueue`.  Its builds
+    fuse pairs only: the chain compiler
+    (:func:`~repro.hinch.fusion.fuse_chains`) costs a thread more calls
+    per job than it saves (docs/performance.md).
     """
 
     def __init__(
@@ -77,8 +78,6 @@ class ThreadedRuntime(Coordinator):
         max_iterations: int,
         trace: bool = False,
         option_states: Mapping[str, bool] | None = None,
-        group_chains: bool = False,
-        fuse: bool = False,
     ) -> None:
         if nodes < 1:
             raise SchedulingError(f"nodes must be >= 1, got {nodes}")
@@ -93,8 +92,6 @@ class ThreadedRuntime(Coordinator):
             max_iterations=max_iterations,
             trace=trace,
             option_states=option_states,
-            group_chains=group_chains,
-            fuse=fuse,
             # Worker threads complete jobs (and so invoke managers and
             # splice) concurrently: every controller entry point locks.
             # Uncontended at nodes=1, where no job takes it.

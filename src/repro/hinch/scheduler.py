@@ -281,7 +281,7 @@ class DataflowScheduler:
         runtime calls :meth:`retract` for each speculative job, after
         which the normal completion flow re-emits it.  Admission state is
         never touched, so the ``pipeline_depth`` bound and reconfiguration
-        quiescence are exactly as at batch size 1.
+        quiescence are exactly as without speculation.
 
         ``is_eligible`` filters candidate node ids (the process runtime
         excludes control nodes, which must run on the dispatcher).

@@ -121,15 +121,6 @@ class Tracer:
             totals[e.worker] = totals.get(e.worker, 0.0) + e.duration
         return dict(sorted(totals.items()))
 
-    def workers_seen(self) -> frozenset[int]:
-        """Worker ids that executed real work (control jobs excluded).
-
-        A worker that forked but was never handed a task job is absent.
-        Dispatcher control jobs (worker ``-1``) do not make a worker
-        "live".
-        """
-        return frozenset(e.worker for e in self.events if e.worker >= 0)
-
     def kind_counts(self) -> dict[str, int]:
         """Events per ``kind`` — e.g. how many retries/respawns a run saw."""
         counts: dict[str, int] = {}

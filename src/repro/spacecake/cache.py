@@ -305,16 +305,6 @@ class CacheModel:
         for key in keys:
             pop(key, None)
 
-    def evict_prefix(self, prefix: tuple) -> None:
-        """Forget all objects whose tuple key starts with ``prefix``."""
-        doomed = [
-            k
-            for k in self._objects
-            if isinstance(k, tuple) and k[: len(prefix)] == prefix
-        ]
-        for k in doomed:
-            del self._objects[k]
-
     @property
     def resident_objects(self) -> int:
         return len(self._objects)

@@ -69,10 +69,6 @@ class Machine:
     def speed(self, core: int) -> float:
         return self.config.speed(core)
 
-    @property
-    def idle_count(self) -> int:
-        return len(self._free)
-
     def acquire_core(self) -> int | None:
         """Grab an idle core (FIFO), or None if all are busy."""
         if not self._free:

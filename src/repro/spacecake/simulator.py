@@ -190,6 +190,7 @@ class SimRuntime(Coordinator):
         group_chains: bool = False,
     ) -> None:
         self.execute = execute
+        self.group_chains = group_chains
         self.engine = EventEngine()
         self.machine = Machine(
             machine if machine is not None else MachineConfig(nodes=nodes)
@@ -207,7 +208,6 @@ class SimRuntime(Coordinator):
             max_iterations=max_iterations,
             trace=trace,
             option_states=option_states,
-            group_chains=group_chains,
         )
         self._pending: deque[Job] = deque()  # the central job queue
         self._stall_until = 0.0  # reconfiguration splice window

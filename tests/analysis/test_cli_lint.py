@@ -120,6 +120,18 @@ def test_param_type_fixture_fails_before_any_runtime(capsys):
     assert "param 'size' must be an integer in 1..16384, got 'x'" in out
 
 
+def test_literal_reconfigure_request_is_bound_at_lint(capsys):
+    """A component's own ``<reconfigure request>`` runs at creation, so
+    lint binds its literal assignments as the run would."""
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "fixtures" / "reconfigure_type.xml"
+    assert main(["lint", str(fixture), "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    assert "reconfigure_type.xml:13: error: [X120]" in out
+    assert "param 'sigma' must be a finite number >= 0.0, got 'x'" in out
+
+
 def test_validate_reports_every_error(spec_file, capsys):
     assert main(["validate", spec_file(MULTI_ERROR)]) == 1
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from repro.components.registry import default_registry
 from repro.errors import XSPCLError
 from repro.hinch import ThreadedRuntime
 from repro.hinch.grouping import group_linear_chains
+from repro.spacecake import SimRuntime
 
 REG = default_registry()
 KW = dict(width=64, height=48, pip_height=48, factor=4, slices=3, frames=2,
@@ -17,8 +18,12 @@ KW = dict(width=64, height=48, pip_height=48, factor=4, slices=3, frames=2,
 
 def frames_of(spec, *, group_chains=False, iters=3):
     program = make_program(spec, name="jpip")
-    rt = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                         max_iterations=iters, group_chains=group_chains)
+    if group_chains:  # grouped execution: the simulator, running for real
+        rt = SimRuntime(program, REG, nodes=2, pipeline_depth=2,
+                        max_iterations=iters, execute=True, group_chains=True)
+    else:
+        rt = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
+                             max_iterations=iters)
     return rt.run().components["sink"].ordered_frames()
 
 

@@ -44,7 +44,7 @@ def _static_case(**overrides) -> FuzzCase:
         stages=[],
         reconfig=None,
         faults=[],
-        knobs={"workers": 1, "batch": 1, "depth": 1, "fuse": False},
+        knobs={"workers": 1, "depth": 1},
         mutation=None,
     )
     base.update(overrides)
@@ -140,7 +140,7 @@ def _loaded_case() -> FuzzCase:
                 {"kind": "convert", "slices": 1}],
         reconfig={"stage": 1, "toggles": 2},
         faults=["kill:2", "slow:3:10"],
-        knobs={"workers": 3, "batch": 2, "depth": 4, "fuse": True},
+        knobs={"workers": 3, "depth": 4},
     )
 
 
@@ -158,7 +158,7 @@ def test_shrinker_strips_everything_irrelevant():
     assert shrunk.reconfig is None
     assert shrunk.faults == []
     assert shrunk.iterations == 2
-    assert shrunk.knobs["fuse"] is False
+    assert shrunk.knobs["depth"] == 1
     assert shrunk.knobs["workers"] == 1
 
 

@@ -1,8 +1,9 @@
 """Batched dispatch: lease equivalence, speculation units, fault recovery.
 
 The lease machinery (ready extension, speculative follow-ons, worker-
-resident slots) must be invisible in the output: every batch size and
-worker count produces the threaded backend's frames bit-for-bit,
+resident slots), which every process dispatch uses, must be invisible in
+the output: every pipeline depth and worker count produces the threaded
+backend's frames bit-for-bit,
 including when a worker is killed or
 wedged *mid-lease* — the per-record acknowledgement protocol guarantees
 each checkpoint delta applies exactly once, so the sink sees neither
@@ -43,10 +44,10 @@ def run_threaded(spec, *, iters, name="app"):
                            max_iterations=iters).run()
 
 
-def make_process(spec, *, iters, workers=2, batch=4, name="app", **kwargs):
+def make_process(spec, *, iters, workers=2, depth=2, name="app", **kwargs):
     program = make_program(spec, name=name)
-    return ProcessRuntime(program, REG, workers=workers, pipeline_depth=2,
-                          max_iterations=iters, batch=batch, **kwargs)
+    return ProcessRuntime(program, REG, workers=workers, pipeline_depth=depth,
+                          max_iterations=iters, **kwargs)
 
 
 def kinds_of(result):
@@ -59,15 +60,16 @@ def kinds_of(result):
 # -- batch equivalence --------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch", [1, 2, 4, 8])
+@pytest.mark.parametrize("depth", [1, 2, 4, 8])
 @pytest.mark.parametrize("workers", [1, 4])
-def test_batched_pip_bit_identical(batch, workers):
-    """Every lease size and worker count reproduces the threaded frames,
-    and the stream read/write accounting (deferred-read replay included)
-    matches the job-at-a-time dispatcher counter for counter."""
+def test_batched_pip_bit_identical(depth, workers):
+    """Every pipeline depth (how far leases may speculate ahead) and
+    worker count reproduces the threaded frames, and the stream
+    read/write accounting (deferred-read replay included) matches the
+    threaded backend's counter for counter."""
     spec = pip_spec()
     thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=workers, batch=batch)
+    rt = make_process(spec, iters=4, workers=workers, depth=depth)
     prc = rt.run()
     a = thr.components["sink"].ordered_frames()
     b = prc.components["sink"].ordered_frames()
@@ -77,11 +79,11 @@ def test_batched_pip_bit_identical(batch, workers):
     assert prc.stream_stats == thr.stream_stats
 
 
-@pytest.mark.parametrize("batch", [2, 4])
-def test_batched_blur_planes_identical(batch):
+@pytest.mark.parametrize("workers", [2, 4])
+def test_batched_blur_planes_identical(workers):
     spec = blur_spec()
     thr = run_threaded(spec, iters=4)
-    prc = make_process(spec, iters=4, workers=4, batch=batch).run()
+    prc = make_process(spec, iters=4, workers=workers).run()
     a = thr.components["sink"].ordered_planes()
     b = prc.components["sink"].ordered_planes()
     assert len(a) == len(b) == 4
@@ -91,7 +93,7 @@ def test_batched_blur_planes_identical(batch):
 
 def test_batched_reconfiguration_is_deterministic():
     """Lease assembly never scans past a control node, so manager timing
-    — and with it the reconfiguration log — matches ``batch=1``."""
+    — and with it the reconfiguration log — matches one thread's."""
     spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
                       slices=3, frames=2, collect=True)
     program = make_program(spec, name="blur35")
@@ -99,7 +101,7 @@ def test_batched_reconfiguration_is_deterministic():
                              max_iterations=9)
     thr = thr_rt.run()
     prc_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                            max_iterations=9, batch=4)
+                            max_iterations=9)
     prc = prc_rt.run()
     assert prc_rt.reconfig_log == thr_rt.reconfig_log
     a = thr.components["sink"].ordered_planes()
@@ -115,7 +117,7 @@ def test_more_workers_than_cores_all_fork_and_stay_identical():
     and the output is bit-identical to threads."""
     spec = pip_spec()
     thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=4, batch=4)
+    rt = make_process(spec, iters=4, workers=4)
     rt._cores = 1
     prc = rt.run()
     assert prc.workers_spawned == 4
@@ -138,8 +140,7 @@ def test_worker_killed_mid_lease_is_bit_identical(at_job):
     spec = pip_spec()
     before = shm_entries()
     thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=2, batch=4,
-                      faults=f"kill:{at_job}")
+    rt = make_process(spec, iters=4, workers=2, faults=f"kill:{at_job}")
     prc = rt.run()
     kinds = kinds_of(prc)
     assert kinds["worker_failure"] == 1
@@ -165,7 +166,7 @@ def test_worker_hung_mid_lease_reaped_and_requeued():
     spec = blur_spec()
     before = shm_entries()
     thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=2, batch=4, faults="hang:3",
+    rt = make_process(spec, iters=4, workers=2, faults="hang:3",
                       watchdog=1.0)
     prc = rt.run()
     kinds = kinds_of(prc)
@@ -191,7 +192,7 @@ def test_kill_mid_lease_under_reconfiguration():
                              max_iterations=9)
     thr = thr_rt.run()
     prc_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                            max_iterations=9, batch=4, faults="kill:5")
+                            max_iterations=9, faults="kill:5")
     prc = prc_rt.run()
     assert kinds_of(prc)["respawn"] == 1
     assert prc_rt.reconfig_log == thr_rt.reconfig_log
@@ -270,15 +271,14 @@ def test_retract_after_predecessor_completed_reemits_immediately():
 
 
 def test_lease_extension_never_crosses_a_queued_control_job():
-    """At batch 4 the head grows by queued ready jobs, but the scan stops
-    at a control job: a manager invocation keeps its FIFO position
-    exactly as at batch 1."""
+    """The head grows by queued ready jobs, but the scan stops at a
+    control job: a manager invocation keeps its FIFO position."""
     program = make_program(
         build_blur(reconfigurable=True, period=5, width=48, height=36,
                    slices=3),
         name="blur35",
     )
-    rt = ProcessRuntime(program, REG, workers=2, batch=4, max_iterations=4)
+    rt = ProcessRuntime(program, REG, workers=2, max_iterations=4)
     try:
         nodes = list(rt.pg.graph)
         a, b, c, d = [Job(0, n.node_id) for n in nodes if n.kind == "task"][:4]
@@ -293,7 +293,7 @@ def test_lease_extension_never_crosses_a_queued_control_job():
         assert list(rt.queue) == [ctl, c, d]
 
         # with no control job queued, it takes the surplus the idle
-        # worker cannot absorb, up to the batch
+        # worker cannot absorb, up to the lease size
         rt.queue.clear()
         rt.queue.extend([b, c, d])
         assert rt._assemble_lease(0, a).jobs == [a, b, c]

@@ -45,8 +45,8 @@ APPS = {
 
 def _fingerprint(program, states, group_chains, fuse):
     config = engine.build_configuration(
-        program, REG, states, group_chains=group_chains, fuse=fuse,
-        parallel_headroom=2 if fuse else None,
+        program, REG, states, group_chains=group_chains,
+        chain_headroom=2 if fuse else None,
     )
     pg = config.pg
     return {

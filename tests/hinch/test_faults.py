@@ -82,7 +82,9 @@ def test_worker_killed_mid_run_is_bit_identical(at_job):
 def test_hung_kernel_reaped_by_watchdog():
     spec = blur_spec()
     thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, faults="hang:2", watchdog=1.0)
+    # task 1 heads the first lease, src@0 plus its speculated src@1: the
+    # head is retried, a speculated member is retracted instead
+    rt = make_process(spec, iters=4, faults="hang:1", watchdog=1.0)
     prc = rt.run()
     kinds = kinds_of(prc)
     assert kinds["watchdog_kill"] == 1

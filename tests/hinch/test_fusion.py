@@ -1,14 +1,14 @@
-"""Fusion: pair kernels in every build, the chain compiler on request.
+"""Fusion: pair kernels in every build, the chain compiler on processes.
 
 Every threaded and process build contracts each graph-linear pair whose
-reader class offers a combined kernel; ``fuse=True`` adds the chain
-compiler (:mod:`repro.hinch.fusion`).  The simulator keeps the paper's
-unfused graph, which makes ``SimRuntime(execute=True)`` the reference.
-The contract tested here: output bit-identical to that reference on
-every executor, batch size, fusion setting and across live
-reconfigurations; the stream inside a pair is never written; a program
-without a pair kernel gets its graph back untouched; and a worker killed
-mid-pair-job requeues the pair job exactly once.
+reader class offers a combined kernel; every process build also runs the
+chain compiler (:mod:`repro.hinch.fusion`), threads never do.  The
+simulator keeps the paper's unfused graph, which makes
+``SimRuntime(execute=True)`` the reference.  The contract tested here:
+output bit-identical to that reference on every executor and width and
+across live reconfigurations; the stream inside a pair is never
+written; a program without a pair kernel gets its graph back untouched;
+and a worker killed mid-pair-job requeues the pair job exactly once.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ def _fused_graph(program):
 
 def test_jpip_contracts_each_source_decode_pair():
     program = _jpip_program()
-    config = engine.build_configuration(program, REG, None,
-                                        group_chains=False)
+    config = engine.build_configuration(program, REG, None)
     pairs = _pair_nodes(config.pg)
     assert set(pairs) == PAIRS
     assert all([m.class_name for m in pair] == ["mjpeg_source", "jpeg_decode"]
@@ -111,8 +110,7 @@ def test_a_kernel_refused_at_build_keeps_the_pair_apart():
     this writer leaves the graph as it was."""
     program = _jpip_program()
     registry = _plain_decode_registry()
-    config = engine.build_configuration(program, registry, None,
-                                        group_chains=False)
+    config = engine.build_configuration(program, registry, None)
     assert not _pair_nodes(config.pg)
     assert len(config.pg.graph) == len(program.build_graph().graph)
 
@@ -148,10 +146,10 @@ def test_jpip_fuses_twenty_chains():
 
 
 def test_chains_compile_around_the_pairs_of_a_build():
-    """With ``fuse=True`` the build's pairs stay pair nodes and the chain
-    compiler fuses the sliced stages behind them."""
+    """With the chain compiler the build's pairs stay pair nodes and it
+    fuses the sliced stages behind them."""
     config = engine.build_configuration(_jpip_program(), REG, None,
-                                        group_chains=False, fuse=True)
+                                        chain_headroom=1)
     assert set(_pair_nodes(config.pg)) == PAIRS
     chains = [n.payload for n in config.pg.graph
               if isinstance(n.payload, FusedChain)]
@@ -265,14 +263,15 @@ def _matches_reference(app, program, rt, depth, iterations):
     _assert_same(_frames(ref, app), _frames(result, app))
 
 
-#: the default build on every executor that fuses pairs
+#: the build on every executor that fuses pairs; a process lease holds
+#: up to four jobs
 DEFAULT_BUILDS = {
     "threaded-1": lambda p, **kw: ThreadedRuntime(p, REG, nodes=1, **kw),
     "threaded-2": lambda p, **kw: ThreadedRuntime(p, REG, nodes=2, **kw),
-    "process-2-batch1": lambda p, **kw: ProcessRuntime(p, REG, workers=2,
-                                                        batch=1, **kw),
+    "process-1-batch4": lambda p, **kw: ProcessRuntime(p, REG, workers=1,
+                                                        **kw),
     "process-2-batch4": lambda p, **kw: ProcessRuntime(p, REG, workers=2,
-                                                        batch=4, **kw),
+                                                        **kw),
 }
 
 
@@ -291,18 +290,24 @@ def test_default_build_matches_the_unfused_reference(executor, app):
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_threaded_fused_identical(app, nodes):
+    """Threads fuse pairs only: no build of theirs holds a chain node."""
     program = make_program(_spec(app), name=app)
     rt = ThreadedRuntime(program, REG, nodes=nodes, pipeline_depth=2,
-                         max_iterations=4, fuse=True)
+                         max_iterations=4)
+    assert not any(isinstance(n.payload, FusedChain) for n in rt.pg.graph)
     _matches_reference(app, program, rt, 2, 4)
 
 
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
-@pytest.mark.parametrize("batch", [1, 4])
-def test_process_fused_identical(app, batch):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_process_fused_identical(app, workers):
+    """Every process build runs the chain compiler, whatever its width
+    (the width sets the compiler's parallel headroom)."""
     program = make_program(_spec(app), name=app)
-    rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=4, batch=batch, fuse=True)
+    rt = ProcessRuntime(program, REG, workers=workers, pipeline_depth=2,
+                        max_iterations=4)
+    if app == "jpip":
+        assert any(isinstance(n.payload, FusedChain) for n in rt.pg.graph)
     _matches_reference(app, program, rt, 2, 4)
 
 
@@ -339,10 +344,10 @@ def test_fused_source_decode_skips_the_bitstream():
 
 def _fused_executors(program):
     return [
-        ThreadedRuntime(program, REG, nodes=2, pipeline_depth=1,
-                        max_iterations=6, fuse=True),
+        ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
+                       max_iterations=6),
         ProcessRuntime(program, REG, workers=2, pipeline_depth=1,
-                       max_iterations=6, fuse=True),
+                       max_iterations=6),
     ]
 
 
@@ -369,8 +374,10 @@ def test_kill_mid_fused_job_requeues_whole_job_once():
     program = _jpip_program()
     ref = SimRuntime(program, REG, nodes=2, pipeline_depth=2,
                      max_iterations=4, execute=True).run()
+    # task 3 heads worker 1's first lease (pip0's pair job): a lease head
+    # is retried, its speculative followers are retracted, not retried
     rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=4, faults="kill:2")
+                        max_iterations=4, faults="kill:3")
     result = rt.run()
     kinds: dict[str, int] = {}
     for event in result.fault_events:
@@ -428,9 +435,12 @@ def test_converter_auto_inserted_at_build(runtime_cls, kwargs):
     rt = runtime_cls(program, REG, pipeline_depth=2, max_iterations=3,
                      **kwargs)
     # every backend installs the same rewritten graph: the simulator must
-    # cost (and, executing, run) the bridge the real backends run
-    assert sorted(n.node_id for n in rt.pg.graph) == [
-        "raw.as_float32.convert", "sink", "src"]
+    # cost (and, executing, run) the bridge the real backends run; the
+    # process backend's chain compiler then fuses all three into one job
+    expected = (["src+raw.as_float32.convert+sink"]
+                if runtime_cls is ProcessRuntime
+                else ["raw.as_float32.convert", "sink", "src"])
+    assert sorted(n.node_id for n in rt.pg.graph) == expected
     result = rt.run()
     if runtime_cls is SimRuntime:
         assert result.jobs_executed == 9
@@ -444,24 +454,8 @@ def test_fusion_absorbs_the_auto_inserted_converter():
     program = _convert_program()
     ref = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
                           max_iterations=3).run()
-    fused_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
-                               max_iterations=3, fuse=True)
-    fused = fused_rt.run()
-    report = fused_rt.fusion_report
-    assert report is not None and report.chains
-    members = {m.class_name for c in report.chains for m in c}
-    assert "convert_plane" in members
-    assert "raw.as_float32" in report.internal_streams
-    _assert_same(ref.components["sink"].ordered_planes(),
-                 fused.components["sink"].ordered_planes())
-
-
-def test_fusion_absorbs_the_auto_inserted_converter():
-    program = _convert_program()
-    ref = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
-                          max_iterations=3).run()
-    fused_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
-                               max_iterations=3, fuse=True)
+    fused_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=2,
+                              max_iterations=3)
     fused = fused_rt.run()
     (chain,) = [n.payload for n in fused_rt.pg.graph
                 if isinstance(n.payload, FusedChain)]
@@ -499,7 +493,7 @@ def test_interned_lease_smaller_than_plain_pickle():
 
 def test_interner_table_derivation_covers_fused_payloads():
     pg = engine.build_configuration(_jpip_program(), REG, None,
-                                    group_chains=False, fuse=True).pg
+                                    chain_headroom=1).pg
     names = set(NameInterner.names_of(pg))
     fused = [n for n in pg.graph if isinstance(n.payload, tuple)]
     assert fused
@@ -510,16 +504,19 @@ def test_interner_table_derivation_covers_fused_payloads():
 
 
 def test_fused_process_run_shrinks_meta_bytes():
+    """A chain-internal stream never crosses the pipe: the dispatcher's
+    stream table never sees it, so it ships no descriptor for it."""
     program = _jpip_program()
-    plain = ProcessRuntime(program, _plain_decode_registry(), workers=2,
-                           pipeline_depth=2, max_iterations=4).run()
-    paired = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                            max_iterations=4).run()
-    fused = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                           max_iterations=4, fuse=True).run()
-    assert 0 < fused.pool_stats["meta_pickled_bytes"] < (
-        paired.pool_stats["meta_pickled_bytes"]
-    ) < plain.pool_stats["meta_pickled_bytes"]
+    rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
+                        max_iterations=4)
+    internal = {name for n in rt.pg.graph
+                if isinstance(n.payload, FusedChain)
+                for name in n.payload.internal}
+    assert {"bg_plane_y", "pip0_plane_y"} <= internal
+    result = rt.run()
+    assert result.pool_stats["meta_pickled_bytes"] > 0
+    assert result.stream_stats["bg_coeffs_y"][0] == 4
+    assert not internal & set(result.stream_stats)
 
 
 # -- profitability guard (sliced pairs under parallel headroom) --------------

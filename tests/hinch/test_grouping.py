@@ -147,8 +147,10 @@ def test_grouped_threaded_results_identical():
     program = expand(b.build(), HPORTS)
     plain = ThreadedRuntime(program, HREGISTRY, nodes=2, pipeline_depth=3,
                             max_iterations=6).run()
-    grouped = ThreadedRuntime(program, HREGISTRY, nodes=2, pipeline_depth=3,
-                              max_iterations=6, group_chains=True).run()
+    grouped_rt = SimRuntime(program, HREGISTRY, nodes=2, pipeline_depth=3,
+                            max_iterations=6, execute=True, group_chains=True)
+    assert [n.node_id for n in grouped_rt.pg.graph] == ["src+d+p+snk"]
+    grouped = grouped_rt.run()
     assert plain.components["snk"].ordered() == \
         grouped.components["snk"].ordered() == [(3 + k) * 2 + 7 for k in range(6)]
 

@@ -200,7 +200,7 @@ def test_workers_spawned_counts_forked_slots_only():
     )
     for workers in (1, 4):
         rt = ProcessRuntime(program, REG, workers=workers, pipeline_depth=4,
-                            max_iterations=frames, batch=2, trace=True)
+                            max_iterations=frames, trace=True)
         result = rt.run()
         assert result.workers_spawned == workers
 
@@ -281,6 +281,20 @@ def test_workers_must_be_positive():
     program = make_program(spec, name="blur")
     with pytest.raises(SchedulingError):
         ProcessRuntime(program, REG, workers=0, max_iterations=1)
+
+
+@pytest.mark.parametrize("removed", [{"batch": 1}, {"batch": 8},
+                                     {"fuse": False}],
+                         ids=["batch=1", "batch=8", "fuse=False"])
+def test_removed_batch_and_fuse_values_are_refused(removed):
+    """Leases of four and the chain compiler always apply: ``batch=4``
+    and ``fuse=True`` are still accepted, any other value is refused."""
+    program = make_program(build_blur(3, width=48, height=36, slices=3,
+                                      frames=1), name="blur")
+    with pytest.raises(SchedulingError, match="removed"):
+        ProcessRuntime(program, REG, max_iterations=1, **removed)
+    ProcessRuntime(program, REG, max_iterations=1, batch=4,
+                   fuse=True).pool.close()
 
 
 def test_zero_iterations_completes_immediately():

@@ -127,7 +127,6 @@ def test_missing_subcommand_rejected():
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--batch", "0"],
         ["--workers", "0"],
         ["--nodes", "0"],
         ["--iterations", "-1"],
@@ -147,7 +146,6 @@ def test_run_rejects_degenerate_knobs(blur_xml, capsys, extra):
     [
         ["--backend", "sim", "--inject-fault", "kill:1"],
         ["--backend", "threaded", "--inject-fault", "kill:1"],
-        ["--backend", "threaded", "--batch", "4"],
         ["--backend", "threaded", "--watchdog", "5"],
         ["--backend", "threaded", "--max-retries", "7"],
         ["--backend", "sim", "--max-retries", "7"],
@@ -158,6 +156,8 @@ def test_run_rejects_degenerate_knobs(blur_xml, capsys, extra):
         ["--backend", "process", "--autotune"],
         ["--backend", "process", "--deadline", "50"],
         ["--backend", "sim", "--fuse"],
+        ["--backend", "threaded", "--batch", "4"],
+        ["--batch", "0"],
         ["--impl", "downscale_field=strided"],
     ],
     ids=lambda extra: " ".join(extra),
