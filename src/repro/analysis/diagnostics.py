@@ -101,6 +101,7 @@ CODES: dict[str, CodeInfo] = _catalogue(
     ("X118", _E, "validation", "expansion failed"),
     ("X119", _E, "validation", "malformed port format declaration"),
     ("X120", _E, "validation", "init param has the wrong type or is out of range"),
+    ("X121", _E, "validation", "reconfigure request sets a data-parallel copy's slice"),
     # -- X2xx: liveness / dead flow ---------------------------------------
     ("X201", _W, "liveness", "procedure unreachable from 'main'"),
     ("X202", _W, "liveness", "unused stream formal"),

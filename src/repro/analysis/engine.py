@@ -31,7 +31,7 @@ from repro.analysis.diagnostics import Diagnostic, DiagnosticBag
 from repro.core.ast import ParallelNode, Spec, walk_body
 from repro.core.expander import expand
 from repro.core.parser import parse_string
-from repro.core.validator import collect_diagnostics
+from repro.core.validator import check_requests, collect_diagnostics
 from repro.core.ports import PortSpec
 from repro.errors import ParseError, ReproError
 
@@ -148,6 +148,7 @@ def lint_spec(
     except ReproError as exc:
         bag.report("X118", f"expansion failed: {exc}")
         return bag.sorted()
+    check_requests(bag, program)
 
     crossdep_lines = _crossdep_lines(spec)
     default_states = program.default_option_states()

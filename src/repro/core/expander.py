@@ -337,6 +337,7 @@ class _Expander:
             option=option,
             target=target,
             request=request,
+            line=handler.line,
         )
 
     def _expand_option(

@@ -25,8 +25,8 @@ stream has one *logical* writer — all slice copies of one definition site
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Mapping
 
 from repro.core.ast import EventHandler, Value
 from repro.core.ports import PortSpec
@@ -44,6 +44,7 @@ __all__ = [
     "ProgramGraph",
     "StreamProblem",
     "stream_problems",
+    "one_copy_regions",
     "IRLeaf",
     "IRSeries",
     "IRParallel",
@@ -485,6 +486,85 @@ class Program:
             f"Program({self.name!r}, components={len(self.components)}, "
             f"managers={len(self.managers)}, options={len(self.options)})"
         )
+
+
+def one_copy_regions(
+    program: Program, keeps_one: Callable[[str], bool]
+) -> Program:
+    """``program`` with every qualifying data-parallel region cut to one copy.
+
+    A slice or crossdep region qualifies when ``keeps_one`` accepts the
+    class of every instance in it: the caller vouches that those copies
+    differ only in the rows they cover, so one copy over the whole frame
+    computes what all *n* did.  The region keeps copy 0, relabelled
+    ``slice=(0, 1)``, which is exactly what expanding the spec with that
+    region's ``n`` set to 1 produces: the same id ``x[0]``, params and
+    streams, and manager and option ``members`` filtered to the copies
+    that remain.  Returns ``program`` itself when no region qualifies.
+    """
+    kept: dict[str, ComponentInstance] = {}  # copy-0 id -> relabelled
+    dropped: set[str] = set()
+
+    def qualifies(copies: tuple[IRNode, ...]) -> bool:
+        """Is ``copies`` a region (copy *i* all ``(i, n)``) to cut?"""
+        n = len(copies)
+        for i, copy in enumerate(copies):
+            empty = True
+            for node in iter_ir(copy):
+                if isinstance(node, IRLeaf):
+                    inst, empty = node.instance, False
+                    if inst.slice != (i, n) or not keeps_one(inst.class_name):
+                        return False
+            if empty:
+                return False
+        return True
+
+    def only_copy(copies: tuple[IRNode, ...]) -> IRNode:
+        for copy in copies[1:]:
+            dropped.update(node.instance.instance_id for node in iter_ir(copy)
+                           if isinstance(node, IRLeaf))
+        return relabel(copies[0])
+
+    def relabel(node: IRNode) -> IRNode:
+        # a copy holds only leaves, series and task-parallel blocks
+        if isinstance(node, IRLeaf):
+            inst = kept[node.instance.instance_id] = replace(
+                node.instance, slice=(0, 1))
+            return IRLeaf(inst)
+        return type(node)(tuple(relabel(c) for c in node.children))
+
+    def cut(node: IRNode) -> IRNode:
+        if isinstance(node, IRParallel) and qualifies(node.children):
+            return only_copy(node.children)  # a slice region
+        if isinstance(node, (IRSeries, IRParallel)):
+            return type(node)(tuple(cut(c) for c in node.children))
+        if isinstance(node, IRCrossdep):
+            if all(qualifies(pb) for pb in node.parblocks):
+                return IRCrossdep(tuple((only_copy(pb),)
+                                        for pb in node.parblocks))
+            return node
+        if isinstance(node, (IRManager, IROption)):
+            return type(node)(node.qname, cut(node.child))
+        return node
+
+    root = cut(program.root)
+    if not dropped:
+        return program
+
+    def remaining(members: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(m for m in members if m not in dropped)
+
+    return Program(
+        program.name,
+        root,
+        {iid: kept.get(iid, inst) for iid, inst in program.components.items()
+         if iid not in dropped},
+        {q: replace(m, members=remaining(m.members))
+         for q, m in program.managers.items()},
+        {q: replace(o, members=remaining(o.members))
+         for q, o in program.options.items()},
+        program.registry,
+    )
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,12 @@ The checks are built on the collect-all diagnostic machinery of
 **every** violation (codes ``X101``–``X120``, with source lines), and
 :func:`validate` keeps the historical library API by raising a single
 :class:`~repro.errors.ValidationError` that aggregates all of them.
+
+:func:`check_requests` checks what only expansion settles: which
+components a request reaches (a manager broadcasts to its members, which
+calls may bring in) and which of them are data-parallel copies
+(``X116``/``X120``/``X121``); ``xspcl lint`` runs it on the expanded
+program.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ from repro.core.ast import (
 from repro.core.formats import FormatError, parse_format
 from repro.core.parser import parse_value
 from repro.core.ports import PortSpec
+from repro.core.program import Program
 from repro.errors import ComponentError, ParamError, ValidationError
 
-__all__ = ["validate", "collect_diagnostics"]
+__all__ = ["validate", "collect_diagnostics", "check_requests", "names_slice"]
 
 _PLACEHOLDER = re.compile(r"\$\{([^}]*)\}")
 
@@ -70,6 +77,75 @@ def _assignments(request: str) -> dict[str, object]:
         if sep and key.strip() != "slice":
             assignments[key.strip()] = parse_value(value.strip())
     return assignments
+
+
+def names_slice(request: str) -> bool:
+    """Does a reconfigure request assign ``slice``?"""
+    return any(part.partition("=")[0].strip() == "slice"
+               for part in request.split(";"))
+
+
+def _bind_request(
+    bag: DiagnosticBag, spec: PortSpec, name: str, params: Mapping,
+    request: str, *, prefix: str = "", line: int | None,
+) -> None:
+    """Bind ``request``'s assignments over ``params`` as a run would."""
+    try:
+        spec.bind(name, {**params, **_assignments(request)})
+    except ParamError as exc:
+        bag.report("X120", prefix + str(exc), line=line)
+    except ComponentError as exc:
+        bag.report("X116", prefix + str(exc), line=line)
+
+
+def check_requests(bag: DiagnosticBag, program: Program) -> None:
+    """Reconfigure requests whose reach only expansion settles.
+
+    A data-parallel copy learns its rows from the expander (and, at one
+    worker, the executor keeps one copy over the whole frame): a request
+    that sets ``slice`` on a copy, or a manager broadcast that sets it on
+    whatever members it reaches, makes copies compute the wrong band
+    (X121).  A manager's literal broadcast goes to every member: its
+    assignments bind against each member class's schema (X120, or X116
+    for a key the class does not declare), once per class.  A Python
+    manager's ``${payload}`` request is only known when its event
+    arrives: :meth:`~repro.hinch.engine.Coordinator.send_reconfigure_request`
+    refuses a ``slice`` one then.
+    """
+    for inst in program.components.values():
+        if inst.slice is not None and inst.reconfigure is not None and (
+                names_slice(inst.reconfigure)):
+            bag.report(
+                "X121",
+                f"component {inst.definition_id!r} is a data-parallel copy: "
+                f"its reconfigure request {inst.reconfigure!r} may not set "
+                "'slice' (the expander assigns each copy its rows)",
+                line=inst.line,
+            )
+    for mgr in program.managers.values():
+        for handler in mgr.handlers:
+            request = handler.request  # substituted by the expander
+            if handler.action != "reconfigure" or request is None:
+                continue
+            prefix = f"manager {mgr.qname!r} request {request!r}: "
+            if names_slice(request):
+                bag.report(
+                    "X121",
+                    prefix + "a broadcast may not set 'slice' (the expander "
+                    "assigns each data-parallel copy its rows)",
+                    line=handler.line,
+                )
+                continue
+            bound: set[str] = set()
+            for member in mgr.members:
+                inst = program.components[member]
+                if inst.class_name not in bound:
+                    bound.add(inst.class_name)
+                    _bind_request(
+                        bag, program.registry[inst.class_name],
+                        inst.definition_id, inst.params, request,
+                        prefix=prefix, line=handler.line,
+                    )
 
 
 def _check_placeholders(
@@ -261,15 +337,18 @@ class _ProcedureChecker:
                 )
             try:
                 params = spec.bind(comp.name, comp.params)
-                # applied at creation (Component.reconfigure): bind it here
-                # as a run would, unless the expander still substitutes it
-                request = comp.reconfigure
-                if request is not None and "${" not in request:
-                    spec.bind(comp.name, {**params, **_assignments(request)})
             except ParamError as exc:
                 self.bag.report("X120", str(exc), line=comp.line)
+                return
             except ComponentError as exc:
                 self.bag.report("X116", str(exc), line=comp.line)
+                return
+            # applied at creation (Component.reconfigure): bind it here
+            # as a run would, unless the expander still substitutes it
+            request = comp.reconfigure
+            if request is not None and "${" not in request:
+                _bind_request(self.bag, spec, comp.name, params, request,
+                              line=comp.line)
 
     def _check_call(self, call: CallNode) -> None:
         self._register_instance(call.name, "call", call.line)

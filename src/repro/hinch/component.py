@@ -66,6 +66,13 @@ class Component:
         stay a worker-local temporary.  Unsliced copies write the whole
         plane; sliced copies default to ``None`` (unknown), which makes
         fusion refuse — override for components with a provable span.
+
+        Overriding it also promises that the copies of a region differ
+        only in the rows they cover: one copy with ``slice=(0, 1)``
+        computes what all *n* do.  The inline executor
+        (``ThreadedRuntime(nodes=1)``) relies on that and runs a region
+        whose classes all override it as that one copy
+        (:func:`~repro.core.program.one_copy_regions`).
         """
         if instance.slice is None:
             return (0, height)

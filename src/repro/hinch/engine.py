@@ -29,7 +29,14 @@ from repro.analysis.formats import (
     runtime_expectations,
     solve_formats_or_raise,
 )
-from repro.core.program import ComponentInstance, Program, ProgramGraph
+from repro.core.program import (
+    ComponentInstance,
+    Program,
+    ProgramGraph,
+    one_copy_regions,
+)
+from repro.core.validator import names_slice
+from repro.errors import ComponentError
 from repro.graph.taskgraph import TaskNode
 from repro.hinch.component import Component, JobContext
 from repro.hinch.events import Event, EventBroker
@@ -319,6 +326,11 @@ class ComponentHost:
         return added, removed
 
 
+def _declares_rows(cls: type[Component]) -> bool:
+    """Does ``cls`` override the default (unknown) row contract?"""
+    return cls.writes_rows.__func__ is not Component.writes_rows.__func__
+
+
 class Coordinator:
     """Graph, managers and the reconfiguration protocol of one running Program.
 
@@ -347,6 +359,13 @@ class Coordinator:
     chain_headroom: int | None = None
     #: group linear chains (§4.1); only the simulator's ablation does
     group_chains = False
+    #: build from :func:`~repro.core.program.one_copy_regions`: a
+    #: data-parallel region whose classes all declare a row contract
+    #: (:meth:`Component.writes_rows`) runs as one full-span copy.  Only
+    #: the inline executor does: its copies would run one after another,
+    #: each paying a job; elsewhere they are the parallelism, or, in the
+    #: simulator, what the paper's figures model
+    one_copy = False
 
     def __init__(
         self,
@@ -361,6 +380,9 @@ class Coordinator:
         lock: ContextManager[Any] | None = None,
         concurrent_jobs: bool = False,
     ) -> None:
+        if self.one_copy:
+            program = one_copy_regions(
+                program, lambda name: _declares_rows(registry[name]))
         self.program = program
         self.registry = registry
         self.pipeline_depth = pipeline_depth
@@ -513,6 +535,14 @@ class Coordinator:
             )
 
     def send_reconfigure_request(self, manager: str, request: str) -> None:
+        if names_slice(request):
+            # a copy's rows are the expander's (and, at one worker, the
+            # executor's) to assign: a broadcast would give every copy one
+            raise ComponentError(
+                f"manager {manager!r}: reconfigure request {request!r} may "
+                "not set 'slice' (the expander assigns each data-parallel "
+                "copy its rows)"
+            )
         with self._lock:
             members = self.program.managers[manager].members
             live = [self.host.live[m] for m in members if m in self.host.live]

@@ -34,7 +34,14 @@ __all__ = ["ThreadedRuntime", "RunResult", "ComponentHost"]
 
 @dataclass
 class RunResult:
-    """Outcome of one application run."""
+    """Outcome of one application run.
+
+    ``components`` and ``stream_stats`` describe what ran.  At one
+    worker (``ThreadedRuntime(nodes=1)``) a data-parallel region of
+    row-contract classes runs as one copy: ``components`` holds ``x[0]``
+    with ``slice == (0, 1)`` and no ``x[1]``, and a stream that copy
+    writes counts one write per iteration, not one per copy.
+    """
 
     completed_iterations: int
     elapsed_seconds: float
@@ -65,7 +72,9 @@ class ThreadedRuntime(Coordinator):
     worker threads sharing the central :class:`JobQueue`.  Its builds
     fuse pairs only: the chain compiler
     (:func:`~repro.hinch.fusion.fuse_chains`) costs a thread more calls
-    per job than it saves (docs/performance.md).
+    per job than it saves (docs/performance.md).  At ``nodes=1`` each
+    data-parallel region of row-contract classes runs as one full-span
+    copy (:attr:`Coordinator.one_copy`).
     """
 
     def __init__(
@@ -82,6 +91,8 @@ class ThreadedRuntime(Coordinator):
         if nodes < 1:
             raise SchedulingError(f"nodes must be >= 1, got {nodes}")
         self.nodes = nodes
+        # one worker gains nothing from slice copies, and pays a job each
+        self.one_copy = nodes == 1
         super().__init__(
             program, registry,
             # Process-local plane pool: sliced-writer buffers are recycled

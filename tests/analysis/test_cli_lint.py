@@ -132,6 +132,85 @@ def test_literal_reconfigure_request_is_bound_at_lint(capsys):
     assert "param 'sigma' must be a finite number >= 0.0, got 'x'" in out
 
 
+def test_manager_reconfigure_request_is_bound_at_lint(capsys):
+    """A manager's literal broadcast binds against each member class."""
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "fixtures" / "manager_request_type.xml"
+    assert main(["lint", str(fixture), "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    assert "manager_request_type.xml:20: error: [X120]" in out
+    assert ("manager 'mgr' request 'factor=x': component 'scale': param "
+            "'factor' must be an integer in 1..16384, got 'x'") in out
+    assert "1 error(s)" in out  # once per class, not once per copy
+
+
+def test_slice_request_on_a_copy_is_an_error(capsys):
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "fixtures" / "slice_request.xml"
+    assert main(["lint", str(fixture), "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    assert "slice_request.xml:16: error: [X121] component 'h3'" in out
+    assert "1 error(s)" in out
+
+
+PIP12_HANDLER = '<on event="toggle_pip" action="toggle" option="pip_opt"/>'
+
+
+@pytest.mark.parametrize("request_, expected", [
+    ("factor=x", [
+        "[X116] manager 'mgr' request 'factor=x': component 'pip1' got "
+        "unknown params ['factor']",
+        "[X116] manager 'mgr' request 'factor=x': component 'sb1_y/blend' "
+        "got unknown params ['factor']",
+        "[X120] manager 'mgr' request 'factor=x': component 'sb1_y/scale': "
+        "param 'factor' must be an integer in 1..16384, got 'x'",
+    ]),
+    ("slice=0/2", ["[X121] manager 'mgr' request 'slice=0/2': a broadcast "
+                   "may not set 'slice'"]),
+], ids=["factor", "slice"])
+def test_pip12_manager_request_is_checked(spec_file, capsys, request_,
+                                          expected):
+    from pathlib import Path
+
+    shipped = (Path(__file__).resolve().parents[2] / "examples" / "specs"
+               / "pip12.xml").read_text()
+    handler = (f'<on event="toggle_pip" action="reconfigure" '
+               f'request="{request_}"/>')
+    text = shipped.replace(PIP12_HANDLER, PIP12_HANDLER + handler)
+    assert main(["lint", spec_file(text), "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    for line in expected:
+        assert line in out
+    assert f"{len(expected)} error(s)" in out
+
+
+def test_runtime_tests_broadcasts_lint_clean():
+    """The ``pos=`` broadcasts the runtime tests send bind on every member."""
+    from repro.analysis import lint_spec
+    from repro.components.registry import default_ports
+    from repro.core import AppBuilder
+    from tests.hinch.helpers import PORTS
+    from tests.hinch.test_runtime import _moving_pip
+
+    b = AppBuilder()
+    main_ = b.procedure("main")
+    main_.component("src", "producer", streams={"output": "a"})
+    main_.component("tick", "event_sender",
+                    streams={"input": "a", "output": "b"},
+                    params={"queue": "ui", "period": 3, "event": "move"})
+    with main_.manager("m", queue="ui") as mgr:
+        mgr.on("move", "reconfigure", request="pos=5,5")
+        main_.component("r", "reconfigurable",
+                        streams={"input": "b", "output": "c"})
+    main_.component("snk", "collector", streams={"input": "c"})
+    for spec, ports in ((_moving_pip((2, 3), move=True).build(),
+                         default_ports()), (b.build(), PORTS)):
+        assert not [d for d in lint_spec(spec, ports=ports)
+                    if d.severity.name == "ERROR"]
+
+
 def test_validate_reports_every_error(spec_file, capsys):
     assert main(["validate", spec_file(MULTI_ERROR)]) == 1
     err = capsys.readouterr().err
