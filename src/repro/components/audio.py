@@ -278,9 +278,6 @@ class FeatureSink(Component):
     # alias so differential checkers can treat every collecting sink alike
     ordered_planes = ordered_records
 
-    def snapshot_state(self) -> tuple[int, list[tuple[int, np.ndarray]]]:
-        return self.records_written, self.records
-
     def merge_state(
         self, state: tuple[int, list[tuple[int, np.ndarray]]]
     ) -> None:

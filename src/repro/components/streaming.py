@@ -829,9 +829,6 @@ class VideoSink(Component):
     def ordered_frames(self) -> list[Frame]:
         return [f for _, f in sorted(self.frames, key=lambda kv: kv[0])]
 
-    def snapshot_state(self) -> tuple[int, list[tuple[int, Frame]]]:
-        return self.frames_written, self.frames
-
     def merge_state(self, state: tuple[int, list[tuple[int, Frame]]]) -> None:
         written, frames = state
         self.frames_written += written
@@ -882,9 +879,6 @@ class PlaneSink(Component):
 
     def ordered_planes(self) -> list[np.ndarray]:
         return [p for _, p in sorted(self.planes, key=lambda kv: kv[0])]
-
-    def snapshot_state(self) -> tuple[int, list[tuple[int, np.ndarray]]]:
-        return self.frames_written, self.planes
 
     def merge_state(self, state: tuple[int, list[tuple[int, np.ndarray]]]) -> None:
         written, planes = state

@@ -21,7 +21,7 @@ This package reproduces those responsibilities.  Building blocks:
   resume);
 * :mod:`repro.hinch.manager` — manager invocation (event handlers);
 * :mod:`repro.hinch.shm` — recycled plane pool (process-local or shared
-  memory), zero-copy pack/unpack, the control-pipe name interner;
+  memory), zero-copy pack/unpack, plain-pickle control-pipe framing;
 * :mod:`repro.hinch.grouping`, :mod:`repro.hinch.fusion` — linear chains
   scheduled as one job, producer→consumer pairs one kernel runs, and
   chains compiled to one job on request;

@@ -196,39 +196,28 @@ class Component:
 
     # -- distributed state ----------------------------------------------------
 
-    def snapshot_state(self) -> Any | None:
-        """Observable run state to ship back to the dispatcher.
+    def checkpoint_state(self) -> Any | None:
+        """Hand off the state accrued since the previous checkpoint.
 
         On the process backend each worker holds its own mirror of a
         component, so state accumulated by ``run`` (collected frames,
-        counters) is sharded across processes.  At shutdown the runtime
-        snapshots every worker mirror and folds the pieces into the
-        dispatcher's instance via :meth:`merge_state`.  Return ``None``
-        (the default) for components with no observable state; the
-        snapshot must be picklable.
+        counters) would otherwise be sharded across processes.  The
+        backend calls this on the worker mirror right after every
+        completed job and ships the returned delta with the job's
+        record; the dispatcher folds it into its own mirror via
+        :meth:`merge_state` before the job counts as done.  This is the
+        only way worker state reaches the dispatcher: a worker crash can
+        lose at most the unacknowledged job, which the dispatcher retries
+        anyway, so collected output survives worker failure bit-for-bit.
+
+        Implementations must *move* the state out (snapshot-and-reset),
+        or the next checkpoint would ship it again.  Return ``None`` (the
+        default) when nothing accrued; the delta must be picklable.
         """
         return None
 
     def merge_state(self, state: Any) -> None:
-        """Fold one worker mirror's :meth:`snapshot_state` into this copy."""
-
-    def checkpoint_state(self) -> Any | None:
-        """Hand off the state accrued since the previous checkpoint.
-
-        The process backend calls this on each worker mirror right after
-        every completed job and ships the returned delta with the
-        completion message; the dispatcher folds it into its own mirror
-        via :meth:`merge_state` immediately.  State is thus acknowledged
-        job-by-job instead of only at shutdown — a worker crash can lose
-        at most the unacknowledged job, which the dispatcher retries
-        anyway, so collected output survives worker failure bit-for-bit.
-
-        Implementations must *move* the state out (snapshot-and-reset),
-        or the residual :meth:`snapshot_state` at shutdown would merge it
-        twice.  Return ``None`` (the default) when nothing accrued; the
-        delta must be picklable.
-        """
-        return None
+        """Fold one worker mirror's :meth:`checkpoint_state` into this copy."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.instance.instance_id!r})"

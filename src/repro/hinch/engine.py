@@ -92,9 +92,9 @@ def build_configuration(
     Pure and deterministic in its arguments: a process worker that
     splices to a configuration its dispatcher first built after the fork
     builds it again (only the option states cross the pipe) and must
-    arrive at the same node ids, overrides and
-    :class:`~repro.hinch.shm.NameInterner` table.  Callers install the
-    result; nothing here touches a runtime.
+    arrive at the same node ids and overrides, because leases and job
+    records name nodes and streams by id.  Callers install the result;
+    nothing here touches a runtime.
 
     ``peepholes`` is the program's
     :func:`~repro.hinch.fusion.peephole_classes`, which a

@@ -26,8 +26,10 @@ both sides map directly.  Sliced data-parallel copies running on
 different cores share one output plane per (stream, iteration) — exactly
 the whole-frame slot buffer of the threaded backend, now visible across
 processes.  Workers never allocate planes themselves; they RPC the
-dispatcher (``alloc`` / ``ensure``), which keeps the pool's free lists
-single-threaded and the ``pipeline_depth`` memory bound intact.
+dispatcher (``rpc_alloc`` / ``rpc_ensure``) when a job needs one, which
+keeps the pool's free lists single-threaded and the ``pipeline_depth``
+memory bound intact.  Every control message is one plain pickle; the
+message list is in :mod:`repro.hinch.worker`.
 
 The dispatcher also owns **failure semantics** (the coordinator, not the
 components, decides what a crash means): it tracks each worker's
@@ -51,14 +53,13 @@ always on:
   whose only missing dependencies are earlier lease members — they hold
   worker-locally because the lease runs in order.  One pickle out;
   records stream back per job (completions announce immediately, so
-  dependent work reaches *other* workers mid-lease), with the last
-  record carrying the unconsumed plane grants.
+  dependent work reaches *other* workers mid-lease), the last one
+  flagged as such.
 * **Worker-resident stream slots** — values a worker produced (or
   mapped via ``ensure``) stay live worker-side until their iteration
   retires; a lease that reads them ships a name token, not the plane.
-  The dispatcher additionally pre-resolves learned ``ensure`` profiles
-  and attaches free-list plane *grants* sized to each node's last
-  allocations, eliminating most mid-job RPC round-trips.
+  The dispatcher additionally pre-resolves learned ``ensure`` profiles,
+  so a sliced writer's shared output plane ships with its lease.
 * **Slice affinity** — each task node (in particular every replica of
   a sliced parblock) sticks to the worker that first ran it while that
   worker is idle, keeping resident slots and caches warm.
@@ -98,7 +99,7 @@ from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
 from repro.hinch.jobqueue import Job
 from repro.hinch.runtime import RunResult
 from repro.hinch.shm import (
-    NameInterner, Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
+    Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
 from repro.hinch.stream import AGAINST_SLOT, check_geometry
 from repro.hinch.tracing import TraceEvent
@@ -233,10 +234,6 @@ class ProcessRuntime(Coordinator):
             trace=trace,
             option_states=option_states,
         )
-        #: control-pipe pickler; workers derive the identical table from
-        #: the same graph (inherited or looked up), so name strings travel as
-        #: small integer codes
-        self.interner = NameInterner(NameInterner.names_of(self.pg))
         #: the central FIFO of ready jobs; only the dispatcher's thread
         #: touches it, so it is a plain deque
         self.queue: deque[Job] = deque()
@@ -280,15 +277,9 @@ class ProcessRuntime(Coordinator):
         #: iteration -> stream name -> worker slots holding the value
         #: live (resident-slot tokens replace plane re-shipping)
         self._resident: dict[int, dict[str, set[int]]] = {}
-        #: worker slot -> planes granted with the current lease (released
-        #: back to the pool if the worker dies before lease_done)
-        self._granted: dict[int, list[PlaneRef]] = {}
         #: node_id -> [(stream, shape, dtype)] ensure_buffer profile,
         #: learned from ensure RPCs; lets leases pre-resolve slot planes
         self._ensure_profile: dict[str, list[tuple[str, tuple, str]]] = {}
-        #: node_id -> [payload nbytes] of the node's last output planes;
-        #: sizes free-list grants attached to its future leases
-        self._demand: dict[str, list[int]] = {}
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -311,17 +302,11 @@ class ProcessRuntime(Coordinator):
         # after every in-flight iteration released its streams.)
         self._affinity.clear()
         self._ensure_profile.clear()
-        self._demand.clear()
         # The graph is quiescent (no jobs in flight), so every worker is
         # idle and will process the splice before its next job.  self.pg
         # is already the new graph, so a worker respawned by a send
         # failure here forks with the post-splice option states baked in.
         self._broadcast(("splice", dict(self._target_states)))
-        # Intern table follows the graph.  Control messages (including
-        # the splice itself) are never interned and no lease or RPC can
-        # be in flight at quiescence, so nothing encoded with the old
-        # table remains undecoded when either side swaps.
-        self.interner.set_table(NameInterner.names_of(self.pg))
 
     # -- ReconfigController --------------------------------------------------
 
@@ -350,8 +335,7 @@ class ProcessRuntime(Coordinator):
         """
         for slot in sorted(self._live):
             try:
-                send_framed(self._conns[slot], msg, self.interner,
-                            self.pool.stats, interned=False)
+                send_framed(self._conns[slot], msg, self.pool.stats)
             except OSError:
                 self._worker_failed(slot, "send failed (broken pipe)")
 
@@ -474,23 +458,6 @@ class ProcessRuntime(Coordinator):
                        (ref.shape, ref.dtype), AGAINST_SLOT)
         return ref
 
-    def _issue_grants(self, node_id: str, worker: int) -> list[PlaneRef]:
-        """Attach free-list planes matching the node's last allocations.
-
-        Purely an RPC saver: a grant the worker consumes replaces one
-        ``rpc_alloc`` round-trip; unconsumed grants return with the
-        lease.  Only free planes are granted — never fresh ones — so the
-        pool's working set stays bounded by the pipeline depth.
-        """
-        grants: list[PlaneRef] = []
-        for nbytes in self._demand.get(node_id, ()):
-            ref = self.pool.try_acquire_free(nbytes)
-            if ref is not None:
-                grants.append(ref)
-        if grants:
-            self._granted.setdefault(worker, []).extend(grants)
-        return grants
-
     def _run_local(self, job: Job, node: Any) -> None:
         """Execute a control node (manager/barrier) on the dispatcher."""
         start = time.perf_counter()
@@ -608,9 +575,6 @@ class ProcessRuntime(Coordinator):
                  fault)
             )
             self._affinity.setdefault(job.node_id, worker)
-        grants: list[PlaneRef] = []
-        for job in lease.jobs:
-            grants.extend(self._issue_grants(job.node_id, worker))
         self._busy[worker] = lease
         if self.watchdog is not None:
             # Per-job budget: each record resets the window, so a lease
@@ -619,9 +583,8 @@ class ProcessRuntime(Coordinator):
         try:
             send_framed(
                 self._conns[worker],
-                ("lease", entries, grants,
-                 self.scheduler.lowest_live_iteration),
-                self.interner, self.pool.stats,
+                ("lease", entries, self.scheduler.lowest_live_iteration),
+                self.pool.stats,
             )
         except OSError:
             # Worker died between going idle and this dispatch; the
@@ -656,14 +619,9 @@ class ProcessRuntime(Coordinator):
     def _on_message(self, worker: int, msg: tuple[Any, ...]) -> None:
         tag = msg[0]
         if tag == "done":
-            _, record, unused_grants = msg
-            self._record_done(worker, record, unused_grants)
+            _, record, last = msg
+            self._record_done(worker, record, last)
         elif tag == "rpc_alloc":
-            _, shape, dtype = msg
-            _, ref = self.pool.acquire(tuple(shape), dtype)
-            self._leases.setdefault(worker, []).append(ref)
-            self._rpc_reply(worker, ref)
-        elif tag == "rpc_alloc_raw":
             ref = self.pool.acquire_raw(msg[1])
             self._leases.setdefault(worker, []).append(ref)
             self._rpc_reply(worker, ref)
@@ -688,12 +646,7 @@ class ProcessRuntime(Coordinator):
                 f"{worker}"
             )
 
-    def _record_done(
-        self,
-        worker: int,
-        record: tuple,
-        unused_grants: Sequence[PlaneRef] | None,
-    ) -> None:
+    def _record_done(self, worker: int, record: tuple, last: bool) -> None:
         """Absorb one streamed job record from a worker's lease.
 
         Records arrive — and are applied — in lease order over the FIFO
@@ -705,8 +658,7 @@ class ProcessRuntime(Coordinator):
         each checkpoint delta applies exactly once — a worker that died
         mid-lease acknowledged precisely the records that arrived, and
         every later member is retried or retracted.  The final record
-        carries the unconsumed grants and returns the worker to the idle
-        set.
+        returns the worker to the idle set.
         """
         lease = self._busy[worker]
         if lease.done >= len(lease.jobs):
@@ -737,12 +689,9 @@ class ProcessRuntime(Coordinator):
         # to the threaded backend.
         for name in deferred:
             self.streams.stream(name).get(iteration)
-        demand: list[int] = []
         for name, packed in outputs.items():
             self.streams.stream(name).put(iteration, packed, writer=node_id)
             self._mark_resident(iteration, name, worker)
-            demand.extend(ref.nbytes for ref in packed.refs)
-        self._demand[node_id] = demand
         for qname, event in events:
             self.broker.post(qname, event)
         for instance_id, delta in state_updates.items():
@@ -753,19 +702,14 @@ class ProcessRuntime(Coordinator):
             self.scheduler.request_stop()
         if self.tracer.enabled:
             self.tracer.record_job(node_id, iteration, worker, start, end)
-        if unused_grants is not None:
-            # Final record of the lease: consumed grants became outputs
-            # (stream-owned now), unconsumed ones go back to the pool.
+        if last:
             if lease.done != len(lease.jobs):
                 raise SchedulingError(
                     f"worker {worker} finished its lease after "
                     f"{lease.done} of {len(lease.jobs)} record(s)"
                 )
             self._busy.pop(worker)
-            self._granted.pop(worker, None)
             self._deadlines.pop(worker, None)
-            for ref in unused_grants:
-                self.pool.release(ref)
             self._idle.add(worker)
         elif self.watchdog is not None:
             # Per-job budget: the next lease member gets a fresh window.
@@ -774,8 +718,7 @@ class ProcessRuntime(Coordinator):
 
     def _rpc_reply(self, worker: int, value: Any) -> None:
         try:
-            send_framed(self._conns[worker], ("rpc", value), self.interner,
-                        self.pool.stats)
+            send_framed(self._conns[worker], ("rpc", value), self.pool.stats)
         except OSError:
             self._worker_failed(worker, "send failed (broken pipe)")
 
@@ -896,12 +839,10 @@ class ProcessRuntime(Coordinator):
         incarnation = self._incarnation[slot]
         lease = self._busy.pop(slot, None)
         self._deadlines.pop(slot, None)
-        # Planes leased mid-job — RPC-allocated or granted — die with the
-        # worker: back to the free lists (their content is garbage, but
-        # so is any recycled plane before its next write).
+        # Planes RPC-allocated mid-job die with the worker: back to the
+        # free lists (their content is garbage, but so is any recycled
+        # plane before its next write).
         for ref in self._leases.pop(slot, ()):
-            self.pool.release(ref)
-        for ref in self._granted.pop(slot, ()):
             self.pool.release(ref)
         # Any resident slot this worker held is gone; future leases must
         # ship those planes again from the dispatcher-held stream slots.
@@ -1005,7 +946,7 @@ class ProcessRuntime(Coordinator):
                 and self._incarnation[slot] == incarnation
                 and conn.poll()
             ):
-                self._on_message(slot, recv_framed(conn, self.interner))
+                self._on_message(slot, recv_framed(conn))
         except (EOFError, OSError):
             # Only condemn the incarnation this pipe belongs to — the
             # slot may already hold its respawned (innocent) successor.
@@ -1072,27 +1013,24 @@ class ProcessRuntime(Coordinator):
         if graceful:
             for slot in sorted(self._live):
                 try:
-                    send_framed(self._conns[slot], ("stop",), self.interner,
-                                self.pool.stats, interned=False)
+                    send_framed(self._conns[slot], ("stop",), self.pool.stats)
                 except Exception:
                     pass
             for slot in sorted(self._live):
                 try:
                     while True:
-                        msg = recv_framed(self._conns[slot], self.interner)
+                        msg = recv_framed(self._conns[slot])
                         tag = msg[0]
                         if tag == "bye":
-                            _, snapshots, stats = msg
-                            for instance_id, state in snapshots.items():
-                                component = self.host.live.get(instance_id)
-                                if component is not None:
-                                    component.merge_state(state)
+                            # Component state arrived job by job with the
+                            # records; only the pool counters remain.
+                            stats = msg[1]
                             for key in _WORKER_STAT_KEYS:
                                 self._worker_pool_stats[key] += stats[key]
                             break
                         if tag == "error":
-                            # A worker failing *during* stop (e.g. in
-                            # snapshot_state) must surface, not vanish
+                            # A worker failing *during* stop (while it
+                            # builds its bye) must surface, not vanish
                             # into the drain; finish cleanup, then raise.
                             error = self._worker_error(slot, msg[1], msg[2])
                             if deferred is None:

@@ -27,15 +27,18 @@ a few hundred bytes no matter the frame size — pixel data is never
 serialized on the stream hot path.  The pool counts both flows
 (:attr:`SharedPlanePool.stats`), which is what the serialization tests
 assert on.
+
+Control-pipe messages themselves (leases, job records, RPCs) are plain
+protocol-5 pickles, one ``send_bytes`` each (:func:`send_framed`); their
+pickled bytes are counted in the same stats.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import pickle
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -46,7 +49,6 @@ __all__ = [
     "Packed",
     "SharedPlanePool",
     "PoolStats",
-    "NameInterner",
     "plane_nbytes",
     "recv_framed",
     "send_framed",
@@ -93,130 +95,33 @@ class PoolStats:
     released: int = 0
     #: bytes of pickled metadata: :meth:`SharedPlanePool.pack` scaffolding
     #: plus every control-pipe message this side serialized (leases, done
-    #: records, RPCs).  Planes and out-of-band arrays bypass pickle, and
-    #: :class:`NameInterner` shrinks the repeated stream/node name strings
-    #: — this counter is where that reduction shows up.
+    #: records, RPCs); planes and out-of-band arrays bypass pickle
     meta_pickled_bytes: int = 0
     #: bytes moved out-of-band into planes by pack() (memcpy, not pickle)
     oob_bytes: int = 0
     #: ndarray values packed without any pickling at all
     plane_packs: int = 0
     pickle_packs: int = 0
-    #: free-list planes handed out as dispatch-time grants
-    #: (:meth:`SharedPlanePool.try_acquire_free`) — a grant consumed by a
-    #: worker replaces one alloc RPC round-trip on the control pipe
-    granted: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
 
 
-class _InternPickler(pickle.Pickler):
-    """Protocol-5 pickler replacing table strings with small int codes."""
+def send_framed(conn: Any, msg: Any, stats: PoolStats) -> None:
+    """Send one control-pipe message: a plain protocol-5 pickle.
 
-    def __init__(self, file: io.BytesIO, codes: dict[str, int]) -> None:
-        super().__init__(file, protocol=5)
-        self._codes = codes
-
-    def persistent_id(self, obj: Any) -> int | None:
-        # Exact-type check: str subclasses may carry state a code loses.
-        if type(obj) is str:
-            return self._codes.get(obj)
-        return None
-
-
-class _InternUnpickler(pickle.Unpickler):
-    def __init__(self, file: io.BytesIO, table: list[str]) -> None:
-        super().__init__(file)
-        self._table = table
-
-    def persistent_load(self, pid: Any) -> str:
-        return self._table[pid]
-
-
-class NameInterner:
-    """String interning for control-pipe pickles.
-
-    Lease entries and done records repeat the same node ids and resolved
-    stream names every iteration — on JPiP that is tens of kilobytes of
-    identical strings per run.  Both pipe ends derive the *same* table
-    from the current program graph (:meth:`names_of` is deterministic:
-    sorted node ids, member instance ids, stream names and aliases), so a
-    table string pickles as a 2–3 byte persistent-id code instead of its
-    UTF-8 bytes plus framing.
-
-    The table is rebuilt from the new graph on both sides of a
-    reconfiguration splice.  Splices happen at quiescence over FIFO pipes
-    — no steady-state message is ever in flight across a table swap — and
-    the splice/control messages themselves are encoded *without*
-    interning (an empty-table interner decodes them on any side).
+    The pickled length lands in :attr:`PoolStats.meta_pickled_bytes`;
+    summed over dispatcher and workers, it is the run's whole
+    control-plane pickle volume.
     """
-
-    def __init__(self, names: Iterable[str] = ()) -> None:
-        self.set_table(names)
-
-    def set_table(self, names: Iterable[str]) -> None:
-        table = sorted(set(names))
-        self._table = table
-        self._codes = {name: code for code, name in enumerate(table)}
-
-    @property
-    def table(self) -> list[str]:
-        return list(self._table)
-
-    @staticmethod
-    def names_of(pg: Any) -> list[str]:
-        """Deterministic intern table for a program graph (both pipe ends)."""
-        names: set[str] = set()
-        for node in pg.graph:
-            names.add(node.node_id)
-            for member in node.members:
-                instance_id = getattr(member, "instance_id", None)
-                if isinstance(instance_id, str):
-                    names.add(instance_id)
-        names.update(pg.streams)
-        names.update(pg.aliases)
-        names.update(pg.aliases.values())
-        return sorted(names)
-
-    def dumps(self, obj: Any) -> bytes:
-        buf = io.BytesIO()
-        _InternPickler(buf, self._codes).dump(obj)
-        return buf.getvalue()
-
-    def loads(self, data: bytes) -> Any:
-        return _InternUnpickler(io.BytesIO(data), self._table).load()
+    data = pickle.dumps(msg, protocol=5)
+    stats.meta_pickled_bytes += len(data)
+    conn.send_bytes(data)
 
 
-#: empty-table coder for control messages (decodes them on any side)
-_PLAIN = NameInterner()
-
-
-def send_framed(
-    conn: Any,
-    msg: Any,
-    interner: NameInterner,
-    stats: PoolStats,
-    *,
-    interned: bool = True,
-) -> None:
-    """Send one control-pipe message (both pipe ends use this framing).
-
-    A leading byte selects the coder: ``\\x01`` for ``interner``
-    (leases, records, RPCs), ``\\x00`` for a plain pickle (control
-    messages, readable across a table swap).  The framed length lands in
-    :attr:`PoolStats.meta_pickled_bytes`; summed over dispatcher and
-    workers, it is the run's whole control-plane pickle volume.
-    """
-    data = (interner if interned else _PLAIN).dumps(msg)
-    stats.meta_pickled_bytes += len(data) + 1
-    conn.send_bytes((b"\x01" if interned else b"\x00") + data)
-
-
-def recv_framed(conn: Any, interner: NameInterner) -> Any:
-    """Receive one message framed by :func:`send_framed`."""
-    raw = conn.recv_bytes()
-    return (interner if raw[:1] == b"\x01" else _PLAIN).loads(raw[1:])
+def recv_framed(conn: Any) -> Any:
+    """Receive one message sent by :func:`send_framed`."""
+    return pickle.loads(conn.recv_bytes())
 
 
 def plane_nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:
@@ -264,59 +169,31 @@ class SharedPlanePool:
 
     def acquire(self, shape: tuple[int, ...], dtype: Any) -> tuple[np.ndarray, PlaneRef]:
         """A writable plane for ``shape``/``dtype``: recycled or fresh."""
-        if self._closed:
-            raise StreamError("plane pool is closed")
         dt = np.dtype(dtype)
         nbytes = plane_nbytes(shape, dt)
-        bucket = _round_size(nbytes)
-        self.stats.acquires += 1
-        free = self._free.get(bucket)
-        if free:
-            name = free.pop()
-            self.stats.recycled += 1
-        else:
-            name = self._create(bucket)
-        ref = PlaneRef(segment=name, nbytes=nbytes, shape=tuple(shape), dtype=dt.str)
-        return self._map(name, ref), ref
+        name = self._take(nbytes)
+        ref = PlaneRef(segment=name, nbytes=nbytes, shape=tuple(shape),
+                       dtype=dt.str)
+        # open(ref), inlined: the threaded hot path pays no extra call
+        plane = np.ndarray(ref.shape or (nbytes,), dtype=dt,
+                           buffer=self._buffer(name))
+        return plane, ref
 
     def acquire_raw(self, nbytes: int) -> PlaneRef:
         """A plane for ``nbytes`` of raw bytes (pack()'s out-of-band path)."""
+        return PlaneRef(segment=self._take(nbytes), nbytes=nbytes)
+
+    def _take(self, nbytes: int) -> str:
+        """Segment name of a plane for ``nbytes``: recycled or fresh."""
         if self._closed:
             raise StreamError("plane pool is closed")
         bucket = _round_size(nbytes)
         self.stats.acquires += 1
         free = self._free.get(bucket)
         if free:
-            name = free.pop()
             self.stats.recycled += 1
-        else:
-            name = self._create(bucket)
-        return PlaneRef(segment=name, nbytes=nbytes)
-
-    @staticmethod
-    def bucket_of(nbytes: int) -> int:
-        """The free-list bucket a payload of ``nbytes`` recycles through."""
-        return _round_size(nbytes)
-
-    def try_acquire_free(self, nbytes: int) -> PlaneRef | None:
-        """A plane from the free list only — never creates (grant path).
-
-        The dispatcher attaches such planes to job leases so workers can
-        satisfy predicted allocations without an RPC.  Creation stays on
-        the demand-driven :meth:`acquire` path, so granting cannot grow
-        the pool beyond the ``pipeline_depth`` working-set bound.
-        """
-        if self._closed:
-            return None
-        bucket = _round_size(nbytes)
-        free = self._free.get(bucket)
-        if not free:
-            return None
-        name = free.pop()
-        self.stats.acquires += 1
-        self.stats.recycled += 1
-        self.stats.granted += 1
-        return PlaneRef(segment=name, nbytes=bucket)
+            return free.pop()
+        return self._create(bucket)
 
     def release(self, ref: PlaneRef) -> None:
         """Return a plane to the free list (owner process, idempotent-safe)."""
@@ -346,16 +223,13 @@ class SharedPlanePool:
 
     def open(self, ref: PlaneRef) -> np.ndarray:
         """Map a plane as an ndarray (any process, zero copy)."""
-        return self._map(ref.segment, ref)
+        shape = ref.shape if ref.shape else (ref.nbytes,)
+        return np.ndarray(shape, dtype=np.dtype(ref.dtype),
+                          buffer=self._buffer(ref.segment))
 
     def open_raw(self, ref: PlaneRef) -> memoryview:
         """Map a plane's payload bytes (any process, zero copy)."""
         return memoryview(self._buffer(ref.segment))[: ref.nbytes]
-
-    def _map(self, name: str, ref: PlaneRef) -> np.ndarray:
-        buf = self._buffer(name)
-        shape = ref.shape if ref.shape else (ref.nbytes,)
-        return np.ndarray(shape, dtype=np.dtype(ref.dtype), buffer=buf)
 
     def _buffer(self, name: str):
         entry = self._segments.get(name)

@@ -3,21 +3,23 @@
 A worker holds mirror component instances and does nothing but execute
 the ``(iteration, node)`` jobs of the leases it is sent; the dispatcher
 (:mod:`repro.hinch.process`) names :func:`_worker_entry` as fork target.
-The control pipe is the contract between the halves — pickled tuples
-tagged by their first element:
+The control pipe is the contract between the halves — tuples tagged by
+their first element, each one a plain protocol-5 pickle
+(:func:`~repro.hinch.shm.send_framed`):
 
-* dispatcher → worker: ``lease`` (jobs, plane grants, iteration
-  watermark), ``reconfigure`` (manager, request), ``splice`` (option
-  states), ``rpc`` (reply), ``stop``;
-* worker → dispatcher: ``done`` (one record per job), ``rpc_alloc`` /
-  ``rpc_alloc_raw`` / ``rpc_ensure`` (plane requests), ``bye`` (state
-  snapshots + :data:`_WORKER_STAT_KEYS` counters), ``error``.
+* dispatcher → worker: ``lease`` (jobs and the iteration watermark),
+  ``reconfigure`` (manager, request), ``splice`` (option states),
+  ``rpc`` (the reply to a plane request), ``stop``;
+* worker → dispatcher: ``done`` (one record per job, flagged on the
+  lease's last), ``rpc_alloc`` (a plane of n bytes), ``rpc_ensure`` (a
+  stream slot's shared plane), ``bye`` (the :data:`_WORKER_STAT_KEYS`
+  counters), ``error``.
 
-Both ends frame messages with :func:`~repro.hinch.shm.send_framed`:
-lease and rpc traffic is name-interned (leading byte ``\\x01``), control
-messages travel plain (``\\x00``).  What no message carries is fixed at
-fork: the installed configuration, the dispatcher's configuration cache
-(a ``splice`` is a lookup in it), and each mirror's reconfigure history.
+Component state reaches the dispatcher only in ``done`` records
+(:meth:`~repro.hinch.component.Component.checkpoint_state`).  What no
+message carries is fixed at fork: the installed configuration, the
+dispatcher's configuration cache (a ``splice`` is a lookup in it), and
+each mirror's reconfigure history.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from repro.hinch.component import Component
 from repro.hinch.engine import ComponentHost, Configuration, NodePlans
 from repro.hinch.events import Event
 from repro.hinch.shm import (
-    NameInterner, Packed, PlaneRef, SharedPlanePool, plane_nbytes,
-    recv_framed, send_framed,
+    Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
 from repro.hinch.stream import AGAINST_SLOT, check_geometry
 
@@ -58,55 +59,21 @@ _WORKER_STAT_KEYS = (
 class _RemotePlanePool(SharedPlanePool):
     """Worker-side pool facade: allocation happens on the dispatcher.
 
-    ``acquire``/``acquire_raw`` become RPCs over the control pipe; pack,
-    unpack and segment mapping (with the attachment cache) are inherited.
-    The worker owns no segments, so :meth:`close` never unlinks anything.
-
-    Leases may carry *grants* — free-list planes the dispatcher attached
-    based on the node's allocation profile.  A matching-bucket grant
-    satisfies an acquire without any pipe round-trip; grants left over at
-    the end of the lease ride back on the ``lease_done`` message.
+    Taking a plane becomes an ``rpc_alloc`` over the control pipe; the
+    inherited ``acquire`` / ``acquire_raw`` wrap the segment it names,
+    and pack, unpack and segment mapping (with the attachment cache) are
+    inherited too.  The worker owns no segments, so :meth:`close` never
+    unlinks anything.
     """
 
     def __init__(self, rpc: Any) -> None:
         super().__init__(shared=True)
         self._rpc = rpc
-        #: bucket size -> granted PlaneRefs usable without an RPC
-        self._grants: dict[int, list[PlaneRef]] = {}
 
-    def add_grants(self, refs: Sequence[PlaneRef]) -> None:
-        for ref in refs:
-            self._grants.setdefault(ref.nbytes, []).append(ref)
-
-    def take_unused_grants(self) -> list[PlaneRef]:
-        unused = [ref for bucket in self._grants.values() for ref in bucket]
-        self._grants.clear()
-        return unused
-
-    def _granted(self, nbytes: int) -> PlaneRef | None:
-        bucket = self._grants.get(self.bucket_of(nbytes))
-        return bucket.pop() if bucket else None
-
-    def acquire(self, shape: tuple[int, ...], dtype: Any) -> tuple[np.ndarray, PlaneRef]:
-        dt = np.dtype(dtype)
-        nbytes = plane_nbytes(shape, dt)
-        grant = self._granted(nbytes)
-        if grant is not None:
-            ref = PlaneRef(segment=grant.segment, nbytes=nbytes,
-                           shape=tuple(shape), dtype=dt.str)
-        else:
-            ref = self._rpc(("rpc_alloc", tuple(shape), dt.str))
+    def _take(self, nbytes: int) -> str:
+        ref: PlaneRef = self._rpc(("rpc_alloc", nbytes))
         self.stats.acquires += 1
-        return self.open(ref), ref
-
-    def acquire_raw(self, nbytes: int) -> PlaneRef:
-        grant = self._granted(nbytes)
-        if grant is not None:
-            self.stats.acquires += 1
-            return PlaneRef(segment=grant.segment, nbytes=nbytes)
-        ref: PlaneRef = self._rpc(("rpc_alloc_raw", nbytes))
-        self.stats.acquires += 1
-        return ref
+        return ref.segment
 
 
 class _RecordingBroker:
@@ -284,9 +251,6 @@ class _Worker:
         self.pg = config.pg
         #: solved stream formats: a shape-only buffer gets their dtype
         self.expectations = config.expectations
-        #: control-pipe pickler sharing the dispatcher's name table
-        #: (derived deterministically from the same graph on both ends)
-        self.interner = NameInterner(NameInterner.names_of(self.pg))
         self.host = ComponentHost(program, registry)
         # Overrides (auto-inserted converters, rebound readers) must be
         # installed before populate: active ids resolve through them.
@@ -330,9 +294,9 @@ class _Worker:
         dispatcher only splices at quiescence and never sends jobs to a
         busy worker.
         """
-        send_framed(self.conn, request, self.interner, self.pool.stats)
+        send_framed(self.conn, request, self.pool.stats)
         while True:
-            reply = recv_framed(self.conn, self.interner)
+            reply = recv_framed(self.conn)
             if reply[0] == "rpc":
                 return reply[1]
             self._handle_control(reply)
@@ -348,8 +312,7 @@ class _Worker:
         elif tag == "splice":
             # The dispatcher looked these option states up before
             # broadcasting; on a miss in this copy of its cache the build
-            # is deterministic, so node ids, overrides and the interner
-            # table agree.
+            # is deterministic, so node ids and overrides agree.
             config = self.configuration(msg[1])
             self.host.overrides = config.overrides
             # Mirrors a splice creates start from their descriptors, like
@@ -358,10 +321,6 @@ class _Worker:
             self.pg = config.pg
             self.expectations = config.expectations
             self._install_plans()
-            # Same table the dispatcher derives from the same graph;
-            # control messages themselves are never interned, so the
-            # swap cannot race the splice that carries it.
-            self.interner.set_table(NameInterner.names_of(self.pg))
         else:  # pragma: no cover - protocol error
             raise SchedulingError(f"worker got unexpected message {tag!r}")
 
@@ -429,34 +388,27 @@ class _Worker:
         return (iteration, node_id, outputs, events, self._stop_requested,
                 start, end, state_updates)
 
-    def _run_lease(
-        self,
-        entries: list[tuple],
-        grants: Sequence[PlaneRef],
-        watermark: int | None,
-    ) -> None:
+    def _run_lease(self, entries: list[tuple], watermark: int | None) -> None:
         """Execute a batch of jobs, streaming a record back per job.
 
         The lease runs strictly in order — later entries may read streams
         produced by earlier ones (worker-resident, referenced by name).
         Each completion is announced as soon as it happens (so the
         dispatcher can release dependent work to *other* workers without
-        waiting for the whole lease); the last record additionally
-        carries the unconsumed plane grants.  Because the pipe is FIFO,
+        waiting for the whole lease); the last record is flagged as such.
+        Because the pipe is FIFO,
         a record either arrived (acknowledged, applied exactly once) or
         the dispatcher knows its job — and every later one — never ran.
         """
         if watermark is not None:
             for key in [k for k in self.resident if k[1] < watermark]:
                 del self.resident[key]
-        self.pool.add_grants(grants)
         last = len(entries) - 1
         for index, entry in enumerate(entries):
             iteration, node_id, inputs, resident, ensured, fault = entry
             record = self._run_job(iteration, node_id, inputs, resident,
                                    ensured, fault)
-            unused = self.pool.take_unused_grants() if index == last else None
-            send_framed(self.conn, ("done", record, unused), self.interner,
+            send_framed(self.conn, ("done", record, index == last),
                         self.pool.stats)
 
     # -- main loop -----------------------------------------------------------
@@ -464,22 +416,16 @@ class _Worker:
     def main(self) -> None:
         try:
             while True:
-                msg = recv_framed(self.conn, self.interner)
+                msg = recv_framed(self.conn)
                 tag = msg[0]
                 if tag == "lease":
-                    self._run_lease(msg[1], msg[2], msg[3])
+                    self._run_lease(msg[1], msg[2])
                 elif tag == "stop":
-                    snapshots = {}
-                    for instance_id, component in self.host.live.items():
-                        state = component.snapshot_state()
-                        if state is not None:
-                            snapshots[instance_id] = state
                     stats = self.pool.stats.as_dict()
                     send_framed(
                         self.conn,
-                        ("bye", snapshots,
-                         {k: stats[k] for k in _WORKER_STAT_KEYS}),
-                        self.interner, self.pool.stats,
+                        ("bye", {k: stats[k] for k in _WORKER_STAT_KEYS}),
+                        self.pool.stats,
                     )
                     return
                 else:
@@ -490,8 +436,7 @@ class _Worker:
             for report in (exc, None):
                 try:
                     send_framed(self.conn, ("error", report, tb),
-                                self.interner, self.pool.stats,
-                                interned=False)
+                                self.pool.stats)
                     break
                 except Exception:
                     pass

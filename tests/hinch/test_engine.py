@@ -26,7 +26,6 @@ from repro.components.registry import default_ports, default_registry
 from repro.core import expand, parse_file
 from repro.errors import StreamFormatError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
-from repro.hinch.shm import NameInterner
 from repro.spacecake import SimRuntime
 
 REG = default_registry()
@@ -55,7 +54,6 @@ def _fingerprint(program, states, group_chains, fuse):
         "active": pg.active_components,
         "overrides": config.overrides,
         "expectations": config.expectations,
-        "interned": NameInterner.names_of(pg),
     }
 
 

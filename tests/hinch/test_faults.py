@@ -213,20 +213,18 @@ def test_component_exception_carries_remote_traceback():
     assert rt.scheduler.retries == 0  # deterministic errors fail fast
 
 
-def test_error_during_shutdown_drain_is_surfaced():
+def test_error_during_shutdown_drain_is_surfaced(monkeypatch):
     """Satellite regression: a worker failing while the dispatcher drains
-    the stop handshake used to be swallowed; it must raise."""
-    from repro.components.streaming import PlaneSink
+    the stop handshake used to be swallowed; it must raise.  The workers
+    fork after the patch, so each one's ``bye`` asks its pool stats for a
+    counter they do not have; the dispatcher kept the real key list."""
+    import repro.hinch.worker as worker
 
-    class BadSnapshot(PlaneSink):
-        def snapshot_state(self):
-            raise RuntimeError("snapshot exploded")
-
-    registry = dict(REG)
-    registry["plane_sink"] = BadSnapshot
+    monkeypatch.setattr(worker, "_WORKER_STAT_KEYS",
+                        worker._WORKER_STAT_KEYS + ("no_such_counter",))
     program = make_program(blur_spec(), name="blur")
-    rt = ProcessRuntime(program, registry, workers=2, max_iterations=2)
-    with pytest.raises(RuntimeError, match="snapshot exploded"):
+    rt = ProcessRuntime(program, REG, workers=2, max_iterations=2)
+    with pytest.raises(KeyError, match="no_such_counter"):
         rt.run()
     assert rt.pool.total_planes == 0
 

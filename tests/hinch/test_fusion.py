@@ -13,7 +13,6 @@ and a worker killed mid-pair-job requeues the pair job exactly once.
 
 from __future__ import annotations
 
-import pickle
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from repro.hinch.fusion import (
     peephole_classes,
 )
 from repro.hinch.grouping import find_linear_chains
-from repro.hinch.shm import NameInterner
 from repro.spacecake import SimRuntime
 
 REG = default_registry()
@@ -463,44 +461,6 @@ def test_fusion_absorbs_the_auto_inserted_converter():
     assert "raw.as_float32" in chain.internal
     _assert_same([(p,) for p in ref.components["sink"].ordered_planes()],
                  [(p,) for p in fused.components["sink"].ordered_planes()])
-
-
-# -- lease-pickle string interning -------------------------------------------
-
-
-def test_interner_round_trips_arbitrary_messages():
-    interner = NameInterner(["alpha", "beta", "gamma"])
-    msg = ("lease", [("alpha", 3, ("beta", "delta")), {"gamma": None}], 7)
-    assert interner.loads(interner.dumps(msg)) == msg
-
-
-def test_interner_code_zero_and_unknown_strings():
-    interner = NameInterner(["aa", "bb"])
-    # "aa" interns to code 0 — falsy, must still intern
-    data = interner.dumps(["aa", "zz", "bb"])
-    assert interner.loads(data) == ["aa", "zz", "bb"]
-    assert b"aa" not in data
-    assert b"zz" in data
-
-
-def test_interned_lease_smaller_than_plain_pickle():
-    names = [f"pip0_idct_y/idct[{i}]+scale0_y[{i}]" for i in range(8)]
-    interner = NameInterner(names)
-    lease = ("lease", [(n, i, 2) for i, n in enumerate(names)], 3)
-    assert len(interner.dumps(lease)) < len(pickle.dumps(lease, protocol=5))
-    assert interner.loads(interner.dumps(lease)) == lease
-
-
-def test_interner_table_derivation_covers_fused_payloads():
-    pg = engine.build_configuration(_jpip_program(), REG, None,
-                                    chain_headroom=1).pg
-    names = set(NameInterner.names_of(pg))
-    fused = [n for n in pg.graph if isinstance(n.payload, tuple)]
-    assert fused
-    for node in fused:
-        assert node.node_id in names
-        for member in node.payload:
-            assert member.instance_id in names
 
 
 def test_fused_process_run_shrinks_meta_bytes():

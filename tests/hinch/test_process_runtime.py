@@ -9,6 +9,8 @@ reconfigurations.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -205,15 +207,89 @@ def test_workers_spawned_counts_forked_slots_only():
         assert result.workers_spawned == workers
 
 
+# -- the control pipe --------------------------------------------------------
+
+
+#: every message kind the control pipe carries, both directions
+PROTOCOL = {"lease", "reconfigure", "splice", "rpc", "stop",
+            "done", "rpc_alloc", "rpc_ensure", "bye", "error"}
+
+
+def _documented_tags():
+    """Message tags listed in :mod:`repro.hinch.worker`'s protocol bullets."""
+    import repro.hinch.worker as worker
+
+    doc = worker.__doc__
+    start = doc.index("* dispatcher → worker:")
+    section = doc[start:doc.index("\n\n", start)]
+    return set(re.findall(r"``(\w+)``", section))
+
+
+def test_control_pipe_carries_only_the_documented_messages(monkeypatch):
+    """Every tag crossing a pipe, in both directions, is one the worker
+    module documents, and together these runs use every one of them:
+    JPiP allocates raw planes (pickled bitstreams), PiP-12 splices while
+    a worker is killed mid-lease, a manager broadcasts a request, and a
+    kernel error reports ``error``."""
+    import repro.hinch.process as process
+
+    seen: set[str] = set()
+    send, recv = process.send_framed, process.recv_framed
+
+    def recording_send(conn, msg, stats):
+        seen.add(msg[0])
+        send(conn, msg, stats)
+
+    def recording_recv(conn):
+        msg = recv(conn)
+        seen.add(msg[0])
+        return msg
+
+    monkeypatch.setattr(process, "send_framed", recording_send)
+    monkeypatch.setattr(process, "recv_framed", recording_recv)
+
+    jpip = make_program(build_jpip(1, width=64, height=48, pip_height=48,
+                                   factor=4, slices=3, frames=2), name="jpip")
+    result = ProcessRuntime(jpip, REG, workers=2, pipeline_depth=2,
+                            max_iterations=3).run()
+    assert result.pool_stats["pickle_packs"] > 0
+
+    pip12 = make_program(build_pip(2, width=64, height=48, factor=4, slices=2,
+                                   frames=2, reconfigurable=True, period=3),
+                         name="pip12")
+    result = ProcessRuntime(pip12, REG, workers=2, pipeline_depth=2,
+                            max_iterations=8, faults="kill:2").run()
+    assert result.reconfig_count > 0
+    assert "worker_failure" in {e["kind"] for e in result.fault_events}
+
+    rt = ProcessRuntime(_request_then_enable_program(), REGISTRY, workers=2,
+                        pipeline_depth=2, max_iterations=4)
+    rt.post_event("ui", "move")
+    rt.run()
+
+    class Exploding(REG["luma_source"]):
+        def run(self, job):
+            raise RuntimeError("kernel exploded")
+
+    blur = make_program(build_blur(3, width=48, height=36, slices=3, frames=2),
+                        name="blur")
+    with pytest.raises(RuntimeError, match="kernel exploded"):
+        ProcessRuntime(blur, {**REG, "luma_source": Exploding}, workers=2,
+                       max_iterations=2).run()
+
+    assert _documented_tags() == PROTOCOL
+    assert seen == PROTOCOL
+
+
 # -- the zero-copy hot path -------------------------------------------------
 
 
 def test_no_pixel_data_pickled_on_stream_hot_path():
     """Acceptance criterion: PiP streams nothing but ndarray planes, so
     stream transport must pickle nothing.  ``meta_pickled_bytes`` counts
-    the (interned) control-pipe messages — pure coordination metadata —
-    so it must stay flat when the frame area quadruples, while the
-    out-of-band pixel bytes scale with it.  (collect=False: a collecting
+    the control-pipe messages — pure coordination metadata — so it must
+    stay flat when the frame area quadruples, while the out-of-band
+    pixel bytes scale with it.  (collect=False: a collecting
     sink checkpoints whole frames, which legitimately ride — and are
     counted on — the control pipe.)"""
     small = run_process(
