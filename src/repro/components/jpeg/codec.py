@@ -223,14 +223,6 @@ def _blockify(plane: np.ndarray) -> np.ndarray:
     )
 
 
-def _deblockify(blocks: np.ndarray, width: int, height: int) -> np.ndarray:
-    return (
-        blocks.reshape(height // 8, width // 8, 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(height, width)
-    )
-
-
 def _vec_magnitude(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`_magnitude`: values -> (sizes, amplitude bits).
 

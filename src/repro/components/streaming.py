@@ -821,9 +821,9 @@ class VideoSink(Component):
         )
         self.frames_written += 1
         if self.collect:
-            # Input planes may be views into recycled pool / shared-memory
-            # planes that are overwritten a few iterations later — retained
-            # frames must own their pixels.
+            # Input planes are stream slots: a stream reuses its buffers
+            # (and the process backend its shared-memory planes) once the
+            # iteration retires — retained frames must own their pixels.
             self.frames.append((job.iteration, frame.copy()))
 
     def ordered_frames(self) -> list[Frame]:

@@ -9,7 +9,8 @@ event communication."
 This package reproduces those responsibilities.  Building blocks:
 
 * :mod:`repro.hinch.stream` — streaming communication (whole-frame slots
-  per iteration, shared by data-parallel copies);
+  per iteration, shared by data-parallel copies; each stream recycles
+  the buffers it allocates);
 * :mod:`repro.hinch.events` — asynchronous event queues;
 * :mod:`repro.hinch.component` — the component base class, its
   reconfiguration interface, and the per-job context API;
@@ -20,11 +21,12 @@ This package reproduces those responsibilities.  Building blocks:
   iterations, manager-driven reconfiguration (halt, drain, splice,
   resume);
 * :mod:`repro.hinch.manager` — manager invocation (event handlers);
-* :mod:`repro.hinch.shm` — recycled plane pool (process-local or shared
-  memory), zero-copy pack/unpack, plain-pickle control-pipe framing;
+* :mod:`repro.hinch.shm` — the process backend's shared-memory plane
+  pool, zero-copy pack/unpack, plain-pickle control-pipe framing;
 * :mod:`repro.hinch.grouping`, :mod:`repro.hinch.fusion` — linear chains
-  scheduled as one job, producer→consumer pairs one kernel runs, and
-  chains compiled to one job on request;
+  scheduled as one job (a ``SimRuntime`` option), producer→consumer
+  pairs one kernel runs (every threaded and process build), and chains
+  compiled to one job (every process build);
 * :mod:`repro.hinch.tracing` — per-job execution traces.
 
 One coordination core, :mod:`repro.hinch.engine`: ``build_configuration``

@@ -308,22 +308,18 @@ class JobContext:
 
         The first copy to arrive allocates; every copy then fills its own
         region in place.  Prefer ``shape``/``dtype`` over ``factory`` —
-        a declared geometry lets the runtime recycle the buffer from its
-        plane pool (and, on the process backend, place it directly in
-        shared memory so slice copies on different cores write the same
-        plane).  With ``shape`` and no ``dtype``, a stream whose format
-        is solved allocates the solved dtype.
+        a declared geometry lets the stream reuse a buffer released by
+        an earlier iteration (and, on the process backend, place it
+        directly in shared memory so slice copies on different cores
+        write the same plane).  With ``shape`` and no ``dtype``, a
+        stream whose format is solved allocates the solved dtype.
         """
         try:
             stream, slots = self._bound[port]
         except KeyError:
             stream, slots = self._bind(port)
         iteration = self.iteration
-        if (
-            slots is not None
-            and iteration in slots
-            and iteration not in stream._finalized
-        ):
+        if slots is not None and iteration in stream._buffers:
             # A later slice copy whose request is literally the slot and
             # the solved format (a dtype also equals None, so one must be
             # named), or a factory request, which nothing checks.

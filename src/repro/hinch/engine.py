@@ -343,7 +343,9 @@ class Coordinator:
     ``lock`` guards the controller entry points for executors whose jobs
     run concurrently with manager invocations (the threaded backend's
     RLock).  ``concurrent_jobs`` says whether two jobs can run at once;
-    only then do the streams lock (:mod:`repro.hinch.stream`).
+    only then do the streams lock (:mod:`repro.hinch.stream`).  ``pool``
+    is the process backend's shared-memory plane pool; the other
+    executors pass none, and their streams recycle their own buffers.
 
     What a build rewrites is the executor's, never the caller's: the
     class attributes below, which a subclass may set on the instance

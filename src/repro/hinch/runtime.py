@@ -26,7 +26,6 @@ from repro.errors import SchedulingError
 from repro.hinch.component import Component
 from repro.hinch.engine import ComponentHost, Coordinator
 from repro.hinch.jobqueue import Job, JobQueue
-from repro.hinch.shm import SharedPlanePool
 from repro.hinch.tracing import Tracer
 
 __all__ = ["ThreadedRuntime", "RunResult", "ComponentHost"]
@@ -51,9 +50,10 @@ class RunResult:
     stream_stats: dict[str, tuple[int, int]]  # name -> (writes, reads)
     events_handled: int = 0
     events_ignored: int = 0
-    #: allocation + serialization counters from the plane pool (see
-    #: :class:`repro.hinch.shm.PoolStats`); summed across processes on
-    #: the process backend
+    #: allocation + serialization counters of the process backend's
+    #: plane pool, summed across processes (see
+    #: :class:`repro.hinch.shm.PoolStats`); empty on threads, whose
+    #: streams recycle their own buffers
     pool_stats: dict[str, int] = field(default_factory=dict)
     #: worker failures, retries and respawns observed by the process
     #: backend (empty elsewhere); each entry is a dict with at least
@@ -95,10 +95,6 @@ class ThreadedRuntime(Coordinator):
         self.one_copy = nodes == 1
         super().__init__(
             program, registry,
-            # Process-local plane pool: sliced-writer buffers are recycled
-            # across iterations instead of reallocated (same pool class the
-            # process backend uses in shared-memory mode).
-            pool=SharedPlanePool(shared=False),
             pipeline_depth=pipeline_depth,
             max_iterations=max_iterations,
             trace=trace,
@@ -239,6 +235,5 @@ class ThreadedRuntime(Coordinator):
             stream_stats=stream_stats,
             events_handled=sum(m.events_handled for m in self.managers.values()),
             events_ignored=sum(m.events_ignored for m in self.managers.values()),
-            pool_stats=self.pool.stats.as_dict(),
             workers_spawned=self.nodes,
         )

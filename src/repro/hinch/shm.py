@@ -2,7 +2,8 @@
 
 The paper bounds stream memory to one slot per in-flight iteration
 (``pipeline_depth`` of them); this module gives that bound a concrete
-allocator.  A :class:`SharedPlanePool` owns fixed-size *planes* —
+allocator across processes (in one process, each stream recycles its
+own buffers).  A :class:`SharedPlanePool` owns fixed-size *planes* —
 flat byte buffers sized for a frame plane — recycled through free lists
 keyed by byte size.  Because stream slots are released every completed
 iteration, the pool's working set converges to
@@ -15,9 +16,10 @@ Two backing modes:
   :class:`~repro.hinch.process.ProcessRuntime`: workers write pixel rows
   straight into the mapped plane and only a tiny :class:`PlaneRef`
   descriptor ever crosses the control pipe.
-* ``shared=False`` — planes are ordinary ``bytearray`` buffers.  The
-  threaded runtime uses this mode purely for recycling, killing the
-  per-iteration ``np.empty`` allocation of sliced writers.
+* ``shared=False`` — planes are ordinary ``bytearray`` buffers.  No
+  executor uses this mode (threads and the simulator recycle sliced
+  buffers per stream, :class:`~repro.hinch.stream.Stream`); the unit
+  tests and the benchmark's layer probes exercise the pool through it.
 
 Cross-process values that are not bare planes (JPEG bitstreams,
 coefficient blocks, whole ``Frame`` objects) travel as :class:`Packed`
@@ -174,10 +176,7 @@ class SharedPlanePool:
         name = self._take(nbytes)
         ref = PlaneRef(segment=name, nbytes=nbytes, shape=tuple(shape),
                        dtype=dt.str)
-        # open(ref), inlined: the threaded hot path pays no extra call
-        plane = np.ndarray(ref.shape or (nbytes,), dtype=dt,
-                           buffer=self._buffer(name))
-        return plane, ref
+        return self.open(ref), ref
 
     def acquire_raw(self, nbytes: int) -> PlaneRef:
         """A plane for ``nbytes`` of raw bytes (pack()'s out-of-band path)."""

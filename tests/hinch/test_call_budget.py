@@ -34,17 +34,19 @@ from repro.hinch.stream import LockedStream, Stream
 
 PACKAGE = str(Path(repro.__file__).parent) + "/"
 
-#: hinch-owned profile events per job.  Measured 12.9 on CPython 3.11 for
-#: this pipeline at nodes=1, where jobs run inline, streams take no lock
-#: and a port access is one frame (15.1 while src+a and b+c ran as grouped
-#: two-step jobs; with those groups, 18.8 with a ``Stream`` method behind
-#: every access, job byte counters and a ``Job.__init__`` per ready job;
+#: hinch-owned profile events per job.  Measured 11.1 on CPython 3.11 for
+#: this pipeline at nodes=1, where jobs run inline, streams take no lock,
+#: a port access is one frame and a stream recycles its own sliced buffers
+#: (12.9 while a plane pool acquired and released them; 15.1 while src+a
+#: and b+c ran as grouped two-step jobs; with those groups, 18.8 with a
+#: ``Stream`` method behind every access, job byte counters and a
+#: ``Job.__init__`` per ready job;
 #: 21.7 with a lock per stream access; 31.4 with a worker thread, the job
 #: queue and a lock per completion; 67.9 before node plans, which also
 #: read the clock twice per job); the ~40 % head-room covers what 3.10
 #: and 3.12 count differently (method-descriptor calls) — not a
 #: ``JobContext`` rebuilt per job, a queue hop or a stream lock per job.
-BUDGET = 18
+BUDGET = 16
 ITERATIONS = 40
 
 
@@ -174,6 +176,8 @@ def test_hinch_calls_per_job_within_budget(profiled):
     )
     # nodes=1 runs inline: no job ever passes through the central queue
     assert owners["hinch/jobqueue.py"] == 0, table
+    # ... and its streams recycle their own buffers: no plane pool
+    assert owners["hinch/shm.py"] == 0, table
 
 
 def test_tracing_off_never_reads_the_clock_per_job(profiled):
@@ -215,16 +219,30 @@ def test_a_lock_free_port_access_is_one_frame():
 def test_concurrent_slice_copies_share_one_locked_plane():
     """At nodes=4 the streams lock and take no fast path: every access
     enters a ``LockedStream`` method, and the three racing copies of s2
-    still acquire exactly one pool plane per iteration."""
+    still share exactly one array per iteration."""
     rt = _pipeline(nodes=4)
     assert all(type(rt.streams.stream(name)) is LockedStream
                for name in ("s1", "s2"))
+    s2 = rt.streams.stream("s2")
+    handed = collections.defaultdict(list)
+    ensure_buffer = s2.ensure_buffer
+
+    def recording(iteration, *args, **kwargs):
+        buffer = ensure_buffer(iteration, *args, **kwargs)
+        handed[iteration].append(buffer)
+        return buffer
+
+    s2.ensure_buffer = recording
     result, (gets, ensures) = _entries(rt, LockedStream.get,
                                        LockedStream.ensure_buffer)
     # reads: a, the three copies, b, c, d, e, snk
     assert gets == 9 * ITERATIONS
     assert ensures == 3 * ITERATIONS
-    assert result.pool_stats["acquires"] == ITERATIONS
+    assert sorted(handed) == list(range(ITERATIONS))
+    for buffers in handed.values():
+        assert len(buffers) == 3
+        assert all(b is buffers[0] for b in buffers)
+    assert result.pool_stats == {}
 
 
 def _skeletons():
