@@ -51,15 +51,13 @@ def synthetic_record(
     consecutive records form one continuous signal per channel.
     """
     t = (np.arange(block, dtype=np.float64) + index * block)
-    rows = []
-    for c in range(channels):
-        freq = 0.01 + 0.002 * c + 0.0005 * (seed % 7)
-        tone = np.sin(2.0 * np.pi * freq * t) * 12000.0
+    freq = 0.01 + 0.002 * np.arange(channels) + 0.0005 * (seed % 7)
+    data = np.sin((2.0 * np.pi * freq)[:, None] * t)  # one row per channel
+    data *= 12000.0
+    for c, row in enumerate(data):
         rng = np.random.default_rng(seed * 1_000_003 + c * 101 + index)
-        noise = rng.integers(-800, 800, size=block).astype(np.float64)
-        rows.append(tone + noise)
-    data = np.stack(rows)
-    return np.clip(data, -32768, 32767).astype(np.int16)
+        row += rng.integers(-800, 800, size=block)
+    return data.clip(-32768, 32767, out=data).astype(np.int16)
 
 
 class AudioSource(Component):

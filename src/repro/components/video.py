@@ -4,7 +4,11 @@ The paper's applications process "uncompressed video files" (PiP, Blur)
 and MJPEG files (JPiP).  We have no Philips test content, so
 :func:`synthetic_clip` generates deterministic moving-pattern video with
 tunable spatial detail — enough texture that JPEG entropy coding, down
-scaling and blurring all do representative work (DESIGN.md §3).
+scaling and blurring all do representative work (DESIGN.md §3).  A
+frame's pattern and noise do not depend on its index, so
+:func:`synthetic_frame` keeps them per ``(width, height, seed, detail)``
+in a read-only 8-entry LRU cache (``16*w*h`` bytes per key) and pays per
+frame only for the scroll, the clip and the chroma wash.
 
 A :class:`Frame` is three planes: Y at full resolution, U and V at half
 resolution in both dimensions (4:2:0), dtype uint8 — the layout CE
@@ -15,6 +19,7 @@ in the images concurrently".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,24 +161,49 @@ def synthetic_frame(
     detail: float = 0.5,
     motion: int = 4,
 ) -> Frame:
-    """Frame ``index`` of the synthetic clip (frames are independent)."""
+    """Frame ``index`` of the synthetic clip (frames are independent).
+
+    Only the scroll and the chroma phase depend on ``index``; the
+    pattern and the noise come from :func:`_still_planes`.
+    """
     if width % 2 or height % 2:
         raise ComponentError(f"need even dimensions, got {width}x{height}")
-    rng = np.random.default_rng(seed)
+    pattern, noise = _still_planes(width, height, seed, detail)
+    phase = index * motion
+    shift = phase % width
+    # np.roll(pattern, shift, axis=1) + noise, without the rolled copy
+    y = np.empty((height, width))
+    np.add(pattern[:, width - shift:], noise[:, :shift], out=y[:, :shift])
+    np.add(pattern[:, :width - shift], noise[:, shift:], out=y[:, shift:])
+    y.clip(0, 255, out=y)
+    # chroma varies along one axis only: one row of U, one column of V
+    u = np.empty((height // 2, width // 2), dtype=np.uint8)
+    v = np.empty_like(u)
+    u[:] = _chroma(np.sin, np.arange(width // 2) + phase, 23.0)
+    v[:] = _chroma(np.cos, np.arange(height // 2) + phase, 19.0)[:, None]
+    return Frame(y.astype(np.uint8), u, v)
+
+
+def _chroma(wave, position: np.ndarray, period: float) -> np.ndarray:
+    return (128 + 40 * wave(position / period)).clip(0, 255).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=8)
+def _still_planes(
+    width: int, height: int, seed: int, detail: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index-free float64 planes of :func:`synthetic_frame`: the
+    gradient plus texture pattern, and the seeded noise.  Read-only,
+    since every frame of the clip shares them."""
     yy, xx = np.mgrid[0:height, 0:width]
-    base = (xx * 0.7 + yy * 0.3) % 256
-    texture = 32.0 * np.sin(xx / 7.0) * np.cos(yy / 11.0)
-    noise = rng.normal(0.0, 24.0 * detail, size=(height, width))
-    cyy, cxx = np.mgrid[0 : height // 2, 0 : width // 2]
-    shift = (index * motion) % width
-    y = np.roll(base + texture, shift, axis=1) + noise
-    u = 128 + 40 * np.sin((cxx + index * motion) / 23.0)
-    v = 128 + 40 * np.cos((cyy + index * motion) / 19.0)
-    return Frame(
-        np.clip(y, 0, 255).astype(np.uint8),
-        np.clip(u, 0, 255).astype(np.uint8),
-        np.clip(v, 0, 255).astype(np.uint8),
+    pattern = (xx * 0.7 + yy * 0.3) % 256
+    pattern += 32.0 * np.sin(xx / 7.0) * np.cos(yy / 11.0)
+    noise = np.random.default_rng(seed).normal(
+        0.0, 24.0 * detail, size=(height, width)
     )
+    pattern.flags.writeable = False
+    noise.flags.writeable = False
+    return pattern, noise
 
 
 def psnr(a: Frame, b: Frame) -> float:
