@@ -6,8 +6,8 @@ package generates random-but-valid XSPCL programs (and deliberately
 fault injections, widths and depths — and checks every case
 differentially:
 
-* both backends, sequential vs wide, must produce **bit-identical**
-  sink output;
+* every executor row must produce the one-worker run's sink output
+  **bit for bit** (:func:`repro.fuzz.runner.differential`);
 * lint and build must **agree**: a lint-rejected spec fails at build,
   never at runtime — and a lint-clean spec runs;
 * every run shuts down cleanly, leaks nothing into ``/dev/shm``, and

@@ -1,38 +1,36 @@
-"""Differential execution of one fuzz case.
+"""The conformance oracle, and the fuzz-case checker built around it.
 
-Builds the case's spec, then holds it to three oracles:
+:func:`differential` holds an expanded program to ``ThreadedRuntime(nodes=1)``
+on every executor row of its determinism class: the same sink records in
+the same order, all iterations completed, the same ``reconfig_log``, the
+same stream counters where they are comparable, every injected fault
+fired, and nothing left in ``/dev/shm``.  ``tests/test_conformance.py``
+runs it over the applications (and, on the rows they name, for the
+per-executor tests); :func:`check_case` over each generated
+case, once lint and build agree (a mutated spec must be flagged by lint
+*and* refused at build, a clean one must lint clean), with the case's
+knob widths and fault specs as extra rows.
 
-* **lint/build agreement** — mutated (deliberately broken) specs must be
-  flagged by lint AND refused at build (expand or runtime construction);
-  clean specs must lint clean and run on every backend;
-* **bit-identical output** — every run configuration (threaded/process,
-  sequential/wide, faults injected) must produce the same
-  sink records in the same order;
-* **clean accounting** — runs complete all iterations, report every
-  unfired fault, and leak nothing into ``/dev/shm``.
-
-Determinism rules (established by the backend test suites, and refined
-by this fuzzer's own first campaign): timer-driven reconfiguration is
-only cross-backend deterministic sequentially (``workers=1,
-pipeline_depth=1``); events posted *before* ``run()`` are deterministic
-at any *width* but not across *depths* — the splice lands at the
-pipeline's drain point, so ``pipeline_depth`` shifts the resume
-iteration (depth 1 resumes at iteration 1, depth 2 at iteration 2,
-identically on both backends); static programs match at any knob
-setting.  The run matrix below respects exactly those rules, so any
-mismatch it finds is a real bug, not harness noise.
+The rows keep to three determinism classes, so a mismatch is a bug, not
+harness noise.  Static programs match at any width and depth.  An event
+posted before ``run()`` splices at the pipeline's drain point, so depth
+shifts the resume iteration and every row of that class shares one
+depth.  Timer-driven reconfiguration runs one iteration at a time.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.fuzz.generator import FuzzCase
 
-__all__ = ["CaseFailure", "build_spec", "check_case"]
+__all__ = ["CaseFailure", "Row", "build_spec", "check_case", "differential"]
 
 #: queue/event names used by generated reconfigurable regions
 QUEUE = "fz"
@@ -60,22 +58,19 @@ def _shm_entries() -> set[str]:
 # -- spec construction -------------------------------------------------------
 
 
+def _sliced(main, slices: int):
+    """A slice region of ``slices`` copies, or none for one copy."""
+    return main.parallel("slice", n=slices) if slices > 1 else nullcontext()
+
+
 def _video_stage(main, idx: int, stage: dict, case: FuzzCase,
                  in_stream: str, out_stream: str) -> None:
     geometry = {"width": case.width, "height": case.height}
     if stage["kind"] == "convert":
-        params = {"dtype": "uint8", **geometry}
-        if stage["slices"] > 1:
-            with main.parallel("slice", n=stage["slices"]):
-                main.component(f"c{idx}", "convert_plane",
-                               streams={"input": in_stream,
-                                        "output": out_stream},
-                               params=params)
-        else:
+        with _sliced(main, stage["slices"]):
             main.component(f"c{idx}", "convert_plane",
-                           streams={"input": in_stream,
-                                    "output": out_stream},
-                           params=params)
+                           streams={"input": in_stream, "output": out_stream},
+                           params={"dtype": "uint8", **geometry})
         return
     if stage["kind"] == "blur":
         params = {**geometry, "size": 3, "sigma": 1.0}
@@ -96,19 +91,11 @@ def _video_stage(main, idx: int, stage: dict, case: FuzzCase,
 
 def _audio_stage(main, idx: int, stage: dict, case: FuzzCase,
                  in_stream: str, out_stream: str) -> None:
-    params = {"channels": case.width, "block": case.height,
-              "taps": stage.get("taps", "smooth")}
-    if stage["slices"] > 1:
-        with main.parallel("slice", n=stage["slices"]):
-            main.component(f"f{idx}", "band_filter",
-                           streams={"input": in_stream,
-                                    "output": out_stream},
-                           params=params)
-    else:
+    with _sliced(main, stage["slices"]):
         main.component(f"f{idx}", "band_filter",
-                       streams={"input": in_stream,
-                                "output": out_stream},
-                       params=params)
+                       streams={"input": in_stream, "output": out_stream},
+                       params={"channels": case.width, "block": case.height,
+                               "taps": stage.get("taps", "smooth")})
 
 
 def build_spec(case: FuzzCase):
@@ -134,9 +121,8 @@ def build_spec(case: FuzzCase):
     wrapped = case.reconfig["stage"] if case.reconfig else None
     period = _timer_period(case)
     if period is not None:
-        # multi-toggle schedules are timer-driven (and the run matrix
-        # then stays sequential, the only width where timers are
-        # cross-backend deterministic)
+        # multi-toggle schedules are timer-driven (and the rows then run
+        # one iteration at a time)
         main.component("clock", "timer",
                        params={"queue": QUEUE, "period": period,
                                "event": EVENT})
@@ -180,84 +166,172 @@ def build_spec(case: FuzzCase):
 
 
 def _timer_period(case: FuzzCase) -> int | None:
-    """Period for multi-toggle reconfig cases (timer-driven, sequential)."""
+    """Period for multi-toggle reconfig cases (timer-driven)."""
     if case.reconfig is None or case.reconfig["toggles"] <= 1:
         return None
     return max(1, case.iterations // (case.reconfig["toggles"] + 1))
 
 
-def _plan_runs(case: FuzzCase) -> list[dict]:
-    """The differential run matrix, within the determinism rules."""
-    knobs = case.knobs
-    timered = _timer_period(case) is not None
-    if timered:
-        # timer-driven reconfiguration: sequential runs only
-        runs = [
-            {"backend": "threaded", "nodes": 1, "depth": 1},
-            {"backend": "process", "workers": 1, "depth": 1},
-        ]
-        if case.faults:
-            runs.append({"backend": "process", "workers": 1, "depth": 1,
-                         "faults": case.faults})
-        return runs
-    if case.reconfig is not None:
-        # single pre-posted toggle: the splice iteration is a function of
-        # pipeline depth, so the whole matrix shares one depth while
-        # backend and width still vary
-        depth = 2
-        runs = [
-            {"backend": "threaded", "nodes": 2, "depth": depth},
-            {"backend": "threaded", "nodes": 1, "depth": depth},
-            {"backend": "process", "workers": 1, "depth": depth},
-            {"backend": "process", "workers": knobs.get("workers", 2),
-             "depth": depth},
-        ]
-        if case.faults:
-            runs.append({"backend": "process", "workers": 2, "depth": depth,
-                         "faults": case.faults})
-        return runs
-    runs = [
-        {"backend": "threaded", "nodes": 2, "depth": 2},
-        {"backend": "threaded", "nodes": 1, "depth": 1},
-        {"backend": "process", "workers": 1, "depth": 2},
-        {"backend": "process", "workers": knobs.get("workers", 2),
-         "depth": knobs.get("depth", 2)},
-    ]
-    if case.faults:
-        runs.append({"backend": "process", "workers": 2, "depth": 2,
-                     "faults": case.faults})
-    return runs
+class Row(NamedTuple):
+    """One executor configuration: ``sim`` executes, ``sim-grouped`` also
+    groups linear chains; ``faults`` uses ``--inject-fault`` syntax."""
+
+    backend: str  # threaded | process | sim | sim-grouped
+    width: int
+    depth: int
+    faults: str | None = None
+
+    def __str__(self) -> str:
+        return f"{self.backend}-{self.width}@{self.depth}" + (
+            f"[{self.faults}]" if self.faults else "")
 
 
-def _execute(case: FuzzCase, program, registry, run: dict):
-    """One run; returns (ordered outputs, RunResult)."""
+#: (backend, width, depth) of every row, per class: the first, one
+#: thread, is the reference; the rest hold each combination that a
+#: per-backend identity test or the fuzzer used to run
+ROWS = {
+    "static": (
+        ("threaded", 1, 2), ("threaded", 1, 1), ("threaded", 2, 2),
+        ("threaded", 2, 3), ("threaded", 2, 5), ("threaded", 3, 4),
+        ("process", 1, 1), ("process", 1, 2), ("process", 1, 4),
+        ("process", 1, 8), ("process", 2, 2), ("process", 3, 2),
+        ("process", 4, 1), ("process", 4, 2), ("process", 4, 4),
+        ("process", 4, 8), ("sim", 2, 2), ("sim", 2, 5), ("sim", 3, 4),
+        ("sim-grouped", 2, 2), ("sim-grouped", 2, 3),
+    ),
+    "posted": (
+        ("threaded", 1, 2), ("threaded", 2, 2), ("process", 1, 2),
+        ("process", 2, 2), ("process", 4, 2), ("sim", 1, 2), ("sim", 2, 2),
+    ),
+    "timed": (
+        ("threaded", 1, 1), ("threaded", 2, 1), ("process", 1, 1),
+        ("process", 2, 1), ("sim", 1, 1), ("sim", 2, 1),
+    ),
+}
+
+
+def determinism_class(program, post: tuple[str, str] | None) -> str:
+    """``static``, ``posted`` (one event before ``run()``) or ``timed``."""
+    if post is not None:
+        return "posted"
+    return "timed" if program.managers else "static"
+
+
+def _runtime(row: Row, program, registry, iterations: int):
     from repro.hinch import ProcessRuntime, ThreadedRuntime
+    from repro.spacecake import SimRuntime
 
-    period = _timer_period(case)
-    if run["backend"] == "threaded":
-        rt = ThreadedRuntime(
-            program, registry,
-            nodes=run.get("nodes", 1),
-            pipeline_depth=run.get("depth", 1),
-            max_iterations=case.iterations,
-        )
-    else:
-        rt = ProcessRuntime(
-            program, registry,
-            workers=run.get("workers", 1),
-            pipeline_depth=run.get("depth", 1),
-            max_iterations=case.iterations,
-            faults=",".join(run.get("faults", [])) or None,
-        )
-    if case.reconfig is not None and period is None:
-        rt.post_event(QUEUE, EVENT)  # single toggle: any-width determinism
-    result = rt.run()
-    sink = result.components["sink"]
-    return list(sink.ordered_planes()), result
+    common = {"pipeline_depth": row.depth, "max_iterations": iterations}
+    if row.backend == "threaded":
+        return ThreadedRuntime(program, registry, nodes=row.width, **common)
+    if row.backend == "process":
+        return ProcessRuntime(program, registry, workers=row.width,
+                              faults=row.faults, **common)
+    return SimRuntime(program, registry, nodes=row.width, execute=True,
+                      group_chains=row.backend == "sim-grouped", **common)
 
 
-def _describe_run(run: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(run.items()))
+def _first_difference(want: list, got: list) -> str | None:
+    for i, (w, g) in enumerate(zip(want, got)):
+        for a, b in zip(w, g):
+            if (a.shape, a.dtype) != (b.shape, b.dtype):
+                return f"iteration {i}: {a.dtype}{a.shape} -> {b.dtype}{b.shape}"
+            if not np.array_equal(a, b):
+                return (f"iteration {i}: first difference at "
+                        f"{np.argwhere(a != b)[0].tolist()}")
+    return None
+
+
+def differential(program, registry, *, iterations: int,
+                 post: tuple[str, str] | None = None,
+                 rows: Iterable[Row] | None = None,
+                 extra_rows: Iterable[Row] = ()) -> CaseFailure | None:
+    """Hold every row of ``program``'s class to the one-worker run.
+
+    The reference is the class's first row in :data:`ROWS`,
+    ``ThreadedRuntime(nodes=1)``; every other row (or each of ``rows``,
+    when given) and each of ``extra_rows`` must match it.  Rows that run
+    every copy (the reference runs one per row-contract region) and report
+    ``stream_stats`` (the simulator does not) must also agree on those,
+    unless faults retried a read or the chain compiler keeps a stream
+    out of the store in some configurations only.  A program with
+    managers must splice on the reference.  ``post`` is a ``(queue,
+    event)`` posted before each ``run()``.  ``None``: every row conforms.
+    """
+    from repro.errors import ReproError
+    from repro.hinch.fusion import FusedChain
+
+    table = ROWS[determinism_class(program, post)]
+    rows = [Row(*table[0]),
+            *(Row(*spec) for spec in (table[1:] if rows is None else rows)),
+            *extra_rows]
+    reference = stats_reference = None
+    for row in rows:
+        before = _shm_entries()
+        try:
+            rt = _runtime(row, program, registry, iterations)
+            if post is not None:
+                rt.post_event(*post)
+            result = rt.run()
+        except ReproError as exc:
+            return CaseFailure(
+                "run-raised", f"{row}: {type(exc).__name__}: {exc}")
+        leaked = _shm_entries() - before
+        unfired = [e["detail"] for e in getattr(result, "fault_events", ())
+                   if e.get("kind") == "unfired"]
+        sink = result.components["sink"]  # records as tuples of planes
+        outputs = ([(f.y, f.u, f.v) for f in sink.ordered_frames()]
+                   if hasattr(sink, "ordered_frames")
+                   else [(plane,) for plane in sink.ordered_planes()])
+        stats = getattr(result, "stream_stats", None)
+        if leaked:
+            return CaseFailure("shm-leak", f"{row}: leaked {sorted(leaked)}")
+        if {result.completed_iterations, len(outputs)} != {iterations}:
+            return CaseFailure("short-run", f"{row}: {len(outputs)} records, "
+                               f"{result.completed_iterations} of "
+                               f"{iterations} iterations completed")
+        if unfired:  # fault indices are bounded so that every spec fires
+            return CaseFailure("fault-unfired", f"{row}: {unfired[0]}")
+        if stats is not None and not (rt.one_copy or row.faults or (
+                rt.chain_headroom and program.managers)):
+            stats_reference = stats_reference or (row, stats)
+            fused = {name for node in rt.pg.graph
+                     if isinstance(node.payload, FusedChain)
+                     for name in node.payload.internal}
+            want = {k: v for k, v in stats_reference[1].items() if k not in fused}
+            for name in sorted(want.keys() | stats.keys()):
+                if stats.get(name) != want.get(name):
+                    return CaseFailure(
+                        "stats-mismatch", f"{row} counts {name} "
+                        f"{stats.get(name)}, {stats_reference[0]} "
+                        f"{want.get(name)}")
+        if reference is None:
+            if program.managers and not rt.reconfig_log:
+                return CaseFailure("never-reconfigured", f"{row}: no splice "
+                                   f"in {iterations} iterations")
+            reference = row, outputs, rt.reconfig_log
+            continue
+        difference = _first_difference(reference[1], outputs)
+        if difference is not None:
+            return CaseFailure("output-mismatch",
+                               f"{row} vs {reference[0]}: {difference}")
+        if rt.reconfig_log != reference[2]:
+            return CaseFailure(
+                "reconfig-mismatch", f"{row} spliced at {rt.reconfig_log}, "
+                f"{reference[0]} at {reference[2]}")
+    return None
+
+
+def _case_rows(case: FuzzCase, kind: str) -> list[Row]:
+    """The case's knob widths and fault specs, as rows of its class."""
+    depth = ROWS[kind][0][2]  # the reference's: posted and timed keep it
+    rows = [] if kind == "timed" else [Row(
+        "process", case.knobs.get("workers", 2),
+        case.knobs.get("depth", depth) if kind == "static" else depth)]
+    if case.faults:
+        rows.append(Row("process", 1 if kind == "timed" else 2, depth,
+                        ",".join(case.faults)))
+    return rows
 
 
 def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
@@ -267,8 +341,6 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
     from repro.components.registry import default_ports, default_registry
     from repro.core.expander import expand
     from repro.errors import ReproError
-    from repro.hinch import ProcessRuntime, ThreadedRuntime
-    from repro.spacecake import SimRuntime
 
     registry = registry or default_registry()
     ports = default_ports(registry)
@@ -296,13 +368,11 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
             program = expand(spec, ports, name=f"fuzz-{case.seed}")
         except ReproError:
             return None  # agreement: rejected at expand
-        for runtime_cls, width in ((ThreadedRuntime, {"nodes": 1}),
-                                   (ProcessRuntime, {"workers": 1}),
-                                   (SimRuntime, {"nodes": 1})):
+        for backend in ("threaded", "process", "sim"):
             try:
-                runtime_cls(program, registry, pipeline_depth=1,
-                            max_iterations=case.iterations, **width)
-                accepted.append(runtime_cls.__name__)
+                _runtime(Row(backend, 1, 1), program, registry,
+                         case.iterations)
+                accepted.append(backend)
             except ReproError:
                 pass  # agreement: rejected at build
         leaked = _shm_entries() - before
@@ -331,52 +401,9 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
             f"lint clean but expand raised: {exc}",
         )
 
-    baseline: list | None = None
-    baseline_desc = ""
-    for run in _plan_runs(case):
-        desc = _describe_run(run)
-        before = _shm_entries()
-        try:
-            outputs, result = _execute(case, program, registry, run)
-        except ReproError as exc:
-            return CaseFailure(
-                "run-raised", f"{desc}: {type(exc).__name__}: {exc}"
-            )
-        leaked = _shm_entries() - before
-        if leaked:
-            return CaseFailure(
-                "shm-leak", f"{desc}: leaked {sorted(leaked)}"
-            )
-        if result.completed_iterations != case.iterations:
-            return CaseFailure(
-                "short-run",
-                f"{desc}: completed {result.completed_iterations} of "
-                f"{case.iterations} iterations",
-            )
-        unfired = [e for e in getattr(result, "fault_events", [])
-                   if e.get("kind") == "unfired"]
-        if unfired and run.get("faults"):
-            return CaseFailure(
-                "fault-unfired",
-                f"{desc}: {unfired[0]['detail']} (indices are bounded by "
-                "the minimum dispatch count, so every spec must fire)",
-            )
-        if len(outputs) != case.iterations:
-            return CaseFailure(
-                "missing-output",
-                f"{desc}: sink collected {len(outputs)} of "
-                f"{case.iterations} records",
-            )
-        if baseline is None:
-            baseline, baseline_desc = outputs, desc
-            continue
-        for i, (a, b) in enumerate(zip(baseline, outputs)):
-            if a.shape != b.shape or a.dtype != b.dtype or not np.array_equal(a, b):
-                return CaseFailure(
-                    "output-mismatch",
-                    f"iteration {i}: {desc} diverges from "
-                    f"{baseline_desc} (shape {a.shape}->{b.shape}, "
-                    f"first diff at "
-                    f"{np.argwhere(a != b)[:1].tolist() if a.shape == b.shape else 'n/a'})",
-                )
-    return None
+    post = ((QUEUE, EVENT)
+            if case.reconfig is not None and _timer_period(case) is None
+            else None)
+    return differential(
+        program, registry, iterations=case.iterations, post=post,
+        extra_rows=_case_rows(case, determinism_class(program, post)))

@@ -769,6 +769,10 @@ class ProcessRuntime(Coordinator):
         outright.  Its mirrors are built fresh from instance descriptors,
         so each replays the reconfigure requests its dispatcher mirror
         received (:attr:`_requests`) — no more, no fewer.
+        The child closes the dispatcher ends it inherits, its own and
+        every earlier slot's: a worker holding one would keep that pipe
+        open after the dispatcher closes it, and its owner would never
+        see EOF on a failed run.
         Fork children exit via ``os._exit`` (multiprocessing bootstrap),
         so the dispatcher pool copy they inherit never runs finalizers —
         a respawn cannot unlink live shared segments.
@@ -778,7 +782,8 @@ class ProcessRuntime(Coordinator):
         self._next_incarnation += 1
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(child, self.program, self.registry, slot,
+            args=([parent, *filter(None, self._conns)],
+                  child, self.program, self.registry, slot,
                   self.configuration(self.pg.option_states),
                   self.configuration, self._requests),
             name=f"hinch-proc-worker-{slot}.{incarnation}",

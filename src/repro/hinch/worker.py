@@ -445,6 +445,9 @@ class _Worker:
             self.conn.close()
 
 
-def _worker_entry(*args: Any) -> None:
-    """Fork target: a :class:`_Worker` built from its own arguments, serving."""
+def _worker_entry(dispatcher_ends: list, *args: Any) -> None:
+    """Fork target: close the inherited dispatcher pipe ends, then serve a
+    :class:`_Worker` built from the remaining arguments."""
+    for conn in dispatcher_ends:
+        conn.close()
     _Worker(*args).main()

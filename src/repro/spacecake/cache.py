@@ -107,7 +107,7 @@ class CacheStats:
 #: An object's residency record: ``(core, core_clock, tile_clock)`` — the
 #: core that last touched it and the per-core / per-tile byte clocks at
 #: that moment.  A plain tuple: millions are allocated per sweep and the
-#: fast path (:meth:`CacheModel.access_range`) rebuilds one per access.
+#: fast path (:meth:`CacheModel.access_traffic`) rebuilds one per access.
 _Record = tuple[int, int, int]
 
 
@@ -124,7 +124,7 @@ class CacheModel:
         self._objects: dict[Hashable, _Record] = {}
         self.stats = CacheStats()
         # CacheConfig is frozen: hoist its constants into one tuple so the
-        # hot access_range() pays a single attribute load for all of them.
+        # hot access_traffic() pays a single attribute load for all of them.
         cfg = self.config
         self._constants = (
             cfg.l1_bytes,
@@ -180,37 +180,6 @@ class CacheModel:
         self._tile_clock += nbytes
         self._objects[key] = (core, self._core_clock[core], self._tile_clock)
         return cycles
-
-    def access_range(
-        self,
-        core: int,
-        stream: str,
-        iteration: int,
-        start: int,
-        stop: int,
-        nbytes: int,
-        write: bool,
-        base: float,
-        keyset: set,
-    ) -> float:
-        """Touch buckets ``start..stop`` of ``(stream, iteration)`` in order.
-
-        Semantically identical to::
-
-            for bucket in range(start, stop):
-                key = (stream, iteration, bucket)
-                base += self.access(core, key, nbytes, write=write)
-                keyset.add(key)
-            return base
-
-        including float-accumulation order (``base`` is advanced one
-        access at a time, so totals are bit-identical to the unbatched
-        loop), statistics, and clock advancement — but with the per-call
-        overhead hoisted out of the bucket loop.
-        """
-        return self.access_traffic(
-            core, iteration, ((stream, start, stop, nbytes, write),), base, keyset
-        )
 
     def access_traffic(
         self,

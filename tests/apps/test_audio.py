@@ -1,9 +1,8 @@
 """The audio/sensor-fusion application: the anti-JPiP workload.
 
 Small int16 records at high rate — held to the same contracts as the
-video applications: lint-clean, bit-identical across backends (including
-under batching, fusion, and reconfiguration), and filters that do real
-signal work.
+video applications: lint-clean, bit-identical across executors
+(``tests/test_conformance.py``), and filters that do real signal work.
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ from repro.components.audio import synthetic_record
 from repro.components.registry import default_ports, default_registry
 from repro.errors import XSPCLError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+
+from tests.test_conformance import assert_conforms
 
 REG = default_registry()
 
@@ -39,12 +40,6 @@ def run_threaded(spec, *, iters, nodes=2, depth=2, **kwargs):
     program = make_program(spec, name="audio")
     return ThreadedRuntime(program, REG, nodes=nodes, pipeline_depth=depth,
                            max_iterations=iters, **kwargs).run()
-
-
-def run_process(spec, *, iters, workers=2, depth=2, **kwargs):
-    program = make_program(spec, name="audio")
-    return ProcessRuntime(program, REG, workers=workers, pipeline_depth=depth,
-                          max_iterations=iters, **kwargs).run()
 
 
 def test_lints_clean_both_variants():
@@ -74,41 +69,16 @@ def test_builder_rejects_degenerate_geometry():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_identical_records_across_backends(workers):
-    spec = _spec()
-    a = _records(run_threaded(spec, iters=6))
-    b = _records(run_process(spec, iters=6, workers=workers))
-    assert len(a) == len(b) == 6
-    for x, y in zip(a, b):
-        assert x.dtype == np.int16
-        assert np.array_equal(x, y)
+    assert_conforms(_spec(), 6, ("threaded", 2, 2), ("process", workers, 2),
+                    name="audio")
 
 
-def test_identical_under_batching_and_fusion():
-    """Leases of four and the chain compiler (``fuse+sink`` becomes one
-    job) change no record."""
-    spec = _spec()
-    base = _records(run_threaded(spec, iters=6))
-    program = make_program(spec, name="audio")
-    rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=6)
+def test_process_build_fuses_the_mixer_into_the_sink():
+    """The chain compiler makes ``fuse+sink`` one job; its records are
+    ``tests/test_conformance.py``'s."""
+    rt = ProcessRuntime(make_program(_spec(), name="audio"), REG, workers=2,
+                        pipeline_depth=2, max_iterations=6)
     assert "fuse+sink" in rt.pg.graph
-    fused = _records(rt.run())
-    assert len(base) == len(fused) == 6
-    for x, y in zip(base, fused):
-        assert np.array_equal(x, y)
-
-
-def test_reconfigurable_variant_toggles_and_matches():
-    """The vib branch toggles every ``period`` records; sequential runs
-    of both backends see the same reconfiguration points and records."""
-    spec = _spec(reconfigurable=True, period=3)
-    thr = run_threaded(spec, iters=8, nodes=1, depth=1)
-    prc = run_process(spec, iters=8, workers=1, depth=1)
-    assert thr.reconfig_count == prc.reconfig_count > 0
-    a, b = _records(thr), _records(prc)
-    assert len(a) == len(b) == 8
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
 
 
 def test_bypass_passes_mic_through_when_branch_off():

@@ -1,80 +1,49 @@
 """Cross-backend equivalence on the real applications.
 
-The SpaceCAKE simulator with ``execute=True`` must produce exactly the
-frames the threaded runtime produces — the scheduler semantics are
-shared, only the notion of time differs.
+``SimRuntime(execute=True)`` must produce exactly the frames the
+threaded runtime produces (``tests/test_conformance.py``'s check, on the
+rows named here); and executing the components must not change the
+simulated time.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_registry
-from repro.hinch import ThreadedRuntime
 from repro.spacecake import SimRuntime
+
+from tests.test_conformance import assert_conforms
 
 REG = default_registry()
 
-
-def both(spec, *, iters, nodes=2, depth=2):
-    program = make_program(spec, name="app")
-    thr = ThreadedRuntime(program, REG, nodes=nodes, pipeline_depth=depth,
-                          max_iterations=iters).run()
-    sim = SimRuntime(program, REG, nodes=nodes, pipeline_depth=depth,
-                     max_iterations=iters, execute=True).run()
-    return thr, sim
+#: the simulator and threads at the same width and depth
+BOTH = (("threaded", 2, 2), ("sim", 2, 2))
 
 
 def test_pip_identical_frames():
-    thr, sim = both(build_pip(1, width=64, height=48, factor=4, slices=2,
-                              frames=2, collect=True), iters=4)
-    a = thr.components["sink"].ordered_frames()
-    b = sim.components["sink"].ordered_frames()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert x == y
+    assert_conforms(build_pip(1, width=64, height=48, factor=4, slices=2,
+                              frames=2, collect=True), 4, *BOTH)
 
 
 def test_blur_identical_planes():
-    thr, sim = both(build_blur(5, width=48, height=36, slices=3, frames=2,
-                               collect=True), iters=4)
-    a = thr.components["sink"].ordered_planes()
-    b = sim.components["sink"].ordered_planes()
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert_conforms(build_blur(5, width=48, height=36, slices=3, frames=2,
+                               collect=True), 4, *BOTH)
 
 
 def test_jpip_identical_frames():
-    thr, sim = both(
-        build_jpip(1, width=64, height=48, pip_height=48, factor=4,
-                   slices=3, frames=2, collect=True),
-        iters=3,
-    )
-    a = thr.components["sink"].ordered_frames()
-    b = sim.components["sink"].ordered_frames()
-    for x, y in zip(a, b):
-        assert x == y
+    assert_conforms(build_jpip(1, width=64, height=48, pip_height=48,
+                               factor=4, slices=3, frames=2, collect=True),
+                    3, *BOTH)
 
 
 def test_reconfigurable_blur_same_reconfig_points_when_sequential():
     """With pipeline depth 1 and 1 node both backends are deterministic
     and must reconfigure at identical iterations with identical output."""
-    spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
-                      slices=3, frames=2, collect=True)
-    program = make_program(spec, name="blur35")
-    thr_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                             max_iterations=9)
-    thr = thr_rt.run()
-    sim_rt = SimRuntime(program, REG, nodes=1, pipeline_depth=1,
-                        max_iterations=9, execute=True)
-    sim = sim_rt.run()
-    assert thr_rt.reconfig_log == sim_rt.reconfig_log
-    a = thr.components["sink"].ordered_planes()
-    b = sim.components["sink"].ordered_planes()
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert_conforms(build_blur(reconfigurable=True, period=3, width=48,
+                               height=36, slices=3, frames=2, collect=True),
+                    9, ("sim", 1, 1), name="blur35")
 
 
 @pytest.mark.parametrize("nodes,depth", [(1, 1), (3, 4)])

@@ -3,10 +3,10 @@
 The lease machinery (ready extension, speculative follow-ons, worker-
 resident slots), which every process dispatch uses, must be invisible in
 the output: every pipeline depth and worker count produces the threaded
-backend's frames bit-for-bit,
-including when a worker is killed or
-wedged *mid-lease* — the per-record acknowledgement protocol guarantees
-each checkpoint delta applies exactly once, so the sink sees neither
+backend's frames and stream counters (``tests/test_conformance.py``'s
+check, on the rows named here), including when a worker is killed or
+wedged *mid-lease* — the per-record acknowledgement protocol guarantees each
+checkpoint delta applies exactly once, so the sink sees neither
 duplicated nor missing frames.
 """
 
@@ -24,6 +24,7 @@ from repro.hinch.jobqueue import Job
 from repro.hinch.scheduler import DataflowScheduler
 
 from tests.hinch.helpers import PORTS, shm_entries
+from tests.test_conformance import assert_conforms
 
 REG = default_registry()
 
@@ -67,28 +68,17 @@ def test_batched_pip_bit_identical(depth, workers):
     worker count reproduces the threaded frames, and the stream
     read/write accounting (deferred-read replay included) matches the
     threaded backend's counter for counter."""
-    spec = pip_spec()
-    thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=workers, depth=depth)
-    prc = rt.run()
-    a = thr.components["sink"].ordered_frames()
-    b = prc.components["sink"].ordered_frames()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert x == y
-    assert prc.stream_stats == thr.stream_stats
+    assert_conforms(pip_spec(), 4, ("threaded", 2, 2),
+                    ("process", workers, depth))
 
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_batched_blur_planes_identical(workers):
-    spec = blur_spec()
-    thr = run_threaded(spec, iters=4)
-    prc = make_process(spec, iters=4, workers=workers).run()
-    a = thr.components["sink"].ordered_planes()
-    b = prc.components["sink"].ordered_planes()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert_conforms(blur_spec(), 4, ("threaded", 2, 2),
+                    ("process", workers, 2))
+
+
+# -- lease assembly -----------------------------------------------------------
 
 
 def test_batched_reconfiguration_is_deterministic():

@@ -3,10 +3,11 @@
 Every threaded and process build contracts each graph-linear pair whose
 reader class offers a combined kernel; every process build also runs the
 chain compiler (:mod:`repro.hinch.fusion`), threads never do.  The
-simulator keeps the paper's unfused graph, which makes
-``SimRuntime(execute=True)`` the reference.  The contract tested here:
-output bit-identical to that reference on every executor and width and
-across live reconfigurations; the stream inside a pair is never
+simulator keeps the paper's unfused graph.  The contract tested here:
+each executor builds the graph it should; its output is bit-identical
+to the simulator's and the one-worker run's on every executor and width
+and across live reconfigurations (``tests/test_conformance.py``'s
+check, on the rows named here); the stream inside a pair is never
 written; a program without a pair kernel gets its graph back untouched;
 and a worker killed mid-pair-job requeues the pair job exactly once.
 """
@@ -33,6 +34,8 @@ from repro.hinch.fusion import (
 )
 from repro.hinch.grouping import find_linear_chains
 from repro.spacecake import SimRuntime
+
+from tests.test_conformance import assert_conforms
 
 REG = default_registry()
 PAIRS = {"bg_read+bg_decode", "pip0_read+pip0_decode"}
@@ -217,7 +220,7 @@ def test_chains_never_cross_option_boundaries():
         assert len(options) == 1
 
 
-# -- bit-identity: every executor == the unfused reference ------------------
+# -- what each executor builds ---------------------------------------------
 
 
 def _spec(app):
@@ -248,52 +251,41 @@ def _assert_same(a, b):
         assert all(np.array_equal(p, q) for p, q in zip(x, y))
 
 
-def _matches_reference(app, program, rt, depth, iterations):
-    """``rt`` reproduces the simulator executing the unfused graph."""
-    ref_rt = SimRuntime(program, REG, nodes=2, pipeline_depth=depth,
-                        max_iterations=iterations, execute=True)
-    assert not _pair_nodes(ref_rt.pg)
-    ref = ref_rt.run()
-    if app.startswith("jpip"):
-        assert set(_pair_nodes(rt.pg)) >= PAIRS
-    result = rt.run()
-    assert rt.reconfig_log == ref_rt.reconfig_log
-    _assert_same(_frames(ref, app), _frames(result, app))
+# -- bit-identity: every executor == the unfused reference ------------------
+
+
+def _matches_reference(spec, name, depth, iterations, *rows):
+    """``rows`` (``(backend, width, depth)``) reproduce the simulator
+    executing the unfused graph, and the one-worker run."""
+    assert_conforms(spec, iterations, ("sim", 2, depth), *rows, name=name)
 
 
 #: the build on every executor that fuses pairs; a process lease holds
 #: up to four jobs
 DEFAULT_BUILDS = {
-    "threaded-1": lambda p, **kw: ThreadedRuntime(p, REG, nodes=1, **kw),
-    "threaded-2": lambda p, **kw: ThreadedRuntime(p, REG, nodes=2, **kw),
-    "process-1-batch4": lambda p, **kw: ProcessRuntime(p, REG, workers=1,
-                                                        **kw),
-    "process-2-batch4": lambda p, **kw: ProcessRuntime(p, REG, workers=2,
-                                                        **kw),
+    "threaded-1": ("threaded", 1),
+    "threaded-2": ("threaded", 2),
+    "process-1-batch4": ("process", 1),
+    "process-2-batch4": ("process", 2),
 }
 
 
 @pytest.mark.parametrize("app", ["jpip", "jpip12", "blur"])
 @pytest.mark.parametrize("executor", sorted(DEFAULT_BUILDS))
 def test_default_build_matches_the_unfused_reference(executor, app):
-    program = make_program(_spec(app), name=app)
     # timer-toggled: one iteration in flight keeps the splice iteration
     # the same on every executor
     depth = 1 if app == "jpip12" else 2
-    rt = DEFAULT_BUILDS[executor](program, pipeline_depth=depth,
-                                  max_iterations=6)
-    _matches_reference(app, program, rt, depth, 6)
+    _matches_reference(_spec(app), app, depth, 6,
+                       (*DEFAULT_BUILDS[executor], depth))
 
 
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_threaded_fused_identical(app, nodes):
-    """Threads fuse pairs only: no build of theirs holds a chain node."""
-    program = make_program(_spec(app), name=app)
-    rt = ThreadedRuntime(program, REG, nodes=nodes, pipeline_depth=2,
-                         max_iterations=4)
-    assert not any(isinstance(n.payload, FusedChain) for n in rt.pg.graph)
-    _matches_reference(app, program, rt, 2, 4)
+    """Threads fuse pairs only: no build of theirs holds a chain node
+    (``test_each_executor_builds_its_own_graph``)."""
+    _matches_reference(_spec(app), app, 2, 4, ("threaded", nodes, 2))
 
 
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
@@ -301,12 +293,29 @@ def test_threaded_fused_identical(app, nodes):
 def test_process_fused_identical(app, workers):
     """Every process build runs the chain compiler, whatever its width
     (the width sets the compiler's parallel headroom)."""
-    program = make_program(_spec(app), name=app)
-    rt = ProcessRuntime(program, REG, workers=workers, pipeline_depth=2,
-                        max_iterations=4)
-    if app == "jpip":
-        assert any(isinstance(n.payload, FusedChain) for n in rt.pg.graph)
-    _matches_reference(app, program, rt, 2, 4)
+    _matches_reference(_spec(app), app, 2, 4, ("process", workers, 2))
+
+
+def test_each_executor_builds_its_own_graph():
+    """Threads and processes contract the source+decode pairs; the
+    simulator keeps the paper's unfused graph.  Only process builds hold
+    chain nodes, at any width (it sets the compiler's parallel headroom).
+    Their output is ``tests/test_conformance.py``'s."""
+    for app in ("pip", "blur", "jpip", "jpip12"):
+        program = make_program(_spec(app), name=app)
+        threads = [ThreadedRuntime(program, REG, nodes=n, max_iterations=1)
+                   for n in (1, 2)]
+        processes = [ProcessRuntime(program, REG, workers=w, max_iterations=1)
+                     for w in (1, 4)]
+        sim = SimRuntime(program, REG, nodes=2, max_iterations=1,
+                         execute=True)
+        assert not _pair_nodes(sim.pg)
+        for rt in threads + processes:
+            chains = [n for n in rt.pg.graph
+                      if isinstance(n.payload, FusedChain)]
+            assert bool(chains) == (rt in processes and app == "jpip")
+            if app.startswith("jpip"):
+                assert set(_pair_nodes(rt.pg)) == PAIRS
 
 
 def test_the_bitstream_inside_a_pair_is_never_written():
@@ -340,29 +349,18 @@ def test_fused_source_decode_skips_the_bitstream():
 # -- live reconfiguration ----------------------------------------------------
 
 
-def _fused_executors(program):
-    return [
-        ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                       max_iterations=6),
-        ProcessRuntime(program, REG, workers=2, pipeline_depth=1,
-                       max_iterations=6),
-    ]
+#: the fused process builds, one iteration in flight
+FUSED_EXECUTORS = (("process", 1, 1), ("process", 2, 1))
 
 
 def test_reconfigurable_blur_fused_matches_unfused():
     spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
                       slices=3, frames=2, collect=True)
-    program = make_program(spec, name="blur35")
-    for rt in _fused_executors(program):
-        _matches_reference("blur35", program, rt, 1, 6)
-        assert rt.reconfig_log
+    _matches_reference(spec, "blur35", 1, 6, *FUSED_EXECUTORS)
 
 
 def test_reconfigurable_jpip_fused_matches_unfused():
-    program = make_program(_spec("jpip12"), name="jpip12")
-    for rt in _fused_executors(program):
-        _matches_reference("jpip12", program, rt, 1, 6)
-        assert rt.reconfig_log
+    _matches_reference(_spec("jpip12"), "jpip12", 1, 6, *FUSED_EXECUTORS)
 
 
 # -- fault tolerance ---------------------------------------------------------

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core import AppBuilder, expand
 from repro.hinch import ThreadedRuntime
 from repro.hinch.grouping import group_linear_chains

@@ -5,7 +5,9 @@ or crossdep region whose classes all declare the ``writes_rows`` row
 contract keeps only copy 0, relabelled ``slice=(0, 1)``
 (:func:`repro.core.program.one_copy_regions`).  That Program must equal
 the spec expanded with those regions at ``n=1``, other regions and
-other executors must keep every copy, and the frames must not change.
+other executors must keep every copy, and the frames must not change:
+the one-worker digests are pinned here, and every-copy runs must equal
+the one-worker run (``tests/test_conformance.py``'s check).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.hinch.events import Event
 from repro.hinch.manager import ManagerRuntime
 from repro.spacecake import SimRuntime
 from tests.hinch.helpers import PORTS as TEST_PORTS, REGISTRY as TEST_REGISTRY
+from tests.test_conformance import assert_conforms
 
 REG = default_registry()
 SPECS = sorted((Path(__file__).resolve().parents[2] / "examples" / "specs")
@@ -285,13 +288,9 @@ def test_one_worker_output_is_pinned(name):
 
 @pytest.mark.parametrize("name", STATIC)
 def test_static_output_equals_every_copy_run(name):
-    build, iters, count, digest = PINNED[name]
-    program = make_program(build(), name=name)
-    for rt in (
-        ThreadedRuntime(program, REG, nodes=2, max_iterations=iters),
-        SimRuntime(program, REG, nodes=2, max_iterations=iters, execute=True),
-    ):
-        assert sink_digest(rt.run()) == (count, digest)
+    build, iters, _, _ = PINNED[name]
+    assert_conforms(build(), iters, ("threaded", 2, 5), ("sim", 2, 5),
+                    name=name)
 
 
 # -- what a run reports ----------------------------------------------------

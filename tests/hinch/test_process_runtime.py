@@ -1,17 +1,19 @@
-"""ProcessRuntime equivalence: bit-identical to the threaded backend.
+"""ProcessRuntime: the dispatcher, its control pipe and its workers.
 
 The process backend moves kernel execution to worker processes but keeps
 every semantic decision (readiness, load balancing, events,
 reconfiguration) on the dispatcher, so for each application the collected
 output must match the threaded runtime exactly — including across live
-reconfigurations.
+reconfigurations (``tests/test_conformance.py``'s check, on the rows
+named here).  Here too: its accounting, its protocol and its failure
+paths.
 """
 
 from __future__ import annotations
 
 import re
+import time
 
-import numpy as np
 import pytest
 
 from repro.apps import build_blur, build_jpip, build_pip, make_program
@@ -20,6 +22,7 @@ from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from tests.hinch.helpers import PORTS, REGISTRY
+from tests.test_conformance import assert_conforms
 
 REG = default_registry()
 
@@ -43,48 +46,20 @@ def run_process(spec, *, iters, workers=2, depth=2, name="app"):
 def test_pip_identical_frames(workers):
     spec = build_pip(1, width=64, height=48, factor=4, slices=2, frames=2,
                      collect=True)
-    thr = run_threaded(spec, iters=4)
-    prc = run_process(spec, iters=4, workers=workers)
-    a = thr.components["sink"].ordered_frames()
-    b = prc.components["sink"].ordered_frames()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert x == y
+    assert_conforms(spec, 4, ("threaded", 2, 2), ("process", workers, 2))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_blur5_identical_planes(workers):
     spec = build_blur(5, width=48, height=36, slices=3, frames=2,
                       collect=True)
-    thr = run_threaded(spec, iters=4)
-    prc = run_process(spec, iters=4, workers=workers)
-    a = thr.components["sink"].ordered_planes()
-    b = prc.components["sink"].ordered_planes()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert_conforms(spec, 4, ("threaded", 2, 2), ("process", workers, 2))
 
 
 def test_jpip_identical_frames():
     spec = build_jpip(1, width=64, height=48, pip_height=48, factor=4,
                       slices=3, frames=2, collect=True)
-    thr = run_threaded(spec, iters=3)
-    prc = run_process(spec, iters=3, workers=2)
-    a = thr.components["sink"].ordered_frames()
-    b = prc.components["sink"].ordered_frames()
-    assert len(a) == len(b) == 3
-    for x, y in zip(a, b):
-        assert x == y
-
-
-def test_stream_stats_match_threaded():
-    """The dispatcher's one-get-per-(copy, port) accounting reproduces the
-    threaded backend's stream counters exactly."""
-    spec = build_blur(5, width=48, height=36, slices=3, frames=2,
-                      collect=True)
-    thr = run_threaded(spec, iters=4)
-    prc = run_process(spec, iters=4, workers=2)
-    assert prc.stream_stats == thr.stream_stats
+    assert_conforms(spec, 3, ("threaded", 2, 2), ("process", 2, 2))
 
 
 # -- live reconfiguration ---------------------------------------------------
@@ -97,20 +72,7 @@ def test_reconfigurable_blur_matches_threaded_when_sequential():
     threaded backend at nodes=1."""
     spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
                       slices=3, frames=2, collect=True)
-    program = make_program(spec, name="blur35")
-    thr_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                             max_iterations=9)
-    thr = thr_rt.run()
-    prc_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                            max_iterations=9)
-    prc = prc_rt.run()
-    assert thr_rt.reconfig_log  # at least one live reconfiguration
-    assert prc_rt.reconfig_log == thr_rt.reconfig_log
-    a = thr.components["sink"].ordered_planes()
-    b = prc.components["sink"].ordered_planes()
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert_conforms(spec, 9, ("process", 1, 1), name="blur35")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -120,22 +82,21 @@ def test_preinjected_event_reconfigures_identically_at_any_width(workers):
     regardless of how many workers race on the task jobs."""
     spec = build_pip(2, width=64, height=48, factor=4, slices=2, frames=2,
                      reconfigurable=True, period=100, collect=True)
-    program = make_program(spec, name="pip2")
-    thr_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=2,
-                             max_iterations=6)
-    thr_rt.post_event("ui", "toggle_pip")
-    thr = thr_rt.run()
-    prc_rt = ProcessRuntime(program, REG, workers=workers, pipeline_depth=2,
-                            max_iterations=6)
-    prc_rt.post_event("ui", "toggle_pip")
-    prc = prc_rt.run()
-    assert thr_rt.reconfig_log  # the toggle produced a live reconfiguration
-    assert prc_rt.reconfig_log == thr_rt.reconfig_log
-    a = thr.components["sink"].ordered_frames()
-    b = prc.components["sink"].ordered_frames()
-    assert len(a) == len(b) == 6
-    for x, y in zip(a, b):
-        assert x == y
+    assert_conforms(spec, 6, ("process", workers, 2),
+                    post=("ui", "toggle_pip"), name="pip2")
+
+
+# -- accounting ---------------------------------------------------------------
+
+
+def test_stream_stats_match_threaded():
+    """The dispatcher's one-get-per-(copy, port) accounting reproduces the
+    threaded backend's stream counters exactly."""
+    spec = build_blur(5, width=48, height=36, slices=3, frames=2,
+                      collect=True)
+    thr = run_threaded(spec, iters=4)
+    prc = run_process(spec, iters=4, workers=2)
+    assert prc.stream_stats == thr.stream_stats
 
 
 def _request_then_enable_program():
@@ -381,9 +342,7 @@ def test_zero_iterations_completes_immediately():
     assert result.completed_iterations == 0
 
 
-def test_worker_exception_propagates():
-    """A component crash in a worker surfaces in the dispatcher as the
-    original exception, and shutdown still cleans up the pool."""
+def _exploding_blur():
     from repro.hinch.component import Component
 
     class Exploding(Component):
@@ -392,14 +351,36 @@ def test_worker_exception_propagates():
         def run(self, job):
             raise RuntimeError("kernel exploded")
 
-    registry = dict(REG)
-    registry["luma_source"] = Exploding
     spec = build_blur(3, width=48, height=36, slices=3, frames=1)
-    program = make_program(spec, name="blur")
-    rt = ProcessRuntime(program, registry, workers=2, max_iterations=2)
+    return ProcessRuntime(make_program(spec, name="blur"),
+                          {**REG, "luma_source": Exploding},
+                          workers=2, max_iterations=2)
+
+
+def test_worker_exception_propagates():
+    """A component crash in a worker surfaces in the dispatcher as the
+    original exception, and shutdown still cleans up the pool."""
+    rt = _exploding_blur()
     with pytest.raises(RuntimeError, match="kernel exploded"):
         rt.run()
     assert rt.pool.total_planes == 0
+
+
+def test_a_failed_run_ends_every_worker_at_once(monkeypatch):
+    """A worker closes the dispatcher pipe ends it inherits at fork, so an
+    idle one sees EOF as soon as a failed run closes them and exits by
+    itself: no join timeout, no SIGTERM."""
+    rt = _exploding_blur()
+    procs = []
+    spawn = rt._spawn_one
+    monkeypatch.setattr(rt, "_spawn_one", lambda slot: (
+        spawn(slot), procs.append(rt._procs[slot])))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="kernel exploded"):
+        rt.run()
+    assert time.perf_counter() - start < 1.0
+    assert [p.exitcode is not None and p.exitcode >= 0 for p in procs] == [
+        True, True]
 
 
 def test_worker_job_tables_do_not_outlive_the_job():
@@ -432,3 +413,54 @@ def test_worker_job_tables_do_not_outlive_the_job():
         assert follow[7] == {"snk": [(0, 3)]}  # the collector's checkpoint
     finally:
         worker.pool.close_attachments()
+
+
+_INTERRUPTED_CHILD = """
+from repro.apps import build_pip, make_program
+from repro.components.registry import default_registry
+from repro.hinch import ProcessRuntime
+spec = build_pip(1, width=64, height=48, factor=4, slices=2, frames=2)
+ProcessRuntime(make_program(spec, name="pip1"), default_registry(),
+               workers=2, max_iterations=10**6).run()
+"""
+
+
+def test_sigint_to_a_running_session_leaves_nothing_behind():
+    """Ctrl-C in a terminal signals the whole foreground group: the
+    dispatcher's ``finally`` still stops its workers and unlinks its
+    segments, so resource_tracker has nothing left to reap."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from benchmarks.e2e.hygiene import shm_entries, wait_session_gone
+
+    def mapped_segments() -> set[str]:
+        maps = Path(f"/proc/{child.pid}/maps").read_text()
+        return set(re.findall(r"/dev/shm/(psm_\w+)", maps))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_CHILD],
+                             env=env, stderr=subprocess.PIPE, text=True,
+                             start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not mapped_segments():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        # past the pool's warm-up: an interrupt between a segment's
+        # shm_open and its registration would leave that segment behind
+        time.sleep(0.5)
+        segments = mapped_segments()
+        os.killpg(child.pid, signal.SIGINT)
+        _, err = child.communicate(timeout=10)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert wait_session_gone(child.pid)
+    assert not segments & shm_entries()
+    assert "leaked shared_memory" not in err

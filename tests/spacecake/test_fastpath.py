@@ -138,17 +138,6 @@ def test_access_traffic_bit_identical_to_access_loop():
     assert cache_b._tile_clock == cache_u._tile_clock
 
 
-def test_access_range_is_the_single_entry_form():
-    cache_a = CacheModel(cores=2)
-    cache_b = CacheModel(cores=2)
-    ka: set = set()
-    kb: set = set()
-    a = cache_a.access_range(1, "s", 7, 3, 9, 128, True, 1.5, ka)
-    b = cache_b.access_traffic(1, 7, (("s", 3, 9, 128, True),), 1.5, kb)
-    assert a == b
-    assert ka == kb == {("s", 7, bucket) for bucket in range(3, 9)}
-
-
 def test_stall_enqueues_single_wakeup(registry):
     """N blocked dispatches during one splice window -> one heap event."""
     program = make_program(build_pip(1), name="fastpath-stall")
