@@ -18,7 +18,7 @@ test-fast:
 test-faults:
 	$(PYTHON) -m pytest tests/hinch/test_faults.py -q
 	PYTHONPATH=src $(PYTHON) -m repro run examples/specs/pip1.xml \
-		--backend process --workers 2 --inject-fault kill:1
+		--backend process --nodes 2 --inject-fault kill:1
 
 # Bounded differential fuzz (docs/fuzzing.md): replay the committed
 # shrunk regression cases, then run a fixed-seed campaign.  Failures
@@ -58,7 +58,7 @@ figures:
 	$(PYTHON) -m repro figures all
 
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done
+	for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
 
 clean:
 	rm -rf .pytest_cache benchmarks/e2e/out .benchmarks .hypothesis \

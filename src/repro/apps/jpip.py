@@ -223,7 +223,6 @@ def build_jpip(
     reconfigurable: bool = False,
     period: int = 12,
     collect: bool = False,
-    quality: int = 75,
     grouped_stages: bool = False,
 ) -> Spec:
     """Build the JPiP application spec (JPiP-12 with ``reconfigurable``).

@@ -179,17 +179,14 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
     """Up-front validation of ``run`` knob combinations.
 
     Catches the degenerate values that would otherwise reach the runtime
-    and fail obscurely (``--workers 0``) or hang
+    and fail obscurely (``--nodes 0``) or hang
     (``--pipeline-depth 0`` admits no iterations), and the silently
     ignored combinations (a process-only or sim-only flag on another
     backend).  Returns the error message, or ``None`` when the knobs are
     coherent.
     """
-    workers = args.workers if args.workers is not None else args.nodes
     if args.nodes < 1:
         return f"--nodes must be >= 1, got {args.nodes}"
-    if workers < 1:
-        return f"--workers must be >= 1, got {workers}"
     if args.iterations < 0:
         return f"--iterations must be >= 0, got {args.iterations}"
     if args.pipeline_depth < 1:
@@ -214,12 +211,6 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
                     f"{flag} applies to the process backend only; on "
                     f"--backend {args.backend} it would be silently ignored"
                 )
-    if args.workers is not None and args.backend == "sim":
-        return (
-            "--workers applies to the threaded and process backends only "
-            "(the simulator takes --nodes); on --backend sim it would be "
-            "silently ignored"
-        )
     if args.execute and args.backend != "sim":
         return (
             f"--execute applies to the sim backend only; on --backend "
@@ -245,20 +236,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _usage_error(str(exc))
     program = _load_program(args.spec)
     registry = default_registry()
-    workers = args.workers if args.workers is not None else args.nodes
     if args.backend == "threaded":
         from repro.hinch import ThreadedRuntime
 
         runtime = ThreadedRuntime(
             program,
             registry,
-            nodes=workers,
+            nodes=args.nodes,
             pipeline_depth=args.pipeline_depth,
             max_iterations=args.iterations,
         )
         result = runtime.run()
-        where = ("the calling thread" if workers == 1
-                 else f"{workers} worker threads")
+        where = ("the calling thread" if args.nodes == 1
+                 else f"{args.nodes} worker threads")
         print(
             f"completed {result.completed_iterations} iterations in "
             f"{result.elapsed_seconds:.3f}s on {where}; "
@@ -270,7 +260,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         runtime = ProcessRuntime(
             program,
             registry,
-            workers=workers,
+            workers=args.nodes,
             pipeline_depth=args.pipeline_depth,
             max_iterations=args.iterations,
             watchdog=args.watchdog,
@@ -286,7 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         print(
             f"completed {result.completed_iterations} iterations in "
-            f"{result.elapsed_seconds:.3f}s on {workers} worker process(es) "
+            f"{result.elapsed_seconds:.3f}s on {args.nodes} worker process(es) "
             f"({fps:.1f} frames/s); {result.reconfig_count} reconfiguration(s)"
         )
         if result.fault_events:
@@ -523,10 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--backend", choices=("threaded", "process", "sim"),
                    default="threaded")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None,
-                   help="threaded/process backends: worker count "
-                        "(default: --nodes)")
+    p.add_argument("--nodes", type=int, default=1,
+                   help="worker threads, worker processes or simulated "
+                        "nodes, by backend")
     p.add_argument("--iterations", type=int, default=16)
     p.add_argument("--pipeline-depth", type=int, default=5)
     p.add_argument("--execute", action="store_true",

@@ -20,11 +20,11 @@ import numpy as np
 
 from repro.components import filters
 from repro.components.streaming import (
-    COLLECT, DIM, FRAMES, SEED, _instance_rows, _slice_fraction,
+    COLLECT, DIM, FRAMES, SEED, _slice_fraction,
 )
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
-from repro.hinch.component import Component, JobContext
+from repro.hinch.component import Component, JobContext, row_span
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
 __all__ = [
@@ -114,8 +114,8 @@ class BandFilter(Component):
 
     ``taps`` picks the kernel: ``smooth`` (low-pass ``[1,2,1]/4``) or
     ``diff`` (edge/onset ``[-1,2,-1]``, energy-preserving clip).  Each
-    sliced copy filters only its channel rows; the row-range contracts
-    below make sliced chains fusable exactly like the video filters.
+    sliced copy filters only its channel rows; the row contract makes
+    sliced chains fusable exactly like the video filters.
     """
 
     #: ``taps`` value -> FIR coefficients
@@ -134,8 +134,7 @@ class BandFilter(Component):
         },
     )
     CYCLES_PER_SAMPLE = 3.0  # 3 multiply-accumulates
-
-    slice: tuple[int, int] | None
+    row_contract = True
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -151,26 +150,16 @@ class BandFilter(Component):
         )
 
     @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "output":
-            return _instance_rows(instance, height)
-        return super().writes_rows(instance, port, height)
-
-    @classmethod
     def reads_rows(
         cls, instance: ComponentInstance, port: str, height: int
     ) -> tuple[int, int] | None:
         if port == "input":
-            return _instance_rows(instance, height)
+            return row_span(instance.slice, height)
         return super().reads_rows(instance, port, height)
 
     def configure(self) -> None:
         self._kernel = self.KERNELS[self.params["taps"]]
-        channels = self.params["channels"]
-        self.span = (0, channels) if self.slice is None else (
-            filters.slice_rows(channels, *self.slice))
+        self.span = self.rows(self.params["channels"])
 
     def run(self, job: JobContext) -> None:
         samples: np.ndarray = job.read("input")

@@ -22,17 +22,7 @@ __all__ = [
     "gaussian_kernel_1d",
     "blur_plane_horizontal",
     "blur_plane_vertical",
-    "slice_rows",
 ]
-
-
-def slice_rows(height: int, index: int, total: int) -> tuple[int, int]:
-    """Row range [lo, hi) of horizontal slice ``index`` out of ``total``."""
-    if not 0 <= index < total:
-        raise ComponentError(f"slice index {index} out of range 0..{total - 1}")
-    lo = index * height // total
-    hi = (index + 1) * height // total
-    return lo, hi
 
 
 def downscale_plane(

@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.components.filters import slice_rows
 from repro.components.streaming import DIM, GEOMETRY, NAME
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
@@ -126,8 +125,7 @@ class _KernelSkeleton(Component):
             k: v for k, v in params.items() if k not in _RESERVED
         }
         self.halo = params.get("halo")  # stencils only
-        index, total = self.slice or (0, 1)
-        self.span = slice_rows(params["height"], index, total)
+        self.span = self.rows(params["height"])
 
 
 class MapPlane(_KernelSkeleton):
@@ -160,7 +158,7 @@ class MapPlane(_KernelSkeleton):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        out = job.buffer("output", lambda: np.empty_like(src))
+        out = job.buffer("output", shape=src.shape, dtype=src.dtype)
         lo, hi = self.span
         out[lo:hi] = self._fn(src[lo:hi], **self._kwargs)
 
@@ -203,7 +201,7 @@ class StencilPlane(_KernelSkeleton):
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         halo = self.halo
-        out = job.buffer("output", lambda: np.empty_like(src))
+        out = job.buffer("output", shape=src.shape, dtype=src.dtype)
         h = src.shape[0]
         lo, hi = self.span
         top = src[max(lo - halo, 0):lo]

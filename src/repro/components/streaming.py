@@ -32,7 +32,7 @@ from repro.components.video import Frame, synthetic_frame
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError
-from repro.hinch.component import Component, JobContext
+from repro.hinch.component import Component, JobContext, row_span
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
 __all__ = [
@@ -97,49 +97,6 @@ def _slice_fraction(instance: ComponentInstance) -> float:
     if instance.slice is None:
         return 1.0
     return 1.0 / instance.slice[1]
-
-
-class _SlicedMixin:
-    """Helper for components operating on a horizontal slice of rows.
-
-    ``configure`` stores :meth:`rows` of the plane it writes as ``span``;
-    ``run`` reads that instead of re-deriving it per job.
-    """
-
-    slice: tuple[int, int] | None
-    span: tuple[int, int]
-
-    def rows(self, height: int, *, block: int = 1) -> tuple[int, int]:
-        """This copy's row range over ``height`` rows, ``block``-aligned."""
-        if self.slice is None:
-            return 0, height
-        index, total = self.slice
-        if height % block:
-            raise ComponentError(
-                f"height {height} not divisible by block {block}"
-            )
-        units = height // block
-        lo, hi = filters.slice_rows(units, index, total)
-        return lo * block, hi * block
-
-
-def _instance_rows(
-    instance: ComponentInstance, height: int, *, block: int = 1
-) -> tuple[int, int] | None:
-    """Build-time twin of :meth:`_SlicedMixin.rows` over a descriptor.
-
-    Used by the ``writes_rows``/``reads_rows`` access contracts, which the
-    chain-fusion compiler evaluates before any component object exists.
-    Returns ``None`` instead of raising when the height does not divide.
-    """
-    if instance.slice is None:
-        return 0, height
-    if height % block:
-        return None
-    index, total = instance.slice
-    units = height // block
-    lo, hi = filters.slice_rows(units, index, total)
-    return lo * block, hi * block
 
 
 def _placement(component: Component) -> tuple[tuple[int, int], float]:
@@ -441,7 +398,7 @@ class JpegDecode(Component):
         return kernel
 
 
-class IdctField(Component, _SlicedMixin):
+class IdctField(Component):
     """IDCT of one field; data-parallel over block-aligned row slices."""
 
     ports = PortSpec(
@@ -455,6 +412,7 @@ class IdctField(Component, _SlicedMixin):
         },
     )
     CYCLES_PER_PIXEL = 10.0  # 8x8 IDCT amortized per pixel
+    row_contract = True
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -469,16 +427,8 @@ class IdctField(Component, _SlicedMixin):
             ),
         )
 
-    @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "output":
-            return _instance_rows(instance, height, block=8)
-        return super().writes_rows(instance, port, height)
-
     def configure(self) -> None:
-        self.span = self.rows(self.params["height"], block=8)
+        self.span = self.rows(self.params["height"])
 
     def run(self, job: JobContext) -> None:
         coeffs: jpeg_codec.PlaneCoefficients = job.read("coeffs")
@@ -493,7 +443,7 @@ class IdctField(Component, _SlicedMixin):
 # ---------------------------------------------------------------------------
 
 
-class DownscaleField(Component, _SlicedMixin):
+class DownscaleField(Component):
     """Spatial down scaler of one plane (paper Fig. 2's example)."""
 
     ports = PortSpec(
@@ -507,6 +457,7 @@ class DownscaleField(Component, _SlicedMixin):
         },
     )
     CYCLES_PER_INPUT_PIXEL = 3.0  # box accumulate + divide
+    row_contract = True
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -524,14 +475,6 @@ class DownscaleField(Component, _SlicedMixin):
         )
 
     @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "output":
-            return _instance_rows(instance, height)
-        return super().writes_rows(instance, port, height)
-
-    @classmethod
     def reads_rows(
         cls, instance: ComponentInstance, port: str, height: int
     ) -> tuple[int, int] | None:
@@ -539,7 +482,7 @@ class DownscaleField(Component, _SlicedMixin):
             # The box filter reads exactly the input band that maps onto
             # this copy's output rows: [lo*factor, hi*factor).
             factor = instance.params["factor"]
-            span = _instance_rows(instance, height // factor)
+            span = row_span(instance.slice, height // factor)
             if span is None:
                 return None
             return span[0] * factor, span[1] * factor
@@ -558,7 +501,7 @@ class DownscaleField(Component, _SlicedMixin):
         filters.downscale_plane(src, factor, out=out, rows=self.span)
 
 
-class BlendField(Component, _SlicedMixin):
+class BlendField(Component):
     """Picture-in-picture blender for one plane.
 
     Supports the paper's example reconfiguration: "a picture-in-picture
@@ -580,6 +523,7 @@ class BlendField(Component, _SlicedMixin):
         },
     )
     CYCLES_PER_PIXEL = 1.5  # copy + conditional overlay write
+    row_contract = True
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -600,21 +544,13 @@ class BlendField(Component, _SlicedMixin):
         )
 
     @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "output":
-            return _instance_rows(instance, height)
-        return super().writes_rows(instance, port, height)
-
-    @classmethod
     def reads_rows(
         cls, instance: ComponentInstance, port: str, height: int
     ) -> tuple[int, int] | None:
         if port == "background":
             # blend_plane copies background[lo:hi] and overlays only the
             # intersection with that band — the slice reads nothing else.
-            return _instance_rows(instance, height)
+            return row_span(instance.slice, height)
         # The overlay lands at a reconfigurable position: a sliced copy may
         # read any of its rows, so no contract (fusion keeps it external).
         return super().reads_rows(instance, port, height)
@@ -631,7 +567,7 @@ class BlendField(Component, _SlicedMixin):
                             rows=self.span, alpha=self.alpha)
 
 
-class ConvertPlane(Component, _SlicedMixin):
+class ConvertPlane(Component):
     """Dtype bridge between mismatched plane formats (X504's named fix).
 
     Casts its input plane to the ``dtype`` parameter, optionally
@@ -652,6 +588,7 @@ class ConvertPlane(Component, _SlicedMixin):
         },
     )
     CYCLES_PER_PIXEL = 1.0  # cast + optional multiply
+    row_contract = True
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -667,19 +604,11 @@ class ConvertPlane(Component, _SlicedMixin):
         )
 
     @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "output":
-            return _instance_rows(instance, height)
-        return super().writes_rows(instance, port, height)
-
-    @classmethod
     def reads_rows(
         cls, instance: ComponentInstance, port: str, height: int
     ) -> tuple[int, int] | None:
         if port == "input":
-            return _instance_rows(instance, height)
+            return row_span(instance.slice, height)
         return super().reads_rows(instance, port, height)
 
     def configure(self) -> None:
@@ -700,7 +629,7 @@ class ConvertPlane(Component, _SlicedMixin):
         np.copyto(out[lo:hi], view, casting="unsafe")
 
 
-class _BlurBase(Component, _SlicedMixin):
+class _BlurBase(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
@@ -712,6 +641,7 @@ class _BlurBase(Component, _SlicedMixin):
         },
     )
     CYCLES_PER_TAP_PIXEL = 2.0  # multiply-accumulate per kernel tap
+    row_contract = True
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -735,14 +665,6 @@ class _BlurBase(Component, _SlicedMixin):
                                                   params["sigma"])
         self.span = self.rows(params["height"])
 
-    @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "output":
-            return _instance_rows(instance, height)
-        return super().writes_rows(instance, port, height)
-
 
 class BlurHField(_BlurBase):
     """Horizontal phase of the separable Gaussian blur."""
@@ -754,7 +676,7 @@ class BlurHField(_BlurBase):
         # Horizontal taps stay within the row; only the vertical phase
         # reads a halo (and therefore inherits the None default).
         if port == "input":
-            return _instance_rows(instance, height)
+            return row_span(instance.slice, height)
         return super().reads_rows(instance, port, height)
 
     def run(self, job: JobContext) -> None:

@@ -14,10 +14,12 @@ the abstraction requirement of paper §2.3.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from numpy import ndarray
 
+from repro.core.formats import parse_format
 from repro.core.parser import parse_value
 from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
@@ -25,7 +27,28 @@ from repro.errors import ComponentError
 from repro.hinch.events import Event, EventBroker
 from repro.hinch.stream import Stream, StreamStore
 
-__all__ = ["Component", "JobContext"]
+__all__ = ["Component", "JobContext", "row_span"]
+
+
+def row_span(
+    assignment: tuple[int, int] | None, height: int, block: int = 1
+) -> tuple[int, int] | None:
+    """Rows ``[lo, hi)`` that copy ``assignment = (index, n)`` covers.
+
+    The ``height`` rows are cut into ``n`` near-equal runs of whole
+    ``block``-row units; an unsliced copy (``None``) covers them all.
+    ``None`` when ``height`` is not a whole number of blocks.
+    """
+    if assignment is None:
+        return 0, height
+    if height % block:
+        return None
+    index, total = assignment
+    if not 0 <= index < total:
+        raise ComponentError(
+            f"slice index {index} out of range 0..{total - 1}")
+    units = height // block
+    return index * units // total * block, (index + 1) * units // total * block
 
 
 class Component:
@@ -48,11 +71,32 @@ class Component:
 
     ports: PortSpec = PortSpec()
 
+    #: The row contract: copy *i* of a data-parallel region writes only
+    #: :meth:`rows` of its outputs, and the copies differ only in the rows
+    #: they cover, so one copy with ``slice=(0, 1)`` computes what all
+    #: *n* do.  :meth:`writes_rows` reports those spans to the chain
+    #: compiler, and the inline executor (``ThreadedRuntime(nodes=1)``)
+    #: runs a region whose classes all set it as that one copy
+    #: (:func:`~repro.core.program.one_copy_regions`).
+    row_contract: bool = False
+    #: Rows per unit a copy's span is aligned to: the ``block=`` term of
+    #: the output formats (their least common multiple), 1 without one.
+    #: Read from :attr:`ports` when the class is created.
+    row_block: int = 1
+
     #: When True, the SpaceCAKE simulator executes this component even in
     #: cost-only mode (no functional data).  Set it on lightweight control
     #: components (event timers) whose *behaviour* — not data — drives the
     #: experiment; such components must tolerate streams carrying nothing.
     always_execute: bool = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        formats = cls.ports.formats
+        cls.row_block = math.lcm(*(
+            parse_format(formats[port]).block or 1
+            for port in cls.ports.outputs if port in formats
+        ))
 
     @classmethod
     def writes_rows(
@@ -64,16 +108,12 @@ class Component:
         access contract to prove that a sliced consumer only reads rows
         its paired producer copy wrote, so the intermediate plane can
         stay a worker-local temporary.  Unsliced copies write the whole
-        plane; sliced copies default to ``None`` (unknown), which makes
-        fusion refuse — override for components with a provable span.
-
-        Overriding it also promises that the copies of a region differ
-        only in the rows they cover: one copy with ``slice=(0, 1)``
-        computes what all *n* do.  The inline executor
-        (``ThreadedRuntime(nodes=1)``) relies on that and runs a region
-        whose classes all override it as that one copy
-        (:func:`~repro.core.program.one_copy_regions`).
+        plane; a :attr:`row_contract` class's copies write
+        :func:`row_span` of its outputs; any other sliced copy is
+        ``None`` (unknown), which makes fusion refuse.
         """
+        if cls.row_contract and port in cls.ports.outputs:
+            return row_span(instance.slice, height, cls.row_block)
         if instance.slice is None:
             return (0, height)
         return None
@@ -133,6 +173,18 @@ class Component:
         #: it (the paper's reconfiguration interface for slice assignment).
         self.slice = instance.slice
         self.configure()
+
+    def rows(self, height: int) -> tuple[int, int]:
+        """This copy's rows ``[lo, hi)`` of a ``height``-row output plane.
+
+        :func:`row_span` of :attr:`slice` in :attr:`row_block` units;
+        :meth:`configure` stores it for :meth:`run`.
+        """
+        span = row_span(self.slice, height, self.row_block)
+        if span is None:
+            raise ComponentError(
+                f"height {height} not divisible by block {self.row_block}")
+        return span
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -299,19 +351,17 @@ class JobContext:
     def buffer(
         self,
         port: str,
-        factory: Callable[[], Any] | None = None,
         *,
-        shape: tuple[int, ...] | None = None,
+        shape: tuple[int, ...],
         dtype: Any = None,
     ) -> Any:
         """Get the shared output buffer for a sliced writer.
 
         The first copy to arrive allocates; every copy then fills its own
-        region in place.  Prefer ``shape``/``dtype`` over ``factory`` —
-        a declared geometry lets the stream reuse a buffer released by
-        an earlier iteration (and, on the process backend, place it
-        directly in shared memory so slice copies on different cores
-        write the same plane).  With ``shape`` and no ``dtype``, a
+        region in place.  The declared geometry lets the stream reuse a
+        buffer released by an earlier iteration (and, on the process
+        backend, place it directly in shared memory so slice copies on
+        different cores write the same plane).  Without a ``dtype``, a
         stream whose format is solved allocates the solved dtype.
         """
         try:
@@ -322,10 +372,10 @@ class JobContext:
         if slots is not None and iteration in stream._buffers:
             # A later slice copy whose request is literally the slot and
             # the solved format (a dtype also equals None, so one must be
-            # named), or a factory request, which nothing checks.
+            # named).
             buf = slots[iteration]
             expected = stream.expected
-            if shape is None or (
+            if (
                 dtype is not None
                 and type(buf) is ndarray
                 and shape == buf.shape
@@ -336,7 +386,7 @@ class JobContext:
                 stream._writes += 1
                 return buf
         return stream.ensure_buffer(
-            iteration, factory, shape=shape, dtype=dtype,
+            iteration, shape=shape, dtype=dtype,
             writer=self.instance.instance_id,
         )
 

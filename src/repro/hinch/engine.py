@@ -326,11 +326,6 @@ class ComponentHost:
         return added, removed
 
 
-def _declares_rows(cls: type[Component]) -> bool:
-    """Does ``cls`` override the default (unknown) row contract?"""
-    return cls.writes_rows.__func__ is not Component.writes_rows.__func__
-
-
 class Coordinator:
     """Graph, managers and the reconfiguration protocol of one running Program.
 
@@ -362,8 +357,8 @@ class Coordinator:
     #: group linear chains (§4.1); only the simulator's ablation does
     group_chains = False
     #: build from :func:`~repro.core.program.one_copy_regions`: a
-    #: data-parallel region whose classes all declare a row contract
-    #: (:meth:`Component.writes_rows`) runs as one full-span copy.  Only
+    #: data-parallel region whose classes all set
+    #: :attr:`Component.row_contract` runs as one full-span copy.  Only
     #: the inline executor does: its copies would run one after another,
     #: each paying a job; elsewhere they are the parallelism, or, in the
     #: simulator, what the paper's figures model
@@ -384,7 +379,7 @@ class Coordinator:
     ) -> None:
         if self.one_copy:
             program = one_copy_regions(
-                program, lambda name: _declares_rows(registry[name]))
+                program, lambda name: registry[name].row_contract)
         self.program = program
         self.registry = registry
         self.pipeline_depth = pipeline_depth

@@ -26,15 +26,15 @@ __all__ = [
     "EventQueue",
     "EventBroker",
     "EventStormWarning",
-    "DEFAULT_HIGH_WATER",
+    "HIGH_WATER",
 ]
 
-#: default per-queue pending-event count that triggers a storm warning.
-#: Normal applications hold a handful of events between manager polls;
+#: per-queue pending-event count that triggers a storm warning.  Normal
+#: applications hold a handful of events between manager polls;
 #: thousands pending means nobody is polling the queue, or a forward
 #: loop between managers is amplifying events (lint X405 catches the
 #: statically visible case).
-DEFAULT_HIGH_WATER = 10_000
+HIGH_WATER = 10_000
 
 
 class EventStormWarning(RuntimeWarning):
@@ -60,24 +60,17 @@ class EventQueue:
     """Thread-safe FIFO of events.
 
     The queue is unbounded by design (posting must never block a
-    component), but it *watches* its own depth: crossing ``high_water``
-    pending events between polls emits an :class:`EventStormWarning`, and
-    the threshold doubles after each warning so a runaway storm logs
-    O(log n) warnings instead of one per post.  Draining the queue
-    (:meth:`poll`) re-arms the original threshold.  Pass
-    ``high_water=None`` to disable the check.
+    component), but it *watches* its own depth: crossing
+    :data:`HIGH_WATER` pending events between polls emits an
+    :class:`EventStormWarning`, and the threshold doubles after each
+    warning so a runaway storm logs O(log n) warnings instead of one per
+    post.  Draining the queue (:meth:`poll`) re-arms the original
+    threshold.
     """
 
-    def __init__(
-        self, name: str, *, high_water: int | None = DEFAULT_HIGH_WATER
-    ) -> None:
-        if high_water is not None and high_water < 1:
-            raise EventError(
-                f"event queue high_water must be >= 1 or None, got {high_water}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.high_water = high_water
-        self._warn_at = high_water
+        self._warn_at = HIGH_WATER
         self._lock = threading.Lock()
         self._items: list[Event] = []
         self._posted = 0
@@ -87,13 +80,13 @@ class EventQueue:
         with self._lock:
             self._items.append(event)
             self._posted += 1
-            if self._warn_at is not None and len(self._items) >= self._warn_at:
+            if len(self._items) >= self._warn_at:
                 warn_depth = len(self._items)
                 self._warn_at *= 2
         if warn_depth is not None:
             warnings.warn(
                 f"event queue {self.name!r} holds {warn_depth} undelivered "
-                f"events (high-water {self.high_water}): no manager is "
+                f"events (high-water {HIGH_WATER}): no manager is "
                 "polling it, or a manager forward loop is amplifying events "
                 "(lint X405 detects the static case)",
                 EventStormWarning,
@@ -104,7 +97,7 @@ class EventQueue:
         """Drain and return all pending events (oldest first)."""
         with self._lock:
             items, self._items = self._items, []
-            self._warn_at = self.high_water
+            self._warn_at = HIGH_WATER
         return items
 
     def peek_count(self) -> int:
@@ -129,10 +122,9 @@ class EventBroker:
     queues.
     """
 
-    def __init__(self, *, high_water: int | None = DEFAULT_HIGH_WATER) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._queues: dict[str, EventQueue] = {}
-        self._high_water = high_water
 
     def queue(self, name: str) -> EventQueue:
         if not name:
@@ -140,7 +132,7 @@ class EventBroker:
         with self._lock:
             queue = self._queues.get(name)
             if queue is None:
-                queue = EventQueue(name, high_water=self._high_water)
+                queue = EventQueue(name)
                 self._queues[name] = queue
             return queue
 

@@ -56,7 +56,8 @@ costs calls per job and loses at two threads (docs/performance.md,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from inspect import getattr_static
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -98,13 +99,17 @@ def peephole_classes(
     program: Program, registry: Mapping[str, type[Component]]
 ) -> frozenset[str]:
     """Names of the classes in ``program`` that offer a pair kernel."""
-    default = Component.compile_fused_pair.__func__
     names = {i.class_name for i in program.components.values()}
     return frozenset(
         name for name in names
-        if name in registry
-        and registry[name].compile_fused_pair.__func__ is not default
+        if name in registry and _offers_pair_kernel(registry[name])
     )
+
+
+def _offers_pair_kernel(cls: type[Component]) -> bool:
+    """Does ``cls`` override :meth:`Component.compile_fused_pair`?"""
+    return (getattr_static(cls, "compile_fused_pair")
+            is not vars(Component)["compile_fused_pair"])
 
 
 def _feeds_only(
@@ -314,12 +319,7 @@ def _approve_stream(
         return "slice copies do not cover 0..n-1"
     if parallel_headroom is not None and parallel_headroom > n:
         r_cls0 = registry.get(reader_insts[0].class_name)
-        peephole = (
-            r_cls0 is not None
-            and r_cls0.compile_fused_pair.__func__
-            is not Component.compile_fused_pair.__func__
-        )
-        if not peephole:
+        if r_cls0 is None or not _offers_pair_kernel(r_cls0):
             return (
                 f"unprofitable: {n} slice copies under "
                 f"{parallel_headroom}-way parallel headroom — unfused "
@@ -592,9 +592,8 @@ class _LocalStream:
     def ensure_buffer(
         self,
         iteration: int,
-        factory: Callable[[], Any] | None = None,
         *,
-        shape: tuple[int, ...] | None = None,
+        shape: tuple[int, ...],
         dtype: Any = None,
         writer: str | None = None,
     ) -> Any:
@@ -602,20 +601,10 @@ class _LocalStream:
         if buf is not _MISSING:
             return buf
         expected = self._store.internal.get(self._name)
-        if expected is not None and shape is not None:
+        if expected is not None:
             check_geometry(self._name, iteration, writer, shape, dtype,
                            expected, AGAINST_FORMAT)
-        if shape is None and expected is not None:
-            shape, dtype = expected
-        if shape is not None:
-            buf = self._store.temp(self._name, tuple(shape), dtype)
-        elif factory is not None:
-            buf = factory()
-        else:
-            raise StreamError(
-                f"fused stream {self._name!r}: ensure_buffer needs a "
-                "factory or a shape"
-            )
+        buf = self._store.temp(self._name, tuple(shape), dtype)
         self._store.slots[self._name] = buf
         return buf
 

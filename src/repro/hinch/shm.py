@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import signal
 from dataclasses import dataclass
 from typing import Any
 
@@ -246,16 +247,25 @@ class SharedPlanePool:
     def _create(self, bucket: int) -> str:
         self._seq += 1
         self.stats.planes_created += 1
-        if self.shared:
-            from multiprocessing import shared_memory
-
-            seg = shared_memory.SharedMemory(create=True, size=bucket)
-            name = seg.name
-        else:
-            seg = bytearray(bucket)
+        if not self.shared:
             name = f"{self.name_prefix}-{self._seq}"
-        self._segments[name] = (seg, bucket)
-        return name
+            self._segments[name] = (bytearray(bucket), bucket)
+            return name
+        from multiprocessing import resource_tracker, shared_memory
+
+        # An interrupt between shm_open and the record below would leave
+        # a segment neither the pool nor the tracker knows, so SIGINT and
+        # SIGTERM wait until the segment is recorded.  The tracker starts
+        # first: starting it unblocks both signals.
+        resource_tracker.ensure_running()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                      {signal.SIGINT, signal.SIGTERM})
+        try:
+            seg = shared_memory.SharedMemory(create=True, size=bucket)
+            self._segments[seg.name] = (seg, bucket)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return seg.name
 
     @staticmethod
     def _attach(name: str):

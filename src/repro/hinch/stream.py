@@ -209,11 +209,13 @@ class Stream:
         buffer is mutated in place (each copy fills its region), so the
         slot is immediately visible — ordering is the scheduler's job.
 
-        Writers that know their output geometry pass ``shape``/``dtype``,
-        which lets the stream reuse a released buffer of that geometry;
-        ``factory`` is the fallback for arbitrary buffers (always a fresh
-        allocation, never recycled).  A ``shape`` without ``dtype`` gets
-        the solved format's dtype when there is one.
+        Jobs pass ``shape``/``dtype`` (through :meth:`JobContext.buffer
+        <repro.hinch.component.JobContext.buffer>`), which lets the
+        stream reuse a released buffer of that geometry.  A ``shape``
+        without ``dtype`` gets the solved format's dtype when there is
+        one.  ``factory`` makes a buffer that is never recycled; its one
+        caller is the process dispatcher's ``_ensure_slot``, whose slot is
+        a packed shared-memory plane.
 
         Every call after the first is validated against the existing
         allocation: slice copies disagreeing on geometry would otherwise

@@ -190,9 +190,8 @@ class _WorkerStream:
     def ensure_buffer(
         self,
         iteration: int,
-        factory: Any = None,
         *,
-        shape: tuple[int, ...] | None = None,
+        shape: tuple[int, ...],
         dtype: Any = None,
         writer: str | None = None,
     ) -> Any:
@@ -200,21 +199,10 @@ class _WorkerStream:
         if dtype is None and self.name in ws.worker.expectations:
             dtype = ws.worker.expectations[self.name][1]  # as Stream does
         buf = ws.ensured.get(self.name)
-        if buf is not None and shape is not None:
+        if buf is not None:
             check_geometry(self.name, iteration, ws.worker.current_node,
                            shape, dtype, (buf.shape, buf.dtype), AGAINST_SLOT)
-        if buf is None:
-            if shape is None:
-                # Legacy factory path: use the factory's array purely as
-                # a geometry prototype — the actual buffer must be the
-                # shared plane every slice copy maps.
-                proto = factory()
-                if not isinstance(proto, np.ndarray):
-                    raise StreamError(
-                        f"stream {self.name!r}: the process backend needs "
-                        "ndarray buffers (pass shape=/dtype= to job.buffer)"
-                    )
-                shape, dtype = proto.shape, proto.dtype
+        else:
             ref: PlaneRef = ws.worker.rpc(
                 ("rpc_ensure", ws.worker.current_node, self.name, iteration,
                  tuple(shape), np.dtype(dtype).str)

@@ -12,10 +12,10 @@ from repro.components.filters import (
     blur_plane_vertical,
     downscale_plane,
     gaussian_kernel_1d,
-    slice_rows,
 )
 from repro.components.video import Frame, VideoClip, psnr, synthetic_clip
 from repro.errors import ComponentError
+from repro.hinch.component import row_span
 
 
 # -- frames ---------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_psnr_degrades_with_noise():
 
 
 def test_slice_rows_partition():
-    rows = [slice_rows(100, i, 7) for i in range(7)]
+    rows = [row_span((i, 7), 100) for i in range(7)]
     assert rows[0][0] == 0
     assert rows[-1][1] == 100
     for (a, b), (c, d) in zip(rows, rows[1:]):
@@ -102,7 +102,7 @@ def test_slice_rows_partition():
 
 def test_slice_rows_out_of_range():
     with pytest.raises(ComponentError):
-        slice_rows(100, 7, 7)
+        row_span((7, 7), 100)
 
 
 # -- downscale ---------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_downscale_sliced_equals_whole():
     whole = downscale_plane(plane, 4)
     out = np.zeros_like(whole)
     for i in range(4):
-        downscale_plane(plane, 4, out=out, rows=slice_rows(16, i, 4))
+        downscale_plane(plane, 4, out=out, rows=row_span((i, 4), 16))
     assert np.array_equal(out, whole)
 
 
@@ -177,7 +177,7 @@ def test_blend_sliced_equals_whole():
     whole = blend_plane(bg, ov, (5, 9))
     out = np.zeros_like(bg)
     for i in range(5):
-        blend_plane(bg, ov, (5, 9), out=out, rows=slice_rows(32, i, 5))
+        blend_plane(bg, ov, (5, 9), out=out, rows=row_span((i, 5), 32))
     assert np.array_equal(out, whole)
 
 
@@ -241,10 +241,10 @@ def test_prop_sliced_blur_equals_whole(n, size, seed):
     whole = blur_plane_vertical(blur_plane_horizontal(plane, k), k)
     mid = np.zeros_like(plane)
     for i in range(n):
-        blur_plane_horizontal(plane, k, out=mid, rows=slice_rows(48, i, n))
+        blur_plane_horizontal(plane, k, out=mid, rows=row_span((i, n), 48))
     out = np.zeros_like(plane)
     for i in range(n):
-        blur_plane_vertical(mid, k, out=out, rows=slice_rows(48, i, n))
+        blur_plane_vertical(mid, k, out=out, rows=row_span((i, n), 48))
     assert np.array_equal(out, whole)
 
 

@@ -50,7 +50,11 @@ class Adder(Component):
 
 
 class Collector(Component):
-    """Sink that appends every received value to ``self.values``."""
+    """Sink that appends every received value to ``self.values``.
+
+    Arrays are copied: a stream recycles its buffers once their iteration
+    retires, and a collecting sink keeps what it read (DESIGN.md §6).
+    """
 
     ports = PortSpec(inputs=("input",))
 
@@ -61,6 +65,8 @@ class Collector(Component):
 
     def run(self, job: JobContext) -> None:
         value = job.read("input")
+        if isinstance(value, np.ndarray):
+            value = value.copy()
         with self._lock:
             # Iterations complete in order but jobs may run out of order
             # across iterations; store (iteration, value) and sort later.
@@ -101,7 +107,7 @@ class SliceScaler(Component):
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
-        out = job.buffer("output", lambda: np.empty_like(data))
+        out = job.buffer("output", shape=data.shape, dtype=data.dtype)
         index, total = self.slice if self.slice else (0, 1)
         n = len(data)
         lo = index * n // total
@@ -116,7 +122,7 @@ class HaloSmoother(Component):
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
-        out = job.buffer("output", lambda: np.empty_like(data))
+        out = job.buffer("output", shape=data.shape, dtype=data.dtype)
         index, total = self.slice if self.slice else (0, 1)
         n = len(data)
         lo = index * n // total

@@ -29,7 +29,7 @@ from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.core.ports import Param, PortSpec
 from repro.hinch import ThreadedRuntime
-from repro.hinch.component import Component, JobContext
+from repro.hinch.component import Component, JobContext, row_span
 from repro.hinch.stream import LockedStream, Stream
 
 PACKAGE = str(Path(repro.__file__).parent) + "/"
@@ -273,7 +273,7 @@ DERIVATIONS = {
     PortSpec.bind.__code__: "bind",
     Param.coerce.__code__: "coerce",
     skeletons.kernel.__code__: "kernel",
-    filters.slice_rows.__code__: "slice_rows",
+    row_span.__code__: "row_span",
     # the kernel body, behind its per-(size, sigma) cache
     getattr(filters.gaussian_kernel_1d, "__wrapped__",
             filters.gaussian_kernel_1d).__code__: "gaussian_kernel_1d",

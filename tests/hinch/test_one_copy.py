@@ -1,8 +1,8 @@
 """One worker runs one copy.
 
 ``ThreadedRuntime(nodes=1)`` builds from a Program in which every slice
-or crossdep region whose classes all declare the ``writes_rows`` row
-contract keeps only copy 0, relabelled ``slice=(0, 1)``
+or crossdep region whose classes all set ``row_contract`` keeps only
+copy 0, relabelled ``slice=(0, 1)``
 (:func:`repro.core.program.one_copy_regions`).  That Program must equal
 the spec expanded with those regions at ``n=1``, other regions and
 other executors must keep every copy, and the frames must not change:
@@ -34,7 +34,6 @@ from repro.core.ast import (
 )
 from repro.errors import ComponentError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
-from repro.hinch.component import Component
 from repro.hinch.events import Event
 from repro.hinch.manager import ManagerRuntime
 from repro.spacecake import SimRuntime
@@ -52,10 +51,7 @@ ROW_CONTRACT = {"idct_field", "downscale_field", "blend_field",
 
 
 def test_row_contract_classes():
-    declared = {
-        name for name, cls in REG.items()
-        if cls.writes_rows.__func__ is not Component.writes_rows.__func__
-    }
+    declared = {name for name, cls in REG.items() if cls.row_contract}
     assert declared == ROW_CONTRACT
 
 

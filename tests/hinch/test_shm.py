@@ -8,6 +8,8 @@ bytes.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -235,3 +237,32 @@ def test_shared_close_unlinks_segments():
     attacher = SharedPlanePool(shared=True)
     with pytest.raises(FileNotFoundError):
         attacher.open(ref)
+
+
+def test_an_interrupt_while_creating_a_segment_leaks_nothing(monkeypatch):
+    """SIGINT right after ``shm_open`` still leaves the segment recorded.
+
+    The interrupt lands once the pool knows the segment, so ``close()``
+    unlinks it; it must not stay in ``/dev/shm`` unknown to the pool.
+    """
+    from multiprocessing import shared_memory
+
+    made = []
+
+    class Interrupting(shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+            os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", Interrupting)
+    pool = SharedPlanePool(shared=True)
+    with pytest.raises(KeyboardInterrupt):
+        pool.acquire((8, 8), np.uint8)
+    pool.close()
+    leaked = [seg for seg in made if os.path.exists(f"/dev/shm/{seg.name}")]
+    for seg in leaked:
+        seg.close()
+        seg.unlink()
+    assert len(made) == 1
+    assert not leaked, [seg.name for seg in leaked]

@@ -16,6 +16,7 @@ from repro.hinch import (
     Stream,
     StreamStore,
 )
+from repro.hinch import events
 
 
 # -- streams ------------------------------------------------------------------
@@ -217,8 +218,9 @@ def test_concurrent_posts_are_all_delivered():
 # -- high-water warning (satellite: event storms must be loud) ---------------
 
 
-def test_high_water_warns_once_per_doubling():
-    q = EventQueue("ui", high_water=4)
+def test_high_water_warns_once_per_doubling(monkeypatch):
+    monkeypatch.setattr(events, "HIGH_WATER", 4)
+    q = EventQueue("ui")
     with pytest.warns(EventStormWarning, match="high-water 4"):
         for i in range(6):
             q.post(Event(f"e{i}"))
@@ -232,8 +234,9 @@ def test_high_water_warns_once_per_doubling():
         q.post(Event("e7"))
 
 
-def test_high_water_rearms_after_poll():
-    q = EventQueue("ui", high_water=4)
+def test_high_water_rearms_after_poll(monkeypatch):
+    monkeypatch.setattr(events, "HIGH_WATER", 4)
+    q = EventQueue("ui")
     with pytest.warns(EventStormWarning):
         for i in range(5):
             q.post(Event(f"e{i}"))
@@ -241,25 +244,3 @@ def test_high_water_rearms_after_poll():
     with pytest.warns(EventStormWarning):
         for i in range(5):
             q.post(Event(f"e{i}"))
-
-
-def test_high_water_disabled_with_none():
-    import warnings
-
-    q = EventQueue("ui", high_water=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", EventStormWarning)
-        for i in range(64):
-            q.post(Event(f"e{i}"))
-
-
-def test_high_water_must_be_positive():
-    with pytest.raises(EventError):
-        EventQueue("ui", high_water=0)
-
-
-def test_broker_passes_high_water_to_queues():
-    broker = EventBroker(high_water=2)
-    with pytest.warns(EventStormWarning, match="high-water 2"):
-        broker.post("q", Event("a"))
-        broker.post("q", Event("b"))

@@ -127,7 +127,6 @@ def test_missing_subcommand_rejected():
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--workers", "0"],
         ["--nodes", "0"],
         ["--iterations", "-1"],
         ["--pipeline-depth", "0"],
@@ -151,8 +150,9 @@ def test_run_rejects_degenerate_knobs(blur_xml, capsys, extra):
         ["--backend", "sim", "--max-retries", "7"],
         ["--backend", "sim", "--no-respawn"],
         ["--backend", "threaded", "--execute"],
-        ["--backend", "sim", "--workers", "4"],
         # removed flags: argparse itself refuses them
+        ["--workers", "0"],
+        ["--backend", "sim", "--workers", "4"],
         ["--backend", "process", "--autotune"],
         ["--backend", "process", "--deadline", "50"],
         ["--backend", "sim", "--fuse"],
@@ -189,7 +189,7 @@ def test_run_rejects_bad_fault_specs_up_front(blur_xml, capsys, spec):
 
 def test_run_warns_about_unfired_faults(blur_xml, capsys):
     assert main([
-        "run", str(blur_xml), "--backend", "process", "--workers", "1",
+        "run", str(blur_xml), "--backend", "process", "--nodes", "1",
         "--iterations", "2", "--inject-fault", "kill:999",
     ]) == 0
     captured = capsys.readouterr()
