@@ -4,12 +4,13 @@
 on every executor row of its determinism class: the same sink records in
 the same order, all iterations completed, the same ``reconfig_log``, the
 same stream counters where they are comparable, every injected fault
-fired, and nothing left in ``/dev/shm``.  ``tests/test_conformance.py``
-runs it over the applications (and, on the rows they name, for the
-per-executor tests); :func:`check_case` over each generated
-case, once lint and build agree (a mutated spec must be flagged by lint
-*and* refused at build, a clean one must lint clean), with the case's
-knob widths and fault specs as extra rows.
+fired, and no shared-memory segment the row's plane pool created left
+behind.  ``tests/test_conformance.py`` runs it over the applications
+(and, on the rows they name, for the per-executor tests);
+:func:`check_case` over each generated case, once lint and build agree
+(a mutated spec must be flagged by lint *and* refused at build, a clean
+one must lint clean), with the case's knob widths and fault specs as
+extra rows.
 
 The rows keep to three determinism classes, so a mismatch is a bug, not
 harness noise.  Static programs match at any width and depth.  An event
@@ -48,11 +49,12 @@ class CaseFailure:
         return f"[{self.kind}] {self.detail}"
 
 
-def _shm_entries() -> set[str]:
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+def _leaked(rt) -> list[str]:
+    """The shared-memory segments ``rt``'s plane pool created that still
+    exist.  Only these are charged to a row: a segment another process
+    creates meanwhile is not the row's leak."""
+    created = rt.pool.created if rt.pool is not None else ()
+    return sorted(n for n in created if os.path.exists(f"/dev/shm/{n}"))
 
 
 # -- spec construction -------------------------------------------------------
@@ -267,7 +269,6 @@ def differential(program, registry, *, iterations: int,
             *extra_rows]
     reference = stats_reference = None
     for row in rows:
-        before = _shm_entries()
         try:
             rt = _runtime(row, program, registry, iterations)
             if post is not None:
@@ -276,7 +277,7 @@ def differential(program, registry, *, iterations: int,
         except ReproError as exc:
             return CaseFailure(
                 "run-raised", f"{row}: {type(exc).__name__}: {exc}")
-        leaked = _shm_entries() - before
+        leaked = _leaked(rt)
         unfired = [e["detail"] for e in getattr(result, "fault_events", ())
                    if e.get("kind") == "unfired"]
         sink = result.components["sink"]  # records as tuples of planes
@@ -285,7 +286,7 @@ def differential(program, registry, *, iterations: int,
                    else [(plane,) for plane in sink.ordered_planes()])
         stats = getattr(result, "stream_stats", None)
         if leaked:
-            return CaseFailure("shm-leak", f"{row}: leaked {sorted(leaked)}")
+            return CaseFailure("shm-leak", f"{row}: leaked {leaked}")
         if {result.completed_iterations, len(outputs)} != {iterations}:
             return CaseFailure("short-run", f"{row}: {len(outputs)} records, "
                                f"{result.completed_iterations} of "
@@ -361,24 +362,23 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
             )
         # lint rejected it; the build must too, on every backend — never
         # reach job execution.  Constructing a runtime spawns nothing, so
-        # /dev/shm must come out exactly as it went in.
-        before = _shm_entries()
+        # a runtime that was built must have left no segment behind.
         accepted = []
+        leaked = []
         try:
             program = expand(spec, ports, name=f"fuzz-{case.seed}")
         except ReproError:
             return None  # agreement: rejected at expand
         for backend in ("threaded", "process", "sim"):
             try:
-                _runtime(Row(backend, 1, 1), program, registry,
-                         case.iterations)
-                accepted.append(backend)
+                rt = _runtime(Row(backend, 1, 1), program, registry,
+                              case.iterations)
             except ReproError:
-                pass  # agreement: rejected at build
-        leaked = _shm_entries() - before
+                continue  # agreement: rejected at build
+            accepted.append(backend)
+            leaked += _leaked(rt)
         if leaked:
-            return CaseFailure(
-                "shm-leak", f"refused build leaked {sorted(leaked)}")
+            return CaseFailure("shm-leak", f"refused build leaked {leaked}")
         if accepted:
             return CaseFailure(
                 "lint-build-disagreement",

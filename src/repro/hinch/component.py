@@ -288,8 +288,9 @@ class JobContext:
     A port bound to a lock-free :class:`~repro.hinch.stream.Stream` (the
     inline ``nodes=1`` loop, the process dispatcher, the simulator: one
     job at a time) serves a written slot, and a later slice copy's exact
-    buffer request, in one frame.  Everything else, and every other kind
-    of stream, goes through the stream's methods, home of every check.
+    buffer request, from the store's iteration frames in one Python
+    frame.  Everything else, and every other kind of stream, goes through
+    the stream's methods, home of every check.
     """
 
     def __init__(
@@ -308,8 +309,8 @@ class JobContext:
         self._broker = broker
         self._aliases = aliases
         self._stop_requester = stop_requester
-        #: port -> (alias-resolved stream, its slots if it is a lock-free
-        #: Stream else None), filled on first access
+        #: port -> (alias-resolved stream, its store's iteration frames if
+        #: it is a lock-free Stream else None), filled on first access
         self._bound: dict[str, tuple[Any, dict[int, Any] | None]] = {}
 
     # -- stream access ---------------------------------------------------------
@@ -324,20 +325,23 @@ class JobContext:
             ) from None
         stream = self._streams.stream(self._aliases.get(raw, raw))
         bound = self._bound[port] = (
-            stream, stream._slots if type(stream) is Stream else None
+            stream, stream._frames if type(stream) is Stream else None
         )
         return bound
 
     def read(self, port: str) -> Any:
         """Read this iteration's value from an input port."""
         try:
-            stream, slots = self._bound[port]
+            stream, frames = self._bound[port]
         except KeyError:
-            stream, slots = self._bind(port)
+            stream, frames = self._bind(port)
         iteration = self.iteration
-        if slots is not None and iteration in slots:
-            stream._reads += 1
-            return slots[iteration]
+        if frames is not None and iteration in frames:
+            values = frames[iteration][0]
+            name = stream.name
+            if name in values:
+                stream._reads += 1
+                return values[name]
         return stream.get(iteration)
 
     def write(self, port: str, value: Any) -> None:
@@ -365,26 +369,29 @@ class JobContext:
         stream whose format is solved allocates the solved dtype.
         """
         try:
-            stream, slots = self._bound[port]
+            stream, frames = self._bound[port]
         except KeyError:
-            stream, slots = self._bind(port)
+            stream, frames = self._bind(port)
         iteration = self.iteration
-        if slots is not None and iteration in stream._buffers:
-            # A later slice copy whose request is literally the slot and
-            # the solved format (a dtype also equals None, so one must be
-            # named).
-            buf = slots[iteration]
-            expected = stream.expected
-            if (
-                dtype is not None
-                and type(buf) is ndarray
-                and shape == buf.shape
-                and dtype == buf.dtype
-                and (expected is None
-                     or (shape == expected[0] and dtype == expected[1]))
-            ):
-                stream._writes += 1
-                return buf
+        if frames is not None and iteration in frames:
+            values, buffers = frames[iteration]
+            name = stream.name
+            if name in buffers:
+                # A later slice copy whose request is literally the slot
+                # and the solved format (a dtype also equals None, so one
+                # must be named).
+                buf = values[name]
+                expected = stream.expected
+                if (
+                    dtype is not None
+                    and type(buf) is ndarray
+                    and shape == buf.shape
+                    and dtype == buf.dtype
+                    and (expected is None
+                         or (shape == expected[0] and dtype == expected[1]))
+                ):
+                    stream._writes += 1
+                    return buf
         return stream.ensure_buffer(
             iteration, shape=shape, dtype=dtype,
             writer=self.instance.instance_id,

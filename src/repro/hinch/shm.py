@@ -163,6 +163,9 @@ class SharedPlanePool:
         self._free: dict[int, list[str]] = {}
         #: segment name -> (buffer object, bucket size); owner process only
         self._segments: dict[str, tuple[Any, int]] = {}
+        #: every shared segment this pool created, kept past close(): the
+        #: names a leak check may charge to it (attachers create none)
+        self.created: list[str] = []
         #: attacher-side map of opened shared segments (kept mapped until
         #: close_attachments(): views handed to components must stay valid)
         self._attached: dict[str, Any] = {}
@@ -263,6 +266,7 @@ class SharedPlanePool:
         try:
             seg = shared_memory.SharedMemory(create=True, size=bucket)
             self._segments[seg.name] = (seg, bucket)
+            self.created.append(seg.name)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return seg.name

@@ -3,26 +3,29 @@
 A stream is "a data structure in which the data is only used for a
 limited amount of time ... typically implemented using a FIFO queue"
 (paper §1).  With pipeline parallelism, up to ``pipeline_depth``
-iterations are in flight, so a stream holds one *slot per iteration*;
-slots are released when their iteration completes, which bounds memory to
-the pipeline depth — the FIFO behaviour of the paper without a separate
-ring-buffer implementation.
+iterations are in flight, so the slots live in *one frame per
+iteration*: the :class:`StreamStore` keeps ``iteration -> (stream name
+-> value, stream name -> spare list)``, created by the iteration's first
+write.  Retiring an iteration (:meth:`StreamStore.release_iteration`)
+pops its frame in one step, whatever the number of streams, which bounds
+memory to the pipeline depth — the FIFO behaviour of the paper without a
+separate ring-buffer implementation.
 
 Data-parallel copies share the stream: the slot is a whole-frame buffer
 allocated by the first writer copy (:meth:`Stream.ensure_buffer`), into
 which each copy writes its assigned region.  Unsliced writers use
 :meth:`Stream.put` exactly once per iteration.
 
-A stream recycles the buffers it allocates itself: releasing an
-iteration puts its ``shape``-allocated array on the stream's spare list,
-and the next request of the same shape and dtype takes it back instead
-of allocating.  At most ``pipeline_depth`` iterations are live, so a
-sliced stream's working set converges to that many arrays.  A stream a
-splice stops writing keeps its spares for the next toggle back, so the
-bound on these arrays is ``pipeline_depth`` per sliced stream the run has
-written, summed over streams.  The contract this rests on: a component
-must not keep a slot's array past its iteration (collecting sinks copy
-what they keep).
+A stream recycles the buffers it allocates itself: a frame records the
+spare list of each ``shape``-allocated array, retiring the iteration
+puts the array back on it, and the next request of the same shape and
+dtype takes it back instead of allocating.  At most ``pipeline_depth``
+iterations are live, so a sliced stream's working set converges to that
+many arrays.  A stream a splice stops writing keeps its spares for the
+next toggle back, so the bound on these arrays is ``pipeline_depth`` per
+sliced stream the run has written, summed over streams.  The contract
+this rests on: a component must not keep a slot's array past its
+iteration (collecting sinks copy what they keep).
 
 The scheduler guarantees writers run before readers inside an iteration;
 the stream *verifies* this (read-before-write and double-put raise
@@ -31,10 +34,12 @@ graph is caught loudly instead of producing garbage frames.
 
 Only ``ThreadedRuntime(nodes >= 2)``, whose jobs run concurrently, locks
 its streams (:class:`LockedStream`): slice copies on different threads
-race on :meth:`Stream.ensure_buffer` and must share one allocation.  The
-inline ``nodes=1`` loop, the process dispatcher and the simulator run one
-job at a time (process workers have their own streams), so their
-:class:`Stream` takes no lock: a job pays for none it cannot contend on.
+race on :meth:`Stream.ensure_buffer` and must share one allocation, and
+the first writes of an iteration race to create its frame (under the
+store's lock).  The inline ``nodes=1`` loop, the process dispatcher and
+the simulator run one job at a time (process workers have their own
+streams), so their :class:`Stream` takes no lock: a job pays for none it
+cannot contend on.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ __all__ = ["Stream", "LockedStream", "StreamStore", "check_geometry"]
 #: how a writer can disagree with a (shape, dtype) authority
 AGAINST_FORMAT = "produced {got}, but the reconciled port format declares {have}"
 AGAINST_SLOT = "requested {got}, slot already allocated as {have}"
+
+#: one iteration's slots: stream name -> value, and stream name -> the
+#: spare list of an ensure_buffer() slot allocated from a ``shape`` (None
+#: for a ``factory`` buffer); a name in the values only was put()
+Frame = tuple[dict[str, Any], dict[str, "list[np.ndarray] | None"]]
+
+#: what retiring an iteration nothing wrote pops
+_NO_FRAME: Frame = ({}, {})
 
 
 def check_geometry(
@@ -90,32 +103,32 @@ def check_geometry(
 
 
 class Stream:
-    """One named stream: per-iteration slots with write-once discipline.
+    """One named stream: its slots in the store's frames, written once each.
 
-    Sliced-writer buffers requested by ``shape``/``dtype`` are the
-    stream's own: :meth:`release` keeps them on :attr:`_spare` and
-    :meth:`ensure_buffer` reuses them, so after warm-up the stream stops
-    allocating.  ``pool`` is the process dispatcher's
-    :class:`~repro.hinch.shm.SharedPlanePool`; :meth:`release` hands it
-    the planes of :class:`~repro.hinch.shm.Packed` values.
+    The values live in ``store``'s per-iteration frames (a private
+    store's when none is given), keyed by :attr:`name`.  Sliced-writer
+    buffers requested by ``shape``/``dtype`` are the stream's own: the
+    frame records :attr:`_spare` as their spare list, retiring the
+    iteration appends them to it, and :meth:`ensure_buffer` reuses them,
+    so after warm-up the stream stops allocating.
 
     Takes no lock: :class:`LockedStream` is the one for concurrent jobs.
     So a :class:`~repro.hinch.component.JobContext` bound to a plain
-    ``Stream`` serves the common port accesses from :attr:`_slots` in its
-    own frame — a read of a written slot, a later slice copy's exact
+    ``Stream`` serves the common port accesses from :attr:`_frames` in
+    its own frame — a read of a written slot, a later slice copy's exact
     buffer request — and counts them in :attr:`_reads` / :attr:`_writes`;
     everything else, and every check, is :meth:`get` and
     :meth:`ensure_buffer`.
     """
 
-    def __init__(self, name: str, pool: SharedPlanePool | None = None) -> None:
+    def __init__(self, name: str, store: StreamStore | None = None) -> None:
+        if store is None:
+            store = StreamStore(locked=isinstance(self, LockedStream))
         self.name = name
-        self.pool = pool
-        self._slots: dict[int, Any] = {}
-        #: iteration -> whether release() recycles the slot: an
-        #: ensure_buffer() slot, True when allocated from a ``shape``,
-        #: False for a ``factory`` buffer.  A slot not in here was put().
-        self._buffers: dict[int, bool] = {}
+        self._store = store
+        #: the store's iteration -> Frame table, and its frame maker
+        self._frames: dict[int, Frame] = store._frames
+        self._frame: Callable[[int], Frame] = store._create_frame
         #: released ``shape`` buffers, for the next request of their geometry
         self._spare: list[np.ndarray] = []
         self._writes = 0
@@ -124,34 +137,42 @@ class Stream:
         #: set, writers are validated against it instead of trusting the
         #: first write (X501/X503 territory at runtime)
         self.expected: tuple[tuple[int, ...], np.dtype] | None = None
-        #: first-write geometry actually seen: ("plane", shape, dtype name)
-        #: for ndarrays, (kind, None, None) for opaque payloads
-        self.observed: tuple | None = None
+        #: first-write geometry as seen: (kind, shape, dtype) with the
+        #: dtype unformatted (see :attr:`observed`)
+        self._observed: tuple | None = None
 
     def set_expected(self, shape: tuple[int, ...], dtype: Any) -> None:
         """Install the reconciled format as this stream's authority."""
         self.expected = (tuple(shape), np.dtype(dtype))
 
+    @property
+    def observed(self) -> tuple | None:
+        """First-write geometry: ("plane", shape, dtype name) for ndarrays,
+        (kind, None, None) for opaque payloads, None before any write."""
+        seen = self._observed
+        if seen is None or seen[2] is None:
+            return seen
+        kind, shape, dtype = seen
+        return kind, tuple(shape), np.dtype(dtype).name
+
     def _observe(self, value: Any) -> None:
         if isinstance(value, np.ndarray):
-            self.observed = ("plane", tuple(value.shape), value.dtype.name)
+            self._observed = ("plane", value.shape, value.dtype)
         elif isinstance(value, Packed):
             # Process-backend transport descriptor: a bare plane exposes
             # its geometry through the ref; pickled payloads stay opaque.
             if value.kind == "plane" and value.refs:
                 ref = value.refs[0]
-                self.observed = (
-                    "plane", tuple(ref.shape), np.dtype(ref.dtype).name
-                )
+                self._observed = ("plane", ref.shape, ref.dtype)
             else:
-                self.observed = ("packed", None, None)
+                self._observed = ("packed", None, None)
         else:
             kind = getattr(value, "FORMAT_KIND", None) or getattr(
                 type(value), "FORMAT_KIND", None
             )
             if kind is None and isinstance(value, (int, float)):
                 kind = "scalar"
-            self.observed = (kind or type(value).__name__, None, None)
+            self._observed = (kind or type(value).__name__, None, None)
 
     def check_expected(
         self,
@@ -176,10 +197,16 @@ class Stream:
 
     def put(self, iteration: int, value: Any, *, writer: str | None = None) -> None:
         """Write the whole value for ``iteration`` (unsliced writer)."""
-        if iteration in self._slots:
-            raise StreamError(
-                f"stream {self.name!r}: double write in iteration {iteration}"
-            )
+        name = self.name
+        frames = self._frames
+        if iteration in frames:
+            values = frames[iteration][0]
+            if name in values:
+                raise StreamError(
+                    f"stream {name!r}: double write in iteration {iteration}"
+                )
+        else:
+            values = None
         expected = self.expected
         if expected is not None:
             # the common case is decided inline: a plain ndarray of
@@ -188,9 +215,11 @@ class Stream:
                 self._check_put(iteration, value, writer)
             elif value.shape != expected[0] or value.dtype != expected[1]:
                 self.check_expected(iteration, value.shape, value.dtype, writer)
-        if self.observed is None:
+        if self._observed is None:
             self._observe(value)
-        self._slots[iteration] = value
+        if values is None:
+            values = self._frame(iteration)[0]
+        values[name] = value
         self._writes += 1
 
     def ensure_buffer(
@@ -223,12 +252,17 @@ class Stream:
         the faulty writer, so a mismatch raises :class:`StreamError`
         here instead.
         """
-        if iteration in self._slots and iteration not in self._buffers:
-            raise StreamError(
-                f"stream {self.name!r}: sliced write after finalizing "
-                f"put() in iteration {iteration}"
-            )
-        buffer = self._slots[iteration] if iteration in self._slots else None
+        name = self.name
+        frames = self._frames
+        frame = frames[iteration] if iteration in frames else None
+        buffer = None
+        if frame is not None and name in frame[0]:
+            if name not in frame[1]:
+                raise StreamError(
+                    f"stream {name!r}: sliced write after finalizing "
+                    f"put() in iteration {iteration}"
+                )
+            buffer = frame[0][name]
         if shape is not None:
             # Inline comparisons settle the common case (the request
             # is literally the solved format / the allocated slot);
@@ -245,29 +279,34 @@ class Stream:
                 and (shape != buffer.shape or dtype is None
                      or dtype != buffer.dtype)
             ):
-                check_geometry(self.name, iteration, writer, shape, dtype,
+                check_geometry(name, iteration, writer, shape, dtype,
                                (buffer.shape, buffer.dtype), AGAINST_SLOT)
         if buffer is None:
             if shape is not None:
                 spare = self._spare
-                if spare and (spare[-1].shape != shape
-                              or spare[-1].dtype != dtype):
-                    # a new geometry (a splice re-solved the format)
-                    # strands the old spares: drop them
-                    spare.clear()
-                buffer = spare.pop() if spare else np.empty(shape, dtype=dtype)
-                self._buffers[iteration] = True
+                if not spare:
+                    buffer = np.empty(shape, dtype=dtype)
+                else:
+                    buffer = spare.pop()
+                    if buffer.shape != shape or buffer.dtype != dtype:
+                        # a new geometry (a splice re-solved the format)
+                        # strands the old spares: drop them
+                        spare.clear()
+                        buffer = np.empty(shape, dtype=dtype)
             elif factory is not None:
                 buffer = factory()
-                self._buffers[iteration] = False
+                spare = None
             else:
                 raise StreamError(
-                    f"stream {self.name!r}: ensure_buffer needs a "
+                    f"stream {name!r}: ensure_buffer needs a "
                     "factory or a shape"
                 )
-            if self.observed is None:
+            if self._observed is None:
                 self._observe(buffer)
-            self._slots[iteration] = buffer
+            if frame is None:
+                frame = self._frame(iteration)
+            frame[0][name] = buffer
+            frame[1][name] = spare
         self._writes += 1
         return buffer
 
@@ -275,39 +314,50 @@ class Stream:
 
     def get(self, iteration: int) -> Any:
         """Read the value for ``iteration``; raises if not yet written."""
-        if iteration not in self._slots:
-            raise StreamError(
-                f"stream {self.name!r}: read before write in iteration "
-                f"{iteration} (task graph does not order producer before "
-                "consumer)"
-            )
-        self._reads += 1
-        return self._slots[iteration]
+        frames = self._frames
+        if iteration in frames:
+            values = frames[iteration][0]
+            if self.name in values:
+                self._reads += 1
+                return values[self.name]
+        raise StreamError(
+            f"stream {self.name!r}: read before write in iteration "
+            f"{iteration} (task graph does not order producer before "
+            "consumer)"
+        )
 
     def has(self, iteration: int) -> bool:
-        return iteration in self._slots
+        frames = self._frames
+        return iteration in frames and self.name in frames[iteration][0]
 
     # -- lifecycle ---------------------------------------------------------------
 
     def release(self, iteration: int) -> None:
-        """Drop the slot for a completed iteration (idempotent).
+        """Drop this stream's slot of a retired iteration (idempotent).
 
-        A buffer :meth:`ensure_buffer` allocated from a ``shape`` goes to
-        the spare list; the planes of a :class:`~repro.hinch.shm.Packed`
-        transport value (the process dispatcher's) go back to the pool.
-        Either way memory stays bounded by the live iterations.
+        The runtimes retire every stream at once with
+        :meth:`StreamStore.release_iteration`; this is the one-stream
+        form, with the same hand-back: a ``shape`` buffer goes to the
+        spare list, the planes of a :class:`~repro.hinch.shm.Packed`
+        value to the store's pool.  An emptied frame is dropped.
         """
-        # Runs for every stream on every iteration: only a recycled
-        # buffer or a Packed value costs more than two dict pops.
-        value = self._slots.pop(iteration, None)
-        if self._buffers.pop(iteration, False):
-            self._spare.append(value)
-        elif type(value) is Packed and self.pool is not None:
-            self.pool.release_packed(value)
+        frames = self._frames
+        name = self.name
+        if iteration not in frames or name not in frames[iteration][0]:
+            return
+        values, buffers = frames[iteration]
+        value = values.pop(name)
+        spare = buffers.pop(name, None)
+        if spare is not None:
+            spare.append(value)
+        elif type(value) is Packed and self._store.pool is not None:
+            self._store.pool.release_packed(value)
+        if not values:
+            frames.pop(iteration, None)
 
     @property
     def live_slots(self) -> int:
-        return len(self._slots)
+        return sum(self.name in values for values, _ in self._frames.values())
 
     @property
     def stats(self) -> tuple[int, int]:
@@ -323,12 +373,12 @@ class LockedStream(Stream):
 
     Racing slice copies allocate one :meth:`ensure_buffer` buffer, a
     racing second :meth:`put` fails, and a buffer is released (to the
-    spare list) once.  The
-    one-lookup :meth:`has` needs no lock.
+    spare list) once.  The one-lookup :meth:`has` needs no lock; the
+    store's lock guards the creation of an iteration's frame.
     """
 
-    def __init__(self, name: str, pool: SharedPlanePool | None = None) -> None:
-        super().__init__(name, pool)
+    def __init__(self, name: str, store: StreamStore | None = None) -> None:
+        super().__init__(name, store)
         self._lock = threading.Lock()
 
     def put(self, iteration: int, value: Any, *, writer: str | None = None) -> None:
@@ -349,12 +399,15 @@ class LockedStream(Stream):
 
 
 class StreamStore:
-    """All streams of one running application, created on first use.
+    """All streams of one running application, and their slots.
 
-    An optional :class:`~repro.hinch.shm.SharedPlanePool` (the process
-    dispatcher's) takes back the planes of every stream's packed
-    transport values.  ``locked`` makes every stream a
-    :class:`LockedStream`, for an executor whose jobs run concurrently.
+    Streams are created on first use; their values live in one frame per
+    live iteration (:data:`Frame`), which :meth:`release_iteration`
+    retires in one step.  An optional
+    :class:`~repro.hinch.shm.SharedPlanePool` (the process dispatcher's)
+    takes back the planes of the packed transport values.  ``locked``
+    makes every stream a :class:`LockedStream` and creates frames under
+    the store's lock, for an executor whose jobs run concurrently.
     """
 
     def __init__(
@@ -362,14 +415,23 @@ class StreamStore:
     ) -> None:
         self.pool = pool
         self._stream_cls = LockedStream if locked else Stream
+        self._locked = locked
         self._lock = threading.Lock()
         self._streams: dict[str, Stream] = {}
-        #: cached list of all streams, invalidated on stream creation, so
-        #: the per-iteration release sweep doesn't rebuild it every time
-        self._snapshot: list[Stream] | None = None
+        #: iteration -> its frame, from its first write to its retirement
+        self._frames: dict[int, Frame] = {}
         #: stream name -> (shape, dtype) from the format-reconciliation
         #: pass, installed on streams as they are created
         self._expectations: dict[str, tuple[tuple[int, ...], Any]] = {}
+
+    def _create_frame(self, iteration: int) -> Frame:
+        """The frame of ``iteration``: made by its first write, which
+        concurrent first writes of other streams may race."""
+        if not self._locked:
+            frame = self._frames[iteration] = ({}, {})
+            return frame
+        with self._lock:
+            return self._frames.setdefault(iteration, ({}, {}))
 
     def set_expectations(
         self, expectations: Mapping[str, tuple[tuple[int, ...], Any]]
@@ -409,29 +471,40 @@ class StreamStore:
         with self._lock:
             stream = self._streams.get(name)
             if stream is None:
-                stream = self._stream_cls(name, self.pool)
+                stream = self._stream_cls(name, self)
                 exp = self._expectations.get(name)
                 if exp is not None:
                     stream.set_expected(*exp)
                 self._streams[name] = stream
-                self._snapshot = None
             return stream
 
     def release_iteration(self, iteration: int) -> None:
-        """Release the given iteration's slot in every stream."""
-        with self._lock:
-            streams = self._snapshot
-            if streams is None:
-                streams = self._snapshot = list(self._streams.values())
-        for stream in streams:
-            stream.release(iteration)
+        """Retire ``iteration``: drop its frame in one step.
+
+        Each ``shape`` buffer of the frame goes back to its stream's
+        spare list (one append each) and, with a pool, the planes of
+        each :class:`~repro.hinch.shm.Packed` value to the pool; the
+        cost does not grow with the number of streams.
+        """
+        values, buffers = self._frames.pop(iteration, _NO_FRAME)
+        for name in buffers:
+            spare = buffers[name]
+            if spare is not None:
+                spare.append(values[name])
+        if self.pool is not None:
+            for value in values.values():
+                if type(value) is Packed:
+                    self.pool.release_packed(value)
 
     @property
     def names(self) -> list[str]:
         with self._lock:
             return list(self._streams)
 
+    @property
+    def live_iterations(self) -> int:
+        """Iterations with a frame: written and not yet retired."""
+        return len(self._frames)
+
     def total_live_slots(self) -> int:
-        with self._lock:
-            streams = list(self._streams.values())
-        return sum(s.live_slots for s in streams)
+        return sum(len(values) for values, _ in list(self._frames.values()))

@@ -9,6 +9,7 @@ cannot come back unnoticed.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -127,11 +128,15 @@ def _profile_events(fn, *args, **kwargs) -> int:
             events[0] += 1
 
     fn(*args, **kwargs)  # warm-up: the still planes and numpy's set-up
+    # no collection inside the count: its callbacks and the finalizers
+    # it runs would be counted as the function's calls
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return events[0]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 import sys
 
@@ -541,11 +542,15 @@ def _profile_events(fn, *args) -> int:
             events[0] += 1
 
     fn(*args)  # warm-up: numpy's lazy set-up
+    # no collection inside the count: its callbacks and the finalizers
+    # it runs would be counted as the function's calls
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return events[0]
 
 

@@ -74,6 +74,12 @@ class StreamMachine(RuleBasedStateMachine):
     @invariant()
     def live_slots_match_model(self):
         assert self.stream.live_slots == len(self.model)
+        # one frame per written iteration (a release drops the emptied
+        # frame); a sliced slot is recorded as a buffer, a put one is not
+        frames = self.stream._frames
+        assert set(frames) == set(self.model)
+        assert {k for k, (_, buffers) in frames.items() if "s" in buffers} \
+            == set(self.model) - self.finalized
 
 
 TestStreamModel = StreamMachine.TestCase
@@ -193,6 +199,24 @@ class RecyclingMachine(RuleBasedStateMachine):
         assert all(b is not f for b in spare for f in self.foreign)
         assert self.stream.live_slots == len(self.slots)
 
+    @invariant()
+    def frames_record_each_slot_and_its_spare_list(self):
+        """The table holds a frame per written iteration: its value, and
+        the spare list only for a ``shape`` buffer (None for a factory
+        buffer, nothing for a put value)."""
+        frames = self.stream._frames
+        assert set(frames) == set(self.slots)
+        for k, (value, allocated) in self.slots.items():
+            values, buffers = frames[k]
+            assert list(values) == ["s"] and values["s"] is value
+            if allocated == "put":
+                assert buffers == {}
+            elif allocated == "factory":
+                assert buffers == {"s": None}
+            else:
+                assert list(buffers) == ["s"]
+                assert buffers["s"] is self.stream._spare
+
 
 TestStreamRecycling = RecyclingMachine.TestCase
 
@@ -218,6 +242,7 @@ def test_prop_store_release_clears_everything(ops):
     for name, k in live:
         store.release_iteration(k)
     assert store.total_live_slots() == 0
+    assert store.live_iterations == 0
 
 
 _last_put = [0]

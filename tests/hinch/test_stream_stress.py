@@ -78,9 +78,11 @@ def test_sliced_writers_full_pipeline_bit_identical_to_sequential():
     assert ok == {it: True for it in range(ITERS)}
     assert stream.stats == (ITERS * SLICES, ITERS)
     assert stream.live_slots == 0
-    # every buffer went back to the stream's spare list, and the working
-    # set converged to the pipeline depth: at most DEPTH slots were ever
-    # live, so at most DEPTH arrays exist
+    # every iteration's frame was retired, every buffer went back to the
+    # stream's spare list, and the working set converged to the pipeline
+    # depth: at most DEPTH frames were ever live, so at most DEPTH arrays
+    # exist
+    assert store._frames == {}
     assert 1 <= len(stream._spare) <= DEPTH
 
 
@@ -140,10 +142,16 @@ def test_ensure_buffer_allocates_exactly_once_under_contention():
     assert not any(t.is_alive() for t in threads)
     assert len(buffers) == n
     assert all(b is buffers[0] for b in buffers)
-    # one stream-owned array, shared by every copy: the release recycles it
-    assert stream._buffers == {0: True}
+    # one stream-owned array, shared by every copy, recorded once in the
+    # iteration's frame with the stream's spare list: the release
+    # recycles it and drops the emptied frame
+    values, recycle = stream._frames[0]
+    assert list(stream._frames) == [0]
+    assert values == {"s": buffers[0]}
+    assert list(recycle) == ["s"] and recycle["s"] is stream._spare
     stream.release(0)
     assert len(stream._spare) == 1 and stream._spare[0] is buffers[0]
+    assert stream._frames == {}
 
 
 def test_concurrent_release_returns_plane_exactly_once():
@@ -165,7 +173,41 @@ def test_concurrent_release_returns_plane_exactly_once():
     # same buffer handed to two iterations); the slot pop makes release
     # idempotent instead
     assert len(stream._spare) == 1 and stream._spare[0] is buffer
-    assert stream.live_slots == 0
+    assert stream.live_slots == 0 and stream._frames == {}
+
+
+def test_first_writes_of_an_iteration_share_one_frame():
+    """Streams written on different threads race to create an
+    iteration's frame; the store's lock makes them share one, so no
+    stream's value is lost to a second, overwriting frame."""
+    store = StreamStore(locked=True)
+    n, iterations = 8, 300
+    streams = [store.stream(f"s{i}") for i in range(n)]
+    barrier = threading.Barrier(n)
+
+    def writer(i: int) -> None:
+        for k in range(iterations):
+            barrier.wait()
+            streams[i].put(k, (i, k))
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert store.live_iterations == iterations
+    assert store.total_live_slots() == n * iterations
+    assert all(s.get(k) == (i, k)
+               for i, s in enumerate(streams) for k in range(iterations))
+    for k in range(iterations):
+        store.release_iteration(k)
+    assert store.live_iterations == 0
 
 
 def _handed_out(monkeypatch) -> dict[str, list[np.ndarray]]:
@@ -208,6 +250,7 @@ def test_release_sweep_returns_every_plane(runtime_cls, width, expected,
         handed = _handed_out(monkeypatch)
         assert rt.run().pool_stats == {} and rt.pool is None
         assert rt.streams.total_live_slots() == 0
+        assert rt.streams._frames == {}
         spares = {name: rt.streams.stream(name)._spare for name in handed}
         assert {name: len(s) for name, s in spares.items()} == expected
         for name, arrays in handed.items():
@@ -276,7 +319,7 @@ def test_no_in_process_executor_builds_a_plane_pool(runtime_cls, kwargs,
 
 def test_sliced_write_after_put_still_raises_with_pool():
     pool = SharedPlanePool()
-    stream = Stream("s", pool)
+    stream = StreamStore(pool).stream("s")
     stream.put(0, np.zeros(4))
     with pytest.raises(StreamError, match="after finalizing"):
         stream.ensure_buffer(0, shape=(4,), dtype=np.float64)

@@ -14,6 +14,10 @@ they name.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,8 @@ from repro.apps import build_audio, build_blur, build_jpip, build_pip, make_prog
 from repro.components.registry import default_registry
 from repro.fuzz.campaign import replay_file
 from repro.fuzz.runner import Row, differential
+from repro.hinch import ProcessRuntime
+from repro.hinch.shm import SharedPlanePool
 
 REG = default_registry()
 PIP = dict(width=64, height=48, factor=4, slices=2, frames=2, collect=True)
@@ -71,3 +77,61 @@ def test_app_conforms(name):
 def test_fuzz_case_conforms(path):
     _, failure = replay_file(path)
     assert failure is None, str(failure)
+
+
+#: creates a ``psm_`` segment, leaves it behind and prints its name
+FOREIGN_SEGMENT = """
+from multiprocessing import resource_tracker, shared_memory
+segment = shared_memory.SharedMemory(create=True, size=64)
+resource_tracker.unregister(segment._name, "shared_memory")
+print(segment.name)
+segment.close()
+"""
+
+
+def _unlink(name: str) -> None:
+    try:
+        shared_memory.SharedMemory(name=name).unlink()
+    except FileNotFoundError:
+        pass
+
+
+def test_a_segment_another_process_creates_is_not_the_rows_leak(monkeypatch):
+    """A row is charged only with the segments its own plane pool
+    created: another process's, made while the row runs, is not its
+    leak (a test runner running tests side by side does this)."""
+    foreign: list[str] = []
+    run = ProcessRuntime.run
+
+    def run_beside_another_process(self, *args, **kwargs):
+        foreign.append(subprocess.run(
+            [sys.executable, "-c", FOREIGN_SEGMENT], check=True,
+            capture_output=True, text=True).stdout.strip())
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessRuntime, "run", run_beside_another_process)
+    try:
+        failure = differential(make_program(build_blur(3, **BLUR), name="b"),
+                               REG, iterations=2, rows=[Row("process", 2, 2)])
+        assert foreign and os.path.exists(f"/dev/shm/{foreign[0]}")
+    finally:
+        for name in foreign:
+            _unlink(name)
+    assert failure is None, str(failure)
+
+
+def test_a_row_that_leaks_its_own_segment_fails(monkeypatch):
+    """A dispatcher that never unlinks its planes is still a shm-leak."""
+    kept: list[SharedPlanePool] = []
+    close = SharedPlanePool.close
+    monkeypatch.setattr(SharedPlanePool, "close", lambda pool: kept.append(pool))
+    try:
+        failure = differential(make_program(build_blur(3, **BLUR), name="b"),
+                               REG, iterations=2, rows=[Row("process", 2, 2)])
+    finally:
+        monkeypatch.undo()
+        for pool in kept:
+            close(pool)
+    assert failure is not None and failure.kind == "shm-leak", str(failure)
+    assert all(not os.path.exists(f"/dev/shm/{name}")
+               for pool in kept for name in pool.created)
