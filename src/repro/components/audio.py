@@ -24,7 +24,7 @@ from repro.components.streaming import (
 )
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
-from repro.hinch.component import Component, JobContext, row_span
+from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
 __all__ = [
@@ -148,14 +148,6 @@ class BandFilter(Component):
                 PortTraffic("output", nbytes, True),
             ),
         )
-
-    @classmethod
-    def reads_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "input":
-            return row_span(instance.slice, height)
-        return super().reads_rows(instance, port, height)
 
     def configure(self) -> None:
         self._kernel = self.KERNELS[self.params["taps"]]

@@ -131,6 +131,8 @@ class _KernelSkeleton(Component):
 class MapPlane(_KernelSkeleton):
     """Map skeleton: element-wise/row-local kernel over a plane slice."""
 
+    row_contract = True
+
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
@@ -168,7 +170,11 @@ class StencilPlane(_KernelSkeleton):
 
     Use inside ``shape="crossdep"`` parblocks so the i-1/i/i+1
     dependencies cover the halo, exactly like the blur's vertical phase.
+    The border rows are replicated only at the plane's edges, so one
+    full-span copy computes what *n* halo'd copies do.
     """
+
+    row_contract = True
 
     ports = PortSpec(
         inputs=("input",),

@@ -32,7 +32,7 @@ from repro.components.video import Frame, synthetic_frame
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError
-from repro.hinch.component import Component, JobContext, row_span
+from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
 __all__ = [
@@ -474,20 +474,6 @@ class DownscaleField(Component):
             ),
         )
 
-    @classmethod
-    def reads_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "input":
-            # The box filter reads exactly the input band that maps onto
-            # this copy's output rows: [lo*factor, hi*factor).
-            factor = instance.params["factor"]
-            span = row_span(instance.slice, height // factor)
-            if span is None:
-                return None
-            return span[0] * factor, span[1] * factor
-        return super().reads_rows(instance, port, height)
-
     def configure(self) -> None:
         self.factor = factor = self.params["factor"]
         self.span = self.rows(self.params["height"] // factor)
@@ -543,18 +529,6 @@ class BlendField(Component):
             ),
         )
 
-    @classmethod
-    def reads_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "background":
-            # blend_plane copies background[lo:hi] and overlays only the
-            # intersection with that band — the slice reads nothing else.
-            return row_span(instance.slice, height)
-        # The overlay lands at a reconfigurable position: a sliced copy may
-        # read any of its rows, so no contract (fusion keeps it external).
-        return super().reads_rows(instance, port, height)
-
     def configure(self) -> None:
         self.position, self.alpha = _placement(self)
         self.span = self.rows(self.params["height"])
@@ -602,14 +576,6 @@ class ConvertPlane(Component):
                 PortTraffic("output", int(pixels), True),
             ),
         )
-
-    @classmethod
-    def reads_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        if port == "input":
-            return row_span(instance.slice, height)
-        return super().reads_rows(instance, port, height)
 
     def configure(self) -> None:
         self.dtype = np.dtype(self.params["dtype"])
@@ -668,16 +634,6 @@ class _BlurBase(Component):
 
 class BlurHField(_BlurBase):
     """Horizontal phase of the separable Gaussian blur."""
-
-    @classmethod
-    def reads_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        # Horizontal taps stay within the row; only the vertical phase
-        # reads a halo (and therefore inherits the None default).
-        if port == "input":
-            return row_span(instance.slice, height)
-        return super().reads_rows(instance, port, height)
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")

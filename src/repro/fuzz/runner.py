@@ -252,11 +252,10 @@ def differential(program, registry, *, iterations: int,
 
     The reference is the class's first row in :data:`ROWS`,
     ``ThreadedRuntime(nodes=1)``; every other row (or each of ``rows``,
-    when given) and each of ``extra_rows`` must match it.  Rows that run
-    every copy (the reference runs one per row-contract region) and report
-    ``stream_stats`` (the simulator does not) must also agree on those,
-    unless faults retried a read or the chain compiler keeps a stream
-    out of the store in some configurations only.  A program with
+    when given) and each of ``extra_rows`` must match it.  Rows that
+    report ``stream_stats`` (the simulator does not) must also agree on
+    those, unless faults retried a read; a stream the chain compiler
+    keeps out of the store is not compared.  A program with
     managers must splice on the reference.  ``post`` is a ``(queue,
     event)`` posted before each ``run()``.  ``None``: every row conforms.
     """
@@ -293,14 +292,16 @@ def differential(program, registry, *, iterations: int,
                                f"{iterations} iterations completed")
         if unfired:  # fault indices are bounded so that every spec fires
             return CaseFailure("fault-unfired", f"{row}: {unfired[0]}")
-        if stats is not None and not (rt.one_copy or row.faults or (
-                rt.chain_headroom and program.managers)):
+        if stats is not None and not row.faults:
             stats_reference = stats_reference or (row, stats)
-            fused = {name for node in rt.pg.graph
+            # a stream fused in any configuration the run built skips
+            # the store there
+            fused = {name for config in rt._configurations.values()
+                     for node in config.pg.graph
                      if isinstance(node.payload, FusedChain)
                      for name in node.payload.internal}
-            want = {k: v for k, v in stats_reference[1].items() if k not in fused}
-            for name in sorted(want.keys() | stats.keys()):
+            want = stats_reference[1]
+            for name in sorted((want.keys() | stats.keys()) - fused):
                 if stats.get(name) != want.get(name):
                     return CaseFailure(
                         "stats-mismatch", f"{row} counts {name} "

@@ -74,10 +74,9 @@ class Component:
     #: The row contract: copy *i* of a data-parallel region writes only
     #: :meth:`rows` of its outputs, and the copies differ only in the rows
     #: they cover, so one copy with ``slice=(0, 1)`` computes what all
-    #: *n* do.  :meth:`writes_rows` reports those spans to the chain
-    #: compiler, and the inline executor (``ThreadedRuntime(nodes=1)``)
-    #: runs a region whose classes all set it as that one copy
-    #: (:func:`~repro.core.program.one_copy_regions`).
+    #: *n* do.  Every real executor runs a region whose classes all set
+    #: it as that one copy (:func:`~repro.core.program.one_copy_regions`);
+    #: the simulator runs the spec's *n*.
     row_contract: bool = False
     #: Rows per unit a copy's span is aligned to: the ``block=`` term of
     #: the output formats (their least common multiple), 1 without one.
@@ -97,40 +96,6 @@ class Component:
             parse_format(formats[port]).block or 1
             for port in cls.ports.outputs if port in formats
         ))
-
-    @classmethod
-    def writes_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        """Row span ``[lo, hi)`` this copy writes on output ``port``.
-
-        The chain-fusion compiler (:mod:`repro.hinch.fusion`) uses this
-        access contract to prove that a sliced consumer only reads rows
-        its paired producer copy wrote, so the intermediate plane can
-        stay a worker-local temporary.  Unsliced copies write the whole
-        plane; a :attr:`row_contract` class's copies write
-        :func:`row_span` of its outputs; any other sliced copy is
-        ``None`` (unknown), which makes fusion refuse.
-        """
-        if cls.row_contract and port in cls.ports.outputs:
-            return row_span(instance.slice, height, cls.row_block)
-        if instance.slice is None:
-            return (0, height)
-        return None
-
-    @classmethod
-    def reads_rows(
-        cls, instance: ComponentInstance, port: str, height: int
-    ) -> tuple[int, int] | None:
-        """Row span ``[lo, hi)`` this copy reads on input ``port``.
-
-        Counterpart of :meth:`writes_rows`; same ``None`` = unknown
-        semantics.  ``height`` is the full plane height of the stream
-        bound to ``port`` (from the reconciled X5xx format solution).
-        """
-        if instance.slice is None:
-            return (0, height)
-        return None
 
     @classmethod
     def compile_fused_pair(

@@ -21,6 +21,7 @@ components execute.  This module is that definition:
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Mapping, NamedTuple
 
@@ -84,7 +85,7 @@ def build_configuration(
     option_states: Mapping[str, bool] | None,
     *,
     peepholes: frozenset[str] | None = None,
-    chain_headroom: int | None = None,
+    chains: bool = False,
     group_chains: bool = False,
 ) -> Configuration:
     """Derive the schedulable configuration for ``option_states``.
@@ -99,11 +100,10 @@ def build_configuration(
     ``peepholes`` is the program's
     :func:`~repro.hinch.fusion.peephole_classes`, which a
     :class:`Coordinator` works out once; ``None`` works it out here.  An
-    empty set, the simulator's, keeps the unfused graph.  An int
-    ``chain_headroom`` adds the chain compiler
-    (:func:`~repro.hinch.fusion.fuse_chains`) with that many parallel
-    workers as its profitability guard; ``group_chains`` the §4.1
-    grouping (:func:`~repro.hinch.grouping.group_linear_chains`).
+    empty set, the simulator's, keeps the unfused graph.  ``chains``
+    adds the chain compiler (:func:`~repro.hinch.fusion.fuse_chains`);
+    ``group_chains`` the §4.1 grouping
+    (:func:`~repro.hinch.grouping.group_linear_chains`).
     """
     pg = program.build_graph(option_states)
     # The reconciled port formats become each stream's authoritative
@@ -124,9 +124,8 @@ def build_configuration(
         pg = fuse_pairs(pg, registry, peepholes)
     if group_chains:
         pg = group_linear_chains(pg)
-    if chain_headroom is not None:
-        pg, _ = fuse_chains(pg, program, registry, expectations,
-                            parallel_headroom=chain_headroom)
+    if chains:
+        pg, _ = fuse_chains(pg, program, registry, expectations)
     return Configuration(pg, overrides, expectations)
 
 
@@ -347,22 +346,17 @@ class Coordinator:
     before calling ``super().__init__``.
     """
 
-    #: apply pair fusion to every build; the simulator, which costs the
-    #: paper's unfused graph, turns it off
-    fuses_pairs = True
-    #: run the chain compiler with this parallel headroom; ``None`` (threads,
-    #: the simulator) never does — only the process backend, whose leases
-    #: pay per job, gains from it
-    chain_headroom: int | None = None
+    #: build the paper's graph (every copy the spec slices, no pair
+    #: fusion), as the simulator does for FIG8-10.  Every real executor
+    #: runs each region of :attr:`Component.row_contract` classes as one
+    #: copy (:func:`~repro.core.program.one_copy_regions`: a copy costs a
+    #: job, docs/performance.md) and fuses pairs
+    paper_graph = False
+    #: run the chain compiler; only the process backend, whose leases pay
+    #: per job, does
+    fuses_chains = False
     #: group linear chains (§4.1); only the simulator's ablation does
     group_chains = False
-    #: build from :func:`~repro.core.program.one_copy_regions`: a
-    #: data-parallel region whose classes all set
-    #: :attr:`Component.row_contract` runs as one full-span copy.  Only
-    #: the inline executor does: its copies would run one after another,
-    #: each paying a job; elsewhere they are the parallelism, or, in the
-    #: simulator, what the paper's figures model
-    one_copy = False
 
     def __init__(
         self,
@@ -377,7 +371,7 @@ class Coordinator:
         lock: ContextManager[Any] | None = None,
         concurrent_jobs: bool = False,
     ) -> None:
-        if self.one_copy:
+        if not self.paper_graph:
             program = one_copy_regions(
                 program, lambda name: registry[name].row_contract)
         self.program = program
@@ -387,8 +381,8 @@ class Coordinator:
         #: the program's pair-kernel classes, worked out once: every
         #: build (splices inside run() included) only reads it
         self._peepholes = (
-            peephole_classes(program, registry) if self.fuses_pairs
-            else frozenset()
+            frozenset() if self.paper_graph
+            else peephole_classes(program, registry)
         )
         #: resolved option states -> built configuration: a run that
         #: toggles between a handful of configurations solves, converts,
@@ -405,15 +399,19 @@ class Coordinator:
         self._target_states: dict[str, bool] = dict(self.pg.option_states)
         self._precreated: dict[str, Component] = {}
         self.host.populate(self.pg.active_components)
+        # What the coordinator owns refers back to it weakly: a dropped
+        # runtime, with its streams and its sink's frames, is freed at
+        # once, not at the cyclic collector's next full pass.
+        me = weakref.proxy(self)
         self.managers = {
-            qname: ManagerRuntime(info, self.broker, self)
+            qname: ManagerRuntime(info, self.broker, me)
             for qname, info in program.managers.items()
         }
         self.scheduler = DataflowScheduler(
             self.pg,
             pipeline_depth=pipeline_depth,
             max_iterations=max_iterations,
-            hooks=self,
+            hooks=me,
         )
         self._install_plans()
         #: (resume_iteration, option states) per applied reconfiguration
@@ -438,7 +436,7 @@ class Coordinator:
                 self.registry,
                 option_states,
                 peepholes=self._peepholes,
-                chain_headroom=self.chain_headroom,
+                chains=self.fuses_chains,
                 group_chains=self.group_chains,
             )
             # keyed by the *resolved* states: what every splice asks for
@@ -456,18 +454,23 @@ class Coordinator:
 
     def _install_plans(self) -> None:
         """Fresh (empty) node plans for :attr:`pg` and the live components."""
+        # the plans refer to the lock and the scheduler, not to the
+        # coordinator (see __init__)
+        lock, scheduler = self._lock, self.scheduler
+
+        def request_stop() -> None:
+            with lock:
+                scheduler.request_stop()
+
         self.node_plans = NodePlans(
             self.pg, self.host.live, self.streams, self.broker,
-            self._request_stop, self._executes,
+            request_stop, self._executes,
         )
 
-    def _executes(self, instance: ComponentInstance) -> bool:
+    @staticmethod
+    def _executes(instance: ComponentInstance) -> bool:
         """Does a job of this executor run ``instance``'s component?"""
         return True
-
-    def _request_stop(self) -> None:
-        with self._lock:
-            self.scheduler.request_stop()
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -533,8 +536,9 @@ class Coordinator:
 
     def send_reconfigure_request(self, manager: str, request: str) -> None:
         if names_slice(request):
-            # a copy's rows are the expander's (and, at one worker, the
-            # executor's) to assign: a broadcast would give every copy one
+            # a copy's rows are the expander's (and, on threads and
+            # processes, the executor's) to assign: a broadcast would
+            # give every copy one
             raise ComponentError(
                 f"manager {manager!r}: reconfigure request {request!r} may "
                 "not set 'slice' (the expander assigns each data-parallel "

@@ -29,28 +29,27 @@ every ``ProcessRuntime`` build runs it after the pair pass, threads and
 the simulator never do.  It merges chains that are not linear in the
 graph:
 
-1. For every stream it asks whether each *reader copy* provably consumes
-   only what its *paired writer copy* produced.  Unsliced 1:1 streams
-   pass trivially; sliced pairs are proven through the components'
-   ``writes_rows``/``reads_rows`` access contracts against the plane
-   height pinned by the reconciled X5xx port formats — e.g. a block-8
-   IDCT copy writes rows ``[16i, 16i+16)`` of a 128-row field and the
-   factor-4 downscaler copy with the same slice index reads exactly that
-   band.
-2. Approved pairs are contracted into :class:`FusedChain` nodes whose one
-   job executes every member back-to-back per slice.  The intermediate
-   plane becomes a worker-local numpy temporary (never touching
+1. A stream qualifies when it has one writer and one reader and each
+   covers the whole plane: unsliced, or the one copy (``slice=(0, 1)``)
+   of a data-parallel region the executor runs as one copy
+   (:func:`~repro.core.program.one_copy_regions`).  Slice copies never
+   fuse.
+2. Approved pairs are unioned into chains, except that a chain holds
+   at most one root of the graph (a node no other precedes, such as a
+   source): independent inputs stay separate jobs, which the workers
+   overlap across frames.
+3. Chains are contracted into :class:`FusedChain` nodes whose one
+   job executes every member back-to-back.  The intermediate plane
+   becomes a worker-local numpy temporary (never touching
    ``Stream``/shm — no pack, no ensure rpc, no pickle), and the released
-   cross-pair orderings let the mediating barrier disappear: the fused
-   graph keeps structural edges plus per-stream dataflow edges for
-   everything *not* proven internal, and falls back chain-by-chain (and
-   ultimately to the unfused graph) if a rewrite would introduce a cycle.
+   orderings let a mediating barrier disappear: the fused graph keeps
+   structural edges plus per-stream dataflow edges for everything *not*
+   internal, and falls back chain-by-chain (and ultimately to the
+   unfused graph) if a rewrite would introduce a cycle.
 
-On ``audio_dispatch`` it merges the terminal ``fuse+sink`` pair, and
-JPiP's 127 nodes become 63.  On processes, where every job costs a
-pickle and a pipe message, that wins on every workload; on threads it
-costs calls per job and loses at two threads (docs/performance.md,
-"What each feature earns").
+On processes, where every job costs a pickle and a pipe message, that
+wins on every workload; on threads it costs calls per job and loses at
+two threads (docs/performance.md, "What each feature earns").
 """
 
 from __future__ import annotations
@@ -230,28 +229,15 @@ class FusionReport:
 # ---------------------------------------------------------------------------
 
 
-def _approve_stream(
-    name: str,
-    table: StreamTable,
-    pg: ProgramGraph,
-    registry: Mapping[str, type[Component]],
-    expectations: Mapping[str, tuple[tuple[int, ...], Any]],
-    parallel_headroom: int | None = None,
-) -> tuple[list[tuple[str, str]], Any] | str:
-    """Decide whether stream ``name`` can become fused-chain internal.
+def _refusal(table: StreamTable, pg: ProgramGraph) -> str | None:
+    """Why a stream cannot become fused-chain internal; None if it can.
 
-    Returns ``(pairs, geometry)`` — writer/reader instance-id pairs whose
-    cross-pair ordering the access contracts release — or a refusal
-    reason string.
-
-    ``parallel_headroom`` (workers the caller can actually run in
-    parallel, ``None`` = unknown/serial) feeds the profitability guard:
-    fusing slice copy pairs is a loss when *more* workers than copies
-    exist, because the unfused form lets writer copies of iteration k+1
-    overlap reader copies of iteration k on the extra workers — fusion
-    welds each pair into one job and forfeits that pipeline overlap.
-    Pairs with a real combined kernel (``compile_fused_pair`` override)
-    are exempt: they elide work outright, which beats overlap.
+    Only a 1:1 stream between endpoints that each cover the whole plane
+    qualifies: unsliced, or the one copy (``slice=(0, 1)``) of a region
+    the executor runs as one copy.  Then the one reader consumes exactly
+    the one writer's whole value, which may pass as a job-local object.
+    Slice copies are refused: no real build holds several copies of a
+    class whose rows are known (:attr:`Coordinator.paper_graph`).
     """
     graph = pg.graph
     if not table.writers or not table.readers:
@@ -268,89 +254,28 @@ def _approve_stream(
             return None
         return node.payload
 
-    writer_insts = [inst_of(w) for w in table.writers]
-    reader_insts = [inst_of(r) for r in table.readers]
-    if any(i is None for i in writer_insts + reader_insts):
+    endpoints = [inst_of(e) for e in (*table.writers, *table.readers)]
+    if any(i is None for i in endpoints):
         return "endpoint is not a standalone task node"
     # chains must not cross control nodes (kind filter above), crossdep
     # consumers, or option-configuration boundaries
-    all_insts = writer_insts + reader_insts
-    if any(i.instance_id in pg.crossdep_nodes for i in all_insts):
+    if any(i.instance_id in pg.crossdep_nodes for i in endpoints):
         return "crossdep endpoint"
-    if len({i.manager for i in all_insts}) > 1:
+    if len({i.manager for i in endpoints}) > 1:
         return "crosses a manager boundary"
-    if len({i.options for i in all_insts}) > 1:
+    if len({i.options for i in endpoints}) > 1:
         return "crosses an option-configuration boundary"
-    if len({i.definition_id for i in writer_insts}) > 1:
-        return "multiple writer definitions"
-    if len({i.definition_id for i in reader_insts}) > 1:
-        return "multiple reader definitions"
-    writer_ids = {i.instance_id for i in writer_insts}
-    if writer_ids & {i.instance_id for i in reader_insts}:
+    if not {i.slice for i in endpoints} <= _WHOLE_PLANE:
+        return "sliced copies"
+    if len(endpoints) != 2:
+        return "plural endpoints"
+    if endpoints[0].instance_id == endpoints[1].instance_id:
         return "instance both writes and reads the stream"
-    if len({i.instance_id for i in reader_insts}) != len(reader_insts):
-        return "instance reads the stream on several ports"
+    return None
 
-    w_port = table.writers[0].port
-    r_port = table.readers[0].port
-    slices = {i.slice for i in all_insts}
 
-    if slices == {None}:
-        if len(writer_insts) == 1 and len(reader_insts) == 1:
-            # Unsliced 1:1: the single reader consumes exactly the single
-            # writer's whole value — pass it as a local object.
-            pairs = [
-                (writer_insts[0].instance_id, reader_insts[0].instance_id)
-            ]
-            return pairs, expectations.get(name)
-        return "plural unsliced endpoints"
-
-    if None in slices:
-        return "mixed sliced/unsliced endpoints"
-
-    # Sliced pairs: writer copy i must provably cover reader copy i.
-    n_totals = {i.slice[1] for i in all_insts}
-    if len(n_totals) != 1:
-        return "slice counts differ"
-    n = n_totals.pop()
-    by_index_w = {i.slice[0]: i for i in writer_insts}
-    by_index_r = {i.slice[0]: i for i in reader_insts}
-    if set(by_index_w) != set(range(n)) or set(by_index_r) != set(range(n)):
-        return "slice copies do not cover 0..n-1"
-    if parallel_headroom is not None and parallel_headroom > n:
-        r_cls0 = registry.get(reader_insts[0].class_name)
-        if r_cls0 is None or not _offers_pair_kernel(r_cls0):
-            return (
-                f"unprofitable: {n} slice copies under "
-                f"{parallel_headroom}-way parallel headroom — unfused "
-                "pipeline overlap beats single-job fusion"
-            )
-    geometry = expectations.get(name)
-    if geometry is None:
-        return "no reconciled plane format (X5xx) to prove row spans"
-    height = int(geometry[0][0])
-    pairs: list[tuple[str, str]] = []
-    for i in range(n):
-        w, r = by_index_w[i], by_index_r[i]
-        if w.slice != r.slice:
-            return "slice assignments differ within a pair"
-        w_cls = registry.get(w.class_name)
-        r_cls = registry.get(r.class_name)
-        if w_cls is None or r_cls is None:
-            return "endpoint class not in registry"
-        wrote = w_cls.writes_rows(w, w_port, height)
-        read = r_cls.reads_rows(r, r_port, height)
-        if wrote is None or read is None:
-            return (
-                f"no access contract for pair {w.instance_id!r}/"
-                f"{r.instance_id!r}"
-            )
-        if not (wrote[0] <= read[0] and read[1] <= wrote[1]):
-            return (
-                f"rows read {read} exceed rows written {wrote} for slice {i}"
-            )
-        pairs.append((w.instance_id, r.instance_id))
-    return pairs, geometry
+#: the slices of an endpoint that covers the whole plane
+_WHOLE_PLANE = frozenset({None, (0, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +286,25 @@ def _approve_stream(
 def _build_chains(
     graph: TaskGraph, pairs: list[tuple[str, str]]
 ) -> list[list[str]]:
-    """Union approved pairs into chains, members in topological order."""
-    parent: dict[str, str] = {}
+    """Union approved pairs into chains, members in topological order.
 
-    def find(x: str) -> str:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    A pair is not joined when each of its two chains holds a root of the
+    graph (a node no other precedes, such as a source): independent
+    inputs stay in separate jobs, so the workers can overlap one with
+    the rest of the previous frame.
+    """
+    roots = set(graph.sources())
+    chain_of: dict[str, list[str]] = {}
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        ca, cb = chain_of.get(a, [a]), chain_of.get(b, [b])
+        if ca is not cb and not (roots.intersection(ca)
+                                 and roots.intersection(cb)):
+            ca += cb
+            for member in ca:
+                chain_of[member] = ca
     order = {nid: i for i, nid in enumerate(graph.topological_order())}
-    groups: dict[str, list[str]] = {}
-    for member in parent:
-        groups.setdefault(find(member), []).append(member)
-    chains = [sorted(ms, key=order.__getitem__) for ms in groups.values()]
+    chains = [sorted(ms, key=order.__getitem__)
+              for ms in {id(c): c for c in chain_of.values()}.values()]
     chains.sort(key=lambda ms: order[ms[0]])
     return chains
 
@@ -386,15 +312,15 @@ def _build_chains(
 def _rewrite(
     pg: ProgramGraph,
     chains: list[list[str]],
-    approved: dict[str, tuple[list[tuple[str, str]], Any]],
+    approved: dict[str, tuple[str, str]],
+    expectations: Mapping[str, tuple[tuple[int, ...], Any]],
 ) -> tuple[TaskGraph, list[FusedChain]] | None:
     """Contract ``chains`` into fused nodes; None when the result cycles.
 
-    Barrier nodes encode only ordering, and the approved access contracts
-    released exactly the cross-pair orderings they enforced — so barriers
-    are dropped wholesale and replaced by per-stream dataflow edges:
-    every writer→reader pair for unapproved streams, matched pairs only
-    for approved ones (which contract to self-edges inside a chain).
+    Barrier nodes encode only ordering, so they are dropped wholesale and
+    replaced by per-stream dataflow edges: every writer→reader pair of
+    every stream (an approved stream's one pair contracts to a self-edge
+    inside its chain).
     """
     graph = pg.graph
     member_of: dict[str, str] = {}
@@ -435,12 +361,9 @@ def _rewrite(
                 graph.node(m).payload for m in chain_members[cid]
             )
             internal = {
-                name: geometry
-                for name, (prs, geometry) in approved.items()
-                if any(
-                    member_of.get(w) == cid and member_of.get(r) == cid
-                    for w, r in prs
-                )
+                name: expectations.get(name)
+                for name, (w, r) in approved.items()
+                if member_of.get(w) == cid and member_of.get(r) == cid
             }
             payload = FusedChain(members, internal)
             fused_payloads[cid] = payload
@@ -465,20 +388,12 @@ def _rewrite(
         if a != b and a in new and b in new:
             new.add_edge(a, b)
     # dataflow edges per stream
-    for name, table in pg.streams.items():
-        entry = approved.get(name)
-        if entry is None:
-            pairlist = [
-                (w.instance_id, r.instance_id)
-                for w in table.writers
-                for r in table.readers
-            ]
-        else:
-            pairlist = entry[0]
-        for w_id, r_id in pairlist:
-            a, b = mapped(w_id), mapped(r_id)
-            if a is not None and b is not None and a != b:
-                new.add_edge(a, b)
+    for table in pg.streams.values():
+        for w in table.writers:
+            for r in table.readers:
+                a, b = mapped(w.instance_id), mapped(r.instance_id)
+                if a is not None and b is not None and a != b:
+                    new.add_edge(a, b)
 
     if not new.is_acyclic():
         return None
@@ -493,41 +408,39 @@ def fuse_chains(
     backend: str = "numpy",
     parallel_headroom: int | None = None,
 ) -> tuple[ProgramGraph, FusionReport]:
-    """Compile every provably-fusable chain of ``pg`` into fused nodes.
+    """Compile every fusable chain of ``pg`` into fused nodes.
 
     Deterministic in its inputs: the dispatcher and every worker process
     run this independently after each reconfiguration splice and must
     agree on node ids and member order.  Returns the rewritten graph
     (or ``pg`` itself when nothing fuses) plus a :class:`FusionReport`.
 
-    ``parallel_headroom`` enables the sliced-pair profitability guard
-    (see :func:`_approve_stream`); callers pass the number of workers
-    that can genuinely run in parallel (``min(workers, cores)`` on the
-    process backend) or ``None`` to fuse unconditionally.  ``backend``
-    is accepted for ``benchmarks/e2e/layers.py``, which passes
-    ``"numpy"``, and ignored (a frozen-path shim, ROADMAP item 4(c)).
+    Only ``pg`` and ``expectations`` are read.  ``program`` and
+    ``registry`` keep the callers' positional order; ``backend`` and
+    ``parallel_headroom`` are frozen-path shims for
+    ``benchmarks/e2e/layers.py``, which passes ``"numpy"`` and a
+    head-room from when this chose a kernel backend and guarded the
+    fusion of slice copies.
     """
     report = FusionReport()
-    approved: dict[str, tuple[list[tuple[str, str]], Any]] = {}
+    #: stream name -> its one (writer, reader) instance-id pair
+    approved: dict[str, tuple[str, str]] = {}
     for name, table in pg.streams.items():
-        verdict = _approve_stream(
-            name, table, pg, registry, expectations,
-            parallel_headroom=parallel_headroom,
-        )
-        if isinstance(verdict, str):
-            report.refused[name] = verdict
+        reason = _refusal(table, pg)
+        if reason is None:
+            approved[name] = (table.writers[0].instance_id,
+                              table.readers[0].instance_id)
         else:
-            approved[name] = verdict
+            report.refused[name] = reason
 
     if not approved:
         return pg, report
 
-    all_pairs = [p for prs, _ in approved.values() for p in prs]
-    chains = _build_chains(pg.graph, all_pairs)
+    chains = _build_chains(pg.graph, list(approved.values()))
 
     dropped: list[str] = []
     while chains:
-        result = _rewrite(pg, chains, approved)
+        result = _rewrite(pg, chains, approved, expectations)
         if result is not None:
             break
         # A chain interacts with an external path; drop the most recently
@@ -604,6 +517,8 @@ class _LocalStream:
         if expected is not None:
             check_geometry(self._name, iteration, writer, shape, dtype,
                            expected, AGAINST_FORMAT)
+            if dtype is None:  # the solved format's, as Stream.ensure_buffer
+                dtype = expected[1]
         buf = self._store.temp(self._name, tuple(shape), dtype)
         self._store.slots[self._name] = buf
         return buf

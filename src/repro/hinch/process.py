@@ -22,13 +22,15 @@ execution across process boundaries:
 Frame transport is zero-copy: stream values cross the control pipes as
 :class:`~repro.hinch.shm.Packed` descriptors a few hundred bytes long,
 while the pixels live in ``multiprocessing.shared_memory`` planes that
-both sides map directly.  Sliced data-parallel copies running on
-different cores share one output plane per (stream, iteration) — exactly
-the whole-frame slot buffer of the threaded backend, now visible across
-processes.  Workers never allocate planes themselves; they RPC the
-dispatcher (``rpc_alloc`` / ``rpc_ensure``) when a job needs one, which
-keeps the pool's free lists single-threaded and the ``pipeline_depth``
-memory bound intact.  Every control message is one plain pickle; the
+both sides map directly.  A data-parallel region of row-contract classes
+runs as one copy, as on threads (:attr:`Coordinator.paper_graph`); the
+copies of any other sliced class, running on different cores, share one
+output plane per (stream, iteration) — exactly the whole-frame slot
+buffer of the threaded backend, now visible across processes.  Workers
+never allocate planes themselves; they RPC the dispatcher
+(``rpc_alloc`` / ``rpc_ensure``) when a job needs one, which keeps the
+pool's free lists single-threaded and the ``pipeline_depth`` memory
+bound intact.  Every control message is one plain pickle; the
 message list is in :mod:`repro.hinch.worker`.
 
 The dispatcher also owns **failure semantics** (the coordinator, not the
@@ -65,10 +67,9 @@ always on:
   worker is idle, keeping resident slots and caches warm.
 
 Every build also runs the chain compiler
-(:func:`~repro.hinch.fusion.fuse_chains`) after pair fusion, with
-``min(workers, cores)`` as its parallel headroom: a job here pays a
-pickle and a pipe message, so fewer, larger jobs win on every workload
-(docs/performance.md, "What each feature earns").
+(:func:`~repro.hinch.fusion.fuse_chains`) after pair fusion: a job here
+pays a pickle and a pipe message, so fewer, larger jobs win on every
+workload (docs/performance.md, "What each feature earns").
 
 A job's streamed record is its only acknowledgement: a worker that dies
 mid-lease acknowledged exactly the records that arrived (the pipe is
@@ -85,7 +86,8 @@ address-space copy, so nothing about the application itself is pickled.
 from __future__ import annotations
 
 import multiprocessing
-import os
+import signal
+import threading
 import time
 from collections import deque
 from multiprocessing.connection import Connection, wait
@@ -183,6 +185,8 @@ class ProcessRuntime(Coordinator):
       :class:`~repro.hinch.faults.FaultInjector`) for testing.
     """
 
+    fuses_chains = True
+
     def __init__(
         self,
         program: Program,
@@ -217,15 +221,6 @@ class ProcessRuntime(Coordinator):
         self.max_retries = max_retries
         self.respawn = respawn
         self.fault_injector = coerce_injector(faults)
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            cores = os.cpu_count() or 1
-        # workers-vs-cores ceiling handed to the chain compiler's
-        # profitability guard: fusing a sliced pair forfeits pipeline
-        # overlap exactly when more workers than slice copies could run
-        # its members
-        self.chain_headroom = min(workers, cores)
         super().__init__(
             program, registry,
             pool=SharedPlanePool(shared=True),
@@ -1071,7 +1066,26 @@ class ProcessRuntime(Coordinator):
     # -- run -----------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Execute to completion; returns statistics and live components."""
+        """Execute to completion; returns statistics and live components.
+
+        On the main thread, a SIGTERM whose handler is still the default
+        arrives as :class:`KeyboardInterrupt` while the run lasts, as
+        SIGINT does: its default action would end the process without
+        the ``finally`` that stops the workers and unlinks the segments.
+        A worker keeps the default action
+        (:func:`~repro.hinch.worker._worker_entry`).
+        """
+        sigterm = (threading.current_thread() is threading.main_thread()
+                   and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+        if sigterm:
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            return self._run()
+        finally:
+            if sigterm:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def _run(self) -> RunResult:
         start_time = time.perf_counter()
         failed = False
         try:

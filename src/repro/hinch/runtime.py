@@ -7,7 +7,10 @@ queue — under CPython's GIL this yields concurrency, not parallel
 speedup; performance curves come from the SpaceCAKE simulator
 (:mod:`repro.spacecake`).  ``nodes=1`` starts no thread at all: the
 caller's thread runs the jobs in the FIFO order one worker would pop
-them, from a plain deque.  Graph build, managers and reconfiguration are
+them, from a plain deque.  Every width builds the same program: a
+data-parallel region of row-contract classes runs as one copy, so the
+workers overlap nodes and iterations, not copies of one region.
+Graph build, managers and reconfiguration are
 the shared :class:`~repro.hinch.engine.Coordinator`; this module adds the
 two executors — and, for the threads, the job queue and the lock that
 lets them share it.
@@ -35,11 +38,11 @@ __all__ = ["ThreadedRuntime", "RunResult", "ComponentHost"]
 class RunResult:
     """Outcome of one application run.
 
-    ``components`` and ``stream_stats`` describe what ran.  At one
-    worker (``ThreadedRuntime(nodes=1)``) a data-parallel region of
-    row-contract classes runs as one copy: ``components`` holds ``x[0]``
-    with ``slice == (0, 1)`` and no ``x[1]``, and a stream that copy
-    writes counts one write per iteration, not one per copy.
+    ``components`` and ``stream_stats`` describe what ran.  On threads
+    and processes a data-parallel region of row-contract classes runs as
+    one copy: ``components`` holds ``x[0]`` with ``slice == (0, 1)`` and
+    no ``x[1]``, and a stream that copy writes counts one write per
+    iteration, not one per copy.
     """
 
     completed_iterations: int
@@ -72,9 +75,10 @@ class ThreadedRuntime(Coordinator):
     worker threads sharing the central :class:`JobQueue`.  Its builds
     fuse pairs only: the chain compiler
     (:func:`~repro.hinch.fusion.fuse_chains`) costs a thread more calls
-    per job than it saves (docs/performance.md).  At ``nodes=1`` each
+    per job than it saves (docs/performance.md).  At every width each
     data-parallel region of row-contract classes runs as one full-span
-    copy (:attr:`Coordinator.one_copy`).
+    copy (:attr:`Coordinator.paper_graph`), so every width builds the
+    program ``nodes=1`` runs.
     """
 
     def __init__(
@@ -91,8 +95,6 @@ class ThreadedRuntime(Coordinator):
         if nodes < 1:
             raise SchedulingError(f"nodes must be >= 1, got {nodes}")
         self.nodes = nodes
-        # one worker gains nothing from slice copies, and pays a job each
-        self.one_copy = nodes == 1
         super().__init__(
             program, registry,
             pipeline_depth=pipeline_depth,

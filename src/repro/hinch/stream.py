@@ -34,12 +34,12 @@ graph is caught loudly instead of producing garbage frames.
 
 Only ``ThreadedRuntime(nodes >= 2)``, whose jobs run concurrently, locks
 its streams (:class:`LockedStream`): slice copies on different threads
-race on :meth:`Stream.ensure_buffer` and must share one allocation, and
-the first writes of an iteration race to create its frame (under the
-store's lock).  The inline ``nodes=1`` loop, the process dispatcher and
-the simulator run one job at a time (process workers have their own
-streams), so their :class:`Stream` takes no lock: a job pays for none it
-cannot contend on.
+race on :meth:`Stream.ensure_buffer` and must share one allocation.
+The first writes of an iteration, which may race too, create its frame
+with one ``dict.setdefault``, atomic under the GIL.  The inline
+``nodes=1`` loop, the process dispatcher and the simulator run one job
+at a time (process workers have their own streams), so their
+:class:`Stream` takes no lock: a job pays for none it cannot contend on.
 """
 
 from __future__ import annotations
@@ -125,10 +125,11 @@ class Stream:
         if store is None:
             store = StreamStore(locked=isinstance(self, LockedStream))
         self.name = name
-        self._store = store
-        #: the store's iteration -> Frame table, and its frame maker
+        #: the store's plane pool and iteration -> Frame table; neither
+        #: refers back to the store, so a dropped store is freed without
+        #: the cyclic collector
+        self._pool = store.pool
         self._frames: dict[int, Frame] = store._frames
-        self._frame: Callable[[int], Frame] = store._create_frame
         #: released ``shape`` buffers, for the next request of their geometry
         self._spare: list[np.ndarray] = []
         self._writes = 0
@@ -218,7 +219,7 @@ class Stream:
         if self._observed is None:
             self._observe(value)
         if values is None:
-            values = self._frame(iteration)[0]
+            values = self._frames.setdefault(iteration, ({}, {}))[0]
         values[name] = value
         self._writes += 1
 
@@ -304,7 +305,7 @@ class Stream:
             if self._observed is None:
                 self._observe(buffer)
             if frame is None:
-                frame = self._frame(iteration)
+                frame = self._frames.setdefault(iteration, ({}, {}))
             frame[0][name] = buffer
             frame[1][name] = spare
         self._writes += 1
@@ -350,8 +351,8 @@ class Stream:
         spare = buffers.pop(name, None)
         if spare is not None:
             spare.append(value)
-        elif type(value) is Packed and self._store.pool is not None:
-            self._store.pool.release_packed(value)
+        elif type(value) is Packed and self._pool is not None:
+            self._pool.release_packed(value)
         if not values:
             frames.pop(iteration, None)
 
@@ -373,8 +374,7 @@ class LockedStream(Stream):
 
     Racing slice copies allocate one :meth:`ensure_buffer` buffer, a
     racing second :meth:`put` fails, and a buffer is released (to the
-    spare list) once.  The one-lookup :meth:`has` needs no lock; the
-    store's lock guards the creation of an iteration's frame.
+    spare list) once.  The one-lookup :meth:`has` needs no lock.
     """
 
     def __init__(self, name: str, store: StreamStore | None = None) -> None:
@@ -406,8 +406,8 @@ class StreamStore:
     retires in one step.  An optional
     :class:`~repro.hinch.shm.SharedPlanePool` (the process dispatcher's)
     takes back the planes of the packed transport values.  ``locked``
-    makes every stream a :class:`LockedStream` and creates frames under
-    the store's lock, for an executor whose jobs run concurrently.
+    makes every stream a :class:`LockedStream`, for an executor whose
+    jobs run concurrently.
     """
 
     def __init__(
@@ -415,7 +415,6 @@ class StreamStore:
     ) -> None:
         self.pool = pool
         self._stream_cls = LockedStream if locked else Stream
-        self._locked = locked
         self._lock = threading.Lock()
         self._streams: dict[str, Stream] = {}
         #: iteration -> its frame, from its first write to its retirement
@@ -423,15 +422,6 @@ class StreamStore:
         #: stream name -> (shape, dtype) from the format-reconciliation
         #: pass, installed on streams as they are created
         self._expectations: dict[str, tuple[tuple[int, ...], Any]] = {}
-
-    def _create_frame(self, iteration: int) -> Frame:
-        """The frame of ``iteration``: made by its first write, which
-        concurrent first writes of other streams may race."""
-        if not self._locked:
-            frame = self._frames[iteration] = ({}, {})
-            return frame
-        with self._lock:
-            return self._frames.setdefault(iteration, ({}, {}))
 
     def set_expectations(
         self, expectations: Mapping[str, tuple[tuple[int, ...], Any]]

@@ -25,6 +25,7 @@ each mirror's reconfigure history.
 from __future__ import annotations
 
 import os
+import signal
 import time
 import traceback
 from multiprocessing.connection import Connection
@@ -435,7 +436,11 @@ class _Worker:
 
 def _worker_entry(dispatcher_ends: list, *args: Any) -> None:
     """Fork target: close the inherited dispatcher pipe ends, then serve a
-    :class:`_Worker` built from the remaining arguments."""
+    :class:`_Worker` built from the remaining arguments.  SIGTERM goes
+    back to its default action if the run mapped it: the dispatcher owns
+    and unlinks every segment, so a worker has nothing to clean up."""
+    if signal.getsignal(signal.SIGTERM) is signal.default_int_handler:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for conn in dispatcher_ends:
         conn.close()
     _Worker(*args).main()

@@ -172,7 +172,7 @@ class SimResult:
 class SimRuntime(Coordinator):
     """Simulate a Program on an N-core SpaceCAKE tile."""
 
-    fuses_pairs = False
+    paper_graph = True
 
     def __init__(
         self,
@@ -191,6 +191,11 @@ class SimRuntime(Coordinator):
     ) -> None:
         self.execute = execute
         self.group_chains = group_chains
+        # Cost-only mode still runs the components whose *behaviour*
+        # drives the experiment (event timers); a plain function, so the
+        # node plans hold no reference back to this runtime.
+        self._executes = lambda instance: (
+            execute or registry[instance.class_name].always_execute)
         self.engine = EventEngine()
         self.machine = Machine(
             machine if machine is not None else MachineConfig(nodes=nodes)
@@ -200,8 +205,9 @@ class SimRuntime(Coordinator):
         self.cost_model = CostModel(registry, cost_params)
         # Same build as the real backends — format solve, converter
         # insertion, grouping — so the simulator costs the graph they
-        # run, except pair fusion (``fuses_pairs``): the paper had no
-        # such rewrite, and FIG8-10 cost its unfused graph.
+        # run, except pair fusion and one copy per region
+        # (``paper_graph``): the paper had neither, and FIG8-10 cost its
+        # unfused, sliced graph.
         super().__init__(
             program, registry,
             pipeline_depth=pipeline_depth,
@@ -235,14 +241,6 @@ class SimRuntime(Coordinator):
             node.node_id: JobPlan.compile(node, cost_model, overhead, aliases)
             for node in self.pg.graph
         }
-
-    def _executes(self, instance) -> bool:
-        # Cost-only mode still runs the components whose *behaviour*
-        # drives the experiment (event timers).
-        return (
-            self.execute
-            or type(self.host.live[instance.instance_id]).always_execute
-        )
 
     # -- SchedulerHooks ----------------------------------------------------------
 

@@ -74,11 +74,13 @@ def test_identical_records_across_backends(workers):
 
 
 def test_process_build_fuses_the_mixer_into_the_sink():
-    """The chain compiler makes ``fuse+sink`` one job; its records are
-    ``tests/test_conformance.py``'s."""
+    """Each band filter runs as one copy, so every stream is 1:1 and the
+    chain compiler makes the whole record path, mixer and sink included,
+    one job; its records are ``tests/test_conformance.py``'s."""
     rt = ProcessRuntime(make_program(_spec(), name="audio"), REG, workers=2,
                         pipeline_depth=2, max_iterations=6)
-    assert "fuse+sink" in rt.pg.graph
+    (node,) = rt.pg.graph
+    assert node.node_id == "+".join(rt.pg.active_components)
 
 
 def test_bypass_passes_mic_through_when_branch_off():

@@ -1,13 +1,13 @@
-"""A row-contract copy writes only the rows ``writes_rows`` names.
+"""A row-contract copy writes only its rows.
 
 ``Component.row_contract`` promises that copy *i* of *n* touches only its
-span of the output plane, and that the copies differ only in the rows
-they cover.  The chain compiler trusts the spans and the one-worker
-executor trusts the promise, so here every shipped row-contract class
-runs each copy alone on an output slot pre-filled with a sentinel: no
-row outside the copy's span may change, the spans of copies 0..n-1 must
-tile the plane, and the rows the copies wrote must assemble into what
-one unsliced copy writes.
+span of the output plane (``Component.rows``, from ``row_span``), and
+that the copies differ only in the rows they cover.  Every real executor
+trusts the promise and runs one copy, so here every shipped row-contract
+class runs each copy alone on an output slot pre-filled with a sentinel:
+no row outside the copy's span may change, the spans of copies 0..n-1
+must tile the plane, and the rows the copies wrote must assemble into
+what one unsliced copy writes.
 """
 
 from __future__ import annotations
@@ -61,6 +61,19 @@ def _blur(height):
             {"input": _plane(height)}, np.uint8)
 
 
+def _map(height):
+    return ({"width": W, "height": height, "kernel": "gain", "factor": 1.5,
+             "bias": -20.0},
+            {"input": _plane(height)}, np.uint8)
+
+
+def _stencil(height):
+    # copies read a halo across their span's edges; one whole copy
+    # replicates only the plane's border rows
+    return ({"width": W, "height": height, "kernel": "edge", "halo": 1},
+            {"input": _plane(height)}, np.uint8)
+
+
 def _band(height):
     samples = _plane(height, dtype=np.int16) * 97 - 12000
     return ({"channels": height, "block": W, "taps": "diff"},
@@ -77,6 +90,8 @@ CASES = {
     "blur_h_field": _blur,
     "blur_v_field": _blur,
     "band_filter": _band,
+    "map_plane": _map,
+    "stencil_plane": _stencil,
 }
 
 
@@ -97,8 +112,9 @@ def _run_copy(name, height, assignment):
     instance = ComponentInstance(
         name, name, name, cls.ports.bind(name, params),
         {p: p for p in cls.ports.all_ports}, slice=assignment)
-    cls(instance).run(JobContext(instance, 0, store, EventBroker(), {}))
-    return out, cls.writes_rows(instance, port, height)
+    component = cls(instance)
+    component.run(JobContext(instance, 0, store, EventBroker(), {}))
+    return out, component.rows(height)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

@@ -225,6 +225,17 @@ def sleep_app(*, slices: int, sleep_ms: float) -> AppBuilder:
     return b
 
 
+def keep_copies(registry: dict[str, type[Component]],
+                *names: str) -> dict[str, type[Component]]:
+    """``registry`` with each of ``names`` subclassed without the row
+    contract: its slice copies stay copies on every executor, so their
+    jobs share one output plane, across workers on processes."""
+    return {**registry, **{
+        name: type(registry[name].__name__, (registry[name],),
+                   {"row_contract": False})
+        for name in names}}
+
+
 def shm_entries() -> set[str]:
     """The shared-memory segments on this host (a leak check's snapshot)."""
     try:

@@ -45,7 +45,7 @@ APPS = {
 def _fingerprint(program, states, group_chains, fuse):
     config = engine.build_configuration(
         program, REG, states, group_chains=group_chains,
-        chain_headroom=2 if fuse else None,
+        chains=fuse,
     )
     pg = config.pg
     return {

@@ -24,6 +24,7 @@ from repro.analysis.formats import check_formats, runtime_expectations
 from repro.apps import build_audio, build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_ports, default_registry
 from repro.core import expand, parse_string
+from repro.core.program import one_copy_regions
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.fusion import (
     FusedChain,
@@ -131,36 +132,64 @@ def _plain_decode_registry():
 # -- the chain compiler ------------------------------------------------------
 
 
-def test_jpip_fuses_twenty_chains():
-    """The small JPiP build collapses 45 nodes to 21: one source+decode
-    pair per stream plus sliced idct+downscale / idct+blend pairs."""
-    before, (pg, report) = _fused_graph(_jpip_program())
-    assert (before, len(pg.graph)) == (45, 21)
-    assert len(report.chains) == 20
-    assert not report.dropped
-    families = {"+".join(m.class_name for m in c) for c in report.chains}
-    assert families == {
-        "mjpeg_source+jpeg_decode",
-        "idct_field+downscale_field",
-        "idct_field+blend_field",
-    }
+def _one_copy(program):
+    """``program`` as every real executor builds it."""
+    return one_copy_regions(program, lambda name: REG[name].row_contract)
+
+
+def test_one_copy_jpip_fuses_one_chain_per_source():
+    """Each region of the small JPiP build runs as one copy, so every
+    stream between its stages is 1:1 over whole planes.  A chain holds at
+    most one root of the graph, so the two pictures stay two jobs: the
+    inset's source through its downscales, and the background's source
+    through the blends and the sink."""
+    before, (pg, report) = _fused_graph(_one_copy(_jpip_program()))
+    assert (before, len(pg.graph)) == (18, 2)
+    assert not report.dropped and not report.refused
+    inset, background = report.chains
+    assert [m.instance_id for m in inset][:2] == ["pip0_read", "pip0_decode"]
+    assert [m.instance_id for m in background][:2] == ["bg_read",
+                                                       "bg_decode"]
+    for chain in report.chains:
+        assert [m.class_name for m in chain].count("idct_field") == 3
+    assert {"pip0_coeffs_y", "pip0_plane_y"} <= set(inset.internal)
+    assert {"bg_coeffs_y", "out_y"} <= set(background.internal)
+    # the inset reaches the blends through the store
+    assert "small0_y" not in report.internal_streams
+
+
+def test_independent_sources_stay_in_separate_jobs():
+    """PiP's two sources are both roots of its graph: the process build
+    fuses each with what only it feeds and hands the inset to the blends
+    through a stream, so a worker can run one source's job while another
+    finishes the previous frame."""
+    program = make_program(build_pip(1, width=64, height=48, factor=4,
+                                     slices=2, frames=2), name="pip1")
+    config = engine.build_configuration(_one_copy(program), REG, None,
+                                        chains=True)
+    chains = {n.node_id: n.payload for n in config.pg.graph}
+    assert sorted(chains) == [
+        "bg+sb0_v/blend[0]+sb0_u/blend[0]+sb0_y/blend[0]+sink",
+        "pip0+sb0_v/scale[0]+sb0_u/scale[0]+sb0_y/scale[0]"]
+    assert all(isinstance(c, FusedChain) for c in chains.values())
+    assert "sb0_y/small" in config.pg.streams
 
 
 def test_chains_compile_around_the_pairs_of_a_build():
     """With the chain compiler the build's pairs stay pair nodes and it
-    fuses the sliced stages behind them."""
-    config = engine.build_configuration(_jpip_program(), REG, None,
-                                        chain_headroom=1)
+    fuses the one-copy stages behind them."""
+    config = engine.build_configuration(_one_copy(_jpip_program()), REG,
+                                        None, chains=True)
     assert set(_pair_nodes(config.pg)) == PAIRS
     chains = [n.payload for n in config.pg.graph
               if isinstance(n.payload, FusedChain)]
-    assert len(chains) == 18
-    assert len(config.pg.graph) == 21
+    assert len(chains) == 1
+    assert len(config.pg.graph) == 3
 
 
 def test_internal_streams_never_reach_the_store():
-    _, (pg, report) = _fused_graph(_jpip_program())
-    assert "bg_bits" in report.internal_streams
+    _, (pg, report) = _fused_graph(_one_copy(_jpip_program()))
+    assert "pip0_bits" in report.internal_streams
     assert "pip0_plane_y" in report.internal_streams
     for chain in report.chains:
         assert isinstance(chain, FusedChain)
@@ -170,7 +199,7 @@ def test_internal_streams_never_reach_the_store():
 
 
 def test_fused_nodes_match_the_report_chains():
-    _, (pg, report) = _fused_graph(_jpip_program())
+    _, (pg, report) = _fused_graph(_one_copy(_jpip_program()))
     chain_ids = {c.node_id for c in report.chains}
     fused_nodes = {
         n.node_id for n in pg.graph
@@ -180,9 +209,18 @@ def test_fused_nodes_match_the_report_chains():
 
 
 def test_refusals_are_reported_per_stream():
+    """The spec's three copies per region: only the unsliced
+    source+decode pairs fuse, and every stream with a copy on either
+    side is refused as such."""
     _, (pg, report) = _fused_graph(_jpip_program())
-    # sliced IDCT reads the unsliced decoder output: not provable 1:1
-    assert "mixed sliced/unsliced endpoints" in report.refused["bg_coeffs_y"]
+    families = {"+".join(m.class_name for m in c) for c in report.chains}
+    assert families == {"mjpeg_source+jpeg_decode"}
+    sliced = {name for name, table in pg.streams.items()
+              if any(e.instance_id.endswith("]")
+                     for e in (*table.writers, *table.readers))}
+    assert "bg_coeffs_y" in sliced
+    assert {name for name, reason in report.refused.items()
+            if reason == "sliced copies"} == sliced
 
 
 # -- grouping refusals (shared chain-eligibility rules) ----------------------
@@ -291,16 +329,16 @@ def test_threaded_fused_identical(app, nodes):
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
 @pytest.mark.parametrize("workers", [1, 4])
 def test_process_fused_identical(app, workers):
-    """Every process build runs the chain compiler, whatever its width
-    (the width sets the compiler's parallel headroom)."""
+    """Every process build runs the chain compiler, whatever its width."""
     _matches_reference(_spec(app), app, 2, 4, ("process", workers, 2))
 
 
 def test_each_executor_builds_its_own_graph():
     """Threads and processes contract the source+decode pairs; the
     simulator keeps the paper's unfused graph.  Only process builds hold
-    chain nodes, at any width (it sets the compiler's parallel headroom).
-    Their output is ``tests/test_conformance.py``'s."""
+    chain nodes, at any width: where one-copy regions meet 1:1 outside
+    crossdep regions and managers.  Their output is
+    ``tests/test_conformance.py``'s."""
     for app in ("pip", "blur", "jpip", "jpip12"):
         program = make_program(_spec(app), name=app)
         threads = [ThreadedRuntime(program, REG, nodes=n, max_iterations=1)
@@ -313,7 +351,8 @@ def test_each_executor_builds_its_own_graph():
         for rt in threads + processes:
             chains = [n for n in rt.pg.graph
                       if isinstance(n.payload, FusedChain)]
-            assert bool(chains) == (rt in processes and app == "jpip")
+            assert bool(chains) == (rt in processes
+                                    and app in ("pip", "jpip"))
             if app.startswith("jpip"):
                 assert set(_pair_nodes(rt.pg)) == PAIRS
 
@@ -477,80 +516,20 @@ def test_fused_process_run_shrinks_meta_bytes():
     assert not internal & set(result.stream_stats)
 
 
-# -- profitability guard (sliced pairs under parallel headroom) --------------
-
-
-def _fused_with_headroom(program, headroom, registry=REG):
-    pg = program.build_graph()
-    solution = check_formats(DiagnosticBag(), program, pg)
-    expectations = runtime_expectations(program, pg, solution=solution)
-    return fuse_chains(pg, program, registry, expectations,
-                       parallel_headroom=headroom)
-
-
-def test_sliced_pairs_fuse_only_without_spare_parallel_headroom():
-    """Welding slice pairs into one job forfeits cross-iteration overlap,
-    so it only pays when there are no spare workers to overlap on."""
-    program = _jpip_program()  # sliced stages are 3 copies wide
-    for headroom in (None, 1, 3):
-        _, report = _fused_with_headroom(program, headroom)
-        assert len(report.chains) == 20
-        assert not any(
-            "unprofitable" in r for r in report.refused.values()
-        )
-    _, report = _fused_with_headroom(program, 8)
-    families = {"+".join(m.class_name for m in c) for c in report.chains}
-    # unsliced 1:1 chains always fuse — they have no overlap to forfeit
-    assert families == {"mjpeg_source+jpeg_decode"}
-    unprofitable = {
-        name for name, reason in report.refused.items()
-        if "unprofitable" in reason
-    }
-    assert unprofitable == {
-        "bg_plane_y", "bg_plane_u", "bg_plane_v",
-        "pip0_plane_y", "pip0_plane_u", "pip0_plane_v",
-        "small0_y", "small0_u", "small0_v",
-    }
-
-
-def test_peephole_pairs_are_exempt_from_the_guard():
-    """A pair with a real combined kernel elides work outright — that
-    beats pipeline overlap, so the guard must not refuse it."""
-    program = _jpip_program()
-    registry = dict(REG)
-
-    class PeepholeDownscale(registry["downscale_field"]):
-        @classmethod
-        def compile_fused_pair(cls, upstream_cls, upstream, instance):
-            return None  # no kernel yet; the override marks the intent
-
-    registry["downscale_field"] = PeepholeDownscale
-    _, report = _fused_with_headroom(program, 8, registry)
-    families = {"+".join(m.class_name for m in c) for c in report.chains}
-    assert "idct_field+downscale_field" in families
-    assert "idct_field+blend_field" not in families
-    unprofitable = {
-        name for name, reason in report.refused.items()
-        if "unprofitable" in reason
-    }
-    assert unprofitable == {
-        "bg_plane_y", "bg_plane_u", "bg_plane_v",
-        "small0_y", "small0_u", "small0_v",
-    }
-
-
 def test_blur_n4_never_fuses_with_or_without_headroom():
     """Pin: Blur's stencil stages live in crossdep regions (halo
-    exchange), so --fuse welds nothing there no matter the headroom —
-    there is no unprofitable fusion for the guard to even refuse."""
+    exchange), so the compiler welds nothing there, on the spec's copies
+    or on one.  A head-room, which ``benchmarks/e2e/layers.py`` still
+    passes, is accepted and changes nothing."""
     program = make_program(
         build_blur(5, width=48, height=36, slices=4, frames=2,
                    collect=True),
         name="blur5",
     )
-    for headroom in (None, 1, 4, 8):
-        _, report = _fused_with_headroom(program, headroom)
-        assert len(report.chains) == 0
-        assert not any(
-            "unprofitable" in r for r in report.refused.values()
-        )
+    for build in (program, _one_copy(program)):
+        pg = build.build_graph()
+        solution = check_formats(DiagnosticBag(), build, pg)
+        expectations = runtime_expectations(build, pg, solution=solution)
+        _, report = fuse_chains(pg, build, REG, expectations)
+        _, shim = fuse_chains(pg, build, REG, expectations, "numpy", 8)
+        assert report.chains == shim.chains == ()

@@ -1,13 +1,13 @@
-"""One worker runs one copy.
+"""Every real executor runs one copy.
 
-``ThreadedRuntime(nodes=1)`` builds from a Program in which every slice
-or crossdep region whose classes all set ``row_contract`` keeps only
-copy 0, relabelled ``slice=(0, 1)``
+``ThreadedRuntime`` at every width and ``ProcessRuntime`` build from a
+Program in which every slice or crossdep region whose classes all set
+``row_contract`` keeps only copy 0, relabelled ``slice=(0, 1)``
 (:func:`repro.core.program.one_copy_regions`).  That Program must equal
-the spec expanded with those regions at ``n=1``, other regions and
-other executors must keep every copy, and the frames must not change:
-the one-worker digests are pinned here, and every-copy runs must equal
-the one-worker run (``tests/test_conformance.py``'s check).
+the spec expanded with those regions at ``n=1``, other regions and the
+simulator must keep every copy, and the frames must not change: the
+one-worker digests are pinned here, and every-copy runs must equal the
+one-worker run (``tests/test_conformance.py``'s check).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.engine import reachable_configurations
@@ -33,11 +32,15 @@ from repro.core.ast import (
     walk_body,
 )
 from repro.errors import ComponentError
+from repro.fuzz.runner import Row, differential
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+from repro.hinch.engine import build_configuration
 from repro.hinch.events import Event
 from repro.hinch.manager import ManagerRuntime
 from repro.spacecake import SimRuntime
-from tests.hinch.helpers import PORTS as TEST_PORTS, REGISTRY as TEST_REGISTRY
+from tests.hinch.helpers import (
+    PORTS as TEST_PORTS, REGISTRY as TEST_REGISTRY, keep_copies,
+)
 from tests.test_conformance import assert_conforms
 
 REG = default_registry()
@@ -47,7 +50,7 @@ SPECS = sorted((Path(__file__).resolve().parents[2] / "examples" / "specs")
 #: the shipped classes whose copies differ only in the rows they cover
 ROW_CONTRACT = {"idct_field", "downscale_field", "blend_field",
                 "convert_plane", "blur_h_field", "blur_v_field",
-                "band_filter"}
+                "band_filter", "map_plane", "stencil_plane"}
 
 
 def test_row_contract_classes():
@@ -87,6 +90,31 @@ def one_worker_program(program):
     return ThreadedRuntime(program, REG, nodes=1, max_iterations=1).program
 
 
+def skeleton_app() -> Spec:
+    """Source -> a map region -> a crossdep map/stencil region -> sink."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    geometry = {"width": 32, "height": 24}
+    main.component("src", "luma_source", streams={"output": "raw"},
+                   params={**geometry, "seed": 3})
+    with main.parallel("slice", n=3):
+        main.component("inv", "map_plane",
+                       streams={"input": "raw", "output": "inv"},
+                       params={**geometry, "kernel": "invert"})
+    with main.parallel("crossdep", n=3):
+        with main.parblock():
+            main.component("pre", "map_plane",
+                           streams={"input": "inv", "output": "pre"},
+                           params={**geometry, "kernel": "identity"})
+        with main.parblock():
+            main.component("edge", "stencil_plane",
+                           streams={"input": "pre", "output": "out"},
+                           params={**geometry, "kernel": "edge"})
+    main.component("sink", "plane_sink", streams={"input": "out"},
+                   params={**geometry, "collect": True})
+    return b.build()
+
+
 SMALL = {
     "audio": lambda: build_audio(channels=8, block=64, slices=2),
     "audio-reconfig": lambda: build_audio(channels=8, block=64, slices=2,
@@ -102,6 +130,7 @@ SMALL = {
                                  slices=3),
     "blur-sp": lambda: build_blur(5, width=48, height=36, slices=3,
                                   sp_form=True),
+    "skeletons": skeleton_app,
 }
 SPEC_CASES = [pytest.param(lambda p=p: parse_file(p), id=p.stem)
               for p in SPECS] + [pytest.param(b, id=k) for k, b in SMALL.items()]
@@ -127,19 +156,50 @@ def test_one_worker_program_equals_an_n1_expansion(build):
         assert got.streams == want.streams
 
 
-def test_other_executors_keep_every_copy():
-    program = make_program(SMALL["pip12"](), name="app")
-    assert ThreadedRuntime(program, REG, nodes=2,
-                           max_iterations=1).program is program
-    assert SimRuntime(program, REG, nodes=2, max_iterations=1,
-                      execute=True).program is program
-    assert ProcessRuntime(program, REG, workers=1,
-                          max_iterations=1).program is program
+#: the four benchmark programs, small where the size does not change the
+#: graph: (builder, graph nodes at one copy, graph nodes with every copy)
+BENCHMARK_SHAPED = {
+    "audio": (lambda: build_audio(channels=8, block=16, slices=2), 6, 8),
+    "pip": (lambda: build_pip(1, width=64, height=48, factor=4, slices=8),
+            10, 55),
+    "jpip": (lambda: build_jpip(1, width=320, height=256, pip_height=256,
+                                factor=4, slices=4), 16, 129),
+    "blur35": (lambda: build_blur(3, width=48, height=36, slices=9,
+                                  reconfigurable=True, period=6), 7, 23),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_SHAPED)
+def test_every_real_executor_builds_the_one_worker_program(name):
+    """Threads at two and processes build ``nodes=1``'s instances and,
+    before the process chain compiler, its graph; the simulator keeps
+    the spec's *n*."""
+    build, one, every = BENCHMARK_SHAPED[name]
+    program = make_program(build(), name=name)
+    inline = ThreadedRuntime(program, REG, nodes=1, max_iterations=1)
+    assert len(inline.pg.graph) == one
+    for rt in (ThreadedRuntime(program, REG, nodes=2, max_iterations=1),
+               ProcessRuntime(program, REG, workers=2, max_iterations=1)):
+        assert rt.program.components == inline.program.components
+        assert rt.program.root == inline.program.root
+        assert rt.host.live.keys() == inline.host.live.keys()
+        unchained = build_configuration(rt.program, REG, None).pg
+        assert unchained.graph.node_ids == inline.pg.graph.node_ids
+    sim = SimRuntime(program, REG, nodes=2, max_iterations=1)
+    assert sim.program is program
+    assert len(sim.pg.graph) == every
 
 
 # -- regions that keep all their copies ------------------------------------
 
 W, H = 32, 24
+
+
+#: ``map_plane`` without the row contract: its copies stay copies
+SLICED_REG = keep_copies(REG, "map_plane")
+#: the real executors, and the simulator running every copy
+EVERY_EXECUTOR = (Row("threaded", 2, 2), Row("process", 2, 2),
+                  Row("sim", 2, 2))
 
 
 def luma_app(*stages: tuple[str, str, dict, int]) -> AppBuilder:
@@ -160,25 +220,32 @@ def luma_app(*stages: tuple[str, str, dict, int]) -> AppBuilder:
     return b
 
 
-def planes(program, nodes):
-    rt = ThreadedRuntime(program, REG, nodes=nodes, max_iterations=3)
-    return rt, rt.run().components["sink"].ordered_planes()
+def test_skeleton_regions_run_one_copy():
+    """A map region and a crossdep region whose stencil reads a halo:
+    one full-span copy each computes what every copy does."""
+    program = make_program(skeleton_app(), name="app")
+    assert [i for i in one_worker_program(program).components if "[" in i] \
+        == ["inv[0]", "pre[0]", "edge[0]"]
+    assert differential(program, REG, iterations=4,
+                        rows=EVERY_EXECUTOR) is None
 
 
-def test_skeleton_region_keeps_its_copies_beside_a_cut_one():
+def test_sliced_region_keeps_its_copies_beside_a_cut_one():
     program = make_program(luma_app(
         ("scale", "downscale_field", {"width": W, "height": H, "factor": 2}, 3),
         ("inv", "map_plane", {"width": W // 2, "height": H // 2,
                               "kernel": "invert"}, 3),
     ).build(), name="app")
-    rt, one = planes(program, 1)
-    assert [i for i in rt.program.components if "[" in i] == [
-        "scale[0]", "inv[0]", "inv[1]", "inv[2]"]
-    assert rt.program.components["scale[0]"].slice == (0, 1)
-    assert rt.program.components["inv[2]"].slice == (2, 3)
-    _, two = planes(program, 2)
-    for a, b in zip(one, two, strict=True):
-        assert np.array_equal(a, b)
+    for rt in (ThreadedRuntime(program, SLICED_REG, nodes=2,
+                               max_iterations=1),
+               ProcessRuntime(program, SLICED_REG, workers=2,
+                              max_iterations=1)):
+        assert [i for i in rt.program.components if "[" in i] == [
+            "scale[0]", "inv[0]", "inv[1]", "inv[2]"]
+        assert rt.program.components["scale[0]"].slice == (0, 1)
+        assert rt.program.components["inv[2]"].slice == (2, 3)
+    assert differential(program, SLICED_REG, iterations=3,
+                        rows=EVERY_EXECUTOR) is None
 
 
 def test_mixed_region_keeps_its_copies():
@@ -198,12 +265,11 @@ def test_mixed_region_keeps_its_copies():
                    params={"width": W // 2, "height": H // 2,
                            "collect": True})
     program = make_program(b.build(), name="app")
-    rt, one = planes(program, 1)
+    rt = ThreadedRuntime(program, SLICED_REG, nodes=1, max_iterations=1)
     assert rt.program is program
     assert {"scale[1]", "inv[1]"} <= set(rt.pg.graph.node_ids)
-    _, two = planes(program, 2)
-    for x, y in zip(one, two, strict=True):
-        assert np.array_equal(x, y)
+    assert differential(program, SLICED_REG, iterations=3,
+                        rows=EVERY_EXECUTOR) is None
 
 
 def test_class_without_a_row_contract_keeps_its_copies():
@@ -295,16 +361,25 @@ def test_static_output_equals_every_copy_run(name):
 def test_run_result_shows_the_copy_count():
     program = make_program(
         build_blur(3, width=48, height=36, slices=3, collect=True), name="b")
-    one = ThreadedRuntime(program, REG, nodes=1, max_iterations=2).run()
-    assert one.components["h3[0]"].slice == (0, 1)
-    assert one.components["v3[0]"].slice == (0, 1)
-    assert "h3[1]" not in one.components
-    # one write per iteration: a single copy fills each plane
-    assert one.stream_stats["mid3"][0] == 2
-    two = ThreadedRuntime(program, REG, nodes=2, max_iterations=2).run()
-    assert [two.components[f"h3[{i}]"].slice for i in range(3)] == [
+    for nodes in (1, 2):
+        one = ThreadedRuntime(program, REG, nodes=nodes,
+                              max_iterations=2).run()
+        assert one.components["h3[0]"].slice == (0, 1)
+        assert one.components["v3[0]"].slice == (0, 1)
+        assert "h3[1]" not in one.components
+        # one write per iteration: a single copy fills each plane
+        assert one.stream_stats["mid3"][0] == 2
+    every = SimRuntime(program, REG, nodes=2, max_iterations=2,
+                       execute=True).run()
+    assert [every.components[f"h3[{i}]"].slice for i in range(3)] == [
         (0, 3), (1, 3), (2, 3)]
-    assert two.stream_stats["mid3"][0] == 2 * 3
+    # a region run as n copies counts one write per copy
+    copies = keep_copies(REG, "blur_h_field", "blur_v_field")
+    for rt in (ThreadedRuntime(program, copies, nodes=2, max_iterations=2),
+               ProcessRuntime(program, copies, workers=2, max_iterations=2)):
+        result = rt.run()
+        assert result.components["h3[2]"].slice == (2, 3)
+        assert result.stream_stats["mid3"][0] == 2 * 3
 
 
 # -- slice requests --------------------------------------------------------
@@ -337,5 +412,5 @@ def test_a_broadcast_may_not_set_slice():
         rt.broker.post("ui", Event("move", payload="1/2"))
         with pytest.raises(ComponentError, match="may not set 'slice'"):
             manager.invoke(0, "enter")
-        assert all(c.slice[1] == (1 if nodes == 1 else 2)
+        assert all(c.slice == (0, 1)
                    for c in rt.host.live.values() if c.slice is not None)

@@ -21,7 +21,8 @@ from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
-from tests.hinch.helpers import PORTS, REGISTRY
+from repro.fuzz.runner import Row, differential
+from tests.hinch.helpers import PORTS, REGISTRY, keep_copies
 from tests.test_conformance import assert_conforms
 
 REG = default_registry()
@@ -33,10 +34,16 @@ def run_threaded(spec, *, iters, nodes=2, depth=2, name="app"):
                            max_iterations=iters).run()
 
 
-def run_process(spec, *, iters, workers=2, depth=2, name="app"):
+def run_process(spec, *, iters, workers=2, depth=2, name="app",
+                registry=REG):
     program = make_program(spec, name=name)
-    return ProcessRuntime(program, REG, workers=workers, pipeline_depth=depth,
-                          max_iterations=iters).run()
+    return ProcessRuntime(program, registry, workers=workers,
+                          pipeline_depth=depth, max_iterations=iters).run()
+
+
+#: PiP's stages with their copies kept: every copy of a region writes its
+#: band of one shared plane, from whichever worker runs it
+PIP_COPIES = keep_copies(REG, "downscale_field", "blend_field")
 
 
 # -- bit-identical applications ---------------------------------------------
@@ -54,6 +61,18 @@ def test_blur5_identical_planes(workers):
     spec = build_blur(5, width=48, height=36, slices=3, frames=2,
                       collect=True)
     assert_conforms(spec, 4, ("threaded", 2, 2), ("process", workers, 2))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_slice_copies_share_one_plane_across_workers(workers):
+    spec = build_pip(1, width=64, height=48, factor=4, slices=2, frames=2,
+                     collect=True)
+    program = make_program(spec, name="pip1")
+    rt = ProcessRuntime(program, PIP_COPIES, workers=workers,
+                        max_iterations=1)
+    assert {"sb0_y/scale[1]", "sb0_y/blend[1]"} <= set(rt.pg.graph.node_ids)
+    assert differential(program, PIP_COPIES, iterations=4,
+                        rows=[Row("process", workers, 2)]) is None
 
 
 def test_jpip_identical_frames():
@@ -255,11 +274,11 @@ def test_no_pixel_data_pickled_on_stream_hot_path():
     counted on — the control pipe.)"""
     small = run_process(
         build_pip(1, width=64, height=48, factor=4, slices=2, frames=2),
-        iters=4, workers=2,
+        iters=4, workers=2, registry=PIP_COPIES,
     ).pool_stats
     large = run_process(
         build_pip(1, width=128, height=96, factor=4, slices=2, frames=2),
-        iters=4, workers=2,
+        iters=4, workers=2, registry=PIP_COPIES,
     ).pool_stats
     for stats in (small, large):
         assert stats["plane_packs"] > 0
@@ -419,16 +438,24 @@ _INTERRUPTED_CHILD = """
 from repro.apps import build_pip, make_program
 from repro.components.registry import default_registry
 from repro.hinch import ProcessRuntime
+registry = default_registry()
+
+
+class Banded(registry["downscale_field"]):
+    row_contract = False  # copies keep their planes in shared memory
+
+
 spec = build_pip(1, width=64, height=48, factor=4, slices=2, frames=2)
-ProcessRuntime(make_program(spec, name="pip1"), default_registry(),
+ProcessRuntime(make_program(spec, name="pip1"),
+               {**registry, "downscale_field": Banded},
                workers=2, max_iterations=10**6).run()
 """
 
 
-def test_sigint_to_a_running_session_leaves_nothing_behind():
-    """Ctrl-C in a terminal signals the whole foreground group: the
-    dispatcher's ``finally`` still stops its workers and unlinks its
-    segments, so resource_tracker has nothing left to reap."""
+def _signal_a_running_session(signum: int) -> None:
+    """Signal the whole session of a live process run: its ``finally``
+    must still stop the workers and unlink the segments, so that
+    resource_tracker has nothing left to reap."""
     import os
     import signal
     import subprocess
@@ -455,7 +482,7 @@ def test_sigint_to_a_running_session_leaves_nothing_behind():
         # shm_open and its registration would leave that segment behind
         time.sleep(0.5)
         segments = mapped_segments()
-        os.killpg(child.pid, signal.SIGINT)
+        os.killpg(child.pid, signum)
         _, err = child.communicate(timeout=10)
     finally:
         if child.poll() is None:
@@ -464,3 +491,47 @@ def test_sigint_to_a_running_session_leaves_nothing_behind():
     assert wait_session_gone(child.pid)
     assert not segments & shm_entries()
     assert "leaked shared_memory" not in err
+
+
+def test_sigint_to_a_running_session_leaves_nothing_behind():
+    """Ctrl-C in a terminal signals the whole foreground group."""
+    import signal
+
+    _signal_a_running_session(signal.SIGINT)
+
+
+def test_sigterm_to_a_running_session_leaves_nothing_behind():
+    """``kill`` and supervisors send SIGTERM, whose default action would
+    end the dispatcher without its ``finally``: a run maps it to
+    ``KeyboardInterrupt`` while it lasts."""
+    import signal
+
+    _signal_a_running_session(signal.SIGTERM)
+
+
+def test_a_run_restores_the_sigterm_handler():
+    import signal
+
+    program = make_program(build_blur(3, width=48, height=36, slices=3,
+                                      frames=1), name="blur")
+    before = signal.getsignal(signal.SIGTERM)
+    ProcessRuntime(program, REG, workers=1, max_iterations=2).run()
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_a_worker_keeps_sigterm_at_its_default_action():
+    """Only the dispatcher maps SIGTERM to ``KeyboardInterrupt``: a
+    worker forked during the run ends at once on it."""
+    import signal
+
+    class Probe(REG["luma_source"]):
+        def run(self, job):
+            if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
+                raise RuntimeError("worker SIGTERM is not SIG_DFL")
+            super().run(job)
+
+    program = make_program(build_blur(3, width=48, height=36, slices=3,
+                                      frames=1), name="blur")
+    result = ProcessRuntime(program, {**REG, "luma_source": Probe},
+                            workers=2, max_iterations=3).run()
+    assert result.completed_iterations == 3

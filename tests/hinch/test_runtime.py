@@ -13,6 +13,7 @@ from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.errors import SchedulingError, StreamError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+from repro.spacecake import SimRuntime
 
 from tests.hinch.helpers import (
     PORTS, REGISTRY, LifecycleProbe, shm_entries, sleep_app,
@@ -504,3 +505,44 @@ def test_one_node_fifo_order_pins_audio_bypass_splices():
                        16, option_states={"vib_branch": False})[1],  # mic only
     }
     assert _variant_labels(out, variants) == "FFFFFFFFFFMMMMMM"
+
+
+# -- a finished runtime is freed at once ------------------------------------
+
+REG = default_registry()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: ThreadedRuntime(p, REG, nodes=1, max_iterations=6),
+                 id="threaded-1"),
+    pytest.param(lambda p: ThreadedRuntime(p, REG, nodes=2, max_iterations=6),
+                 id="threaded-2"),
+    pytest.param(lambda p: ProcessRuntime(p, REG, workers=2, max_iterations=6),
+                 id="process-2"),
+    pytest.param(lambda p: SimRuntime(p, REG, nodes=2, max_iterations=6,
+                                      execute=True), id="sim-2"),
+])
+def test_a_dropped_runtime_is_freed_without_the_cyclic_collector(make):
+    """Nothing a runtime owns refers back to it strongly: with the
+    collector off, dropping it after ``run()`` frees it, its streams
+    (and their spare planes) and its sink's frames.  What a finished run
+    is read by stays readable until then."""
+    import gc
+    import weakref
+
+    program = make_program(
+        build_blur(reconfigurable=True, period=2, width=48, height=36,
+                   slices=3, frames=2, collect=True), name="blur35")
+    gc.collect()
+    gc.disable()
+    try:
+        rt = make(program)
+        result = rt.run()
+        assert result.reconfig_count >= 1
+        assert rt.scheduler.completed_iterations == 6 and rt.pg.graph
+        refs = [weakref.ref(rt), weakref.ref(rt.streams),
+                weakref.ref(result.components["sink"])]
+        del rt, result
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
