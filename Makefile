@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-faults fuzz bench bench-e2e-quick figures examples lint clean
+.PHONY: install test test-fast fuzz bench bench-e2e-quick figures examples lint clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -12,13 +12,6 @@ test:
 
 test-fast:
 	$(PYTHON) -m pytest tests/ -x -q --ignore=tests/test_calibration.py
-
-# Fault-injection suite plus a CLI smoke: crash a worker mid-run and
-# require full recovery (docs/fault-tolerance.md).
-test-faults:
-	$(PYTHON) -m pytest tests/hinch/test_faults.py -q
-	PYTHONPATH=src $(PYTHON) -m repro run examples/specs/pip1.xml \
-		--backend process --nodes 2 --inject-fault kill:1
 
 # Bounded differential fuzz (docs/fuzzing.md): replay the committed
 # shrunk regression cases, then run a fixed-seed campaign.  Failures

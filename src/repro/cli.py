@@ -181,7 +181,7 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
     Catches the degenerate values that would otherwise reach the runtime
     and fail obscurely (``--nodes 0``) or hang
     (``--pipeline-depth 0`` admits no iterations), and the silently
-    ignored combinations (a process-only or sim-only flag on another
+    ignored combinations (a sim-only flag on another
     backend).  Returns the error message, or ``None`` when the knobs are
     coherent.
     """
@@ -194,23 +194,6 @@ def _check_run_args(args: argparse.Namespace) -> str | None:
             f"--pipeline-depth must be >= 1, got {args.pipeline_depth} "
             "(a depth of 0 admits no iterations)"
         )
-    if args.watchdog is not None and args.watchdog <= 0:
-        return f"--watchdog must be > 0 seconds, got {args.watchdog}"
-    if args.max_retries is not None and args.max_retries < 0:
-        return f"--max-retries must be >= 0, got {args.max_retries}"
-    if args.backend != "process":
-        process_only = (
-            ("--inject-fault", args.inject_fault is not None),
-            ("--watchdog", args.watchdog is not None),
-            ("--max-retries", args.max_retries is not None),
-            ("--no-respawn", args.no_respawn),
-        )
-        for flag, given in process_only:
-            if given:
-                return (
-                    f"{flag} applies to the process backend only; on "
-                    f"--backend {args.backend} it would be silently ignored"
-                )
     if args.execute and args.backend != "sim":
         return (
             f"--execute applies to the sim backend only; on --backend "
@@ -225,15 +208,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = _check_run_args(args)
     if problem is not None:
         return _usage_error(problem)
-    if args.inject_fault is not None:
-        # Parse up front so a malformed or duplicate-index spec is a
-        # usage error before any spec loading or worker spawn.
-        from repro.hinch.faults import parse_faults
-
-        try:
-            parse_faults(args.inject_fault)
-        except ReproError as exc:
-            return _usage_error(str(exc))
     program = _load_program(args.spec)
     registry = default_registry()
     if args.backend == "threaded":
@@ -263,10 +237,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             workers=args.nodes,
             pipeline_depth=args.pipeline_depth,
             max_iterations=args.iterations,
-            watchdog=args.watchdog,
-            max_retries=2 if args.max_retries is None else args.max_retries,
-            respawn=not args.no_respawn,
-            faults=args.inject_fault,
         )
         result = runtime.run()
         fps = (
@@ -279,15 +249,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{result.elapsed_seconds:.3f}s on {args.nodes} worker process(es) "
             f"({fps:.1f} frames/s); {result.reconfig_count} reconfiguration(s)"
         )
-        if result.fault_events:
-            counts: dict[str, int] = {}
-            for event in result.fault_events:
-                counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-            summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            print(f"fault recovery: {summary}")
-            for event in result.fault_events:
-                if event["kind"] == "unfired":
-                    print(f"warning: {event['detail']}", file=sys.stderr)
     else:
         from repro.spacecake import SimRuntime
 
@@ -520,20 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline-depth", type=int, default=5)
     p.add_argument("--execute", action="store_true",
                    help="sim backend: also run components functionally")
-    p.add_argument("--inject-fault", default=None, metavar="SPEC",
-                   help="process backend: scripted worker failures, e.g. "
-                        "'kill:1,hang:5,slow:2:50' (kind:job[:ms], 1-based "
-                        "dispatch order; see docs/fault-tolerance.md)")
-    p.add_argument("--watchdog", type=float, default=None, metavar="SECONDS",
-                   help="process backend: per-job watchdog — a worker "
-                        "holding one job longer is killed and the job "
-                        "retried (default: off)")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="process backend: retry budget per job after "
-                        "worker loss (default: 2)")
-    p.add_argument("--no-respawn", action="store_true",
-                   help="process backend: degrade onto surviving workers "
-                        "instead of respawning dead ones")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("predict", help="analytic performance estimate")
@@ -565,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz",
         help="adversarial scenario fuzzing: random SP graphs x "
-             "reconfiguration x faults, differentially checked across "
+             "reconfiguration, differentially checked across "
              "backends (see docs/fuzzing.md)",
     )
     p.add_argument("--seed", type=int, default=0,

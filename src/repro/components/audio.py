@@ -213,9 +213,8 @@ class FuseSensors(Component):
 class FeatureSink(Component):
     """Collects fused records; the audio pipeline's terminal.
 
-    Same exactly-once checkpoint contract as the video sinks: collected
-    records ride worker snapshots, so kill/retry recovery never loses or
-    duplicates a record.
+    Same checkpoint contract as the video sinks: on processes each job's
+    collected records move to the dispatcher's mirror with its record.
     """
 
     ports = PortSpec(

@@ -54,13 +54,14 @@ class SchedulingError(ReproError):
 
 
 class WorkerFailure(SchedulingError):
-    """A worker process was lost and the work could not be recovered.
+    """A worker process was lost: the run ends.
 
-    Raised by the process backend when a worker dies (or hangs past the
-    watchdog) and either the in-flight job's retry budget is exhausted or
-    no worker remains to take the work.  Carries enough structure for the
-    caller to tell *which* worker and job were involved, plus the remote
-    traceback when the worker managed to report one before dying.
+    Raised by the process backend when a worker's pipe closes, its
+    process exits or a send to it fails mid-run; nothing is retried.
+    ``worker`` is its slot and ``job`` the ``(iteration, node_id)`` it
+    had not acknowledged (``None`` when it held no lease); the message
+    carries its exit code.  Also the ``__cause__`` of a component
+    exception a worker reported, with the remote traceback.
     """
 
     def __init__(

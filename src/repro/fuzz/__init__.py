@@ -3,15 +3,13 @@
 Hand-written scenarios only cover the failures someone imagined.  This
 package generates random-but-valid XSPCL programs (and deliberately
 *invalid* mutants), random runs over them — reconfiguration schedules,
-fault injections, widths and depths — and checks every case
-differentially:
+widths and depths — and checks every case differentially:
 
 * every executor row must produce the one-worker run's sink output
   **bit for bit** (:func:`repro.fuzz.runner.differential`);
 * lint and build must **agree**: a lint-rejected spec fails at build,
   never at runtime — and a lint-clean spec runs;
-* every run shuts down cleanly, leaks nothing into ``/dev/shm``, and
-  accounts for every injected fault (fired or reported unfired).
+* every run shuts down cleanly and leaks nothing into ``/dev/shm``.
 
 Failures are shrunk to a minimal reproducing case and written to disk
 with an exact replay line.  Entry points: ``python -m repro fuzz`` and

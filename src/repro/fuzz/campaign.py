@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.fuzz.generator import FuzzCase, case_from_dict, generate_case
 from repro.fuzz.runner import CaseFailure, check_case
 from repro.fuzz.shrink import shrink_case
@@ -43,11 +44,24 @@ def save_failure(
 
 
 def replay_file(path: str | Path) -> tuple[FuzzCase, CaseFailure | None]:
-    """Re-check a persisted case (``--replay``)."""
-    data = json.loads(Path(path).read_text())
+    """Re-check a persisted case (``--replay``).
+
+    A file that is not JSON, not an object, or whose keys are not a
+    :class:`FuzzCase`'s raises :class:`~repro.errors.ReproError` naming
+    the problem.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ReproError(f"{path}: not a fuzz case: a JSON object is needed")
     data.pop("_failure", None)
     data.pop("_replay", None)
-    case = case_from_dict(data)
+    try:
+        case = case_from_dict(data)
+    except ReproError as exc:
+        raise ReproError(f"{path}: {exc}") from None
     return case, check_case(case)
 
 

@@ -3,18 +3,20 @@
 A :class:`FuzzCase` is a plain-data description of one scenario: a
 component palette with declared port formats, a chain of randomly chosen
 stages (plain, sliced, crossdep), an optional reconfigurable region with
-a toggle schedule, optional fault injections, a knob configuration for
-the wide run, and an optional *mutation* that deliberately breaks the
-spec (the lint-vs-build oracle's fodder).  Cases serialize to JSON so a
-failure can be replayed and shrunk byte-for-byte.
+a toggle schedule, a knob configuration for the wide run, and an
+optional *mutation* that deliberately breaks the spec (the
+lint-vs-build oracle's fodder).  Cases serialize to JSON so a failure
+can be replayed and shrunk byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from random import Random
 from typing import Any
+
+from repro.errors import ReproError
 
 __all__ = ["FuzzCase", "generate_case", "case_from_dict"]
 
@@ -41,8 +43,6 @@ class FuzzCase:
     #: None, or {"stage": idx, "toggles": n} — wrap stage idx in a
     #: manager option and post n toggle events before the run
     reconfig: dict | None = None
-    #: CLI fault syntax entries ("kill:3", "slow:2:20"), process runs only
-    faults: list[str] = field(default_factory=list)
     #: the wide run's knob configuration
     knobs: dict = field(default_factory=dict)
     mutation: str | None = None
@@ -59,8 +59,6 @@ class FuzzCase:
         if self.reconfig:
             bits.append(f"reconfig@{self.reconfig['stage']}"
                         f"x{self.reconfig['toggles']}")
-        if self.faults:
-            bits.append("faults=" + ",".join(self.faults))
         if self.mutation:
             bits.append(f"mutant:{self.mutation}")
         knobs = ",".join(f"{k}={v}" for k, v in sorted(self.knobs.items()))
@@ -69,6 +67,20 @@ class FuzzCase:
 
 
 def case_from_dict(data: dict[str, Any]) -> FuzzCase:
+    """The case ``data`` describes; a key :class:`FuzzCase` does not
+    declare, or a required one left out, is a :class:`ReproError`."""
+    declared = {f.name: f for f in fields(FuzzCase)}
+    unknown = sorted(data.keys() - declared.keys())
+    missing = sorted(
+        name for name, f in declared.items()
+        if name not in data
+        and f.default is MISSING and f.default_factory is MISSING
+    )
+    problems = [f"{what} key(s) {', '.join(keys)}"
+                for what, keys in (("unknown", unknown), ("missing", missing))
+                if keys]
+    if problems:
+        raise ReproError(f"not a fuzz case: {'; '.join(problems)}")
     return FuzzCase(**data)
 
 
@@ -119,22 +131,6 @@ def generate_case(seed: int, *, max_nodes: int = 8) -> FuzzCase:
             "toggles": rng.randint(1, 3),
         }
 
-    faults: list[str] = []
-    if rng.random() < 0.4:
-        # Bounded by the minimum job count: the chain compiler may fuse
-        # source...sink into one job, so every iteration dispatches at
-        # least one and indices <= iterations always fire.
-        used: set[int] = set()
-        for _ in range(rng.randint(1, 2)):
-            at_job = rng.randint(1, iterations)
-            if at_job in used:
-                continue
-            used.add(at_job)
-            if rng.random() < 0.5:
-                faults.append(f"kill:{at_job}")
-            else:
-                faults.append(f"slow:{at_job}:{rng.choice([5, 10, 20])}")
-
     knobs = {
         "workers": rng.choice([1, 2, 2, 3]),
         "depth": rng.choice([1, 2, 2, 4]),
@@ -152,7 +148,6 @@ def generate_case(seed: int, *, max_nodes: int = 8) -> FuzzCase:
         iterations=iterations,
         stages=stages,
         reconfig=reconfig,
-        faults=faults,
         knobs=knobs,
         mutation=mutation,
     )

@@ -3,14 +3,13 @@
 :func:`differential` holds an expanded program to ``ThreadedRuntime(nodes=1)``
 on every executor row of its determinism class: the same sink records in
 the same order, all iterations completed, the same ``reconfig_log``, the
-same stream counters where they are comparable, every injected fault
-fired, and no shared-memory segment the row's plane pool created left
-behind.  ``tests/test_conformance.py`` runs it over the applications
-(and, on the rows they name, for the per-executor tests);
+same stream counters where they are comparable, and no shared-memory
+segment the row's plane pool created left behind.
+``tests/test_conformance.py`` runs it over the applications (and, on the
+rows they name, for the per-executor tests);
 :func:`check_case` over each generated case, once lint and build agree
 (a mutated spec must be flagged by lint *and* refused at build, a clean
-one must lint clean), with the case's knob widths and fault specs as
-extra rows.
+one must lint clean), with the case's knob widths as an extra row.
 
 The rows keep to three determinism classes, so a mismatch is a bug, not
 harness noise.  Static programs match at any width and depth.  An event
@@ -176,16 +175,14 @@ def _timer_period(case: FuzzCase) -> int | None:
 
 class Row(NamedTuple):
     """One executor configuration: ``sim`` executes, ``sim-grouped`` also
-    groups linear chains; ``faults`` uses ``--inject-fault`` syntax."""
+    groups linear chains."""
 
     backend: str  # threaded | process | sim | sim-grouped
     width: int
     depth: int
-    faults: str | None = None
 
     def __str__(self) -> str:
-        return f"{self.backend}-{self.width}@{self.depth}" + (
-            f"[{self.faults}]" if self.faults else "")
+        return f"{self.backend}-{self.width}@{self.depth}"
 
 
 #: (backend, width, depth) of every row, per class: the first, one
@@ -227,8 +224,7 @@ def _runtime(row: Row, program, registry, iterations: int):
     if row.backend == "threaded":
         return ThreadedRuntime(program, registry, nodes=row.width, **common)
     if row.backend == "process":
-        return ProcessRuntime(program, registry, workers=row.width,
-                              faults=row.faults, **common)
+        return ProcessRuntime(program, registry, workers=row.width, **common)
     return SimRuntime(program, registry, nodes=row.width, execute=True,
                       group_chains=row.backend == "sim-grouped", **common)
 
@@ -254,10 +250,10 @@ def differential(program, registry, *, iterations: int,
     ``ThreadedRuntime(nodes=1)``; every other row (or each of ``rows``,
     when given) and each of ``extra_rows`` must match it.  Rows that
     report ``stream_stats`` (the simulator does not) must also agree on
-    those, unless faults retried a read; a stream the chain compiler
-    keeps out of the store is not compared.  A program with
-    managers must splice on the reference.  ``post`` is a ``(queue,
-    event)`` posted before each ``run()``.  ``None``: every row conforms.
+    those; a stream the chain compiler keeps out of the store is not
+    compared.  A program with managers must splice on the reference.
+    ``post`` is a ``(queue, event)`` posted before each ``run()``.
+    ``None``: every row conforms.
     """
     from repro.errors import ReproError
     from repro.hinch.fusion import FusedChain
@@ -277,8 +273,6 @@ def differential(program, registry, *, iterations: int,
             return CaseFailure(
                 "run-raised", f"{row}: {type(exc).__name__}: {exc}")
         leaked = _leaked(rt)
-        unfired = [e["detail"] for e in getattr(result, "fault_events", ())
-                   if e.get("kind") == "unfired"]
         sink = result.components["sink"]  # records as tuples of planes
         outputs = ([(f.y, f.u, f.v) for f in sink.ordered_frames()]
                    if hasattr(sink, "ordered_frames")
@@ -290,9 +284,7 @@ def differential(program, registry, *, iterations: int,
             return CaseFailure("short-run", f"{row}: {len(outputs)} records, "
                                f"{result.completed_iterations} of "
                                f"{iterations} iterations completed")
-        if unfired:  # fault indices are bounded so that every spec fires
-            return CaseFailure("fault-unfired", f"{row}: {unfired[0]}")
-        if stats is not None and not row.faults:
+        if stats is not None:
             stats_reference = stats_reference or (row, stats)
             # a stream fused in any configuration the run built skips
             # the store there
@@ -325,15 +317,12 @@ def differential(program, registry, *, iterations: int,
 
 
 def _case_rows(case: FuzzCase, kind: str) -> list[Row]:
-    """The case's knob widths and fault specs, as rows of its class."""
-    depth = ROWS[kind][0][2]  # the reference's: posted and timed keep it
-    rows = [] if kind == "timed" else [Row(
-        "process", case.knobs.get("workers", 2),
-        case.knobs.get("depth", depth) if kind == "static" else depth)]
-    if case.faults:
-        rows.append(Row("process", 1 if kind == "timed" else 2, depth,
-                        ",".join(case.faults)))
-    return rows
+    """The case's knob widths, as a row of its class."""
+    if kind == "timed":
+        return []
+    depth = ROWS[kind][0][2]  # the reference's: posted keeps it
+    return [Row("process", case.knobs.get("workers", 2),
+                case.knobs.get("depth", depth) if kind == "static" else depth)]
 
 
 def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:

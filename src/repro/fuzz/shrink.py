@@ -1,7 +1,7 @@
 """Greedy case minimization: smallest case that still fails the same way.
 
 Each pass proposes one structural simplification (drop a stage, drop the
-reconfiguration, drop the faults, narrow the knobs, shrink iterations,
+reconfiguration, narrow the knobs, shrink iterations,
 geometry, slice widths); a proposal is kept iff the simplified case
 still fails with the *same failure kind* — shrinking must never trade
 one bug for a different one.  Passes repeat to a fixpoint under a hard
@@ -45,15 +45,6 @@ def _proposals(case: FuzzCase) -> Iterator[FuzzCase]:
         c = _clone(case)
         c.reconfig = None
         yield c
-    if case.faults:
-        c = _clone(case)
-        c.faults = []
-        yield c
-        if len(case.faults) > 1:
-            for i in range(len(case.faults)):
-                c = _clone(case)
-                del c.faults[i]
-                yield c
     # neutralize knobs one at a time
     neutral = {"workers": 1, "depth": 1}
     for key, value in neutral.items():

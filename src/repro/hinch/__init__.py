@@ -41,13 +41,12 @@ Three executors subclass the coordinator and add only how jobs run:
 thread at ``nodes=1``, GIL-bound worker threads over the central queue at
 ``nodes >= 2``), :mod:`repro.hinch.process` with :mod:`repro.hinch.worker`
 (dispatcher and a fixed pool of worker processes: job leases over pipes,
-frames in shared memory, :mod:`repro.hinch.faults` recovery) and
+frames in shared memory; a lost worker ends the run) and
 :mod:`repro.spacecake.simulator` (virtual cores on the SpaceCAKE machine
 model: the performance-curve backend).
 """
 
 from repro.hinch.events import Event, EventBroker, EventQueue, EventStormWarning
-from repro.hinch.faults import FaultInjector, FaultSpec, parse_faults
 from repro.hinch.stream import Stream, StreamStore
 from repro.hinch.component import Component, JobContext
 from repro.hinch.jobqueue import Job, JobQueue
@@ -63,9 +62,6 @@ __all__ = [
     "EventQueue",
     "EventBroker",
     "EventStormWarning",
-    "FaultSpec",
-    "FaultInjector",
-    "parse_faults",
     "Stream",
     "StreamStore",
     "Component",

@@ -223,9 +223,8 @@ class Component:
         completed job and ships the returned delta with the job's
         record; the dispatcher folds it into its own mirror via
         :meth:`merge_state` before the job counts as done.  This is the
-        only way worker state reaches the dispatcher: a worker crash can
-        lose at most the unacknowledged job, which the dispatcher retries
-        anyway, so collected output survives worker failure bit-for-bit.
+        only way worker state reaches the dispatcher, whose mirror is
+        what ``RunResult.components`` exposes.
 
         Implementations must *move* the state out (snapshot-and-reset),
         or the next checkpoint would ship it again.  Return ``None`` (the

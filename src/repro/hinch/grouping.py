@@ -28,9 +28,8 @@ earlier member of the same lease runs immediately after it on the same
 worker — the §4.1 producer→consumer locality — but the pairing is
 decided per dispatch, not baked into the graph, so the parallelism the
 quote worries about is only forfeited when no other worker could have
-taken the consumer anyway (the lease is retracted job-by-job if the
-worker dies, and follow-ons are skipped while idle workers could use
-them).  Grouping trades parallelism for locality statically and
+taken the consumer anyway (follow-ons are skipped while idle workers
+could use them).  Grouping trades parallelism for locality statically and
 visibly; batching recovers most of the locality with no graph change.
 
 :mod:`repro.hinch.fusion` holds the two strongest readings of the §4.1

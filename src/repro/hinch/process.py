@@ -33,16 +33,14 @@ pool's free lists single-threaded and the ``pipeline_depth`` memory
 bound intact.  Every control message is one plain pickle; the
 message list is in :mod:`repro.hinch.worker`.
 
-The dispatcher also owns **failure semantics** (the coordinator, not the
-components, decides what a crash means): it tracks each worker's
-in-flight job and shared-memory leases, and on worker death — EOF on the
-control pipe, the process sentinel firing, or a per-job ``watchdog``
-timeout — it reclaims the leased planes into the pool, re-queues the job
-at the FIFO head with a bounded retry budget, and either respawns a
-replacement worker or degrades onto the survivors.  Component state is
-checkpointed job-by-job (:meth:`~repro.hinch.component.Component.
-checkpoint_state`), so collected output survives a crash bit-for-bit.
-Deterministic failures can be scripted with :mod:`repro.hinch.faults`.
+A lost worker ends the run, as a failed job does on every executor:
+EOF on its control pipe, its process sentinel or a failed send raises
+:class:`~repro.errors.WorkerFailure` naming the worker, the job it had
+not acknowledged and its exit code, and the ``finally`` of :meth:`run`
+stops the other workers and unlinks every shared segment.  Nothing is
+retried and nothing watches the clock: a hung kernel hangs the run, as
+it does on threads.  Component state reaches the dispatcher job by job
+(:meth:`~repro.hinch.component.Component.checkpoint_state`).
 
 Dispatch overhead is **amortized** with three cooperating mechanisms,
 always on:
@@ -71,16 +69,10 @@ Every build also runs the chain compiler
 pays a pickle and a pipe message, so fewer, larger jobs win on every
 workload (docs/performance.md, "What each feature earns").
 
-A job's streamed record is its only acknowledgement: a worker that dies
-mid-lease acknowledged exactly the records that arrived (the pipe is
-FIFO), so members from the first missing record onward are retried
-job-by-job at the FIFO head — speculative members are instead retracted
-back to the scheduler's normal readiness path — and checkpoint deltas
-apply exactly once.
-
 Requires a ``fork``-capable platform (Linux): workers inherit the
-compiled :class:`~repro.core.program.Program` and component registry by
-address-space copy, so nothing about the application itself is pickled.
+compiled :class:`~repro.core.program.Program`, the component registry
+and the dispatcher's component mirrors by address-space copy, so nothing
+about the application itself is pickled.
 """
 
 from __future__ import annotations
@@ -91,20 +83,18 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import Connection, wait
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.core.program import Program
 from repro.errors import SchedulingError, StreamError, WorkerFailure
 from repro.hinch.component import Component
 from repro.hinch.engine import Coordinator
-from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
 from repro.hinch.jobqueue import Job
 from repro.hinch.runtime import RunResult
 from repro.hinch.shm import (
     Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
 from repro.hinch.stream import AGAINST_SLOT, check_geometry
-from repro.hinch.tracing import TraceEvent
 from repro.hinch.worker import _WORKER_STAT_KEYS, _worker_entry
 
 __all__ = ["ProcessRuntime", "LEASE_SIZE"]
@@ -116,25 +106,16 @@ LEASE_SIZE = 4
 class _Lease:
     """Dispatcher-side record of one batch of jobs shipped to a worker.
 
-    ``speculative[i]`` marks jobs added by
-    :meth:`~repro.hinch.scheduler.DataflowScheduler.extract_followons`
-    (their dependencies are earlier lease members); ``deferred[i]`` lists
-    the stream reads of job *i* whose accounting waits until its record
-    arrives (the values did not exist dispatcher-side at assembly);
-    ``done`` counts the records already acknowledged — on worker death,
-    members from ``done`` onward never ran and are retried or retracted.
+    ``deferred[i]`` lists the stream reads of job *i* whose accounting
+    waits until its record arrives (the values did not exist
+    dispatcher-side at assembly); ``done`` counts the records already
+    acknowledged, so ``jobs[done]`` is the job a lost worker held.
     """
 
-    __slots__ = ("jobs", "speculative", "deferred", "done")
+    __slots__ = ("jobs", "deferred", "done")
 
-    def __init__(
-        self,
-        jobs: list[Job],
-        speculative: list[bool],
-        deferred: list[list[str]],
-    ) -> None:
+    def __init__(self, jobs: list[Job], deferred: list[list[str]]) -> None:
         self.jobs = jobs
-        self.speculative = speculative
         self.deferred = deferred
         self.done = 0
 
@@ -150,13 +131,14 @@ class ProcessRuntime(Coordinator):
 
     ``workers`` sizes the pool once for the whole run: every slot forks
     when :meth:`run` starts, whatever the host's core count.  A worker
-    inherits the installed configuration and the coordinator's
-    configuration cache, so it builds a configuration only when it
-    first splices to one the dispatcher had not built before the fork.
+    inherits the installed configuration, the coordinator's
+    configuration cache and its component mirrors, so it builds a
+    configuration only when it first splices to one the dispatcher had
+    not built before the fork.
 
     The dispatcher is single-threaded, so its central queue is a plain
     ``deque`` (like the inline loop of ``ThreadedRuntime(nodes=1)``): a
-    completion appends the jobs it readies, a retry goes to the head.
+    completion appends the jobs it readies.
     With the queue empty, no worker busy and the scheduler not done,
     :meth:`run` raises :class:`~repro.errors.SchedulingError` ("dataflow
     stalled") instead of waiting for a worker that has nothing to send.
@@ -167,22 +149,8 @@ class ProcessRuntime(Coordinator):
     callers written when they were options; anything else raises
     :class:`~repro.errors.SchedulingError`.
 
-    Fault-tolerance knobs:
-
-    * ``watchdog`` — per-job wall-clock budget in seconds; within a
-      lease each streamed record resets the window.  A worker holding
-      one job longer is presumed wedged, killed, and the lease's
-      unacknowledged jobs retried.  ``None`` (default) disables the
-      watchdog; worker *death* is still detected immediately via pipe
-      EOF / process sentinels.
-    * ``max_retries`` — how many times one ``(iteration, node)`` job may
-      be re-issued after losing its worker before the run fails with a
-      structured :class:`~repro.errors.WorkerFailure`.
-    * ``respawn`` — replace dead workers (default) or degrade onto the
-      survivors; with no survivor left the run fails.
-    * ``faults`` — a scripted failure plan (spec string, list of
-      :class:`~repro.hinch.faults.FaultSpec`, or a
-      :class:`~repro.hinch.faults.FaultInjector`) for testing.
+    A worker lost mid-run ends it with
+    :class:`~repro.errors.WorkerFailure` (module docstring).
     """
 
     fuses_chains = True
@@ -199,10 +167,6 @@ class ProcessRuntime(Coordinator):
         option_states: Mapping[str, bool] | None = None,
         batch: int = LEASE_SIZE,
         fuse: bool = True,
-        watchdog: float | None = None,
-        max_retries: int = 2,
-        respawn: bool = True,
-        faults: str | Sequence[FaultSpec] | FaultInjector | None = None,
     ) -> None:
         if workers < 1:
             raise SchedulingError(f"workers must be >= 1, got {workers}")
@@ -212,15 +176,7 @@ class ProcessRuntime(Coordinator):
                 f"options were removed; leases always hold up to "
                 f"{LEASE_SIZE} jobs and the chain compiler always runs"
             )
-        if watchdog is not None and watchdog <= 0:
-            raise SchedulingError(f"watchdog must be > 0 seconds, got {watchdog}")
-        if max_retries < 0:
-            raise SchedulingError(f"max_retries must be >= 0, got {max_retries}")
         self.workers = workers
-        self.watchdog = watchdog
-        self.max_retries = max_retries
-        self.respawn = respawn
-        self.fault_injector = coerce_injector(faults)
         super().__init__(
             program, registry,
             pool=SharedPlanePool(shared=True),
@@ -234,37 +190,13 @@ class ProcessRuntime(Coordinator):
         self.queue: deque[Job] = deque()
         self._worker_pool_stats = {k: 0 for k in _WORKER_STAT_KEYS}
         self._ctx: Any = None
-        #: slot -> control pipe / process handle (entries are *replaced*
-        #: on respawn, the slot id is stable)
+        #: slot -> control pipe / process handle, from run() start to its
+        #: end (empty otherwise: a request before run() reaches the
+        #: workers through the mirrors they fork with)
         self._conns: list[Connection] = []
         self._procs: list[Any] = []
         self._idle: set[int] = set()
         self._busy: dict[int, _Lease] = {}
-        #: slots currently backed by a live worker process
-        self._live: set[int] = set()
-        #: slot -> monotonically increasing worker incarnation id; retry
-        #: exclusion is per-incarnation so a respawned worker is eligible
-        #: for the job its predecessor died on
-        self._incarnation: list[int] = []
-        self._next_incarnation = 0
-        #: slot -> planes RPC-allocated during the current job (ownership
-        #: moves to the stream slots on "done"; reclaimed on failure)
-        self._leases: dict[int, list[PlaneRef]] = {}
-        #: slot -> watchdog deadline (perf_counter) for the current job
-        self._deadlines: dict[int, float] = {}
-        #: (iteration, node_id) -> failed attempts so far
-        self._attempts: dict[tuple[int, str], int] = {}
-        #: (iteration, node_id) -> worker incarnations that failed it
-        self._excluded: dict[tuple[int, str], set[int]] = {}
-        #: instance id -> reconfigure requests its dispatcher mirror got
-        #: since the instance was created; a worker forked later replays
-        #: exactly these onto its fresh mirror (an instance torn down by
-        #: a splice loses its entry: recreated, it starts clean)
-        self._requests: dict[str, list[str]] = {}
-        #: dispatched task jobs (1-based), the fault injector's clock
-        self._dispatched_tasks = 0
-        self._respawns = 0
-        self.fault_events: list[dict[str, Any]] = []
         #: node_id -> preferred worker slot (slice affinity: replica k of
         #: a sliced parblock keeps landing on the worker that holds its
         #: planes and resident slots warm, while that worker is idle)
@@ -285,12 +217,6 @@ class ProcessRuntime(Coordinator):
         self._resident.pop(iteration, None)
 
     def _after_splice(self, added: list[str], removed: list[str]) -> None:
-        # A torn-down instance takes its request history with it: if a
-        # later splice recreates it, it starts clean, as on threads.
-        # Dropped before the broadcast, so a worker respawned by a send
-        # failure below forks with the post-splice history too.
-        for instance_id in removed:
-            self._requests.pop(instance_id, None)
         # Node identities and stream geometries may change across the
         # splice: drop everything learned about the old graph.  (Resident
         # slots are already gone — reconfiguration happens at quiescence,
@@ -298,9 +224,7 @@ class ProcessRuntime(Coordinator):
         self._affinity.clear()
         self._ensure_profile.clear()
         # The graph is quiescent (no jobs in flight), so every worker is
-        # idle and will process the splice before its next job.  self.pg
-        # is already the new graph, so a worker respawned by a send
-        # failure here forks with the post-splice option states baked in.
+        # idle and will process the splice before its next job.
         self._broadcast(("splice", dict(self._target_states)))
 
     # -- ReconfigController --------------------------------------------------
@@ -311,28 +235,20 @@ class ProcessRuntime(Coordinator):
         super().send_reconfigure_request(manager, request)
         # ... and every worker applies the request to its own mirrors,
         # possibly mid-job of an unrelated component (same concurrency
-        # the threaded backend exhibits at nodes > 1).  Recorded first,
-        # per mirror that got it: a worker respawned mid-broadcast forks
-        # with it, and future respawns rebuild mirror state from it.
-        for member in self.program.managers[manager].members:
-            if member in self.host.live:
-                self._requests.setdefault(member, []).append(request)
+        # the threaded backend exhibits at nodes > 1).
         self._broadcast(("reconfigure", manager, request))
 
     def _broadcast(self, msg: tuple[Any, ...]) -> None:
-        """Send ``msg`` to every live worker, absorbing worker death.
+        """Send ``msg`` to every worker of the running pool."""
+        for slot in range(len(self._conns)):
+            self._send(slot, msg)
 
-        A failed send means the worker is gone; it is handled like any
-        other failure (lease reclamation, retry, respawn).  A worker
-        respawned *during* the broadcast is deliberately skipped — it was
-        forked from current dispatcher state, request history included,
-        so it is already up to date.
-        """
-        for slot in sorted(self._live):
-            try:
-                send_framed(self._conns[slot], msg, self.pool.stats)
-            except OSError:
-                self._worker_failed(slot, "send failed (broken pipe)")
+    def _send(self, slot: int, msg: tuple[Any, ...]) -> None:
+        """Send ``msg`` to one worker; a failed send means it is lost."""
+        try:
+            send_framed(self._conns[slot], msg, self.pool.stats)
+        except OSError:
+            raise self._lost(slot, "stopped reading its pipe") from None
 
     # -- dispatch ------------------------------------------------------------
 
@@ -446,8 +362,7 @@ class ProcessRuntime(Coordinator):
                 self.pool.acquire(tuple(shape), dtype)[1]
             ),
         )
-        # ensure planes are stream-owned, not worker-leased: the slot
-        # survives the worker and is released with its iteration.
+        # ensure planes are stream-owned: released with their iteration.
         ref = packed.refs[0]
         check_geometry(name, iteration, node, shape, dtype,
                        (ref.shape, ref.dtype), AGAINST_SLOT)
@@ -472,12 +387,6 @@ class ProcessRuntime(Coordinator):
         timing deterministic at ``workers=1``.  The popped head seeds a
         *lease* that :meth:`_dispatch_lease` extends with further ready
         jobs and speculative follow-ons.
-
-        Retried jobs prefer a worker incarnation that has not already
-        failed them (a deterministic kernel crash should not burn the
-        whole retry budget on one wedged worker); in a fault-free run the
-        exclusion map is empty and the pick stays ``min(idle)``, so
-        dispatch order — and with it bit-identical output — is unchanged.
 
         The head is never held back: every worker slot forked at start,
         so an idle slot always takes it, whatever the host's core count.
@@ -512,21 +421,16 @@ class ProcessRuntime(Coordinator):
            order.
         """
         jobs = [head]
-        incarnation = self._incarnation[worker]
         graph = self.pg.graph
         # at most the surplus the other idle workers cannot absorb
         room = min(LEASE_SIZE - 1, len(self.queue) - len(self._idle))
         for job in self.queue:
             if len(jobs) > room or graph.node(job.node_id).kind != "task":
                 break  # never reorder across a control job
-            excluded = self._excluded.get((job.iteration, job.node_id))
-            if excluded and incarnation in excluded:
-                continue
             if self._affinity.get(job.node_id, worker) == worker:
                 jobs.append(job)
         for job in jobs[1:]:
             self.queue.remove(job)
-        speculative = [False] * len(jobs)
 
         # A speculated job is bound to *this* worker, so while idle workers
         # remain, speculate only pipeline extensions — a node's next
@@ -547,8 +451,7 @@ class ProcessRuntime(Coordinator):
                 pipeline_only=bool(self._idle),
             )
             jobs.extend(followons)
-            speculative.extend([True] * len(followons))
-        return _Lease(jobs, speculative, [[] for _ in jobs])
+        return _Lease(jobs, [[] for _ in jobs])
 
     def _dispatch_lease(self, worker: int, head: Job) -> None:
         """Assemble and ship one lease to ``worker``."""
@@ -561,30 +464,13 @@ class ProcessRuntime(Coordinator):
             )
             lease.deferred[index] = deferred
             ensured = self._pre_ensure(job.node_id, job.iteration, worker)
-            self._dispatched_tasks += 1
-            fault = None
-            if self.fault_injector is not None:
-                fault = self.fault_injector.directive(self._dispatched_tasks)
             entries.append(
-                (job.iteration, job.node_id, shipped, resident, ensured,
-                 fault)
+                (job.iteration, job.node_id, shipped, resident, ensured)
             )
             self._affinity.setdefault(job.node_id, worker)
         self._busy[worker] = lease
-        if self.watchdog is not None:
-            # Per-job budget: each record resets the window, so a lease
-            # of n jobs never waits n windows for a wedged first job.
-            self._deadlines[worker] = time.perf_counter() + self.watchdog
-        try:
-            send_framed(
-                self._conns[worker],
-                ("lease", entries, self.scheduler.lowest_live_iteration),
-                self.pool.stats,
-            )
-        except OSError:
-            # Worker died between going idle and this dispatch; the
-            # lease is in _busy so the normal failure path retries it.
-            self._worker_failed(worker, "send failed (broken pipe)")
+        self._send(worker, ("lease", entries,
+                            self.scheduler.lowest_live_iteration))
 
     def _pick_worker(self, job: Job) -> int:
         """Choose an idle worker for the FIFO head.
@@ -595,18 +481,9 @@ class ProcessRuntime(Coordinator):
         ships tokens instead of pixel planes.  Otherwise the pick is
         ``min(idle)``.
         """
-        excluded = self._excluded.get((job.iteration, job.node_id))
-        if excluded:
-            eligible = [
-                w for w in self._idle if self._incarnation[w] not in excluded
-            ]
-        else:
-            eligible = list(self._idle)
-        if eligible:
-            affinity = self._affinity.get(job.node_id)
-            if affinity is not None and affinity in eligible:
-                return affinity
-            return min(eligible)
+        affinity = self._affinity.get(job.node_id)
+        if affinity in self._idle:
+            return affinity
         return min(self._idle)
 
     # -- worker message handling ---------------------------------------------
@@ -617,9 +494,7 @@ class ProcessRuntime(Coordinator):
             _, record, last = msg
             self._record_done(worker, record, last)
         elif tag == "rpc_alloc":
-            ref = self.pool.acquire_raw(msg[1])
-            self._leases.setdefault(worker, []).append(ref)
-            self._rpc_reply(worker, ref)
+            self._send(worker, ("rpc", self.pool.acquire_raw(msg[1])))
         elif tag == "rpc_ensure":
             _, node_id, name, iteration, shape, dtype = msg
             ref = self._ensure_slot(
@@ -632,7 +507,7 @@ class ProcessRuntime(Coordinator):
             if name not in {entry[0] for entry in profile}:
                 profile.append((name, tuple(shape), dtype))
             self._mark_resident(iteration, name, worker)
-            self._rpc_reply(worker, ref)
+            self._send(worker, ("rpc", ref))
         elif tag == "error":
             raise self._worker_error(worker, msg[1], msg[2])
         else:
@@ -649,11 +524,7 @@ class ProcessRuntime(Coordinator):
         after its producer's ``put``, and event/checkpoint ordering
         matches a job-at-a-time dispatcher exactly.  Completions are
         announced immediately (dependent work can go to *other* workers
-        mid-lease); a record is the only acknowledgement of its job, so
-        each checkpoint delta applies exactly once — a worker that died
-        mid-lease acknowledged precisely the records that arrived, and
-        every later member is retried or retracted.  The final record
-        returns the worker to the idle set.
+        mid-lease).  The final record returns the worker to the idle set.
         """
         lease = self._busy[worker]
         if lease.done >= len(lease.jobs):
@@ -671,13 +542,6 @@ class ProcessRuntime(Coordinator):
                 f"expected {job.node_id}@{job.iteration}"
             )
         lease.done += 1
-        # Acknowledged: planes the worker RPC-allocated for this job now
-        # live in stream slots (released per iteration), so they leave
-        # the worker's liability list.  The pipe is FIFO, so everything
-        # alloc'd so far belongs to jobs acknowledged up to here.
-        self._leases.pop(worker, None)
-        self._attempts.pop((iteration, node_id), None)
-        self._excluded.pop((iteration, node_id), None)
         # Replay reads whose values did not exist at assembly (their
         # producer was an earlier member of this lease) — the producer's
         # put has landed by now, so stream counters stay bit-identical
@@ -704,18 +568,8 @@ class ProcessRuntime(Coordinator):
                     f"{lease.done} of {len(lease.jobs)} record(s)"
                 )
             self._busy.pop(worker)
-            self._deadlines.pop(worker, None)
             self._idle.add(worker)
-        elif self.watchdog is not None:
-            # Per-job budget: the next lease member gets a fresh window.
-            self._deadlines[worker] = time.perf_counter() + self.watchdog
         self.scheduler.complete(job, self.queue)
-
-    def _rpc_reply(self, worker: int, value: Any) -> None:
-        try:
-            send_framed(self._conns[worker], ("rpc", value), self.pool.stats)
-        except OSError:
-            self._worker_failed(worker, "send failed (broken pipe)")
 
     @staticmethod
     def _worker_error(
@@ -750,276 +604,101 @@ class ProcessRuntime(Coordinator):
                 "ProcessRuntime needs a fork-capable platform; use "
                 "ThreadedRuntime instead"
             ) from None
-        self._conns = [None] * self.workers  # type: ignore[list-item]
-        self._procs = [None] * self.workers
-        self._incarnation = [-1] * self.workers
         for slot in range(self.workers):
             self._spawn_one(slot)
 
     def _spawn_one(self, slot: int) -> None:
-        """(Re)start the worker in ``slot``.
+        """Fork the worker in ``slot``.
 
-        A respawned worker forks from *current* dispatcher state, so it
-        inherits the installed configuration and every one cached so far
-        outright.  Its mirrors are built fresh from instance descriptors,
-        so each replays the reconfigure requests its dispatcher mirror
-        received (:attr:`_requests`) — no more, no fewer.
-        The child closes the dispatcher ends it inherits, its own and
-        every earlier slot's: a worker holding one would keep that pipe
-        open after the dispatcher closes it, and its owner would never
-        see EOF on a failed run.
-        Fork children exit via ``os._exit`` (multiprocessing bootstrap),
-        so the dispatcher pool copy they inherit never runs finalizers —
-        a respawn cannot unlink live shared segments.
+        The worker inherits the installed configuration, every one cached
+        so far and the dispatcher's component mirrors as they stand,
+        reconfigure requests sent before :meth:`run` included.  The child
+        closes the dispatcher ends it inherits, its own and every earlier
+        slot's: a worker holding one would keep that pipe open after the
+        dispatcher closes it, and its owner would never see EOF on a
+        failed run.  Fork children exit via ``os._exit`` (multiprocessing
+        bootstrap), so the dispatcher pool copy they inherit never runs
+        finalizers and cannot unlink live shared segments.
         """
         parent, child = self._ctx.Pipe()
-        incarnation = self._next_incarnation
-        self._next_incarnation += 1
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=([parent, *filter(None, self._conns)],
-                  child, self.program, self.registry, slot,
+            args=([parent, *self._conns], child, slot,
                   self.configuration(self.pg.option_states),
-                  self.configuration, self._requests),
-            name=f"hinch-proc-worker-{slot}.{incarnation}",
+                  self.configuration, self.host),
+            name=f"hinch-proc-worker-{slot}",
             daemon=True,
         )
         proc.start()
         child.close()
-        self._conns[slot] = parent
-        self._procs[slot] = proc
-        self._incarnation[slot] = incarnation
-        self._live.add(slot)
+        self._conns.append(parent)
+        self._procs.append(proc)
         self._idle.add(slot)
 
-    def _record_fault(
-        self,
-        kind: str,
-        slot: int,
-        incarnation: int,
-        job: Job | None,
-        detail: str,
-    ) -> None:
-        self.fault_events.append(
-            {
-                "kind": kind,
-                "worker": slot,
-                "incarnation": incarnation,
-                "job": (job.iteration, job.node_id) if job else None,
-                "detail": detail,
-            }
-        )
-        if self.tracer.enabled:
-            now = time.perf_counter()
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id if job else "",
-                    iteration=job.iteration if job else -1,
-                    worker=slot,
-                    start=now,
-                    end=now,
-                    kind=kind,
-                )
-            )
+    def _lost(self, slot: int, reason: str) -> WorkerFailure:
+        """The error that ends a run whose worker in ``slot`` is gone.
 
-    def _worker_failed(
-        self, slot: int, reason: str, *, watchdog: bool = False
-    ) -> None:
-        """Handle the loss of one worker: reclaim, retry, respawn/degrade.
-
-        Idempotent per incarnation — EOF, sentinel and watchdog detection
-        can all observe the same death.  Raises
-        :class:`~repro.errors.WorkerFailure` when the in-flight job's
-        retry budget is exhausted or no worker remains.
+        ``job`` is the first lease member the worker had not
+        acknowledged, if it held a lease; the message carries the
+        worker's exit code.
         """
-        if slot not in self._live:
-            return
-        self._live.discard(slot)
-        self._idle.discard(slot)
-        incarnation = self._incarnation[slot]
-        lease = self._busy.pop(slot, None)
-        self._deadlines.pop(slot, None)
-        # Planes RPC-allocated mid-job die with the worker: back to the
-        # free lists (their content is garbage, but so is any recycled
-        # plane before its next write).
-        for ref in self._leases.pop(slot, ()):
-            self.pool.release(ref)
-        # Any resident slot this worker held is gone; future leases must
-        # ship those planes again from the dispatcher-held stream slots.
-        for holders in self._resident.values():
-            for workers in holders.values():
-                workers.discard(slot)
-        try:
-            self._conns[slot].close()
-        except Exception:
-            pass
+        lease = self._busy.get(slot)
+        job = None
+        held = ""
+        if lease is not None:
+            head = lease.jobs[lease.done]
+            job = (head.iteration, head.node_id)
+            held = f" holding {head.node_id}@{head.iteration}"
         proc = self._procs[slot]
-        if proc.is_alive():
-            proc.kill()  # SIGKILL: a wedged kernel may ignore SIGTERM
-            proc.join(timeout=5)
-        pending = (
-            list(zip(lease.jobs, lease.speculative))[lease.done:]
-            if lease is not None else []
+        proc.join(timeout=5)
+        return WorkerFailure(
+            f"worker {slot} {reason} (exit code {proc.exitcode}){held}; "
+            "a lost worker ends the run",
+            worker=slot,
+            job=job,
         )
-        head = pending[0][0] if pending else None
-        self._record_fault(
-            "watchdog_kill" if watchdog else "worker_failure",
-            slot, incarnation, head, reason,
-        )
-        if pending:
-            # Records acknowledged before the death are final (their
-            # outputs, events and checkpoint deltas are applied exactly
-            # once); only members from ``lease.done`` onward never ran.
-            # Walk them back to front so appendleft restores the
-            # original FIFO order.  Speculative members never became
-            # queue-visible — retracting them re-arms the normal
-            # readiness path (the retried predecessors re-emit them on
-            # completion) and charges them no retry attempt.
-            for job, speculative in reversed(pending):
-                if speculative:
-                    # The retracted job may already be ready — its lease
-                    # predecessors acknowledged before the death — in
-                    # which case no future completion re-emits it and it
-                    # must be requeued here, in its lease position.
-                    for ready in self.scheduler.retract(job):
-                        self.queue.appendleft(ready)
-                    continue
-                key = (job.iteration, job.node_id)
-                attempts = self._attempts.get(key, 0) + 1
-                self._attempts[key] = attempts
-                self._excluded.setdefault(key, set()).add(incarnation)
-                if attempts > self.max_retries:
-                    raise WorkerFailure(
-                        f"job {job.node_id}@{job.iteration} lost its worker "
-                        f"{attempts} time(s) (last: worker {slot}, "
-                        f"{reason}); retry budget "
-                        f"max_retries={self.max_retries} exhausted",
-                        worker=slot,
-                        job=key,
-                    )
-                self.scheduler.requeue(job)
-                self.queue.appendleft(job)
-                self._record_fault("retry", slot, incarnation, job,
-                                   f"attempt {attempts + 1}")
-        if self.respawn:
-            self._spawn_one(slot)
-            self._respawns += 1
-            self._record_fault("respawn", slot, self._incarnation[slot],
-                               None, f"replacing incarnation {incarnation}")
-        elif not self._live:
-            raise WorkerFailure(
-                f"worker {slot} failed ({reason}) and no worker "
-                "remains (respawn disabled)",
-                worker=slot,
-                job=(head.iteration, head.node_id) if head else None,
-            )
-        else:
-            self._record_fault("degrade", slot, incarnation, None,
-                               f"{len(self._live)} worker(s) remain")
 
     # -- main loop helpers ---------------------------------------------------
 
-    def _wait_timeout(self) -> float | None:
-        """Timeout for the dispatcher's connection wait.
-
-        ``None`` — block indefinitely — whenever no watchdog deadline is
-        armed: worker death wakes the wait through the process sentinel,
-        so a periodic heartbeat poll would be pure idle spinning.  With a
-        deadline armed, wake exactly when the earliest one expires.
-        """
-        deadline = min(self._deadlines.values(), default=None)
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.perf_counter())
-
     def _service_conn(self, slot: int) -> None:
-        """Drain every buffered message from one worker's pipe.
-
-        EOF/pipe errors route to the failure path; messages from a slot
-        that stopped being live mid-drain are never processed.
-        """
+        """Drain every buffered message from one worker's pipe."""
         conn = self._conns[slot]
-        incarnation = self._incarnation[slot]
-        try:
-            while (
-                slot in self._live
-                and self._incarnation[slot] == incarnation
-                and conn.poll()
-            ):
-                self._on_message(slot, recv_framed(conn))
-        except (EOFError, OSError):
-            # Only condemn the incarnation this pipe belongs to — the
-            # slot may already hold its respawned (innocent) successor.
-            if slot in self._live and self._incarnation[slot] == incarnation:
-                self._worker_failed(slot, "worker exited unexpectedly (EOF)")
+        while True:
+            try:
+                if not conn.poll():
+                    return
+                msg = recv_framed(conn)
+            except (EOFError, OSError):
+                raise self._lost(slot, "closed its pipe") from None
+            self._on_message(slot, msg)
 
     def _service_ready(self, ready: list[Any]) -> None:
-        conn_slots = {id(self._conns[s]): s for s in self._live}
-        sentinel_slots = {self._procs[s].sentinel: s for s in self._live}
+        sentinels = {proc.sentinel: slot
+                     for slot, proc in enumerate(self._procs)}
         for obj in ready:
-            slot = conn_slots.get(id(obj))
-            if slot is not None:
-                self._service_conn(slot)
+            slot = sentinels.get(obj)
+            if slot is None:
+                self._service_conn(self._conns.index(obj))
                 continue
-            slot = sentinel_slots.get(obj)
-            if slot is not None and slot in self._live:
-                # Process exited: drain any last buffered messages (a
-                # completed job racing the death must win), then declare
-                # the failure if the slot is still live.
-                self._service_conn(slot)
-                if slot in self._live and not self._procs[slot].is_alive():
-                    self._worker_failed(slot, "process died")
-
-    def _check_liveness(self) -> None:
-        for slot in sorted(self._live):
-            if not self._procs[slot].is_alive():
-                self._service_conn(slot)
-                if slot in self._live:
-                    self._worker_failed(slot, "process died")
-
-    def _check_watchdog(self) -> None:
-        if self.watchdog is None:
-            return
-        now = time.perf_counter()
-        for slot in [s for s, dl in list(self._deadlines.items())
-                     if dl <= now]:
-            if slot not in self._live:
-                self._deadlines.pop(slot, None)
-                continue
-            # The job may have completed while we slept — drain first,
-            # and only kill if the same deadline is still in force.
+            # Process exited: what it sent first still counts (an error
+            # report names the real cause), then the run ends.
             self._service_conn(slot)
-            if slot not in self._live or slot not in self._busy:
-                continue
-            deadline = self._deadlines.get(slot)
-            if deadline is None or deadline > now:
-                continue
-            lease = self._busy[slot]
-            current = lease.jobs[lease.done]
-            desc = f"{current.node_id}@{current.iteration}"
-            remaining = len(lease.jobs) - lease.done - 1
-            if remaining:
-                desc += f" (+{remaining} batched)"
-            self._worker_failed(
-                slot,
-                f"watchdog: {desc} exceeded {self.watchdog:.3g}s",
-                watchdog=True,
-            )
+            raise self._lost(slot, "exited")
 
     # -- shutdown ------------------------------------------------------------
 
     def _shutdown(self, *, graceful: bool) -> None:
         deferred: BaseException | None = None
         if graceful:
-            for slot in sorted(self._live):
+            for conn in self._conns:
                 try:
-                    send_framed(self._conns[slot], ("stop",), self.pool.stats)
+                    send_framed(conn, ("stop",), self.pool.stats)
                 except Exception:
                     pass
-            for slot in sorted(self._live):
+            for slot, conn in enumerate(self._conns):
                 try:
                     while True:
-                        msg = recv_framed(self._conns[slot])
+                        msg = recv_framed(conn)
                         tag = msg[0]
                         if tag == "bye":
                             # Component state arrived job by job with the
@@ -1042,22 +721,17 @@ class ProcessRuntime(Coordinator):
                 except (EOFError, OSError):
                     pass
         for conn in self._conns:
-            if conn is None:
-                continue
             try:
                 conn.close()
             except Exception:
                 pass
         for proc in self._procs:
-            if proc is None:
-                continue
             proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
         self._conns = []
         self._procs = []
-        self._live.clear()
         self._idle.clear()
         self.pool.close()
         if deferred is not None:
@@ -1100,14 +774,9 @@ class ProcessRuntime(Coordinator):
                         "dataflow stalled: no job is ready but "
                         f"{self.scheduler.in_flight} iteration(s) are in flight"
                     )
-                objects: list[Any] = [self._conns[s] for s in sorted(self._live)]
-                objects.extend(self._procs[s].sentinel for s in sorted(self._live))
-                ready = wait(objects, timeout=self._wait_timeout())
-                if ready:
-                    self._service_ready(list(ready))
-                else:
-                    self._check_liveness()
-                self._check_watchdog()
+                self._service_ready(wait(
+                    [*self._conns, *(proc.sentinel for proc in self._procs)]
+                ))
                 self._pump()
             if self.queue:
                 raise SchedulingError(
@@ -1120,21 +789,6 @@ class ProcessRuntime(Coordinator):
         finally:
             self._shutdown(graceful=not failed)
         elapsed = time.perf_counter() - start_time
-        if self.fault_injector is not None:
-            # Unfired directives are a run-summary fact, not a silent
-            # no-op: a spec aimed past the last dispatched job would
-            # otherwise look like a fault that was survived.
-            for spec in self.fault_injector.remaining:
-                self.fault_events.append(
-                    {
-                        "kind": "unfired",
-                        "worker": None,
-                        "detail": (
-                            f"injected fault {spec.describe()} never fired "
-                            "(run dispatched fewer jobs)"
-                        ),
-                    }
-                )
         stream_stats = {
             name: self.streams.stream(name).stats for name in self.streams.names
         }
@@ -1151,6 +805,5 @@ class ProcessRuntime(Coordinator):
             events_handled=sum(m.events_handled for m in self.managers.values()),
             events_ignored=sum(m.events_ignored for m in self.managers.values()),
             pool_stats=pool_stats,
-            fault_events=list(self.fault_events),
             workers_spawned=self.workers,
         )

@@ -58,9 +58,9 @@ class RunResult:
     #: :class:`repro.hinch.shm.PoolStats`); empty on threads, whose
     #: streams recycle their own buffers
     pool_stats: dict[str, int] = field(default_factory=dict)
-    #: worker failures, retries and respawns observed by the process
-    #: backend (empty elsewhere); each entry is a dict with at least
-    #: ``kind``/``worker``/``detail`` keys — see docs/fault-tolerance.md
+    #: always empty: no executor recovers from a failure (a lost process
+    #: worker ends the run with :class:`~repro.errors.WorkerFailure`).
+    #: Kept because ``benchmarks/e2e/measure.py`` reads it.
     fault_events: list[dict[str, Any]] = field(default_factory=list)
     #: configured worker count: every process slot forks at start, and
     #: it equals ``nodes`` on the threaded backend.  Kept because

@@ -112,7 +112,6 @@ class DataflowScheduler:
         self._pending_plans: list[ReconfigPlan] = []
         self._completed_iterations = 0
         self._reconfig_count = 0
-        self._retries = 0
         self._started = False
 
     # -- public state ------------------------------------------------------------
@@ -138,10 +137,9 @@ class DataflowScheduler:
     def reconfig_count(self) -> int:
         return self._reconfig_count
 
-    @property
-    def retries(self) -> int:
-        """Jobs returned to the ready set after their worker was lost."""
-        return self._retries
+    #: always 0: no executor re-issues a job (a lost process worker ends
+    #: the run); kept for ``benchmarks/e2e/layers.py``, which reads it
+    retries = 0
 
     _halted_forever = False  # set by request_stop
 
@@ -235,31 +233,6 @@ class DataflowScheduler:
             self._after_iteration(ready)
         return ready
 
-    def requeue(self, job: Job) -> None:
-        """Validate that a lost job may be re-issued (worker failure).
-
-        The job must be *dispatched but not done* — retrying a completed
-        job would double-complete it, and retrying a never-dispatched one
-        means the runtime's in-flight bookkeeping diverged from the
-        scheduler's.  The job stays in the ``dispatched`` set (the caller
-        pushes it back onto the queue), so the eventual completion flows
-        through :meth:`complete` unchanged.
-        """
-        state = self._iters.get(job.iteration)
-        if state is None:
-            raise SchedulingError(
-                f"requeue for unknown iteration {job.iteration} ({job.node_id})"
-            )
-        if job.node_id not in state.dispatched:
-            raise SchedulingError(
-                f"requeue for undispatched job {job.node_id}@{job.iteration}"
-            )
-        if self._last_done[job.node_id] >= job.iteration:
-            raise SchedulingError(
-                f"requeue for completed job {job.node_id}@{job.iteration}"
-            )
-        self._retries += 1
-
     def extract_followons(self, lease, limit, is_eligible=None,
                           pipeline_only=False):
         """Speculatively extend a job lease along the dataflow (batching).
@@ -277,11 +250,9 @@ class DataflowScheduler:
 
         Chosen jobs are marked ``dispatched`` immediately: the real
         completions of their lease predecessors will decrement in-degrees
-        as usual but not re-emit them.  If the worker dies mid-lease the
-        runtime calls :meth:`retract` for each speculative job, after
-        which the normal completion flow re-emits it.  Admission state is
-        never touched, so the ``pipeline_depth`` bound and reconfiguration
-        quiescence are exactly as without speculation.
+        as usual but not re-emit them.  Admission state is never touched,
+        so the ``pipeline_depth`` bound and reconfiguration quiescence are
+        exactly as without speculation.
 
         ``is_eligible`` filters candidate node ids (the process runtime
         excludes control nodes, which must run on the dispatcher).
@@ -355,39 +326,6 @@ class DataflowScheduler:
                         next_frontier.append(cand)
             frontier = next_frontier
         return out
-
-    def retract(self, job: Job) -> list[Job]:
-        """Un-dispatch a speculative lease job whose worker died.
-
-        Records stream back per job in lease order, so a dead worker's
-        unacknowledged speculative members are known never to have run;
-        clearing the ``dispatched`` mark restores the normal readiness
-        path.  The job's *dependencies*, however, may already be done —
-        earlier lease members acknowledge individually, and a producer's
-        completion lands before the worker dies on a later member — in
-        which case no future :meth:`complete` call will ever touch this
-        job again.  Readiness is therefore re-checked here: the returned
-        jobs (the retracted job itself, at most) are ready *now* and
-        must be requeued by the caller; an empty list means a retried
-        predecessor will re-emit it through :meth:`complete` as usual.
-        """
-        state = self._iters.get(job.iteration)
-        if state is None:
-            raise SchedulingError(
-                f"retract for unknown iteration {job.iteration} ({job.node_id})"
-            )
-        if self._last_done[job.node_id] >= job.iteration:
-            raise SchedulingError(
-                f"retract for completed job {job.node_id}@{job.iteration}"
-            )
-        if job.node_id not in state.dispatched:
-            raise SchedulingError(
-                f"retract for undispatched job {job.node_id}@{job.iteration}"
-            )
-        state.dispatched.discard(job.node_id)
-        ready: list[Job] = []
-        self._check_ready(job.node_id, job.iteration, ready)
-        return ready
 
     @property
     def lowest_live_iteration(self) -> int | None:

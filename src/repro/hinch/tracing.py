@@ -122,7 +122,7 @@ class Tracer:
         return dict(sorted(totals.items()))
 
     def kind_counts(self) -> dict[str, int]:
-        """Events per ``kind`` — e.g. how many retries/respawns a run saw."""
+        """Events per ``kind``: task jobs against manager invocations."""
         counts: dict[str, int] = {}
         for e in self.events:
             counts[e.kind] = counts.get(e.kind, 0) + 1

@@ -19,34 +19,29 @@ Component state reaches the dispatcher only in ``done`` records
 (:meth:`~repro.hinch.component.Component.checkpoint_state`).  What no
 message carries is fixed at fork: the installed configuration, the
 dispatcher's configuration cache (a ``splice`` is a lookup in it), and
-each mirror's reconfigure history.
+the component mirrors, adopted from the dispatcher's
+:class:`~repro.hinch.engine.ComponentHost` with every reconfigure
+request sent before the run.  A worker that dies ends the run
+(:mod:`repro.hinch.process`); nothing here recovers.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import time
 import traceback
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.program import Program
 from repro.errors import SchedulingError, StreamError
-from repro.hinch.component import Component
 from repro.hinch.engine import ComponentHost, Configuration, NodePlans
 from repro.hinch.events import Event
 from repro.hinch.shm import (
     Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
 from repro.hinch.stream import AGAINST_SLOT, check_geometry
-
-#: exit code of a worker killed by an injected ``kill`` fault — looks
-#: exactly like an external SIGKILL/OOM to the dispatcher, the code only
-#: aids post-mortem debugging of the harness itself
-_FAULT_EXIT_CODE = 113
 
 #: pool counters a worker reports back at shutdown (summed by dispatcher)
 _WORKER_STAT_KEYS = (
@@ -219,15 +214,12 @@ class _Worker:
     def __init__(
         self,
         conn: Connection,
-        program: Program,
-        registry: Mapping[str, type[Component]],
         worker_id: int,
         config: Configuration,
         configuration: Callable[[Mapping[str, bool]], Configuration],
-        requests: Mapping[str, Sequence[str]] | None = None,
+        host: ComponentHost,
     ) -> None:
         self.conn = conn
-        self.program = program
         self.worker_id = worker_id
         #: the dispatcher's configuration cache
         #: (:meth:`~repro.hinch.engine.Coordinator.configuration`), copied
@@ -235,21 +227,14 @@ class _Worker:
         #: costs no build, one first seen after it is built here once
         self.configuration = configuration
         self.pool = _RemotePlanePool(self.rpc)
-        # ``config`` is the dispatcher's installed configuration, inherited
-        # through fork copy-on-write: a spawn or respawn builds nothing.
+        # ``config`` is the dispatcher's installed configuration and
+        # ``host`` its component mirrors (overrides installed, requests
+        # applied), inherited through fork copy-on-write: a worker builds
+        # nothing to start.
         self.pg = config.pg
         #: solved stream formats: a shape-only buffer gets their dtype
         self.expectations = config.expectations
-        self.host = ComponentHost(program, registry)
-        # Overrides (auto-inserted converters, rebound readers) must be
-        # installed before populate: active ids resolve through them.
-        self.host.overrides = config.overrides
-        self.host.populate(self.pg.active_components)
-        # Fresh mirrors catch up on exactly the reconfigure requests their
-        # dispatcher mirrors received (a respawn mid-run).
-        for instance_id, replay in (requests or {}).items():
-            for request in replay:
-                self.host.live[instance_id].reconfigure(request)
+        self.host = host
         self.streams = _WorkerStreams(self)
         self.broker = _RecordingBroker()
         self._stop_requested = False
@@ -294,7 +279,7 @@ class _Worker:
         tag = msg[0]
         if tag == "reconfigure":
             _, manager, request = msg
-            for member in self.program.managers[manager].members:
+            for member in self.host.program.managers[manager].members:
                 component = self.host.live.get(member)
                 if component is not None:
                     component.reconfigure(request)
@@ -315,26 +300,6 @@ class _Worker:
 
     # -- job execution ------------------------------------------------------
 
-    @staticmethod
-    def _apply_fault(fault: tuple | None) -> None:
-        """Enact an injected failure directive before running the job.
-
-        ``kill`` uses ``os._exit`` so the worker dies exactly like a
-        segfault/OOM kill: no goodbye message, no cleanup, no state
-        flush.  ``hang`` holds the job forever — only the dispatcher's
-        watchdog recovers it.  ``slow`` just adds latency.
-        """
-        if fault is None:
-            return
-        kind = fault[0]
-        if kind == "kill":
-            os._exit(_FAULT_EXIT_CODE)
-        elif kind == "hang":
-            while True:  # until the watchdog kills us
-                time.sleep(3600.0)
-        elif kind == "slow":
-            time.sleep(fault[1] / 1000.0)
-
     def _run_job(
         self,
         iteration: int,
@@ -342,9 +307,7 @@ class _Worker:
         inputs: dict[str, Packed],
         resident: tuple[str, ...],
         ensured: dict[str, PlaneRef] | None,
-        fault: tuple | None,
     ) -> tuple:
-        self._apply_fault(fault)
         plan = self.node_plans[node_id]
         ws = self.streams
         ws.begin(iteration, inputs, resident, ensured)
@@ -357,8 +320,7 @@ class _Worker:
         # Checkpoint the state this job accrued: the delta rides on the
         # completion message (NOT through pool.pack — checkpoints are
         # control metadata, not stream traffic) and is merged into the
-        # dispatcher mirror before the job is acknowledged, so a later
-        # crash of this worker cannot lose acknowledged output.
+        # dispatcher mirror as the record is applied.
         state_updates: dict[str, Any] = {}
         for component in plan.components:
             delta = component.checkpoint_state()
@@ -385,18 +347,13 @@ class _Worker:
         Each completion is announced as soon as it happens (so the
         dispatcher can release dependent work to *other* workers without
         waiting for the whole lease); the last record is flagged as such.
-        Because the pipe is FIFO,
-        a record either arrived (acknowledged, applied exactly once) or
-        the dispatcher knows its job — and every later one — never ran.
         """
         if watermark is not None:
             for key in [k for k in self.resident if k[1] < watermark]:
                 del self.resident[key]
         last = len(entries) - 1
         for index, entry in enumerate(entries):
-            iteration, node_id, inputs, resident, ensured, fault = entry
-            record = self._run_job(iteration, node_id, inputs, resident,
-                                   ensured, fault)
+            record = self._run_job(*entry)
             send_framed(self.conn, ("done", record, index == last),
                         self.pool.stats)
 

@@ -43,7 +43,6 @@ def _static_case(**overrides) -> FuzzCase:
         iterations=2,
         stages=[],
         reconfig=None,
-        faults=[],
         knobs={"workers": 1, "depth": 1},
         mutation=None,
     )
@@ -139,7 +138,6 @@ def _loaded_case() -> FuzzCase:
                 {"kind": "blur", "slices": 2},
                 {"kind": "convert", "slices": 1}],
         reconfig={"stage": 1, "toggles": 2},
-        faults=["kill:2", "slow:3:10"],
         knobs={"workers": 3, "depth": 4},
     )
 
@@ -156,7 +154,6 @@ def test_shrinker_strips_everything_irrelevant():
     assert failure.kind == "synthetic"
     assert len(shrunk.stages) == 1
     assert shrunk.reconfig is None
-    assert shrunk.faults == []
     assert shrunk.iterations == 2
     assert shrunk.knobs["depth"] == 1
     assert shrunk.knobs["workers"] == 1
@@ -252,6 +249,28 @@ def test_fuzz_cli_rejects_degenerate_arguments(argv, capsys):
 def test_fuzz_cli_replays_fixture(capsys):
     assert main(["fuzz", "--replay", str(FIXTURE)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        # a case saved while cases carried fault injections
+        (lambda text: text.replace('"height"', '"faults": [],\n  "height"'),
+         "unknown key(s) faults"),
+        (lambda text: text.replace('  "height": 12,\n', ""),
+         "missing key(s) height"),
+        (lambda text: text.rstrip()[:-1], "not JSON"),
+    ],
+    ids=["unknown-key", "missing-key", "invalid-json"],
+)
+def test_fuzz_cli_rejects_a_malformed_case_file(tmp_path, capsys, corrupt,
+                                                message):
+    path = tmp_path / "case.json"
+    path.write_text(corrupt(FIXTURE.read_text()))
+    assert main(["fuzz", "--replay", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
 
 
 def test_fuzz_cli_reports_failures(tmp_path, monkeypatch, capsys):

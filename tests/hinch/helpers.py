@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 
@@ -97,6 +98,27 @@ class ArraySource(Component):
     def run(self, job: JobContext) -> None:
         size = self.params["size"]
         job.write("output", np.full(size, float(job.iteration)))
+
+
+class DyingSource(ArraySource):
+    """An :class:`ArraySource` whose copy in a worker process ends that
+    process at iteration ``at``: ``os._exit(3)``, or SIGKILL with
+    ``kill``.  The copy in the process that built it never dies."""
+
+    ports = PortSpec(outputs=("output",), params={
+        "size": Param("int", default=64), "at": Param("int", default=0),
+        "kill": Param("bool", default=False)})
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.home = os.getpid()
+
+    def run(self, job: JobContext) -> None:
+        if job.iteration == self.params["at"] and os.getpid() != self.home:
+            if self.params["kill"]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        super().run(job)
 
 
 class SliceScaler(Component):
@@ -251,6 +273,7 @@ REGISTRY: dict[str, type[Component]] = {
     "adder": Adder,
     "collector": Collector,
     "array_source": ArraySource,
+    "dying_source": DyingSource,
     "slice_scaler": SliceScaler,
     "halo_smoother": HaloSmoother,
     "event_sender": EventSender,

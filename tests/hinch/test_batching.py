@@ -1,13 +1,10 @@
-"""Batched dispatch: lease equivalence, speculation units, fault recovery.
+"""Batched dispatch: lease equivalence and speculation units.
 
 The lease machinery (ready extension, speculative follow-ons, worker-
 resident slots), which every process dispatch uses, must be invisible in
 the output: every pipeline depth and worker count produces the threaded
 backend's frames and stream counters (``tests/test_conformance.py``'s
-check, on the rows named here), including when a worker is killed or
-wedged *mid-lease* — the per-record acknowledgement protocol guarantees each
-checkpoint delta applies exactly once, so the sink sees neither
-duplicated nor missing frames.
+check, on the rows named here).
 """
 
 from __future__ import annotations
@@ -18,12 +15,11 @@ import pytest
 from repro.apps import build_blur, build_pip, make_program
 from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
-from repro.errors import SchedulingError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.jobqueue import Job
 from repro.hinch.scheduler import DataflowScheduler
 
-from tests.hinch.helpers import PORTS, shm_entries
+from tests.hinch.helpers import PORTS
 from tests.test_conformance import assert_conforms
 
 REG = default_registry()
@@ -45,17 +41,10 @@ def run_threaded(spec, *, iters, name="app"):
                            max_iterations=iters).run()
 
 
-def make_process(spec, *, iters, workers=2, depth=2, name="app", **kwargs):
+def make_process(spec, *, iters, workers=2, depth=2, name="app"):
     program = make_program(spec, name=name)
     return ProcessRuntime(program, REG, workers=workers, pipeline_depth=depth,
-                          max_iterations=iters, **kwargs)
-
-
-def kinds_of(result):
-    counts: dict[str, int] = {}
-    for event in result.fault_events:
-        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-    return counts
+                          max_iterations=iters)
 
 
 # -- batch equivalence --------------------------------------------------------
@@ -118,81 +107,6 @@ def test_more_workers_than_cores_all_fork_and_stay_identical():
         assert x == y
 
 
-# -- faults mid-lease ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("at_job", [2, 3])
-def test_worker_killed_mid_lease_is_bit_identical(at_job):
-    """A worker dying partway through a multi-job lease: acknowledged
-    records stay applied (exactly once — the sink has no duplicated and
-    no missing frames), unacknowledged members are retried or retracted,
-    and no shm plane leaks."""
-    spec = pip_spec()
-    before = shm_entries()
-    thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=2, faults=f"kill:{at_job}")
-    prc = rt.run()
-    kinds = kinds_of(prc)
-    assert kinds["worker_failure"] == 1
-    assert kinds["respawn"] == 1
-    # The job the worker died on may have been a speculative lease member
-    # — recovered by retraction, not retry — so only consistency of the
-    # retry accounting is asserted, not a minimum count.
-    assert rt.scheduler.retries == kinds.get("retry", 0)
-    assert rt.pool.live_planes == 0
-    assert rt.pool.total_planes == 0
-    assert shm_entries() - before == set()
-    a = thr.components["sink"].ordered_frames()
-    b = prc.components["sink"].ordered_frames()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert x == y
-
-
-def test_worker_hung_mid_lease_reaped_and_requeued():
-    """The watchdog window is per job, not per lease: a kernel wedged on
-    a mid-lease entry is reaped, the unacknowledged tail requeued, and
-    the planes come out identical."""
-    spec = blur_spec()
-    before = shm_entries()
-    thr = run_threaded(spec, iters=4)
-    rt = make_process(spec, iters=4, workers=2, faults="hang:3",
-                      watchdog=1.0)
-    prc = rt.run()
-    kinds = kinds_of(prc)
-    assert kinds["watchdog_kill"] == 1
-    assert kinds["respawn"] == 1
-    assert rt.scheduler.retries == kinds.get("retry", 0)
-    assert rt.pool.total_planes == 0
-    assert shm_entries() - before == set()
-    a = thr.components["sink"].ordered_planes()
-    b = prc.components["sink"].ordered_planes()
-    assert len(a) == len(b) == 4
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def test_kill_mid_lease_under_reconfiguration():
-    """Lease recovery composes with live reconfiguration: the respawned
-    worker replays the splice history and the log stays deterministic."""
-    spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
-                      slices=3, frames=2, collect=True)
-    program = make_program(spec, name="blur35")
-    thr_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
-                             max_iterations=9)
-    thr = thr_rt.run()
-    prc_rt = ProcessRuntime(program, REG, workers=1, pipeline_depth=1,
-                            max_iterations=9, faults="kill:5")
-    prc = prc_rt.run()
-    assert kinds_of(prc)["respawn"] == 1
-    assert prc_rt.reconfig_log == thr_rt.reconfig_log
-    a = thr.components["sink"].ordered_planes()
-    b = prc.components["sink"].ordered_planes()
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
 # -- scheduler speculation units ----------------------------------------------
 
 
@@ -225,38 +139,6 @@ def test_extract_followons_pipeline_only_skips_successors():
     ]
 
 
-def test_retract_restores_normal_readiness():
-    sched = DataflowScheduler(linear_pg(), pipeline_depth=2, max_iterations=2)
-    lease = list(sched.start())
-    extras = sched.extract_followons(lease, 1)
-    assert extras == [Job(iteration=0, node_id="dbl")]
-    # Predecessor src@0 has not completed: the retracted job is not yet
-    # ready, and its predecessor's completion re-emits it as usual.
-    assert sched.retract(extras[0]) == []
-    ready = sched.complete(lease[0])
-    assert Job(iteration=0, node_id="dbl") in ready
-    with pytest.raises(SchedulingError):
-        sched.retract(Job(iteration=0, node_id="snk"))  # never dispatched
-    with pytest.raises(SchedulingError):
-        sched.retract(Job(iteration=7, node_id="src"))  # unknown iteration
-
-
-def test_retract_after_predecessor_completed_reemits_immediately():
-    """The mid-lease death deadlock: the speculative member's producer
-    acknowledged before the worker died, so no future completion will
-    re-emit it — retract must hand it back ready right now."""
-    sched = DataflowScheduler(linear_pg(), pipeline_depth=2, max_iterations=2)
-    lease = list(sched.start())
-    extras = sched.extract_followons(lease, 1)
-    assert extras == [Job(iteration=0, node_id="dbl")]
-    ready = sched.complete(lease[0])
-    assert Job(iteration=0, node_id="dbl") not in ready  # still speculative
-    assert sched.retract(extras[0]) == [Job(iteration=0, node_id="dbl")]
-    # And the re-emission is real: completing it unblocks the sink.
-    ready = sched.complete(extras[0])
-    assert Job(iteration=0, node_id="snk") in ready
-
-
 # -- the dispatcher's lease scan ----------------------------------------------
 
 
@@ -273,7 +155,6 @@ def test_lease_extension_never_crosses_a_queued_control_job():
         nodes = list(rt.pg.graph)
         a, b, c, d = [Job(0, n.node_id) for n in nodes if n.kind == "task"][:4]
         ctl = next(Job(0, n.node_id) for n in nodes if n.kind != "task")
-        rt._incarnation = [0, 1]
         rt._idle = {1}  # worker 0 takes the head, worker 1 waits
         # the scan alone: no speculative follow-ons
         rt.scheduler.extract_followons = lambda *args, **kwargs: []

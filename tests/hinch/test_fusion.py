@@ -8,8 +8,8 @@ each executor builds the graph it should; its output is bit-identical
 to the simulator's and the one-worker run's on every executor and width
 and across live reconfigurations (``tests/test_conformance.py``'s
 check, on the rows named here); the stream inside a pair is never
-written; a program without a pair kernel gets its graph back untouched;
-and a worker killed mid-pair-job requeues the pair job exactly once.
+written; and a program without a pair kernel gets its graph back
+untouched.
 """
 
 from __future__ import annotations
@@ -400,29 +400,6 @@ def test_reconfigurable_blur_fused_matches_unfused():
 
 def test_reconfigurable_jpip_fused_matches_unfused():
     _matches_reference(_spec("jpip12"), "jpip12", 1, 6, *FUSED_EXECUTORS)
-
-
-# -- fault tolerance ---------------------------------------------------------
-
-
-def test_kill_mid_fused_job_requeues_whole_job_once():
-    program = _jpip_program()
-    ref = SimRuntime(program, REG, nodes=2, pipeline_depth=2,
-                     max_iterations=4, execute=True).run()
-    # task 3 heads worker 1's first lease (pip0's pair job): a lease head
-    # is retried, its speculative followers are retracted, not retried
-    rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=4, faults="kill:3")
-    result = rt.run()
-    kinds: dict[str, int] = {}
-    for event in result.fault_events:
-        kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
-    assert kinds.get("worker_failure") == 1
-    assert kinds.get("retry") == 1  # the whole pair job, exactly once
-    (retry,) = [e for e in result.fault_events if e["kind"] == "retry"]
-    assert retry["job"][1] in PAIRS
-    assert rt.scheduler.retries == 1
-    _assert_same(_frames(ref, "jpip"), _frames(result, "jpip"))
 
 
 # -- converter auto-insertion (X504 -> X506) ---------------------------------

@@ -11,6 +11,7 @@ paths.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 
@@ -19,13 +20,19 @@ import pytest
 from repro.apps import build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, WorkerFailure
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+from repro.hinch.jobqueue import Job
 from repro.fuzz.runner import Row, differential
-from tests.hinch.helpers import PORTS, REGISTRY, keep_copies
+from tests.hinch.helpers import PORTS, REGISTRY, keep_copies, shm_entries
 from tests.test_conformance import assert_conforms
 
 REG = default_registry()
+
+
+def blur_spec():
+    return build_blur(3, width=48, height=36, slices=3, frames=2,
+                      collect=True)
 
 
 def run_threaded(spec, *, iters, nodes=2, depth=2, name="app"):
@@ -138,35 +145,49 @@ def _request_then_enable_program():
 
 
 @pytest.mark.parametrize(
-    "make,respawns",
+    "make",
     [
-        (lambda p: ThreadedRuntime(p, REGISTRY, nodes=2, pipeline_depth=2,
-                                   max_iterations=8), False),
-        (lambda p: ProcessRuntime(p, REGISTRY, workers=1, pipeline_depth=2,
-                                  max_iterations=8), False),
-        (lambda p: ProcessRuntime(p, REGISTRY, workers=2, pipeline_depth=2,
-                                  max_iterations=8), False),
-        # the kill lands after the splice: the fresh worker's mirrors
-        # must replay "k=7" onto base only, never onto plus
-        (lambda p: ProcessRuntime(p, REGISTRY, workers=1, pipeline_depth=2,
-                                  max_iterations=8, faults="kill:12"), True),
+        lambda p: ThreadedRuntime(p, REGISTRY, nodes=2, pipeline_depth=2,
+                                  max_iterations=8),
+        lambda p: ProcessRuntime(p, REGISTRY, workers=1, pipeline_depth=2,
+                                 max_iterations=8),
+        lambda p: ProcessRuntime(p, REGISTRY, workers=2, pipeline_depth=2,
+                                 max_iterations=8),
     ],
-    ids=["threaded-2", "process-1", "process-2", "process-1-respawn"],
+    ids=["threaded-2", "process-1", "process-2"],
 )
-def test_a_request_reaches_only_the_mirrors_that_existed(make, respawns):
+def test_a_request_reaches_only_the_mirrors_that_existed(make):
     """A reconfigure request handled before an enable reaches ``base`` but
-    not the ``plus`` the enable creates afterwards — on every backend, and
-    through a worker respawned after the splice."""
+    not the ``plus`` the enable creates afterwards — on every backend."""
     rt = make(_request_then_enable_program())
     rt.post_event("ui", "move")
     rt.post_event("ui", "on")
     result = rt.run()
     assert result.reconfig_count == 1
-    kinds = [e["kind"] for e in result.fault_events]
-    assert ("respawn" in kinds) is respawns
     assert result.components["snk"].ordered() == [
         k + 7 + (100 if k >= 2 else 0) for k in range(8)
     ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: ThreadedRuntime(p, REGISTRY, nodes=1, pipeline_depth=2,
+                                  max_iterations=6),
+        lambda p: ProcessRuntime(p, REGISTRY, workers=1, pipeline_depth=2,
+                                 max_iterations=6),
+        lambda p: ProcessRuntime(p, REGISTRY, workers=2, pipeline_depth=2,
+                                 max_iterations=6),
+    ],
+    ids=["threaded-1", "process-1", "process-2"],
+)
+def test_a_request_sent_before_run_reaches_every_worker_mirror(make):
+    """Workers fork when ``run()`` starts, from the dispatcher's mirrors
+    as they stand: a request sent before that holds in every worker."""
+    rt = make(_request_then_enable_program())
+    rt.send_reconfigure_request("m", "k=5")
+    result = rt.run()
+    assert result.components["snk"].ordered() == [5, 6, 7, 8, 9, 10]
 
 
 # -- worker pool --------------------------------------------------------------
@@ -208,9 +229,8 @@ def _documented_tags():
 def test_control_pipe_carries_only_the_documented_messages(monkeypatch):
     """Every tag crossing a pipe, in both directions, is one the worker
     module documents, and together these runs use every one of them:
-    JPiP allocates raw planes (pickled bitstreams), PiP-12 splices while
-    a worker is killed mid-lease, a manager broadcasts a request, and a
-    kernel error reports ``error``."""
+    JPiP allocates raw planes (pickled bitstreams), PiP-12 splices, a
+    manager broadcasts a request, and a kernel error reports ``error``."""
     import repro.hinch.process as process
 
     seen: set[str] = set()
@@ -238,9 +258,8 @@ def test_control_pipe_carries_only_the_documented_messages(monkeypatch):
                                    frames=2, reconfigurable=True, period=3),
                          name="pip12")
     result = ProcessRuntime(pip12, REG, workers=2, pipeline_depth=2,
-                            max_iterations=8, faults="kill:2").run()
+                            max_iterations=8).run()
     assert result.reconfig_count > 0
-    assert "worker_failure" in {e["kind"] for e in result.fault_events}
 
     rt = ProcessRuntime(_request_then_enable_program(), REGISTRY, workers=2,
                         pipeline_depth=2, max_iterations=4)
@@ -402,13 +421,60 @@ def test_a_failed_run_ends_every_worker_at_once(monkeypatch):
         True, True]
 
 
+def _dying_program(at: int, kill: bool):
+    """A dying source, a stage of two slice copies (their planes cross
+    shared memory) and a sink."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "dying_source", streams={"output": "raw"},
+                   params={"size": 8, "at": at, "kill": kill})
+    with main.parallel("slice", n=2):
+        main.component("work", "slice_scaler",
+                       streams={"input": "raw", "output": "out"})
+    main.component("snk", "collector", streams={"input": "out"})
+    return expand(b.build(), PORTS)
+
+
+@pytest.mark.parametrize(
+    "workers,at,kill,acknowledged",
+    [(1, 0, False, False), (1, 1, True, True),
+     (2, 0, True, False), (2, 2, False, True)],
+    ids=["1-first-job", "1-mid-lease", "2-first-job", "2-mid-lease"],
+)
+def test_a_lost_worker_ends_the_run(workers, at, kill, acknowledged):
+    """A worker that dies, on the first job it runs or after earlier
+    members of its lease were acknowledged, ends the run with a
+    WorkerFailure naming it, the job it held and its exit code; the
+    other workers stop, and every segment is unlinked, at once."""
+    from benchmarks.e2e.hygiene import children_of
+
+    before, children = shm_entries(), set(children_of(os.getpid()))
+    rt = ProcessRuntime(_dying_program(at, kill), REGISTRY, workers=workers,
+                        pipeline_depth=4, max_iterations=8)
+    start = time.perf_counter()
+    with pytest.raises(WorkerFailure) as info:
+        rt.run()
+    assert time.perf_counter() - start < 10
+    failure = info.value
+    assert failure.job == (at, "src")
+    lease = rt._busy[failure.worker]
+    assert lease.jobs[lease.done] == Job(at, "src")
+    assert (lease.done > 0) is acknowledged
+    assert f"exit code {-9 if kill else 3}" in str(failure)
+    # an acknowledged job had its output plane made in shared memory
+    assert bool(rt.pool.created) is acknowledged
+    assert not set(rt.pool.created) & shm_entries()
+    assert shm_entries() <= before
+    assert set(children_of(os.getpid())) <= children
+
+
 def test_worker_job_tables_do_not_outlive_the_job():
     """The worker's stream facade is persistent (node plans bind to it),
     but what a job unpacked or mapped must be dropped when the job ends:
     a view left behind pins its shared segment past ``close_attachments``
     (a ``BufferError`` from ``SharedMemory.__del__`` at worker exit)."""
     from repro.core import AppBuilder, expand
-    from repro.hinch.engine import build_configuration
+    from repro.hinch.engine import ComponentHost, build_configuration
     from repro.hinch.worker import _Worker
     from tests.hinch.helpers import PORTS, REGISTRY
 
@@ -419,19 +485,62 @@ def test_worker_job_tables_do_not_outlive_the_job():
     program = expand(b.build(), PORTS)
     config = build_configuration(
         program, REGISTRY, None, group_chains=False)
-    worker = _Worker(None, program, REGISTRY, 0, config, lambda states: config)
+    host = ComponentHost(program, REGISTRY)
+    host.populate(config.pg.active_components)
+    worker = _Worker(None, 0, config, lambda states: config, host)
     try:
-        record = worker._run_job(0, "src", {}, (), None, None)
+        record = worker._run_job(0, "src", {}, (), None)
         shipped = record[2]
         assert list(shipped) == ["a"]
         facade = worker.streams
         assert facade.inputs is facade.values is facade.ensured is None
         # the next job starts from fresh tables, not the previous job's
-        follow = worker._run_job(0, "snk", dict(shipped), (), None, None)
+        follow = worker._run_job(0, "snk", dict(shipped), (), None)
         assert follow[2] == {} and facade.values is None
         assert follow[7] == {"snk": [(0, 3)]}  # the collector's checkpoint
     finally:
         worker.pool.close_attachments()
+
+
+def test_component_exception_carries_remote_traceback():
+    """A deterministic kernel crash is not retried; it surfaces as the
+    original exception chained to a WorkerFailure holding the worker's
+    formatted traceback (satellite: the ``tb`` must not be dropped)."""
+    from repro.hinch.component import Component
+
+    class Exploding(Component):
+        ports = REG["luma_source"].ports
+
+        def run(self, job):
+            raise RuntimeError("kernel exploded")
+
+    registry = dict(REG)
+    registry["luma_source"] = Exploding
+    program = make_program(blur_spec(), name="blur")
+    rt = ProcessRuntime(program, registry, workers=2, max_iterations=2)
+    with pytest.raises(RuntimeError, match="kernel exploded") as info:
+        rt.run()
+    cause = info.value.__cause__
+    assert isinstance(cause, WorkerFailure)
+    assert "kernel exploded" in cause.remote_traceback
+    assert "Traceback" in cause.remote_traceback
+    assert rt.scheduler.retries == 0  # deterministic errors fail fast
+
+
+def test_error_during_shutdown_drain_is_surfaced(monkeypatch):
+    """Satellite regression: a worker failing while the dispatcher drains
+    the stop handshake used to be swallowed; it must raise.  The workers
+    fork after the patch, so each one's ``bye`` asks its pool stats for a
+    counter they do not have; the dispatcher kept the real key list."""
+    import repro.hinch.worker as worker
+
+    monkeypatch.setattr(worker, "_WORKER_STAT_KEYS",
+                        worker._WORKER_STAT_KEYS + ("no_such_counter",))
+    program = make_program(blur_spec(), name="blur")
+    rt = ProcessRuntime(program, REG, workers=2, max_iterations=2)
+    with pytest.raises(KeyError, match="no_such_counter"):
+        rt.run()
+    assert rt.pool.total_planes == 0
 
 
 _INTERRUPTED_CHILD = """

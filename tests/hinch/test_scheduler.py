@@ -135,22 +135,6 @@ def test_duplicate_completion_rejected_while_iteration_in_flight(
         sched.complete(Job(1, "src"))
 
 
-def test_requeue_of_completed_job_rejected(completed_in_flight):
-    sched, done = completed_in_flight
-    with pytest.raises(SchedulingError, match="requeue for completed"):
-        sched.requeue(done)
-    sched.requeue(Job(1, "src"))  # dispatched, not completed: allowed
-    assert sched.retries == 1
-
-
-def test_retract_of_completed_job_rejected(completed_in_flight):
-    sched, done = completed_in_flight
-    with pytest.raises(SchedulingError, match="retract for completed"):
-        sched.retract(done)
-    # dispatched, not completed: retracting re-checks readiness at once
-    assert sched.retract(Job(1, "src")) == [Job(1, "src")]
-
-
 def test_complete_appends_to_a_given_container():
     sched = DataflowScheduler(linear_pg(), pipeline_depth=2, max_iterations=2)
     ready = deque(sched.start())
