@@ -8,10 +8,10 @@ install:
 	pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 test-fast:
-	$(PYTHON) -m pytest tests/ -x -q --ignore=tests/test_calibration.py
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q --ignore=tests/test_calibration.py
 
 # Bounded differential fuzz (docs/fuzzing.md): replay the committed
 # shrunk regression cases, then run a fixed-seed campaign.  Failures
@@ -39,7 +39,7 @@ lint:
 # they rewrite the tracked benchmarks/out/*.txt.  How fast the code
 # itself runs is benchmarks/e2e's job (docs/performance.md).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The repo benchmark's quick pass (benchmarks/e2e/README.md, ~30 s): the
 # 12-frame output-digest oracle on all four runtime configurations of
@@ -48,7 +48,7 @@ bench-e2e-quick:
 	$(PYTHON) benchmarks/e2e/run.py --quick
 
 figures:
-	$(PYTHON) -m repro figures all
+	PYTHONPATH=src $(PYTHON) -m repro figures all
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done

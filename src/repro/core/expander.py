@@ -13,7 +13,11 @@ Expansion performs, in one recursive walk:
   :class:`ComponentInstance` carries typed values with defaults filled;
 * **data-parallel replication** — ``slice``/``crossdep`` parblocks are
   copied ``n`` times; copy *i* is told ``(i, n)`` through its
-  reconfiguration interface (here: the ``slice`` field of its instance);
+  reconfiguration interface (here: the ``slice`` field of its instance).
+  Copies differ in nothing else, so a parblock is substituted and bound
+  once, as copy 0, and copies 1..n-1 are clones of it with the id
+  ``definition_id[i]`` and ``slice=(i, n)``: a build pays once per
+  region, not once per copy;
 * **manager/option collection** — managers learn their member components,
   owned options and qualified handler targets, so the runtime can halt
   exactly the managed subgraph.
@@ -82,8 +86,7 @@ class _Context:
 
     manager: str | None = None
     options: tuple[str, ...] = ()
-    slice: tuple[int, int] | None = None
-    copy_suffix: str = ""
+    slice: tuple[int, int] | None = None  # (0, n) while expanding copy 0
     region_kind: str | None = None  # 'slice' | 'crossdep' while replicating
 
 
@@ -174,7 +177,7 @@ class _Expander:
         self, comp: ComponentNode, scope: _Scope, ctx: _Context
     ) -> IRLeaf:
         definition_id = scope.prefix + comp.name
-        instance_id = definition_id + ctx.copy_suffix
+        instance_id = definition_id if ctx.slice is None else definition_id + "[0]"
         if instance_id in self.components:
             raise ExpansionError(f"duplicate component instance {instance_id!r}")
         what = f"component {instance_id!r}"
@@ -259,31 +262,46 @@ class _Expander:
         n = self._resolve_n(par, scope)
         if par.shape == "slice":
             (pb,) = par.parblocks
-            copies = tuple(
-                self.expand_body(pb, scope, self._copy_ctx(ctx, i, n, "slice"))
-                for i in range(n)
-            )
+            copies = self._replicate(pb, scope, ctx, n, "slice")
             if len(copies) == 1:
                 return copies[0]
             return IRParallel(copies)
         assert par.shape == "crossdep"
-        parblocks = tuple(
-            tuple(
-                self.expand_body(pb, scope, self._copy_ctx(ctx, i, n, "crossdep"))
-                for i in range(n)
-            )
+        return IRCrossdep(tuple(
+            self._replicate(pb, scope, ctx, n, "crossdep")
             for pb in par.parblocks
-        )
-        return IRCrossdep(parblocks)
+        ))
 
-    @staticmethod
-    def _copy_ctx(ctx: _Context, index: int, n: int, kind: str) -> _Context:
-        return replace(
-            ctx,
-            slice=(index, n),
-            copy_suffix=ctx.copy_suffix + f"[{index}]",
-            region_kind=kind,
+    def _replicate(
+        self, body: tuple[BodyNode, ...], scope: _Scope, ctx: _Context,
+        n: int, kind: str,
+    ) -> tuple[IRNode, ...]:
+        """The ``n`` copies of one replicated parblock.
+
+        Copies differ only in their ids and ``slice``, so the body is
+        expanded once, as copy 0, and copies 1..n-1 are relabelled clones
+        of it: substitution and binding run once per region, not per copy.
+        """
+        first = self.expand_body(body, scope, replace(
+            ctx, slice=(0, n), region_kind=kind))
+        return (first,) + tuple(
+            self._clone(first, i, n, ctx) for i in range(1, n)
         )
+
+    def _clone(self, node: IRNode, index: int, n: int, ctx: _Context) -> IRNode:
+        # a copy holds only leaves, series and task-parallel blocks
+        if type(node) is not IRLeaf:
+            return type(node)(tuple(
+                self._clone(c, index, n, ctx) for c in node.children
+            ))
+        inst = node.instance
+        instance_id = f"{inst.definition_id}[{index}]"
+        if instance_id in self.components:
+            raise ExpansionError(f"duplicate component instance {instance_id!r}")
+        clone = self.components[instance_id] = inst.relabel(
+            instance_id, (index, n))
+        self._record_member(ctx, instance_id)
+        return IRLeaf(clone)
 
     def _expand_manager(
         self, mgr: ManagerNode, scope: _Scope, ctx: _Context

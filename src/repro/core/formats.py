@@ -73,13 +73,14 @@ class DimExpr:
 
     ``base`` is ``("const", int)``, ``("name", str)`` (a parameter name or
     definition-scoped variable), ``("var", str)`` (explicit ``?v``), or
-    ``("any", "")`` for ``*``.  ``scale_param`` is an ``(op, name)`` pair
-    for scales written with a parameter name (``height/factor``), resolved
-    per instance.
+    ``("any", "")`` for ``*``.  ``scale`` is the literal scale as an
+    integer ratio ``(numerator, denominator)``: ``height/2`` is ``(1, 2)``.
+    ``scale_param`` is an ``(op, name)`` pair for scales written with a
+    parameter name (``height/factor``), resolved per instance.
     """
 
     base: tuple[str, str | int]
-    scale: Fraction = Fraction(1)
+    scale: tuple[int, int] = (1, 1)
     scale_param: tuple[str, str] | None = None
 
     def render(self) -> str:
@@ -93,12 +94,11 @@ class DimExpr:
         if self.scale_param is not None:
             op, pname = self.scale_param
             return f"{text}{op}{pname}"
-        if self.scale != 1:
-            if self.scale.numerator == 1:
-                return f"{text}/{self.scale.denominator}"
-            if self.scale.denominator == 1:
-                return f"{text}*{self.scale.numerator}"
-            return f"{text}*{self.scale.numerator}/{self.scale.denominator}"
+        num, den = self.scale
+        if num != 1:
+            text += f"*{num}"
+        if den != 1:
+            text += f"/{den}"
         return text
 
 
@@ -123,7 +123,7 @@ class FormatDecl:
         if self.dims is not None:
             resolved = []
             for d in self.dims:
-                scale = d.scale
+                num, den = d.scale
                 if d.scale_param is not None:
                     op, pname = d.scale_param
                     p = params.get(pname)
@@ -132,7 +132,10 @@ class FormatDecl:
                             f"dimension {d.render()!r}: scale parameter "
                             f"{pname!r} does not resolve to a positive integer"
                         )
-                    scale *= Fraction(1, p) if op == "/" else Fraction(p)
+                    if op == "/":
+                        den *= p
+                    else:
+                        num *= p
                 tag, val = d.base
                 if tag == "name":
                     p = params.get(val)
@@ -145,25 +148,23 @@ class FormatDecl:
                 elif tag == "var":
                     val = f"{scope}.?{val}"
                 if tag == "const":
-                    out = int(val) * scale
-                    if out.denominator != 1 or out < 0:
+                    out, rest = divmod(val * num, den)
+                    if rest or out < 0:
                         raise FormatError(
                             f"dimension {d.render()!r} resolves to the "
-                            f"non-integral value {val}*{scale}"
+                            f"non-integral value {val}*{Fraction(num, den)}"
                         )
-                    resolved.append(("const", int(out)))
+                    resolved.append(("const", out))
                 elif tag == "var":
-                    resolved.append(("var", (val, scale)))
+                    resolved.append(("var", (val, Fraction(num, den))))
                 else:
                     resolved.append(("any", None))
             dims = tuple(resolved)
-        dtype = _resolve_tag(self.dtype, params, scope, _coerce_dtype)
-        colorspace = _resolve_tag(self.colorspace, params, scope, None)
         return Term(
             kind=self.kind,
-            dtype=dtype,
+            dtype=_resolve_tag(self.dtype, params, scope, dtype=True),
             dims=dims,
-            colorspace=colorspace,
+            colorspace=_resolve_tag(self.colorspace, params, scope, dtype=False),
             block=self.block,
         )
 
@@ -175,21 +176,29 @@ def _coerce_dtype(value: object) -> str:
         raise FormatError(f"invalid dtype {value!r}") from exc
 
 
-def _resolve_tag(token, params, scope, coerce):
+@lru_cache(maxsize=None)
+def _dtype_name(token: str) -> str | None:
+    """numpy's name for the dtype ``token`` spells, None if it spells none."""
+    try:
+        return np.dtype(token).name
+    except TypeError:
+        return None
+
+
+def _resolve_tag(token, params, scope, *, dtype: bool):
     """Resolve a dtype/colorspace token to a :class:`Term` tag entry."""
     if token is None:
         return None
     if token.startswith("?"):
         return ("var", f"{scope}.{token}")
-    if coerce is _coerce_dtype:
-        try:
-            return ("val", np.dtype(token).name)
-        except TypeError:
-            pass
-        if token in params:
-            return ("val", _coerce_dtype(params[token]))
-        return ("var", f"{scope}.{token}")
-    return ("val", token)
+    if not dtype:
+        return ("val", token)
+    name = _dtype_name(token)
+    if name is not None:
+        return ("val", name)
+    if token in params:
+        return ("val", _coerce_dtype(params[token]))
+    return ("var", f"{scope}.{token}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +214,7 @@ def _parse_dim(token: str) -> DimExpr:
             "parameter name, name/k, name*k, ?var, or *"
         )
     base_raw = m.group("base")
-    scale = Fraction(1)
+    scale = (1, 1)
     scale_param: tuple[str, str] | None = None
     if m.group("op"):
         k_raw = m.group("k")
@@ -213,11 +222,11 @@ def _parse_dim(token: str) -> DimExpr:
             k = int(k_raw)
             if k == 0:
                 raise FormatError(f"bad shape dimension {token!r}: scale 0")
-            scale = Fraction(1, k) if m.group("op") == "/" else Fraction(k)
+            scale = (1, k) if m.group("op") == "/" else (k, 1)
         else:
             scale_param = (m.group("op"), k_raw)
     if base_raw == "*":
-        if scale != 1 or scale_param is not None:
+        if scale != (1, 1) or scale_param is not None:
             raise FormatError(f"bad shape dimension {token!r}: cannot scale *")
         return DimExpr(("any", ""))
     if base_raw.startswith("?"):
@@ -291,12 +300,7 @@ def _check_dtype_token(value: str) -> None:
     if value.startswith("?"):
         _check_tag_token(value, "dtype")
         return
-    try:
-        np.dtype(value)
-        return
-    except TypeError:
-        pass
-    if not _NAME.match(value):
+    if _dtype_name(value) is None and not _NAME.match(value):
         raise FormatError(
             f"bad dtype {value!r}: expected a numpy dtype, a parameter "
             "name, ?var, or *"

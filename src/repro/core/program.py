@@ -81,6 +81,18 @@ class ComponentInstance:
         default_factory=dict, compare=False, repr=False
     )
 
+    def relabel(self, instance_id: str, slice: tuple[int, int]) -> "ComponentInstance":
+        """This instance as another copy of its region: every field the
+        same but ``instance_id`` and ``slice``.
+
+        A build makes one per copy, so it fills ``__dict__`` directly:
+        ``dataclasses.replace`` goes through ``__init__`` and costs about
+        three times as much.
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, instance_id=instance_id, slice=slice)
+        return copy
+
 
 @dataclass(frozen=True)
 class StreamEndpoint:
@@ -505,46 +517,67 @@ def one_copy_regions(
     kept: dict[str, ComponentInstance] = {}  # copy-0 id -> relabelled
     dropped: set[str] = set()
 
-    def qualifies(copies: tuple[IRNode, ...]) -> bool:
-        """Is ``copies`` a region (copy *i* all ``(i, n)``) to cut?"""
-        n = len(copies)
-        for i, copy in enumerate(copies):
-            empty = True
-            for node in iter_ir(copy):
-                if isinstance(node, IRLeaf):
-                    inst, empty = node.instance, False
-                    if inst.slice != (i, n) or not keeps_one(inst.class_name):
-                        return False
-            if empty:
-                return False
-        return True
+    def gather(node: IRNode, want: tuple[int, int],
+               out: list[ComponentInstance]) -> bool:
+        """Append a copy's instances to ``out``; False unless every one
+        is slice ``want`` of a ``keeps_one`` class.  A copy holds only
+        leaves, series and task-parallel blocks."""
+        kind = type(node)
+        if kind is IRLeaf:
+            inst = node.instance
+            out.append(inst)
+            return inst.slice == want and keeps_one(inst.class_name)
+        if kind is IRSeries or kind is IRParallel:
+            for child in node.children:
+                if not gather(child, want, out):
+                    return False
+            return True
+        return False
 
-    def only_copy(copies: tuple[IRNode, ...]) -> IRNode:
-        for copy in copies[1:]:
-            dropped.update(node.instance.instance_id for node in iter_ir(copy)
-                           if isinstance(node, IRLeaf))
+    def region(copies: tuple[IRNode, ...]) -> list[list[ComponentInstance]] | None:
+        """Each copy's instances, when ``copies`` is a region to cut."""
+        n = len(copies)
+        found = []
+        for i, copy in enumerate(copies):
+            leaves: list[ComponentInstance] = []
+            if not gather(copy, (i, n), leaves) or not leaves:
+                return None
+            found.append(leaves)
+        return found
+
+    def only_copy(copies: tuple[IRNode, ...],
+                  leaves: list[list[ComponentInstance]]) -> IRNode:
+        for copy in leaves[1:]:
+            dropped.update([inst.instance_id for inst in copy])
         return relabel(copies[0])
 
     def relabel(node: IRNode) -> IRNode:
-        # a copy holds only leaves, series and task-parallel blocks
-        if isinstance(node, IRLeaf):
-            inst = kept[node.instance.instance_id] = replace(
-                node.instance, slice=(0, 1))
+        if type(node) is IRLeaf:
+            inst = node.instance.relabel(node.instance.instance_id, (0, 1))
+            kept[inst.instance_id] = inst
             return IRLeaf(inst)
         return type(node)(tuple(relabel(c) for c in node.children))
 
     def cut(node: IRNode) -> IRNode:
-        if isinstance(node, IRParallel) and qualifies(node.children):
-            return only_copy(node.children)  # a slice region
-        if isinstance(node, (IRSeries, IRParallel)):
-            return type(node)(tuple(cut(c) for c in node.children))
-        if isinstance(node, IRCrossdep):
-            if all(qualifies(pb) for pb in node.parblocks):
-                return IRCrossdep(tuple((only_copy(pb),)
-                                        for pb in node.parblocks))
-            return node
-        if isinstance(node, (IRManager, IROption)):
-            return type(node)(node.qname, cut(node.child))
+        kind = type(node)
+        if kind is IRParallel:
+            leaves = region(node.children)
+            if leaves is not None:
+                return only_copy(node.children, leaves)  # a slice region
+        if kind is IRSeries or kind is IRParallel:
+            return kind(tuple(cut(c) for c in node.children))
+        if kind is IRCrossdep:
+            regions = []
+            for pb in node.parblocks:
+                leaves = region(pb)
+                if leaves is None:
+                    return node
+                regions.append(leaves)
+            return IRCrossdep(tuple(
+                (only_copy(pb, leaves),)
+                for pb, leaves in zip(node.parblocks, regions)))
+        if kind is IRManager or kind is IROption:
+            return kind(node.qname, cut(node.child))
         return node
 
     root = cut(program.root)

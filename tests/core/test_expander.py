@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from repro.core import AppBuilder, expand
-from repro.core.program import IRCrossdep, IRLeaf, IRManager, IROption, iter_ir
+from repro.apps import build_audio, build_blur, build_jpip, build_pip
+from repro.components.registry import default_ports
+from repro.core import AppBuilder, expand, parse_file
+from repro.core.program import (
+    IRCrossdep,
+    IRLeaf,
+    IRManager,
+    IROption,
+    IRParallel,
+    iter_ir,
+)
 from repro.errors import ExpansionError
+from repro.fuzz.generator import case_from_dict
+from repro.fuzz.runner import build_spec
 
 
 def test_simple_pipeline_instances(registry):
@@ -273,3 +288,134 @@ def test_queue_names_are_global_but_parametric(registry):
     assert prog.managers["a/m"].queue == "qa"
     assert prog.managers["b/m"].queue == "qb"
     assert set(prog.queues) == {"qa", "qb"}
+
+
+# -- replication: copies 1..n-1 are relabelled clones of copy 0 --------------
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _fuzz_spec(path: Path):
+    data = json.loads(path.read_text())
+    data.pop("_failure", None)
+    data.pop("_replay", None)
+    return build_spec(case_from_dict(data))
+
+
+#: every shipped spec, the four app builders at the repo benchmark's
+#: geometries, and every committed fuzz case
+REPLICATED = {
+    **{p.name: (lambda p=p: parse_file(p))
+       for p in sorted((ROOT / "examples" / "specs").glob("*.xml"))},
+    "audio": lambda: build_audio(channels=8, block=64, slices=2),
+    "pip": lambda: build_pip(1, width=720, height=576, factor=4, slices=8),
+    "jpip": lambda: build_jpip(1, width=320, height=256, pip_height=256,
+                               factor=4, slices=4),
+    "blur35": lambda: build_blur(3, width=360, height=288, slices=9,
+                                 reconfigurable=True, period=6),
+    **{p.name: (lambda p=p: _fuzz_spec(p))
+       for p in sorted((ROOT / "tests" / "fuzz").glob("case-*.json"))},
+}
+
+
+def _regions(node):
+    """Every data-parallel region under ``node``, as its tuple of copies."""
+    for n in iter_ir(node):
+        if isinstance(n, IRCrossdep):
+            yield from n.parblocks
+        elif isinstance(n, IRParallel):
+            slices = {leaf.instance.slice for leaf in iter_ir(n.children[0])
+                      if isinstance(leaf, IRLeaf)}
+            if slices == {(0, len(n.children))}:
+                yield n.children
+
+
+def _instances(node) -> list:
+    return [n.instance for n in iter_ir(node) if isinstance(n, IRLeaf)]
+
+
+def _leaf_ids(node) -> tuple[str, ...]:
+    return tuple(inst.instance_id for inst in _instances(node))
+
+
+@pytest.mark.parametrize("build", REPLICATED.values(), ids=REPLICATED.keys())
+def test_every_copy_is_copy_0_relabelled(build):
+    prog = expand(build(), default_ports())
+    regions = list(_regions(prog.root))
+    # every sliced instance sits in one of the regions found
+    assert sum(len(_instances(c)) for copies in regions for c in copies) == sum(
+        inst.slice is not None for inst in prog.components.values())
+    for copies in regions:
+        n = len(copies)
+        first = _instances(copies[0])
+        assert first and all(inst.slice == (0, n) for inst in first)
+        for i, copy in enumerate(copies[1:], start=1):
+            want = [replace(inst, instance_id=f"{inst.definition_id}[{i}]",
+                            slice=(i, n)) for inst in first]
+            got = _instances(copy)
+            assert got == want
+            assert [g.line for g in got] == [w.line for w in want]
+            assert [g.port_lines for g in got] == [w.port_lines for w in want]
+    # components in expansion order: the IR's pre-order, copy by copy
+    leaves = _instances(prog.root)
+    assert list(prog.components) == [inst.instance_id for inst in leaves]
+    assert all(prog.components[inst.instance_id] is inst for inst in leaves)
+    # manager and option members in the same order, copy by copy
+    for node in iter_ir(prog.root):
+        if isinstance(node, IRManager):
+            assert prog.managers[node.qname].members == _leaf_ids(node)
+        elif isinstance(node, IROption):
+            assert prog.options[node.qname].members == _leaf_ids(node)
+
+
+def test_members_list_copies_in_order(registry):
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "a"})
+    with main.manager("m", queue="q") as m:
+        m.on("t", "toggle", option="o")
+        with main.option("o"):
+            with main.parallel("slice", n=3):
+                main.component("f", "filter",
+                               streams={"input": "a", "output": "b"})
+                main.component("g", "filter",
+                               streams={"input": "b", "output": "c"})
+        with main.parallel("crossdep", n=2):
+            with main.parblock():
+                main.component("h", "filter",
+                               streams={"input": "c", "output": "d"})
+            with main.parblock():
+                main.component("v", "filter",
+                               streams={"input": "d", "output": "e"})
+    main.component("snk", "sink", streams={"input": "e"})
+    prog = expand(b.build(), registry)
+    assert prog.options["o"].members == (
+        "f[0]", "g[0]", "f[1]", "g[1]", "f[2]", "g[2]")
+    assert prog.managers["m"].members == prog.options["o"].members + (
+        "h[0]", "h[1]", "v[0]", "v[1]")
+    assert prog.components["g[2]"].options == ("o",)
+    assert prog.components["v[1]"].manager == "m"
+
+
+def test_a_clone_colliding_with_an_instance_is_a_duplicate(registry):
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "a"})
+    main.component("f[1]", "filter", streams={"input": "a", "output": "b"})
+    with main.parallel("slice", n=2):
+        main.component("f", "filter", streams={"input": "b", "output": "c"})
+    main.component("snk", "sink", streams={"input": "c"})
+    with pytest.raises(ExpansionError, match=r"duplicate component instance 'f\[1\]'"):
+        expand(b.build(), registry)
+
+
+def test_a_duplicate_inside_a_replicated_body_is_refused(registry):
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "a"})
+    with main.parallel("slice", n=2):
+        main.component("f", "filter", streams={"input": "a", "output": "b"})
+        main.component("f", "filter", streams={"input": "b", "output": "c"})
+    main.component("snk", "sink", streams={"input": "c"})
+    with pytest.raises(ExpansionError, match=r"duplicate component instance 'f\[0\]'"):
+        expand(b.build(), registry, validated=True)
