@@ -9,6 +9,7 @@ intermediate language, but humans debug it.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+import xml.parsers.expat as expat
 from pathlib import Path
 
 from repro.core.ast import (
@@ -33,17 +34,18 @@ from repro.errors import ParseError
 __all__ = ["parse_string", "parse_file", "parse_value"]
 
 
+class _Elem(ET.Element):
+    """Python subclass so elements accept a ``_line`` attribute."""
+
+
 def _parse_xml_with_lines(text: str) -> ET.Element:
     """Parse XML via expat, stamping ``_line`` on every element.
 
     ``xml.etree``'s C-accelerated parser does not expose the underlying
     expat handle, so we drive expat ourselves and feed a TreeBuilder.
+    Only the start handler is Python (it reads the line number); expat
+    calls the builder's ``end`` and ``data`` directly.
     """
-    import xml.parsers.expat as expat
-
-    class _Elem(ET.Element):
-        """Python subclass so elements accept a ``_line`` attribute."""
-
     builder = ET.TreeBuilder(element_factory=_Elem)
     parser = expat.ParserCreate()
     parser.buffer_text = True
@@ -53,8 +55,8 @@ def _parse_xml_with_lines(text: str) -> ET.Element:
         element._line = parser.CurrentLineNumber  # type: ignore[attr-defined]
 
     parser.StartElementHandler = start
-    parser.EndElementHandler = lambda tag: builder.end(tag)
-    parser.CharacterDataHandler = lambda data: builder.data(data)
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data
     try:
         parser.Parse(text, True)
     except expat.ExpatError as exc:

@@ -3,8 +3,10 @@
 This package implements the SPC (Series-Parallel Contention) structural
 model the paper adopts from van Gemund: an application's task graph is
 built recursively from *series* and *parallel* composition of subgraphs,
-with components at the leaves.  The XSPCL expander lowers a specification
-onto :class:`~repro.graph.spc.SPNode` trees, which are then flattened to a
+with components at the leaves.  An expanded program gives both forms:
+:meth:`~repro.core.program.Program.to_sp_tree` the
+:class:`~repro.graph.spc.SPNode` tree that prediction evaluates, and
+:meth:`~repro.core.program.Program.build_graph` the
 :class:`~repro.graph.taskgraph.TaskGraph` (a plain DAG) that the Hinch
 scheduler and the SpaceCAKE simulator execute.
 

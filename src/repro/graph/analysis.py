@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
-from repro.errors import GraphError, NotSeriesParallelError
+from repro.errors import GraphError
 from repro.graph.taskgraph import TaskGraph
 
 __all__ = [
@@ -217,12 +217,3 @@ def critical_path(
         cur = best_pred[cur]
     path.reverse()
     return best[end], path
-
-
-def require_series_parallel(graph: TaskGraph, context: str = "") -> None:
-    """Raise :class:`NotSeriesParallelError` unless the graph is SP."""
-    if not is_series_parallel(graph):
-        suffix = f" ({context})" if context else ""
-        raise NotSeriesParallelError(
-            "graph is not series-parallel; apply sp_ize() first" + suffix
-        )

@@ -1,8 +1,10 @@
 """Flat task graphs: the DAG one application iteration executes.
 
-The XSPCL expander lowers an SP composition tree (:mod:`repro.graph.spc`)
-into a :class:`TaskGraph`, adding the sparse cross-dependency edges of
-``shape="crossdep"`` regions where needed.  The Hinch scheduler executes
+:meth:`repro.core.program.Program.build_graph` lowers an expanded
+program to a :class:`TaskGraph` for one configuration: a node per active
+component instance, barriers at plural series junctions, the sparse
+cross-dependency edges of ``shape="crossdep"`` regions and the manager
+pseudo-nodes.  The Hinch scheduler executes
 one instance of this DAG per application iteration (with pipeline
 parallelism *across* instances).
 
@@ -10,7 +12,8 @@ A :class:`TaskNode` carries:
 
 ``kind``
     ``"task"`` for a component execution, ``"barrier"`` for a
-    synchronization point inserted by SP-ization, ``"manager_enter"`` /
+    synchronization point (a plural series junction, or one SP-ization
+    inserts), ``"manager_enter"`` /
     ``"manager_exit"`` for the pseudo-nodes bracketing a managed
     (reconfigurable) subgraph.
 ``payload``
@@ -25,7 +28,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.errors import GraphError
-from repro.graph.spc import Leaf, Parallel, Series, SPNode
 
 __all__ = ["TaskNode", "TaskGraph"]
 
@@ -61,11 +63,6 @@ class TaskNode:
         """The payload as a tuple: a grouped node carries several instances."""
         payload = self.payload
         return payload if isinstance(payload, tuple) else (payload,)
-
-    @property
-    def is_synthetic(self) -> bool:
-        """True for barrier/manager pseudo-nodes that carry no user work."""
-        return self.kind != "task"
 
     def __repr__(self) -> str:
         return f"TaskNode({self.node_id!r}, kind={self.kind!r})"
@@ -118,19 +115,6 @@ class TaskGraph:
         self._edge_set.add((src, dst))
         self._succ[src].append(dst)
         self._pred[dst].append(src)
-
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
-            raise GraphError(f"unknown node {node_id!r}")
-        for p in self._pred[node_id]:
-            self._succ[p].remove(node_id)
-            self._edge_set.discard((p, node_id))
-        for s in self._succ[node_id]:
-            self._pred[s].remove(node_id)
-            self._edge_set.discard((node_id, s))
-        del self._nodes[node_id]
-        del self._succ[node_id]
-        del self._pred[node_id]
 
     # -- queries -----------------------------------------------------------
 
@@ -215,18 +199,6 @@ class TaskGraph:
         except GraphError:
             return False
 
-    def ancestors(self, node_id: str) -> set[str]:
-        """All transitive predecessors of ``node_id`` (excluding itself)."""
-        seen: set[str] = set()
-        stack = list(self.predecessors(node_id))
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._pred[cur])
-        return seen
-
     def descendants(self, node_id: str) -> set[str]:
         """All transitive successors of ``node_id`` (excluding itself)."""
         seen: set[str] = set()
@@ -274,78 +246,6 @@ class TaskGraph:
             if src in keep_set and dst in keep_set:
                 sub.add_edge(src, dst)
         return sub
-
-    # -- SP lowering ---------------------------------------------------------
-
-    @classmethod
-    def from_sp(cls, tree: SPNode, *, id_prefix: str = "") -> "TaskGraph":
-        """Lower an SP composition tree to a flat DAG.
-
-        Series composition connects the sinks of the left subgraph to the
-        sources of the right subgraph; parallel composition is a disjoint
-        union.  When both sides of a series junction are plural, a
-        zero-weight *barrier* node is inserted instead of a full bipartite
-        edge set — this is the paper's "synchronization point between each
-        operation" (e.g. all Downscale and IDCT components finish before
-        any Blend runs), it keeps the lowered graph two-terminal
-        series-parallel, and it keeps edge counts linear in the slice
-        count.  Leaf labels become node ids, deduplicated with a numeric
-        suffix when a label repeats.
-        """
-        graph = cls()
-        used: dict[str, int] = {}
-
-        def fresh_id(label: str) -> str:
-            count = used.get(label, 0)
-            used[label] = count + 1
-            base = f"{id_prefix}{label}"
-            return base if count == 0 else f"{base}.{count}"
-
-        def connect(sinks: list[str], sources: list[str]) -> None:
-            if len(sinks) > 1 and len(sources) > 1:
-                barrier = fresh_id("join")
-                graph.add_node(barrier, kind="barrier", weight=0.0)
-                for sink in sinks:
-                    graph.add_edge(sink, barrier)
-                for source in sources:
-                    graph.add_edge(barrier, source)
-            else:
-                for sink in sinks:
-                    for source in sources:
-                        graph.add_edge(sink, source)
-
-        def build(node: SPNode) -> tuple[list[str], list[str]]:
-            """Returns (sources, sinks) of the lowered subgraph."""
-            if isinstance(node, Leaf):
-                nid = fresh_id(node.label)
-                graph.add_node(
-                    nid, label=node.label, payload=node.payload, weight=node.weight
-                )
-                return [nid], [nid]
-            if isinstance(node, Series):
-                first_sources: list[str] | None = None
-                prev_sinks: list[str] = []
-                for child in node.children:
-                    c_sources, c_sinks = build(child)
-                    if first_sources is None:
-                        first_sources = c_sources
-                    else:
-                        connect(prev_sinks, c_sources)
-                    prev_sinks = c_sinks
-                assert first_sources is not None
-                return first_sources, prev_sinks
-            if isinstance(node, Parallel):
-                all_sources: list[str] = []
-                all_sinks: list[str] = []
-                for child in node.children:
-                    c_sources, c_sinks = build(child)
-                    all_sources.extend(c_sources)
-                    all_sinks.extend(c_sinks)
-                return all_sources, all_sinks
-            raise GraphError(f"unknown SP node type {type(node).__name__}")
-
-        build(tree)
-        return graph
 
     def __repr__(self) -> str:
         return f"TaskGraph(nodes={len(self)}, edges={self.num_edges})"

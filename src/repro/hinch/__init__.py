@@ -32,9 +32,10 @@ This package reproduces those responsibilities.  Building blocks:
 One coordination core, :mod:`repro.hinch.engine`: ``build_configuration``
 is the only graph build (format solve → buffer expectations → converter
 insertion → pair fusion → grouping → chain fusion), ``NodePlan`` is the
-only job body (a node's component runs and reusable contexts, compiled
-per configuration) and ``Coordinator`` implements the reconfiguration
-controller and the quiescent-splice protocol once.
+only job body, for every node kind (a node's component runs or its
+manager's poll, with reusable contexts, compiled per configuration) and
+``Coordinator`` implements the reconfiguration controller and the
+quiescent-splice protocol once.
 
 Three executors subclass the coordinator and add only how jobs run:
 :mod:`repro.hinch.runtime` (the correctness reference: the caller's

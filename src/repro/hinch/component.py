@@ -89,6 +89,12 @@ class Component:
     #: experiment; such components must tolerate streams carrying nothing.
     always_execute: bool = False
 
+    #: Does the class override :meth:`compile_fused_pair`?  Only such a
+    #: class can be the reader of a fused pair
+    #: (:func:`~repro.hinch.fusion.peephole_classes`).  Worked out when
+    #: the class is created.
+    pair_kernel: bool = False
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         formats = cls.ports.formats
@@ -96,6 +102,9 @@ class Component:
             parse_format(formats[port]).block or 1
             for port in cls.ports.outputs if port in formats
         ))
+        defining = next(k for k in cls.__mro__
+                        if "compile_fused_pair" in vars(k))
+        cls.pair_kernel = defining is not Component
 
     @classmethod
     def compile_fused_pair(

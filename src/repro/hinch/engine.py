@@ -9,10 +9,11 @@ components execute.  This module is that definition:
   worker, through the cache it inherits at fork — installs exactly what
   it returns, so a spec lint rejects runs nowhere and the solved network
   runs everywhere.
-* :class:`NodePlan` is what *running* one node of that graph means: the
-  component ``run`` methods to call and the reusable job contexts to call
-  them with, compiled once per node per configuration
-  (:class:`NodePlans`) so a job re-derives nothing.
+* :class:`NodePlan` is what *running* one node of that graph means, for
+  every kind of node: the component ``run`` methods (or a manager's poll)
+  to call and the reusable job contexts to call them with, compiled once
+  per node per configuration (:class:`NodePlans`) so a job re-derives
+  nothing and no executor asks what kind of node it runs.
 * :class:`Coordinator` owns the state every backend needs and implements
   the manager-facing controller and the scheduler's quiescent-splice hook.
   The executors (threads, worker processes, the simulator's virtual
@@ -21,9 +22,9 @@ components execute.  This module is that definition:
 
 from __future__ import annotations
 
+import threading
 import weakref
-from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.analysis.formats import (
     auto_insert_converters,
@@ -37,7 +38,7 @@ from repro.core.program import (
     one_copy_regions,
 )
 from repro.core.validator import names_slice
-from repro.errors import ComponentError
+from repro.errors import ComponentError, SchedulingError
 from repro.graph.taskgraph import TaskNode
 from repro.hinch.component import Component, JobContext
 from repro.hinch.events import Event, EventBroker
@@ -134,9 +135,11 @@ class NodePlan:
 
     Which instances the node carries, their live component objects, the
     alias-resolved stream behind every port, whether the node is a fused
-    pair or chain — none of it depends on the iteration, so it is derived
-    once and a job is ``for run, ctx in steps: ctx.iteration = k;
-    run(ctx)``.
+    pair or chain, a manager or a barrier — none of it depends on the
+    iteration, so it is derived once and a job of any node is ``for run,
+    ctx in steps: ctx.iteration = k; run(ctx)``.  A manager node's one
+    step is its manager's poll (``managers`` maps its name to that step);
+    a barrier has none.
 
     The contexts are *reused* from job to job.  That is legal because the
     scheduler never readies node *n* of iteration *k+1* before *n* of *k*
@@ -144,7 +147,7 @@ class NodePlan:
     is never live in two jobs at once, on any backend.
     """
 
-    __slots__ = ("kind", "manager", "components", "steps")
+    __slots__ = ("kind", "components", "steps")
 
     def __init__(
         self,
@@ -154,19 +157,17 @@ class NodePlan:
         broker: Any,
         aliases: dict[str, str],
         stop_requester: Callable[[], None] | None,
-        runnable: Callable[[ComponentInstance], bool] | None = None,
+        runnable: Callable[[ComponentInstance], bool] | None,
+        managers: Mapping[str, Callable[[Any], None]],
     ) -> None:
         self.kind = node.kind
-        #: ``(qname, phase)`` of a manager pseudo-node, else None; invoking
-        #: it is the executor's business (it knows what lock that takes)
-        self.manager: tuple[str, str] | None = None
         #: the live component of every instance the node carries
         self.components: tuple[Component, ...] = ()
-        #: ``(run, context)`` in execution order; empty for pseudo-nodes
-        self.steps: tuple[tuple[Callable[[JobContext], None], JobContext], ...] = ()
+        #: ``(run, context)`` in execution order; empty for a barrier
+        self.steps: tuple[tuple[Callable[[Any], None], Any], ...] = ()
         if node.kind != "task":
             if node.kind != "barrier":
-                self.manager = (node.payload, node.kind.removeprefix("manager_"))
+                self.steps = ((managers[node.payload], _ManagerContext()),)
             return
         instances = node.members
         self.components = tuple(components[i.instance_id] for i in instances)
@@ -211,6 +212,24 @@ class NodePlan:
             run(ctx)
 
 
+class _ManagerContext:
+    """A manager step's job context: the iteration, which it never reads."""
+
+    __slots__ = ("iteration",)
+
+
+def _locked_step(
+    step: Callable[[Any], None], lock: Any
+) -> Callable[[Any], None]:
+    """``step`` under ``lock``: a manager step where jobs run concurrently."""
+
+    def run(ctx: Any) -> None:
+        with lock:
+            step(ctx)
+
+    return run
+
+
 def _pair_step(
     kernel: Callable[..., None], first: Component, second: Component,
     second_ctx: JobContext,
@@ -250,7 +269,8 @@ class NodePlans(dict):
     graph, the alias map and the component objects.  ``streams`` is
     anything with ``.stream(name)``; ``runnable`` filters which instances
     of a node get a step (None: all — its one user, the simulator's
-    cost-only mode, never fuses).
+    cost-only mode, never fuses); ``managers`` maps a manager's name to
+    its step (empty where no manager node runs: a process worker).
     """
 
     def __init__(
@@ -261,11 +281,12 @@ class NodePlans(dict):
         broker: Any,
         stop_requester: Callable[[], None] | None,
         runnable: Callable[[ComponentInstance], bool] | None = None,
+        managers: Mapping[str, Callable[[Any], None]] | None = None,
     ) -> None:
         super().__init__()
         self._node = pg.graph.node
         self._args = (components, streams, broker, pg.aliases, stop_requester,
-                      runnable)
+                      runnable, managers or {})
 
     def __missing__(self, node_id: str) -> NodePlan:
         plan = self[node_id] = NodePlan(self._node(node_id), *self._args)
@@ -334,10 +355,11 @@ class Coordinator:
     ``super()`` call; what it never needs to know is the build
     pipeline's order or the pre-create/discard protocol.
 
-    ``lock`` guards the controller entry points for executors whose jobs
-    run concurrently with manager invocations (the threaded backend's
-    RLock).  ``concurrent_jobs`` says whether two jobs can run at once;
-    only then do the streams lock (:mod:`repro.hinch.stream`).  ``pool``
+    The coordinator's RLock guards the controller entry points, which a
+    manager step or a component's stop request may enter from any
+    executor thread.  ``concurrent_jobs`` says whether two jobs can run
+    at once; only then do the streams lock (:mod:`repro.hinch.stream`)
+    and does a manager step take the coordinator's lock.  ``pool``
     is the process backend's shared-memory plane pool; the other
     executors pass none, and their streams recycle their own buffers.
 
@@ -368,7 +390,6 @@ class Coordinator:
         max_iterations: int,
         trace: bool,
         option_states: Mapping[str, bool] | None,
-        lock: ContextManager[Any] | None = None,
         concurrent_jobs: bool = False,
     ) -> None:
         if not self.paper_graph:
@@ -388,7 +409,7 @@ class Coordinator:
         #: toggles between a handful of configurations solves, converts,
         #: fuses and groups each once
         self._configurations: dict[frozenset, Configuration] = {}
-        self._lock = lock if lock is not None else nullcontext()
+        self._lock = threading.RLock()
         self.broker = EventBroker()
         self.pool = pool
         self.streams = StreamStore(pool, locked=concurrent_jobs)
@@ -406,6 +427,13 @@ class Coordinator:
         self.managers = {
             qname: ManagerRuntime(info, self.broker, me)
             for qname, info in program.managers.items()
+        }
+        #: manager name -> its plan step; where jobs run concurrently a
+        #: poll takes the lock its controller calls would take one by one
+        self._manager_steps = {
+            qname: (_locked_step(manager.poll, self._lock) if concurrent_jobs
+                    else manager.poll)
+            for qname, manager in self.managers.items()
         }
         self.scheduler = DataflowScheduler(
             self.pg,
@@ -464,13 +492,22 @@ class Coordinator:
 
         self.node_plans = NodePlans(
             self.pg, self.host.live, self.streams, self.broker,
-            request_stop, self._executes,
+            request_stop, self._executes, self._manager_steps,
         )
 
     @staticmethod
     def _executes(instance: ComponentInstance) -> bool:
         """Does a job of this executor run ``instance``'s component?"""
         return True
+
+    def _raise_stalled(self) -> None:
+        """End a one-job-at-a-time loop that ran dry before the scheduler
+        was done: nothing can complete and ready more work.  Called only
+        then, so a run that finishes pays no frame for the check."""
+        raise SchedulingError(
+            "dataflow stalled: no job is ready but "
+            f"{self.scheduler.in_flight} iteration(s) are in flight"
+        )
 
     # -- SchedulerHooks ------------------------------------------------------
 

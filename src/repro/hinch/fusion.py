@@ -55,7 +55,6 @@ two threads (docs/performance.md, "What each feature earns").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from inspect import getattr_static
 from typing import Any, Mapping
 
 import numpy as np
@@ -101,14 +100,8 @@ def peephole_classes(
     names = {i.class_name for i in program.components.values()}
     return frozenset(
         name for name in names
-        if name in registry and _offers_pair_kernel(registry[name])
+        if name in registry and registry[name].pair_kernel
     )
-
-
-def _offers_pair_kernel(cls: type[Component]) -> bool:
-    """Does ``cls`` override :meth:`Component.compile_fused_pair`?"""
-    return (getattr_static(cls, "compile_fused_pair")
-            is not vars(Component)["compile_fused_pair"])
 
 
 def _feeds_only(

@@ -1,4 +1,4 @@
-"""Manager invocation logic (paper §3.4), shared by both backends.
+"""Manager invocation logic (paper §3.4), shared by every executor.
 
 A manager "is invoked twice in every iteration: at the entrance of its
 subgraph ... and at the exit".  When invoked it polls its event queue and
@@ -19,7 +19,7 @@ active"), and files a :class:`~repro.hinch.scheduler.ReconfigPlan`.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Any, Protocol
 
 from repro.core.program import ManagerInfo
 from repro.hinch.events import Event, EventBroker
@@ -55,8 +55,14 @@ class ManagerRuntime:
         self.events_handled = 0
         self.events_ignored = 0
 
-    def invoke(self, iteration: int, phase: str) -> None:
-        """Poll the queue and apply handlers; ``phase`` is enter/exit."""
+    def poll(self, job: Any = None) -> None:
+        """Poll the queue and apply handlers.
+
+        This is a manager node's plan step
+        (:class:`~repro.hinch.engine.NodePlan`), at its subgraph's entry
+        and exit alike; ``job`` is the step's context, which it never
+        reads.
+        """
         events = self.broker.queue(self.info.queue).poll()
         if not events:
             return

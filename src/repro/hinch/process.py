@@ -90,7 +90,7 @@ from repro.errors import SchedulingError, StreamError, WorkerFailure
 from repro.hinch.component import Component
 from repro.hinch.engine import Coordinator
 from repro.hinch.jobqueue import Job
-from repro.hinch.runtime import RunResult
+from repro.hinch.runtime import RunResult, run_result
 from repro.hinch.shm import (
     Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
@@ -368,15 +368,14 @@ class ProcessRuntime(Coordinator):
                        (ref.shape, ref.dtype), AGAINST_SLOT)
         return ref
 
-    def _run_local(self, job: Job, node: Any) -> None:
+    def _run_local(self, job: Job) -> None:
         """Execute a control node (manager/barrier) on the dispatcher."""
         start = time.perf_counter()
-        if node.kind in ("manager_enter", "manager_exit"):
-            manager = self.managers[node.payload]
-            manager.invoke(job.iteration, node.kind.removeprefix("manager_"))
+        plan = self.node_plans[job.node_id]
+        plan.run(job.iteration)
         if self.tracer.enabled:
             self.tracer.record_job(job.node_id, job.iteration, -1, start,
-                                   time.perf_counter(), node.kind)
+                                   time.perf_counter(), plan.kind)
         self.scheduler.complete(job, self.queue)
 
     def _pump(self) -> None:
@@ -396,9 +395,8 @@ class ProcessRuntime(Coordinator):
         queue = self.queue
         while self._idle and queue:
             job = queue.popleft()
-            node = self.pg.graph.node(job.node_id)
-            if node.kind != "task":
-                self._run_local(job, node)
+            if self.pg.graph.node(job.node_id).kind != "task":
+                self._run_local(job)
                 continue
             worker = self._pick_worker(job)
             self._idle.discard(worker)
@@ -766,18 +764,14 @@ class ProcessRuntime(Coordinator):
             self._spawn_workers()
             self.queue.extend(self.scheduler.start())
             self._pump()
-            while self._busy or not self.scheduler.done:
-                if not self._busy:
-                    # _pump left the queue empty and no worker holds a
-                    # job: nothing can ever complete and ready more work
-                    raise SchedulingError(
-                        "dataflow stalled: no job is ready but "
-                        f"{self.scheduler.in_flight} iteration(s) are in flight"
-                    )
+            while self._busy:
                 self._service_ready(wait(
                     [*self._conns, *(proc.sentinel for proc in self._procs)]
                 ))
                 self._pump()
+            if not self.scheduler.done:
+                # _pump left the queue empty and no worker holds a job
+                self._raise_stalled()
             if self.queue:
                 raise SchedulingError(
                     f"{len(self.queue)} job(s) still queued after the "
@@ -789,21 +783,8 @@ class ProcessRuntime(Coordinator):
         finally:
             self._shutdown(graceful=not failed)
         elapsed = time.perf_counter() - start_time
-        stream_stats = {
-            name: self.streams.stream(name).stats for name in self.streams.names
-        }
         pool_stats = self.pool.stats.as_dict()
         for key in _WORKER_STAT_KEYS:
             pool_stats[key] += self._worker_pool_stats[key]
-        return RunResult(
-            completed_iterations=self.scheduler.completed_iterations,
-            elapsed_seconds=elapsed,
-            reconfig_count=self.scheduler.reconfig_count,
-            trace=self.tracer,
-            components=dict(self.host.live),
-            stream_stats=stream_stats,
-            events_handled=sum(m.events_handled for m in self.managers.values()),
-            events_ignored=sum(m.events_ignored for m in self.managers.values()),
-            pool_stats=pool_stats,
-            workers_spawned=self.workers,
-        )
+        return run_result(self, elapsed, pool_stats=pool_stats,
+                          workers_spawned=self.workers)

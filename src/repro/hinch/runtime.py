@@ -11,9 +11,10 @@ them, from a plain deque.  Every width builds the same program: a
 data-parallel region of row-contract classes runs as one copy, so the
 workers overlap nodes and iterations, not copies of one region.
 Graph build, managers and reconfiguration are
-the shared :class:`~repro.hinch.engine.Coordinator`; this module adds the
-two executors — and, for the threads, the job queue and the lock that
-lets them share it.
+the shared :class:`~repro.hinch.engine.Coordinator`, and what a job runs
+is its node's :class:`~repro.hinch.engine.NodePlan`, whatever the node's
+kind; this module adds the two executors — and, for the threads, the job
+queue — and the :class:`RunResult` every real executor returns.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.hinch.engine import ComponentHost, Coordinator
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.tracing import Tracer
 
-__all__ = ["ThreadedRuntime", "RunResult", "ComponentHost"]
+__all__ = ["ThreadedRuntime", "RunResult", "run_result", "ComponentHost"]
 
 
 @dataclass
@@ -101,18 +102,13 @@ class ThreadedRuntime(Coordinator):
             max_iterations=max_iterations,
             trace=trace,
             option_states=option_states,
-            # Worker threads complete jobs (and so invoke managers and
-            # splice) concurrently: every controller entry point locks.
-            # Uncontended at nodes=1, where no job takes it.
-            lock=threading.RLock(),
-            # ... and only worker threads run jobs at once: at nodes=1
-            # the streams take no lock either
+            # only worker threads run jobs at once: at nodes=1 neither
+            # the streams nor a manager step take a lock
             concurrent_jobs=nodes > 1,
         )
         #: the workers' central FIFO; None at nodes=1 (no workers)
         self.queue: JobQueue | None = JobQueue() if nodes > 1 else None
         self._failure: BaseException | None = None
-        self._start_time = 0.0
 
     # -- execution --------------------------------------------------------------------
 
@@ -121,13 +117,7 @@ class ThreadedRuntime(Coordinator):
         tracing = self.tracer.enabled
         if tracing:
             start = time.perf_counter()
-        if plan.steps:
-            plan.run(job.iteration)
-        elif plan.manager is not None:
-            qname, phase = plan.manager
-            with self._lock:
-                self.managers[qname].invoke(job.iteration, phase)
-        # barriers: nothing to do
+        plan.run(job.iteration)
         if tracing:
             self.tracer.record_job(
                 job.node_id, job.iteration, worker, start,
@@ -168,32 +158,23 @@ class ThreadedRuntime(Coordinator):
         """
         scheduler = self.scheduler
         complete = scheduler.complete
-        managers = self.managers
         tracing = self.tracer.enabled
         ready = deque(scheduler.start())
         while ready:
             job = ready.popleft()
-            # looked up per job: a splice inside complete() installs a
-            # new configuration's plans
-            plan = self.node_plans[job.node_id]
             if tracing:
                 self._execute(job, 0)
-            elif plan.steps:
-                # NodePlan.run's loop, without its frame
+            else:
+                # NodePlan.run's loop, without its frame; the plan is
+                # looked up per job: a splice inside complete() installs
+                # a new configuration's plans
                 iteration = job.iteration
-                for run, ctx in plan.steps:
+                for run, ctx in self.node_plans[job.node_id].steps:
                     ctx.iteration = iteration
                     run(ctx)
-            elif plan.manager is not None:
-                # no lock: nothing else runs while a manager does
-                qname, phase = plan.manager
-                managers[qname].invoke(job.iteration, phase)
             complete(job, ready)
         if not scheduler.done:
-            raise SchedulingError(
-                "dataflow stalled: no job is ready but "
-                f"{scheduler.in_flight} iteration(s) are in flight"
-            )
+            self._raise_stalled()
 
     def _run_threads(self) -> None:
         """``nodes >= 2``: worker threads share the central job queue."""
@@ -219,23 +200,32 @@ class ThreadedRuntime(Coordinator):
 
     def run(self) -> RunResult:
         """Execute to completion; returns statistics and live components."""
-        self._start_time = time.perf_counter()
+        start = time.perf_counter()
         if self.nodes == 1:
             self._run_inline()
         else:
             self._run_threads()
-        elapsed = time.perf_counter() - self._start_time
-        stream_stats = {
-            name: self.streams.stream(name).stats for name in self.streams.names
-        }
-        return RunResult(
-            completed_iterations=self.scheduler.completed_iterations,
-            elapsed_seconds=elapsed,
-            reconfig_count=self.scheduler.reconfig_count,
-            trace=self.tracer,
-            components=dict(self.host.live),
-            stream_stats=stream_stats,
-            events_handled=sum(m.events_handled for m in self.managers.values()),
-            events_ignored=sum(m.events_ignored for m in self.managers.values()),
-            workers_spawned=self.nodes,
-        )
+        return run_result(self, time.perf_counter() - start,
+                          workers_spawned=self.nodes)
+
+
+def run_result(rt: Coordinator, elapsed: float, **own: Any) -> RunResult:
+    """The :class:`RunResult` of a finished real run of ``rt``.
+
+    ``own`` holds the fields only that executor fills (``pool_stats``,
+    ``workers_spawned``).
+    """
+    streams = rt.streams
+    managers = rt.managers.values()
+    return RunResult(
+        completed_iterations=rt.scheduler.completed_iterations,
+        elapsed_seconds=elapsed,
+        reconfig_count=rt.scheduler.reconfig_count,
+        trace=rt.tracer,
+        components=dict(rt.host.live),
+        stream_stats={name: streams.stream(name).stats
+                      for name in streams.names},
+        events_handled=sum(m.events_handled for m in managers),
+        events_ignored=sum(m.events_ignored for m in managers),
+        **own,
+    )

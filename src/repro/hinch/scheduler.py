@@ -2,9 +2,10 @@
 
 Hinch "runs the application in a data flow style by putting a job in [the
 central] queue for each component that is ready to be run".  This module
-is that readiness logic, shared verbatim by the threaded runtime and by
-the SpaceCAKE virtual-time simulator — the two backends differ only in
-*who executes* a ready job and *when* completion is reported.
+is that readiness logic, shared verbatim by the three executors — the
+threaded runtime, the process dispatcher and the SpaceCAKE virtual-time
+simulator — which differ only in *who executes* a ready job and *when*
+completion is reported.
 
 Execution model (DESIGN.md §6):
 

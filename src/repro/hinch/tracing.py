@@ -1,7 +1,8 @@
 """Execution tracing: who ran what, when, where.
 
-Both backends record a :class:`TraceEvent` per executed job — wall-clock
-seconds in the threaded runtime, virtual cycles in the simulator.  The
+Every executor records a :class:`TraceEvent` per executed job when
+tracing is on — wall-clock seconds on threads and processes, virtual
+cycles in the simulator.  The
 trace feeds utilization statistics, the benchmark reports, and debugging
 (export to a Gantt-style text chart).
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = ["TraceEvent", "Tracer", "ATTRIBUTION_KINDS", "CONTROL_KINDS"]
 
@@ -121,19 +121,6 @@ class Tracer:
             totals[e.worker] = totals.get(e.worker, 0.0) + e.duration
         return dict(sorted(totals.items()))
 
-    def kind_counts(self) -> dict[str, int]:
-        """Events per ``kind``: task jobs against manager invocations."""
-        counts: dict[str, int] = {}
-        for e in self.events:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-        return counts
-
-    def per_node_totals(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for e in self.events:
-            totals[e.node_id] = totals.get(e.node_id, 0.0) + e.duration
-        return totals
-
     def gantt(self, *, width: int = 72, workers: int | None = None) -> str:
         """Coarse ASCII Gantt chart (one row per worker)."""
         events = self.events
@@ -158,12 +145,3 @@ class Tracer:
                     cells[i] = mark
             lines.append(f"w{w:>2} |{''.join(cells)}|")
         return "\n".join(lines)
-
-
-def merge_traces(traces: Iterable[Tracer]) -> Tracer:
-    """Combine several traces into one (for multi-phase experiments)."""
-    merged = Tracer()
-    for t in traces:
-        for e in t.events:
-            merged.record(e)
-    return merged

@@ -28,7 +28,7 @@ from typing import Any, Mapping
 from repro.core.program import Program
 from repro.errors import SimulationError
 from repro.hinch.component import Component
-from repro.hinch.engine import Coordinator, NodePlan
+from repro.hinch.engine import Coordinator
 from repro.hinch.jobqueue import Job
 from repro.hinch.tracing import Tracer
 from repro.spacecake.cache import CacheStats
@@ -287,19 +287,6 @@ class SimRuntime(Coordinator):
 
     # -- execution ------------------------------------------------------------------------
 
-    def _run_job_effects(self, job: Job, plan: NodePlan) -> None:
-        """Functional side of the job, applied at its completion time.
-
-        The manager target and the (execute/always_execute-filtered)
-        steps were compiled into the node's plan; the common cost-only
-        job skips this method entirely.
-        """
-        if plan.manager is not None:
-            qname, phase = plan.manager
-            self.managers[qname].invoke(job.iteration, phase)
-        else:
-            plan.run(job.iteration)
-
     def _dispatch(self) -> None:
         engine = self.engine
         now = engine.now
@@ -328,9 +315,12 @@ class SimRuntime(Coordinator):
         """Completion handler for one dispatched job (an engine record)."""
         job, core, cycles, start = record
         self.machine.release_core(core, cycles)
+        # the functional side of the job, applied at its completion time:
+        # a manager's poll or the (execute/always_execute-filtered)
+        # component runs; the common cost-only job has no step
         plan = self.node_plans[job.node_id]
-        if plan.manager is not None or plan.steps:
-            self._run_job_effects(job, plan)
+        if plan.steps:
+            plan.run(job.iteration)
         self.jobs_executed += 1
         if self.tracer.enabled:
             self.tracer.record_job(job.node_id, job.iteration, core, start,

@@ -132,10 +132,10 @@ def test_blur_structure_crossdep():
 
 def test_blur_sp_tree_for_prediction():
     prog = make_program(build_blur(5), name="blur5")
-    from repro.graph import TaskGraph
+    from tests.graph.helpers import lower
 
     tree = prog.to_sp_tree()
-    assert is_series_parallel(TaskGraph.from_sp(tree))
+    assert is_series_parallel(lower(tree))
 
 
 def test_blur_reconfigurable_two_options():

@@ -8,16 +8,21 @@ must be paid once per region: the expander clones copies 1..n-1 from
 copy 0 and the cut drops them in one pass.  This counts ``call`` and
 ``c_call`` profile events of ``expand`` plus ``one_copy_regions`` on PiP
 at two slice counts, so a build that goes back to paying per copy fails
-tier-1 instead of surfacing as a ``setup_s`` delta.
+tier-1 instead of surfacing as a ``setup_s`` delta.  The parse, the
+first step of that build, is pinned per XML element the same way.
 """
 
 from __future__ import annotations
 
 import sys
+import xml.etree.ElementTree as ET
 
-from repro.apps import build_pip
+import pytest
+
+from repro.apps import build_audio, build_blur, build_pip
 from repro.components.registry import default_ports, default_registry
-from repro.core import expand
+from repro.core import expand, parse_string
+from repro.core.xmlio import spec_to_xml
 from repro.core.formats import parse_format
 from repro.core.program import one_copy_regions
 
@@ -27,6 +32,13 @@ from repro.core.program import one_copy_regions
 #: head-room covers what 3.10 and 3.12 count differently, not a per-copy
 #: substitution or bind.
 BUDGET_PER_COPY = 25
+
+#: profile events of ``parse_string`` per XML element.  Measured 7.9-9.0
+#: on CPython 3.11 for the specs below, where expat calls the tree
+#: builder's ``end`` and ``data`` directly (12.4-13.7 with a Python
+#: lambda around each); the head-room covers other versions' counts, not
+#: a Python frame per end tag or text chunk.
+PARSE_BUDGET_PER_ELEMENT = 11
 
 PORTS = default_ports()
 REGISTRY = default_registry()
@@ -98,3 +110,22 @@ def test_a_constant_dimension_builds_no_fraction():
         sys.setprofile(None)
     assert all(tag == "const" for term in terms for tag, _ in term.dims)
     assert entered == []
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(lambda: build_audio(channels=8, block=64, slices=2),
+                 id="audio"),
+    pytest.param(lambda: build_pip(1, width=720, height=576, factor=4,
+                                   slices=8), id="pip"),
+    pytest.param(lambda: build_blur(3, width=360, height=288, slices=9,
+                                    reconfigurable=True), id="blur35"),
+])
+def test_a_parse_pays_one_python_handler_per_element(spec):
+    xml = spec_to_xml(spec())
+    elements = sum(1 for _ in ET.fromstring(xml).iter())
+    parse_string(xml)  # warm-up
+    per_element = _events(lambda: parse_string(xml)) / elements
+    assert per_element <= PARSE_BUDGET_PER_ELEMENT, (
+        f"{per_element:.1f} profile events per XML element (budget "
+        f"{PARSE_BUDGET_PER_ELEMENT}) over {elements} elements"
+    )

@@ -214,9 +214,9 @@ def test_to_sp_tree_crossdep_is_spized(registry):
     labels = [leaf.label for leaf in tree.leaves()]
     assert labels.index("h[0]") < labels.index("v[0]")
     # the SP tree is a valid SP graph by construction
-    from repro.graph import TaskGraph
+    from tests.graph.helpers import lower
 
-    assert is_series_parallel(TaskGraph.from_sp(tree))
+    assert is_series_parallel(lower(tree))
 
 
 def test_to_sp_tree_respects_option_states(registry):

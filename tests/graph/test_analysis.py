@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 
-from repro.errors import NotSeriesParallelError
-from repro.graph import (
-    Leaf,
-    TaskGraph,
-    critical_path,
-    is_series_parallel,
-    parallel,
-    series,
-    sp_ize,
-)
-from repro.graph.analysis import require_series_parallel, topological_levels
+from repro.graph import TaskGraph, critical_path, is_series_parallel, sp_ize
+from repro.graph.analysis import topological_levels
 
+from tests.graph.helpers import lower
 from tests.graph.test_spc import sp_trees
+
+
+def dag(*edges: str) -> TaskGraph:
+    """A unit-weight DAG from ``"u>v"`` edges, nodes in order of mention."""
+    g = TaskGraph()
+    for edge in edges:
+        for node_id in edge.split(">"):
+            if node_id not in g:
+                g.add_node(node_id)
+        g.add_edge(*edge.split(">"))
+    return g
 
 
 def crossdep_graph(n_slices: int = 4) -> TaskGraph:
@@ -44,12 +46,12 @@ def test_empty_graph_is_sp():
 
 
 def test_chain_is_sp():
-    g = TaskGraph.from_sp(series(Leaf("a"), Leaf("b"), Leaf("c")))
+    g = dag("a>b", "b>c")
     assert is_series_parallel(g)
 
 
 def test_diamond_is_sp():
-    g = TaskGraph.from_sp(series(Leaf("s"), parallel(Leaf("a"), Leaf("b")), Leaf("t")))
+    g = dag("s>a", "s>b", "a>t", "b>t")
     assert is_series_parallel(g)
 
 
@@ -111,18 +113,9 @@ def test_sp_ize_empty_graph():
 
 
 def test_topological_levels():
-    g = TaskGraph.from_sp(series(Leaf("a"), parallel(Leaf("b"), Leaf("c")), Leaf("d")))
+    g = dag("a>b", "a>c", "b>d", "c>d")
     levels = topological_levels(g)
     assert levels == {"a": 0, "b": 1, "c": 1, "d": 2}
-
-
-def test_require_series_parallel_raises():
-    with pytest.raises(NotSeriesParallelError):
-        require_series_parallel(crossdep_graph(3), context="blur")
-
-
-def test_require_series_parallel_passes():
-    require_series_parallel(TaskGraph.from_sp(series(Leaf("a"), Leaf("b"))))
 
 
 # -- critical path ----------------------------------------------------------
@@ -156,7 +149,7 @@ def test_critical_path_picks_heavier_branch():
 
 
 def test_critical_path_custom_weight_fn():
-    g = TaskGraph.from_sp(series(Leaf("a"), Leaf("b")))
+    g = dag("a>b")
     length, _ = critical_path(g, weight=lambda nid: 5.0)
     assert length == 10.0
 
@@ -170,19 +163,19 @@ def test_critical_path_empty_graph():
 
 @given(sp_trees())
 def test_prop_lowered_sp_tree_is_recognized_sp(tree):
-    g = TaskGraph.from_sp(tree)
+    g = lower(tree)
     assert is_series_parallel(g)
 
 
 @given(sp_trees())
 def test_prop_sp_ize_idempotent_on_sp_structure(tree):
-    g = TaskGraph.from_sp(tree)
+    g = lower(tree)
     assert is_series_parallel(sp_ize(g))
 
 
 @given(sp_trees())
 def test_prop_critical_path_bounds(tree):
-    g = TaskGraph.from_sp(tree)
+    g = lower(tree)
     length, path = critical_path(g)
     total = sum(n.weight for n in g)
     assert 0 < length <= total
@@ -193,6 +186,6 @@ def test_prop_critical_path_bounds(tree):
 
 @given(sp_trees())
 def test_prop_critical_path_equals_serial_length_for_unit_weights(tree):
-    g = TaskGraph.from_sp(tree)
+    g = lower(tree)
     length, _ = critical_path(g)
     assert length == tree.serial_length()

@@ -248,6 +248,89 @@ def test_concurrent_slice_copies_share_one_locked_plane():
     assert result.pool_stats == {}
 
 
+def _managed(nodes: int = 1) -> ThreadedRuntime:
+    """src -> [manager m: option opt: a] -> snk, and no event ever sent."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "source", streams={"output": "s0"})
+    with main.manager("m", queue="ui") as mgr:
+        mgr.on("flip", "toggle", option="opt")
+        with main.option("opt", enabled=True, bypass=[("s0", "s1")]):
+            main.component("a", "forward",
+                           streams={"input": "s0", "output": "s1"})
+    main.component("snk", "sink", streams={"input": "s1"})
+    return ThreadedRuntime(
+        expand(b.build(), PORTS), REGISTRY, nodes=nodes, pipeline_depth=5,
+        max_iterations=ITERATIONS,
+    )
+
+
+#: hinch-owned profile events per manager job at nodes=1 on CPython
+#: 3.11: the loop's ``popleft`` (1), the poll's frame (1), the broker's
+#: locked queue lookup (3) and the queue's locked empty drain (2).  A
+#: wrapper frame or a coordinator lock around the inline manager step
+#: adds one.
+MANAGER_JOB_EVENTS = 7
+
+
+def _events_per_job(rt: ThreadedRuntime) -> dict[str, collections.Counter]:
+    """Run ``rt``, charging every profile event to the job it belongs to.
+
+    A job's events are those since the previous completion returned, up
+    to its own ``scheduler.complete`` call (the ready-queue pop and the
+    node's steps); the completion's own events are the scheduler's and
+    are not charged.  Returns node kind -> owning module -> events.
+    Every plan is compiled and the manager's queue created beforehand,
+    so what is charged is the steady state.
+    """
+    for n in rt.pg.graph:
+        rt.node_plans[n.node_id]
+    rt.broker.queue("ui")
+    complete = type(rt.scheduler).complete.__code__
+    node = rt.pg.graph.node
+    window: collections.Counter[str] = collections.Counter()
+    charged: dict[str, collections.Counter] = collections.defaultdict(
+        collections.Counter)
+    inside = [None]
+
+    def profile(frame, event, arg):
+        if inside[0] is not None:
+            if event == "return" and frame is inside[0]:
+                inside[0] = None
+            return
+        if event == "call" and frame.f_code is complete:
+            charged[node(frame.f_locals["job"].node_id).kind].update(window)
+            window.clear()
+            inside[0] = frame
+        elif event in ("call", "c_call"):
+            window[_owner(frame)] += 1
+
+    gc.collect()
+    sys.setprofile(profile)
+    try:
+        result = rt.run()
+    finally:
+        sys.setprofile(None)
+    assert result.completed_iterations == ITERATIONS
+    assert result.reconfig_count == 0
+    return charged
+
+
+def test_a_manager_job_is_one_bare_step():
+    """At nodes=1 a manager job is its plan's one step, ``poll``, called
+    straight from the inline loop: no wrapper frame, no lock."""
+    _managed().run()  # warm-up
+    charged = _events_per_job(_managed())
+    for phase in ("manager_enter", "manager_exit"):
+        owners = charged[phase]
+        hinch = sum(n for owner, n in owners.items()
+                    if owner.startswith("hinch/"))
+        assert hinch / ITERATIONS <= MANAGER_JOB_EVENTS, (
+            f"{phase}: {hinch / ITERATIONS:.1f} hinch-owned events per job "
+            f"(pinned at {MANAGER_JOB_EVENTS}): {dict(owners)}"
+        )
+
+
 def _skeletons():
     b = AppBuilder()
     main = b.procedure("main")

@@ -320,3 +320,70 @@ def test_reused_context_starts_every_job_clean():
     assert result.completed_iterations == 9
     assert len({ctx for ctx, *_ in seen}) == 1, "the context is reused"
     assert sorted(k for _, k in seen) == list(range(9))
+
+
+# -- node plans: every node kind is a plan --------------------------------
+
+PLAN_APPS = {
+    # the manager nodes
+    "blur35": lambda: build_blur(reconfigurable=True, period=50, width=48,
+                                 height=36, slices=3, frames=2),
+    # the barriers
+    "pip": lambda: build_pip(1, width=64, height=48, factor=4, slices=2,
+                             frames=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_APPS))
+def test_every_node_kind_compiles_to_its_plan(name):
+    """A task plan runs its components, a manager plan is one step that
+    polls the manager's own queue, a barrier plan does nothing."""
+    from repro.hinch.events import Event
+
+    rt = ThreadedRuntime(make_program(PLAN_APPS[name](), name=name), REG,
+                         nodes=1, max_iterations=1)
+    kinds = Counter()
+    for node in rt.pg.graph:
+        plan = rt.node_plans[node.node_id]
+        kinds[node.kind] += 1
+        if node.kind == "task":
+            assert [run for run, _ in plan.steps] == [
+                component.run for component in plan.components]
+            assert [ctx.instance for _, ctx in plan.steps] == list(
+                node.members)
+        elif node.kind == "barrier":
+            assert plan.steps == () and plan.components == ()
+        else:
+            manager = rt.managers[node.payload]
+            ((step, ctx),) = plan.steps
+            assert step == manager.poll and plan.components == ()
+            ignored = manager.events_ignored
+            rt.post_event(manager.info.queue, "no_such_event")
+            plan.run(3)
+            assert ctx.iteration == 3
+            assert manager.events_ignored == ignored + 1
+            assert not rt.broker.queue(manager.info.queue).peek_count()
+    expected = {"blur35": {"manager_enter", "manager_exit"},
+                "pip": {"barrier"}}[name]
+    assert expected <= set(kinds), kinds
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_a_manager_step_locks_only_where_jobs_run_concurrently(nodes):
+    """At nodes=2 a manager's handlers run under the coordinator's lock
+    (a worker may complete a job meanwhile); at nodes=1 nothing else
+    runs, and the step takes no lock."""
+    program = make_program(PLAN_APPS["blur35"](), name="blur35")
+    rt = ThreadedRuntime(program, REG, nodes=nodes, max_iterations=4)
+    held = []
+    target_option_state = rt.target_option_state
+
+    def recording(option):
+        held.append(rt._lock._is_owned())
+        return target_option_state(option)
+
+    rt.target_option_state = recording
+    rt.post_event("ui", "switch_kernel")
+    result = rt.run()
+    assert result.events_handled == 1 and result.reconfig_count == 1
+    assert held and set(held) == {nodes > 1}

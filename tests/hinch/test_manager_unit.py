@@ -39,7 +39,7 @@ def test_empty_queue_is_noop():
     mgr, broker, ctl = make_manager(
         [EventHandler("e", "toggle", option="o")], {"o": False}
     )
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.applied == []
     assert mgr.events_handled == 0
 
@@ -49,7 +49,7 @@ def test_toggle_flips_state():
         [EventHandler("e", "toggle", option="o")], {"o": False}
     )
     broker.post("q", Event("e"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.applied == [{"o": True}]
     assert mgr.events_handled == 1
 
@@ -61,7 +61,7 @@ def test_enable_when_already_enabled_is_ignored():
         [EventHandler("e", "enable", option="o")], {"o": True}
     )
     broker.post("q", Event("e"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.applied == []
 
 
@@ -70,7 +70,7 @@ def test_disable_when_enabled_applies():
         [EventHandler("e", "disable", option="o")], {"o": True}
     )
     broker.post("q", Event("e"))
-    mgr.invoke(0, "exit")
+    mgr.poll()
     assert ctl.applied == [{"o": False}]
 
 
@@ -80,7 +80,7 @@ def test_two_toggles_in_one_poll_cancel_out():
     )
     broker.post("q", Event("e"))
     broker.post("q", Event("e"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.applied == []  # net no-op never reaches the scheduler
 
 
@@ -90,7 +90,7 @@ def test_three_toggles_net_one_change():
     )
     for _ in range(3):
         broker.post("q", Event("e"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.applied == [{"o": True}]
 
 
@@ -104,7 +104,7 @@ def test_one_event_two_handlers_swaps_pair():
         {"k3": True, "k5": False},
     )
     broker.post("q", Event("switch"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.applied == [{"k3": False, "k5": True}]
 
 
@@ -113,7 +113,7 @@ def test_forward_copies_event():
         [EventHandler("e", "forward", target="downstream")], {}
     )
     broker.post("q", Event("e", payload=5, source="comp"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     forwarded = broker.queue("downstream").poll()
     assert len(forwarded) == 1
     assert forwarded[0].payload == 5
@@ -125,7 +125,7 @@ def test_reconfigure_request_broadcast():
         [EventHandler("move", "reconfigure", request="pos=1,2")], {}
     )
     broker.post("q", Event("move"))
-    mgr.invoke(3, "enter")
+    mgr.poll()
     assert ctl.requests == ["pos=1,2"]
 
 
@@ -134,7 +134,7 @@ def test_reconfigure_request_payload_substitution():
         [EventHandler("move", "reconfigure", request="pos=${payload}")], {}
     )
     broker.post("q", Event("move", payload="7,9"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert ctl.requests == ["pos=7,9"]
 
 
@@ -144,7 +144,7 @@ def test_unmatched_events_counted_ignored():
     )
     broker.post("q", Event("mystery"))
     broker.post("q", Event("known"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     assert mgr.events_ignored == 1
     assert mgr.events_handled == 1
 
@@ -160,6 +160,6 @@ def test_mixed_events_processed_in_order():
     broker.post("q", Event("on"))
     broker.post("q", Event("off"))
     broker.post("q", Event("on"))
-    mgr.invoke(0, "enter")
+    mgr.poll()
     # last write wins within the poll: net enable
     assert ctl.applied == [{"o": True}]

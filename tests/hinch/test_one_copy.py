@@ -411,6 +411,6 @@ def test_a_broadcast_may_not_set_slice():
         manager = ManagerRuntime(info, rt.broker, rt)
         rt.broker.post("ui", Event("move", payload="1/2"))
         with pytest.raises(ComponentError, match="may not set 'slice'"):
-            manager.invoke(0, "enter")
+            manager.poll()
         assert all(c.slice == (0, 1)
                    for c in rt.host.live.values() if c.slice is not None)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.hinch.jobqueue import Job, JobQueue
-from repro.hinch.tracing import TraceEvent, Tracer, merge_traces
+from repro.hinch.tracing import TraceEvent, Tracer
 
 
 # -- tracer ---------------------------------------------------------------------
@@ -54,14 +54,6 @@ def test_utilization_empty_trace():
     assert Tracer().makespan() == 0.0
 
 
-def test_per_node_totals():
-    t = Tracer()
-    t.record(make_event("a", 0, 0, 1))
-    t.record(make_event("a", 1, 2, 4, iteration=1))
-    t.record(make_event("b", 0, 1, 2))
-    assert t.per_node_totals() == {"a": 3.0, "b": 1.0}
-
-
 def test_gantt_renders_rows():
     t = Tracer()
     t.record(make_event("alpha", 0, 0.0, 5.0))
@@ -75,14 +67,6 @@ def test_gantt_renders_rows():
 
 def test_gantt_empty():
     assert Tracer().gantt() == "(empty trace)"
-
-
-def test_merge_traces():
-    t1, t2 = Tracer(), Tracer()
-    t1.record(make_event("a", 0, 0, 1))
-    t2.record(make_event("b", 1, 1, 2))
-    merged = merge_traces([t1, t2])
-    assert {e.node_id for e in merged.events} == {"a", "b"}
 
 
 def test_thread_safe_recording():
