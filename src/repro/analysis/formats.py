@@ -26,11 +26,14 @@ Diagnostics:
   job of its own, one extra dispatch and one extra plane per iteration;
   declaring matching dtypes removes both.  On the process backend the
   chain compiler (:func:`repro.hinch.fusion.fuse_chains`) can absorb it
-  into the producer or consumer chain.
+  into the producer or consumer chain;
+* **X507** (error) — a sliced writer's stream has no solved plane
+  format, so its copies' shared buffer has nothing to be allocated from.
 
-The solved per-stream formats double as the runtimes' authoritative
-buffer expectations (:func:`runtime_expectations`) — a declared/observed
-divergence that slipped past lint raises a structured
+The solved per-stream plane formats are the runtimes' buffer plan
+(:attr:`FormatSolution.planes`, :func:`runtime_expectations`): a
+sliced writer's buffer is allocated from it, and a whole write that
+diverges from it raises a structured
 :class:`~repro.errors.StreamFormatError` instead of a late geometry
 surprise.
 """
@@ -110,6 +113,10 @@ class FormatSolution:
     streams: dict[str, SolvedStream] = field(default_factory=dict)
     #: X504 sites, in discovery order — input to auto_insert_converters
     conversions: list[ConversionSite] = field(default_factory=list)
+    #: stream -> (shape, dtype name) of every fully-declared, concrete,
+    #: conflict-free plane stream: the runtimes' buffer plan
+    planes: dict[str, tuple[tuple[int, ...], str]] = field(
+        default_factory=dict)
 
 
 @dataclass
@@ -210,7 +217,8 @@ def solve_formats_or_raise(program, pg) -> FormatSolution:
     """:func:`check_formats`, but reconciliation *errors* abort the build.
 
     The runtimes call this when installing a configuration: a spec whose
-    declared formats cannot be reconciled (X501/X502/X503) must fail when
+    declared formats cannot be reconciled (X501/X502/X503), or whose
+    sliced writer has no buffer plan (X507), must fail when
     the graph is built — never run on silent first-write inference, where
     a sink declaring one geometry happily consumes another.  Warnings and
     infos (X504/X505/X506) pass through untouched; they are lint's
@@ -236,7 +244,7 @@ def check_formats(
 ) -> FormatSolution:
     """Reconcile port formats across one configuration's streams.
 
-    Reports X119/X501–X505 into ``bag`` and returns the solved per-stream
+    Reports X119/X501–X507 into ``bag`` and returns the solved per-stream
     format table.  Endpoints without declarations contribute no
     constraints (inference), so removing a declaration can only *lose*
     precision, never create an error.
@@ -385,14 +393,39 @@ def check_formats(
         if rep["dims"] is not None:
             sol.shape = tuple(unifier.resolve_dim(d) for d in rep["dims"])
 
-    # X503: sliced writers must carve their solved height by their block --
-    for eps in by_stream.values():
+    planes = solution.planes
+    for stream, sol in solution.streams.items():
+        if not (
+            sol.conflicted
+            or not sol.fully_declared
+            or sol.kind != "plane"
+            or sol.dtype is None
+            or sol.shape is None
+            or None in sol.shape
+        ):
+            shape = tuple(map(int, sol.shape))  # type: ignore[arg-type]
+            planes[stream] = (shape, sol.dtype)
+
+    # X503: sliced writers must carve their solved height by their block;
+    # X507: a sliced writer's buffer is its stream's solved plane format
+    for stream, eps in by_stream.items():
         for ep in eps:
+            if not ep.is_writer or ep.slice is None:
+                continue
+            if stream not in planes and not solution.streams[stream].conflicted:
+                bag.report(
+                    "X507",
+                    f"sliced writer {ep.definition_id!r} port {ep.port!r}: "
+                    f"stream {stream!r} has no solved plane format to "
+                    "allocate its shared buffer from (declare a concrete "
+                    "kind=plane shape and dtype on every port of the "
+                    f"stream){context}",
+                    line=ep.line,
+                    where=ep.definition_id,
+                )
             t = ep.term
             if (
                 t is None
-                or not ep.is_writer
-                or ep.slice is None
                 or t.block is None
                 or t.dims is None
                 or not t.dims
@@ -411,40 +444,22 @@ def check_formats(
     return solution
 
 
-def _expectations_from(
-    solution: FormatSolution,
-) -> dict[str, tuple[tuple[int, ...], str]]:
-    out: dict[str, tuple[tuple[int, ...], str]] = {}
-    for name, sol in solution.streams.items():
-        if (
-            sol.conflicted
-            or not sol.fully_declared
-            or sol.kind != "plane"
-            or sol.dtype is None
-            or sol.shape is None
-            or any(d is None for d in sol.shape)
-        ):
-            continue
-        out[name] = (tuple(int(d) for d in sol.shape), sol.dtype)  # type: ignore[misc]
-    return out
-
-
 def runtime_expectations(
     program, pg, *, solution: FormatSolution | None = None
 ) -> dict[str, tuple[tuple[int, ...], str]]:
-    """Solved plane expectations for the runtimes' ``ensure_buffer``.
+    """The buffer plan: :attr:`FormatSolution.planes` of this build.
 
     Returns ``{stream name: (shape, dtype name)}`` for every stream whose
     reconciled format is a fully-concrete, conflict-free pixel plane with
-    *every* endpoint declared.  Streams that carry objects
-    (bitstream/coeffs/scalar), have open dimensions, touch an undeclared
-    port, or failed reconciliation are left to first-write inference,
-    exactly like before this pass existed.
+    *every* endpoint declared: what ``ensure_buffer`` allocates and
+    ``put`` checks.  Streams that carry objects (bitstream/coeffs/
+    scalar), have open dimensions, touch an undeclared port, or failed
+    reconciliation have no entry (a sliced writer of one is X507).
     """
     if solution is None:
         bag = DiagnosticBag()  # discarded: lint is where diagnostics surface
         solution = check_formats(bag, program, pg)
-    return _expectations_from(solution)
+    return solution.planes
 
 
 def auto_insert_converters(

@@ -155,7 +155,7 @@ class BandFilter(Component):
 
     def run(self, job: JobContext) -> None:
         samples: np.ndarray = job.read("input")
-        out = job.buffer("output", shape=samples.shape, dtype=samples.dtype)
+        out = job.buffer("output")
         lo, hi = self.span
         kernel = self._kernel
         padded = filters.edge_pad(samples[lo:hi], (0, 0), (1, 1), np.float64)

@@ -160,7 +160,7 @@ class MapPlane(_KernelSkeleton):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        out = job.buffer("output", shape=src.shape, dtype=src.dtype)
+        out = job.buffer("output")
         lo, hi = self.span
         out[lo:hi] = self._fn(src[lo:hi], **self._kwargs)
 
@@ -207,7 +207,7 @@ class StencilPlane(_KernelSkeleton):
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         halo = self.halo
-        out = job.buffer("output", shape=src.shape, dtype=src.dtype)
+        out = job.buffer("output")
         h = src.shape[0]
         lo, hi = self.span
         top = src[max(lo - halo, 0):lo]

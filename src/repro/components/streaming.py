@@ -31,7 +31,7 @@ from repro.components.jpeg import codec as jpeg_codec
 from repro.components.video import Frame, synthetic_frame
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
-from repro.errors import ComponentError
+from repro.errors import ComponentError, StreamFormatError
 from repro.hinch.component import Component, JobContext
 from repro.spacecake.costmodel import JobCost, PortTraffic
 
@@ -432,9 +432,18 @@ class IdctField(Component):
 
     def run(self, job: JobContext) -> None:
         coeffs: jpeg_codec.PlaneCoefficients = job.read("coeffs")
-        out = job.buffer(
-            "output", shape=(coeffs.height, coeffs.width), dtype=np.uint8
-        )
+        out = job.buffer("output")
+        if out.shape != (coeffs.height, coeffs.width):
+            # coeffs is an object stream: the solver does not pin it
+            raise StreamFormatError(
+                f"{self.instance.instance_id}: coefficients of a "
+                f"{coeffs.height}x{coeffs.width} plane for a "
+                f"{out.shape[0]}x{out.shape[1]} output in iteration "
+                f"{job.iteration}",
+                stream=self.instance.streams["coeffs"],
+                iteration=job.iteration,
+                node=self.instance.instance_id,
+            )
         jpeg_codec.idct_plane(coeffs, rows=self.span, out=out)
 
 
@@ -480,11 +489,8 @@ class DownscaleField(Component):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        factor = self.factor
-        h, w = src.shape
-        out = job.buffer("output", shape=(h // factor, w // factor),
-                         dtype=src.dtype)
-        filters.downscale_plane(src, factor, out=out, rows=self.span)
+        out = job.buffer("output")
+        filters.downscale_plane(src, self.factor, out=out, rows=self.span)
 
 
 class BlendField(Component):
@@ -536,7 +542,7 @@ class BlendField(Component):
     def run(self, job: JobContext) -> None:
         background: np.ndarray = job.read("background")
         overlay: np.ndarray = job.read("overlay")
-        out = job.buffer("output", shape=background.shape, dtype=background.dtype)
+        out = job.buffer("output")
         filters.blend_plane(background, overlay, self.position, out=out,
                             rows=self.span, alpha=self.alpha)
 
@@ -587,7 +593,7 @@ class ConvertPlane(Component):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        out = job.buffer("output", shape=src.shape, dtype=self.dtype)
+        out = job.buffer("output")
         lo, hi = self.span or self.rows(src.shape[0])
         view = src[lo:hi]
         if self.scale is not None:
@@ -637,7 +643,7 @@ class BlurHField(_BlurBase):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        out = job.buffer("output", shape=src.shape, dtype=src.dtype)
+        out = job.buffer("output")
         filters.blur_plane_horizontal(src, self._kernel, out=out,
                                       rows=self.span)
 
@@ -647,7 +653,7 @@ class BlurVField(_BlurBase):
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
-        out = job.buffer("output", shape=src.shape, dtype=src.dtype)
+        out = job.buffer("output")
         filters.blur_plane_vertical(src, self._kernel, out=out, rows=self.span)
 
 

@@ -45,10 +45,6 @@ class GraphError(ReproError):
     """Structural problem in a task graph (cycle, unknown node, ...)."""
 
 
-class NotSeriesParallelError(GraphError):
-    """An operation that requires an SP graph was given a non-SP graph."""
-
-
 class SchedulingError(ReproError):
     """The Hinch scheduler reached an inconsistent state."""
 

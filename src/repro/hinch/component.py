@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable
 
-from numpy import ndarray
-
 from repro.core.formats import parse_format
 from repro.core.parser import parse_value
 from repro.core.ports import PortSpec
@@ -260,10 +258,10 @@ class JobContext:
 
     A port bound to a lock-free :class:`~repro.hinch.stream.Stream` (the
     inline ``nodes=1`` loop, the process dispatcher, the simulator: one
-    job at a time) serves a written slot, and a later slice copy's exact
-    buffer request, from the store's iteration frames in one Python
-    frame.  Everything else, and every other kind of stream, goes through
-    the stream's methods, home of every check.
+    job at a time) serves a written slot, and a later slice copy's
+    buffer, from the store's iteration frames in one Python frame.
+    Everything else, and every other kind of stream, goes through the
+    stream's methods, home of every check.
     """
 
     def __init__(
@@ -325,21 +323,15 @@ class JobContext:
             stream = self._bind(port)[0]
         stream.put(self.iteration, value, writer=self.instance.instance_id)
 
-    def buffer(
-        self,
-        port: str,
-        *,
-        shape: tuple[int, ...],
-        dtype: Any = None,
-    ) -> Any:
+    def buffer(self, port: str) -> Any:
         """Get the shared output buffer for a sliced writer.
 
-        The first copy to arrive allocates; every copy then fills its own
-        region in place.  The declared geometry lets the stream reuse a
-        buffer released by an earlier iteration (and, on the process
-        backend, place it directly in shared memory so slice copies on
-        different cores write the same plane).  Without a ``dtype``, a
-        stream whose format is solved allocates the solved dtype.
+        The buffer is the port's stream's solved format
+        (:attr:`Stream.expected <repro.hinch.stream.Stream.expected>`):
+        the first copy to arrive allocates it, or takes back one an
+        earlier iteration released (on the process backend, a shared
+        plane every copy maps), and every copy then fills its own region
+        in place.
         """
         try:
             stream, frames = self._bound[port]
@@ -350,25 +342,11 @@ class JobContext:
             values, buffers = frames[iteration]
             name = stream.name
             if name in buffers:
-                # A later slice copy whose request is literally the slot
-                # and the solved format (a dtype also equals None, so one
-                # must be named).
-                buf = values[name]
-                expected = stream.expected
-                if (
-                    dtype is not None
-                    and type(buf) is ndarray
-                    and shape == buf.shape
-                    and dtype == buf.dtype
-                    and (expected is None
-                         or (shape == expected[0] and dtype == expected[1]))
-                ):
-                    stream._writes += 1
-                    return buf
+                # the frame already holds this stream's buffer
+                stream._writes += 1
+                return values[name]
         return stream.ensure_buffer(
-            iteration, shape=shape, dtype=dtype,
-            writer=self.instance.instance_id,
-        )
+            iteration, writer=self.instance.instance_id)
 
     # -- events -------------------------------------------------------------------
 

@@ -69,7 +69,7 @@ from repro.errors import StreamError
 from repro.graph.taskgraph import TaskGraph
 from repro.hinch.component import Component
 from repro.hinch.grouping import GROUP_SEPARATOR, contract, fusable_edge
-from repro.hinch.stream import AGAINST_FORMAT, check_geometry
+from repro.hinch.stream import unsolved
 
 __all__ = [
     "FusedPair",
@@ -495,25 +495,11 @@ class _LocalStream:
             )
         self._store.slots[self._name] = value
 
-    def ensure_buffer(
-        self,
-        iteration: int,
-        *,
-        shape: tuple[int, ...],
-        dtype: Any = None,
-        writer: str | None = None,
-    ) -> Any:
+    def ensure_buffer(self, iteration: int, *, writer: str | None = None) -> Any:
         buf = self._store.slots.get(self._name, _MISSING)
-        if buf is not _MISSING:
-            return buf
-        expected = self._store.internal.get(self._name)
-        if expected is not None:
-            check_geometry(self._name, iteration, writer, shape, dtype,
-                           expected, AGAINST_FORMAT)
-            if dtype is None:  # the solved format's, as Stream.ensure_buffer
-                dtype = expected[1]
-        buf = self._store.temp(self._name, tuple(shape), dtype)
-        self._store.slots[self._name] = buf
+        if buf is _MISSING:
+            buf = self._store.slots[self._name] = self._store.temp(
+                self._name, iteration, writer)
         return buf
 
 
@@ -542,15 +528,12 @@ class FusedLocalStore:
             return _LocalStream(self, name)
         return self._base.stream(name)
 
-    def temp(
-        self, name: str, shape: tuple[int, ...], dtype: Any
-    ) -> np.ndarray:
+    def temp(self, name: str, iteration: int, writer: str | None) -> np.ndarray:
+        """The scratch plane of internal stream ``name``: its solved format."""
         buf = self._temps.get(name)
-        if (
-            buf is None
-            or buf.shape != shape
-            or (dtype is not None and buf.dtype != np.dtype(dtype))
-        ):
-            buf = np.empty(shape, dtype=dtype)
-            self._temps[name] = buf
+        if buf is None:
+            expected = self.internal[name]
+            if expected is None:
+                raise unsolved(name, iteration, writer)
+            buf = self._temps[name] = np.empty(*expected)
         return buf

@@ -50,10 +50,11 @@ make_job = partial(tuple.__new__, Job)
 class JobQueue:
     """Thread-safe FIFO with two distinct shutdown modes.
 
-    * :meth:`close` — *abort*.  Workers stop as soon as the remaining
-      items run out, and any job pushed afterwards is silently dropped.
-      This is the failure path: a worker crashed, whatever completions
-      are still in flight no longer matter.
+    * :meth:`close` — *abort*.  The jobs still waiting are dropped,
+      workers stop at their next :meth:`pop`, and any job pushed
+      afterwards is silently dropped.  This is the failure path (a job
+      raised, or the run was interrupted): whatever completions are
+      still in flight no longer matter.
     * :meth:`drain` — *graceful sentinel*.  Called only when the
       scheduler reports ``done`` (every admitted iteration completed, so
       no further job can ever become ready).  Remaining items are still
@@ -113,9 +114,10 @@ class JobQueue:
             return None  # shut down and drained
 
     def close(self) -> None:
-        """Abort: stop serving once empty, drop any further push."""
+        """Abort: drop the waiting jobs and any further push."""
         with self._lock:
             self._closed = True
+            self._items.clear()
             self._not_empty.notify_all()
 
     def drain(self) -> None:

@@ -94,7 +94,6 @@ from repro.hinch.runtime import RunResult, run_result
 from repro.hinch.shm import (
     Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
-from repro.hinch.stream import AGAINST_SLOT, check_geometry
 from repro.hinch.worker import _WORKER_STAT_KEYS, _worker_entry
 
 __all__ = ["ProcessRuntime", "LEASE_SIZE"]
@@ -204,9 +203,9 @@ class ProcessRuntime(Coordinator):
         #: iteration -> stream name -> worker slots holding the value
         #: live (resident-slot tokens replace plane re-shipping)
         self._resident: dict[int, dict[str, set[int]]] = {}
-        #: node_id -> [(stream, shape, dtype)] ensure_buffer profile,
-        #: learned from ensure RPCs; lets leases pre-resolve slot planes
-        self._ensure_profile: dict[str, list[tuple[str, tuple, str]]] = {}
+        #: node_id -> the streams its jobs ensure_buffer, learned from
+        #: ensure RPCs; lets leases pre-resolve slot planes
+        self._ensure_profile: dict[str, list[str]] = {}
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -331,7 +330,7 @@ class ProcessRuntime(Coordinator):
         Once a node's ensure profile is known (recorded from its first
         ensure RPC), the dispatcher performs the slot allocation itself —
         the same :meth:`Stream.ensure_buffer` call the RPC handler makes,
-        so write accounting and geometry validation are unchanged — and
+        so write accounting is unchanged — and
         ships the :class:`PlaneRef` with the lease, eliminating one RPC
         round-trip per slice copy per iteration.
         """
@@ -339,34 +338,23 @@ class ProcessRuntime(Coordinator):
         if not profile:
             return None
         ensured: dict[str, PlaneRef] = {}
-        for name, shape, dtype in profile:
-            ensured[name] = self._ensure_slot(
-                name, iteration, shape, dtype, node=node_id
-            )
+        for name in profile:
+            ensured[name] = self._ensure_slot(name, iteration, node_id)
             self._mark_resident(iteration, name, worker)
         return ensured
 
-    def _ensure_slot(
-        self,
-        name: str,
-        iteration: int,
-        shape: tuple,
-        dtype: str,
-        node: str | None = None,
-    ) -> PlaneRef:
+    def _ensure_slot(self, name: str, iteration: int, node: str) -> PlaneRef:
+        """The shared plane of ``name``'s slot in ``iteration``: its solved
+        format, allocated from the pool by the first copy to ask."""
         stream = self.streams.stream(name)
-        stream.check_expected(iteration, tuple(shape), dtype, node)
         packed = stream.ensure_buffer(
             iteration,
-            factory=lambda: self.pool.pack_plane(
-                self.pool.acquire(tuple(shape), dtype)[1]
-            ),
+            lambda: self.pool.pack_plane(
+                self.pool.acquire(*stream.expected)[1]),
+            writer=node,
         )
         # ensure planes are stream-owned: released with their iteration.
-        ref = packed.refs[0]
-        check_geometry(name, iteration, node, shape, dtype,
-                       (ref.shape, ref.dtype), AGAINST_SLOT)
-        return ref
+        return packed.refs[0]
 
     def _run_local(self, job: Job) -> None:
         """Execute a control node (manager/barrier) on the dispatcher."""
@@ -494,16 +482,14 @@ class ProcessRuntime(Coordinator):
         elif tag == "rpc_alloc":
             self._send(worker, ("rpc", self.pool.acquire_raw(msg[1])))
         elif tag == "rpc_ensure":
-            _, node_id, name, iteration, shape, dtype = msg
-            ref = self._ensure_slot(
-                name, iteration, tuple(shape), dtype, node=node_id
-            )
+            _, node_id, name, iteration = msg
+            ref = self._ensure_slot(name, iteration, node_id)
             # Learn the node's ensure profile: from the next lease on,
             # the dispatcher resolves this slot at assembly and ships
             # the ref with the lease — no RPC round-trip.
             profile = self._ensure_profile.setdefault(node_id, [])
-            if name not in {entry[0] for entry in profile}:
-                profile.append((name, tuple(shape), dtype))
+            if name not in profile:
+                profile.append(name)
             self._mark_resident(iteration, name, worker)
             self._send(worker, ("rpc", ref))
         elif tag == "error":

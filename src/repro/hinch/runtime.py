@@ -193,8 +193,15 @@ class ThreadedRuntime(Coordinator):
         ]
         for t in threads:
             t.start()
-        for t in threads:
-            t.join()
+        try:
+            for t in threads:
+                t.join()
+        finally:
+            # an interrupt in join() must not leave the workers running
+            # jobs: each finishes the one it holds and stops
+            self.queue.close()
+            for t in threads:
+                t.join()
         if self._failure is not None:
             raise self._failure
 

@@ -13,19 +13,25 @@ separate ring-buffer implementation.
 
 Data-parallel copies share the stream: the slot is a whole-frame buffer
 allocated by the first writer copy (:meth:`Stream.ensure_buffer`), into
-which each copy writes its assigned region.  Unsliced writers use
-:meth:`Stream.put` exactly once per iteration.
+which each copy writes its assigned region.  Its geometry is the
+stream's solved format (:attr:`Stream.expected`, installed from the
+X5xx pass): the format is the buffer plan, so a request names only the
+port, and a program whose sliced writer has no solved format is refused
+at build (lint X507).  Unsliced writers use :meth:`Stream.put` exactly
+once per iteration; ``put`` is where a value's geometry is checked.
 
 A stream recycles the buffers it allocates itself: a frame records the
-spare list of each ``shape``-allocated array, retiring the iteration
-puts the array back on it, and the next request of the same shape and
-dtype takes it back instead of allocating.  At most ``pipeline_depth``
-iterations are live, so a sliced stream's working set converges to that
-many arrays.  A stream a splice stops writing keeps its spares for the
-next toggle back, so the bound on these arrays is ``pipeline_depth`` per
-sliced stream the run has written, summed over streams.  The contract
-this rests on: a component must not keep a slot's array past its
-iteration (collecting sinks copy what they keep).
+spare list of each allocated array, retiring the iteration puts the
+array back on it, and the next request takes it back instead of
+allocating.  A new solved format (a splice) installs a fresh spare list,
+so an array of the old geometry, released late, goes to the dropped
+list and never comes back.  At most ``pipeline_depth`` iterations are
+live, so a sliced stream's working set converges to that many arrays.
+A stream a splice stops writing keeps its spares for the next toggle
+back, so the bound on these arrays is ``pipeline_depth`` per sliced
+stream the run has written, summed over streams.  The contract this
+rests on: a component must not keep a slot's array past its iteration
+(collecting sinks copy what they keep).
 
 The scheduler guarantees writers run before readers inside an iteration;
 the stream *verifies* this (read-before-write and double-put raise
@@ -52,15 +58,11 @@ import numpy as np
 from repro.errors import StreamError, StreamFormatError
 from repro.hinch.shm import Packed, SharedPlanePool
 
-__all__ = ["Stream", "LockedStream", "StreamStore", "check_geometry"]
-
-#: how a writer can disagree with a (shape, dtype) authority
-AGAINST_FORMAT = "produced {got}, but the reconciled port format declares {have}"
-AGAINST_SLOT = "requested {got}, slot already allocated as {have}"
+__all__ = ["Stream", "LockedStream", "StreamStore", "check_geometry", "unsolved"]
 
 #: one iteration's slots: stream name -> value, and stream name -> the
-#: spare list of an ensure_buffer() slot allocated from a ``shape`` (None
-#: for a ``factory`` buffer); a name in the values only was put()
+#: spare list of an ensure_buffer() slot allocated from the solved format
+#: (None for a ``factory`` buffer); a name in the values only was put()
 Frame = tuple[dict[str, Any], dict[str, "list[np.ndarray] | None"]]
 
 #: what retiring an iteration nothing wrote pops
@@ -74,31 +76,41 @@ def check_geometry(
     shape: tuple[int, ...],
     dtype: Any,
     have: tuple[tuple[int, ...], Any],
-    clash: str,
 ) -> None:
-    """Raise :class:`StreamFormatError` unless ``shape``/``dtype`` agree with ``have``.
+    """Raise :class:`StreamFormatError` unless ``shape``/``dtype`` agree
+    with ``have``, the stream's solved port format.
 
-    ``have`` is the authority — the solved port format
-    (:data:`AGAINST_FORMAT`) or the slot another slice copy already
-    allocated (:data:`AGAINST_SLOT`); ``dtype=None`` compares shapes only.
-    The hot paths compare inline and come here only to normalise a
-    near-miss (a list for a tuple, ``np.uint8`` for its dtype) or to fail.
+    :meth:`Stream.put` compares inline and comes here only to normalise
+    a near-miss (a list for a tuple, ``np.uint8`` for its dtype) or to
+    fail.
     """
     have_shape, have_dtype = tuple(have[0]), np.dtype(have[1])
-    got_dtype = np.dtype(dtype) if dtype is not None else None
-    if tuple(shape) == have_shape and (got_dtype is None or got_dtype == have_dtype):
+    got_dtype = np.dtype(dtype)
+    if tuple(shape) == have_shape and got_dtype == have_dtype:
         return
     raise StreamFormatError(
-        f"stream {stream!r}: ensure_buffer geometry mismatch in iteration "
-        f"{iteration}: node {node or '?'} "
-        + clash.format(got=f"{tuple(shape)}/{got_dtype}",
-                       have=f"{have_shape}/{have_dtype}")
-        + " (see lint codes X501/X503, `python -m repro lint`)",
+        f"stream {stream!r}: geometry mismatch in iteration {iteration}: "
+        f"node {node or '?'} produced {tuple(shape)}/{got_dtype}, but the "
+        f"reconciled port format declares {have_shape}/{have_dtype}"
+        " (see lint codes X501/X503, `python -m repro lint`)",
         stream=stream,
         iteration=iteration,
         node=node,
         declared=(have_shape, have_dtype.name),
-        observed=(tuple(shape), got_dtype.name if got_dtype else None),
+        observed=(tuple(shape), got_dtype.name),
+    )
+
+
+def unsolved(stream: str, iteration: int, node: str | None) -> StreamFormatError:
+    """The error for a buffer request on a stream with no solved format."""
+    return StreamFormatError(
+        f"stream {stream!r}: node {node or '?'} requested a buffer in "
+        f"iteration {iteration}, but the stream has no solved plane format "
+        "to allocate (lint code X507: declare the format of every port "
+        "on the stream)",
+        stream=stream,
+        iteration=iteration,
+        node=node,
     )
 
 
@@ -107,7 +119,7 @@ class Stream:
 
     The values live in ``store``'s per-iteration frames (a private
     store's when none is given), keyed by :attr:`name`.  Sliced-writer
-    buffers requested by ``shape``/``dtype`` are the stream's own: the
+    buffers, allocated from :attr:`expected`, are the stream's own: the
     frame records :attr:`_spare` as their spare list, retiring the
     iteration appends them to it, and :meth:`ensure_buffer` reuses them,
     so after warm-up the stream stops allocating.
@@ -115,8 +127,8 @@ class Stream:
     Takes no lock: :class:`LockedStream` is the one for concurrent jobs.
     So a :class:`~repro.hinch.component.JobContext` bound to a plain
     ``Stream`` serves the common port accesses from :attr:`_frames` in
-    its own frame — a read of a written slot, a later slice copy's exact
-    buffer request — and counts them in :attr:`_reads` / :attr:`_writes`;
+    its own frame — a read of a written slot, a later slice copy's
+    buffer — and counts them in :attr:`_reads` / :attr:`_writes`;
     everything else, and every check, is :meth:`get` and
     :meth:`ensure_buffer`.
     """
@@ -130,21 +142,31 @@ class Stream:
         #: the cyclic collector
         self._pool = store.pool
         self._frames: dict[int, Frame] = store._frames
-        #: released ``shape`` buffers, for the next request of their geometry
+        #: released buffers of :attr:`_spare_format`, for the next request;
+        #: replaced, not emptied, when a new format is installed
         self._spare: list[np.ndarray] = []
+        self._spare_format: tuple[tuple[int, ...], np.dtype] | None = None
         self._writes = 0
         self._reads = 0
-        #: solved (shape, dtype) from the format-reconciliation pass; when
-        #: set, writers are validated against it instead of trusting the
-        #: first write (X501/X503 territory at runtime)
+        #: solved (shape, dtype) from the format-reconciliation pass: what
+        #: ensure_buffer() allocates and what put() checks a plane against
         self.expected: tuple[tuple[int, ...], np.dtype] | None = None
         #: first-write geometry as seen: (kind, shape, dtype) with the
         #: dtype unformatted (see :attr:`observed`)
         self._observed: tuple | None = None
 
     def set_expected(self, shape: tuple[int, ...], dtype: Any) -> None:
-        """Install the reconciled format as this stream's authority."""
-        self.expected = (tuple(shape), np.dtype(dtype))
+        """Install the reconciled format as this stream's authority.
+
+        A new geometry gets a fresh spare list: a buffer of the old one
+        that an older iteration releases later goes to the dropped list.
+        A splice that stops writing the stream (``expected`` None) keeps
+        the list for the toggle back.
+        """
+        self.expected = expected = (tuple(shape), np.dtype(dtype))
+        if expected != self._spare_format:
+            self._spare_format = expected
+            self._spare = []
 
     @property
     def observed(self) -> tuple | None:
@@ -175,24 +197,16 @@ class Stream:
                 kind = "scalar"
             self._observed = (kind or type(value).__name__, None, None)
 
-    def check_expected(
-        self,
-        iteration: int,
-        shape: tuple[int, ...] | None,
-        dtype: Any,
-        writer: str | None,
-    ) -> None:
-        if self.expected is not None and shape is not None:
-            check_geometry(self.name, iteration, writer, shape, dtype,
-                           self.expected, AGAINST_FORMAT)
-
     def _check_put(self, iteration: int, value: Any, writer: str | None) -> None:
         """:meth:`put`'s format contract for anything but a plain ndarray."""
         if isinstance(value, np.ndarray):
-            self.check_expected(iteration, value.shape, value.dtype, writer)
+            geometry = value
         elif isinstance(value, Packed) and value.kind == "plane" and value.refs:
-            ref = value.refs[0]
-            self.check_expected(iteration, ref.shape, ref.dtype, writer)
+            geometry = value.refs[0]
+        else:
+            return
+        check_geometry(self.name, iteration, writer, geometry.shape,
+                       geometry.dtype, self.expected)
 
     # -- writer API ----------------------------------------------------------
 
@@ -215,7 +229,8 @@ class Stream:
             if type(value) is not np.ndarray:
                 self._check_put(iteration, value, writer)
             elif value.shape != expected[0] or value.dtype != expected[1]:
-                self.check_expected(iteration, value.shape, value.dtype, writer)
+                check_geometry(self.name, iteration, writer, value.shape,
+                               value.dtype, expected)
         if self._observed is None:
             self._observe(value)
         if values is None:
@@ -228,86 +243,49 @@ class Stream:
         iteration: int,
         factory: Callable[[], Any] | None = None,
         *,
-        shape: tuple[int, ...] | None = None,
-        dtype: Any = None,
         writer: str | None = None,
     ) -> Any:
         """Create-or-get the mutable slot buffer for a sliced writer.
 
-        All slice copies of the writer call this with an equivalent
-        allocation request; the first call allocates.  The returned
-        buffer is mutated in place (each copy fills its region), so the
-        slot is immediately visible — ordering is the scheduler's job.
+        All slice copies of the writer call this; the first call
+        allocates :attr:`expected` (or takes a released buffer of it
+        back), the others get that buffer.  It is mutated in place (each
+        copy fills its region), so the slot is immediately visible —
+        ordering is the scheduler's job.  ``factory`` makes the buffer
+        instead, never recycled; its one caller is the process
+        dispatcher's ``_ensure_slot``, whose slot is a packed
+        shared-memory plane of :attr:`expected`.
 
-        Jobs pass ``shape``/``dtype`` (through :meth:`JobContext.buffer
-        <repro.hinch.component.JobContext.buffer>`), which lets the
-        stream reuse a released buffer of that geometry.  A ``shape``
-        without ``dtype`` gets the solved format's dtype when there is
-        one.  ``factory`` makes a buffer that is never recycled; its one
-        caller is the process dispatcher's ``_ensure_slot``, whose slot is
-        a packed shared-memory plane.
-
-        Every call after the first is validated against the existing
-        allocation: slice copies disagreeing on geometry would otherwise
-        silently share a wrong-size buffer and corrupt frames far from
-        the faulty writer, so a mismatch raises :class:`StreamError`
-        here instead.
+        A stream with no solved format has nothing to allocate: the
+        request raises :class:`StreamFormatError` (lint X507 refuses such
+        a sliced writer at build).
         """
         name = self.name
         frames = self._frames
         frame = frames[iteration] if iteration in frames else None
-        buffer = None
         if frame is not None and name in frame[0]:
             if name not in frame[1]:
                 raise StreamError(
                     f"stream {name!r}: sliced write after finalizing "
                     f"put() in iteration {iteration}"
                 )
-            buffer = frame[0][name]
-        if shape is not None:
-            # Inline comparisons settle the common case (the request
-            # is literally the solved format / the allocated slot);
-            # anything else is normalised, and refused, by the checks.
-            expected = self.expected
-            if expected is not None:
-                if dtype is None:
-                    dtype = expected[1]  # the solved dtype, not float64
-                if shape != expected[0] or dtype != expected[1]:
-                    self.check_expected(iteration, shape, dtype, writer)
-            if (
-                buffer is not None
-                and isinstance(buffer, np.ndarray)
-                and (shape != buffer.shape or dtype is None
-                     or dtype != buffer.dtype)
-            ):
-                check_geometry(name, iteration, writer, shape, dtype,
-                               (buffer.shape, buffer.dtype), AGAINST_SLOT)
-        if buffer is None:
-            if shape is not None:
-                spare = self._spare
-                if not spare:
-                    buffer = np.empty(shape, dtype=dtype)
-                else:
-                    buffer = spare.pop()
-                    if buffer.shape != shape or buffer.dtype != dtype:
-                        # a new geometry (a splice re-solved the format)
-                        # strands the old spares: drop them
-                        spare.clear()
-                        buffer = np.empty(shape, dtype=dtype)
-            elif factory is not None:
-                buffer = factory()
-                spare = None
-            else:
-                raise StreamError(
-                    f"stream {name!r}: ensure_buffer needs a "
-                    "factory or a shape"
-                )
-            if self._observed is None:
-                self._observe(buffer)
-            if frame is None:
-                frame = self._frames.setdefault(iteration, ({}, {}))
-            frame[0][name] = buffer
-            frame[1][name] = spare
+            self._writes += 1
+            return frame[0][name]
+        expected = self.expected
+        if expected is None:
+            raise unsolved(name, iteration, writer)
+        if factory is not None:
+            buffer = factory()
+            spare = None
+        else:
+            spare = self._spare
+            buffer = spare.pop() if spare else np.empty(*expected)
+        if self._observed is None:
+            self._observe(buffer)
+        if frame is None:
+            frame = frames.setdefault(iteration, ({}, {}))
+        frame[0][name] = buffer
+        frame[1][name] = spare
         self._writes += 1
         return buffer
 
@@ -338,7 +316,7 @@ class Stream:
 
         The runtimes retire every stream at once with
         :meth:`StreamStore.release_iteration`; this is the one-stream
-        form, with the same hand-back: a ``shape`` buffer goes to the
+        form, with the same hand-back: an allocated buffer goes to the
         spare list, the planes of a :class:`~repro.hinch.shm.Packed`
         value to the store's pool.  An emptied frame is dropped.
         """
@@ -471,7 +449,7 @@ class StreamStore:
     def release_iteration(self, iteration: int) -> None:
         """Retire ``iteration``: drop its frame in one step.
 
-        Each ``shape`` buffer of the frame goes back to its stream's
+        Each allocated buffer of the frame goes back to its stream's
         spare list (one append each) and, with a pool, the planes of
         each :class:`~repro.hinch.shm.Packed` value to the pool; the
         cost does not grow with the number of streams.

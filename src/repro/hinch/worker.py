@@ -41,7 +41,6 @@ from repro.hinch.events import Event
 from repro.hinch.shm import (
     Packed, PlaneRef, SharedPlanePool, recv_framed, send_framed,
 )
-from repro.hinch.stream import AGAINST_SLOT, check_geometry
 
 #: pool counters a worker reports back at shutdown (summed by dispatcher)
 _WORKER_STAT_KEYS = (
@@ -183,28 +182,14 @@ class _WorkerStream:
         ws.values[self.name] = value
         ws.outputs[self.name] = ws.worker.pool.pack(value)
 
-    def ensure_buffer(
-        self,
-        iteration: int,
-        *,
-        shape: tuple[int, ...],
-        dtype: Any = None,
-        writer: str | None = None,
-    ) -> Any:
+    def ensure_buffer(self, iteration: int, *, writer: str | None = None) -> Any:
         ws = self.ws
-        if dtype is None and self.name in ws.worker.expectations:
-            dtype = ws.worker.expectations[self.name][1]  # as Stream does
         buf = ws.ensured.get(self.name)
-        if buf is not None:
-            check_geometry(self.name, iteration, ws.worker.current_node,
-                           shape, dtype, (buf.shape, buf.dtype), AGAINST_SLOT)
-        else:
+        if buf is None:
             ref: PlaneRef = ws.worker.rpc(
-                ("rpc_ensure", ws.worker.current_node, self.name, iteration,
-                 tuple(shape), np.dtype(dtype).str)
+                ("rpc_ensure", ws.worker.current_node, self.name, iteration)
             )
-            buf = ws.worker.pool.open(ref)
-            ws.ensured[self.name] = buf
+            buf = ws.ensured[self.name] = ws.worker.pool.open(ref)
         return buf
 
 
@@ -232,8 +217,6 @@ class _Worker:
         # applied), inherited through fork copy-on-write: a worker builds
         # nothing to start.
         self.pg = config.pg
-        #: solved stream formats: a shape-only buffer gets their dtype
-        self.expectations = config.expectations
         self.host = host
         self.streams = _WorkerStreams(self)
         self.broker = _RecordingBroker()
@@ -293,7 +276,6 @@ class _Worker:
             # the dispatcher's: no request sent before they existed.
             self.host.splice(config.pg.active_components, {})
             self.pg = config.pg
-            self.expectations = config.expectations
             self._install_plans()
         else:  # pragma: no cover - protocol error
             raise SchedulingError(f"worker got unexpected message {tag!r}")

@@ -110,6 +110,22 @@ def test_mismatch_fixture_fails_before_any_runtime(capsys):
     assert "[X501]" in capsys.readouterr().out
 
 
+def test_unsolved_buffer_fixture_fails_before_any_runtime(capsys):
+    """A sliced writer whose stream has no solved plane format has no
+    buffer plan: X507 at lint, and every backend refuses to build it."""
+    from pathlib import Path
+
+    fixture = str(Path(__file__).parent / "fixtures" / "unsolved_buffer.xml")
+    assert main(["lint", fixture, "--fail-on", "error"]) == 1
+    out = capsys.readouterr().out
+    assert "unsolved_buffer.xml:20: error: [X507]" in out
+    assert "1 error(s)" in out
+    for backend in ("threaded", "process", "sim"):
+        assert main(["run", fixture, "--backend", backend,
+                     "--iterations", "1"]) == 1
+        assert "X507" in capsys.readouterr().err
+
+
 def test_param_type_fixture_fails_before_any_runtime(capsys):
     from pathlib import Path
 

@@ -107,7 +107,8 @@ def _run_copy(name, height, assignment):
     store = StreamStore()
     for stream, value in inputs.items():
         store.stream(stream).put(0, value)
-    out = store.stream(port).ensure_buffer(0, shape=(height, W), dtype=dtype)
+    store.stream(port).set_expected((height, W), dtype)
+    out = store.stream(port).ensure_buffer(0)
     out[...] = SENTINEL
     instance = ComponentInstance(
         name, name, name, cls.ports.bind(name, params),

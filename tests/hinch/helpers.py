@@ -13,6 +13,11 @@ from repro.core import AppBuilder
 from repro.core.ports import Param, PortSpec
 from repro.hinch.component import Component, JobContext
 
+#: the ports of an element-wise stage: its output plane is its input's,
+#: so a sliced stage downstream of it solves wherever its input does
+VECTOR = {"input": "kind=plane shape=?n dtype=?T",
+          "output": "kind=plane shape=?n dtype=?T"}
+
 
 class Producer(Component):
     """Writes ``base + iteration`` to its output each iteration."""
@@ -28,7 +33,7 @@ class Producer(Component):
 
 
 class Doubler(Component):
-    ports = PortSpec(inputs=("input",), outputs=("output",))
+    ports = PortSpec(inputs=("input",), outputs=("output",), formats=VECTOR)
 
     def run(self, job: JobContext) -> None:
         job.write("output", job.read("input") * 2)
@@ -37,14 +42,16 @@ class Doubler(Component):
 class AddConst(Component):
     ports = PortSpec(inputs=("input",), outputs=("output",), params={
         "k": Param("int", default=1), "queue": Param("str"),
-        "period": Param("int"), "event": Param("str")})
+        "period": Param("int"), "event": Param("str")}, formats=VECTOR)
 
     def run(self, job: JobContext) -> None:
         job.write("output", job.read("input") + self.params["k"])
 
 
 class Adder(Component):
-    ports = PortSpec(inputs=("a", "b"), outputs=("output",))
+    ports = PortSpec(inputs=("a", "b"), outputs=("output",), formats={
+        "a": VECTOR["input"], "b": VECTOR["input"],
+        "output": VECTOR["output"]})
 
     def run(self, job: JobContext) -> None:
         job.write("output", job.read("a") + job.read("b"))
@@ -57,7 +64,7 @@ class Collector(Component):
     retires, and a collecting sink keeps what it read (DESIGN.md §6).
     """
 
-    ports = PortSpec(inputs=("input",))
+    ports = PortSpec(inputs=("input",), formats={"input": "kind=*"})
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -93,7 +100,8 @@ class ArraySource(Component):
     """Emits a fresh float array of ``size`` filled with the iteration."""
 
     ports = PortSpec(outputs=("output",),
-                     params={"size": Param("int", default=64)})
+                     params={"size": Param("int", default=64)},
+                     formats={"output": "kind=plane shape=size dtype=float64"})
 
     def run(self, job: JobContext) -> None:
         size = self.params["size"]
@@ -107,7 +115,8 @@ class DyingSource(ArraySource):
 
     ports = PortSpec(outputs=("output",), params={
         "size": Param("int", default=64), "at": Param("int", default=0),
-        "kill": Param("bool", default=False)})
+        "kill": Param("bool", default=False)},
+        formats=ArraySource.ports.formats)
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -125,11 +134,12 @@ class SliceScaler(Component):
     """Data-parallel scaler: each copy multiplies its region by ``factor``."""
 
     ports = PortSpec(inputs=("input",), outputs=("output",),
-                     params={"factor": Param("float", default=2.0)})
+                     params={"factor": Param("float", default=2.0)},
+                     formats=VECTOR)
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
-        out = job.buffer("output", shape=data.shape, dtype=data.dtype)
+        out = job.buffer("output")
         index, total = self.slice if self.slice else (0, 1)
         n = len(data)
         lo = index * n // total
@@ -140,11 +150,11 @@ class SliceScaler(Component):
 class HaloSmoother(Component):
     """Crossdep consumer: 3-point average needing neighbour slices."""
 
-    ports = PortSpec(inputs=("input",), outputs=("output",))
+    ports = PortSpec(inputs=("input",), outputs=("output",), formats=VECTOR)
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
-        out = job.buffer("output", shape=data.shape, dtype=data.dtype)
+        out = job.buffer("output")
         index, total = self.slice if self.slice else (0, 1)
         n = len(data)
         lo = index * n // total
@@ -223,11 +233,12 @@ class Sleeper(Component):
     """
 
     ports = PortSpec(inputs=("input",), outputs=("output",),
-                     params={"ms": Param("float", required=True)})
+                     params={"ms": Param("float", required=True)},
+                     formats=VECTOR)
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
-        out = job.buffer("output", shape=data.shape, dtype=data.dtype)
+        out = job.buffer("output")
         time.sleep(self.params["ms"] / 1000.0)
         index, total = self.slice if self.slice else (0, 1)
         out[index::total] = data[index::total]

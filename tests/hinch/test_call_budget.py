@@ -53,8 +53,15 @@ BUDGET = 14
 ITERATIONS = 40
 
 
+#: a plane of any geometry, passed through unchanged: every stream of the
+#: pipeline solves to the source's record, so the sliced stream has a
+#: buffer plan
+PLANE = "kind=plane shape=?h,?w dtype=?T"
+
+
 class Source(Component):
-    ports = PortSpec(outputs=("output",))
+    ports = PortSpec(outputs=("output",),
+                     formats={"output": "kind=plane shape=6,4 dtype=uint8"})
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -65,7 +72,8 @@ class Source(Component):
 
 
 class Forward(Component):
-    ports = PortSpec(inputs=("input",), outputs=("output",))
+    ports = PortSpec(inputs=("input",), outputs=("output",),
+                     formats={"input": PLANE, "output": PLANE})
 
     def run(self, job: JobContext) -> None:
         job.write("output", job.read("input"))
@@ -74,15 +82,16 @@ class Forward(Component):
 class SlicedForward(Component):
     """Every copy maps the shared buffer; none computes anything."""
 
-    ports = PortSpec(inputs=("input",), outputs=("output",))
+    ports = PortSpec(inputs=("input",), outputs=("output",),
+                     formats={"input": PLANE, "output": PLANE})
 
     def run(self, job: JobContext) -> None:
-        data = job.read("input")
-        job.buffer("output", shape=data.shape, dtype=data.dtype)
+        job.read("input")
+        job.buffer("output")
 
 
 class Sink(Component):
-    ports = PortSpec(inputs=("input",))
+    ports = PortSpec(inputs=("input",), formats={"input": PLANE})
 
     def run(self, job: JobContext) -> None:
         job.read("input")
@@ -217,6 +226,56 @@ def test_a_lock_free_port_access_is_one_frame():
                                   Stream.ensure_buffer)
     assert gets == 0
     assert ensures == ITERATIONS  # one sliced stream, s2
+
+
+#: hinch-owned profile events of one iteration's three ``job.buffer``
+#: requests on CPython 3.11, once the pipeline is full (the first copy of
+#: each of the first ``pipeline_depth`` iterations allocates afresh, and
+#: each context binds its port once).  At nodes=1: the first copy's
+#: request frame, its ``Stream.ensure_buffer`` and the spare list's
+#: ``pop`` (3), and one frame for each later copy, which finds the buffer
+#: in the iteration's frame (1 + 1); the parent's restated geometry and
+#: its comparisons cost no profile event there, so it read 5 too.  At
+#: nodes=2 every request enters the ``LockedStream`` (13); the parent's
+#: later copies each also paid an ``isinstance`` before comparing their
+#: request with the slot, 15 in all.
+BUFFER_EVENTS = {1: 5, 2: 13}
+
+
+@pytest.mark.parametrize("nodes", sorted(BUFFER_EVENTS))
+def test_a_buffer_request_allocates_the_plan_without_a_check(nodes):
+    rt = _pipeline(nodes)
+    depth = rt.scheduler.pipeline_depth
+    buffer = JobContext.buffer.__code__
+    events = collections.Counter()
+    #: thread id -> the buffer request frame it is inside
+    inside: dict[int, object] = {}
+
+    def profile(frame, event, arg):
+        thread = threading.get_ident()
+        if thread not in inside:
+            if (event == "call" and frame.f_code is buffer
+                    and frame.f_locals["self"].iteration >= depth):
+                inside[thread] = frame
+                events[thread] += 1
+        elif event == "return" and frame is inside[thread]:
+            del inside[thread]
+        elif event in ("call", "c_call"):
+            events[thread] += 1
+
+    gc.collect()
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        result = rt.run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert result.completed_iterations == ITERATIONS
+    per_iteration = sum(events.values()) / (ITERATIONS - depth)
+    assert per_iteration <= BUFFER_EVENTS[nodes], (
+        f"{per_iteration:.2f} events per iteration's three buffer "
+        f"requests (pinned at {BUFFER_EVENTS[nodes]})")
 
 
 def test_concurrent_slice_copies_share_one_locked_plane():

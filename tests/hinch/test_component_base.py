@@ -179,28 +179,23 @@ def test_ctx_later_slice_copy_is_checked_like_the_first():
                    EventBroker(), {})
         for i in range(2)
     )
-    buf = first.buffer("output", shape=(4, 2), dtype=np.uint8)
-    assert later.buffer("output", shape=(4, 2), dtype=np.uint8) is buf
-    # near-misses are normalised by the stream, and still share the slot
-    assert later.buffer("output", shape=[4, 2], dtype="uint8") is buf
-    assert later.buffer("output", shape=(4, 2)) is buf
-    with pytest.raises(StreamFormatError, match="slot already allocated"):
-        later.buffer("output", shape=(4, 2), dtype=np.float64)
-    with pytest.raises(StreamFormatError, match="slot already allocated"):
-        later.buffer("output", shape=(2, 2), dtype=np.uint8)
-    assert store.stream("out").stats == (4, 0)
-    # a solved format is the authority even over a request that is
-    # literally the slot allocated before the format was solved
+    # a stream with no solved format has no buffer to hand out
+    with pytest.raises(StreamFormatError, match="X507") as info:
+        first.buffer("output")
+    assert (info.value.stream, info.value.node) == ("out", "x[0]")
+    store.stream("out").set_expected((4, 2), np.uint8)
+    buf = first.buffer("output")
+    assert (buf.shape, buf.dtype) == ((4, 2), np.uint8)
+    assert later.buffer("output") is buf
+    assert store.stream("out").stats == (2, 0)
+    # a whole write of another geometry is refused at the put
     first.iteration = later.iteration = 1
-    first.buffer("output", shape=(4, 2), dtype=np.uint8)
-    store.stream("out").set_expected((4, 4), np.uint8)
     with pytest.raises(StreamFormatError, match="reconciled port format"):
-        later.buffer("output", shape=(4, 2), dtype=np.uint8)
+        later.write("output", np.zeros((4, 4), dtype=np.uint8))
     # and a put finalises the slot for every copy
-    first.iteration = later.iteration = 2
-    first.write("output", np.zeros((4, 4), dtype=np.uint8))
+    first.write("output", np.zeros((4, 2), dtype=np.uint8))
     with pytest.raises(StreamError, match="after finalizing"):
-        later.buffer("output", shape=(4, 4), dtype=np.uint8)
+        later.buffer("output")
 
 
 def test_ctx_unknown_port_rejected():
@@ -218,7 +213,8 @@ def test_ctx_alias_resolution():
 
 def test_ctx_buffer_is_the_slot():
     ctx = make_ctx()
-    buf = ctx.buffer("output", shape=(8,))
+    ctx._streams.stream("out").set_expected((8,), np.float64)
+    buf = ctx.buffer("output")
     buf[:] = 5
     assert np.all(ctx._streams.stream("out").get(0) == 5)
 

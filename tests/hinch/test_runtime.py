@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +191,34 @@ def test_component_exception_propagates(nodes):
     rt = ThreadedRuntime(program, registry, nodes=nodes, max_iterations=10)
     with pytest.raises(RuntimeError, match="boom at iteration 2"):
         rt.run()
+
+
+def test_an_interrupted_run_stops_its_workers():
+    """Ctrl-C while ``run()`` waits for its worker threads: each finishes
+    the job it holds and stops before ``run()`` raises, so nothing keeps
+    computing behind the caller's back."""
+    spec = build_blur(reconfigurable=True, period=6, width=48, height=36,
+                      slices=3)
+    rt = ThreadedRuntime(make_program(spec, name="blur35"),
+                         default_registry(), nodes=2, max_iterations=3000)
+    main = threading.main_thread().ident
+
+    def interrupt():
+        while rt.scheduler.completed_iterations < 20:
+            time.sleep(0.002)
+        # what Ctrl-C does: SIGINT to the main thread, which wakes its
+        # join() (``_thread.interrupt_main`` would wait for the join)
+        signal.pthread_kill(main, signal.SIGINT)
+
+    threading.Thread(target=interrupt, daemon=True).start()
+    with pytest.raises(KeyboardInterrupt):
+        rt.run()
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("hinch-worker-")] == []
+    done = rt.scheduler.completed_iterations
+    assert done < 3000
+    time.sleep(0.2)
+    assert rt.scheduler.completed_iterations == done
 
 
 def test_one_node_runs_on_the_calling_thread():

@@ -73,6 +73,7 @@ def test_iteration_can_be_rewritten_after_release():
 
 def test_ensure_buffer_shared_across_copies():
     s = Stream("x")
+    s.set_expected((8,), np.float64)
     calls = []
 
     def factory():
@@ -96,28 +97,31 @@ def test_ensure_buffer_after_put_raises():
 
 
 def test_ensure_buffer_geometry_mismatch_raises():
-    """Satellite regression: a second sliced writer requesting a
-    different shape/dtype used to silently share the first allocation
-    and write out of bounds; it must raise."""
+    """A buffer's geometry is the solved format, so slice copies cannot
+    disagree on it; a whole write of another geometry still raises, and
+    a stream with no solved format has no buffer to hand out."""
     s = Stream("x")
-    s.ensure_buffer(0, shape=(4, 8), dtype=np.uint8)
+    s.set_expected((4, 8), np.uint8)
     with pytest.raises(StreamError, match="geometry mismatch"):
-        s.ensure_buffer(0, shape=(4, 6), dtype=np.uint8)
+        s.put(0, np.zeros((4, 6), np.uint8))
     with pytest.raises(StreamError, match="geometry mismatch"):
-        s.ensure_buffer(0, shape=(4, 8), dtype=np.float64)
+        s.put(0, np.zeros((4, 8)))
+    with pytest.raises(StreamError, match="X507"):
+        Stream("y").ensure_buffer(0, writer="w")
 
 
 def test_ensure_buffer_matching_geometry_shares():
     s = Stream("x")
-    b1 = s.ensure_buffer(0, shape=(4, 8), dtype=np.uint8)
-    b2 = s.ensure_buffer(0, shape=(4, 8), dtype=np.uint8)
+    s.set_expected((4, 8), np.uint8)
+    b1 = s.ensure_buffer(0)
+    b2 = s.ensure_buffer(0)
     assert b1 is b2
-    # dtype omitted: shape alone is validated
-    assert s.ensure_buffer(0, shape=(4, 8)) is b1
+    assert (b1.shape, b1.dtype) == ((4, 8), np.uint8)
 
 
 def test_slots_independent_per_iteration():
     s = Stream("x")
+    s.set_expected((2,), np.float64)
     b0 = s.ensure_buffer(0, lambda: np.zeros(2))
     b1 = s.ensure_buffer(1, lambda: np.ones(2))
     assert b0 is not b1
@@ -134,6 +138,7 @@ def test_stats_counters():
 def test_concurrent_sliced_writers():
     s = Stream("x")
     n = 16
+    s.set_expected((n,), np.float64)
     results = []
 
     def writer(i):

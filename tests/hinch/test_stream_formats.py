@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.components import filters
+from repro.analysis import lint_spec
 from repro.components.registry import default_ports, default_registry
-from repro.components.streaming import DownscaleField
 from repro.core import AppBuilder, expand
 from repro.errors import StreamError, StreamFormatError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
@@ -37,10 +36,15 @@ def test_put_matching_expectation_passes():
 
 
 def test_ensure_buffer_against_expectation_raises():
+    """The buffer is the expectation; a whole write of another geometry
+    is refused at the put, naming its writer."""
     s = Stream("frames")
     s.set_expected((8, 8), np.uint8)
-    with pytest.raises(StreamFormatError, match="geometry mismatch"):
-        s.ensure_buffer(0, shape=(8, 8), dtype=np.float32, writer="scale")
+    buf = s.ensure_buffer(0, writer="scale")
+    assert (buf.shape, buf.dtype) == ((8, 8), np.uint8)
+    with pytest.raises(StreamFormatError, match="geometry mismatch") as info:
+        s.put(1, np.zeros((8, 8), np.float32), writer="scale")
+    assert (info.value.stream, info.value.node) == ("frames", "scale")
 
 
 def test_format_error_is_a_stream_error():
@@ -49,11 +53,17 @@ def test_format_error_is_a_stream_error():
 
 
 def test_slice_copy_disagreement_still_raises():
-    s = Stream("frames")  # no expectation installed: first-write rules
-    s.ensure_buffer(0, shape=(8, 8), dtype=np.uint8, writer="scale/0")
-    with pytest.raises(StreamFormatError) as exc_info:
-        s.ensure_buffer(0, shape=(4, 8), dtype=np.uint8, writer="scale/1")
-    assert exc_info.value.node == "scale/1"
+    """Slice copies cannot disagree on a buffer they do not describe;
+    what remains to refuse is a sliced writer whose stream has no solved
+    format, and lint does, naming the stream and the node."""
+    diagnostics = lint_spec(unsolved_slice_app().build(),
+                            ports=default_ports())
+    [x507] = [d for d in diagnostics if d.code == "X507"]
+    assert "'frames'" in x507.message and x507.where == "scale"
+    # a direct request on such a stream names both too
+    with pytest.raises(StreamFormatError, match="X507") as info:
+        Stream("frames").ensure_buffer(0, writer="scale")
+    assert (info.value.stream, info.value.node) == ("frames", "scale")
 
 
 def test_opaque_payloads_are_not_validated():
@@ -81,38 +91,74 @@ def test_store_installs_expectations_on_existing_and_new_streams():
 
 
 def test_shape_only_buffer_gets_the_solved_dtype():
+    """Every copy gets the solved shape and dtype, not numpy's defaults."""
     s = Stream("frames")
     s.set_expected((8, 8), np.uint8)
-    assert s.ensure_buffer(0, shape=(8, 8), writer="scale/0").dtype == np.uint8
-    # a later copy naming no dtype matches the slot it allocated
-    assert s.ensure_buffer(0, shape=(8, 8), writer="scale/1").dtype == np.uint8
-    with pytest.raises(StreamFormatError):
-        s.ensure_buffer(1, shape=(4, 8), writer="scale/0")
-    # with no solved format the request keeps numpy's default dtype
-    assert Stream("free").ensure_buffer(0, shape=(2, 2)).dtype == np.float64
+    first = s.ensure_buffer(0, writer="scale/0")
+    assert (first.shape, first.dtype) == ((8, 8), np.uint8)
+    assert s.ensure_buffer(0, writer="scale/1") is first
+    assert s.ensure_buffer(1, writer="scale/0").dtype == np.uint8
 
 
-class ShapeOnlyDownscale(DownscaleField):
-    """A sliced writer that names its buffer's shape and not its dtype."""
+def test_a_new_format_never_hands_out_an_old_spare():
+    """A splice re-solving the format installs a fresh spare list: an
+    array of the old geometry, even one whose iteration retires after
+    the change, is never handed out again."""
+    store = StreamStore()
+    s = store.stream("frames")
+    s.set_expected((8, 8), np.uint8)
+    old0, old1 = s.ensure_buffer(0), s.ensure_buffer(1)
+    store.release_iteration(0)
+    s.set_expected((4, 8), np.uint8)
+    store.release_iteration(1)  # an older iteration retires after it
+    handed = [s.ensure_buffer(k) for k in (2, 3, 4)]
+    assert all(b.shape == (4, 8) for b in handed)
+    assert not any(b is old0 or b is old1 for b in handed)
+    # the new geometry's own spares are reused
+    store.release_iteration(2)
+    assert s.ensure_buffer(5) is handed[0]
 
-    def run(self, job) -> None:
-        src = job.read("input")
-        h, w = src.shape
-        out = job.buffer("output", shape=(h // self.factor, w // self.factor))
-        filters.downscale_plane(src, self.factor, out=out, rows=self.span)
+
+def unsolved_slice_app() -> AppBuilder:
+    """luma_source -> 4 sliced map_plane copies -> plane_sink, with the
+    dtype of the copies' output stream ``frames`` left open."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "luma_source", streams={"output": "raw"},
+                   params={"width": 16, "height": 16},
+                   formats={"output": "kind=plane shape=height,width"})
+    with main.parallel("slice", n=4):
+        main.component("scale", "map_plane",
+                       streams={"input": "raw", "output": "frames"},
+                       params={"width": 16, "height": 16,
+                               "kernel": "invert"})
+    main.component("sink", "plane_sink", streams={"input": "frames"},
+                   params={"width": 16, "height": 16},
+                   formats={"input": "kind=plane shape=height,width"})
+    return b
 
 
-@pytest.mark.parametrize("runtime_cls, kwargs", [
+EXECUTORS = [
     pytest.param(ThreadedRuntime, {"nodes": 1}, id="threaded-1"),
     pytest.param(ThreadedRuntime, {"nodes": 2}, id="threaded-2"),
     pytest.param(ProcessRuntime, {"workers": 2}, id="process-2"),
     pytest.param(SimRuntime, {"nodes": 2, "execute": True}, id="sim-2"),
-])
+]
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs", EXECUTORS)
+def test_an_unsolved_sliced_writer_fails_at_build(runtime_cls, kwargs):
+    program = expand(unsolved_slice_app().build(), default_ports())
+    with pytest.raises(StreamFormatError, match="X507") as info:
+        runtime_cls(program, default_registry(), max_iterations=2, **kwargs)
+    assert "'scale'" in str(info.value) and "'frames'" in str(info.value)
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs", EXECUTORS)
 def test_shape_only_sliced_writer_keeps_the_format_contract(runtime_cls,
                                                             kwargs):
-    """On a stream the solver pins to uint8, a ``job.buffer(shape=...)``
-    with no dtype allocates uint8 on every executor — not numpy's
-    float64 default, which a process worker's dispatcher refuses."""
+    """A sliced writer names only its port: on a stream the solver pins
+    to uint8, every executor allocates the solved uint8 plane."""
     w, h, factor = 64, 48, 4
     b = AppBuilder()
     main = b.procedure("main")
@@ -126,8 +172,7 @@ def test_shape_only_sliced_writer_keeps_the_format_contract(runtime_cls,
                    params={"width": w // factor, "height": h // factor,
                            "collect": True})
     program = expand(b.build(), default_ports())
-    registry = {**default_registry(), "downscale_field": ShapeOnlyDownscale}
-    planes = runtime_cls(program, registry, max_iterations=4,
+    planes = runtime_cls(program, default_registry(), max_iterations=4,
                          **kwargs).run().components["sink"].ordered_planes()
     reference = ThreadedRuntime(program, default_registry(),
                                 max_iterations=4).run()

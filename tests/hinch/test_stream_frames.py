@@ -29,7 +29,8 @@ def _release_events(streams: int) -> tuple[int, int, StreamStore]:
     for i in range(streams):
         stream = store.stream(f"s{i}")
         if i < recycled:
-            stream.ensure_buffer(0, shape=(2, 3), dtype=np.uint8)
+            stream.set_expected((2, 3), np.uint8)
+            stream.ensure_buffer(0)
         else:
             stream.put(0, np.zeros(3))
     events = [0]

@@ -21,6 +21,7 @@ class StreamMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.stream = Stream("s")
+        self.stream.set_expected((1,), np.int64)
         self.model: dict[int, object] = {}
         self.finalized: set[int] = set()
 
@@ -87,17 +88,18 @@ TestStreamModel = StreamMachine.TestCase
 
 #: at most this many iterations are live, as the scheduler admits them
 DEPTH = 3
-#: request geometries: two shapes and two dtypes, so a stream sees the
+#: solved formats: two shapes and two dtypes, so a stream sees the
 #: format change a splice can make
 GEOMETRIES = [((4, 6), np.uint8), ((4, 6), np.int16), ((3, 5), np.uint8)]
 
 
 class RecyclingMachine(RuleBasedStateMachine):
-    """A stream reuses only its own released ``shape`` buffers.
+    """A stream reuses only its own released buffers of its current format.
 
     Iterations are admitted in order, at most :data:`DEPTH` at a time,
-    and each is written by ``put``, by ``shape`` requests or by a
-    ``factory`` before it is read and released.
+    and each is written by ``put``, by buffer requests or by a
+    ``factory`` before it is read and released.  The solved format
+    changes at any time — even with older iterations still live.
     """
 
     stream_cls = Stream
@@ -105,16 +107,21 @@ class RecyclingMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.stream = self.stream_cls("s")
+        self.stream.set_expected(*GEOMETRIES[0])
         self.next = 0
         self.live: list[int] = []
-        #: iteration -> (slot value, its geometry if shape-allocated,
-        #: else "put" or "factory")
-        self.slots: dict[int, tuple[np.ndarray, tuple | str]] = {}
+        #: iteration -> (slot value, the spare list it goes back to if
+        #: allocated from the format, else "put" or "factory")
+        self.slots: dict[int, tuple[np.ndarray, list | str]] = {}
         #: put values and factory buffers: never handed out again
         self.foreign: list[np.ndarray] = []
 
     def _pick(self, index: int) -> int:
         return self.live[index % len(self.live)]
+
+    @rule(geometry=st.sampled_from(GEOMETRIES))
+    def set_format(self, geometry):
+        self.stream.set_expected(*geometry)
 
     @precondition(lambda self: len(self.live) < DEPTH)
     @rule()
@@ -123,10 +130,10 @@ class RecyclingMachine(RuleBasedStateMachine):
         self.next += 1
 
     @precondition(lambda self: self.live)
-    @rule(index=st.integers(0, DEPTH - 1), geometry=st.sampled_from(GEOMETRIES))
-    def put(self, index, geometry):
+    @rule(index=st.integers(0, DEPTH - 1))
+    def put(self, index):
         k = self._pick(index)
-        value = np.zeros(*geometry)
+        value = np.zeros(*self.stream.expected)
         if k in self.slots:
             try:
                 self.stream.put(k, value)
@@ -138,32 +145,27 @@ class RecyclingMachine(RuleBasedStateMachine):
         self.foreign.append(value)
 
     @precondition(lambda self: self.live)
-    @rule(index=st.integers(0, DEPTH - 1), geometry=st.sampled_from(GEOMETRIES))
-    def ensure_shape(self, index, geometry):
+    @rule(index=st.integers(0, DEPTH - 1))
+    def ensure(self, index):
         k = self._pick(index)
         value, allocated = self.slots.get(k, (None, None))
         if allocated == "put":
             try:
-                self.stream.ensure_buffer(k, shape=geometry[0], dtype=geometry[1])
+                self.stream.ensure_buffer(k)
                 raise AssertionError("sliced write after put must raise")
             except StreamError:
                 return
-        if allocated == "factory":
-            return
+        buf = self.stream.ensure_buffer(k)
         if value is not None:
-            geometry = allocated  # a later slice copy asks for the same
-        shape, dtype = geometry
-        buf = self.stream.ensure_buffer(k, shape=shape, dtype=dtype)
-        if value is not None:
-            assert buf is value
+            assert buf is value  # a later slice copy gets the slot
             return
-        # never a spare of another geometry ...
-        assert buf.shape == shape and buf.dtype == dtype
+        # never a spare of another format ...
+        assert (buf.shape, buf.dtype) == self.stream.expected
         # ... never an unreleased iteration's slot ...
         assert all(buf is not v for v, _ in self.slots.values())
         # ... and never a put value or a factory buffer
         assert all(buf is not f for f in self.foreign)
-        self.slots[k] = (buf, geometry)
+        self.slots[k] = (buf, self.stream._spare)
 
     @precondition(lambda self: self.live)
     @rule(index=st.integers(0, DEPTH - 1))
@@ -171,7 +173,8 @@ class RecyclingMachine(RuleBasedStateMachine):
         k = self._pick(index)
         if k in self.slots:
             return
-        buf = self.stream.ensure_buffer(k, lambda: np.zeros(*GEOMETRIES[0]))
+        buf = self.stream.ensure_buffer(
+            k, lambda: np.zeros(*self.stream.expected))
         self.slots[k] = (buf, "factory")
         self.foreign.append(buf)
 
@@ -192,9 +195,10 @@ class RecyclingMachine(RuleBasedStateMachine):
         self.slots.pop(k, None)
 
     @invariant()
-    def spares_are_released_shape_buffers(self):
+    def spares_are_released_buffers_of_the_format(self):
         spare = self.stream._spare
         assert len({id(b) for b in spare}) == len(spare)
+        assert all((b.shape, b.dtype) == self.stream.expected for b in spare)
         assert all(b is not v for b in spare for v, _ in self.slots.values())
         assert all(b is not f for b in spare for f in self.foreign)
         assert self.stream.live_slots == len(self.slots)
@@ -202,7 +206,7 @@ class RecyclingMachine(RuleBasedStateMachine):
     @invariant()
     def frames_record_each_slot_and_its_spare_list(self):
         """The table holds a frame per written iteration: its value, and
-        the spare list only for a ``shape`` buffer (None for a factory
+        the spare list only for a format buffer (None for a factory
         buffer, nothing for a put value)."""
         frames = self.stream._frames
         assert set(frames) == set(self.slots)
@@ -215,7 +219,7 @@ class RecyclingMachine(RuleBasedStateMachine):
                 assert buffers == {"s": None}
             else:
                 assert list(buffers) == ["s"]
-                assert buffers["s"] is self.stream._spare
+                assert buffers["s"] is allocated
 
 
 TestStreamRecycling = RecyclingMachine.TestCase

@@ -41,13 +41,12 @@ def _expected(iteration: int) -> np.ndarray:
 def test_sliced_writers_full_pipeline_bit_identical_to_sequential():
     store = StreamStore(locked=True)
     stream = store.stream("frame")
+    stream.set_expected((SLICES * ROWS, COLS), np.int32)
     sem = threading.Semaphore(DEPTH)  # pipeline admission, like the scheduler
     ok: dict[int, bool] = {}
 
     def write_slice(iteration: int, k: int) -> None:
-        buf = stream.ensure_buffer(
-            iteration, shape=(SLICES * ROWS, COLS), dtype=np.int32
-        )
+        buf = stream.ensure_buffer(iteration)
         buf[k * ROWS:(k + 1) * ROWS, :] = iteration * 1000 + k
 
     def run_iteration(iteration: int) -> None:
@@ -116,6 +115,7 @@ def test_put_is_write_once_under_contention():
 
 def test_ensure_buffer_allocates_exactly_once_under_contention():
     stream = LockedStream("s")
+    stream.set_expected((8, 8), np.uint8)
     n = 16
     barrier = threading.Barrier(n)
     buffers: list[np.ndarray] = []
@@ -123,7 +123,7 @@ def test_ensure_buffer_allocates_exactly_once_under_contention():
 
     def racer() -> None:
         barrier.wait()
-        buf = stream.ensure_buffer(0, shape=(8, 8), dtype=np.uint8)
+        buf = stream.ensure_buffer(0)
         with lock:
             buffers.append(buf)
 
@@ -156,7 +156,8 @@ def test_ensure_buffer_allocates_exactly_once_under_contention():
 
 def test_concurrent_release_returns_plane_exactly_once():
     stream = LockedStream("s")
-    buffer = stream.ensure_buffer(0, shape=(8, 8), dtype=np.uint8)
+    stream.set_expected((8, 8), np.uint8)
+    buffer = stream.ensure_buffer(0)
     n = 8
     barrier = threading.Barrier(n)
 
@@ -322,7 +323,7 @@ def test_sliced_write_after_put_still_raises_with_pool():
     stream = StreamStore(pool).stream("s")
     stream.put(0, np.zeros(4))
     with pytest.raises(StreamError, match="after finalizing"):
-        stream.ensure_buffer(0, shape=(4,), dtype=np.float64)
+        stream.ensure_buffer(0)
 
 
 @pytest.mark.parametrize("runtime_cls, kwargs, locked", [

@@ -22,7 +22,6 @@ def test_hierarchy_relationships():
     assert issubclass(errors.ParseError, errors.XSPCLError)
     assert issubclass(errors.ValidationError, errors.XSPCLError)
     assert issubclass(errors.ExpansionError, errors.XSPCLError)
-    assert issubclass(errors.NotSeriesParallelError, errors.GraphError)
     assert issubclass(errors.RegistryError, errors.ComponentError)
 
 
