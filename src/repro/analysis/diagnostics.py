@@ -130,7 +130,7 @@ CODES: dict[str, CodeInfo] = _catalogue(
     ("X504", _W, "formats", "lossy format mismatch, auto-convertible"),
     ("X505", _I, "formats", "undeclared port format, falling back to inference"),
     ("X506", _I, "formats", "convert_plane auto-inserted at an X504 site"),
-    ("X507", _E, "formats", "sliced writer output has no solved plane format"),
+    ("X507", _E, "formats", "job.buffer writer output has no solved plane format"),
 )
 
 FAMILIES: tuple[str, ...] = (

@@ -19,7 +19,8 @@ Diagnostics:
 * **X504** (warning) — a plane dtype mismatch that the shipped
   ``convert_plane`` component could bridge (named in the message);
 * **X505** (info) — an endpoint without any format declaration; the
-  stream degrades to first-write inference, never an error;
+  stream has no solved plane format, and a ``put`` on it sets its
+  format by first-write inference;
 * **X506** (info) — an X504 site the runtimes bridge themselves: every
   backend auto-inserts the ``convert_plane`` at build time
   (:func:`auto_insert_converters`).  By default the converter runs as a
@@ -27,12 +28,14 @@ Diagnostics:
   declaring matching dtypes removes both.  On the process backend the
   chain compiler (:func:`repro.hinch.fusion.fuse_chains`) can absorb it
   into the producer or consumer chain;
-* **X507** (error) — a sliced writer's stream has no solved plane
-  format, so its copies' shared buffer has nothing to be allocated from.
+* **X507** (error) — a writer that allocates its output with
+  ``job.buffer`` (a port in its class's ``PortSpec.buffers``, or an
+  auto-inserted ``convert_plane``) writes a stream with no solved plane
+  format, so the buffer has nothing to be allocated from.
 
 The solved per-stream plane formats are the runtimes' buffer plan
-(:attr:`FormatSolution.planes`, :func:`runtime_expectations`): a
-sliced writer's buffer is allocated from it, and a whole write that
+(:attr:`FormatSolution.planes`, :func:`runtime_expectations`): every
+``job.buffer`` is allocated from it, and a whole write that
 diverges from it raises a structured
 :class:`~repro.errors.StreamFormatError` instead of a late geometry
 surprise.
@@ -128,10 +131,12 @@ class _Endpoint:
     term: Term | None  # None = undeclared (inference)
     line: int | None
     slice: tuple[int, int] | None
+    allocates: bool  # a writer port its class fills with job.buffer
 
 
-def _effective_decl(program, inst, port) -> tuple[FormatDecl | None, bool]:
-    """(declaration, is_override) for one endpoint.
+def _effective_decl(spec, inst, port) -> FormatDecl | None:
+    """The declaration of one endpoint of ``inst``, whose class has the
+    ports ``spec``.
 
     A per-binding override replaces the class declaration entirely.
     Raises :class:`FormatError` on an unparsable override (the validator
@@ -139,12 +144,9 @@ def _effective_decl(program, inst, port) -> tuple[FormatDecl | None, bool]:
     """
     override = inst.port_formats.get(port)
     if override is not None:
-        return parse_format(override), True
-    spec = program.registry.get(inst.class_name)
-    decl = getattr(spec, "formats", {}).get(port) if spec is not None else None
-    if decl is None:
-        return None, False
-    return parse_format(decl), False
+        return parse_format(override)
+    decl = getattr(spec, "formats", {}).get(port)
+    return None if decl is None else parse_format(decl)
 
 
 def _gather(bag: DiagnosticBag, program, pg, context: str) -> list[_Endpoint] | None:
@@ -155,9 +157,10 @@ def _gather(bag: DiagnosticBag, program, pg, context: str) -> list[_Endpoint] | 
             (r, False) for r in table.readers
         ]:
             inst = program.components[endpoint.instance_id]
+            spec = program.registry.get(inst.class_name)
             line = inst.port_lines.get(endpoint.port) or inst.line
             try:
-                decl, _ = _effective_decl(program, inst, endpoint.port)
+                decl = _effective_decl(spec, inst, endpoint.port)
             except FormatError as exc:
                 bag.report(
                     "X119",
@@ -172,8 +175,8 @@ def _gather(bag: DiagnosticBag, program, pg, context: str) -> list[_Endpoint] | 
                 bag.report(
                     "X505",
                     f"port {endpoint.port!r} of {inst.definition_id!r} has no "
-                    f"format declaration; stream {table.name!r} falls back to "
-                    "first-write inference",
+                    f"format declaration; stream {table.name!r} has no "
+                    "solved plane format, and only a put infers one",
                     line=line,
                     where=inst.definition_id,
                 )
@@ -197,6 +200,8 @@ def _gather(bag: DiagnosticBag, program, pg, context: str) -> list[_Endpoint] | 
                     term=term,
                     line=line,
                     slice=inst.slice,
+                    allocates=is_writer and endpoint.port in getattr(
+                        spec, "buffers", ()),
                 )
             )
     return out
@@ -218,7 +223,7 @@ def solve_formats_or_raise(program, pg) -> FormatSolution:
 
     The runtimes call this when installing a configuration: a spec whose
     declared formats cannot be reconciled (X501/X502/X503), or whose
-    sliced writer has no buffer plan (X507), must fail when
+    ``job.buffer`` writer has no buffer plan (X507), must fail when
     the graph is built — never run on silent first-write inference, where
     a sink declaring one geometry happily consumes another.  Warnings and
     infos (X504/X505/X506) pass through untouched; they are lint's
@@ -246,8 +251,9 @@ def check_formats(
 
     Reports X119/X501–X507 into ``bag`` and returns the solved per-stream
     format table.  Endpoints without declarations contribute no
-    constraints (inference), so removing a declaration can only *lose*
-    precision, never create an error.
+    constraints, so removing a declaration never creates a conflict; it
+    can leave a stream without a solved plane format, which is an X507
+    where a writer allocates that stream with ``job.buffer``.
     """
     solution = FormatSolution(option_states=dict(pg.option_states))
     endpoints = _gather(bag, program, pg, context)
@@ -406,23 +412,27 @@ def check_formats(
             shape = tuple(map(int, sol.shape))  # type: ignore[arg-type]
             planes[stream] = (shape, sol.dtype)
 
-    # X503: sliced writers must carve their solved height by their block;
-    # X507: a sliced writer's buffer is its stream's solved plane format
+    # X507: a job.buffer is its stream's solved plane format;
+    # X503: sliced writers must carve their solved height by their block
     for stream, eps in by_stream.items():
         for ep in eps:
-            if not ep.is_writer or ep.slice is None:
-                continue
-            if stream not in planes and not solution.streams[stream].conflicted:
+            if (
+                ep.allocates
+                and stream not in planes
+                and not solution.streams[stream].conflicted
+            ):
                 bag.report(
                     "X507",
-                    f"sliced writer {ep.definition_id!r} port {ep.port!r}: "
+                    f"writer {ep.definition_id!r} port {ep.port!r}: "
                     f"stream {stream!r} has no solved plane format to "
-                    "allocate its shared buffer from (declare a concrete "
+                    "allocate its buffer from (declare a concrete "
                     "kind=plane shape and dtype on every port of the "
                     f"stream){context}",
                     line=ep.line,
                     where=ep.definition_id,
                 )
+            if not ep.is_writer or ep.slice is None:
+                continue
             t = ep.term
             if (
                 t is None
@@ -441,6 +451,23 @@ def check_formats(
                     line=ep.line,
                     where=ep.definition_id,
                 )
+    # an auto-inserted convert_plane allocates the X506 site's plane
+    for site in solution.conversions:
+        if (
+            site.stream not in planes
+            and not solution.streams[site.stream].conflicted
+        ):
+            inst = program.components[site.reader]
+            bag.report(
+                "X507",
+                f"stream {site.stream!r}: the {CONVERTER_COMPONENT!r} "
+                f"auto-inserted before {inst.definition_id}.{site.port} "
+                "has no solved plane format to allocate its buffer from "
+                "(declare a concrete kind=plane shape and dtype on every "
+                f"port of the stream){context}",
+                line=inst.port_lines.get(site.port) or inst.line,
+                where=inst.definition_id,
+            )
     return solution
 
 
@@ -454,7 +481,8 @@ def runtime_expectations(
     *every* endpoint declared: what ``ensure_buffer`` allocates and
     ``put`` checks.  Streams that carry objects (bitstream/coeffs/
     scalar), have open dimensions, touch an undeclared port, or failed
-    reconciliation have no entry (a sliced writer of one is X507).
+    reconciliation have no entry (a ``job.buffer`` writer of one is
+    X507).
     """
     if solution is None:
         bag = DiagnosticBag()  # discarded: lint is where diagnostics surface

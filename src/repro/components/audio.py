@@ -124,6 +124,7 @@ class BandFilter(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
+        buffers=("output",),
         params={**_RECORD, "taps": Param("enum", choices=KERNELS,
                                          default="smooth")},
         formats={

@@ -136,6 +136,7 @@ class MapPlane(_KernelSkeleton):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
+        buffers=("output",),
         params=_SKELETON_PARAMS,
         open_params=True,  # kernel-specific parameters pass through
         formats={
@@ -179,6 +180,7 @@ class StencilPlane(_KernelSkeleton):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
+        buffers=("output",),
         params={**_SKELETON_PARAMS,
                 "halo": Param("int", lo=0, hi=DIM.hi, default=1)},
         open_params=True,

@@ -404,6 +404,7 @@ class IdctField(Component):
     ports = PortSpec(
         inputs=("coeffs",),
         outputs=("output",),
+        buffers=("output",),
         params=GEOMETRY,
         formats={
             "coeffs": "kind=coeffs shape=height,width colorspace=?c",
@@ -458,6 +459,7 @@ class DownscaleField(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
+        buffers=("output",),
         params={**GEOMETRY, "factor": DIM},
         formats={
             "input": "kind=plane shape=height,width dtype=?T colorspace=?c",
@@ -504,6 +506,7 @@ class BlendField(Component):
     ports = PortSpec(
         inputs=("background", "overlay"),
         outputs=("output",),
+        buffers=("output",),
         params={**GEOMETRY, **_PLACEMENT, "overlay_width": OPT_DIM,
                 "overlay_height": OPT_DIM},
         formats={
@@ -559,6 +562,7 @@ class ConvertPlane(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
+        buffers=("output",),
         params={"dtype": Param("enum", required=True, choices=_DTYPES),
                 "scale": Param("float"), "width": OPT_DIM,
                 "height": OPT_DIM},
@@ -605,6 +609,7 @@ class _BlurBase(Component):
     ports = PortSpec(
         inputs=("input",),
         outputs=("output",),
+        buffers=("output",),
         params={**GEOMETRY, "size": DIM,
                 "sigma": Param("float", lo=0.0, default=1.0)},
         formats={

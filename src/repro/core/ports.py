@@ -118,8 +118,13 @@ class PortSpec:
 
     ``formats`` maps port names to format declarations (see
     :mod:`repro.core.formats` for the grammar).  Ports without an entry
-    fall back to first-write inference at runtime and draw an X505 info
-    from the format solver.
+    draw an X505 info from the format solver; a ``put`` on their stream
+    sets its format by first-write inference.
+
+    ``buffers`` names the outputs whose frame the class allocates with
+    ``job.buffer(port)``.  That buffer is its stream's solved plane
+    format, so the format solver reports X507, and every build refuses
+    the program, where such a port's stream has none.
     """
 
     inputs: tuple[str, ...] = ()
@@ -127,6 +132,7 @@ class PortSpec:
     params: dict[str, Param] = field(default_factory=dict)
     open_params: bool = False
     formats: dict[str, str] = field(default_factory=dict)
+    buffers: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         overlap = set(self.inputs) & set(self.outputs)
@@ -140,6 +146,11 @@ class PortSpec:
                     f"format declared for unknown port {port!r}"
                 )
             parse_format(decl)  # raises FormatError on a bad declaration
+        for port in self.buffers:
+            if port not in self.outputs:
+                raise ComponentError(
+                    f"buffer declared for unknown output {port!r}"
+                )
 
     @property
     def all_ports(self) -> tuple[str, ...]:

@@ -324,9 +324,11 @@ class JobContext:
         stream.put(self.iteration, value, writer=self.instance.instance_id)
 
     def buffer(self, port: str) -> Any:
-        """Get the shared output buffer for a sliced writer.
+        """Get the output buffer of ``port``, shared by a writer's slice copies.
 
-        The buffer is the port's stream's solved format
+        The class declares ``port`` in ``PortSpec.buffers``, so the build
+        checks that its stream has a plan.  The buffer is that stream's
+        solved format
         (:attr:`Stream.expected <repro.hinch.stream.Stream.expected>`):
         the first copy to arrive allocates it, or takes back one an
         earlier iteration released (on the process backend, a shared

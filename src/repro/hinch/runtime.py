@@ -184,24 +184,35 @@ class ThreadedRuntime(Coordinator):
         self.queue.push_all(initial)
         if done_immediately:
             self.queue.drain()
+        stopped = [threading.Event() for _ in range(self.nodes)]
+
+        def work(i: int) -> None:
+            try:
+                self._worker(i)
+            finally:
+                stopped[i].set()
+
         threads = [
             threading.Thread(
-                target=self._worker, args=(i,), name=f"hinch-worker-{i}",
+                target=work, args=(i,), name=f"hinch-worker-{i}",
                 daemon=True,
             )
             for i in range(self.nodes)
         ]
-        for t in threads:
-            t.start()
         try:
             for t in threads:
-                t.join()
+                t.start()
+            # not join(): on CPython 3.11 an interrupted join() marks the
+            # thread stopped while it runs, and no later join() waits
+            for event in stopped:
+                event.wait()
         finally:
-            # an interrupt in join() must not leave the workers running
-            # jobs: each finishes the one it holds and stops
+            # an interrupt must not leave the workers running jobs: each
+            # finishes the one it holds and stops
             self.queue.close()
             for t in threads:
-                t.join()
+                if t.is_alive():
+                    t.join()
         if self._failure is not None:
             raise self._failure
 

@@ -16,9 +16,10 @@ allocated by the first writer copy (:meth:`Stream.ensure_buffer`), into
 which each copy writes its assigned region.  Its geometry is the
 stream's solved format (:attr:`Stream.expected`, installed from the
 X5xx pass): the format is the buffer plan, so a request names only the
-port, and a program whose sliced writer has no solved format is refused
-at build (lint X507).  Unsliced writers use :meth:`Stream.put` exactly
-once per iteration; ``put`` is where a value's geometry is checked.
+port, and a program with a ``job.buffer`` writer whose stream has no
+solved format is refused at build (lint X507).  Other writers use
+:meth:`Stream.put` exactly once per iteration; ``put`` is where a
+value's geometry is checked.
 
 A stream recycles the buffers it allocates itself: a frame records the
 spare list of each allocated array, retiring the iteration puts the
@@ -107,7 +108,8 @@ def unsolved(stream: str, iteration: int, node: str | None) -> StreamFormatError
         f"stream {stream!r}: node {node or '?'} requested a buffer in "
         f"iteration {iteration}, but the stream has no solved plane format "
         "to allocate (lint code X507: declare the format of every port "
-        "on the stream)",
+        "on the stream, and the port in its class's PortSpec.buffers so "
+        "the build checks it)",
         stream=stream,
         iteration=iteration,
         node=node,
@@ -258,7 +260,8 @@ class Stream:
 
         A stream with no solved format has nothing to allocate: the
         request raises :class:`StreamFormatError` (lint X507 refuses such
-        a sliced writer at build).
+        a writer at build when its class declares the port in
+        ``PortSpec.buffers``).
         """
         name = self.name
         frames = self._frames

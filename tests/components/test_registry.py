@@ -11,7 +11,7 @@ from repro.components.registry import (
     register,
 )
 from repro.core.ports import PortSpec
-from repro.errors import RegistryError
+from repro.errors import ComponentError, RegistryError
 from repro.hinch.component import Component
 
 
@@ -78,6 +78,25 @@ def test_every_registered_class_declares_ports_and_runs():
     for name, cls in DEFAULT_REGISTRY.items():
         assert isinstance(cls.ports, PortSpec), name
         assert cls.run is not Component.run, f"{name} must implement run()"
+
+
+def test_every_class_that_asks_for_a_buffer_declares_it():
+    """The build checks a ``job.buffer`` port's plan (lint X507) where
+    the class names the port in ``PortSpec.buffers``: every shipped
+    class that asks for a buffer does."""
+    import inspect
+    import re
+
+    for name, cls in DEFAULT_REGISTRY.items():
+        source = "".join(inspect.getsource(k) for k in cls.__mro__
+                         if issubclass(k, Component) and k is not Component)
+        asked = set(re.findall(r'\.buffer\("(\w+)"\)', source))
+        assert asked == set(cls.ports.buffers), name
+
+
+def test_buffers_name_outputs():
+    with pytest.raises(ComponentError, match="unknown output 'input'"):
+        PortSpec(inputs=("input",), outputs=("output",), buffers=("input",))
 
 
 def test_every_registered_class_has_a_cost_profile():

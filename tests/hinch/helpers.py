@@ -135,7 +135,7 @@ class SliceScaler(Component):
 
     ports = PortSpec(inputs=("input",), outputs=("output",),
                      params={"factor": Param("float", default=2.0)},
-                     formats=VECTOR)
+                     formats=VECTOR, buffers=("output",))
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
@@ -150,7 +150,8 @@ class SliceScaler(Component):
 class HaloSmoother(Component):
     """Crossdep consumer: 3-point average needing neighbour slices."""
 
-    ports = PortSpec(inputs=("input",), outputs=("output",), formats=VECTOR)
+    ports = PortSpec(inputs=("input",), outputs=("output",), formats=VECTOR,
+                     buffers=("output",))
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")
@@ -234,7 +235,7 @@ class Sleeper(Component):
 
     ports = PortSpec(inputs=("input",), outputs=("output",),
                      params={"ms": Param("float", required=True)},
-                     formats=VECTOR)
+                     formats=VECTOR, buffers=("output",))
 
     def run(self, job: JobContext) -> None:
         data = job.read("input")

@@ -83,7 +83,8 @@ class SlicedForward(Component):
     """Every copy maps the shared buffer; none computes anything."""
 
     ports = PortSpec(inputs=("input",), outputs=("output",),
-                     formats={"input": PLANE, "output": PLANE})
+                     formats={"input": PLANE, "output": PLANE},
+                     buffers=("output",))
 
     def run(self, job: JobContext) -> None:
         job.read("input")

@@ -8,8 +8,10 @@ import pytest
 from repro.analysis import lint_spec
 from repro.components.registry import default_ports, default_registry
 from repro.core import AppBuilder, expand
+from repro.core.ports import PortSpec
 from repro.errors import StreamError, StreamFormatError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
+from repro.hinch.component import Component, JobContext
 from repro.hinch.stream import Stream, StreamStore
 from repro.spacecake import SimRuntime
 
@@ -152,6 +154,78 @@ def test_an_unsolved_sliced_writer_fails_at_build(runtime_cls, kwargs):
     with pytest.raises(StreamFormatError, match="X507") as info:
         runtime_cls(program, default_registry(), max_iterations=2, **kwargs)
     assert "'scale'" in str(info.value) and "'frames'" in str(info.value)
+
+
+def open_dtype_unsliced_app() -> AppBuilder:
+    """luma_source -> one unsliced map_plane -> plane_sink, with the dtype
+    of the map's output stream ``frames`` left open."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "luma_source", streams={"output": "raw"},
+                   params={"width": 16, "height": 16})
+    main.component("scale", "map_plane",
+                   streams={"input": "raw", "output": "frames"},
+                   params={"width": 16, "height": 16, "kernel": "invert"},
+                   formats={"input": "kind=plane shape=?h,?w dtype=uint8"})
+    main.component("sink", "plane_sink", streams={"input": "frames"},
+                   params={"width": 16, "height": 16},
+                   formats={"input": "kind=plane shape=height,width"})
+    return b
+
+
+class Peek(Component):
+    """A reader that declares no format."""
+
+    ports = PortSpec(inputs=("input",))
+
+    def run(self, job: JobContext) -> None:
+        job.read("input")
+
+
+def bridged_with_undeclared_reader_app() -> AppBuilder:
+    """luma_source's uint8 ``raw`` feeds a float32 plane_sink (an X504
+    bridge) and a reader with no format, so ``raw`` has no solved
+    format for the inserted ``convert_plane`` to allocate from."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "luma_source", streams={"output": "raw"},
+                   params={"width": 16, "height": 16})
+    main.component("sink", "plane_sink", streams={"input": "raw"},
+                   params={"width": 16, "height": 16},
+                   formats={"input": "kind=plane shape=height,width "
+                                     "dtype=float32"})
+    main.component("peek", "peek", streams={"input": "raw"})
+    return b
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs", EXECUTORS)
+def test_an_unsolved_unsliced_buffer_writer_fails_at_build(runtime_cls,
+                                                           kwargs):
+    """Unsliced, map_plane still allocates its output with job.buffer."""
+    spec = open_dtype_unsliced_app().build()
+    [x507] = [d for d in lint_spec(spec, ports=default_ports())
+              if d.code == "X507"]
+    assert "'frames'" in x507.message and x507.where == "scale"
+    with pytest.raises(StreamFormatError, match="X507") as info:
+        runtime_cls(expand(spec, default_ports()), default_registry(),
+                    max_iterations=2, **kwargs)
+    assert "'scale'" in str(info.value) and "'frames'" in str(info.value)
+
+
+@pytest.mark.parametrize("runtime_cls, kwargs", EXECUTORS)
+def test_an_unsolved_dtype_bridge_fails_at_build(runtime_cls, kwargs):
+    """The convert_plane a build would insert allocates its output from
+    the bridged stream's format: with none, X507 at the X506 site."""
+    ports = {**default_ports(), "peek": Peek.ports}
+    spec = bridged_with_undeclared_reader_app().build()
+    codes = {d.code: d for d in lint_spec(spec, ports=ports)}
+    assert {"X504", "X506", "X507"} <= set(codes)
+    assert "'raw'" in codes["X507"].message
+    assert codes["X507"].where == "sink"
+    with pytest.raises(StreamFormatError, match="X507") as info:
+        runtime_cls(expand(spec, ports), {**default_registry(), "peek": Peek},
+                    max_iterations=2, **kwargs)
+    assert "'raw'" in str(info.value) and "convert_plane" in str(info.value)
 
 
 @pytest.mark.parametrize("runtime_cls, kwargs", EXECUTORS)

@@ -77,16 +77,12 @@ def test_slice_parallel_scales_with_nodes():
         main = b.procedure("main")
         main.component("src", "costed_source", streams={"output": "a"},
                        params={"cycles": 10})
-        # the copies' shared output needs a buffer plan (lint X507),
-        # though a cost-only run never allocates it
-        plane = "kind=plane shape=1 dtype=int64"
         with main.parallel("slice", n=8):
             main.component("w", "costed_worker",
                            streams={"input": "a", "output": "b"},
-                           params={"cycles": 80000},
-                           formats={"output": plane})
+                           params={"cycles": 80000})
         main.component("snk", "costed_sink", streams={"input": "b"},
-                       params={"cycles": 10}, formats={"input": plane})
+                       params={"cycles": 10})
         return b
 
     one = sim(app(), nodes=1, depth=1, iters=4, params=ZERO_OVERHEAD)
