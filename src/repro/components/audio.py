@@ -16,6 +16,8 @@ unchanged.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.components import filters
@@ -48,16 +50,113 @@ def synthetic_record(
 
     Channel ``c`` carries a sine at a channel-specific frequency with a
     deterministic noise floor — phase advances with ``index`` so
-    consecutive records form one continuous signal per channel.
+    consecutive records form one continuous signal per channel.  The
+    noise of channel ``c`` is
+    ``default_rng(seed * 1_000_003 + c * 101 + index).integers(-800, 800,
+    size=block)``, drawn for every channel at once by :func:`_noise`.
     """
     t = (np.arange(block, dtype=np.float64) + index * block)
     freq = 0.01 + 0.002 * np.arange(channels) + 0.0005 * (seed % 7)
     data = np.sin((2.0 * np.pi * freq)[:, None] * t)  # one row per channel
     data *= 12000.0
-    for c, row in enumerate(data):
-        rng = np.random.default_rng(seed * 1_000_003 + c * 101 + index)
-        row += rng.integers(-800, 800, size=block)
-    return data.clip(-32768, 32767, out=data).astype(np.int16)
+    data += _noise(seed * 1_000_003 + index, channels, block)
+    # |tone| <= 12000 and |noise| <= 800: every sample fits int16 unclipped
+    return data.astype(np.int16)
+
+
+#: the noise floor: ``integers(_NOISE_LOW, _NOISE_LOW + _NOISE_SPAN)``
+_NOISE_LOW, _NOISE_SPAN = -800, 1600
+#: numpy's 32-bit Lemire step rejects a draw whose low word is below this
+_NOISE_REJECT = (2**32 - _NOISE_SPAN) % _NOISE_SPAN
+_WORD = 0xFFFFFFFF
+
+
+def _state_hash() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``SeedSequence.generate_state(4, np.uint64)``'s output hash.
+
+    It hashes eight uint32 words, the 4-word pool twice over; its xor and
+    multiply constants do not depend on the pool.  Returns the pool word
+    each output reads and the two constant rows.
+    """
+    xor, mul = [], []
+    h = 0x8B51F9DD
+    for _ in range(8):
+        xor.append(h)
+        h = h * 0x58F38DED & _WORD
+        mul.append(h)
+    return (np.arange(8) % 4, np.array(xor, np.uint32),
+            np.array(mul, np.uint32))
+
+
+_POOL_WORD, _HASH_XOR, _HASH_MUL = _state_hash()
+#: PCG64's 128-bit LCG multiplier and modulus mask
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+class _Generator(threading.local):
+    """One ``PCG64`` per thread: :func:`_noise` rewrites its whole state
+    for every channel, so two threads drawing records must not share it."""
+
+    def __init__(self) -> None:
+        self.bits = np.random.PCG64(0)
+
+
+_GENERATOR = _Generator()
+
+
+def _noise(first: int, channels: int, block: int) -> np.ndarray:
+    """Channel ``c``'s ``default_rng(first + c * 101)`` noise, every row at once.
+
+    ``default_rng(s)`` is ``PCG64(SeedSequence(s))``.  Numpy mixes each
+    seed into its pool; the rest is restated here over all channels:
+    ``generate_state``'s output hash (uint32 arrays), PCG64's seeding
+    (Python ints), one ``random_raw`` per channel, and ``integers``'s
+    32-bit Lemire step (each raw word serves two draws, low half first).
+    Words are split by arithmetic, so byte order does not matter.  A
+    record with a draw numpy would reject and redraw (about 1 in 10**4)
+    takes the generator path instead.
+    """
+    pools = np.empty((channels, 4), np.uint32)
+    for c in range(channels):
+        pools[c] = np.random.SeedSequence(first + c * 101).pool
+    words = pools[:, _POOL_WORD]
+    words ^= _HASH_XOR
+    words *= _HASH_MUL
+    words ^= words >> 16
+    half = (block + 1) // 2
+    raw = np.empty((channels, half), np.uint64)
+    bits = _GENERATOR.bits
+    for c, w in enumerate(words.tolist()):
+        # state words v0..v3: v = w[2i] | w[2i+1] << 32 (generate_state's
+        # little-endian uint64); initstate = v0:v1, increment = v2:v3
+        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1)
+        inc &= _MASK128
+        initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        # pcg64_set_seed: state 0, one step, += initstate, one step
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        raw[c] = bits.random_raw(half)
+    draws = np.empty((channels, 2 * half), np.int64)
+    draws[:, 0::2] = raw & _WORD
+    draws[:, 1::2] = raw >> 32
+    scaled = draws[:, :block] * _NOISE_SPAN
+    if np.minimum.reduce(scaled & _WORD, axis=None, initial=_WORD) < _NOISE_REJECT:
+        return _generator_noise(first, channels, block)
+    scaled >>= 32
+    scaled += _NOISE_LOW
+    return scaled
+
+
+def _generator_noise(first: int, channels: int, block: int) -> np.ndarray:
+    """The reference: one seeded ``default_rng`` per channel."""
+    noise = np.empty((channels, block), np.int64)
+    for c in range(channels):
+        noise[c] = np.random.default_rng(first + c * 101).integers(
+            _NOISE_LOW, _NOISE_LOW + _NOISE_SPAN, size=block)
+    return noise
 
 
 class AudioSource(Component):
@@ -165,7 +264,7 @@ class BandFilter(Component):
             + padded[:, 1:-1] * kernel[1]
             + padded[:, 2:] * kernel[2]
         )
-        out[lo:hi] = np.clip(acc, -32768, 32767).astype(np.int16)
+        out[lo:hi] = filters.saturate(acc, -32768, 32767)
 
 
 class FuseSensors(Component):
@@ -208,7 +307,7 @@ class FuseSensors(Component):
         b: np.ndarray = job.read("b")
         weight = self.weight
         acc = a.astype(np.int32) * weight + b.astype(np.int32) * (1.0 - weight)
-        job.write("fused", np.clip(acc, -32768, 32767).astype(np.int16))
+        job.write("fused", filters.saturate(acc, -32768, 32767).astype(np.int16))
 
 
 class FeatureSink(Component):

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.components.filters import saturate
 from repro.components.streaming import DIM, GEOMETRY, NAME
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
@@ -89,7 +90,7 @@ def _invert(block: np.ndarray) -> np.ndarray:
 @register_kernel("gain", cycles_per_pixel=2.0)
 def _gain(block: np.ndarray, *, factor: float = 1.0, bias: float = 0.0) -> np.ndarray:
     out = block.astype(np.float32) * float(factor) + float(bias)
-    return np.clip(out, 0, 255).astype(block.dtype)
+    return saturate(out, 0, 255).astype(block.dtype)
 
 
 @register_kernel("binarize", cycles_per_pixel=1.5)
@@ -102,7 +103,7 @@ def _edge(block: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """Vertical-gradient magnitude stencil (1 halo row each side)."""
     padded = np.vstack([top, block, bottom]).astype(np.int32)
     grad = np.abs(padded[2:] - padded[:-2]) // 2
-    return np.clip(grad, 0, 255).astype(block.dtype)
+    return saturate(grad, 0, 255).astype(block.dtype)
 
 
 # -- skeleton components ----------------------------------------------------------

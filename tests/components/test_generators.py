@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import gc
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.components import video
+from repro.components import audio, video
 from repro.components.audio import synthetic_record
 from repro.components.video import synthetic_frame
 
@@ -92,6 +93,61 @@ def test_record_equals_reference(channels, block):
             assert np.array_equal(record, expected), (seed, index)
 
 
+# (index, channels, block, seed): PCG64 seeded 1056 rejects a draw, and
+# record 753's channel 3 is seeded 1056; seed 5000 makes every channel's
+# seed wider than 32 bits (a two-word entropy); a block of 0 draws nothing
+REJECTED = [(1056, 1, 64, 0), (753, 8, 64, 0)]
+
+
+@pytest.mark.parametrize("index,channels,block,seed",
+                         REJECTED + [(3, 8, 64, 5000), (0, 1, 1, 5000),
+                                     (5, 2, 0, 3)])
+def test_record_edge_cases_equal_reference(index, channels, block, seed):
+    record = synthetic_record(index, channels, block, seed=seed)
+    expected = _reference_record(index, channels, block, seed=seed)
+    assert np.array_equal(record, expected)
+
+
+def test_a_rejected_draw_takes_the_generator_path(monkeypatch):
+    calls = []
+    reference = audio._generator_noise
+
+    def spy(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(audio, "_generator_noise", spy)
+    for index, channels, block, seed in REJECTED:
+        synthetic_record(index, channels, block, seed=seed)
+    synthetic_record(0, 8, 64, seed=0)  # no rejected draw
+    assert calls == [(1056, 1, 64), (753, 8, 64)]
+
+
+def test_threads_do_not_share_a_generator():
+    """The mic and vib sources draw records at once at ``nodes=2``."""
+    wrong = {}
+
+    def draw(seed):
+        wrong[seed] = [
+            index for index in range(2000)
+            if not np.array_equal(synthetic_record(index, 8, 16, seed=seed),
+                                  _reference_record(index, 8, 16, seed=seed))
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,))
+                   for seed in (7, 31)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == {7: [], 31: []}
+
+
 def test_frame_planes_are_fresh_and_writeable():
     first = synthetic_frame(5, 32, 16, seed=2)
     second = synthetic_frame(5, 32, 16, seed=2)
@@ -147,8 +203,8 @@ def test_frame_calls_do_not_grow_with_the_frame():
 
 
 @pytest.mark.parametrize("channels", [1, 3, 8])
-def test_record_calls_are_the_seeded_draws(channels):
-    """One ``default_rng`` + ``integers`` per channel (the draws the
-    digests depend on) and a fixed handful around them."""
+def test_record_calls_are_one_seed_per_channel(channels):
+    """One ``SeedSequence`` per channel (numpy's own seed mixing) and a
+    fixed handful around it: the draws of every channel are one pass."""
     assert _profile_events(synthetic_record, 3, channels, 64,
-                           seed=7) <= 15 * channels + 10
+                           seed=7) <= channels + 20
