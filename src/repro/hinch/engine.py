@@ -170,7 +170,10 @@ class NodePlan:
                 self.steps = ((managers[node.payload], _ManagerContext()),)
             return
         instances = node.members
-        self.components = tuple(components[i.instance_id] for i in instances)
+        # tuple([...]), not tuple(genexpr): plans recompile after every
+        # splice, and each generator resume is a call of its own
+        self.components = tuple([components[i.instance_id]
+                                 for i in instances])
 
         def context(instance: ComponentInstance) -> JobContext:
             return JobContext(instance, 0, streams, broker, aliases,
@@ -193,17 +196,17 @@ class NodePlan:
             # One step: the members back to back over a job-local store
             # for the chain's internal streams (repro.hinch.fusion).
             streams = FusedLocalStore(streams, instances)
-            members = tuple((components[i.instance_id].run, context(i))
-                            for i in instances)
+            members = tuple([(components[i.instance_id].run, context(i))
+                             for i in instances])
             self.steps = ((_chain_step(streams.slots, members),
                            members[0][1]),)
             return
         # Grouped nodes carry several instances: run them back to back as
         # one scheduled entity (paper §4.1).
-        self.steps = tuple(
+        self.steps = tuple([
             (components[i.instance_id].run, context(i)) for i in instances
             if runnable is None or runnable(i)
-        )
+        ])
 
     def run(self, iteration: int) -> None:
         """Execute the node's steps for ``iteration``."""
@@ -379,6 +382,9 @@ class Coordinator:
     fuses_chains = False
     #: group linear chains (§4.1); only the simulator's ablation does
     group_chains = False
+    #: which instances a job runs (``instance -> bool``); None: every one.
+    #: Only the simulator's cost-only mode filters
+    _executes: Callable[[ComponentInstance], bool] | None = None
 
     def __init__(
         self,
@@ -494,11 +500,6 @@ class Coordinator:
             self.pg, self.host.live, self.streams, self.broker,
             request_stop, self._executes, self._manager_steps,
         )
-
-    @staticmethod
-    def _executes(instance: ComponentInstance) -> bool:
-        """Does a job of this executor run ``instance``'s component?"""
-        return True
 
     def _raise_stalled(self) -> None:
         """End a one-job-at-a-time loop that ran dry before the scheduler

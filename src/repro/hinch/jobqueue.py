@@ -10,9 +10,10 @@ hierarchy.  (Cache-affinity effects of this policy are modelled by the
 SpaceCAKE cost model, not here.)
 
 Only ``ThreadedRuntime(nodes >= 2)`` needs the lock.  Every
-single-threaded loop — the inline ``nodes=1`` executor, the process
-backend's dispatcher and the simulator — keeps the same FIFO in a plain
-``collections.deque``.
+single-threaded loop keeps the same FIFO without one: the process
+backend's dispatcher and the simulator in a plain ``collections.deque``,
+the inline ``nodes=1`` executor as batches in plain lists (the jobs a
+batch readies run after the whole batch, as they would queue behind it).
 """
 
 from __future__ import annotations

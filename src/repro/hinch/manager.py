@@ -51,6 +51,9 @@ class ManagerRuntime:
     ) -> None:
         self.info = info
         self.broker = broker
+        # a broker creates a queue on first use and never drops one, so
+        # the queue bound here is the one every poll drains
+        self._queue = broker.queue(info.queue)
         self.controller = controller
         self.events_handled = 0
         self.events_ignored = 0
@@ -63,7 +66,7 @@ class ManagerRuntime:
         and exit alike; ``job`` is the step's context, which it never
         reads.
         """
-        events = self.broker.queue(self.info.queue).poll()
+        events = self._queue.poll()
         if not events:
             return
         changes: dict[str, bool] = {}

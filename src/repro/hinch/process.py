@@ -136,8 +136,7 @@ class ProcessRuntime(Coordinator):
     not built before the fork.
 
     The dispatcher is single-threaded, so its central queue is a plain
-    ``deque`` (like the inline loop of ``ThreadedRuntime(nodes=1)``): a
-    completion appends the jobs it readies.
+    ``deque``: a completion appends the jobs it readies.
     With the queue empty, no worker busy and the scheduler not done,
     :meth:`run` raises :class:`~repro.errors.SchedulingError` ("dataflow
     stalled") instead of waiting for a worker that has nothing to send.

@@ -7,9 +7,10 @@ queue — under CPython's GIL this yields concurrency, not parallel
 speedup; performance curves come from the SpaceCAKE simulator
 (:mod:`repro.spacecake`).  ``nodes=1`` starts no thread at all: the
 caller's thread runs the jobs in the FIFO order one worker would pop
-them, from a plain deque.  Every width builds the same program: a
-data-parallel region of row-contract classes runs as one copy, so the
-workers overlap nodes and iterations, not copies of one region.
+them, batch by batch from plain lists.  Every width builds the same
+program: a data-parallel region of row-contract classes runs as one
+copy, so the workers overlap nodes and iterations, not copies of one
+region.
 Graph build, managers and reconfiguration are
 the shared :class:`~repro.hinch.engine.Coordinator`, and what a job runs
 is its node's :class:`~repro.hinch.engine.NodePlan`, whatever the node's
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -150,29 +150,31 @@ class ThreadedRuntime(Coordinator):
         """``nodes=1``: run every job on the calling thread, FIFO.
 
         The order is exactly the one a single worker popping the central
-        queue produced — completions append their ready jobs behind the
-        ones already waiting — but no job or completion takes the
-        coordinator's lock and nothing is handed between threads.  A
-        component exception (or a ``KeyboardInterrupt``) leaves
-        :meth:`run` from here.
+        queue produced: the jobs a batch readies run, in readiness order,
+        after the whole batch, as they would queue behind it.  Batches
+        are plain lists, so a job costs no pop; no job or completion
+        takes the coordinator's lock and nothing is handed between
+        threads.  A component exception (or a ``KeyboardInterrupt``)
+        leaves :meth:`run` from here.
         """
         scheduler = self.scheduler
         complete = scheduler.complete
         tracing = self.tracer.enabled
-        ready = deque(scheduler.start())
+        ready = scheduler.start()
         while ready:
-            job = ready.popleft()
-            if tracing:
-                self._execute(job, 0)
-            else:
-                # NodePlan.run's loop, without its frame; the plan is
-                # looked up per job: a splice inside complete() installs
-                # a new configuration's plans
-                iteration = job.iteration
-                for run, ctx in self.node_plans[job.node_id].steps:
-                    ctx.iteration = iteration
-                    run(ctx)
-            complete(job, ready)
+            batch, ready = ready, []
+            for job in batch:
+                if tracing:
+                    self._execute(job, 0)
+                else:
+                    # NodePlan.run's loop, without its frame; the plan is
+                    # looked up per job: a splice inside complete()
+                    # installs a new configuration's plans
+                    iteration = job.iteration
+                    for run, ctx in self.node_plans[job.node_id].steps:
+                        ctx.iteration = iteration
+                        run(ctx)
+                complete(job, ready)
         if not scheduler.done:
             self._raise_stalled()
 

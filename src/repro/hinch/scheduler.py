@@ -29,7 +29,7 @@ Execution model (DESIGN.md §6):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.core.program import ProgramGraph
@@ -70,17 +70,6 @@ class _NullHooks:
         raise SchedulingError("reconfiguration requested but no hooks installed")
 
 
-@dataclass
-class _IterationState:
-    remaining: dict[str, int]
-    #: nodes of the iteration not yet completed
-    left: int
-    #: nodes issued as jobs; which of them *completed* needs no set of
-    #: its own — a node's jobs are serialised across iterations, so node
-    #: *n* is done in iteration *k* exactly when ``_last_done[n] >= k``
-    dispatched: set[str] = field(default_factory=set)
-
-
 class DataflowScheduler:
     """Tracks readiness; emits ready jobs, consumes completions.
 
@@ -106,8 +95,17 @@ class DataflowScheduler:
         self.hooks: SchedulerHooks = hooks if hooks is not None else _NullHooks()
 
         self._set_graph(pg)
-        self._iters: dict[int, _IterationState] = {}
+        #: iteration -> [remaining in-degree per node, nodes not yet
+        #: completed]: a list literal and a dict display, so admitting an
+        #: iteration makes no call
+        self._iters: dict[int, list] = {}
+        #: node -> the last iteration it completed, and the last one a
+        #: job of it was issued for.  A node's jobs are serialised across
+        #: iterations, so node *n* is done in iteration *k* exactly when
+        #: ``_last_done[n] >= k`` and was issued in *k* exactly when
+        #: ``_issued[n] >= k``: no per-iteration set is needed for either
         self._last_done: dict[str, int] = {n: -1 for n in pg.graph.node_ids}
+        self._issued: dict[str, int] = self._last_done.copy()
         self._next_admit = 0
         self._halted = False
         self._pending_plans: list[ReconfigPlan] = []
@@ -150,7 +148,7 @@ class DataflowScheduler:
         Admission used to rebuild a full ``{node: in_degree}`` dict (and
         ``complete`` re-queried successor lists) for every iteration; the
         graph only changes on reconfiguration, so both are derived once
-        here and the per-admission work collapses to one ``dict.copy()``.
+        here and the per-admission work collapses to one dict display.
         """
         self.pg = pg
         graph = pg.graph
@@ -179,19 +177,17 @@ class DataflowScheduler:
         readiness order and ``ready`` itself is returned: an executor's
         own FIFO takes them without an intermediate list.
         """
-        # Runs once per job on every backend: the iteration state is held
-        # in locals and the _check_ready conditions are inlined, so the
-        # only calls left are the set/list mutations (make_job runs none).
-        iteration = job.iteration
-        node_id = job.node_id
+        # Runs once per job on every backend: the readiness conditions
+        # are inlined and the per-node tables are plain dict stores, so
+        # the only calls left are the appends (make_job runs none).
+        iteration, node_id = job
         iters = self._iters
         if iteration not in iters:
             raise SchedulingError(
                 f"completion for unknown iteration {iteration} ({node_id})"
             )
-        state = iters[iteration]
-        dispatched = state.dispatched
-        if node_id not in dispatched:
+        issued = self._issued
+        if issued[node_id] < iteration:
             raise SchedulingError(
                 f"completion for undispatched job {node_id}@{iteration}"
             )
@@ -204,34 +200,40 @@ class DataflowScheduler:
 
         if ready is None:
             ready = []
-        # (a) successors within the iteration
-        remaining = state.remaining
+        # (a) successors within the iteration: one not yet issued in it
+        # has _issued == _last_done == iteration - 1
+        state = iters[iteration]
+        remaining = state[0]
         prev_iteration = iteration - 1
         for succ in self._succ[node_id]:
             left = remaining[succ] - 1
             remaining[succ] = left
             if (
                 left == 0
-                and succ not in dispatched
+                and issued[succ] == prev_iteration
                 and last_done[succ] == prev_iteration
             ):
-                dispatched.add(succ)
+                issued[succ] = iteration
                 ready.append(make_job((iteration, succ)))
         # (b) the same node in the next iteration (cross-iteration dep;
         # its last_done condition was just made true above)
         following = iteration + 1
-        if following in iters:
-            nxt = iters[following]
-            if node_id not in nxt.dispatched and nxt.remaining[node_id] == 0:
-                nxt.dispatched.add(node_id)
-                ready.append(make_job((following, node_id)))
+        if (
+            issued[node_id] == iteration
+            and following in iters
+            and iters[following][0][node_id] == 0
+        ):
+            issued[node_id] = following
+            ready.append(make_job((following, node_id)))
 
-        state.left -= 1
-        if not state.left:
+        state[1] -= 1
+        if not state[1]:
             del iters[iteration]
             self._completed_iterations += 1
             self.hooks.on_iteration_complete(iteration)
-            self._after_iteration(ready)
+            if self._pending_plans and not iters:
+                self._splice()
+            self._admit(ready)
         return ready
 
     def extract_followons(self, lease, limit, is_eligible=None,
@@ -249,7 +251,7 @@ class DataflowScheduler:
         only possible speculatively — the worker runs the lease in order,
         so the data dependencies hold worker-locally.
 
-        Chosen jobs are marked ``dispatched`` immediately: the real
+        Chosen jobs are marked issued immediately: the real
         completions of their lease predecessors will decrement in-degrees
         as usual but not re-emit them.  Admission state is never touched,
         so the ``pipeline_depth`` bound and reconfiguration quiescence are
@@ -270,9 +272,9 @@ class DataflowScheduler:
         if limit <= 0:
             return []
         out: list[Job] = []
-        assumed: set[tuple[int, str]] = {
-            (j.iteration, j.node_id) for j in lease
-        }
+        # a lease job is issued, so the issued check below also keeps
+        # the lease itself out of the extension
+        issued = self._issued
         hyp_remaining: dict[tuple[int, str], int] = {}
         hyp_last: dict[str, int] = {}
         frontier = list(lease)
@@ -291,19 +293,17 @@ class DataflowScheduler:
                         key = (iteration, succ)
                         left = hyp_remaining.get(key)
                         if left is None:
-                            left = state.remaining[succ]
+                            left = state[0][succ]
                         left -= 1
                         hyp_remaining[key] = left
                         if (
                             left == 0
-                            and succ not in state.dispatched
-                            and key not in assumed
+                            and issued[succ] < iteration
                             and hyp_last.get(succ, self._last_done[succ])
                             == iteration - 1
                             and (is_eligible is None or is_eligible(succ))
                         ):
-                            state.dispatched.add(succ)
-                            assumed.add(key)
+                            issued[succ] = iteration
                             cand = make_job((iteration, succ))
                             out.append(cand)
                             next_frontier.append(cand)
@@ -312,16 +312,14 @@ class DataflowScheduler:
                 nxt = self._iters.get(iteration + 1)
                 if nxt is not None and len(out) < limit:
                     key = (iteration + 1, node_id)
-                    left = hyp_remaining.get(key, nxt.remaining[node_id])
+                    left = hyp_remaining.get(key, nxt[0][node_id])
                     if (
                         left == 0
-                        and node_id not in nxt.dispatched
-                        and key not in assumed
+                        and issued[node_id] <= iteration
                         and hyp_last[node_id] == iteration
                         and (is_eligible is None or is_eligible(node_id))
                     ):
-                        nxt.dispatched.add(node_id)
-                        assumed.add(key)
+                        issued[node_id] = iteration + 1
                         cand = make_job((iteration + 1, node_id))
                         out.append(cand)
                         next_frontier.append(cand)
@@ -345,46 +343,36 @@ class DataflowScheduler:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _check_ready(
-        self, node_id: str, iteration: int, out: list[Job] | deque[Job]
-    ) -> None:
-        state = self._iters.get(iteration)
-        if state is None:
-            return
-        if node_id in state.dispatched:
-            return
-        if state.remaining[node_id] != 0:
-            return
-        if self._last_done[node_id] != iteration - 1:
-            return
-        state.dispatched.add(node_id)
-        out.append(make_job((iteration, node_id)))
-
     def _admit(self, ready: list[Job] | deque[Job]) -> None:
-        while (
-            not self._halted
-            and not self._halted_forever
-            and len(self._iters) < self.pipeline_depth
-            and self._next_admit < self.max_iterations
-        ):
-            k = self._next_admit
-            self._next_admit += 1
-            self._iters[k] = _IterationState(
-                self._indeg_template.copy(), self._node_count
-            )
+        """Admit iterations up to ``pipeline_depth`` in flight and ready
+        their sources (in-degree 0: only their own previous iteration
+        gates them)."""
+        if self._halted or self._halted_forever:
+            return
+        # every admitted iteration is in flight or completed
+        stop = self._completed_iterations + self.pipeline_depth
+        if stop > self.max_iterations:
+            stop = self.max_iterations
+        k = self._next_admit
+        issued = self._issued
+        while k < stop:
+            self._iters[k] = [{**self._indeg_template}, self._node_count]
             for node_id in self._source_nodes:
-                self._check_ready(node_id, k, ready)
+                if self._last_done[node_id] == k - 1 and issued[node_id] < k:
+                    issued[node_id] = k
+                    ready.append(make_job((k, node_id)))
+            k += 1
+        self._next_admit = k
 
-    def _after_iteration(self, ready: list[Job] | deque[Job]) -> None:
-        if self._pending_plans and not self._iters:
-            # Quiescent: apply every queued plan in arrival order.
-            plans, self._pending_plans = self._pending_plans, []
-            resume = self._next_admit
-            new_pg = self.hooks.on_reconfigure(plans, resume)
-            self._set_graph(new_pg)
-            self._reconfig_count += 1
-            # Every node (kept or spliced) is considered caught-up: all
-            # iterations below `resume` have completed globally.
-            self._last_done = {n: resume - 1 for n in new_pg.graph.node_ids}
-            self._halted = False
-        self._admit(ready)
+    def _splice(self) -> None:
+        """Quiescent: apply every queued plan in arrival order."""
+        plans, self._pending_plans = self._pending_plans, []
+        resume = self._next_admit
+        new_pg = self.hooks.on_reconfigure(plans, resume)
+        self._set_graph(new_pg)
+        self._reconfig_count += 1
+        # Every node (kept or spliced) is considered caught-up: all
+        # iterations below `resume` have completed globally.
+        self._last_done = {n: resume - 1 for n in new_pg.graph.node_ids}
+        self._issued = self._last_done.copy()
+        self._halted = False

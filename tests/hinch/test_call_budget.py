@@ -34,11 +34,14 @@ from repro.hinch.stream import LockedStream, Stream
 
 PACKAGE = str(Path(repro.__file__).parent) + "/"
 
-#: hinch-owned profile events per job.  Measured 9.2 on CPython 3.11 for
-#: this pipeline at nodes=1, where jobs run inline, streams take no lock,
-#: a port access is one frame, a stream recycles its own sliced buffers
-#: and an iteration's slots are one frame of the store, retired in one
-#: step (11.1 while each stream kept its own slots and retiring an
+#: hinch-owned profile events per job.  Measured 6.5 on CPython 3.11 for
+#: this pipeline at nodes=1, where jobs run inline in FIFO batches,
+#: streams take no lock, a port access is one frame, a stream recycles
+#: its own sliced buffers, an iteration's slots are one frame of the
+#: store, retired in one step, and the scheduler's readiness lives in
+#: per-node tables (9.2 while every iteration kept a set of its issued
+#: nodes and the loop popped a deque per job; 11.1 while each stream kept
+#: its own slots and retiring an
 #: iteration released them stream by stream; 12.9 while a plane pool
 #: acquired and released the sliced buffers; 15.1 while src+a
 #: and b+c ran as grouped two-step jobs; with those groups, 18.8 with a
@@ -49,7 +52,7 @@ PACKAGE = str(Path(repro.__file__).parent) + "/"
 #: read the clock twice per job); the ~50 % head-room covers what 3.10
 #: and 3.12 count differently (method-descriptor calls) — not a
 #: ``JobContext`` rebuilt per job, a queue hop or a stream lock per job.
-BUDGET = 14
+BUDGET = 10
 ITERATIONS = 40
 
 
@@ -326,11 +329,11 @@ def _managed(nodes: int = 1) -> ThreadedRuntime:
 
 
 #: hinch-owned profile events per manager job at nodes=1 on CPython
-#: 3.11: the loop's ``popleft`` (1), the poll's frame (1), the broker's
-#: locked queue lookup (3) and the queue's locked empty drain (2).  A
-#: wrapper frame or a coordinator lock around the inline manager step
-#: adds one.
-MANAGER_JOB_EVENTS = 7
+#: 3.11: the poll's frame (1) and its bound queue's locked empty drain
+#: (2).  A wrapper frame or a coordinator lock around the inline manager
+#: step adds one (7 while the loop popped a deque per job and every poll
+#: looked its queue up in the broker, under the broker's lock).
+MANAGER_JOB_EVENTS = 3
 
 
 def _events_per_job(rt: ThreadedRuntime) -> dict[str, collections.Counter]:

@@ -6,9 +6,12 @@ from collections import deque
 
 import pytest
 
+from repro.apps import build_audio, build_blur, build_jpip, build_pip, make_program
+from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.core.program import ProgramGraph
 from repro.errors import SchedulingError
+from repro.hinch import ThreadedRuntime
 from repro.hinch.jobqueue import Job
 from repro.hinch.scheduler import DataflowScheduler, ReconfigPlan
 
@@ -273,3 +276,58 @@ def test_reconfig_halts_admission_until_quiescent():
     # that were in flight at request time drained
     assert switch == in_flight_at_reconfig
     assert sched.completed_iterations == 10
+
+
+# -- the one-worker loop's order ------------------------------------------------
+
+REG = default_registry()
+
+#: name -> (builder, iterations); the reconfigurable ones splice
+ORDER_APPS = {
+    "pip12": (lambda: build_pip(2, reconfigurable=True, period=3, width=64,
+                                height=48, factor=4, slices=2), 12),
+    "blur35": (lambda: build_blur(reconfigurable=True, period=3, width=48,
+                                  height=36, slices=3), 12),
+    "jpip1": (lambda: build_jpip(1, width=64, height=48, pip_height=48,
+                                 factor=4, slices=3), 6),
+    "audio12": (lambda: build_audio(reconfigurable=True, period=3,
+                                    channels=8, block=64, slices=2), 12),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("name", ORDER_APPS)
+def test_inline_loop_runs_the_fifo_order(name, depth):
+    """``ThreadedRuntime(nodes=1)`` completes jobs in the order one worker
+    popping a FIFO of ready jobs would, splices included."""
+    build, iterations = ORDER_APPS[name]
+
+    def runtime():
+        return ThreadedRuntime(make_program(build(), name=name), REG,
+                               nodes=1, pipeline_depth=depth,
+                               max_iterations=iterations)
+
+    rt = runtime()
+    order = []
+    complete = rt.scheduler.complete
+
+    def logged(job, ready=None):
+        order.append(job)
+        return complete(job, ready)
+
+    rt.scheduler.complete = logged
+    rt.run()
+
+    reference = runtime()
+    sched = reference.scheduler
+    expected = []
+    ready = deque(sched.start())
+    while ready:
+        job = ready.popleft()
+        reference.node_plans[job.node_id].run(job.iteration)
+        expected.append(job)
+        sched.complete(job, ready)
+    assert sched.done
+    assert order == expected
+    assert rt.reconfig_log == reference.reconfig_log
+    assert bool(reference.reconfig_log) == bool(reference.program.managers)
