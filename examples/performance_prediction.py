@@ -26,7 +26,7 @@ registry = default_registry()
 # WCET bounds per iteration (paper §6: recursive graph traversal)
 tree = program.to_sp_tree()
 cost_model = CostModel(registry)
-leaf_cost = cost_model_leaf_fn(cost_model, nodes=1)
+leaf_cost = cost_model_leaf_fn(cost_model, program, nodes=1)
 print(f"per-iteration WCET bounds: span {wcet_span(tree, leaf_cost)/1e3:.0f} "
       f"kcycles <= T <= sequential {wcet_sequential(tree, leaf_cost)/1e3:.0f} "
       f"kcycles")

@@ -27,7 +27,7 @@ from repro.components.streaming import (
 from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.hinch.component import Component, JobContext
-from repro.spacecake.costmodel import JobCost, PortTraffic
+from repro.spacecake.costmodel import JobCost
 
 __all__ = [
     "AudioSource",
@@ -176,10 +176,7 @@ class AudioSource(Component):
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         nbytes = (instance.params["channels"] * instance.params["block"]
                   * BYTES_PER_SAMPLE)
-        return JobCost(
-            compute_cycles=cls.READ_CYCLES_PER_BYTE * nbytes,
-            traffic=(PortTraffic("samples", nbytes, True),),
-        )
+        return JobCost(compute_cycles=cls.READ_CYCLES_PER_BYTE * nbytes)
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
@@ -240,14 +237,7 @@ class BandFilter(Component):
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         samples = (instance.params["channels"] * instance.params["block"]
                    * _slice_fraction(instance))
-        nbytes = int(samples * BYTES_PER_SAMPLE)
-        return JobCost(
-            compute_cycles=cls.CYCLES_PER_SAMPLE * samples,
-            traffic=(
-                PortTraffic("input", nbytes, False),
-                PortTraffic("output", nbytes, True),
-            ),
-        )
+        return JobCost(compute_cycles=cls.CYCLES_PER_SAMPLE * samples)
 
     def configure(self) -> None:
         self._kernel = self.KERNELS[self.params["taps"]]
@@ -289,15 +279,7 @@ class FuseSensors(Component):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         samples = instance.params["channels"] * instance.params["block"]
-        nbytes = samples * BYTES_PER_SAMPLE
-        return JobCost(
-            compute_cycles=cls.CYCLES_PER_SAMPLE * samples,
-            traffic=(
-                PortTraffic("a", nbytes, False),
-                PortTraffic("b", nbytes, False),
-                PortTraffic("fused", nbytes, True),
-            ),
-        )
+        return JobCost(compute_cycles=cls.CYCLES_PER_SAMPLE * samples)
 
     def configure(self) -> None:
         self.weight = self.params["weight"]
@@ -331,10 +313,7 @@ class FeatureSink(Component):
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         nbytes = (instance.params["channels"] * instance.params["block"]
                   * BYTES_PER_SAMPLE)
-        return JobCost(
-            compute_cycles=cls.WRITE_CYCLES_PER_BYTE * nbytes,
-            traffic=(PortTraffic("input", nbytes, False),),
-        )
+        return JobCost(compute_cycles=cls.WRITE_CYCLES_PER_BYTE * nbytes)
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)

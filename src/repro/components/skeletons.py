@@ -25,6 +25,7 @@ This module implements that extension:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.core.ports import Param, PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import ComponentError, RegistryError
 from repro.hinch.component import Component, JobContext
-from repro.spacecake.costmodel import JobCost, PortTraffic
+from repro.spacecake.costmodel import JobCost
 
 __all__ = [
     "register_kernel",
@@ -151,14 +152,8 @@ class MapPlane(_KernelSkeleton):
         params = instance.params
         _, cpp = kernel(params["kernel"])
         frac = 1.0 / instance.slice[1] if instance.slice else 1.0
-        pixels = params["width"] * params["height"] * frac
         return JobCost(
-            compute_cycles=cpp * pixels,
-            traffic=(
-                PortTraffic("input", int(pixels), False),
-                PortTraffic("output", int(pixels), True),
-            ),
-        )
+            compute_cycles=cpp * (params["width"] * params["height"] * frac))
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
@@ -177,6 +172,7 @@ class StencilPlane(_KernelSkeleton):
     """
 
     row_contract = True
+    halo_rows = staticmethod(itemgetter("halo"))
 
     ports = PortSpec(
         inputs=("input",),
@@ -194,18 +190,10 @@ class StencilPlane(_KernelSkeleton):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         params = instance.params
-        w, h, halo = params["width"], params["height"], params["halo"]
         _, cpp = kernel(params["kernel"])
         frac = 1.0 / instance.slice[1] if instance.slice else 1.0
-        pixels = w * h * frac
-        halo_bytes = 2 * halo * w if instance.slice else 0
         return JobCost(
-            compute_cycles=cpp * pixels,
-            traffic=(
-                PortTraffic("input", int(pixels + halo_bytes), False),
-                PortTraffic("output", int(pixels), True),
-            ),
-        )
+            compute_cycles=cpp * (params["width"] * params["height"] * frac))
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
@@ -251,10 +239,7 @@ class ReducePlane(Component):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         pixels = instance.params["width"] * instance.params["height"]
-        return JobCost(
-            compute_cycles=1.0 * pixels,
-            traffic=(PortTraffic("input", pixels, False),),
-        )
+        return JobCost(compute_cycles=1.0 * pixels)
 
     def configure(self) -> None:
         self._op = _REDUCE_OPS[self.params["op"]]
@@ -288,13 +273,7 @@ class Monitor(Component):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         pixels = instance.params["width"] * instance.params["height"]
-        return JobCost(
-            compute_cycles=1.2 * pixels,
-            traffic=(
-                PortTraffic("input", pixels, False),
-                PortTraffic("output", pixels, True),
-            ),
-        )
+        return JobCost(compute_cycles=1.2 * pixels)
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)

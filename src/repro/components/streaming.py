@@ -8,7 +8,9 @@ Each component couples three things:
   simulations;
 * a ``cost_profile`` used by the SpaceCAKE simulator — cycles derived
   from the work the component performs (per-pixel kernels, per-byte
-  entropy decoding) and per-port byte traffic in *model bytes* (e.g.
+  entropy decoding).  A plane port's bytes are its stream's solved
+  format, charged by ``CostModel.port_traffic``; a profile lists bytes
+  only for the ports with no plane format, in *model bytes* (e.g.
   coefficients count 2 B/sample as an int16 implementation would,
   regardless of the float64 numpy arrays Python actually holds).
 
@@ -143,14 +145,7 @@ class VideoSource(Component):
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         w, h = instance.params["width"], instance.params["height"]
         nbytes = w * h + 2 * (w // 2) * (h // 2)
-        return JobCost(
-            compute_cycles=cls.READ_CYCLES_PER_BYTE * nbytes,
-            traffic=(
-                PortTraffic("y", w * h, True),
-                PortTraffic("u", (w // 2) * (h // 2), True),
-                PortTraffic("v", (w // 2) * (h // 2), True),
-            ),
-        )
+        return JobCost(compute_cycles=cls.READ_CYCLES_PER_BYTE * nbytes)
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
@@ -191,10 +186,7 @@ class LumaSource(VideoSource):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         w, h = instance.params["width"], instance.params["height"]
-        return JobCost(
-            compute_cycles=cls.READ_CYCLES_PER_BYTE * w * h,
-            traffic=(PortTraffic("output", w * h, True),),
-        )
+        return JobCost(compute_cycles=cls.READ_CYCLES_PER_BYTE * w * h)
 
     def run(self, job: JobContext) -> None:
         job.write("output", self._frame(job.iteration).y)
@@ -422,10 +414,7 @@ class IdctField(Component):
         pixels = w * h * frac
         return JobCost(
             compute_cycles=cls.CYCLES_PER_PIXEL * pixels,
-            traffic=(
-                PortTraffic("coeffs", int(pixels * COEFF_BYTES), False),
-                PortTraffic("output", int(pixels), True),
-            ),
+            traffic=(PortTraffic("coeffs", int(pixels * COEFF_BYTES), False),),
         )
 
     def configure(self) -> None:
@@ -474,16 +463,8 @@ class DownscaleField(Component):
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         params = instance.params
         w, h, factor = params["width"], params["height"], params["factor"]
-        frac = _slice_fraction(instance)
-        in_px = w * h * frac
-        out_px = in_px / (factor * factor)
-        return JobCost(
-            compute_cycles=cls.CYCLES_PER_INPUT_PIXEL * in_px,
-            traffic=(
-                PortTraffic("input", int(in_px), False),
-                PortTraffic("output", int(out_px), True),
-            ),
-        )
+        in_px = w * h * _slice_fraction(instance)
+        return JobCost(compute_cycles=cls.CYCLES_PER_INPUT_PIXEL * in_px)
 
     def configure(self) -> None:
         self.factor = factor = self.params["factor"]
@@ -522,21 +503,9 @@ class BlendField(Component):
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
-        params = instance.params
-        w, h = params["width"], params["height"]  # background/output
-        frac = _slice_fraction(instance)
-        bg_px = w * h * frac
-        ow = params.get("overlay_width", w // 4)
-        oh = params.get("overlay_height", h // 4)
-        ov_px = ow * oh * frac
-        return JobCost(
-            compute_cycles=cls.CYCLES_PER_PIXEL * bg_px,
-            traffic=(
-                PortTraffic("background", int(bg_px), False),
-                PortTraffic("overlay", int(ov_px), False),
-                PortTraffic("output", int(bg_px), True),
-            ),
-        )
+        w, h = instance.params["width"], instance.params["height"]
+        bg_px = w * h * _slice_fraction(instance)  # background/output
+        return JobCost(compute_cycles=cls.CYCLES_PER_PIXEL * bg_px)
 
     def configure(self) -> None:
         self.position, self.alpha = _placement(self)
@@ -579,13 +548,7 @@ class ConvertPlane(Component):
         w = instance.params.get("width", 0)
         h = instance.params.get("height", 0)
         pixels = w * h * _slice_fraction(instance)
-        return JobCost(
-            compute_cycles=cls.CYCLES_PER_PIXEL * pixels,
-            traffic=(
-                PortTraffic("input", int(pixels), False),
-                PortTraffic("output", int(pixels), True),
-            ),
-        )
+        return JobCost(compute_cycles=cls.CYCLES_PER_PIXEL * pixels)
 
     def configure(self) -> None:
         self.dtype = np.dtype(self.params["dtype"])
@@ -619,22 +582,14 @@ class _BlurBase(Component):
     )
     CYCLES_PER_TAP_PIXEL = 2.0  # multiply-accumulate per kernel tap
     row_contract = True
+    halo_rows = staticmethod(lambda params: params["size"] // 2)
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         params = instance.params
-        w, h, size = params["width"], params["height"], params["size"]
-        frac = _slice_fraction(instance)
-        pixels = w * h * frac
-        halo_rows = size // 2
-        halo_bytes = 2 * halo_rows * w if instance.slice else 0
+        pixels = params["width"] * params["height"] * _slice_fraction(instance)
         return JobCost(
-            compute_cycles=cls.CYCLES_PER_TAP_PIXEL * size * pixels,
-            traffic=(
-                PortTraffic("input", int(pixels + halo_bytes), False),
-                PortTraffic("output", int(pixels), True),
-            ),
-        )
+            compute_cycles=cls.CYCLES_PER_TAP_PIXEL * params["size"] * pixels)
 
     def configure(self) -> None:
         params = self.params
@@ -684,15 +639,8 @@ class VideoSink(Component):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         w, h = instance.params["width"], instance.params["height"]
-        return JobCost(
-            compute_cycles=cls.WRITE_CYCLES_PER_BYTE
-            * (w * h + 2 * (w // 2) * (h // 2)),
-            traffic=(
-                PortTraffic("y", w * h, False),
-                PortTraffic("u", (w // 2) * (h // 2), False),
-                PortTraffic("v", (w // 2) * (h // 2), False),
-            ),
-        )
+        return JobCost(compute_cycles=cls.WRITE_CYCLES_PER_BYTE
+                       * (w * h + 2 * (w // 2) * (h // 2)))
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
@@ -747,10 +695,7 @@ class PlaneSink(Component):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         w, h = instance.params["width"], instance.params["height"]
-        return JobCost(
-            compute_cycles=cls.WRITE_CYCLES_PER_BYTE * w * h,
-            traffic=(PortTraffic("input", w * h, False),),
-        )
+        return JobCost(compute_cycles=cls.WRITE_CYCLES_PER_BYTE * w * h)
 
     def __init__(self, instance: ComponentInstance) -> None:
         super().__init__(instance)
@@ -811,21 +756,14 @@ class DownscaleBlendField(Component):
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
         w, h = instance.params["width"], instance.params["height"]
-        # overlay_hi is a full frame of the same geometry, scaled by factor
+        # the downscale is costed as if overlay_hi had the background's
+        # geometry; its bytes are the plan's
         in_px = w * h  # overlay input pixels
         blend_px = w * h
-        compute = (
+        return JobCost(compute_cycles=(
             DownscaleField.CYCLES_PER_INPUT_PIXEL * in_px
             + BlendField.CYCLES_PER_PIXEL * blend_px
-        )
-        return JobCost(
-            compute_cycles=compute,
-            traffic=(
-                PortTraffic("background", w * h, False),
-                PortTraffic("overlay_hi", in_px, False),
-                PortTraffic("output", w * h, True),
-            ),
-        )
+        ))
 
     def configure(self) -> None:
         self.factor = self.params["factor"]
@@ -872,12 +810,7 @@ class JpegDecodeIdct(Component):
         )
         return JobCost(
             compute_cycles=compute,
-            traffic=(
-                PortTraffic("input", compressed, False),
-                PortTraffic("y", w * h, True),
-                PortTraffic("u", (w // 2) * (h // 2), True),
-                PortTraffic("v", (w // 2) * (h // 2), True),
-            ),
+            traffic=(PortTraffic("input", compressed, False),),
         )
 
     def run(self, job: JobContext) -> None:
@@ -920,11 +853,7 @@ class IdctDownscaleBlendField(Component):
         )
         return JobCost(
             compute_cycles=compute,
-            traffic=(
-                PortTraffic("background", w * h, False),
-                PortTraffic("coeffs", src_px * COEFF_BYTES, False),
-                PortTraffic("output", w * h, True),
-            ),
+            traffic=(PortTraffic("coeffs", src_px * COEFF_BYTES, False),),
         )
 
     def run(self, job: JobContext) -> None:

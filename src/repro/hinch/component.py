@@ -76,6 +76,10 @@ class Component:
     #: it as that one copy (:func:`~repro.core.program.one_copy_regions`);
     #: the simulator runs the spec's *n*.
     row_contract: bool = False
+    #: Rows a copy reads above and below its span, from its params
+    #: (``params -> int``); None: a copy reads only its own rows.  The
+    #: cost model charges a sliced copy's inputs for them.
+    halo_rows: Callable[[dict[str, Any]], int] | None = None
     #: Rows per unit a copy's span is aligned to: the ``block=`` term of
     #: the output formats (their least common multiple), 1 without one.
     #: Read from :attr:`ports` when the class is created.
@@ -132,8 +136,10 @@ class Component:
         """Intrinsic cost of one job (a ``spacecake.costmodel.JobCost``).
 
         Return ``None`` (the default) to use the simulator's fallback
-        cost.  Implementations derive cycles and per-port byte counts
-        from the instance's parameters and slice assignment.
+        cost.  Implementations derive cycles from the instance's
+        parameters and slice assignment, and list bytes only for ports
+        with no plane format: a plane port moves its stream's solved
+        bytes (``CostModel.port_traffic``).
         """
         return None
 

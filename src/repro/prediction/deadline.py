@@ -78,7 +78,8 @@ def check_deadline(
     tree = program.to_sp_tree(option_states)
     cost_model = CostModel(registry, cost_params)
     leaf_cost = cost_model_leaf_fn(
-        cost_model, nodes=nodes, mem_cycles_per_byte=mem_cycles_per_byte
+        cost_model, program, option_states,
+        nodes=nodes, mem_cycles_per_byte=mem_cycles_per_byte,
     )
     span = predict_iteration(tree, nodes, leaf_cost)
     work = wcet_sequential(tree, leaf_cost)

@@ -3,7 +3,8 @@
 The SPC model evaluates a series-parallel composition tree recursively:
 
 * a leaf costs its job's cycles (compute + runtime overhead + memory
-  traffic at an assumed blended rate);
+  traffic at an assumed blended rate; a plane port's bytes are the
+  configuration's buffer plan, as in the simulator);
 * series composition adds;
 * parallel composition on ``P`` processors is bounded below by both the
   critical path (longest child) and the aggregated work divided by ``P``
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from repro.analysis.formats import runtime_expectations
 from repro.core.program import ComponentInstance, Program
 from repro.errors import PredictionError
 from repro.graph.spc import Leaf, Parallel, Series, SPNode
@@ -46,6 +48,8 @@ DEFAULT_MEM_CYCLES_PER_BYTE = 0.65
 
 def cost_model_leaf_fn(
     cost_model: CostModel,
+    program: Program,
+    option_states: Mapping[str, bool] | None = None,
     *,
     nodes: int,
     mem_cycles_per_byte: float = DEFAULT_MEM_CYCLES_PER_BYTE,
@@ -53,17 +57,21 @@ def cost_model_leaf_fn(
     """Leaf costs from the SpaceCAKE cost model.
 
     Leaves carrying a :class:`ComponentInstance` payload get their job
-    cost; synthetic leaves (manager enter/exit) get the manager invoke
-    cost; barriers are free.
+    cost, with the bytes :meth:`CostModel.port_traffic` charges under
+    the buffer plan of ``program``'s ``option_states`` configuration;
+    synthetic leaves (manager enter/exit) get the manager invoke cost;
+    barriers are free.
     """
+    pg = program.build_graph(option_states)
+    planes = runtime_expectations(program, pg)
 
     def fn(leaf: Leaf) -> float:
         instance = leaf.payload
         if isinstance(instance, ComponentInstance):
-            cost = cost_model.job_cost(instance)
-            traffic = sum(t.nbytes for t in cost.traffic)
+            traffic = sum(t.nbytes for t in cost_model.port_traffic(
+                instance, planes, pg.aliases))
             return (
-                cost.compute_cycles
+                cost_model.job_cost(instance).compute_cycles
                 + cost_model.overhead_cycles(nodes=nodes)
                 + traffic * mem_cycles_per_byte
             )
@@ -118,7 +126,8 @@ def predict_run(
     tree = program.to_sp_tree(option_states)
     cost_model = CostModel(registry, cost_params)
     leaf_cost = cost_model_leaf_fn(
-        cost_model, nodes=nodes, mem_cycles_per_byte=mem_cycles_per_byte
+        cost_model, program, option_states,
+        nodes=nodes, mem_cycles_per_byte=mem_cycles_per_byte,
     )
     span = predict_iteration(tree, nodes, leaf_cost)
     work = sum(leaf_cost(leaf) for leaf in tree.leaves())

@@ -9,17 +9,24 @@ A job's virtual-time cost is::
   + cache cycles for each port's traffic (via the CacheModel)
 
 Component classes publish their own profile through
-``Component.cost_profile(instance)`` — cycle counts per pixel/block plus
-bytes read and written per port.  Classes without a profile get
-``default_job_cycles``.  All constants live in :class:`CostParams`; the
-calibration tests (``tests/test_calibration.py``) pin the *shape* of the
-paper's results to them, and the ablation benchmarks sweep them.
+``Component.cost_profile(instance)``: cycle counts per pixel/block, plus
+bytes only for ports with no plane format (bitstreams, coefficients).
+A plane port's bytes come from the buffer plan the runtimes allocate,
+the solved formats of :func:`~repro.analysis.formats.runtime_expectations`
+(:meth:`CostModel.port_traffic`), so no byte count is written twice.
+Classes without a profile get ``default_job_cycles`` and no traffic.
+All constants live in :class:`CostParams`; the calibration tests
+(``tests/test_calibration.py``) pin the *shape* of the paper's results
+to them, and the ablation benchmarks sweep them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
+
+import numpy as np
 
 from repro.core.program import ComponentInstance
 from repro.errors import SimulationError
@@ -50,14 +57,6 @@ class JobCost:
     def __post_init__(self) -> None:
         if self.compute_cycles < 0:
             raise SimulationError("negative compute_cycles")
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(t.nbytes for t in self.traffic if not t.write)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(t.nbytes for t in self.traffic if t.write)
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,8 @@ class CostModel:
         self.registry = registry or {}
         self.params = params or CostParams()
         self._cache: dict[str, JobCost] = {}
+        #: the cost of an instance whose class publishes no profile
+        self._fallback = JobCost(compute_cycles=self.params.default_job_cycles)
 
     def job_cost(self, instance: ComponentInstance) -> JobCost:
         """Cost of one execution of ``instance`` (cached per instance)."""
@@ -114,9 +115,54 @@ class CostModel:
             if profile is not None:
                 cost = profile(instance)
         if cost is None:
-            cost = JobCost(compute_cycles=self.params.default_job_cycles)
+            cost = self._fallback
         self._cache[instance.instance_id] = cost
         return cost
+
+    def port_traffic(
+        self,
+        instance: ComponentInstance,
+        planes: Mapping[str, tuple[tuple[int, ...], str]],
+        aliases: Mapping[str, str],
+    ) -> tuple[PortTraffic, ...]:
+        """Bytes one job of ``instance`` moves, port by port.
+
+        ``planes`` is the buffer plan (stream -> ``(shape, dtype)``),
+        ``aliases`` the graph's raw -> effective stream names.  A port
+        whose stream has a plan moves the plan's bytes, and a sliced
+        copy ``1/n`` of them, plus ``2 * halo`` rows on its inputs when
+        its class declares :attr:`~repro.hinch.component.Component.halo_rows`.
+        Any other port moves what the class's profile lists for it.
+        Inputs come first, then outputs, in ``PortSpec`` order: the
+        cache model's access sequence.  No profile, no traffic.
+        """
+        cost = self.job_cost(instance)
+        if cost is self._fallback:
+            return ()
+        cls = self.registry[instance.class_name]
+        listed = {t.port: t for t in cost.traffic}
+        n = instance.slice[1] if instance.slice is not None else None
+        halo = cls.halo_rows(instance.params) if n and cls.halo_rows else 0
+        spec = cls.ports
+        traffic = []
+        for write, ports in ((False, spec.inputs), (True, spec.outputs)):
+            for port in ports:
+                raw = instance.streams.get(port)
+                plane = planes.get(aliases.get(raw, raw))
+                if plane is None:
+                    if port in listed:
+                        traffic.append(listed[port])
+                    continue
+                shape, dtype = plane
+                itemsize = np.dtype(dtype).itemsize
+                nbytes = math.prod(shape) * itemsize
+                if n is not None:
+                    share = nbytes * (1.0 / n)
+                    if halo and not write:
+                        share += 2 * halo * math.prod(shape[1:]) * itemsize
+                    nbytes = int(share)
+                traffic.append(PortTraffic(port, nbytes, write))
+        return tuple(traffic)
 
     def overhead_cycles(self, *, nodes: int) -> float:
         """Fixed per-job overhead for a machine with ``nodes`` cores."""

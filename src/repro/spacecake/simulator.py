@@ -65,11 +65,12 @@ class JobPlan:
     :class:`~repro.spacecake.costmodel.JobCost`, the alias-resolved
     stream name of every port, the slot-bucket range of the instance's
     slice, and the per-bucket byte count.  None of that depends on the
-    iteration or the core — only on the :class:`ProgramGraph` — so a
-    plan is compiled once per node when the graph is (re)built and only
-    the cache accounting remains per-job.  Plans are rebuilt on
-    reconfiguration (``SimRuntime.on_reconfigure``) because splicing
-    changes the graph, the alias map, and the set of live instances.
+    iteration or the core — only on the :class:`ProgramGraph` and its
+    buffer plan — so a plan is compiled once per node when the graph is
+    (re)built and only the cache accounting remains per-job.  Plans are
+    rebuilt on reconfiguration (``SimRuntime.on_reconfigure``) because
+    splicing changes the graph, the alias map, the buffer plan and the
+    set of live instances.
 
     ``fixed_cycles``
         Non-None for barrier / manager pseudo-nodes: the whole job cost
@@ -80,6 +81,7 @@ class JobPlan:
         One ``(compute_cycles, traffic)`` pair per grouped component
         instance; ``traffic`` is a tuple of
         ``(stream, bucket_start, bucket_stop, bytes_per_bucket, write)``
+        from :meth:`~repro.spacecake.costmodel.CostModel.port_traffic`,
         with the stream name already alias-resolved and the per-bucket
         byte part already truncated to int, exactly as the unbatched
         loop did per job.
@@ -104,8 +106,10 @@ class JobPlan:
 
     @classmethod
     def compile(cls, node, cost_model: CostModel, overhead_cycles: float,
-                aliases: Mapping[str, str]) -> "JobPlan":
-        """Compile the plan for one :class:`TaskNode`."""
+                aliases: Mapping[str, str],
+                planes: Mapping[str, tuple[tuple[int, ...], str]]) -> "JobPlan":
+        """Compile the plan for one :class:`TaskNode` under the buffer
+        plan ``planes`` (stream -> ``(shape, dtype)``)."""
         params = cost_model.params
         if node.kind == "barrier":
             return cls(fixed_cycles=params.barrier_cycles)
@@ -113,7 +117,6 @@ class JobPlan:
             return cls(fixed_cycles=params.manager_invoke_cycles)
         inst_plans = []
         for instance in node.members:
-            cost = cost_model.job_cost(instance)
             buckets = _slot_buckets(instance.slice)
             nbuckets = len(buckets)
             traffic = tuple(
@@ -124,10 +127,11 @@ class JobPlan:
                     int(t.nbytes / nbuckets),
                     t.write,
                 )
-                for t in cost.traffic
+                for t in cost_model.port_traffic(instance, planes, aliases)
                 if (stream := instance.streams.get(t.port)) is not None
             )
-            inst_plans.append((cost.compute_cycles, traffic))
+            inst_plans.append(
+                (cost_model.job_cost(instance).compute_cycles, traffic))
         return cls(overhead_cycles=overhead_cycles, instances=tuple(inst_plans))
 
 
@@ -237,8 +241,11 @@ class SimRuntime(Coordinator):
         cost_model = self.cost_model
         overhead = self._overhead_cycles
         aliases = self.pg.aliases
+        # the installed configuration's buffer plan (memoised per state)
+        planes = self.configuration(self.pg.option_states).expectations
         self._plans = {
-            node.node_id: JobPlan.compile(node, cost_model, overhead, aliases)
+            node.node_id: JobPlan.compile(node, cost_model, overhead, aliases,
+                                          planes)
             for node in self.pg.graph
         }
 

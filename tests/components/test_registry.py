@@ -110,6 +110,48 @@ def test_every_registered_class_has_a_cost_profile():
         )
 
 
+def _bound_instance(name, cls, slice=None):
+    """An instance of ``cls`` whose required params hold sample values."""
+    from repro.core.program import ComponentInstance
+
+    samples = {"int": 8, "str": "x", "bool": False}
+    raw = {}
+    for pname, param in cls.ports.params.items():
+        if not param.required:
+            continue
+        if param.kind == "float":
+            raw[pname] = param.lo if param.lo is not None else 0.5
+        elif param.kind == "enum":
+            raw[pname] = next(iter(param.choices))
+        else:
+            raw[pname] = samples[param.kind]
+    return ComponentInstance(
+        instance_id=name, definition_id=name, class_name=name,
+        params=cls.ports.bind(name, raw), streams={}, slice=slice,
+    )
+
+
+def test_cost_profiles_charge_no_plane_port():
+    """A plane port's bytes are its stream's solved format, charged by
+    ``CostModel.port_traffic``: no profile restates them."""
+    from repro.core.formats import parse_format
+
+    for name, cls in DEFAULT_REGISTRY.items():
+        formats = cls.ports.formats
+        planes = {port for port, text in formats.items()
+                  if parse_format(text).kind == "plane"}
+        for slice in (None, (1, 2)):
+            cost = cls.cost_profile(_bound_instance(name, cls, slice))
+            listed = {t.port for t in cost.traffic} if cost else set()
+            assert not listed & planes, (name, sorted(listed & planes))
+
+
+def test_only_the_classes_that_read_past_their_rows_declare_a_halo():
+    declared = {name for name, cls in DEFAULT_REGISTRY.items()
+                if cls.halo_rows is not None}
+    assert declared == {"blur_h_field", "blur_v_field", "stencil_plane"}
+
+
 def test_impl_registration_validates_format_signature():
     """Replacing a class keeps the old class's declared port formats."""
     base = DEFAULT_REGISTRY["downscale_field"]

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.components.registry import default_ports, default_registry
+from repro.core import AppBuilder, expand
+from repro.core.ports import PortSpec
 from repro.core.program import ComponentInstance
 from repro.errors import SimulationError
-from repro.spacecake import CostModel, CostParams, JobCost, Machine, MachineConfig, PortTraffic
+from repro.hinch.component import Component
+from repro.spacecake import (
+    CostModel, CostParams, JobCost, Machine, MachineConfig, PortTraffic,
+    SimRuntime,
+)
 
 
 def make_instance(class_name="unknown", params=None, slice=None):
@@ -24,16 +31,46 @@ def test_traffic_validation():
 
 
 def test_jobcost_byte_sums():
-    cost = JobCost(
-        compute_cycles=10,
-        traffic=(
-            PortTraffic("a", 100, False),
-            PortTraffic("b", 50, False),
-            PortTraffic("c", 70, True),
-        ),
-    )
-    assert cost.bytes_read == 150
-    assert cost.bytes_written == 70
+    """A port with no plane moves what the profile lists for it."""
+
+    class Listed(Component):
+        ports = PortSpec(inputs=("a", "b"), outputs=("c",))
+
+        @classmethod
+        def cost_profile(cls, instance):
+            return JobCost(
+                compute_cycles=10,
+                traffic=(
+                    PortTraffic("a", 100, False),
+                    PortTraffic("b", 50, False),
+                    PortTraffic("c", 70, True),
+                ),
+            )
+
+    traffic = CostModel({"c": Listed}).port_traffic(make_instance("c"), {}, {})
+    assert sum(t.nbytes for t in traffic if not t.write) == 150
+    assert sum(t.nbytes for t in traffic if t.write) == 70
+
+
+def test_a_widening_convert_plane_is_charged_by_the_plan():
+    """uint8 in, float32 out: the compiled plan charges the converter one
+    byte per pixel read and four per pixel written."""
+    b = AppBuilder()
+    main = b.procedure("main")
+    main.component("src", "luma_source", streams={"output": "raw"},
+                   params={"width": 64, "height": 32})
+    main.component("conv", "convert_plane",
+                   streams={"input": "raw", "output": "wide"},
+                   params={"dtype": "float32", "width": 64, "height": 32})
+    main.component("mean", "reduce_plane",
+                   streams={"input": "wide", "output": "level"},
+                   params={"width": 64, "height": 32, "op": "mean"})
+    program = expand(b.build(), default_ports())
+    rt = SimRuntime(program, default_registry(), max_iterations=1)
+    [(_, traffic)] = rt._plans["conv"].instances
+    moved = {stream: (stop - start) * per_bucket
+             for stream, start, stop, per_bucket, _ in traffic}
+    assert moved == {"raw": 64 * 32, "wide": 4 * 64 * 32}
 
 
 def test_unknown_class_gets_default_cycles():

@@ -65,6 +65,7 @@ def test_memoized_plans_equal_fresh_compilation(
             rt.cost_model,
             rt._overhead_cycles,
             rt.pg.aliases,
+            rt.configuration(rt.pg.option_states).expectations,
         )
         assert _plan_fields(fresh) == _plan_fields(plan), job.node_id
         checked += 1
