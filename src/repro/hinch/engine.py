@@ -12,8 +12,10 @@ components execute.  This module is that definition:
 * :class:`NodePlan` is what *running* one node of that graph means, for
   every kind of node: the component ``run`` methods (or a manager's poll)
   to call and the reusable job contexts to call them with, compiled once
-  per node per configuration (:class:`NodePlans`) so a job re-derives
-  nothing and no executor asks what kind of node it runs.
+  per node (:class:`NodePlans`) so a job re-derives nothing and no
+  executor asks what kind of node it runs.  A splice installs what its
+  configuration already compiled: the scheduler looks the graph's tables
+  up, and a node the splice leaves as it was keeps its plan.
 * :class:`Coordinator` owns the state every backend needs and implements
   the manager-facing controller and the scheduler's quiescent-splice hook.
   The executors (threads, worker processes, the simulator's virtual
@@ -170,8 +172,8 @@ class NodePlan:
                 self.steps = ((managers[node.payload], _ManagerContext()),)
             return
         instances = node.members
-        # tuple([...]), not tuple(genexpr): plans recompile after every
-        # splice, and each generator resume is a call of its own
+        # tuple([...]), not tuple(genexpr): changed nodes recompile after
+        # each splice, and each generator resume is a call of its own
         self.components = tuple([components[i.instance_id]
                                  for i in instances])
 
@@ -268,8 +270,7 @@ class NodePlans(dict):
 
     Compiled on first use (construction and splices pay nothing for
     nodes that have not run yet; a fused node lowers its kernel then)
-    and dropped as a whole with the configuration: a splice changes the
-    graph, the alias map and the component objects.  ``streams`` is
+    and carried over by a splice (:meth:`spliced`).  ``streams`` is
     anything with ``.stream(name)``; ``runnable`` filters which instances
     of a node get a step (None: all — its one user, the simulator's
     cost-only mode, never fuses); ``managers`` maps a manager's name to
@@ -287,13 +288,55 @@ class NodePlans(dict):
         managers: Mapping[str, Callable[[Any], None]] | None = None,
     ) -> None:
         super().__init__()
-        self._node = pg.graph.node
+        self._pg = pg
         self._args = (components, streams, broker, pg.aliases, stop_requester,
                       runnable, managers or {})
+        #: (id(old), id(new)) -> (old, new, ids of the nodes a splice
+        #: between the two graphs keeps); an entry pins both graphs' ids
+        self._kept: dict[tuple[int, int], tuple] = {}
 
     def __missing__(self, node_id: str) -> NodePlan:
-        plan = self[node_id] = NodePlan(self._node(node_id), *self._args)
+        plan = self[node_id] = NodePlan(self._pg.graph.node(node_id),
+                                        *self._args)
         return plan
+
+    def spliced(self, pg: ProgramGraph) -> NodePlans:
+        """The plans for ``pg``, which a splice installs after this graph.
+
+        A node the splice leaves as it was (same id, kind and payload, a
+        fused chain's internal formats too, and every member port on the
+        same stream under both alias maps) keeps its plan: its components
+        stay live, and its contexts' streams are re-solved in place.
+        Which nodes those are is worked out once per pair of graphs.
+        """
+        components, streams, broker, aliases, *rest = self._args
+        plans = NodePlans(pg, components, streams, broker, *rest)
+        plans._kept = kept = self._kept
+        key = (id(self._pg), id(pg))
+        if key not in kept:
+            before = self._pg.graph
+            kept[key] = (self._pg, pg, [
+                node.node_id for node in pg.graph if node.node_id in before
+                and _unchanged(before.node(node.node_id), node, aliases,
+                               pg.aliases)])
+        for node_id in kept[key][2]:
+            if node_id in self:
+                plans[node_id] = self[node_id]
+        return plans
+
+
+def _unchanged(was: TaskNode, node: TaskNode, was_aliases: dict[str, str],
+               aliases: dict[str, str]) -> bool:
+    """Does ``was``'s plan, under ``was_aliases``, run ``node``?"""
+    payload = node.payload
+    return (was.kind == node.kind and type(was.payload) is type(payload)
+            and was.payload == payload
+            and getattr(was.payload, "internal", None)
+            == getattr(payload, "internal", None)
+            and (node.kind != "task" or all(
+                was_aliases.get(raw, raw) == aliases.get(raw, raw)
+                for member in node.members
+                for raw in member.streams.values())))
 
 
 class ComponentHost:
@@ -447,7 +490,17 @@ class Coordinator:
             max_iterations=max_iterations,
             hooks=me,
         )
-        self._install_plans()
+        # plans refer to the lock and the scheduler, not the coordinator
+        lock, scheduler = self._lock, self.scheduler
+
+        def request_stop() -> None:
+            with lock:
+                scheduler.request_stop()
+
+        self.node_plans = NodePlans(
+            self.pg, self.host.live, self.streams, self.broker,
+            request_stop, self._executes, self._manager_steps,
+        )
         #: (resume_iteration, option states) per applied reconfiguration
         self.reconfig_log: list[tuple[int, dict[str, bool]]] = []
 
@@ -486,21 +539,6 @@ class Coordinator:
         self.streams.set_expectations(config.expectations)
         return config.pg
 
-    def _install_plans(self) -> None:
-        """Fresh (empty) node plans for :attr:`pg` and the live components."""
-        # the plans refer to the lock and the scheduler, not to the
-        # coordinator (see __init__)
-        lock, scheduler = self._lock, self.scheduler
-
-        def request_stop() -> None:
-            with lock:
-                scheduler.request_stop()
-
-        self.node_plans = NodePlans(
-            self.pg, self.host.live, self.streams, self.broker,
-            request_stop, self._executes, self._manager_steps,
-        )
-
     def _raise_stalled(self) -> None:
         """End a one-job-at-a-time loop that ran dry before the scheduler
         was done: nothing can complete and ready more work.  Called only
@@ -531,7 +569,7 @@ class Coordinator:
             component.teardown()
         self._precreated.clear()
         self.pg = new_pg
-        self._install_plans()
+        self.node_plans = self.node_plans.spliced(new_pg)
         self._target_states = dict(states)
         self.reconfig_log.append((resume_iteration, dict(states)))
         self._after_splice(added, removed)

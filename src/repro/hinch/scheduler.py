@@ -94,6 +94,8 @@ class DataflowScheduler:
         self.max_iterations = max_iterations
         self.hooks: SchedulerHooks = hooks if hooks is not None else _NullHooks()
 
+        #: id(graph) -> (graph, its tables); the graph pins its id
+        self._tables: dict[int, tuple] = {}
         self._set_graph(pg)
         #: iteration -> [remaining in-degree per node, nodes not yet
         #: completed]: a list literal and a dict display, so admitting an
@@ -104,7 +106,7 @@ class DataflowScheduler:
         #: iterations, so node *n* is done in iteration *k* exactly when
         #: ``_last_done[n] >= k`` and was issued in *k* exactly when
         #: ``_issued[n] >= k``: no per-iteration set is needed for either
-        self._last_done: dict[str, int] = {n: -1 for n in pg.graph.node_ids}
+        self._last_done: dict[str, int] = dict.fromkeys(self._node_ids, -1)
         self._issued: dict[str, int] = self._last_done.copy()
         self._next_admit = 0
         self._halted = False
@@ -143,19 +145,26 @@ class DataflowScheduler:
     _halted_forever = False  # set by request_stop
 
     def _set_graph(self, pg: ProgramGraph) -> None:
-        """Install ``pg`` and precompute the per-iteration admission state.
+        """Install ``pg`` and its precomputed admission state.
 
         Admission used to rebuild a full ``{node: in_degree}`` dict (and
         ``complete`` re-queried successor lists) for every iteration; the
         graph only changes on reconfiguration, so both are derived once
-        here and the per-admission work collapses to one dict display.
+        per graph (a splice back into a memoised configuration looks them
+        up) and the per-admission work collapses to one dict display.
         """
-        self.pg = pg
-        graph = pg.graph
-        self._succ = {n: graph.successors(n) for n in graph.node_ids}
-        self._indeg_template = {n: graph.in_degree(n) for n in graph.node_ids}
-        self._source_nodes = [n for n, d in self._indeg_template.items() if d == 0]
-        self._node_count = len(graph)
+        tables = self._tables.get(id(pg))
+        if tables is None:
+            graph = pg.graph
+            node_ids = graph.node_ids
+            indeg = {n: graph.in_degree(n) for n in node_ids}
+            tables = self._tables[id(pg)] = (
+                pg, {n: graph.successors(n) for n in node_ids}, indeg,
+                [n for n, d in indeg.items() if d == 0], len(node_ids),
+                node_ids,
+            )
+        (self.pg, self._succ, self._indeg_template, self._source_nodes,
+         self._node_count, self._node_ids) = tables
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -373,6 +382,6 @@ class DataflowScheduler:
         self._reconfig_count += 1
         # Every node (kept or spliced) is considered caught-up: all
         # iterations below `resume` have completed globally.
-        self._last_done = {n: resume - 1 for n in new_pg.graph.node_ids}
+        self._last_done = dict.fromkeys(self._node_ids, resume - 1)
         self._issued = self._last_done.copy()
         self._halted = False

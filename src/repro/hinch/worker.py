@@ -216,25 +216,18 @@ class _Worker:
         # ``host`` its component mirrors (overrides installed, requests
         # applied), inherited through fork copy-on-write: a worker builds
         # nothing to start.
-        self.pg = config.pg
         self.host = host
         self.streams = _WorkerStreams(self)
         self.broker = _RecordingBroker()
         self._stop_requested = False
-        self._install_plans()
+        self.node_plans = NodePlans(config.pg, host.live, self.streams,
+                                    self.broker, self._request_stop)
         #: (stream name, iteration) -> live value produced or mapped by
         #: this worker; lets a lease reference data already here by name
         #: only.  Evicted below the dispatcher's iteration watermark.
         self.resident: dict[tuple[str, int], Any] = {}
         #: node id of the job currently executing (ensure-RPC context)
         self.current_node: str = ""
-
-    def _install_plans(self) -> None:
-        """Fresh node plans for the current graph."""
-        self.node_plans = NodePlans(
-            self.pg, self.host.live, self.streams, self.broker,
-            self._request_stop,
-        )
 
     def _request_stop(self) -> None:
         self._stop_requested = True
@@ -275,8 +268,7 @@ class _Worker:
             # Mirrors a splice creates start from their descriptors, like
             # the dispatcher's: no request sent before they existed.
             self.host.splice(config.pg.active_components, {})
-            self.pg = config.pg
-            self._install_plans()
+            self.node_plans = self.node_plans.spliced(config.pg)
         else:  # pragma: no cover - protocol error
             raise SchedulingError(f"worker got unexpected message {tag!r}")
 

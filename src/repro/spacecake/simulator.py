@@ -66,11 +66,10 @@ class JobPlan:
     stream name of every port, the slot-bucket range of the instance's
     slice, and the per-bucket byte count.  None of that depends on the
     iteration or the core — only on the :class:`ProgramGraph` and its
-    buffer plan — so a plan is compiled once per node when the graph is
-    (re)built and only the cache accounting remains per-job.  Plans are
-    rebuilt on reconfiguration (``SimRuntime.on_reconfigure``) because
-    splicing changes the graph, the alias map, the buffer plan and the
-    set of live instances.
+    buffer plan — so a plan is compiled once per node per configuration
+    and only the cache accounting remains per-job.  A splice installs
+    its configuration's plans (``SimRuntime._rebuild_plans``), compiled
+    the first time that configuration is installed.
 
     ``fixed_cycles``
         Non-None for barrier / manager pseudo-nodes: the whole job cost
@@ -233,21 +232,23 @@ class SimRuntime(Coordinator):
         self._overhead_cycles = self.cost_model.overhead_cycles(
             nodes=self.machine.nodes
         )
-        self._plans: dict[str, JobPlan] = {}
+        #: resolved option states -> that configuration's job plans
+        self._job_plans: dict[frozenset, dict[str, JobPlan]] = {}
         self._rebuild_plans()
 
     def _rebuild_plans(self) -> None:
-        """(Re)compile one :class:`JobPlan` per node of the current graph."""
-        cost_model = self.cost_model
-        overhead = self._overhead_cycles
-        aliases = self.pg.aliases
-        # the installed configuration's buffer plan (memoised per state)
-        planes = self.configuration(self.pg.option_states).expectations
-        self._plans = {
-            node.node_id: JobPlan.compile(node, cost_model, overhead, aliases,
-                                          planes)
-            for node in self.pg.graph
-        }
+        """Install the current configuration's :class:`JobPlan` per node,
+        compiled the first time that configuration is installed."""
+        key = frozenset(self.pg.option_states.items())
+        if key not in self._job_plans:
+            planes = self.configuration(self.pg.option_states).expectations
+            self._job_plans[key] = {
+                node.node_id: JobPlan.compile(
+                    node, self.cost_model, self._overhead_cycles,
+                    self.pg.aliases, planes)
+                for node in self.pg.graph
+            }
+        self._plans = self._job_plans[key]
 
     # -- SchedulerHooks ----------------------------------------------------------
 

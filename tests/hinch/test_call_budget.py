@@ -28,8 +28,11 @@ from repro.components import filters, skeletons
 from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
 from repro.core.ports import Param, PortSpec
+from repro.graph.taskgraph import TaskGraph
 from repro.hinch import ThreadedRuntime
 from repro.hinch.component import Component, JobContext, row_span
+from repro.hinch.engine import NodePlan
+from repro.hinch.scheduler import DataflowScheduler
 from repro.hinch.stream import LockedStream, Stream
 
 PACKAGE = str(Path(repro.__file__).parent) + "/"
@@ -461,3 +464,71 @@ def test_shipped_fields_derive_nothing_per_job(spec):
         sys.setprofile(None)
     assert result.completed_iterations == 4
     assert calls == {}, dict(calls)
+
+
+#: profile events inside one Blur-35 ``DataflowScheduler._splice`` on
+#: CPython 3.11, every owner, once both configurations, the scheduler's
+#: tables of both graphs and the plans' kept node sets exist: 38 measured
+#: (the scheduler looks its tables up, the coordinator its configuration,
+#: and the five kept nodes' plans are carried over).  65 while every
+#: splice re-derived the successor lists and in-degrees and dropped
+#: every plan.
+SPLICE_EVENTS = 48
+
+
+def _blur35(iterations: int) -> ThreadedRuntime:
+    spec = build_blur(reconfigurable=True, period=6, width=48, height=36,
+                      slices=3)
+    return ThreadedRuntime(make_program(spec, name="blur35"),
+                           default_registry(), nodes=1,
+                           max_iterations=iterations)
+
+
+def test_a_splice_installs_what_its_configuration_compiled():
+    """A steady Blur-35 splice derives no scheduler table, and only the
+    two nodes it swaps (the h/v pair of the other kernel) compile plans."""
+    _blur35(48).run()  # warm-up
+    rt = _blur35(48)
+    splice = DataflowScheduler._splice.__code__
+    compile_plan = NodePlan.__init__.__code__
+    successors = TaskGraph.successors.__code__
+    #: per splice: the profile events inside it, successors calls among them
+    events: list[int] = []
+    successor_calls: list[int] = []
+    #: node ids compiled before the first splice, then after each one
+    compiled: list[set[str]] = [set()]
+    inside = [None]
+
+    def profile(frame, event, arg):
+        if inside[0] is None:
+            if event == "call" and frame.f_code is splice:
+                inside[0] = frame
+                events.append(0)
+                successor_calls.append(0)
+                compiled.append(set())
+            elif event == "call" and frame.f_code is compile_plan:
+                compiled[-1].add(frame.f_locals["node"].node_id)
+        elif event == "return" and frame is inside[0]:
+            inside[0] = None
+        elif event in ("call", "c_call"):
+            events[-1] += 1
+            successor_calls[-1] += (event == "call"
+                                    and frame.f_code is successors)
+
+    gc.collect()
+    sys.setprofile(profile)
+    try:
+        result = rt.run()
+    finally:
+        sys.setprofile(None)
+    assert result.completed_iterations == 48
+    log = rt.reconfig_log
+    assert len(log) == len(events) >= 6
+    # the first splice builds blur5's configuration, the second works
+    # out the kept nodes from blur5 back to blur3
+    assert max(events[2:]) <= SPLICE_EVENTS, events
+    assert successor_calls[1:] == [0] * (len(events) - 1), successor_calls
+    for (resume, states), nodes in zip(log, compiled[1:]):
+        if resume < result.completed_iterations:
+            size = 5 if states["blur5"] else 3
+            assert nodes == {f"h{size}[0]", f"v{size}[0]"}, (resume, nodes)

@@ -259,22 +259,40 @@ def test_plans_are_rebuilt_by_a_splice(build, option, others):
         assert np.array_equal(toggled[k], static[state][k]), (k, state)
 
 
-def test_a_splice_installs_fresh_plans_for_the_live_components():
-    program = make_program(
-        build_audio(channels=8, reconfigurable=True, period=4), name="a")
-    rt = ThreadedRuntime(program, REG, nodes=1, max_iterations=10)
-    seen = [rt.node_plans]
+@pytest.mark.parametrize(
+    "build,kept",
+    [
+        # blur3's h/v pair gives way to blur5's (and back): new node ids
+        (lambda: build_blur(reconfigurable=True, period=6, width=48,
+                            height=36, slices=3),
+         {"src", "timer", "mgr.enter", "mgr.exit", "sink"}),
+        # the mic filter keeps its id and members, but its "output" port
+        # is the bypassed stream "features" with the branch off
+        (lambda: build_audio(channels=8, reconfigurable=True, period=6),
+         {"mic_src", "clock", "vib_mgr.enter", "vib_mgr.exit", "sink"}),
+    ],
+    ids=["blur35", "audio-bypass"],
+)
+def test_a_splice_keeps_the_plans_of_unchanged_nodes(build, kept):
+    """A node the splice leaves as it was keeps its plan object; every
+    other node compiles a fresh one on first use; every plan runs the
+    live components."""
+    rt = ThreadedRuntime(make_program(build(), name="p"), REG, nodes=1,
+                         max_iterations=24)
     splice = rt.on_reconfigure
 
     def recording(plans, resume):
+        before = dict(rt.node_plans)
         pg = splice(plans, resume)
-        assert not rt.node_plans, "plans compile on first use after a splice"
-        seen.append(rt.node_plans)
+        # the kept nodes' plan objects, and no other: a changed node
+        # compiles a fresh plan on its first job
+        assert set(rt.node_plans) == kept
+        assert all(rt.node_plans[n] is before[n] for n in kept)
         return pg
 
     rt.on_reconfigure = recording
     rt.run()
-    assert len(seen) >= 3 and len({id(p) for p in seen}) == len(seen)
+    assert len(rt.reconfig_log) >= 3
     for node_id, plan in rt.node_plans.items():
         assert node_id in rt.pg.graph
         for component in plan.components:

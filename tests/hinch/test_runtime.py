@@ -13,7 +13,7 @@ import pytest
 from repro.apps import build_audio, build_blur, make_program
 from repro.components.registry import default_registry
 from repro.core import AppBuilder, expand
-from repro.errors import SchedulingError, StreamError
+from repro.errors import ComponentError, SchedulingError, StreamError
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.spacecake import SimRuntime
 
@@ -223,6 +223,37 @@ def test_an_interrupted_run_stops_its_workers():
     assert done < 3000
     time.sleep(0.2)
     assert rt.scheduler.completed_iterations == done
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_a_pre_create_that_raises_ends_the_run_unspliced(nodes):
+    """Failure cell: a component constructor raises while a manager
+    pre-creates the option it is enabling (Blur-35's 5x5 kernel).  The
+    error leaves ``run()`` promptly, no worker thread is left behind and
+    no splice is applied: the run ends in the 3x3 configuration."""
+    registry = default_registry()
+
+    class Unbuildable(registry["blur_h_field"]):
+        def __init__(self, instance):
+            if instance.params["size"] == 5:
+                raise ComponentError(f"{instance.instance_id}: no 5x5 kernel")
+            super().__init__(instance)
+
+    spec = build_blur(reconfigurable=True, period=6, width=48, height=36,
+                      slices=3)
+    rt = ThreadedRuntime(make_program(spec, name="blur35"),
+                         {**registry, "blur_h_field": Unbuildable},
+                         nodes=nodes, max_iterations=48)
+    live = dict(rt.host.live)
+    start = time.perf_counter()
+    with pytest.raises(ComponentError, match=r"h5\[0\]: no 5x5 kernel"):
+        rt.run()
+    assert time.perf_counter() - start < 5.0
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("hinch-worker-")] == []
+    assert rt.reconfig_log == [] and rt.scheduler.reconfig_count == 0
+    assert rt.pg.option_states == {"blur3": True, "blur5": False}
+    assert rt.host.live == live
 
 
 def test_one_node_runs_on_the_calling_thread():
