@@ -24,12 +24,13 @@ program = make_program(build_blur(5), name="blur5")
 registry = default_registry()
 
 # WCET bounds per iteration (paper §6: recursive graph traversal)
-tree = program.to_sp_tree()
 cost_model = CostModel(registry)
 leaf_cost = cost_model_leaf_fn(cost_model, program, nodes=1)
-print(f"per-iteration WCET bounds: span {wcet_span(tree, leaf_cost)/1e3:.0f} "
-      f"kcycles <= T <= sequential {wcet_sequential(tree, leaf_cost)/1e3:.0f} "
-      f"kcycles")
+polls = cost_model.params.manager_invoke_cycles
+span = wcet_span(program, leaf_cost, manager_cycles=polls)
+work = wcet_sequential(program, leaf_cost, manager_cycles=polls)
+print(f"per-iteration WCET bounds: span {span/1e3:.0f} "
+      f"kcycles <= T <= sequential {work/1e3:.0f} kcycles")
 
 rows = []
 series = {"predicted": [], "simulated": []}

@@ -31,7 +31,6 @@ from typing import Callable, Iterator, Mapping
 from repro.core.ast import EventHandler, Value
 from repro.core.ports import PortSpec
 from repro.errors import ReconfigurationError, ValidationError
-from repro.graph.spc import Leaf, SPNode, parallel as sp_parallel, series as sp_series
 from repro.graph.taskgraph import TaskGraph
 
 __all__ = [
@@ -438,60 +437,6 @@ class Program:
                 else:
                     table.readers.append(endpoint)
         return tables
-
-    # -- prediction support ---------------------------------------------------
-
-    def to_sp_tree(self, option_states: Mapping[str, bool] | None = None) -> SPNode:
-        """SP composition tree for one configuration (for prediction).
-
-        Crossdep regions are SP-ized: each parblock becomes a parallel
-        block of its copies, parblocks composed in series — the paper's
-        "synchronization point between the parblocks".  Managers
-        contribute zero-weight enter/exit leaves.
-        """
-        states = self.default_option_states()
-        if option_states:
-            states.update(option_states)
-
-        def conv(node: IRNode) -> SPNode | None:
-            if isinstance(node, IRLeaf):
-                return Leaf(node.instance.instance_id, payload=node.instance)
-            if isinstance(node, IRSeries):
-                parts = [p for p in (conv(c) for c in node.children) if p is not None]
-                if not parts:
-                    return None
-                return sp_series(*parts)
-            if isinstance(node, IRParallel):
-                parts = [p for p in (conv(c) for c in node.children) if p is not None]
-                if not parts:
-                    return None
-                return sp_parallel(*parts)
-            if isinstance(node, IRCrossdep):
-                stages = []
-                for pb in node.parblocks:
-                    copies = [p for p in (conv(c) for c in pb) if p is not None]
-                    if copies:
-                        stages.append(sp_parallel(*copies))
-                if not stages:
-                    return None
-                return sp_series(*stages)
-            if isinstance(node, IRManager):
-                inner = conv(node.child)
-                enter = Leaf(f"{node.qname}.enter", weight=0.0)
-                exit_ = Leaf(f"{node.qname}.exit", weight=0.0)
-                if inner is None:
-                    return sp_series(enter, exit_)
-                return sp_series(enter, inner, exit_)
-            if isinstance(node, IROption):
-                if not states[node.qname]:
-                    return None
-                return conv(node.child)
-            raise AssertionError(f"unknown IR node {type(node).__name__}")
-
-        tree = conv(self.root)
-        if tree is None:
-            raise ValidationError("program has no active components")
-        return tree
 
     def __repr__(self) -> str:
         return (

@@ -1,40 +1,31 @@
-"""Series-parallel graph algebra and flat task graphs.
+"""Flat task graphs and their series-parallel analyses.
 
-This package implements the SPC (Series-Parallel Contention) structural
-model the paper adopts from van Gemund: an application's task graph is
-built recursively from *series* and *parallel* composition of subgraphs,
-with components at the leaves.  An expanded program gives both forms:
-:meth:`~repro.core.program.Program.to_sp_tree` the
-:class:`~repro.graph.spc.SPNode` tree that prediction evaluates, and
-:meth:`~repro.core.program.Program.build_graph` the
+The paper adopts van Gemund's SPC (Series-Parallel Contention) model: an
+application's task graph is built recursively from *series* and
+*parallel* composition of subgraphs, with components at the leaves.
+That composition is the expanded program's IR (``Program.root``), which
+:mod:`repro.prediction` walks directly;
+:meth:`~repro.core.program.Program.build_graph` lowers it to the
 :class:`~repro.graph.taskgraph.TaskGraph` (a plain DAG) that the Hinch
 scheduler and the SpaceCAKE simulator execute.
 
 Cross-dependency regions (XSPCL ``shape="crossdep"``) are deliberately
-*not* series-parallel; :mod:`repro.graph.analysis` provides SP-ization
-(inserting synchronization barriers) so performance prediction can still
-run, exactly as the paper prescribes.
+*not* series-parallel; :mod:`repro.graph.analysis` recognizes SP graphs
+and provides SP-ization (a synchronization barrier between layers), the
+transformation the paper prescribes before prediction and the one the
+prediction walk applies to a crossdep region's parblocks.
 """
 
-from repro.graph.spc import Leaf, Parallel, Series, SPNode, parallel, series
 from repro.graph.taskgraph import TaskGraph, TaskNode
 from repro.graph.analysis import (
-    critical_path,
     is_series_parallel,
     sp_ize,
     sp_reduction,
 )
 
 __all__ = [
-    "Leaf",
-    "Parallel",
-    "Series",
-    "SPNode",
-    "series",
-    "parallel",
     "TaskGraph",
     "TaskNode",
-    "critical_path",
     "is_series_parallel",
     "sp_ize",
     "sp_reduction",

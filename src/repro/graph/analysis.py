@@ -1,4 +1,4 @@
-"""Structural analyses on task graphs: SP recognition, SP-ization, paths.
+"""Structural analyses on task graphs: SP recognition and SP-ization.
 
 The SPC model allows efficient performance prediction, but XSPCL also
 admits optimized non-SP subgraphs (``shape="crossdep"``).  The paper's
@@ -13,7 +13,6 @@ are SP before/after.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable
 
 from repro.errors import GraphError
 from repro.graph.taskgraph import TaskGraph
@@ -22,7 +21,6 @@ __all__ = [
     "is_series_parallel",
     "sp_reduction",
     "sp_ize",
-    "critical_path",
     "topological_levels",
 ]
 
@@ -180,40 +178,3 @@ def sp_ize(graph: TaskGraph, *, barrier_prefix: str = "sync") -> TaskGraph:
         for node_id in by_level.get(lvl + 1, []):
             out.add_edge(barriers[lvl], node_id)
     return out
-
-
-def critical_path(
-    graph: TaskGraph,
-    weight: Callable[[str], float] | None = None,
-) -> tuple[float, list[str]]:
-    """Longest weighted path; returns ``(total_weight, node_id_path)``.
-
-    ``weight`` maps a node id to its cost; defaults to the node's stored
-    ``weight``.  Edge weights are zero (dependencies are free; the cost
-    model charges communication to the consumer).
-    """
-    if weight is None:
-        weight = lambda nid: graph.node(nid).weight  # noqa: E731
-    best: dict[str, float] = {}
-    best_pred: dict[str, str | None] = {}
-    order = graph.topological_order()
-    if not order:
-        return 0.0, []
-    for node_id in order:
-        w = weight(node_id)
-        preds = graph.predecessors(node_id)
-        if not preds:
-            best[node_id] = w
-            best_pred[node_id] = None
-        else:
-            p = max(preds, key=lambda q: best[q])
-            best[node_id] = best[p] + w
-            best_pred[node_id] = p
-    end = max(best, key=lambda nid: best[nid])
-    path: list[str] = []
-    cur: str | None = end
-    while cur is not None:
-        path.append(cur)
-        cur = best_pred[cur]
-    path.reverse()
-    return best[end], path

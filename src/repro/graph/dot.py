@@ -1,4 +1,4 @@
-"""DOT (graphviz) export for task graphs and SP trees.
+"""DOT (graphviz) export for task graphs.
 
 Purely textual — no graphviz dependency.  Useful for debugging expanded
 applications and for documentation; the examples write ``.dot`` files a
@@ -7,10 +7,9 @@ user can render with ``dot -Tpng``.
 
 from __future__ import annotations
 
-from repro.graph.spc import Leaf, Parallel, SPNode
 from repro.graph.taskgraph import TaskGraph
 
-__all__ = ["taskgraph_to_dot", "sp_to_dot"]
+__all__ = ["taskgraph_to_dot"]
 
 _KIND_STYLE = {
     "task": ("box", "white"),
@@ -35,33 +34,5 @@ def taskgraph_to_dot(graph: TaskGraph, *, name: str = "taskgraph") -> str:
         )
     for src, dst in graph.edges():
         lines.append(f"  {_quote(src)} -> {_quote(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def sp_to_dot(tree: SPNode, *, name: str = "sp") -> str:
-    """Render an SP composition tree as a DOT digraph string.
-
-    Composite nodes appear as small circles labelled ``;`` (series) or
-    ``||`` (parallel); leaves as boxes.
-    """
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=TB;", "  node [fontsize=10];"]
-    counter = 0
-
-    def emit(node: SPNode) -> str:
-        nonlocal counter
-        nid = f"n{counter}"
-        counter += 1
-        if isinstance(node, Leaf):
-            lines.append(f"  {nid} [label={_quote(node.label)} shape=box];")
-        else:
-            sym = ";" if not isinstance(node, Parallel) else "||"
-            lines.append(f"  {nid} [label={_quote(sym)} shape=circle];")
-            for child in node.children:  # type: ignore[attr-defined]
-                cid = emit(child)
-                lines.append(f"  {nid} -> {cid};")
-        return nid
-
-    emit(tree)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,11 +21,10 @@ from repro.core.program import Program
 from repro.errors import PredictionError
 from repro.prediction.pamela import (
     DEFAULT_MEM_CYCLES_PER_BYTE,
-    cost_model_leaf_fn,
-    predict_iteration,
+    initiation_interval,
+    modelled_iteration,
 )
-from repro.prediction.estimate import wcet_sequential, wcet_span
-from repro.spacecake.costmodel import CostModel, CostParams
+from repro.spacecake.costmodel import CostParams
 
 __all__ = ["DeadlineReport", "check_deadline", "min_nodes_for_deadline"]
 
@@ -71,24 +70,25 @@ def check_deadline(
     mem_cycles_per_byte: float = DEFAULT_MEM_CYCLES_PER_BYTE,
 ) -> DeadlineReport:
     """Analyse whether the configuration sustains one frame per budget."""
+    iteration = modelled_iteration(
+        program, registry, option_states, cost_params=cost_params,
+        mem_cycles_per_byte=mem_cycles_per_byte,
+    )
+    return _report(iteration, nodes, frame_budget_cycles, pipeline_depth)
+
+
+def _report(iteration, nodes: int, frame_budget_cycles: float,
+            pipeline_depth: int) -> DeadlineReport:
     if frame_budget_cycles <= 0:
         raise PredictionError(
             f"frame budget must be > 0, got {frame_budget_cycles}"
         )
-    tree = program.to_sp_tree(option_states)
-    cost_model = CostModel(registry, cost_params)
-    leaf_cost = cost_model_leaf_fn(
-        cost_model, program, option_states,
-        nodes=nodes, mem_cycles_per_byte=mem_cycles_per_byte,
-    )
-    span = predict_iteration(tree, nodes, leaf_cost)
-    work = wcet_sequential(tree, leaf_cost)
-    heaviest = max(leaf_cost(leaf) for leaf in tree.leaves())
-    initiation = max(work / nodes, span / pipeline_depth, heaviest)
+    span, work, heaviest = iteration(nodes)
     return DeadlineReport(
         nodes=nodes,
         frame_budget_cycles=frame_budget_cycles,
-        initiation_interval=initiation,
+        initiation_interval=initiation_interval(
+            span, work, heaviest, nodes=nodes, pipeline_depth=pipeline_depth),
         iteration_span=span,
         wcet=work,
         pipeline_depth=pipeline_depth,
@@ -108,18 +108,14 @@ def min_nodes_for_deadline(
     """Smallest node count (<= max_nodes) meeting the budget, or None.
 
     Monotone in nodes (work/P shrinks, span never grows), so a linear
-    scan from 1 suffices; the tile caps at 9 cores anyway.
+    scan from 1 suffices; the tile caps at 9 cores anyway.  The graph is
+    built and its formats solved once for the whole scan.
     """
+    iteration = modelled_iteration(program, registry, option_states,
+                                   cost_params=cost_params)
     for nodes in range(1, max_nodes + 1):
-        report = check_deadline(
-            program,
-            registry,
-            nodes=nodes,
-            frame_budget_cycles=frame_budget_cycles,
-            pipeline_depth=pipeline_depth,
-            cost_params=cost_params,
-            option_states=option_states,
-        )
+        report = _report(iteration, nodes, frame_budget_cycles,
+                         pipeline_depth)
         if report.meets_throughput:
             return report
     return None

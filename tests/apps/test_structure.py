@@ -130,12 +130,20 @@ def test_blur_structure_crossdep():
     assert not is_series_parallel(pg.graph)
 
 
-def test_blur_sp_tree_for_prediction():
-    prog = make_program(build_blur(5), name="blur5")
-    from tests.graph.helpers import lower
+def test_blur_prediction_walks_sp_form():
+    from repro.graph import sp_ize
+    from repro.prediction import wcet_sequential, wcet_span
 
-    tree = prog.to_sp_tree()
-    assert is_series_parallel(lower(tree))
+    prog = make_program(build_blur(5), name="blur5")
+    graph = prog.build_graph().graph
+    assert is_series_parallel(sp_ize(graph))
+
+    def unit(instance):
+        return 1.0
+
+    # source; 9 horizontal copies | ...; 9 vertical copies | ...; sink
+    assert wcet_span(prog, unit) == 4
+    assert wcet_sequential(prog, unit) == len(graph) == 20
 
 
 def test_blur_reconfigurable_two_options():

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import AppBuilder, expand
 from repro.errors import ReconfigurationError, ValidationError
-from repro.graph import is_series_parallel
+from repro.graph import is_series_parallel, sp_ize
+from repro.prediction import predict_iteration, wcet_sequential, wcet_span
 
 
 def pipeline_prog(registry):
@@ -199,7 +200,11 @@ def test_disabled_manager_body_still_has_enter_exit(registry):
     assert pg.graph.has_edge("m.enter", "m.exit")
 
 
-def test_to_sp_tree_crossdep_is_spized(registry):
+def unit(instance):
+    return 1.0
+
+
+def test_prediction_spizes_crossdep(registry):
     b = AppBuilder()
     main = b.procedure("main")
     main.component("src", "source", streams={"output": "raw"})
@@ -210,16 +215,16 @@ def test_to_sp_tree_crossdep_is_spized(registry):
             main.component("v", "filter", streams={"input": "mid", "output": "out"})
     main.component("snk", "sink", streams={"input": "out"})
     prog = expand(b.build(), registry)
-    tree = prog.to_sp_tree()
-    labels = [leaf.label for leaf in tree.leaves()]
-    assert labels.index("h[0]") < labels.index("v[0]")
-    # the SP tree is a valid SP graph by construction
-    from tests.graph.helpers import lower
+    graph = prog.build_graph().graph
+    assert not is_series_parallel(graph)
+    assert is_series_parallel(sp_ize(graph))
+    # prediction walks the same SP form: src; (h[0] | h[1] | h[2]); (v...); snk
+    assert wcet_span(prog, unit) == 4
+    assert predict_iteration(prog, 3, unit) == 4
+    assert wcet_sequential(prog, unit) == 8
 
-    assert is_series_parallel(lower(tree))
 
-
-def test_to_sp_tree_respects_option_states(registry):
+def test_prediction_respects_option_states(registry):
     b = AppBuilder()
     main = b.procedure("main")
     main.component("src", "source", streams={"output": "a"})
@@ -228,10 +233,9 @@ def test_to_sp_tree_respects_option_states(registry):
             main.component("f", "filter", streams={"input": "a", "output": "b"})
     main.component("snk", "sink", streams={"input": "a"})
     prog = expand(b.build(), registry)
-    on_labels = {l.label for l in prog.to_sp_tree({"o": True}).leaves()}
-    off_labels = {l.label for l in prog.to_sp_tree({"o": False}).leaves()}
-    assert "f" in on_labels
-    assert "f" not in off_labels
+    assert wcet_sequential(prog, unit, {"o": True}, manager_cycles=5) == 13
+    assert wcet_sequential(prog, unit, {"o": False}, manager_cycles=5) == 12
+    assert wcet_sequential(prog, unit, manager_cycles=5) == 13
 
 
 def test_graph_is_acyclic_and_ordered(registry):

@@ -1,53 +1,64 @@
-"""Test-side lowering of an SP composition tree to a flat DAG.
+"""Random series-parallel programs for the graph and prediction tests.
 
-The program lowers its own IR (``Program.build_graph``); generated SP
-trees (``tests.graph.test_spc.sp_trees``) and the prediction trees of
-``Program.to_sp_tree`` are lowered here, with ``add_node``/``add_edge``,
-to exercise the graph analyses on them.
+``sp_programs()`` draws an expanded :class:`Program` whose IR is nested
+series and parallel blocks of port-less ``task`` instances, each with a
+weight ``w`` in its params.  ``Program.build_graph`` lowers it the way it
+lowers every program, and ``weight`` is a prediction leaf cost.
 """
 
 from __future__ import annotations
 
-from repro.graph import Leaf, Series, SPNode, TaskGraph
+from hypothesis import strategies as st
+
+from repro.core.ports import PortSpec
+from repro.core.program import (
+    ComponentInstance,
+    IRLeaf,
+    IRNode,
+    IRParallel,
+    IRSeries,
+    Program,
+    iter_ir,
+)
 
 
-def lower(tree: SPNode) -> TaskGraph:
-    """Series joins sinks to sources, parallel is a disjoint union.
+def weight(instance: ComponentInstance) -> float:
+    return instance.params["w"]
 
-    A junction plural on both sides gets a zero-weight barrier, which
-    keeps the graph two-terminal series-parallel; a repeated leaf label
-    gets a ``.n`` suffix.
-    """
-    graph = TaskGraph()
-    used: dict[str, int] = {}
 
-    def fresh(label: str) -> str:
-        count = used[label] = used.get(label, -1) + 1
-        return label if count == 0 else f"{label}.{count}"
+def task(instance_id: str, w: float = 1.0) -> IRLeaf:
+    return IRLeaf(ComponentInstance(instance_id, instance_id, "task",
+                                    {"w": w}, {}))
 
-    def connect(sinks: list[str], sources: list[str]) -> None:
-        if len(sinks) > 1 and len(sources) > 1:
-            join = graph.add_node(fresh("join"), kind="barrier",
-                                  weight=0.0).node_id
-            connect(sinks, [join])
-            sinks = [join]
-        for sink in sinks:
-            for source in sources:
-                graph.add_edge(sink, source)
 
-    def build(node: SPNode) -> tuple[list[str], list[str]]:
-        if isinstance(node, Leaf):
-            nid = graph.add_node(fresh(node.label), label=node.label,
-                                 payload=node.payload,
-                                 weight=node.weight).node_id
-            return [nid], [nid]
-        parts = [build(child) for child in node.children]
-        if isinstance(node, Series):
-            for (_, sinks), (sources, _) in zip(parts, parts[1:]):
-                connect(sinks, sources)
-            return parts[0][0], parts[-1][1]
-        return ([s for sources, _ in parts for s in sources],
-                [s for _, sinks in parts for s in sinks])
+def program(root: IRNode, *, options=None) -> Program:
+    components = {node.instance.instance_id: node.instance
+                  for node in iter_ir(root) if isinstance(node, IRLeaf)}
+    return Program("sp", root, components, {}, options or {},
+                   {"task": PortSpec()})
 
-    build(tree)
-    return graph
+
+def sp_programs():
+    """Up to 12 tasks of weight 1..9, in blocks of two or three."""
+
+    def build(shape) -> Program:
+        count = 0
+
+        def ir(node) -> IRNode:
+            nonlocal count
+            if isinstance(node, int):
+                count += 1
+                return task(f"t{count}", float(node))
+            kind, children = node
+            return kind(tuple(ir(child) for child in children))
+
+        return program(ir(shape))
+
+    return st.recursive(
+        st.integers(1, 9),
+        lambda inner: st.tuples(
+            st.sampled_from([IRSeries, IRParallel]),
+            st.lists(inner, min_size=2, max_size=3),
+        ),
+        max_leaves=12,
+    ).map(build)

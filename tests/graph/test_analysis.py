@@ -1,14 +1,13 @@
-"""Tests for SP recognition, SP-ization, and critical path."""
+"""Tests for SP recognition and SP-ization."""
 
 from __future__ import annotations
 
 from hypothesis import given
 
-from repro.graph import TaskGraph, critical_path, is_series_parallel, sp_ize
+from repro.graph import TaskGraph, is_series_parallel, sp_ize
 from repro.graph.analysis import topological_levels
 
-from tests.graph.helpers import lower
-from tests.graph.test_spc import sp_trees
+from tests.graph.helpers import sp_programs
 
 
 def dag(*edges: str) -> TaskGraph:
@@ -118,74 +117,14 @@ def test_topological_levels():
     assert levels == {"a": 0, "b": 1, "c": 1, "d": 2}
 
 
-# -- critical path ----------------------------------------------------------
-
-
-def test_critical_path_chain():
-    g = TaskGraph()
-    g.add_node("a", weight=1.0)
-    g.add_node("b", weight=2.0)
-    g.add_node("c", weight=3.0)
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    length, path = critical_path(g)
-    assert length == 6.0
-    assert path == ["a", "b", "c"]
-
-
-def test_critical_path_picks_heavier_branch():
-    g = TaskGraph()
-    g.add_node("s", weight=1.0)
-    g.add_node("light", weight=1.0)
-    g.add_node("heavy", weight=10.0)
-    g.add_node("t", weight=1.0)
-    g.add_edge("s", "light")
-    g.add_edge("s", "heavy")
-    g.add_edge("light", "t")
-    g.add_edge("heavy", "t")
-    length, path = critical_path(g)
-    assert length == 12.0
-    assert path == ["s", "heavy", "t"]
-
-
-def test_critical_path_custom_weight_fn():
-    g = dag("a>b")
-    length, _ = critical_path(g, weight=lambda nid: 5.0)
-    assert length == 10.0
-
-
-def test_critical_path_empty_graph():
-    assert critical_path(TaskGraph()) == (0.0, [])
-
-
 # -- properties --------------------------------------------------------------
 
 
-@given(sp_trees())
-def test_prop_lowered_sp_tree_is_recognized_sp(tree):
-    g = lower(tree)
-    assert is_series_parallel(g)
+@given(sp_programs())
+def test_prop_lowered_sp_tree_is_recognized_sp(program):
+    assert is_series_parallel(program.build_graph().graph)
 
 
-@given(sp_trees())
-def test_prop_sp_ize_idempotent_on_sp_structure(tree):
-    g = lower(tree)
-    assert is_series_parallel(sp_ize(g))
-
-
-@given(sp_trees())
-def test_prop_critical_path_bounds(tree):
-    g = lower(tree)
-    length, path = critical_path(g)
-    total = sum(n.weight for n in g)
-    assert 0 < length <= total
-    # path is a real path in the graph
-    for u, v in zip(path, path[1:]):
-        assert g.has_edge(u, v)
-
-
-@given(sp_trees())
-def test_prop_critical_path_equals_serial_length_for_unit_weights(tree):
-    g = lower(tree)
-    length, _ = critical_path(g)
-    assert length == tree.serial_length()
+@given(sp_programs())
+def test_prop_sp_ize_idempotent_on_sp_structure(program):
+    assert is_series_parallel(sp_ize(program.build_graph().graph))

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.graph import Leaf, TaskGraph, parallel, series
-from repro.graph.dot import sp_to_dot, taskgraph_to_dot
+from repro.graph import TaskGraph
+from repro.graph.dot import taskgraph_to_dot
 
 
 def test_taskgraph_dot_structure():
@@ -32,14 +32,6 @@ def test_taskgraph_dot_manager_styles():
     dot = taskgraph_to_dot(g)
     assert "invtrapezium" in dot
     assert "trapezium" in dot
-
-
-def test_sp_dot_marks_composition():
-    tree = series(Leaf("a"), parallel(Leaf("b"), Leaf("c")))
-    dot = sp_to_dot(tree)
-    assert 'label=";"' in dot
-    assert 'label="||"' in dot
-    assert dot.count("shape=box") == 3
 
 
 def test_dot_output_parses_as_balanced():
