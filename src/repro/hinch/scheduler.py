@@ -24,6 +24,8 @@ Execution model (DESIGN.md §6):
   :class:`SchedulerHooks` — to splice components and rebuild the task
   graph, and resumes admission.  Components for options being *enabled*
   were already created when the event arrived, off the critical path.
+  Requests that later ones undo before the drain ends are withdrawn
+  (:meth:`withdraw_reconfig`): admission resumes with no splice.
 """
 
 from __future__ import annotations
@@ -345,6 +347,12 @@ class DataflowScheduler:
         """Queue a reconfiguration; admission halts until it is applied."""
         self._pending_plans.append(plan)
         self._halted = True
+
+    def withdraw_reconfig(self) -> None:
+        """Drop every queued plan (later requests undid them) and resume
+        admission at the next completed iteration, without a splice."""
+        self._pending_plans.clear()
+        self._halted = False
 
     def request_stop(self) -> None:
         """Stop admitting new iterations (end of input)."""

@@ -240,7 +240,7 @@ def test_plans_are_rebuilt_by_a_splice(build, option, others):
     write the pre-bypass stream; the sink would see the wrong frame (or
     a read-before-write).
     """
-    frames = 14
+    frames = 20
     rt, toggled = _sink_planes(lambda: build(4), frames)
     assert len(rt.reconfig_log) >= 3
     static = {
@@ -257,6 +257,56 @@ def test_plans_are_rebuilt_by_a_splice(build, option, others):
         if k in log:
             state = log[k][option]
         assert np.array_equal(toggled[k], static[state][k]), (k, state)
+
+
+@pytest.mark.parametrize(
+    "build,option,others",
+    [
+        (lambda period: build_blur(reconfigurable=True, period=period,
+                                   width=48, height=36, slices=3,
+                                   collect=True),
+         "blur5", {"blur3"}),
+        (lambda period: build_audio(channels=8, reconfigurable=True,
+                                    period=period, collect=True),
+         "vib_branch", set()),
+    ],
+    ids=["blur35", "audio-bypass"],
+)
+def test_a_request_reverted_before_the_drain_ends_does_not_splice(
+        build, option, others):
+    """Toggles every 3 frames outpace a depth-5 drain, so a request is
+    often undone by the next before the pipeline empties.  The pair is
+    withdrawn and admission resumes: no splice installs the configuration
+    already installed, and every frame still equals the static run of the
+    configuration it ran under, on the timed rows of the conformance
+    table and on deeper pipelines."""
+    from repro.fuzz.runner import ROWS, Row, _runtime
+
+    frames = 24
+    program = make_program(build(3), name="revert")
+    static = {
+        state: _sink_planes(
+            lambda: build(10**6), frames,
+            {option: state, **{o: not state for o in others}},
+        )[1]
+        for state in (True, False)
+    }
+    initial = program.build_graph(None).option_states
+    rows = [Row(*spec) for spec in ROWS["timed"]]
+    rows += [Row("threaded", 1, 5), Row("sim", 1, 5), Row("process", 1, 5)]
+    for row in rows:
+        rt = _runtime(row, program, REG, frames)
+        result = rt.run()
+        states = [initial] + [s for _, s in rt.reconfig_log]
+        assert all(a != b for a, b in zip(states, states[1:])), (row, states)
+        assert result.reconfig_count == len(rt.reconfig_log) >= 2, row
+        planes = result.components["sink"].ordered_planes()
+        state = initial[option]
+        log = dict(rt.reconfig_log)
+        for k in range(frames):
+            if k in log:
+                state = log[k][option]
+            assert np.array_equal(planes[k], static[state][k]), (row, k)
 
 
 @pytest.mark.parametrize(

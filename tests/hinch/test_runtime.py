@@ -558,10 +558,11 @@ def test_one_node_fifo_order_pins_blur35_splices():
 def test_one_node_fifo_order_pins_audio_bypass_splices():
     kw = dict(channels=8, block=64, slices=2, collect=True)
     log, out = _one_node(build_audio(reconfigurable=True, period=2, **kw), 16)
+    # a toggle every 2 records outpaces the depth-5 drain: until 14 each
+    # request is undone by the next before the pipeline empties, and the
+    # withdrawn pair splices nothing
     assert log == [
-        (5, {"vib_branch": True}),
-        (10, {"vib_branch": False}),
-        (15, {"vib_branch": False}),
+        (14, {"vib_branch": False}),
         (16, {"vib_branch": True}),
     ]
     variants = {
@@ -569,7 +570,7 @@ def test_one_node_fifo_order_pins_audio_bypass_splices():
         "M": _one_node(build_audio(reconfigurable=True, period=10**6, **kw),
                        16, option_states={"vib_branch": False})[1],  # mic only
     }
-    assert _variant_labels(out, variants) == "FFFFFFFFFFMMMMMM"
+    assert _variant_labels(out, variants) == "FFFFFFFFFFFFFFMM"
 
 
 # -- a finished runtime is freed at once ------------------------------------
