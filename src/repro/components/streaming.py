@@ -582,7 +582,6 @@ class _BlurBase(Component):
     )
     CYCLES_PER_TAP_PIXEL = 2.0  # multiply-accumulate per kernel tap
     row_contract = True
-    halo_rows = staticmethod(lambda params: params["size"] // 2)
 
     @classmethod
     def cost_profile(cls, instance: ComponentInstance) -> JobCost:
@@ -610,6 +609,8 @@ class BlurHField(_BlurBase):
 
 class BlurVField(_BlurBase):
     """Vertical phase: reads a halo around its slice, hence crossdep."""
+
+    halo_rows = staticmethod(lambda params: params["size"] // 2)
 
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")

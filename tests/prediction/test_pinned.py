@@ -54,17 +54,17 @@ PINNED = {
         (2, 4, 6),
     ),
     ("Blur-3x3", ()): (
-        (1, 41949120.0, 1747880.0, 1747880.0, 1747880.0),
-        (2, 21156124.0, 876940.0, 986504.0, 1753880.0),
-        (4, 10687626.0, 438470.0, 602816.0, 1753880.0),
-        (9, 4871793.777777778, 194875.55555555556, 389656.0, 1753880.0),
+        (1, 41848032.0, 1743668.0, 1743668.0, 1743668.0),
+        (2, 21105580.0, 874834.0, 984398.0, 1749668.0),
+        (4, 10662354.0, 437417.0, 601763.0, 1749668.0),
+        (9, 4860561.777777778, 194407.55555555556, 389188.0, 1749668.0),
         (2, 4, 9),
     ),
     ("Blur-5x5", ()): (
-        (1, 62057856.0, 2585744.0, 2585744.0, 2585744.0),
-        (2, 31210492.0, 1295872.0, 1405436.0, 2591744.0),
-        (4, 15714810.0, 647936.0, 812282.0, 2591744.0),
-        (9, 7106097.777777778, 287971.55555555556, 482752.0, 2591744.0),
+        (1, 61855680.0, 2577320.0, 2577320.0, 2577320.0),
+        (2, 31109404.0, 1291660.0, 1401224.0, 2583320.0),
+        (4, 15664266.0, 645830.0, 810176.0, 2583320.0),
+        (9, 7083633.777777778, 287035.55555555556, 481816.0, 2583320.0),
         (2, 4, 9),
     ),
     ("audio", ()): (
@@ -89,17 +89,17 @@ PINNED = {
         (2, 4, 9),
     ),
     ("Blur-35", ("blur3",)): (
-        (1, 41975520.0, 1748980.0, 1748980.0, 1748980.0),
-        (2, 21173624.0, 877640.0, 987904.0, 1755280.0),
-        (4, 10697076.0, 438820.0, 604216.0, 1755280.0),
-        (9, 4876771.555555556, 195031.11111111112, 391056.0, 1755280.0),
+        (1, 41874432.0, 1744768.0, 1744768.0, 1744768.0),
+        (2, 21123080.0, 875534.0, 985798.0, 1751068.0),
+        (4, 10671804.0, 437767.0, 603163.0, 1751068.0),
+        (9, 4865539.555555556, 194563.11111111112, 390588.0, 1751068.0),
         (2, 4, 9),
     ),
     ("Blur-35", ("blur5",)): (
-        (1, 62084256.0, 2586844.0, 2586844.0, 2586844.0),
-        (2, 31227992.0, 1296572.0, 1406836.0, 2593144.0),
-        (4, 15724260.0, 648286.0, 813682.0, 2593144.0),
-        (9, 7111075.555555556, 288127.1111111111, 484152.0, 2593144.0),
+        (1, 61882080.0, 2578420.0, 2578420.0, 2578420.0),
+        (2, 31126904.0, 1292360.0, 1402624.0, 2584720.0),
+        (4, 15673716.0, 646180.0, 811576.0, 2584720.0),
+        (9, 7088611.555555556, 287191.1111111111, 483216.0, 2584720.0),
         (2, 4, 9),
     ),
 }
