@@ -565,7 +565,9 @@ class Coordinator:
         )
         # Anything pre-created for a change that was later reverted is
         # discarded here (its option ended up disabled).
-        self._discard_precreated()
+        for component in self._precreated.values():
+            component.teardown()
+        self._precreated.clear()
         self.pg = new_pg
         self.node_plans = self.node_plans.spliced(new_pg)
         self._target_states = dict(states)
@@ -575,11 +577,6 @@ class Coordinator:
 
     def _after_splice(self, added: list[str], removed: list[str]) -> None:
         """Executor hook: :attr:`pg` and :attr:`host` are the new configuration."""
-
-    def _discard_precreated(self) -> None:
-        for component in self._precreated.values():
-            component.teardown()
-        self._precreated.clear()
 
     # -- ReconfigController --------------------------------------------------
 
@@ -601,7 +598,9 @@ class Coordinator:
                 # the queued requests undo one another before the drain
                 # ended: nothing to splice, so admission resumes
                 self.scheduler.withdraw_reconfig()
-                self._discard_precreated()
+                for component in self._precreated.values():
+                    component.teardown()
+                self._precreated.clear()
                 return
             # Pre-create components for options being enabled, while the
             # subgraph is still active (paper §3.4: reduces reconfig
